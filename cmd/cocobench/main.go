@@ -278,7 +278,6 @@ type campaignPhases struct {
 // wall-clock numbers may differ.
 type campaignRow struct {
 	Workers       int             `json:"workers"`
-	IntraCell     bool            `json:"intra_cell"`
 	Passes        int             `json:"passes"`
 	Cells         int             `json:"cells"`
 	Events        int64           `json:"events"`
@@ -294,11 +293,10 @@ type campaignRow struct {
 
 // campaignReport is the JSON schema of results/bench-campaign.json.
 // Reference is the committed-baseline configuration (single worker,
-// sequential engine, per-phase timing); Sweep varies workers and the
-// intra-cell engine over the same work-list; Normalized demonstrates
-// geometry-normalized plan keys on a mirror-symmetric work-list (its hit
-// rate exceeds the reference work-list's 2/3 because mirrored cells share
-// one canonical plan).
+// per-phase timing); Sweep varies the worker count over the same
+// work-list; Normalized demonstrates geometry-normalized plan keys on a
+// mirror-symmetric work-list (its hit rate exceeds the reference
+// work-list's 2/3 because mirrored cells share one canonical plan).
 type campaignReport struct {
 	Testbed    string        `json:"testbed"`
 	GOGC       int           `json:"gogc"`
@@ -423,7 +421,6 @@ func normalizedCells(smoke bool) []eval.MeasureCell {
 // rowConfig parameterizes one measured campaign row.
 type rowConfig struct {
 	workers   int
-	intra     bool
 	passes    int
 	phases    bool
 	normalize bool
@@ -443,15 +440,11 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 	var best campaignRow
 	for pass := 0; pass < cfg.passes; pass++ {
 		r := eval.NewRunner(tb)
-		r.IntraCell = cfg.intra
 		r.NormalizeKeys = cfg.normalize
 		// Hold every plan of the sweep (no eviction): eviction outcomes are
 		// execution-order dependent, and the sweep pins its plan-cache
 		// counters byte-identical across worker counts.
 		r.PlanOpsBudget = campaignPlanBudget
-		if cfg.intra && cfg.workers > 1 {
-			r.Drain = parallel.NewPool(cfg.workers)
-		}
 		if cfg.phases {
 			r.Clock = time.Now
 		}
@@ -479,7 +472,7 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 
 		hits, misses, evictions := r.PlanCacheStats()
 		row := campaignRow{
-			Workers: cfg.workers, IntraCell: cfg.intra, Passes: cfg.passes,
+			Workers: cfg.workers, Passes: cfg.passes,
 			Cells:  len(cells),
 			Events: r.EventsProcessed(), WallSeconds: wall,
 			CellsPerSec: float64(len(cells)) / wall, EventsPerSec: float64(r.EventsProcessed()) / wall,
@@ -514,12 +507,12 @@ func sameOutcome(a, b campaignRow) bool {
 
 // logRow prints one row's throughput line.
 func logRow(tag string, row campaignRow) {
-	log.Printf("campaign[%s]: workers=%d intra=%-5v %d cells, %d events in %.2fs  (%.1f cells/s, %.3g events/s)",
-		tag, row.Workers, row.IntraCell, row.Cells, row.Events, row.WallSeconds, row.CellsPerSec, row.EventsPerSec)
+	log.Printf("campaign[%s]: workers=%d %d cells, %d events in %.2fs  (%.1f cells/s, %.3g events/s)",
+		tag, row.Workers, row.Cells, row.Events, row.WallSeconds, row.CellsPerSec, row.EventsPerSec)
 }
 
 // runCampaign measures the DES campaign pipeline — the reference
-// single-worker row with per-phase timing, a workers × intra-cell sweep
+// single-worker row with per-phase timing, a worker-count sweep
 // pinned byte-identical to the reference, and the geometry-normalization
 // demo — and writes the report JSON. With checkPath set it instead
 // compares the reference row against the committed baseline and fails on
@@ -544,19 +537,15 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 		ref.PlanHits, ref.PlanMisses, ref.PlanEvictions, 100*ref.PlanHitRate)
 
 	rep := campaignReport{Testbed: tb.Name, GOGC: campaignGOGC, Reps: 3, Reference: ref}
-	for _, cfg := range []rowConfig{
-		{workers: 1, intra: true},
-		{workers: 2}, {workers: 2, intra: true},
-		{workers: 8}, {workers: 8, intra: true},
-	} {
+	for _, cfg := range []rowConfig{{workers: 2}, {workers: 8}} {
 		// Sweep rows get the same best-of-passes treatment as the reference:
-		// multi-worker rows on a contended host swing far more than the
-		// phase gate's 20% bound, and a single pass would trip -check on
-		// scheduler noise rather than regressions.
+		// multi-worker rows on a contended host swing far more than a
+		// single-worker row, and one pass would record scheduler noise
+		// rather than throughput.
 		cfg.passes = passes
 		// Every sweep row carries its own phase split, so regressions that
-		// only show up under a particular worker or drain configuration are
-		// attributable (and gated by -check) without a bisection run.
+		// only show up at a particular worker count are attributable without
+		// a bisection run.
 		cfg.phases = true
 		row, err := runRow(tb, cells, cfg)
 		if err != nil {
@@ -565,8 +554,8 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 		logRow("sweep", row)
 		if !sameOutcome(row, ref) {
 			return fmt.Errorf(
-				"campaign not byte-identical at workers=%d intra=%v: events=%d plans=%d/%d/%d, reference events=%d plans=%d/%d/%d",
-				cfg.workers, cfg.intra, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
+				"campaign not byte-identical at workers=%d: events=%d plans=%d/%d/%d, reference events=%d plans=%d/%d/%d",
+				cfg.workers, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
 				ref.Events, ref.PlanHits, ref.PlanMisses, ref.PlanEvictions)
 		}
 		rep.Sweep = append(rep.Sweep, row)
@@ -597,8 +586,11 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 // checkCampaign compares a freshly measured campaign against the committed
 // baseline: the reference row's simulated counters must match exactly (any
 // drift means the simulation changed, which a perf PR must not do),
-// throughput may regress at most 15%, and no phase of any row may run more
-// than 20% slower than its baseline phase.
+// throughput may regress at most 15%, and no phase of the reference row may
+// run more than 20% slower than its baseline phase. Sweep rows are not
+// gated: multi-worker rows on a contended host attribute descheduled time
+// to whatever phase was running, swinging far past any useful bound; their
+// splits stay in the JSON for attribution.
 func checkCampaign(path string, rep *campaignReport) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -623,34 +615,8 @@ func checkCampaign(path string, rep *campaignReport) error {
 	if err := phaseGate("reference", ref.Phases, b.Phases); err != nil {
 		return err
 	}
-	for _, row := range rep.Sweep {
-		// Only single-worker rows are gated: with one worker a phase's
-		// seconds are exact goroutine-local wall time, while multi-worker
-		// rows on a contended host attribute descheduled time to whatever
-		// phase was running, swinging far past any useful bound. The
-		// multi-worker splits stay in the JSON for attribution.
-		if row.Workers != 1 {
-			continue
-		}
-		if bl := findSweepRow(base.Sweep, row.Workers, row.IntraCell); bl != nil {
-			tag := fmt.Sprintf("sweep workers=%d intra=%v", row.Workers, row.IntraCell)
-			if err := phaseGate(tag, row.Phases, bl.Phases); err != nil {
-				return err
-			}
-		}
-	}
 	log.Printf("campaign check OK: %.1f cells/s vs baseline %.1f, counters identical, phases within bounds",
 		ref.CellsPerSec, b.CellsPerSec)
-	return nil
-}
-
-// findSweepRow locates the baseline sweep row with the same configuration.
-func findSweepRow(rows []campaignRow, workers int, intra bool) *campaignRow {
-	for i := range rows {
-		if rows[i].Workers == workers && rows[i].IntraCell == intra {
-			return &rows[i]
-		}
-	}
 	return nil
 }
 

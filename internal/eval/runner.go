@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,20 +168,6 @@ type Runner struct {
 	Reps int
 	// SeedBase diversifies the noise streams of independent campaigns.
 	SeedBase int64
-	// IntraCell selects the conservatively-partitioned discrete-event
-	// engine (per-device event queues with lookahead derived from the
-	// testbed's link latencies) for this runner's repetitions. The fired
-	// event sequence is bit-identical to the sequential engine — the
-	// partitioned engine's (at, seq) merge oracle guarantees it, and the
-	// campaign identity assertions in cocobench pin it — so the flag only
-	// changes how the queue is advanced, never what is measured.
-	IntraCell bool
-	// Drain, with IntraCell, fans the partitioned engine's per-partition
-	// staging jobs out through a worker pool. Staged drains are enabled
-	// only when the pool has more than one worker AND GOMAXPROCS > 1 —
-	// otherwise staging is pure overhead on the single P — which is the
-	// sequential-fallback criterion DESIGN.md §10 documents.
-	Drain *parallel.Pool
 	// NormalizeKeys folds mirror-equivalent gemm cells onto a canonical
 	// orientation before measuring (see normalizeGemm), so symmetric
 	// work-lists share tile plans. Off by default: the reference campaign
@@ -229,16 +214,15 @@ type Runner struct {
 
 	// bundleFree recycles wired simulation stacks (engine + device +
 	// runtime + scheduler context) across this runner's repetitions, so a
-	// cached-plan repetition re-derives nothing: no lookahead/drain
-	// configuration, no stream creation, no map growth — only a reseed and
-	// counter reset (see simBundle). It is a mutex-guarded free list
-	// rather than a sync.Pool deliberately: plan building allocates enough
-	// to trigger GC cycles mid-campaign, and sync.Pool drops its contents
-	// at every GC — losing the op/event slabs, free lists and
-	// kernel-duration memos whose warmth is the entire point of pooling.
-	// The list is per-runner because the duration memo is testbed-specific
-	// and the engine flavor is fixed by the runner's configuration; it
-	// grows to at most the number of concurrent Measure calls.
+	// cached-plan repetition re-derives nothing: no stream creation, no
+	// map growth — only a reseed and counter reset (see simBundle). It is
+	// a mutex-guarded free list rather than a sync.Pool deliberately: plan
+	// building allocates enough to trigger GC cycles mid-campaign, and
+	// sync.Pool drops its contents at every GC — losing the op/event slabs,
+	// free lists and kernel-duration memos whose warmth is the entire point
+	// of pooling. The list is per-runner because the duration memo is
+	// testbed-specific; it grows to at most the number of concurrent
+	// Measure calls.
 	bundleMu   sync.Mutex
 	bundleFree []*simBundle
 }
@@ -497,13 +481,6 @@ func axpyOperands(rt *cudart.Runtime, p Problem) (x, y *operand.Vector, err erro
 	return x, y, nil
 }
 
-// drainThreshold is the heap population at which an intra-cell engine
-// stages a conservative drain. Below it the staging bookkeeping outweighs
-// the batch-pop savings; the big gemm cells hold tens of thousands of
-// pending events, so they drain, while tiny cells never do (and draining
-// never changes what fires — see the merge-oracle invariant).
-const drainThreshold = 4096
-
 // ctxStreams is the number of long-lived streams a bundle's scheduler
 // context owns (h2d, d2h, compute); TruncateStreams rewinds a reused
 // bundle's runtime to exactly these.
@@ -516,31 +493,12 @@ const ctxStreams = 3
 // and event free list, the runtime its op/event slabs and kernel-duration
 // memo, the context its streams, bucket slice and replay scratch, and the
 // device its task free list. Per repetition only the noise streams are
-// reseeded and the accounting counters zeroed; the lookahead and drain
-// configuration are derived once, at bundle construction, never per rep.
+// reseeded and the accounting counters zeroed.
 type simBundle struct {
 	eng *sim.Engine
 	dev *device.Device
 	rt  *cudart.Runtime
 	ctx *sched.Context
-}
-
-// newEngine builds a simulation engine of the runner's configured flavor.
-// The partitioned engine is selected only when its drains can actually fan
-// out — a worker pool with real concurrency AND more than one P. A
-// single-core intra-cell runner gets the flat sequential queue outright:
-// the fired event sequence is identical either way (the partitioned
-// engine's merge oracle pins it), so partitioning without parallel staging
-// would be pure bookkeeping overhead. The partitioned engine's lookahead
-// vector is installed by device.New from the testbed's link latencies.
-func (r *Runner) newEngine() *sim.Engine {
-	if !r.IntraCell || r.Drain.Workers() <= 1 || runtime.GOMAXPROCS(0) <= 1 {
-		return sim.New()
-	}
-	eng := sim.NewPartitioned()
-	pool := r.Drain
-	eng.SetDrain(drainThreshold, func(n int, f func(int)) { parallel.Fanout(pool, n, f) })
-	return eng
 }
 
 // bundle returns a simulation stack ready for one repetition with the
@@ -565,7 +523,7 @@ func (r *Runner) bundle(seed int64) *simBundle {
 		b.ctx.Reset()
 		return b
 	}
-	eng := r.newEngine()
+	eng := sim.New()
 	dev := device.New(eng, r.TB, seed, false)
 	rt := cudart.New(dev)
 	return &simBundle{eng: eng, dev: dev, rt: rt, ctx: sched.NewContext(rt, false)}

@@ -198,7 +198,7 @@ func (l *Link) startNext(dir machine.LinkDir) {
 	}
 	c.active = t
 	c.started = l.eng.Now()
-	l.eng.AfterPart(part(dir), c.params.LatencyS, t.enterFn)
+	l.eng.After(c.params.LatencyS, t.enterFn)
 }
 
 // enterData moves a transfer from its latency phase into the fluid data
@@ -208,18 +208,6 @@ func (l *Link) enterData(dir machine.LinkDir, t *transfer) {
 	t.dataStart = l.eng.Now()
 	t.updated = l.eng.Now()
 	l.replan()
-}
-
-// part maps a link direction onto its event-queue partition. Queue-entry
-// events land at least one link latency after the event submitting them —
-// the lookahead bound the partitioned engine's drains use — while
-// completion events may be scheduled or rescheduled arbitrarily close to
-// now; the engine's (at, seq) merge scan keeps that correct regardless.
-func part(dir machine.LinkDir) sim.Partition {
-	if dir == machine.H2D {
-		return sim.PartH2D
-	}
-	return sim.PartD2H
 }
 
 // otherDir returns the opposite direction.
@@ -276,7 +264,7 @@ func (l *Link) replanOne(dir machine.LinkDir, c *channel, t *transfer, now sim.T
 	if t.complete != nil && t.complete.Pending() {
 		l.eng.Reschedule(t.complete, finish)
 	} else {
-		t.complete = l.eng.SchedulePart(part(dir), finish, t.finishFn)
+		t.complete = l.eng.Schedule(finish, t.finishFn)
 	}
 }
 

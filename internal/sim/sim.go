@@ -3,19 +3,9 @@
 // copy engines, compute engine) are expressed as events on a single virtual
 // clock measured in seconds.
 //
-// The engine comes in two modes sharing one implementation:
-//
-//   - New() builds the sequential reference engine: a single 4-ary min-heap
-//     of timestamped callbacks with a monotonically increasing sequence
-//     number as the tie-breaker, so that runs are bit-for-bit reproducible.
-//   - NewPartitioned() splits the pending set into per-device event queues
-//     (host, H2D link, D2H link, compute engine) in the classic conservative
-//     parallel-DES formulation. Partitions can be drained ahead of time into
-//     sorted per-partition batches — optionally by worker goroutines — and
-//     the next event to fire is always the global (at, seq) minimum over
-//     every partition's heap head, batch head and next-event slot, so the
-//     merged event order is identical to the sequential engine's by
-//     construction (see partition.go for the invariants).
+// The engine keeps one pending set of timestamped callbacks ordered by
+// (at, seq): virtual time first, then a monotonically increasing issue
+// number as the tie-breaker, so that runs are bit-for-bit reproducible.
 //
 // Events may be cancelled and rescheduled, which the fluid-flow transfer
 // model uses to re-plan completion times whenever link contention changes.
@@ -27,61 +17,30 @@
 //     (at, seq, stamp, ev) entries by value — every sift comparison reads
 //     the entry, never chases the *Event — and is 4-ary, roughly halving
 //     the sift-down depth for the queue sizes the campaign sustains.
-//   - Each partition keeps a one-slot "next event" buffer: a schedule that
+//   - A one-slot "next event" buffer sits beside the heap: a schedule that
 //     finds the slot empty parks there without touching the heap at all.
 //     The dominant fire-then-schedule-successor pattern (cudart ops that
 //     complete and immediately schedule the next op) cycles through the
 //     slot, so steady-state chains pay no sift in either direction.
-//   - Cancel and Reschedule never perform heap surgery. Every heap and
-//     batch entry carries a stamp (a per-engine push counter) snapshotted
-//     from the event at insertion; cancelling or rescheduling an event
-//     invalidates the stamp in O(1), and stale entries are skipped when a
-//     pop or peek reaches them.
+//   - Cancel and Reschedule never perform heap surgery. Every heap entry
+//     carries a stamp (a per-engine push counter) snapshotted from the
+//     event at insertion; cancelling or rescheduling an event invalidates
+//     the stamp in O(1), and stale entries are skipped when a pop or peek
+//     reaches them.
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Time is a point on the virtual clock, in seconds since simulation start.
 type Time = float64
 
-// Partition identifies one of a partitioned engine's event queues. The
-// sequential reference engine ignores partitions and keeps every event on
-// one heap; the (at, seq) total order makes the two modes fire the
-// identical event sequence.
-type Partition int8
-
-// The partitions mirror the simulated testbed's independently progressing
-// hardware units: host-side launch/completion processing, one queue per
-// PCIe link direction, and the device compute engine.
-const (
-	PartHost Partition = iota
-	PartH2D
-	PartD2H
-	PartCompute
-)
-
-// NumParts is the number of event queues a partitioned engine maintains.
-const NumParts = int(PartCompute) + 1
-
-// Event.where states: an event is on a partition heap (inHeap), staged in a
-// drained batch (inBatch), parked in its partition's next-event slot
-// (inSlot), or not queued at all (notQueued — fired, cancelled, or
-// recycled).
+// Event.where states: an event is on the heap (inHeap), parked in the
+// next-event slot (inSlot), or not queued at all (notQueued — fired,
+// cancelled, or recycled).
 const (
 	notQueued int8 = iota
 	inHeap
-	inBatch
 	inSlot
-)
-
-// Where an event fires from, for the take/peek plumbing.
-const (
-	srcHeap int8 = iota
-	srcBatch
-	srcSlot
 )
 
 // Event is a scheduled callback. The zero value is not useful; events are
@@ -95,16 +54,14 @@ const (
 type Event struct {
 	at  Time
 	seq uint64
-	// stamp identifies the event's live container entry: heap and batch
-	// entries snapshot it at insertion, and any entry whose snapshot no
-	// longer matches is stale (the event fired from elsewhere, was
-	// cancelled, was rescheduled, or the object was recycled). Stamps come
-	// from a per-engine monotonic push counter and are never reused, so a
-	// match is exact.
+	// stamp identifies the event's live heap entry: entries snapshot it at
+	// insertion, and any entry whose snapshot no longer matches is stale
+	// (the event fired from the slot, was cancelled, was rescheduled, or
+	// the object was recycled). Stamps come from a per-engine monotonic
+	// push counter and are never reused, so a match is exact.
 	stamp    uint64
 	fn       func()
 	where    int8
-	part     int8
 	canceled bool
 }
 
@@ -112,15 +69,12 @@ type Event struct {
 func (ev *Event) At() Time { return ev.at }
 
 // Pending reports whether the event is still queued (not fired, not
-// cancelled). Staged events — drained into a partition batch but not yet
-// fired — and slot-parked events are still pending: where an event waits is
+// cancelled). Slot-parked events are pending too: where an event waits is
 // a throughput detail invisible to the hardware models.
 func (ev *Event) Pending() bool { return ev != nil && ev.where != notQueued && !ev.canceled }
 
 // entBefore is the total event order on (at, seq) pairs: earlier time
-// first, then issue order. Every queue — heap, batch or slot, sequential or
-// partitioned — agrees on it, which is what makes the partitioned merge
-// bitwise-identical to the sequential engine.
+// first, then issue order. The heap and the slot both agree on it.
 func entBefore(aAt Time, aSeq uint64, bAt Time, bSeq uint64) bool {
 	//lint:ignore floatorder exact tie-break on stored event times; both sides are loaded values, no rounding happens here
 	if aAt != bAt {
@@ -128,9 +82,6 @@ func entBefore(aAt Time, aSeq uint64, bAt Time, bSeq uint64) bool {
 	}
 	return aSeq < bSeq
 }
-
-// before applies the total event order to two live events.
-func before(a, b *Event) bool { return entBefore(a.at, a.seq, b.at, b.seq) }
 
 // heapEnt is one heap element. Entries are values — at and seq are copied
 // from the event at push time — so sift comparisons never dereference the
@@ -146,23 +97,28 @@ type heapEnt struct {
 // live reports whether the entry is still the event's current residence.
 func (ent *heapEnt) live() bool { return ent.stamp == ent.ev.stamp }
 
-// batchEntry is one staged event in a partition's drained batch, with the
-// same stamp-snapshot staleness rule as heap entries.
-type batchEntry struct {
-	ev    *Event
-	stamp uint64
-}
+// Engine is a discrete-event simulator instance. It is not safe for
+// concurrent use: callbacks always execute sequentially on the goroutine
+// calling Step/Run, in (at, seq) order.
+//
+// The earliest pending event is the (at, seq) minimum of the pruned heap
+// root and the next-event slot.
+type Engine struct {
+	now     Time
+	seq     uint64
+	stepped uint64
+	// stamps is the heap push counter behind Event.stamp. It survives
+	// Reset — stamps must never repeat while any stale entry could still
+	// reference an event object, and monotonicity is the cheapest proof.
+	stamps uint64
+	// free recycles fired and cancelled events so steady-state scheduling
+	// allocates no *Event per call (the per-simulation constant the
+	// campaign engine's hot path pays millions of times).
+	free []*Event
 
-// partQueue is one partition's pending set: a 4-ary min-heap, a sorted FIFO
-// batch of events staged by a drain, and a one-slot next-event buffer. The
-// partition's earliest event is the (at, seq) minimum of the pruned heap
-// head, the first live batch entry, and the slot.
-type partQueue struct {
-	queue []heapEnt    // 4-ary min-heap ordered by (at, seq); may hold stale entries
-	batch []batchEntry // drained events in (at, seq) order
-	head  int          // index of the first unconsumed batch entry
-	next  *Event       // next-event slot: filled by Schedule when empty
-	live  int          // live (non-stale) heap entries
+	queue []heapEnt // 4-ary min-heap ordered by (at, seq); may hold stale entries
+	next  *Event    // next-event slot: filled by Schedule when empty
+	live  int       // live (non-stale) heap entries
 	// dead counts stale heap entries (live + dead == len(queue)). It lets
 	// the pop path skip the per-entry staleness dereference entirely
 	// between invalidations: most campaign windows cancel nothing, and
@@ -171,102 +127,35 @@ type partQueue struct {
 	dead int
 }
 
-// Engine is a discrete-event simulator instance. It is not safe for
-// concurrent use: callbacks always execute sequentially on the goroutine
-// calling Step/Run, in the global (at, seq) order. A partitioned engine may
-// additionally stage future events through worker goroutines during a
-// drain (see SetDrain), but staging never executes callbacks.
-type Engine struct {
-	now     Time
-	seq     uint64
-	stepped uint64
-	// stamps is the container push counter behind Event.stamp. It survives
-	// Reset — stamps must never repeat while any stale entry could still
-	// reference an event object, and monotonicity is the cheapest proof.
-	stamps uint64
-	// moved is set by Reschedule so Run's same-timestamp batch loop falls
-	// back to a full peek: a reschedule can move an already-issued event
-	// below the loop's cross-partition snapshot.
-	moved bool
-	// free recycles fired and cancelled events so steady-state scheduling
-	// allocates no *Event per call (the per-simulation constant the
-	// campaign engine's hot path pays millions of times).
-	free []*Event
-
-	nparts int // 1 (sequential reference) or NumParts (partitioned)
-	staged int // live events currently sitting in partition batches
-	// drainAt enables staged draining once the total heap population
-	// reaches it; 0 disables draining (the sequential fallback).
-	drainAt int
-	fanout  func(n int, f func(int))
-	stageFn func(int) // e.stagePart bound once, so drains allocate nothing
-	look    [NumParts]Time
-	safe    [NumParts]Time // per-partition staging horizons of the current drain
-	parts   [NumParts]partQueue
-}
-
 // initialHeapCap pre-sizes the event heap so short simulations never grow
 // it and long ones grow it logarithmically few times.
 const initialHeapCap = 256
 
-// New returns a sequential single-queue engine with the clock at zero —
-// the bitwise reference every partitioned configuration is pinned to.
+// New returns an engine with the clock at zero and no pending events.
 func New() *Engine {
-	e := &Engine{nparts: 1}
-	e.parts[0].queue = make([]heapEnt, 0, initialHeapCap)
-	return e
+	return &Engine{queue: make([]heapEnt, 0, initialHeapCap)}
 }
-
-// NewPartitioned returns an engine with one event queue per simulated
-// hardware unit (see Partition). It fires the identical event sequence as
-// New — the partitions exist so pending events can be drained and staged
-// concurrently, not to change simulated results.
-func NewPartitioned() *Engine {
-	e := &Engine{nparts: NumParts}
-	for p := 0; p < NumParts; p++ {
-		e.parts[p].queue = make([]heapEnt, 0, initialHeapCap/NumParts)
-	}
-	return e
-}
-
-// Partitioned reports whether the engine maintains per-device queues.
-func (e *Engine) Partitioned() bool { return e.nparts > 1 }
 
 // Reset returns the engine to its initial state — clock at zero, empty
-// queues, zeroed counters — while keeping the event free list, the heap and
-// batch backing arrays, and the partition/lookahead/drain configuration, so
-// a reused engine runs its next simulation without re-paying the warm-up
-// allocations. Events still pending (queued, staged or slot-parked) are
-// cancelled and recycled; as with fired events, callers must drop their
-// references. Stale heap and batch entries are dropped without touching
-// their (already recycled) events.
+// queue, zeroed counters — while keeping the event free list and the heap
+// backing array, so a reused engine runs its next simulation without
+// re-paying the warm-up allocations. Events still pending (queued or
+// slot-parked) are cancelled and recycled; as with fired events, callers
+// must drop their references. Stale heap entries are dropped without
+// touching their (already recycled) events.
 func (e *Engine) Reset() {
-	for p := 0; p < e.nparts; p++ {
-		pq := &e.parts[p]
-		for i := range pq.queue {
-			if ent := &pq.queue[i]; ent.live() {
-				e.retire(ent.ev)
-			}
-		}
-		clear(pq.queue)
-		pq.queue = pq.queue[:0]
-		pq.live = 0
-		pq.dead = 0
-		// Entries before head are always dead; later entries are live
-		// exactly when the stamp snapshot still matches.
-		for _, ent := range pq.batch[pq.head:] {
-			if ent.ev.stamp == ent.stamp {
-				e.retire(ent.ev)
-			}
-		}
-		pq.batch = pq.batch[:0]
-		pq.head = 0
-		if sl := pq.next; sl != nil {
-			pq.next = nil
-			e.retire(sl)
+	for i := range e.queue {
+		if ent := &e.queue[i]; ent.live() {
+			e.retire(ent.ev)
 		}
 	}
-	e.staged = 0
+	clear(e.queue)
+	e.queue = e.queue[:0]
+	e.live, e.dead = 0, 0
+	if sl := e.next; sl != nil {
+		e.next = nil
+		e.retire(sl)
+	}
 	e.now, e.seq, e.stepped = 0, 0, 0
 }
 
@@ -299,37 +188,29 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// enqueue stamps ev and pushes it onto pq's heap. The fresh stamp makes any
-// previous heap or batch entry for ev stale.
-func (e *Engine) enqueue(pq *partQueue, ev *Event) {
+// push stamps ev, appends its heap entry and restores the heap order. The
+// fresh stamp makes any previous heap entry for ev stale.
+func (e *Engine) push(ev *Event) {
 	e.stamps++
 	ev.stamp = e.stamps
 	ev.where = inHeap
-	pq.push(ev)
+	e.queue = append(e.queue, heapEnt{at: ev.at, seq: ev.seq, stamp: ev.stamp, ev: ev})
+	e.siftUp(len(e.queue) - 1)
+	e.live++
 }
 
-// push appends a heap entry for ev (already stamped) and restores the heap
-// order.
-func (pq *partQueue) push(ev *Event) {
-	pq.queue = append(pq.queue, heapEnt{at: ev.at, seq: ev.seq, stamp: ev.stamp, ev: ev})
-	pq.siftUp(len(pq.queue) - 1)
-	pq.live++
-}
-
-// popMin removes and returns the heap's root entry. Callers prune stale
-// roots first when they need a live event.
-func (pq *partQueue) popMin() heapEnt {
-	q := pq.queue
-	root := q[0]
+// popMin removes the heap's root entry. Callers prune stale roots first
+// when they need a live event.
+func (e *Engine) popMin() {
+	q := e.queue
 	n := len(q) - 1
 	last := q[n]
 	q[n] = heapEnt{}
-	pq.queue = q[:n]
+	e.queue = q[:n]
 	if n > 0 {
 		q[0] = last
-		pq.siftDown(0)
+		e.siftDown(0)
 	}
-	return root
 }
 
 // pruneHead pops stale entries off the heap root so the head, if any, is
@@ -337,20 +218,20 @@ func (pq *partQueue) popMin() heapEnt {
 // debt here, one sift-down per stale entry, instead of O(log n) surgery at
 // every Cancel/Reschedule. With no stale entries outstanding (dead == 0)
 // it returns without touching any event.
-func (pq *partQueue) pruneHead() {
-	if pq.dead == 0 {
+func (e *Engine) pruneHead() {
+	if e.dead == 0 {
 		return
 	}
-	for len(pq.queue) > 0 && !pq.queue[0].live() {
-		pq.popMin()
-		pq.dead--
+	for len(e.queue) > 0 && !e.queue[0].live() {
+		e.popMin()
+		e.dead--
 	}
 }
 
 // siftUp moves the entry at position i toward the root until its parent is
 // not after it.
-func (pq *partQueue) siftUp(i int) {
-	q := pq.queue
+func (e *Engine) siftUp(i int) {
+	q := e.queue
 	ent := q[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -365,8 +246,8 @@ func (pq *partQueue) siftUp(i int) {
 
 // siftDown moves the entry at position i toward the leaves, swapping with
 // its earliest child while that child precedes it.
-func (pq *partQueue) siftDown(i int) {
-	q := pq.queue
+func (e *Engine) siftDown(i int) {
+	q := e.queue
 	n := len(q)
 	ent := q[i]
 	for {
@@ -393,44 +274,6 @@ func (pq *partQueue) siftDown(i int) {
 	q[i] = ent
 }
 
-// liveBatchHead returns the partition's first still-live staged event, or
-// nil. Dead entries (consumed, cancelled, rescheduled, or recycled — the
-// stamp snapshot no longer matches) are skipped permanently, and a fully
-// consumed batch resets so its backing array is reused.
-func (pq *partQueue) liveBatchHead() *Event {
-	for pq.head < len(pq.batch) {
-		ent := pq.batch[pq.head]
-		if ent.ev.stamp == ent.stamp {
-			return ent.ev
-		}
-		pq.head++
-	}
-	if len(pq.batch) > 0 {
-		pq.batch = pq.batch[:0]
-		pq.head = 0
-	}
-	return nil
-}
-
-// peekLocal returns the partition's earliest pending event and which
-// container holds it: the (at, seq) minimum of the pruned heap head, the
-// first live batch entry, and the next-event slot.
-func (pq *partQueue) peekLocal() (*Event, int8) {
-	pq.pruneHead()
-	var best *Event
-	src := srcHeap
-	if len(pq.queue) > 0 {
-		best = pq.queue[0].ev
-	}
-	if bev := pq.liveBatchHead(); bev != nil && (best == nil || before(bev, best)) {
-		best, src = bev, srcBatch
-	}
-	if sl := pq.next; sl != nil && (best == nil || before(sl, best)) {
-		best, src = sl, srcSlot
-	}
-	return best, src
-}
-
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -438,37 +281,24 @@ func (e *Engine) Now() Time { return e.now }
 // performance reporting).
 func (e *Engine) Processed() uint64 { return e.stepped }
 
-// Pending returns the number of events currently queued, staged or
-// slot-parked.
+// Pending returns the number of events currently queued or slot-parked.
 func (e *Engine) Pending() int {
-	n := e.staged
-	for p := 0; p < e.nparts; p++ {
-		pq := &e.parts[p]
-		n += pq.live
-		if pq.next != nil {
-			n++
-		}
+	if e.next != nil {
+		return e.live + 1
 	}
-	return n
+	return e.live
 }
 
-// Schedule queues fn to run at virtual time at, on the host partition.
-// Scheduling in the past panics: it always indicates a model bug, and
-// silently clamping would hide causality violations.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	return e.SchedulePart(PartHost, at, fn)
-}
-
-// SchedulePart queues fn to run at virtual time at on partition p. The
-// sequential reference engine keeps one queue and ignores p; results are
-// identical either way. Scheduling in the past panics.
+// Schedule queues fn to run at virtual time at. Scheduling in the past
+// panics: it always indicates a model bug, and silently clamping would hide
+// causality violations.
 //
-// The monotonic fast path lives here: when the partition's next-event slot
-// is empty the event parks there in O(1), so the dominant
+// The monotonic fast path lives here: when the next-event slot is empty
+// the event parks there in O(1), so the dominant
 // fire-then-schedule-successor chains never touch the heap.
 //
 //cocolint:hotpath
-func (e *Engine) SchedulePart(p Partition, at Time, fn func()) *Event {
+func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %.12g before now %.12g", at, e.now))
 	}
@@ -476,53 +306,35 @@ func (e *Engine) SchedulePart(p Partition, at Time, fn func()) *Event {
 		panic("sim: nil event callback")
 	}
 	ev := e.alloc(at, fn)
-	if e.nparts > 1 {
-		ev.part = int8(p)
-	} else {
-		ev.part = 0
-	}
 	e.seq++
-	pq := &e.parts[ev.part]
-	if pq.next == nil {
-		pq.next = ev
+	if e.next == nil {
+		e.next = ev
 		ev.where = inSlot
 		return ev
 	}
-	e.enqueue(pq, ev)
+	e.push(ev)
 	return ev
 }
 
-// After queues fn to run d seconds from now on the host partition.
-// Negative d panics.
+// After queues fn to run d seconds from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) *Event {
-	return e.SchedulePart(PartHost, e.now+d, fn)
+	return e.Schedule(e.now+d, fn)
 }
 
-// AfterPart queues fn to run d seconds from now on partition p. Negative d
-// panics.
-func (e *Engine) AfterPart(p Partition, d Time, fn func()) *Event {
-	return e.SchedulePart(p, e.now+d, fn)
-}
-
-// Cancel removes a pending event — queued, staged or slot-parked — from the
-// engine in O(1). A heap or batch resident just has its entry invalidated
-// (the stamp stops matching); the entry itself is dropped when a pop or
-// peek reaches it. Cancelling a fired or already-cancelled event is a
-// no-op.
+// Cancel removes a pending event — queued or slot-parked — from the engine
+// in O(1). A heap resident just has its entry invalidated (the stamp stops
+// matching); the entry itself is dropped when a pop or peek reaches it.
+// Cancelling a fired or already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.where == notQueued || ev.canceled {
 		return
 	}
 	ev.canceled = true
-	e.moved = true
-	switch ev.where {
-	case inSlot:
-		e.parts[ev.part].next = nil
-	case inBatch:
-		e.staged--
-	default: // inHeap
-		e.parts[ev.part].live--
-		e.parts[ev.part].dead++
+	if ev.where == inSlot {
+		e.next = nil
+	} else {
+		e.live--
+		e.dead++
 	}
 	ev.where = notQueued
 	ev.stamp = 0
@@ -530,10 +342,10 @@ func (e *Engine) Cancel(ev *Event) {
 }
 
 // Reschedule moves a pending event to a new time, keeping its callback and
-// issue order. A slot-parked event is retimed in place; a heap or batch
-// resident is re-pushed under a fresh stamp, leaving its old entry stale —
-// no heap surgery in either direction. Rescheduling a fired or cancelled
-// event panics, as does a time in the past.
+// issue order. A slot-parked event is retimed in place; a heap resident is
+// re-pushed under a fresh stamp, leaving its old entry stale — no heap
+// surgery in either direction. Rescheduling a fired or cancelled event
+// panics, as does a time in the past.
 func (e *Engine) Reschedule(ev *Event, at Time) {
 	if ev == nil || ev.where == notQueued || ev.canceled {
 		panic("sim: reschedule of non-pending event")
@@ -542,76 +354,35 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 		panic(fmt.Sprintf("sim: reschedule at %.12g before now %.12g", at, e.now))
 	}
 	ev.at = at
-	e.moved = true
-	switch ev.where {
-	case inSlot:
+	if ev.where == inSlot {
 		return
-	case inBatch:
-		e.staged--
-	default: // inHeap
-		e.parts[ev.part].live--
-		e.parts[ev.part].dead++
 	}
-	e.enqueue(&e.parts[ev.part], ev)
+	e.live--
+	e.dead++
+	e.push(ev)
 }
 
-// peekLoc locates the next event to fire: the global (at, seq) minimum over
-// every partition's heap head, batch head and slot. This scan is the
-// deterministic merge point of the partitioned engine — whatever a drain
-// staged or a schedule slot-parked, the minimum is always taken over the
-// complete pending set, so the fired sequence equals the sequential
-// engine's.
-func (e *Engine) peekLoc() (best *Event, bestPQ *partQueue, bestSrc int8) {
-	if e.nparts == 1 {
-		pq := &e.parts[0]
-		ev, src := pq.peekLocal()
-		if ev == nil {
-			return nil, nil, srcHeap
-		}
-		return ev, pq, src
-	}
-	for p := 0; p < e.nparts; p++ {
-		pq := &e.parts[p]
-		if ev, src := pq.peekLocal(); ev != nil && (best == nil || before(ev, best)) {
-			best, bestPQ, bestSrc = ev, pq, src
+// peek returns the next event to fire — the (at, seq) minimum of the
+// pruned heap root and the slot — or nil when nothing is pending.
+func (e *Engine) peek() *Event {
+	e.pruneHead()
+	sl := e.next
+	if len(e.queue) > 0 {
+		if h := &e.queue[0]; sl == nil || entBefore(h.at, h.seq, sl.at, sl.seq) {
+			return h.ev
 		}
 	}
-	return best, bestPQ, bestSrc
+	return sl
 }
 
-// minOther returns the (at, seq) minimum over every partition except skip,
-// or (+Inf, 0) when the rest of the engine is empty.
-func (e *Engine) minOther(skip *partQueue) (Time, uint64) {
-	at := math.Inf(1)
-	seq := uint64(0)
-	for p := 0; p < e.nparts; p++ {
-		pq := &e.parts[p]
-		if pq == skip {
-			continue
-		}
-		if ev, _ := pq.peekLocal(); ev != nil && entBefore(ev.at, ev.seq, at, seq) {
-			at, seq = ev.at, ev.seq
-		}
-	}
-	return at, seq
-}
-
-// take removes ev — located by a peek — from its container and marks it no
+// take removes ev — located by peek — from its container and marks it no
 // longer pending.
-func (e *Engine) take(pq *partQueue, ev *Event, src int8) {
-	switch src {
-	case srcSlot:
-		pq.next = nil
-	case srcBatch:
-		pq.head++
-		e.staged--
-		if pq.head == len(pq.batch) {
-			pq.batch = pq.batch[:0]
-			pq.head = 0
-		}
-	default: // srcHeap: ev is the pruned heap root
-		pq.popMin()
-		pq.live--
+func (e *Engine) take(ev *Event) {
+	if ev == e.next {
+		e.next = nil
+	} else { // ev is the pruned heap root
+		e.popMin()
+		e.live--
 	}
 	ev.where = notQueued
 }
@@ -635,100 +406,39 @@ func (e *Engine) fire(ev *Event) {
 //
 //cocolint:hotpath
 func (e *Engine) Step() bool {
-	ev, pq, src := e.peekLoc()
+	ev := e.peek()
 	if ev == nil {
 		return false
 	}
-	e.take(pq, ev, src)
+	e.take(ev)
 	e.fire(ev)
 	return true
 }
 
-// Run fires events until the queues drain, returning the final clock value.
-// On a partitioned engine with draining enabled it periodically stages
-// upcoming events into per-partition batches (see SetDrain).
-//
-// On partitioned engines Run batch-fires same-timestamp runs: after firing
-// an event at time t from partition p, it keeps popping p's successors that
-// also fire at t without re-scanning the other partitions, as long as the
-// cross-partition minimum snapshot proves they are next. Only events issued
-// before the run started qualify (seq below the run's snapshot) and any
-// Cancel/Reschedule falls back to a full peek, so the fired sequence is
-// provably the global (at, seq) order — identical to Step-ing one event at
-// a time.
+// Run fires events until the queue drains, returning the final clock value.
+// It is Step in a loop with the peek/take pair inlined: each iteration
+// fires the earlier of the pruned heap root and the slot.
 //
 //cocolint:hotpath
 func (e *Engine) Run() Time {
-	if e.nparts == 1 {
-		e.runFlat()
-		return e.now
-	}
-	doDrain := e.drainAt > 0
 	for {
-		if doDrain {
-			e.maybeDrain()
-		}
-		ev, pq, src := e.peekLoc()
-		if ev == nil {
-			return e.now
-		}
-		t := ev.at
-		limit := e.seq // events scheduled from here on have seq >= limit
-		e.moved = false
-		e.take(pq, ev, src)
-		e.fire(ev)
-		haveOther := false
-		var oAt Time
-		var oSeq uint64
-		for !e.moved {
-			nxt, nsrc := pq.peekLocal()
-			//lint:ignore floatorder exact same-timestamp run detection on stored event times
-			if nxt == nil || nxt.at != t || nxt.seq >= limit {
-				break
-			}
-			if !haveOther {
-				// Lazily snapshot the rest of the engine: events scheduled
-				// after this point carry seq >= limit, so they can never
-				// precede a qualifying nxt and the snapshot stays valid for
-				// the whole run (Reschedule is the one exception, handled
-				// by e.moved above).
-				oAt, oSeq = e.minOther(pq)
-				haveOther = true
-			}
-			if !entBefore(t, nxt.seq, oAt, oSeq) {
-				break
-			}
-			e.take(pq, nxt, nsrc)
-			e.fire(nxt)
-		}
-	}
-}
-
-// runFlat is Run for the sequential reference engine: a tight loop over the
-// single partition's slot and heap (batches exist only under partitioned
-// draining).
-//
-//cocolint:hotpath
-func (e *Engine) runFlat() {
-	pq := &e.parts[0]
-	for {
-		pq.pruneHead()
-		sl := pq.next
-		if len(pq.queue) > 0 {
-			h := &pq.queue[0]
+		e.pruneHead()
+		sl := e.next
+		if len(e.queue) > 0 {
+			h := &e.queue[0]
 			if sl == nil || entBefore(h.at, h.seq, sl.at, sl.seq) {
 				ev := h.ev
-				pq.popMin()
-				pq.live--
+				e.popMin()
+				e.live--
 				ev.where = notQueued
 				e.fire(ev)
 				continue
 			}
 		}
 		if sl == nil {
-			return
+			return e.now
 		}
-		pq.next = nil
+		e.next = nil
 		sl.where = notQueued
 		e.fire(sl)
 	}
@@ -739,11 +449,11 @@ func (e *Engine) runFlat() {
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	fired := uint64(0)
 	for {
-		ev, pq, src := e.peekLoc()
+		ev := e.peek()
 		if ev == nil || ev.at > deadline {
 			break
 		}
-		e.take(pq, ev, src)
+		e.take(ev)
 		e.fire(ev)
 		fired++
 	}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -421,4 +423,179 @@ func BenchmarkEngineChurn(b *testing.B) {
 		}
 		e.Step()
 	}
+}
+
+// engine is the scheduling surface the Run oracle drives, implemented by
+// both the real engine and naiveEngine.
+type engine interface {
+	Now() Time
+	Schedule(at Time, fn func()) *Event
+	Cancel(ev *Event)
+	Reschedule(ev *Event, at Time)
+	Run() Time
+}
+
+// naiveEngine is the reference for Run: one slice kept sorted by (at, seq),
+// fired from the front. It never recycles events, so drivers must drop
+// their references to fired and cancelled events, as the real engine's
+// Event lifetime contract requires.
+type naiveEngine struct {
+	now     Time
+	seq     uint64
+	pending []*Event
+}
+
+func (n *naiveEngine) Now() Time { return n.now }
+
+func (n *naiveEngine) insert(ev *Event) {
+	i := sort.Search(len(n.pending), func(i int) bool {
+		return entBefore(ev.at, ev.seq, n.pending[i].at, n.pending[i].seq)
+	})
+	n.pending = append(n.pending, nil)
+	copy(n.pending[i+1:], n.pending[i:])
+	n.pending[i] = ev
+}
+
+func (n *naiveEngine) remove(ev *Event) {
+	for i, p := range n.pending {
+		if p == ev {
+			n.pending = append(n.pending[:i], n.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+func (n *naiveEngine) Schedule(at Time, fn func()) *Event {
+	ev := &Event{at: at, seq: n.seq, fn: fn}
+	n.seq++
+	n.insert(ev)
+	return ev
+}
+
+func (n *naiveEngine) Cancel(ev *Event) { n.remove(ev) }
+
+func (n *naiveEngine) Reschedule(ev *Event, at Time) {
+	n.remove(ev)
+	ev.at = at
+	n.insert(ev)
+}
+
+func (n *naiveEngine) Run() Time {
+	for len(n.pending) > 0 {
+		ev := n.pending[0]
+		n.pending = n.pending[1:]
+		n.now = ev.at
+		ev.fn()
+	}
+	return n.now
+}
+
+// runTieWorkload drives a workload whose timestamps are quantized to a
+// coarse grid, so same-timestamp runs are the common case rather than a
+// measure-zero accident. Callbacks schedule children at the CURRENT
+// timestamp, cancel pending siblings, and reschedule siblings onto the
+// current timestamp — every operation that races the next-event slot
+// against the heap root inside Run. check runs after every callback.
+func runTieWorkload(e engine, seed int64, check func()) (fired [][2]float64, end Time) {
+	rng := rand.New(rand.NewSource(seed))
+	const tick = 0.25
+	quant := func(x float64) Time { return Time(int(x/tick)) * tick }
+	var live []*Event // pending events, dropped as they fire or are cancelled
+	drop := func(ev *Event) {
+		for i, l := range live {
+			if l == ev {
+				live = append(live[:i], live[i+1:]...)
+				return
+			}
+		}
+	}
+	id := 0
+	var schedule func(at Time, depth int)
+	schedule = func(at Time, depth int) {
+		myID := id
+		id++
+		var ev *Event
+		ev = e.Schedule(at, func() {
+			drop(ev)
+			fired = append(fired, [2]float64{e.Now(), float64(myID)})
+			switch op := rng.Intn(6); {
+			case op == 0 && depth < 4:
+				// Half of these children land exactly on e.Now().
+				schedule(e.Now()+quant(rng.Float64()*0.5), depth+1)
+			case op == 1 && len(live) > 0:
+				victim := live[rng.Intn(len(live))]
+				drop(victim)
+				e.Cancel(victim)
+			case op == 2 && len(live) > 0:
+				// Quantized retime, possibly onto the current timestamp.
+				e.Reschedule(live[rng.Intn(len(live))], e.Now()+quant(rng.Float64()*2))
+			}
+			check()
+		})
+		live = append(live, ev)
+	}
+	for i := 0; i < 80; i++ {
+		schedule(quant(rng.Float64()*8), 0)
+	}
+	return fired, e.Run()
+}
+
+// runFixedSequence is a pinned same-timestamp run mutated while it fires:
+// the first event cancels a later same-timestamp event and reschedules a
+// late event onto the current timestamp.
+func runFixedSequence(e engine) (got []int, end Time) {
+	var evB, evE *Event
+	e.Schedule(1, func() {
+		got = append(got, 1)
+		e.Cancel(evB)        // same timestamp, still queued
+		e.Reschedule(evE, 1) // late time -> current timestamp
+	})
+	evB = e.Schedule(1, func() { got = append(got, 2) })
+	e.Schedule(1, func() { got = append(got, 3) })
+	e.Schedule(1, func() { got = append(got, 4) })
+	evE = e.Schedule(5, func() { got = append(got, 5) })
+	e.Schedule(2, func() { got = append(got, 6) })
+	return got, e.Run()
+}
+
+// Property: Run — the slot-versus-heap loop the campaign spends its time
+// in — fires the identical sequence and ends at the identical time as the
+// naive sorted-slice engine, on tie-heavy workloads with in-callback
+// schedule, cancel and reschedule onto the current time. The heap's
+// live+dead == len(queue) counter invariant holds after every callback.
+func TestRunMatchesNaiveProperty(t *testing.T) {
+	t.Run("fixed", func(t *testing.T) {
+		got, end := runFixedSequence(New())
+		want, wantEnd := runFixedSequence(&naiveEngine{})
+		// 1 fires, kills 2 and retimes 5 to t=1 (it keeps its issue order,
+		// after 3 and 4); then 3, 4, 5, and 6 at t=2.
+		if fmt.Sprint(want) != fmt.Sprint([]int{1, 3, 4, 5, 6}) || wantEnd != 2 {
+			t.Fatalf("naive engine fired %v ending at %v, want [1 3 4 5 6] ending at 2", want, wantEnd)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || end != wantEnd {
+			t.Fatalf("Run fired %v ending at %v, want %v ending at %v", got, end, want, wantEnd)
+		}
+	})
+	t.Run("ties", func(t *testing.T) {
+		f := func(seed int64) bool {
+			e := New()
+			check := func() {
+				if e.live+e.dead != len(e.queue) {
+					t.Fatalf("heap counter invariant broken: live=%d dead=%d len=%d",
+						e.live, e.dead, len(e.queue))
+				}
+			}
+			got, end := runTieWorkload(e, seed, check)
+			want, wantEnd := runTieWorkload(&naiveEngine{}, seed, func() {})
+			if !slices.Equal(got, want) || end != wantEnd {
+				t.Logf("seed %d: Run fired %d events ending at %v, naive fired %d ending at %v",
+					seed, len(got), end, len(want), wantEnd)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Error(err)
+		}
+	})
 }
