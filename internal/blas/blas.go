@@ -453,6 +453,15 @@ func Symm[F Float](side, uplo byte, m, n int, alpha F, a []F, lda int, b []F, ld
 // Trsm solves op(A)*X = alpha*B (side Left) or X*op(A) = alpha*B (side
 // Right) for X, overwriting B, where A is triangular per uplo/diag and
 // B is m x n.
+//
+// Every side/trans combination reduces to solving E*x = alpha*y in place
+// for each column (side Left) or row (side Right) y of B, where E is
+// op(A) or op(A)^T. The effective triangle E is packed row-major so each dot
+// product is unit-stride, and four right-hand sides are solved per pass
+// over E. Each element still receives its terms one rounded
+// multiply-then-add at a time in increasing column order of E, then one
+// subtraction and (NonUnit) one division — the plain substitution loop's
+// exact operation sequence — so results are bitwise identical to it.
 func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda int, b []F, ldb int) error {
 	if side != Left && side != Right {
 		return badShape("trsm: bad side %q", side)
@@ -476,65 +485,127 @@ func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda 
 	if err := checkMatrix("B", m, n, ldb, b); err != nil {
 		return err
 	}
-	// Effective triangle orientation after the transpose.
-	lower := uplo == Lower
-	if transA == Trans {
-		lower = !lower
+	if m == 0 || n == 0 {
+		return nil
 	}
-	at := func(i, j int) F {
-		if transA == Trans {
-			i, j = j, i
-		}
-		return a[i+j*lda]
+	// E(i,l) is op(A)(i,l) for side Left and op(A)(l,i) for side Right;
+	// rowsInA reports that row i of E is stored column i of A.
+	lower := (uplo == Lower) != (transA == Trans)
+	rowsInA := transA == Trans
+	if side == Right {
+		lower, rowsInA = !lower, !rowsInA
 	}
-	if alpha != 1 {
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				b[i+j*ldb] *= alpha
-			}
-		}
+	bufs := gemmBufPool.Get().(*gemmBuffers)
+	defer gemmBufPool.Put(bufs)
+	e, p := packSlices[F](bufs, na*na, trsmRHS*na)
+	packTriangle(lower, rowsInA, na, a, lda, e)
+	// Right-hand side r is column r of B (side Left) or row r of B (side
+	// Right); element l of it sits at b[r*rStep + l*lStep].
+	rhs, rStep, lStep := n, ldb, 1
+	if side == Right {
+		rhs, rStep, lStep = m, 1, ldb
 	}
-	solveCol := func(x []F, stride, k int) {
-		// Solves the k x k system op(A)*y = x in place, where x is strided.
-		if lower {
-			for i := 0; i < k; i++ {
-				var s F
-				for l := 0; l < i; l++ {
-					s += at(i, l) * x[l*stride]
-				}
-				x[i*stride] -= s
-				if diag == NonUnit {
-					x[i*stride] /= at(i, i)
-				}
-			}
-		} else {
-			for i := k - 1; i >= 0; i-- {
-				var s F
-				for l := i + 1; l < k; l++ {
-					s += at(i, l) * x[l*stride]
-				}
-				x[i*stride] -= s
-				if diag == NonUnit {
-					x[i*stride] /= at(i, i)
-				}
-			}
-		}
-	}
-	if side == Left {
-		for j := 0; j < n; j++ {
-			solveCol(b[j*ldb:], 1, m)
-		}
-	} else {
-		// X*op(A) = B  <=>  op(A)^T * X^T = B^T: solve rows of B against
-		// the transposed triangle.
-		lower = !lower
-		origAt := at
-		at = func(i, j int) F { return origAt(j, i) }
-		for i := 0; i < m; i++ {
-			solveCol(b[i:], ldb, n)
-		}
+	for r := 0; r < rhs; r += trsmRHS {
+		w := min(trsmRHS, rhs-r)
+		gatherRHS(w, na, alpha, b[r*rStep:], rStep, lStep, p)
+		solveTriangle4(lower, diag == NonUnit, na, e, p)
+		scatterRHS(w, na, p, b[r*rStep:], rStep, lStep)
 	}
 	return nil
+}
+
+// trsmRHS is the number of right-hand sides Trsm solves per pass over the
+// packed triangle.
+const trsmRHS = 4
+
+// packTriangle copies the referenced triangle (diagonal included) of the
+// k x k matrix E into e row-major, E(i,l) at e[i*k+l]. E(i,l) is
+// a[l+i*lda] when rowsInA and a[i+l*lda] otherwise; the other triangle of
+// e is left as is and never read.
+func packTriangle[F Float](lower, rowsInA bool, k int, a []F, lda int, e []F) {
+	// Column c of A holds the [lo, hi) part of row c of E (rowsInA) or of
+	// column c of E (!rowsInA).
+	for c := 0; c < k; c++ {
+		lo, hi := c, k
+		if lower == rowsInA {
+			lo, hi = 0, c+1
+		}
+		src := a[c*lda+lo : c*lda+hi]
+		if rowsInA {
+			copy(e[c*k+lo:c*k+hi], src)
+			continue
+		}
+		for o, v := range src {
+			e[(lo+o)*k+c] = v
+		}
+	}
+}
+
+// gatherRHS interleaves w <= trsmRHS right-hand sides of length k into
+// p (element l of side c at p[l*trsmRHS+c]), scaled by alpha as the
+// solve's first step, and zero-fills the unused lanes. Element l of side c
+// is b[c*rStep+l*lStep].
+func gatherRHS[F Float](w, k int, alpha F, b []F, rStep, lStep int, p []F) {
+	for l := 0; l < k; l++ {
+		x := p[l*trsmRHS : l*trsmRHS+trsmRHS]
+		for c := 0; c < trsmRHS; c++ {
+			switch {
+			case c >= w:
+				x[c] = 0
+			case alpha != 1:
+				x[c] = alpha * b[c*rStep+l*lStep]
+			default:
+				x[c] = b[c*rStep+l*lStep]
+			}
+		}
+	}
+}
+
+// scatterRHS writes the first w sides of the interleaved panel p back to
+// b, inverting gatherRHS.
+func scatterRHS[F Float](w, k int, p []F, b []F, rStep, lStep int) {
+	for l := 0; l < k; l++ {
+		x := p[l*trsmRHS : l*trsmRHS+w]
+		for c, v := range x {
+			b[c*rStep+l*lStep] = v
+		}
+	}
+}
+
+// solveTriangle4 runs forward (lower) or backward substitution with the
+// packed k x k triangle e on the four interleaved right-hand sides in p.
+// Row i's dot product walks columns l of E in increasing order with one
+// accumulator per side, each term one rounded multiply-then-add.
+func solveTriangle4[F Float](lower, nonUnit bool, k int, e, p []F) {
+	p = p[:trsmRHS*k]
+	for t := 0; t < k; t++ {
+		i, lo, hi := t, 0, t
+		if !lower {
+			i = k - 1 - t
+			lo, hi = i+1, k
+		}
+		var s0, s1, s2, s3 F
+		xs := p[lo*trsmRHS : hi*trsmRHS]
+		for l, el := range e[i*k+lo : i*k+hi] {
+			x := xs[l*trsmRHS : l*trsmRHS+trsmRHS]
+			s0 += el * x[0]
+			s1 += el * x[1]
+			s2 += el * x[2]
+			s3 += el * x[3]
+		}
+		x := p[i*trsmRHS : i*trsmRHS+trsmRHS]
+		x[0] -= s0
+		x[1] -= s1
+		x[2] -= s2
+		x[3] -= s3
+		if nonUnit {
+			d := e[i*k+i]
+			x[0] /= d
+			x[1] /= d
+			x[2] /= d
+			x[3] /= d
+		}
+	}
 }
 
 // Named double/single precision wrappers, matching the BLAS naming scheme

@@ -1,10 +1,14 @@
 package blas
 
-// This file holds the unblocked dense factorization kernels. They are the
-// functional payloads of the simulated GPU's diagonal-tile kernels
-// (POTRF/GETRF): the tiled factorization planners decompose a matrix into
-// tile task graphs whose diagonal factorizations land here, while the
-// panel solves and trailing updates reuse Trsm/Syrk/Gemm.
+// This file holds the dense factorization kernels. They are the functional
+// payloads of the simulated GPU's diagonal-tile kernels (POTRF/GETRF): the
+// tiled factorization planners decompose a matrix into tile task graphs
+// whose diagonal factorizations land here, while the panel solves and
+// trailing updates reuse Trsm/Syrk/Gemm. Both kernels perform exactly the
+// operations of the textbook unblocked loops, in the same per-element
+// order, so they are bitwise identical to them; only the memory access
+// pattern differs (unit-stride dot products over a pooled row mirror for
+// Potrf, column-major trailing updates for Getrf).
 
 import (
 	"errors"
@@ -27,7 +31,15 @@ var ErrSingular = errors.New("blas: matrix is singular")
 // Potrf computes the in-place Cholesky factorization of the n x n matrix A:
 // A = L*L^T (uplo Lower, L written to the lower triangle) or A = U^T*U
 // (uplo Upper). Only the referenced triangle is read and written; the
-// opposite triangle is left untouched.
+// opposite triangle is left untouched. On failure A holds the columns
+// factored before the failing minor, as the unblocked loop leaves them.
+//
+// The factor's rows (rows of L, or columns of A for Upper, which are
+// rows of U^T) are read as unit-stride slices: for Lower each row is
+// mirrored into a pooled row-major buffer as its elements are computed.
+// Four rows share each pass over row j. Every element still receives its
+// terms one rounded multiply-then-add at a time in increasing k, so
+// results are bitwise identical to the unblocked loop.
 func Potrf[F Float](uplo byte, n int, a []F, lda int) error {
 	if uplo != Upper && uplo != Lower {
 		return badShape("potrf: bad uplo %q", uplo)
@@ -35,37 +47,23 @@ func Potrf[F Float](uplo byte, n int, a []F, lda int) error {
 	if err := checkMatrix("A", n, n, lda, a); err != nil {
 		return err
 	}
-	if uplo == Lower {
-		for j := 0; j < n; j++ {
-			// Diagonal: a[j,j] = sqrt(a[j,j] - sum_k L[j,k]²).
-			var s F
-			row := a[j:]
-			for k := 0; k < j; k++ {
-				v := row[k*lda]
-				s += v * v
-			}
-			d := a[j+j*lda] - s
-			if d <= 0 {
-				return errorMinor(j)
-			}
-			d = F(math.Sqrt(float64(d)))
-			a[j+j*lda] = d
-			// Column below: L[i,j] = (a[i,j] - sum_k L[i,k]·L[j,k]) / d.
-			for i := j + 1; i < n; i++ {
-				var s F
-				for k := 0; k < j; k++ {
-					s += a[i+k*lda] * a[j+k*lda]
-				}
-				a[i+j*lda] = (a[i+j*lda] - s) / d
-			}
-		}
+	if n == 0 {
 		return nil
 	}
-	// Upper: factor the transposed problem over the upper triangle.
+	// Element (i, j), i >= j, of the factor R (L, or U^T for Upper) is
+	// a[i*iStep+j*jStep]; row i of R starts at rows[i*ld].
+	rows, ld, iStep, jStep := a, lda, lda, 1
+	if uplo == Lower {
+		bufs := gemmBufPool.Get().(*gemmBuffers)
+		defer gemmBufPool.Put(bufs)
+		rows, _ = packSlices[F](bufs, n*n, 0)
+		ld, iStep, jStep = n, 1, lda
+	}
 	for j := 0; j < n; j++ {
+		// Diagonal: a[j,j] = sqrt(a[j,j] - sum_k R[j,k]²).
+		rj := rows[j*ld : j*ld+j]
 		var s F
-		col := a[j*lda : j*lda+j]
-		for _, v := range col {
+		for _, v := range rj {
 			s += v * v
 		}
 		d := a[j+j*lda] - s
@@ -74,12 +72,37 @@ func Potrf[F Float](uplo byte, n int, a []F, lda int) error {
 		}
 		d = F(math.Sqrt(float64(d)))
 		a[j+j*lda] = d
-		for i := j + 1; i < n; i++ {
-			var s F
-			for k := 0; k < j; k++ {
-				s += a[k+j*lda] * a[k+i*lda]
+		// Below the diagonal: R[i,j] = (a[i,j] - sum_k R[i,k]·R[j,k]) / d.
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0 := rows[i*ld : i*ld+j]
+			r1 := rows[(i+1)*ld : (i+1)*ld+j]
+			r2 := rows[(i+2)*ld : (i+2)*ld+j]
+			r3 := rows[(i+3)*ld : (i+3)*ld+j]
+			var s0, s1, s2, s3 F
+			for k, v := range rj {
+				s0 += r0[k] * v
+				s1 += r1[k] * v
+				s2 += r2[k] * v
+				s3 += r3[k] * v
 			}
-			a[j+i*lda] = (a[j+i*lda] - s) / d
+			for o, s := range [4]F{s0, s1, s2, s3} {
+				at := (i+o)*iStep + j*jStep
+				x := (a[at] - s) / d
+				a[at] = x
+				rows[(i+o)*ld+j] = x
+			}
+		}
+		for ; i < n; i++ {
+			ri := rows[i*ld : i*ld+j]
+			var s F
+			for k, v := range rj {
+				s += ri[k] * v
+			}
+			at := i*iStep + j*jStep
+			x := (a[at] - s) / d
+			a[at] = x
+			rows[i*ld+j] = x
 		}
 	}
 	return nil
@@ -95,6 +118,11 @@ func errorMinor(j int) error {
 // requires every leading minor to be nonsingular — callers supply
 // diagonally dominant (or otherwise pivot-free) matrices, matching the
 // tiled right-looking planner, which models no row exchanges.
+//
+// Step k computes column k's multipliers, then updates the trailing
+// matrix one unit-stride column at a time. Each a[i,j] receives the same
+// single a[i,j] -= l_i·a[k,j] at the same step k as in a row-by-row
+// update, so the result does not depend on the loop order.
 func Getrf[F Float](n int, a []F, lda int) error {
 	if err := checkMatrix("A", n, n, lda, a); err != nil {
 		return err
@@ -104,11 +132,15 @@ func Getrf[F Float](n int, a []F, lda int) error {
 		if p == 0 {
 			return badWrap(ErrSingular, "zero pivot at %d", k)
 		}
-		for i := k + 1; i < n; i++ {
-			l := a[i+k*lda] / p
-			a[i+k*lda] = l
-			for j := k + 1; j < n; j++ {
-				a[i+j*lda] -= l * a[k+j*lda]
+		l := a[k+1+k*lda : n+k*lda]
+		for i := range l {
+			l[i] /= p
+		}
+		for j := k + 1; j < n; j++ {
+			col := a[k+1+j*lda : n+j*lda]
+			akj := a[k+j*lda]
+			for i, li := range l {
+				col[i] -= li * akj
 			}
 		}
 	}

@@ -98,3 +98,83 @@ func BenchmarkSgemm(b *testing.B) {
 	}
 	gemmGFLOPs(b, n)
 }
+
+// benchTriangular times b.N runs of call on a fresh copy of src (restored
+// outside the timer, so repeated solves never drift into denormals) and
+// reports GFLOP/s for flops per call.
+func benchTriangular(b *testing.B, flops float64, src []float64, call func(work []float64)) {
+	b.Helper()
+	work := append([]float64(nil), src...)
+	call(work) // warm up the pooled buffers so steady state is measured
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(work, src)
+		b.StartTimer()
+		call(work)
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// triangularImpls pairs each packed kernel with its unblocked oracle
+// (ref_test.go), so one run shows the layer-level before/after.
+var triangularImpls = []string{"packed", "ref"}
+
+// BenchmarkTrsm measures square solves (n^3 flops) at the paper's tile
+// sizes for a forward (LLNN) and a transposed right-side (RLTN) variant.
+func BenchmarkTrsm(b *testing.B) {
+	for _, v := range []struct{ side, uplo, trans byte }{{Left, Lower, NoTrans}, {Right, Lower, Trans}} {
+		for _, n := range []int{256, 512} {
+			rng := rand.New(rand.NewSource(1))
+			a, _, bm, _ := trsmOperands[float64](triCase{side: v.side, uplo: v.uplo, m: n, n: n}, rng)
+			for _, impl := range triangularImpls {
+				solve := Trsm[float64]
+				if impl == "ref" {
+					solve = trsmRef[float64]
+				}
+				b.Run(fmt.Sprintf("%c%c%cN/n=%d/%s", v.side, v.uplo, v.trans, n, impl), func(b *testing.B) {
+					benchTriangular(b, float64(n)*float64(n)*float64(n), bm, func(w []float64) {
+						_ = solve(v.side, v.uplo, v.trans, NonUnit, n, n, 1, a, n, w, n)
+					})
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkPotrf measures lower Cholesky (n^3/3 flops).
+func BenchmarkPotrf(b *testing.B) {
+	for _, n := range []int{256, 512} {
+		a, _ := spdOperand[float64](Lower, n, 0, rand.New(rand.NewSource(1)))
+		for _, impl := range triangularImpls {
+			factor := Potrf[float64]
+			if impl == "ref" {
+				factor = potrfRef[float64]
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, impl), func(b *testing.B) {
+				benchTriangular(b, float64(n)*float64(n)*float64(n)/3, a, func(w []float64) {
+					_ = factor(Lower, n, w, n)
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkGetrf measures unpivoted LU (2n^3/3 flops).
+func BenchmarkGetrf(b *testing.B) {
+	for _, n := range []int{256, 512} {
+		a, _ := luOperand[float64](n, 0, rand.New(rand.NewSource(1)))
+		for _, impl := range triangularImpls {
+			factor := Getrf[float64]
+			if impl == "ref" {
+				factor = getrfRef[float64]
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, impl), func(b *testing.B) {
+				benchTriangular(b, 2*float64(n)*float64(n)*float64(n)/3, a, func(w []float64) {
+					_ = factor(n, w, n)
+				})
+			})
+		}
+	}
+}
