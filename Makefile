@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test vet lint lint-json race verify bench bench-blas \
 	bench-blas-check bench-blas-smoke bench-campaign bench-campaign-check \
 	bench-campaign-smoke bench-factor bench-factor-check cross-arm64 \
-	plan-golden-smoke profile results
+	fuzz-smoke plan-golden-smoke profile results
 
 build:
 	$(GO) build ./...
@@ -36,11 +36,11 @@ race:
 # verify is the pre-commit gate: compile, vet, the invariant analyzers,
 # the race-enabled suite, the build-only benchmark smoke, a sub-second
 # run of the campaign-throughput mode, the factorization-sweep identity
-# gate, the golden tile-plan check, and the arm64 cross-compile (the NEON
-# kernels have no native CI runner, so assemble+vet is their regression
-# gate).
+# gate, the golden tile-plan check, a short fuzz of the request path, and
+# the arm64 cross-compile (the NEON kernels have no native CI runner, so
+# assemble+vet is their regression gate).
 verify: build vet lint race bench-blas-smoke bench-campaign-smoke \
-	bench-factor-check plan-golden-smoke cross-arm64
+	bench-factor-check plan-golden-smoke fuzz-smoke cross-arm64
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -111,6 +111,12 @@ cross-arm64:
 # replays these plans. Sub-second by construction (tiny shapes, no sim).
 plan-golden-smoke:
 	$(GO) test -run 'TestGoldenPlans' -count=1 ./internal/plan
+
+# fuzz-smoke fuzzes the scheduler's request path (every routine through
+# Plan and Enqueue) for ten seconds beyond the seed corpus, which plain
+# go test already runs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 10s ./internal/sched
 
 # profile captures a CPU profile of the campaign sweep for pprof:
 #   go tool pprof -top results/campaign.pprof

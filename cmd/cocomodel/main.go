@@ -27,9 +27,7 @@ import (
 	"cocopelia/internal/machine"
 	"cocopelia/internal/microbench"
 	"cocopelia/internal/model"
-	"cocopelia/internal/operand"
 	"cocopelia/internal/parallel"
-	"cocopelia/internal/plan"
 	"cocopelia/internal/predictor"
 	"cocopelia/internal/sched"
 	"cocopelia/internal/sim"
@@ -209,92 +207,17 @@ func main() {
 }
 
 // dumpPlanText builds the CoCoPeLia tile plan for the problem at tiling
-// size T and prints its deterministic text form. Only the planner runs —
+// size T and prints its deterministic text form. The request comes from
+// the eval runner's mapping, scalars included, and only the planner runs —
 // no micro-benchmark deployment, no simulation — so the output is exactly
 // what the scheduler would replay.
 func dumpPlanText(tb *machine.Testbed, p eval.Problem, T int) error {
 	rt := cudart.New(device.New(sim.New(), tb, 1, false))
-	ctx := sched.NewContext(rt, false)
-	var pl *plan.Plan
-	var err error
-	mat := func(rows, cols int, loc model.Loc) (*operand.Matrix, error) {
-		if loc == model.OnHost {
-			return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}, nil
-		}
-		buf, err := rt.Malloc(p.Dtype, int64(rows)*int64(cols), false)
-		if err != nil {
-			return nil, err
-		}
-		return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}, nil
+	req, err := eval.Request(rt, eval.LibCoCoPeLia, p, T)
+	if err != nil {
+		return err
 	}
-	switch p.Routine {
-	case "dpotrf", "dgetrf":
-		var a *operand.Matrix
-		if a, err = mat(p.N, p.N, p.Locs[0]); err != nil {
-			return err
-		}
-		if p.Routine == "dpotrf" {
-			pl, err = ctx.PlanCholesky(sched.CholeskyOpts{Dtype: p.Dtype, N: p.N, A: a, T: T})
-		} else {
-			pl, err = ctx.PlanLU(sched.LUOpts{Dtype: p.Dtype, N: p.N, A: a, T: T})
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(pl.Dump())
-		return nil
-	case "dtrsm":
-		var a, b *operand.Matrix
-		if a, err = mat(p.M, p.M, p.Locs[0]); err != nil {
-			return err
-		}
-		if b, err = mat(p.M, p.N, p.Locs[1]); err != nil {
-			return err
-		}
-		pl, err = ctx.PlanTrsm(sched.TrsmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, Alpha: 1, A: a, B: b, T: T,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(pl.Dump())
-		return nil
-	}
-	if p.Routine == "daxpy" {
-		vec := func(loc model.Loc) (*operand.Vector, error) {
-			if loc == model.OnHost {
-				return &operand.Vector{N: p.N, Loc: model.OnHost}, nil
-			}
-			buf, err := rt.Malloc(kernelmodel.F64, int64(p.N), false)
-			if err != nil {
-				return nil, err
-			}
-			return &operand.Vector{N: p.N, Loc: model.OnDevice, Dev: buf}, nil
-		}
-		var x, y *operand.Vector
-		if x, err = vec(p.Locs[0]); err != nil {
-			return err
-		}
-		if y, err = vec(p.Locs[1]); err != nil {
-			return err
-		}
-		pl, err = ctx.PlanAxpy(sched.AxpyOpts{N: p.N, Alpha: 1, X: x, Y: y, T: T})
-	} else {
-		var a, b, c *operand.Matrix
-		if a, err = mat(p.M, p.K, p.Locs[0]); err != nil {
-			return err
-		}
-		if b, err = mat(p.K, p.N, p.Locs[1]); err != nil {
-			return err
-		}
-		if c, err = mat(p.M, p.N, p.Locs[2]); err != nil {
-			return err
-		}
-		pl, err = ctx.PlanGemm(sched.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
-			Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T,
-		})
-	}
+	pl, err := sched.NewContext(rt, false).Plan(req)
 	if err != nil {
 		return err
 	}

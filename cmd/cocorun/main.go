@@ -25,9 +25,6 @@ import (
 	"cocopelia/internal/device"
 	"cocopelia/internal/eval"
 	"cocopelia/internal/kernelmodel"
-	"cocopelia/internal/libs/blasx"
-	"cocopelia/internal/libs/cublasxt"
-	"cocopelia/internal/libs/unified"
 	"cocopelia/internal/machine"
 	"cocopelia/internal/microbench"
 	"cocopelia/internal/model"
@@ -221,55 +218,29 @@ func parseLocs(s, routine string) ([]model.Loc, error) {
 	return out, nil
 }
 
-// runOnce mirrors the eval runner but on a caller-supplied runtime so the
-// trace attaches to the same device.
+// libs maps the -lib flag values onto the eval libraries.
+var libs = map[string]eval.Lib{
+	"cocopelia": eval.LibCoCoPeLia,
+	"noreuse":   eval.LibNoReuse,
+	"cublasxt":  eval.LibCuBLASXt,
+	"blasx":     eval.LibBLASX,
+	"unified":   eval.LibUnified,
+}
+
+// runOnce runs one repetition through the eval runner's library dispatch,
+// but on a caller-supplied runtime so the trace attaches to the same
+// device.
 func runOnce(rt *cudart.Runtime, lib string, p eval.Problem, T int) (operand.Result, error) {
-	if p.Routine == "daxpy" {
-		x, y := vec(rt, p, 0), vec(rt, p, 1)
-		switch lib {
-		case "cocopelia":
-			return sched.NewContext(rt, false).Axpy(sched.AxpyOpts{N: p.N, Alpha: 1.1, X: x, Y: y, T: T})
-		case "unified":
-			return unified.Daxpy(rt, p.N, 1.1, x, y, false)
-		}
-		return operand.Result{}, fmt.Errorf("library %s has no daxpy", lib)
+	l, ok := libs[lib]
+	if !ok {
+		return operand.Result{}, fmt.Errorf("unknown library %s", lib)
 	}
-	a, b, c := mat(rt, p, 0, p.M, p.K), mat(rt, p, 1, p.K, p.N), mat(rt, p, 2, p.M, p.N)
-	switch lib {
-	case "cocopelia":
-		return sched.NewContext(rt, false).Gemm(sched.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T})
-	case "noreuse":
-		return sched.NewContext(rt, false).GemmNoReuse(sched.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T})
-	case "cublasxt":
-		return cublasxt.New(rt, 0, false).Gemm(cublasxt.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T})
-	case "blasx":
-		return blasx.New(rt, false).Gemm(blasx.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c})
+	if l != eval.LibCoCoPeLia && l != eval.LibNoReuse {
+		return eval.RunComparator(rt, l, p, T)
 	}
-	return operand.Result{}, fmt.Errorf("unknown library %s", lib)
-}
-
-func mat(rt *cudart.Runtime, p eval.Problem, op, rows, cols int) *operand.Matrix {
-	if p.Locs[op] == model.OnHost {
-		return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}
-	}
-	buf, err := rt.Malloc(p.Dtype, int64(rows)*int64(cols), false)
+	req, err := eval.Request(rt, l, p, T)
 	if err != nil {
-		log.Fatal(err)
+		return operand.Result{}, err
 	}
-	return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}
-}
-
-func vec(rt *cudart.Runtime, p eval.Problem, op int) *operand.Vector {
-	if p.Locs[op] == model.OnHost {
-		return &operand.Vector{N: p.N, Loc: model.OnHost}
-	}
-	buf, err := rt.Malloc(kernelmodel.F64, int64(p.N), false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return &operand.Vector{N: p.N, Loc: model.OnDevice, Dev: buf}
+	return sched.NewContext(rt, false).Run(req)
 }

@@ -236,23 +236,29 @@ func (l *Library) Predict(kind ModelKind, routine string, m, n, k, T int, a, b, 
 	return l.pred.Predict(kind, &prm, T, full)
 }
 
+// pickTile settles a tile selection: the selected size, or fallback when
+// the problem is smaller than every benchmarked candidate — such problems
+// cannot be profitably split, so they run as a single tile.
+func pickTile(sel Selection, err error, fallback int) (int, error) {
+	switch {
+	case err == nil:
+		return sel.T, nil
+	case errors.Is(err, model.ErrNoCandidates):
+		return fallback, nil
+	}
+	return 0, fmt.Errorf("cocopelia: tile selection: %w", err)
+}
+
 // gemm runs the scheduler with an explicit or auto-selected tile.
-func (l *Library) gemm(routine string, dt kernelmodel.Dtype, m, n, k int, alpha float64, a, b *Matrix, beta float64, c *Matrix, T int) (Result, error) {
+func (l *Library) gemm(routine string, dt kernelmodel.Dtype, transA, transB byte, m, n, k int, alpha float64, a, b *Matrix, beta float64, c *Matrix, T int) (Result, error) {
 	if T == 0 {
 		sel, err := l.SelectGemmTile(routine, m, n, k, a, b, c)
-		switch {
-		case err == nil:
-			T = sel.T
-		case errors.Is(err, model.ErrNoCandidates):
-			// Problems smaller than the benchmarked tile grid cannot be
-			// profitably split: run them as a single tile.
-			T = min(m, min(n, k))
-		default:
-			return Result{}, fmt.Errorf("cocopelia: tile selection: %w", err)
+		if T, err = pickTile(sel, err, min(m, n, k)); err != nil {
+			return Result{}, err
 		}
 	}
-	return l.ctx.Gemm(sched.GemmOpts{
-		Dtype: dt, M: m, N: n, K: k,
+	return l.ctx.Run(sched.GemmOpts{
+		Dtype: dt, TransA: transA, TransB: transB, M: m, N: n, K: k,
 		Alpha: alpha, Beta: beta, A: a, B: b, C: c, T: T,
 	})
 }
@@ -260,7 +266,7 @@ func (l *Library) gemm(routine string, dt kernelmodel.Dtype, m, n, k int, alpha 
 // Dgemm computes C = alpha*A*B + beta*C in double precision with
 // automatic tiling-size selection.
 func (l *Library) Dgemm(m, n, k int, alpha float64, a, b *Matrix, beta float64, c *Matrix) (Result, error) {
-	return l.gemm("dgemm", kernelmodel.F64, m, n, k, alpha, a, b, beta, c, 0)
+	return l.gemm("dgemm", kernelmodel.F64, 0, 0, m, n, k, alpha, a, b, beta, c, 0)
 }
 
 // DgemmTile is Dgemm with an explicit tiling size (the cuBLASXt-style
@@ -269,13 +275,13 @@ func (l *Library) DgemmTile(m, n, k int, alpha float64, a, b *Matrix, beta float
 	if T <= 0 {
 		return Result{}, fmt.Errorf("cocopelia: non-positive tile %d", T)
 	}
-	return l.gemm("dgemm", kernelmodel.F64, m, n, k, alpha, a, b, beta, c, T)
+	return l.gemm("dgemm", kernelmodel.F64, 0, 0, m, n, k, alpha, a, b, beta, c, T)
 }
 
 // Sgemm computes C = alpha*A*B + beta*C in single precision with
 // automatic tiling-size selection.
 func (l *Library) Sgemm(m, n, k int, alpha float64, a, b *Matrix, beta float64, c *Matrix) (Result, error) {
-	return l.gemm("sgemm", kernelmodel.F32, m, n, k, alpha, a, b, beta, c, 0)
+	return l.gemm("sgemm", kernelmodel.F32, 0, 0, m, n, k, alpha, a, b, beta, c, 0)
 }
 
 // SgemmTile is Sgemm with an explicit tiling size.
@@ -283,7 +289,7 @@ func (l *Library) SgemmTile(m, n, k int, alpha float64, a, b *Matrix, beta float
 	if T <= 0 {
 		return Result{}, fmt.Errorf("cocopelia: non-positive tile %d", T)
 	}
-	return l.gemm("sgemm", kernelmodel.F32, m, n, k, alpha, a, b, beta, c, T)
+	return l.gemm("sgemm", kernelmodel.F32, 0, 0, m, n, k, alpha, a, b, beta, c, T)
 }
 
 // DgemmTrans computes C = alpha*op(A)*op(B) + beta*C with explicit BLAS
@@ -291,37 +297,19 @@ func (l *Library) SgemmTile(m, n, k int, alpha float64, a, b *Matrix, beta float
 // stored M x K when transA is 'N' (K x M when 'T'); B is stored K x N when
 // transB is 'N' (N x K when 'T').
 func (l *Library) DgemmTrans(transA, transB byte, m, n, k int, alpha float64, a, b *Matrix, beta float64, c *Matrix) (Result, error) {
-	T := 0
-	sel, err := l.SelectGemmTile("dgemm", m, n, k, a, b, c)
-	switch {
-	case err == nil:
-		T = sel.T
-	case errors.Is(err, model.ErrNoCandidates):
-		T = min(m, min(n, k))
-	default:
-		return Result{}, fmt.Errorf("cocopelia: tile selection: %w", err)
-	}
-	return l.ctx.Gemm(sched.GemmOpts{
-		Dtype: kernelmodel.F64, TransA: transA, TransB: transB,
-		M: m, N: n, K: k, Alpha: alpha, Beta: beta, A: a, B: b, C: c, T: T,
-	})
+	return l.gemm("dgemm", kernelmodel.F64, transA, transB, m, n, k, alpha, a, b, beta, c, 0)
 }
 
 // Dsyrk computes C = alpha*A*A^T + beta*C (trans 'N', A stored N x K) or
 // C = alpha*A^T*A + beta*C (trans 'T', A stored K x N) through the tile
-// scheduler's routine-wrapper path, with automatic tiling-size selection.
+// scheduler's gemm request path, with automatic tiling-size selection.
 func (l *Library) Dsyrk(trans byte, n, k int, alpha float64, a *Matrix, beta float64, c *Matrix) (Result, error) {
-	T := 0
 	sel, err := l.SelectGemmTile("dgemm", n, n, k, a, a, c)
-	switch {
-	case err == nil:
-		T = sel.T
-	case errors.Is(err, model.ErrNoCandidates):
-		T = min(n, k)
-	default:
-		return Result{}, fmt.Errorf("cocopelia: tile selection: %w", err)
+	T, err := pickTile(sel, err, min(n, k))
+	if err != nil {
+		return Result{}, err
 	}
-	return l.ctx.Syrk(sched.SyrkOpts{
+	return l.ctx.Run(sched.SyrkOpts{
 		Dtype: kernelmodel.F64, Trans: trans, N: n, K: k,
 		Alpha: alpha, Beta: beta, A: a, C: c, T: T,
 	})
@@ -338,17 +326,12 @@ func (l *Library) SelectGemvTile(m, n int, a *Matrix, x, y *Vector) (Selection, 
 // Dgemv computes y = alpha*A*x + beta*y in double precision with automatic
 // tiling-size selection.
 func (l *Library) Dgemv(m, n int, alpha float64, a *Matrix, x *Vector, beta float64, y *Vector) (Result, error) {
-	T := 0
 	sel, err := l.SelectGemvTile(m, n, a, x, y)
-	switch {
-	case err == nil:
-		T = sel.T
-	case errors.Is(err, model.ErrNoCandidates):
-		T = min(m, n)
-	default:
-		return Result{}, fmt.Errorf("cocopelia: tile selection: %w", err)
+	T, err := pickTile(sel, err, min(m, n))
+	if err != nil {
+		return Result{}, err
 	}
-	return l.ctx.Gemv(sched.GemvOpts{M: m, N: n, Alpha: alpha, Beta: beta, A: a, X: x, Y: y, T: T})
+	return l.ctx.Run(sched.GemvOpts{M: m, N: n, Alpha: alpha, Beta: beta, A: a, X: x, Y: y, T: T})
 }
 
 // DgemvTile is Dgemv with an explicit tiling size.
@@ -356,22 +339,17 @@ func (l *Library) DgemvTile(m, n int, alpha float64, a *Matrix, x *Vector, beta 
 	if T <= 0 {
 		return Result{}, fmt.Errorf("cocopelia: non-positive tile %d", T)
 	}
-	return l.ctx.Gemv(sched.GemvOpts{M: m, N: n, Alpha: alpha, Beta: beta, A: a, X: x, Y: y, T: T})
+	return l.ctx.Run(sched.GemvOpts{M: m, N: n, Alpha: alpha, Beta: beta, A: a, X: x, Y: y, T: T})
 }
 
 // Daxpy computes y += alpha*x with automatic chunk selection.
 func (l *Library) Daxpy(n int, alpha float64, x, y *Vector) (Result, error) {
-	T := n
 	sel, err := l.SelectAxpyTile(n, x, y)
-	switch {
-	case err == nil:
-		T = sel.T
-	case errors.Is(err, model.ErrNoCandidates):
-		// Shorter than the benchmarked grid: run as one chunk.
-	default:
-		return Result{}, fmt.Errorf("cocopelia: tile selection: %w", err)
+	T, err := pickTile(sel, err, n)
+	if err != nil {
+		return Result{}, err
 	}
-	return l.ctx.Axpy(sched.AxpyOpts{N: n, Alpha: alpha, X: x, Y: y, T: T})
+	return l.ctx.Run(sched.AxpyOpts{N: n, Alpha: alpha, X: x, Y: y, T: T})
 }
 
 // DaxpyTile is Daxpy with an explicit chunk length.
@@ -379,7 +357,7 @@ func (l *Library) DaxpyTile(n int, alpha float64, x, y *Vector, T int) (Result, 
 	if T <= 0 {
 		return Result{}, fmt.Errorf("cocopelia: non-positive tile %d", T)
 	}
-	return l.ctx.Axpy(sched.AxpyOpts{N: n, Alpha: alpha, X: x, Y: y, T: T})
+	return l.ctx.Run(sched.AxpyOpts{N: n, Alpha: alpha, X: x, Y: y, T: T})
 }
 
 // The tiled factorizations below run on the task-graph plan IR: one plan
@@ -411,11 +389,11 @@ func (l *Library) predictPlanOverlap(p *plan.Plan) float64 {
 func (l *Library) factorPlan(routine string, m, n, T int, diag byte, alpha float64, a, b *Matrix) (*plan.Plan, error) {
 	switch routine {
 	case "dpotrf":
-		return l.ctx.PlanCholesky(sched.CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
+		return l.ctx.Plan(sched.CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
 	case "dgetrf":
-		return l.ctx.PlanLU(sched.LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
+		return l.ctx.Plan(sched.LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
 	case "dtrsm":
-		return l.ctx.PlanTrsm(sched.TrsmOpts{
+		return l.ctx.Plan(sched.TrsmOpts{
 			Dtype: kernelmodel.F64, Diag: diag, M: m, N: n,
 			Alpha: alpha, A: a, B: b, T: T,
 		})
@@ -474,7 +452,7 @@ func (l *Library) DpotrfTile(n int, a *Matrix, T int) (Result, error) {
 	if T <= 0 {
 		return Result{}, fmt.Errorf("cocopelia: non-positive tile %d", T)
 	}
-	return l.ctx.Cholesky(sched.CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
+	return l.ctx.Run(sched.CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
 }
 
 // Dgetrf computes the in-place unpivoted LU factorization A = L*U of the
@@ -494,7 +472,7 @@ func (l *Library) DgetrfTile(n int, a *Matrix, T int) (Result, error) {
 	if T <= 0 {
 		return Result{}, fmt.Errorf("cocopelia: non-positive tile %d", T)
 	}
-	return l.ctx.LU(sched.LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
+	return l.ctx.Run(sched.LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T})
 }
 
 // Dtrsm solves the left/lower/no-trans triangular system A*X = alpha*B in
@@ -513,7 +491,7 @@ func (l *Library) DtrsmTile(diag byte, m, n int, alpha float64, a, b *Matrix, T 
 	if T <= 0 {
 		return Result{}, fmt.Errorf("cocopelia: non-positive tile %d", T)
 	}
-	return l.ctx.Trsm(sched.TrsmOpts{
+	return l.ctx.Run(sched.TrsmOpts{
 		Dtype: kernelmodel.F64, Diag: diag, M: m, N: n,
 		Alpha: alpha, A: a, B: b, T: T,
 	})

@@ -176,7 +176,7 @@ func (c *Campaign) Fig2(size, T, width int) (string, []trace.Phase, error) {
 	dev := device.New(eng, c.Runner.TB, 7, false)
 	tr := trace.Attach(dev)
 	ctx := sched.NewContext(cudart.New(dev), false)
-	_, err := ctx.Gemm(sched.GemmOpts{
+	_, err := ctx.Run(sched.GemmOpts{
 		Dtype: kernelmodel.F64, M: size, N: size, K: size, Alpha: 1, Beta: 1,
 		A: operand.HostMatrix(size, size, nil),
 		B: operand.HostMatrix(size, size, nil),

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cocopelia/internal/blas"
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
@@ -57,39 +56,6 @@ type cellKey struct {
 	nlocs   int
 	tag     string
 	tile    int
-}
-
-// planKey identifies one memoized tile plan: the plan's routine variant
-// ("gemm" and "gemm-noreuse" separate the two gemm planners), dtype,
-// geometry, transpose flags, tiling size and operand location vector. The
-// scalar coefficients are fixed per routine in runOnce, so they do not
-// discriminate. The transpose flags are part of the key even though the
-// runner currently emits only NoTrans invocations: sched.GemmOpts accepts
-// transposes, and omitting them here would silently alias a future
-// transposed cell onto the NoTrans plan of the same geometry.
-type planKey struct {
-	routine        string
-	dtype          kernelmodel.Dtype
-	transA, transB byte
-	m, n, k        int
-	locs           [3]model.Loc
-	nlocs          int
-	tile           int
-}
-
-// planCell builds the plan-memoization key for a measurement. Every
-// problem the runner measures is stored NoTrans (Problem has no transpose
-// fields); geometry normalization happens upstream, on the Problem itself
-// (see normalizeGemm), so mirror-equivalent cells arrive here already
-// folded onto their canonical orientation.
-func planCell(routine string, p Problem, T int) planKey {
-	pk := planKey{
-		routine: routine, dtype: p.Dtype,
-		transA: blas.NoTrans, transB: blas.NoTrans,
-		m: p.M, n: p.N, k: p.K, nlocs: len(p.Locs), tile: T,
-	}
-	copy(pk.locs[:], p.Locs)
-	return pk
 }
 
 // normalizeGemm folds a NoTrans gemm problem onto the canonical
@@ -205,7 +171,7 @@ type Runner struct {
 	// count as hits and wait on the entry's done channel, which keeps the
 	// hit/miss counters independent of worker count.
 	planMu        sync.Mutex
-	plans         map[planKey]*planEntry
+	plans         map[plan.Key]*planEntry
 	planQueue     []planQEntry
 	planOps       int
 	planHits      atomic.Int64
@@ -241,14 +207,14 @@ type planEntry struct {
 // a fresh queue position, and the stale record must not evict the rebuilt
 // plan when it reaches the queue head.
 type planQEntry struct {
-	key planKey
+	key plan.Key
 	e   *planEntry
 }
 
 // NewRunner creates a runner for a testbed.
 func NewRunner(tb *machine.Testbed) *Runner {
 	r := &Runner{TB: tb, Reps: 3, SeedBase: 1}
-	r.plans = map[planKey]*planEntry{}
+	r.plans = map[plan.Key]*planEntry{}
 	for i := range r.shards {
 		r.shards[i].results = map[cellKey]operand.Result{}
 		r.shards[i].inflight = map[cellKey]*inflightCall{}
@@ -301,8 +267,9 @@ func (r *Runner) shard(ck cellKey) *cacheShard {
 // keeps the hit/miss split a pure function of the work-list — identical at
 // any worker count — which the campaign identity checks rely on. Failed
 // builds are returned to every waiter but never cached.
+//
 //cocolint:hotpath
-func (r *Runner) planFor(key planKey, build func() (*plan.Plan, error)) (*plan.Plan, error) {
+func (r *Runner) planFor(key plan.Key, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 	r.planMu.Lock()
 	if e, ok := r.plans[key]; ok {
 		r.planMu.Unlock()
@@ -317,7 +284,7 @@ func (r *Runner) planFor(key planKey, build func() (*plan.Plan, error)) (*plan.P
 // planForMiss is planFor's uncached path, entered with planMu held: it
 // registers the in-flight entry, builds the plan, publishes it and evicts
 // FIFO past the op budget.
-func (r *Runner) planForMiss(key planKey, build func() (*plan.Plan, error)) (*plan.Plan, error) {
+func (r *Runner) planForMiss(key plan.Key, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 	e := &planEntry{done: make(chan struct{})}
 	r.plans[key] = e
 	r.planMu.Unlock()
@@ -430,55 +397,131 @@ func (r *Runner) seedFor(key string, rep int) int64 {
 	return h ^ (r.SeedBase * 7919) ^ int64(rep)*104729
 }
 
-// deviceMatrix allocates an unbacked full-matrix device buffer for
-// device-resident operands.
-func deviceMatrix(rt *cudart.Runtime, dt kernelmodel.Dtype, rows, cols int) (*operand.Matrix, error) {
-	buf, err := rt.Malloc(dt, int64(rows)*int64(cols), false)
+// operands materializes a problem's timing-only operands on a runtime:
+// storage-free descriptors for host-resident operands, unbacked device
+// buffers otherwise. Calls allocate in call order and keep the first
+// allocation failure in err (later calls then return nil).
+type operands struct {
+	rt  *cudart.Runtime
+	err error
+}
+
+// mat materializes one rows x cols matrix operand at loc.
+func (o *operands) mat(dt kernelmodel.Dtype, rows, cols int, loc model.Loc) *operand.Matrix {
+	if o.err != nil {
+		return nil
+	}
+	if loc == model.OnHost {
+		return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}
+	}
+	buf, err := o.rt.Malloc(dt, int64(rows)*int64(cols), false)
 	if err != nil {
-		return nil, err
+		o.err = err
+		return nil
 	}
-	return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}, nil
+	return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}
 }
 
-// gemmOperands materializes the problem's operands on a fresh runtime.
-func gemmOperands(rt *cudart.Runtime, p Problem) (a, b, c *operand.Matrix, err error) {
-	build := func(rows, cols int, loc model.Loc) (*operand.Matrix, error) {
-		if loc == model.OnHost {
-			return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}, nil
-		}
-		return deviceMatrix(rt, p.Dtype, rows, cols)
+// vec materializes one float64 vector operand of length n at loc.
+func (o *operands) vec(n int, loc model.Loc) *operand.Vector {
+	if o.err != nil {
+		return nil
 	}
-	if a, err = build(p.M, p.K, p.Locs[0]); err != nil {
-		return nil, nil, nil, err
+	if loc == model.OnHost {
+		return &operand.Vector{N: n, Loc: model.OnHost}
 	}
-	if b, err = build(p.K, p.N, p.Locs[1]); err != nil {
-		return nil, nil, nil, err
+	buf, err := o.rt.Malloc(kernelmodel.F64, int64(n), false)
+	if err != nil {
+		o.err = err
+		return nil
 	}
-	if c, err = build(p.M, p.N, p.Locs[2]); err != nil {
-		return nil, nil, nil, err
-	}
-	return a, b, c, nil
+	return &operand.Vector{N: n, Loc: model.OnDevice, Dev: buf}
 }
 
-// axpyOperands materializes the daxpy operands on a fresh runtime.
-func axpyOperands(rt *cudart.Runtime, p Problem) (x, y *operand.Vector, err error) {
-	build := func(loc model.Loc) (*operand.Vector, error) {
-		if loc == model.OnHost {
-			return &operand.Vector{N: p.N, Loc: model.OnHost}, nil
+// gemm materializes a gemm problem's A (M x K), B (K x N) and C (M x N).
+func (o *operands) gemm(p Problem) (a, b, c *operand.Matrix) {
+	return o.mat(p.Dtype, p.M, p.K, p.Locs[0]), o.mat(p.Dtype, p.K, p.N, p.Locs[1]), o.mat(p.Dtype, p.M, p.N, p.Locs[2])
+}
+
+// Request materializes problem p's operands on rt and maps them to the
+// scheduler request lib runs at tiling size T, with the measurement
+// campaign's fixed scalars: alpha = beta = 1 for gemm and gemv, alpha =
+// 1.1 for daxpy and alpha = 1 for dtrsm. Only the tile-scheduler libraries
+// have requests: CoCoPeLia for every routine, NoReuse for gemm. The
+// operands carry no storage, so the request suits timing-only contexts.
+func Request(rt *cudart.Runtime, lib Lib, p Problem, T int) (sched.Request, error) {
+	gemm := p.Routine != "daxpy" && p.Routine != "dgemv" && !isFactor(p.Routine)
+	if lib != LibCoCoPeLia && (lib != LibNoReuse || !gemm) {
+		return nil, fmt.Errorf("eval: library %s has no %s", lib, p.Routine)
+	}
+	o := operands{rt: rt}
+	var req sched.Request
+	switch p.Routine {
+	case "daxpy":
+		x, y := o.vec(p.N, p.Locs[0]), o.vec(p.N, p.Locs[1])
+		req = sched.AxpyOpts{N: p.N, Alpha: 1.1, X: x, Y: y, T: T}
+	case "dgemv":
+		a, x, y := o.mat(kernelmodel.F64, p.M, p.N, p.Locs[0]), o.vec(p.N, p.Locs[1]), o.vec(p.M, p.Locs[2])
+		req = sched.GemvOpts{M: p.M, N: p.N, Alpha: 1, Beta: 1, A: a, X: x, Y: y, T: T}
+	case "dpotrf":
+		req = sched.CholeskyOpts{Dtype: p.Dtype, N: p.N, A: o.mat(p.Dtype, p.N, p.N, p.Locs[0]), T: T}
+	case "dgetrf":
+		req = sched.LUOpts{Dtype: p.Dtype, N: p.N, A: o.mat(p.Dtype, p.N, p.N, p.Locs[0]), T: T}
+	case "dtrsm":
+		// A is the M x M lower triangle, B the M x N right-hand side.
+		a, b := o.mat(p.Dtype, p.M, p.M, p.Locs[0]), o.mat(p.Dtype, p.M, p.N, p.Locs[1])
+		req = sched.TrsmOpts{Dtype: p.Dtype, M: p.M, N: p.N, Alpha: 1, A: a, B: b, T: T}
+	default:
+		a, b, c := o.gemm(p)
+		g := sched.GemmOpts{Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T}
+		req = g
+		if lib == LibNoReuse {
+			req = sched.GemmNoReuseOpts(g)
 		}
-		buf, err := rt.Malloc(kernelmodel.F64, int64(p.N), false)
-		if err != nil {
-			return nil, err
+	}
+	if o.err != nil {
+		return nil, o.err
+	}
+	return req, nil
+}
+
+// isFactor reports whether routine is one of the tiled factorizations.
+func isFactor(routine string) bool {
+	return routine == "dpotrf" || routine == "dgetrf" || routine == "dtrsm"
+}
+
+// RunComparator executes one repetition of a comparator library that
+// schedules internally — cuBLASXt or BLASX on gemm, unified memory on
+// daxpy — on rt at tiling size T (ignored by BLASX and unified memory).
+func RunComparator(rt *cudart.Runtime, lib Lib, p Problem, T int) (operand.Result, error) {
+	o := operands{rt: rt}
+	if p.Routine == "daxpy" {
+		if lib != LibUnified {
+			return operand.Result{}, fmt.Errorf("eval: library %s has no daxpy", lib)
 		}
-		return &operand.Vector{N: p.N, Loc: model.OnDevice, Dev: buf}, nil
+		x, y := o.vec(p.N, p.Locs[0]), o.vec(p.N, p.Locs[1])
+		if o.err != nil {
+			return operand.Result{}, o.err
+		}
+		return unified.Daxpy(rt, p.N, 1.1, x, y, false)
 	}
-	if x, err = build(p.Locs[0]); err != nil {
-		return nil, nil, err
+	if p.Routine == "dgemv" || isFactor(p.Routine) || (lib != LibCuBLASXt && lib != LibBLASX) {
+		return operand.Result{}, fmt.Errorf("eval: library %s has no %s", lib, p.Routine)
 	}
-	if y, err = build(p.Locs[1]); err != nil {
-		return nil, nil, err
+	a, b, c := o.gemm(p)
+	if o.err != nil {
+		return operand.Result{}, o.err
 	}
-	return x, y, nil
+	if lib == LibCuBLASXt {
+		return cublasxt.New(rt, 0, false).Gemm(cublasxt.GemmOpts{
+			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
+			Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T,
+		})
+	}
+	return blasx.New(rt, false).Gemm(blasx.GemmOpts{
+		Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
+		Alpha: 1, Beta: 1, A: a, B: b, C: c,
+	})
 }
 
 // ctxStreams is the number of long-lived streams a bundle's scheduler
@@ -536,24 +579,6 @@ func (r *Runner) putBundle(b *simBundle) {
 	r.bundleMu.Unlock()
 }
 
-// finishTimed drains the engine and settles an enqueued plan replay,
-// attributing the enqueue and advance intervals to their phases (the timed
-// counterpart of the sched *With tails). err is the Enqueue variant's
-// error, so call sites stay one-liners.
-func (r *Runner) finishTimed(pc *phaseLap, rt *cudart.Runtime, pend *sched.PendingGemm, err error) (operand.Result, error) {
-	if err != nil {
-		return operand.Result{}, err
-	}
-	pc.lap(phaseEnqueue)
-	end, serr := rt.Sync()
-	pc.lap(phaseAdvance)
-	res := pend.Finish(end)
-	if serr != nil {
-		return operand.Result{}, serr
-	}
-	return res, nil
-}
-
 // runOnce executes one repetition and returns its result. The whole
 // simulation stack is pooled as a unit (reset-on-reuse is
 // indistinguishable from fresh — pinned by the sim package's reuse
@@ -570,7 +595,7 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Res
 		p = normalizeGemm(p)
 	}
 	bd := r.bundle(seed)
-	rt := bd.rt
+	rt, ctx := bd.rt, bd.ctx
 	defer func() {
 		r.events.Add(int64(bd.eng.Processed()))
 		if err == nil {
@@ -579,213 +604,41 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Res
 	}()
 	pc := r.startLap()
 
-	if p.Routine == "daxpy" {
-		x, y, err := axpyOperands(rt, p)
-		if err != nil {
-			return operand.Result{}, err
-		}
-		switch lib {
-		case LibCoCoPeLia:
-			ctx := bd.ctx
-			opts := sched.AxpyOpts{N: p.N, Alpha: 1.1, X: x, Y: y, T: T}
-			pc.lap(phaseOther)
-			pl, err := r.planFor(planCell("axpy", p, T), func() (*plan.Plan, error) {
-				return ctx.PlanAxpy(opts)
-			})
-			if err != nil {
-				return operand.Result{}, err
-			}
-			pc.lap(phasePlan)
-			pend, err := ctx.AxpyEnqueueWith(pl, opts)
-			return r.finishTimed(&pc, rt, pend, err)
-		case LibUnified:
-			res, err := unified.Daxpy(rt, p.N, 1.1, x, y, false)
-			pc.lap(phaseOther)
-			return res, err
-		default:
-			return operand.Result{}, fmt.Errorf("eval: library %s has no daxpy", lib)
-		}
-	}
-
-	if p.Routine == "dgemv" {
-		if lib != LibCoCoPeLia {
-			return operand.Result{}, fmt.Errorf("eval: library %s has no dgemv", lib)
-		}
-		var a *operand.Matrix
-		if p.Locs[0] == model.OnHost {
-			a = &operand.Matrix{Rows: p.M, Cols: p.N, Loc: model.OnHost, HostLd: p.M}
-		} else {
-			var err error
-			if a, err = deviceMatrix(rt, kernelmodel.F64, p.M, p.N); err != nil {
-				return operand.Result{}, err
-			}
-		}
-		vec := func(n int, loc model.Loc) (*operand.Vector, error) {
-			if loc == model.OnHost {
-				return &operand.Vector{N: n, Loc: model.OnHost}, nil
-			}
-			buf, err := rt.Malloc(kernelmodel.F64, int64(n), false)
-			if err != nil {
-				return nil, err
-			}
-			return &operand.Vector{N: n, Loc: model.OnDevice, Dev: buf}, nil
-		}
-		x, err := vec(p.N, p.Locs[1])
-		if err != nil {
-			return operand.Result{}, err
-		}
-		y, err := vec(p.M, p.Locs[2])
-		if err != nil {
-			return operand.Result{}, err
-		}
-		ctx := bd.ctx
-		opts := sched.GemvOpts{M: p.M, N: p.N, Alpha: 1, Beta: 1, A: a, X: x, Y: y, T: T}
-		pc.lap(phaseOther)
-		pl, err := r.planFor(planCell("gemv", p, T), func() (*plan.Plan, error) {
-			return ctx.PlanGemv(opts)
-		})
-		if err != nil {
-			return operand.Result{}, err
-		}
-		pc.lap(phasePlan)
-		pend, err := ctx.GemvEnqueueWith(pl, opts)
-		return r.finishTimed(&pc, rt, pend, err)
-	}
-
-	switch p.Routine {
-	case "dpotrf", "dgetrf", "dtrsm":
-		if lib != LibCoCoPeLia {
-			return operand.Result{}, fmt.Errorf("eval: library %s has no %s", lib, p.Routine)
-		}
-		return r.runFactor(bd, &pc, p, T)
-	}
-
-	a, b, c, err := gemmOperands(rt, p)
-	if err != nil {
-		return operand.Result{}, err
-	}
-	switch lib {
-	case LibCoCoPeLia:
-		ctx := bd.ctx
-		opts := sched.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
-			Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T,
-		}
-		pc.lap(phaseOther)
-		pl, err := r.planFor(planCell("gemm", p, T), func() (*plan.Plan, error) {
-			return ctx.PlanGemm(opts)
-		})
-		if err != nil {
-			return operand.Result{}, err
-		}
-		pc.lap(phasePlan)
-		pend, err := ctx.GemmEnqueueWith(pl, opts)
-		return r.finishTimed(&pc, rt, pend, err)
-	case LibNoReuse:
-		ctx := bd.ctx
-		opts := sched.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
-			Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T,
-		}
-		pc.lap(phaseOther)
-		// The no-reuse planner's slot count depends on free device memory,
-		// which is deterministic given the location vector (the same
-		// device-resident operands are staged before planning), so the
-		// shape key still fully determines the plan.
-		pl, err := r.planFor(planCell("gemm-noreuse", p, T), func() (*plan.Plan, error) {
-			return ctx.PlanGemmNoReuse(opts)
-		})
-		if err != nil {
-			return operand.Result{}, err
-		}
-		pc.lap(phasePlan)
-		pend, err := ctx.GemmNoReuseEnqueueWith(pl, opts)
-		return r.finishTimed(&pc, rt, pend, err)
-	case LibCuBLASXt:
-		h := cublasxt.New(rt, 0, false)
-		res, err := h.Gemm(cublasxt.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
-			Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T,
-		})
-		pc.lap(phaseOther)
-		return res, err
-	case LibBLASX:
-		l := blasx.New(rt, false)
-		res, err := l.Gemm(blasx.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
-			Alpha: 1, Beta: 1, A: a, B: b, C: c,
-		})
+	if lib != LibCoCoPeLia && lib != LibNoReuse {
+		res, err := RunComparator(rt, lib, p, T)
 		pc.lap(phaseOther)
 		return res, err
 	}
-	return operand.Result{}, fmt.Errorf("eval: unknown library %s", lib)
-}
-
-// runFactor executes one repetition of a tiled factorization problem
-// ("dpotrf", "dgetrf" or "dtrsm") through the task-graph planners, with
-// the same plan-cache and phase-attribution flow as the flat routines.
-func (r *Runner) runFactor(bd *simBundle, pc *phaseLap, p Problem, T int) (operand.Result, error) {
-	rt, ctx := bd.rt, bd.ctx
-	mat := func(rows, cols int, loc model.Loc) (*operand.Matrix, error) {
-		if loc == model.OnHost {
-			return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}, nil
-		}
-		return deviceMatrix(rt, p.Dtype, rows, cols)
-	}
-	switch p.Routine {
-	case "dpotrf":
-		a, err := mat(p.N, p.N, p.Locs[0])
-		if err != nil {
-			return operand.Result{}, err
-		}
-		opts := sched.CholeskyOpts{Dtype: p.Dtype, N: p.N, A: a, T: T}
-		pc.lap(phaseOther)
-		pl, err := r.planFor(planCell("cholesky", p, T), func() (*plan.Plan, error) {
-			return ctx.PlanCholesky(opts)
-		})
-		if err != nil {
-			return operand.Result{}, err
-		}
-		pc.lap(phasePlan)
-		pend, err := ctx.CholeskyEnqueueWith(pl, opts)
-		return r.finishTimed(pc, rt, pend, err)
-	case "dgetrf":
-		a, err := mat(p.N, p.N, p.Locs[0])
-		if err != nil {
-			return operand.Result{}, err
-		}
-		opts := sched.LUOpts{Dtype: p.Dtype, N: p.N, A: a, T: T}
-		pc.lap(phaseOther)
-		pl, err := r.planFor(planCell("lu", p, T), func() (*plan.Plan, error) {
-			return ctx.PlanLU(opts)
-		})
-		if err != nil {
-			return operand.Result{}, err
-		}
-		pc.lap(phasePlan)
-		pend, err := ctx.LUEnqueueWith(pl, opts)
-		return r.finishTimed(pc, rt, pend, err)
-	}
-	// dtrsm: A is the M x M lower triangle, B the M x N right-hand side.
-	a, err := mat(p.M, p.M, p.Locs[0])
+	req, err := Request(rt, lib, p, T)
 	if err != nil {
 		return operand.Result{}, err
 	}
-	b, err := mat(p.M, p.N, p.Locs[1])
-	if err != nil {
-		return operand.Result{}, err
-	}
-	opts := sched.TrsmOpts{Dtype: p.Dtype, M: p.M, N: p.N, Alpha: 1, A: a, B: b, T: T}
 	pc.lap(phaseOther)
-	pl, err := r.planFor(planCell("trsm", p, T), func() (*plan.Plan, error) {
-		return ctx.PlanTrsm(opts)
-	})
+	key, err := ctx.Key(req)
+	if err != nil {
+		return operand.Result{}, err
+	}
+	// The no-reuse planner's slot count depends on free device memory,
+	// which is deterministic given the location vector (the same
+	// device-resident operands are staged before planning), so the key
+	// still fully determines the plan.
+	pl, err := r.planFor(key, func() (*plan.Plan, error) { return ctx.Plan(req) })
 	if err != nil {
 		return operand.Result{}, err
 	}
 	pc.lap(phasePlan)
-	pend, err := ctx.TrsmEnqueueWith(pl, opts)
-	return r.finishTimed(pc, rt, pend, err)
+	pend, err := ctx.Enqueue(pl, req)
+	if err != nil {
+		return operand.Result{}, err
+	}
+	pc.lap(phaseEnqueue)
+	end, err := rt.Sync()
+	pc.lap(phaseAdvance)
+	res = pend.Finish(end)
+	if err != nil {
+		return operand.Result{}, err
+	}
+	return res, nil
 }
 
 // Measure runs the library on the problem with tiling size T (ignored by
@@ -800,6 +653,7 @@ func (r *Runner) runFactor(bd *simBundle, pc *phaseLap, p Problem, T int) (opera
 // Results are cached by (testbed, lib, problem, T). Measure is safe for
 // concurrent use, and concurrent calls for the same cell simulate it
 // exactly once; errors are returned to every waiter but never cached.
+//
 //cocolint:hotpath
 func (r *Runner) Measure(lib Lib, p Problem, T int) (operand.Result, error) {
 	ck := cell(lib, p, T)

@@ -5,12 +5,16 @@ import (
 	"sync"
 	"testing"
 
+	"cocopelia/internal/cudart"
+	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
 	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
 	"cocopelia/internal/parallel"
 	"cocopelia/internal/plan"
+	"cocopelia/internal/sched"
+	"cocopelia/internal/sim"
 )
 
 // TestMeasureConcurrentSingleflight drives many concurrent Measure calls
@@ -187,7 +191,7 @@ func TestPlanEvictions(t *testing.T) {
 	big := func() (*plan.Plan, error) {
 		return &plan.Plan{Ops: make([]plan.Op, planOpsBudget/2+1)}, nil
 	}
-	key := func(m int) planKey { return planKey{routine: "synthetic", m: m} }
+	key := func(m int) plan.Key { return plan.Key{Routine: "synthetic", M: m} }
 
 	for m := 0; m < 3; m++ {
 		if _, err := r.planFor(key(m), big); err != nil {
@@ -252,9 +256,21 @@ func TestNormalizeGemmCanonical(t *testing.T) {
 			}
 		}
 	}
-	// Mirror keys coincide: both orientations produce the same planKey.
+	// Mirror keys coincide: both orientations produce the same plan key.
+	keyOf := func(p Problem) plan.Key {
+		rt := cudart.New(device.New(sim.New(), machine.TestbedI(), 1, false))
+		req, err := Request(rt, LibCoCoPeLia, p, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := sched.NewContext(rt, false).Key(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
 	a, b := normalizeGemm(mk(64, 32, d, h)), normalizeGemm(mk(32, 64, h, d))
-	if planCell("gemm", a, 16) != planCell("gemm", b, 16) {
+	if keyOf(a) != keyOf(b) {
 		t.Errorf("mirror orientations map to distinct plan keys: %+v vs %+v", a, b)
 	}
 }

@@ -69,7 +69,7 @@ type GemmOpts struct {
 
 // Gemm executes C = alpha*A*B + beta*C with the static tile size.
 func (l *Library) Gemm(opts GemmOpts) (operand.Result, error) {
-	return l.ctx.Gemm(sched.GemmOpts{
+	return l.ctx.Run(sched.GemmOpts{
 		Dtype: opts.Dtype,
 		M:     opts.M, N: opts.N, K: opts.K,
 		Alpha: opts.Alpha, Beta: opts.Beta,

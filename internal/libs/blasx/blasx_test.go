@@ -110,7 +110,7 @@ func TestDispatchOverheadSlowsVsCoCoPeLia(t *testing.T) {
 		eng := sim.New()
 		dev := device.New(eng, machine.TestbedI(), 1, true)
 		ctx := sched.NewContext(cudart.New(dev), false)
-		res, err := ctx.Gemm(sched.GemmOpts{
+		res, err := ctx.Run(sched.GemmOpts{
 			Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
 			A: operand.HostMatrix(m, m, nil),
 			B: operand.HostMatrix(m, m, nil),

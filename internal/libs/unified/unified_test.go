@@ -88,7 +88,7 @@ func TestDaxpySlowerThanCoCoPeLia(t *testing.T) {
 	runCoco := func() float64 {
 		rt := newRT()
 		ctx := sched.NewContext(rt, false)
-		res, err := ctx.Axpy(sched.AxpyOpts{
+		res, err := ctx.Run(sched.AxpyOpts{
 			N: n, Alpha: 2,
 			X: operand.HostVector(n, nil),
 			Y: operand.HostVector(n, nil),

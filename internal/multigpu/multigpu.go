@@ -267,11 +267,11 @@ func (c *Cluster) Gemm(opts GemmOpts) (Result, error) {
 		}
 		var err error
 		if panelPlan == nil || panelPlan.N != p[1] {
-			panelPlan, err = c.contexts[i].PlanGemm(sub)
+			panelPlan, err = c.contexts[i].Plan(sub)
 		}
 		var pend *sched.PendingGemm
 		if err == nil {
-			pend, err = c.contexts[i].GemmEnqueueWith(panelPlan, sub)
+			pend, err = c.contexts[i].Enqueue(panelPlan, sub)
 		}
 		if err != nil {
 			// Drain whatever was enqueued so the engine is reusable, then

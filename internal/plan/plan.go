@@ -246,6 +246,37 @@ type Plan struct {
 // NumArgs returns the number of operand bindings the plan expects.
 func (p *Plan) NumArgs() int { return len(p.Locs) }
 
+// Key identifies the invocation a plan was built for: every field a replay
+// must match. Scalars are compared as bit patterns, so a replay is never
+// accepted against a problem whose coefficients merely compare equal (+0
+// and -0 differ). Key is comparable, so plan caches index on it directly.
+type Key struct {
+	Routine        string
+	Dtype          kernelmodel.Dtype
+	TransA, TransB byte
+	Diag           byte
+	M, N, K, T     int
+	// Alpha and Beta are the math.Float64bits of the plan scalars.
+	Alpha, Beta uint64
+	// Locs is the operand location vector in argument order; NLocs is
+	// its length.
+	Locs  [3]model.Loc
+	NLocs int
+}
+
+// Key returns the plan's invocation key.
+func (p *Plan) Key() Key {
+	k := Key{
+		Routine: p.Routine, Dtype: p.Dtype,
+		TransA: p.TransA, TransB: p.TransB, Diag: p.Diag,
+		M: p.M, N: p.N, K: p.K, T: p.T,
+		Alpha: math.Float64bits(p.Alpha), Beta: math.Float64bits(p.Beta),
+		NLocs: len(p.Locs),
+	}
+	copy(k.Locs[:], p.Locs)
+	return k
+}
+
 // Deps returns op i's dependency list: ids of earlier ops whose completion
 // events must be waited on, in registration order.
 func (p *Plan) Deps(i int) []int32 {

@@ -73,7 +73,7 @@ func TestCholeskyMatchesUnblocked(t *testing.T) {
 		} else {
 			A = deviceMatrix(t, c, n, n, host)
 		}
-		res, err := c.Cholesky(CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: A, T: T})
+		res, err := c.Run(CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: A, T: T})
 		if err != nil {
 			t.Fatalf("loc %v: %v", loc, err)
 		}
@@ -98,7 +98,7 @@ func TestCholeskyUpperTilesUntouched(t *testing.T) {
 	host := spdMatrix(rng, n)
 	orig := append([]float64(nil), host...)
 	A := &Matrix{Rows: n, Cols: n, Loc: model.OnHost, HostF64: host, HostLd: n}
-	if _, err := c.Cholesky(CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: A, T: T}); err != nil {
+	if _, err := c.Run(CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: A, T: T}); err != nil {
 		t.Fatal(err)
 	}
 	// Tiles strictly above the diagonal never cross the link.
@@ -121,7 +121,7 @@ func TestCholeskyVolumesMatchClosedForm(t *testing.T) {
 		T := 16
 		A := &Matrix{Rows: n, Cols: n, Loc: model.OnHost, HostLd: n}
 		opts := CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: A, T: T}
-		p, err := c.PlanCholesky(opts)
+		p, err := c.Plan(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestCholeskyVolumesMatchClosedForm(t *testing.T) {
 		if got, want := p.Volumes(), plan.CholeskyVolumes(spec); got != want {
 			t.Errorf("n=%d: plan volumes %+v, closed form %+v", n, got, want)
 		}
-		res, err := c.CholeskyWith(p, opts)
+		res, err := runWith(c, p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestLUMatchesUnblocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	A := &Matrix{Rows: n, Cols: n, Loc: model.OnHost, HostF64: host, HostLd: n}
-	res, err := c.LU(LUOpts{Dtype: kernelmodel.F64, N: n, A: A, T: T})
+	res, err := c.Run(LUOpts{Dtype: kernelmodel.F64, N: n, A: A, T: T})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestTrsmMatchesReference(t *testing.T) {
 		}
 		A := &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostF64: hostA, HostLd: m}
 		B := &Matrix{Rows: m, Cols: n, Loc: model.OnHost, HostF64: hostB, HostLd: m}
-		res, err := c.Trsm(TrsmOpts{
+		res, err := c.Run(TrsmOpts{
 			Dtype: kernelmodel.F64, Diag: diag, M: m, N: n, Alpha: alpha,
 			A: A, B: B, T: T,
 		})
@@ -227,32 +227,32 @@ func TestFactorPlanReplayDeterministic(t *testing.T) {
 		var err error
 		if with {
 			var p *plan.Plan
-			if p, err = c.PlanCholesky(chOpts); err != nil {
+			if p, err = c.Plan(chOpts); err != nil {
 				t.Fatal(err)
 			}
-			if ch, err = c.CholeskyWith(p, chOpts); err != nil {
+			if ch, err = runWith(c, p, chOpts); err != nil {
 				t.Fatal(err)
 			}
-			if p, err = c.PlanLU(luOpts); err != nil {
+			if p, err = c.Plan(luOpts); err != nil {
 				t.Fatal(err)
 			}
-			if lu, err = c.LUWith(p, luOpts); err != nil {
+			if lu, err = runWith(c, p, luOpts); err != nil {
 				t.Fatal(err)
 			}
-			if p, err = c.PlanTrsm(trOpts); err != nil {
+			if p, err = c.Plan(trOpts); err != nil {
 				t.Fatal(err)
 			}
-			if tr, err = c.TrsmWith(p, trOpts); err != nil {
+			if tr, err = runWith(c, p, trOpts); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if ch, err = c.Cholesky(chOpts); err != nil {
+			if ch, err = c.Run(chOpts); err != nil {
 				t.Fatal(err)
 			}
-			if lu, err = c.LU(luOpts); err != nil {
+			if lu, err = c.Run(luOpts); err != nil {
 				t.Fatal(err)
 			}
-			if tr, err = c.Trsm(trOpts); err != nil {
+			if tr, err = c.Run(trOpts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -269,44 +269,44 @@ func TestFactorPlanReplayDeterministic(t *testing.T) {
 func TestFactorValidation(t *testing.T) {
 	c := newCtx(false)
 	ok := &Matrix{Rows: 64, Cols: 64, Loc: model.OnHost, HostLd: 64}
-	if _, err := c.Cholesky(CholeskyOpts{Dtype: kernelmodel.F64, N: 0, A: ok, T: 32}); err == nil {
+	if _, err := c.Run(CholeskyOpts{Dtype: kernelmodel.F64, N: 0, A: ok, T: 32}); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := c.Cholesky(CholeskyOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 0}); err == nil {
+	if _, err := c.Run(CholeskyOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 0}); err == nil {
 		t.Error("T=0 should error")
 	}
-	if _, err := c.LU(LUOpts{Dtype: kernelmodel.F64, N: 32, A: ok, T: 16}); err == nil {
+	if _, err := c.Run(LUOpts{Dtype: kernelmodel.F64, N: 32, A: ok, T: 16}); err == nil {
 		t.Error("shape mismatch should error")
 	}
 	bad := &Matrix{Rows: 64, Cols: 64, Loc: model.OnHost, HostLd: 64}
-	if _, err := c.Trsm(TrsmOpts{Dtype: kernelmodel.F64, Side: blas.Right,
+	if _, err := c.Run(TrsmOpts{Dtype: kernelmodel.F64, Side: blas.Right,
 		M: 64, N: 64, Alpha: 1, A: ok, B: bad, T: 32}); err == nil {
 		t.Error("unsupported side should error")
 	}
-	if _, err := c.Trsm(TrsmOpts{Dtype: kernelmodel.F64, Uplo: blas.Upper,
+	if _, err := c.Run(TrsmOpts{Dtype: kernelmodel.F64, Uplo: blas.Upper,
 		M: 64, N: 64, Alpha: 1, A: ok, B: bad, T: 32}); err == nil {
 		t.Error("unsupported uplo should error")
 	}
-	if _, err := c.Trsm(TrsmOpts{Dtype: kernelmodel.F64, Diag: 'X',
+	if _, err := c.Run(TrsmOpts{Dtype: kernelmodel.F64, Diag: 'X',
 		M: 64, N: 64, Alpha: 1, A: ok, B: bad, T: 32}); err == nil {
 		t.Error("bad diag should error")
 	}
 	// A replayed plan must match the invocation, including the diag flag.
 	opts := TrsmOpts{Dtype: kernelmodel.F64, M: 64, N: 64, Alpha: 1, A: ok, B: bad, T: 32}
-	p, err := c.PlanTrsm(opts)
+	p, err := c.Plan(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := opts
 	other.Diag = blas.Unit
-	if _, err := c.TrsmWith(p, other); err == nil {
+	if _, err := runWith(c, p, other); err == nil {
 		t.Error("diag mismatch should error")
 	}
-	ch, err := c.PlanCholesky(CholeskyOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 32})
+	ch, err := c.Plan(CholeskyOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.LUWith(ch, LUOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 32}); err == nil {
+	if _, err := runWith(c, ch, LUOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 32}); err == nil {
 		t.Error("routine mismatch should error")
 	}
 }
@@ -323,7 +323,7 @@ func TestFactorWorkerInvariance(t *testing.T) {
 		{"cholesky", func(t *testing.T, c *Context) (Result, []float64) {
 			n := 100
 			a := equivMat(t, c, n, n, spdMatrix(rand.New(rand.NewSource(41)), n), model.OnHost)
-			res, err := c.Cholesky(CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: 32})
+			res, err := c.Run(CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: 32})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +336,7 @@ func TestFactorWorkerInvariance(t *testing.T) {
 				host[i+i*n] += float64(n)
 			}
 			a := equivMat(t, c, n, n, host, model.OnHost)
-			res, err := c.LU(LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: 32})
+			res, err := c.Run(LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: 32})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +351,7 @@ func TestFactorWorkerInvariance(t *testing.T) {
 			}
 			a := equivMat(t, c, m, m, hostA, model.OnHost)
 			b := equivMat(t, c, m, n, randMat(rng, m, n), model.OnHost)
-			res, err := c.Trsm(TrsmOpts{Dtype: kernelmodel.F64, M: m, N: n,
+			res, err := c.Run(TrsmOpts{Dtype: kernelmodel.F64, M: m, N: n,
 				Alpha: 0.75, A: a, B: b, T: 32})
 			if err != nil {
 				t.Fatal(err)

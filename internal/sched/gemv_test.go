@@ -49,7 +49,7 @@ func TestGemvFunctionalAllCombos(t *testing.T) {
 		x := vec(n, hostX, combo[1])
 		y := vec(m, hostY, combo[2])
 
-		res, err := c.Gemv(GemvOpts{M: m, N: n, Alpha: 1.5, Beta: 0.5, A: A, X: x, Y: y, T: T})
+		res, err := c.Run(GemvOpts{M: m, N: n, Alpha: 1.5, Beta: 0.5, A: A, X: x, Y: y, T: T})
 		if err != nil {
 			t.Fatalf("combo %v: %v", combo, err)
 		}
@@ -88,7 +88,7 @@ func TestGemvBetaZero(t *testing.T) {
 	if err := blas.Dgemv(blas.NoTrans, m, n, 1, hostA, m, hostX, 1, 0, ref, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Gemv(GemvOpts{
+	res, err := c.Run(GemvOpts{
 		M: m, N: n, Alpha: 1, Beta: 0,
 		A: &Matrix{Rows: m, Cols: n, Loc: model.OnHost, HostF64: hostA, HostLd: m},
 		X: &Vector{N: n, Loc: model.OnHost, HostF64: hostX},
@@ -114,7 +114,7 @@ func TestGemvVectorReuse(t *testing.T) {
 	// x chunks are fetched once even though every tile row uses them.
 	c := newCtx(false)
 	m, n, T := 1024, 1024, 256
-	res, err := c.Gemv(GemvOpts{
+	res, err := c.Run(GemvOpts{
 		M: m, N: n, Alpha: 1, Beta: 1,
 		A: &Matrix{Rows: m, Cols: n, Loc: model.OnHost, HostLd: m},
 		X: &Vector{N: n, Loc: model.OnHost},
@@ -145,7 +145,7 @@ func TestGemvValidation(t *testing.T) {
 		{M: 64, N: 64, A: A, X: &Vector{N: 32, Loc: model.OnHost}, Y: x, T: 16},
 	}
 	for i, opts := range cases {
-		if _, err := c.Gemv(opts); err == nil {
+		if _, err := c.Run(opts); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -155,7 +155,7 @@ func TestGemvOverlap(t *testing.T) {
 	// The pipelined makespan must beat transfers + compute serialized.
 	c := newCtx(false)
 	m := 16384
-	res, err := c.Gemv(GemvOpts{
+	res, err := c.Run(GemvOpts{
 		M: m, N: m, Alpha: 1, Beta: 1,
 		A: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m},
 		X: &Vector{N: m, Loc: model.OnHost},

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cocopelia/internal/blas"
@@ -32,7 +33,7 @@ func TestNoReuseGemmFunctionalAllCombos(t *testing.T) {
 		A := mat(m, k, hostA, combo[0])
 		B := mat(k, n, hostB, combo[1])
 		C := mat(m, n, hostC, combo[2])
-		_, err := c.GemmNoReuse(GemmOpts{
+		_, err := c.Run(GemmNoReuseOpts{
 			Dtype: kernelmodel.F64, M: m, N: n, K: k,
 			Alpha: 1.25, Beta: 0.75, A: A, B: B, C: C, T: T,
 		})
@@ -70,7 +71,7 @@ func TestNoReuseBetaZero(t *testing.T) {
 	if err := blas.Dgemm(blas.NoTrans, blas.NoTrans, m, m, m, 1, hostA, m, hostB, m, 0, ref, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GemmNoReuse(GemmOpts{
+	if _, err := c.Run(GemmNoReuseOpts{
 		Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 0,
 		A: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostF64: hostA, HostLd: m},
 		B: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostF64: hostB, HostLd: m},
@@ -98,7 +99,7 @@ func TestNoReuseTransferVolume(t *testing.T) {
 		C: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m},
 		T: T,
 	}
-	res, err := c.GemmNoReuse(opts)
+	res, err := c.Run(GemmNoReuseOpts(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestNoReuseTransferVolume(t *testing.T) {
 	}
 	// The same traffic must be predicted by the plan annotations and the
 	// closed-form volumes before anything executes.
-	p, err := c.PlanGemmNoReuse(opts)
+	p, err := c.Plan(GemmNoReuseOpts(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +143,9 @@ func TestNoReuseSlowerThanReuse(t *testing.T) {
 		var res Result
 		var err error
 		if noReuse {
-			res, err = c.GemmNoReuse(opts)
+			res, err = c.Run(GemmNoReuseOpts(opts))
 		} else {
-			res, err = c.Gemm(opts)
+			res, err = c.Run(opts)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +163,7 @@ func TestNoReuseMemoryBounded(t *testing.T) {
 	// slot budget (plus nothing else).
 	c := newCtx(false)
 	m, T := 4096, 512
-	_, err := c.GemmNoReuse(GemmOpts{
+	_, err := c.Run(GemmNoReuseOpts{
 		Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
 		A: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m},
 		B: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m},
@@ -183,7 +184,7 @@ func TestNoReuseHugeTilesAdaptSlots(t *testing.T) {
 	// shrinks) — the regression behind very large sweep tiles on the K40.
 	c := newCtx(false)
 	m, T := 16384, 8192
-	_, err := c.GemmNoReuse(GemmOpts{
+	_, err := c.Run(GemmNoReuseOpts{
 		Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
 		A: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m},
 		B: &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m},
@@ -195,5 +196,39 @@ func TestNoReuseHugeTilesAdaptSlots(t *testing.T) {
 	}
 	if used := c.rt.Device().MemPeak(); used > c.rt.Device().Testbed().GPU.MemBytes {
 		t.Errorf("peak %d exceeds device memory", used)
+	}
+}
+
+// TestNoReuseRejectsTranspose pins that the no-reuse comparator refuses a
+// transpose flag instead of silently computing op(A) = A: a backed 8x8
+// call with TransA 'T' must fail, naming the flag, and leave C untouched.
+func TestNoReuseRejectsTranspose(t *testing.T) {
+	c := newCtx(true)
+	n := 8
+	rng := rand.New(rand.NewSource(3))
+	hostC := randMat(rng, n, n)
+	before := append([]float64(nil), hostC...)
+	for _, flag := range []string{"TransA", "TransB"} {
+		opts := GemmNoReuseOpts{
+			Dtype: kernelmodel.F64, M: n, N: n, K: n, Alpha: 1, Beta: 0,
+			A: &Matrix{Rows: n, Cols: n, Loc: model.OnHost, HostF64: randMat(rng, n, n), HostLd: n},
+			B: &Matrix{Rows: n, Cols: n, Loc: model.OnHost, HostF64: randMat(rng, n, n), HostLd: n},
+			C: &Matrix{Rows: n, Cols: n, Loc: model.OnHost, HostF64: hostC, HostLd: n},
+			T: 4,
+		}
+		if flag == "TransA" {
+			opts.TransA = blas.Trans
+		} else {
+			opts.TransB = blas.Trans
+		}
+		_, err := c.Run(opts)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Fatalf("%s 'T': got %v, want an error naming %s", flag, err, flag)
+		}
+	}
+	for i := range hostC {
+		if math.Float64bits(hostC[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("C[%d] changed by a rejected call", i)
+		}
 	}
 }

@@ -55,9 +55,9 @@ func TestGemmRandomizedEquivalence(t *testing.T) {
 		}
 		var err error
 		if rng.Intn(2) == 0 {
-			_, err = c.Gemm(opts)
+			_, err = c.Run(opts)
 		} else {
-			_, err = c.GemmNoReuse(opts)
+			_, err = c.Run(GemmNoReuseOpts(opts))
 		}
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
@@ -99,7 +99,7 @@ func TestAxpyRandomizedEquivalence(t *testing.T) {
 		if err := blas.Daxpy(n, alpha, hostX, 1, ref, 1); err != nil {
 			t.Fatal(err)
 		}
-		_, err := c.Axpy(AxpyOpts{
+		_, err := c.Run(AxpyOpts{
 			N: n, Alpha: alpha,
 			X: &Vector{N: n, Loc: model.OnHost, HostF64: hostX},
 			Y: &Vector{N: n, Loc: model.OnHost, HostF64: hostY},
@@ -131,7 +131,7 @@ func TestGemvRandomizedEquivalence(t *testing.T) {
 		if err := blas.Dgemv(blas.NoTrans, m, n, alpha, hostA, m, hostX, 1, beta, ref, 1); err != nil {
 			t.Fatal(err)
 		}
-		_, err := c.Gemv(GemvOpts{
+		_, err := c.Run(GemvOpts{
 			M: m, N: n, Alpha: alpha, Beta: beta,
 			A: &Matrix{Rows: m, Cols: n, Loc: model.OnHost, HostF64: hostA, HostLd: m},
 			X: &Vector{N: n, Loc: model.OnHost, HostF64: hostX},

@@ -717,8 +717,8 @@ func gemmEquivCase(name string, m, n, k, T int, transA, transB byte, alpha, beta
 // the comparator knobs (dispatch overhead, blocking write-back).
 func equivCases() []equivCase {
 	H, D := model.OnHost, model.OnDevice
-	gemm := func(c *Context, o GemmOpts) (Result, error) { return c.Gemm(o) }
-	noreuse := func(c *Context, o GemmOpts) (Result, error) { return c.GemmNoReuse(o) }
+	gemm := func(c *Context, o GemmOpts) (Result, error) { return c.Run(o) }
+	noreuse := func(c *Context, o GemmOpts) (Result, error) { return c.Run(GemmNoReuseOpts(o)) }
 	cases := []equivCase{
 		gemmEquivCase("gemm/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
 		gemmEquivCase("gemm/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
@@ -735,7 +735,7 @@ func equivCases() []equivCase {
 			X := equivVec(t, c, n, randMat(rng, n, 1), model.OnHost)
 			Y := equivVec(t, c, m, randMat(rng, m, 1), model.OnHost)
 			opts := GemvOpts{M: m, N: n, Alpha: 1.5, Beta: 0.25, A: A, X: X, Y: Y, T: 64}
-			f := (*Context).Gemv
+			f := runReq[GemvOpts]
 			if direct {
 				f = refGemv
 			}
@@ -753,7 +753,7 @@ func equivCases() []equivCase {
 			X := equivVec(t, c, n, randMat(rng, n, 1), model.OnDevice)
 			Y := equivVec(t, c, m, randMat(rng, m, 1), model.OnHost)
 			opts := GemvOpts{M: m, N: n, Alpha: 1, Beta: 0, A: A, X: X, Y: Y, T: 64}
-			f := (*Context).Gemv
+			f := runReq[GemvOpts]
 			if direct {
 				f = refGemv
 			}
@@ -769,7 +769,7 @@ func equivCases() []equivCase {
 			X := equivVec(t, c, n, randMat(rng, n, 1), model.OnHost)
 			Y := equivVec(t, c, n, randMat(rng, n, 1), model.OnHost)
 			opts := AxpyOpts{N: n, Alpha: 1.1, X: X, Y: Y, T: 384}
-			f := (*Context).Axpy
+			f := runReq[AxpyOpts]
 			if direct {
 				f = refAxpy
 			}
@@ -785,7 +785,7 @@ func equivCases() []equivCase {
 			X := equivVec(t, c, n, randMat(rng, n, 1), model.OnDevice)
 			Y := equivVec(t, c, n, randMat(rng, n, 1), model.OnHost)
 			opts := AxpyOpts{N: n, Alpha: 0.75, X: X, Y: Y, T: 256}
-			f := (*Context).Axpy
+			f := runReq[AxpyOpts]
 			if direct {
 				f = refAxpy
 			}
@@ -852,25 +852,25 @@ func TestPlanReplayReuse(t *testing.T) {
 	}
 
 	cA, optsA := build()
-	p, err := cA.PlanGemm(optsA)
+	p, err := cA.Plan(optsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := cA.GemmWith(p, optsA)
+	r1, err := runWith(cA, p, optsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cA.GemmWith(p, optsA)
+	r2, err := runWith(cA, p, optsA)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cB, optsB := build()
-	s1, err := cB.Gemm(optsB)
+	s1, err := cB.Run(optsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := cB.Gemm(optsB)
+	s2, err := cB.Run(optsB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,7 +891,7 @@ func TestPlanReplayReuse(t *testing.T) {
 	bad.N = 80
 	bad.B = equivMat(t, cA, 95, 80, randMat(rand.New(rand.NewSource(6)), 95, 80), model.OnHost)
 	bad.C = equivMat(t, cA, 130, 80, randMat(rand.New(rand.NewSource(7)), 130, 80), model.OnHost)
-	if _, err := cA.GemmWith(p, bad); err == nil {
+	if _, err := runWith(cA, p, bad); err == nil {
 		t.Fatal("GemmWith accepted a mismatched plan")
 	}
 }

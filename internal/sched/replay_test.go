@@ -101,11 +101,7 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 				B: timingMat(t, c, br, bc, locs[1]),
 				C: timingMat(t, c, m, n, locs[2]),
 			}
-			p, err := c.PlanGemm(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, gemmArgs(opts)
+			return planArgs(t, c, opts)
 		}
 	}
 
@@ -129,11 +125,7 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 				B: timingMat(t, c, 64, 96, H),
 				C: timingMat(t, c, 96, 96, H),
 			}
-			p, err := c.PlanGemmNoReuse(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, gemmArgs(opts)
+			return planArgs(t, c, GemmNoReuseOpts(opts))
 		})
 	})
 	t.Run("gemv", func(t *testing.T) {
@@ -144,11 +136,7 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 				X: &Vector{N: 64, Loc: model.OnHost},
 				Y: &Vector{N: 96, Loc: model.OnHost},
 			}
-			p, err := c.PlanGemv(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, gemvArgs(opts)
+			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("axpy", func(t *testing.T) {
@@ -158,44 +146,28 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 				X: &Vector{N: 1000, Loc: model.OnHost},
 				Y: &Vector{N: 1000, Loc: model.OnHost},
 			}
-			p, err := c.PlanAxpy(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, []plan.Arg{{Vec: opts.X}, {Vec: opts.Y}}
+			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("cholesky", func(t *testing.T) {
 		checkTapeMatchesRun(t, "cholesky", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := CholeskyOpts{Dtype: kernelmodel.F64, N: 100, T: 32,
 				A: timingMat(t, c, 100, 100, H)}
-			p, err := c.PlanCholesky(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, []plan.Arg{{Mat: opts.A}}
+			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("cholesky-device", func(t *testing.T) {
 		checkTapeMatchesRun(t, "cholesky-device", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := CholeskyOpts{Dtype: kernelmodel.F64, N: 96, T: 32,
 				A: timingMat(t, c, 96, 96, D)}
-			p, err := c.PlanCholesky(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, []plan.Arg{{Mat: opts.A}}
+			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("lu", func(t *testing.T) {
 		checkTapeMatchesRun(t, "lu", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := LUOpts{Dtype: kernelmodel.F64, N: 100, T: 32,
 				A: timingMat(t, c, 100, 100, H)}
-			p, err := c.PlanLU(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, []plan.Arg{{Mat: opts.A}}
+			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("trsm", func(t *testing.T) {
@@ -203,11 +175,7 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 			opts := TrsmOpts{Dtype: kernelmodel.F64, M: 96, N: 64, Alpha: 0.75, T: 32,
 				A: timingMat(t, c, 96, 96, H),
 				B: timingMat(t, c, 96, 64, H)}
-			p, err := c.PlanTrsm(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, []plan.Arg{{Mat: opts.A}, {Mat: opts.B}}
+			return planArgs(t, c, opts)
 		})
 	})
 }
@@ -222,7 +190,7 @@ func tapeFixture(tb testing.TB, m, n, k, T int) (*Context, *plan.Tape) {
 		B: &Matrix{Rows: k, Cols: n, Loc: model.OnHost, HostLd: k},
 		C: &Matrix{Rows: m, Cols: n, Loc: model.OnHost, HostLd: m},
 	}
-	p, err := c.PlanGemm(opts)
+	p, err := c.Plan(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -4,12 +4,15 @@
 // tile crosses the link exactly once), location-aware transfers, and GPU
 // buffer/stream reuse across calls.
 //
-// The scheduler is split into planners and an executor: every entry point
-// validates its operands, builds a deterministic tile-operation plan
-// (internal/plan) and replays it onto the context's streams. Plans are pure
-// functions of the routine geometry, so callers that repeat an invocation
-// shape (campaign sweeps, multi-GPU panels) build the plan once and replay
-// it with Plan*/​*With; the replay is event-identical to direct scheduling.
+// Every routine is a Request (GemmOpts, GemmNoReuseOpts, GemvOpts,
+// AxpyOpts, SyrkOpts, CholeskyOpts, LUOpts, TrsmOpts) and reaches the
+// streams through one path: Context.Plan validates the request and builds
+// its deterministic tile-operation plan (internal/plan), Context.Enqueue
+// replays a plan built for the request, and Context.Run does both and
+// drains the engine. Plans are pure functions of the request's plan.Key
+// and the context's knobs, so callers that repeat an invocation shape
+// (campaign sweeps, multi-GPU panels) build the plan once and Enqueue it
+// many times; the replay is event-identical to a fresh Run.
 package sched
 
 import (
@@ -21,6 +24,7 @@ import (
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
+	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
 	"cocopelia/internal/plan"
 )
@@ -238,10 +242,12 @@ func (c *Context) ReleaseAll() error {
 	return nil
 }
 
-// GemmOpts parameterizes a tiled gemm invocation:
+// GemmOpts is the full-reuse gemm request:
 // C[MxN] = alpha·op(A)·op(B) + beta·C with op controlled by the BLAS
 // transpose flags (zero values mean NoTrans). A is stored MxK (KxM when
-// transposed); B is stored KxN (NxK when transposed).
+// transposed); B is stored KxN (NxK when transposed). Its plan is the
+// paper's Section IV-C schedule: square tiling, full data reuse and 3-way
+// overlap.
 type GemmOpts struct {
 	Dtype          kernelmodel.Dtype
 	TransA, TransB byte
@@ -264,8 +270,8 @@ func normTrans(t byte) (byte, error) {
 	return 0, fmt.Errorf("sched: bad transpose flag %q", t)
 }
 
-// validateGemm checks the invocation for the full-reuse path and returns
-// the normalized transpose flags.
+// validateGemm checks a level-3 invocation and returns the normalized
+// transpose flags.
 func (c *Context) validateGemm(opts GemmOpts) (transA, transB byte, err error) {
 	if opts.M <= 0 || opts.N <= 0 || opts.K <= 0 {
 		return 0, 0, fmt.Errorf("sched: non-positive gemm dims %dx%dx%d", opts.M, opts.N, opts.K)
@@ -305,193 +311,45 @@ func (c *Context) validateGemm(opts GemmOpts) (transA, transB byte, err error) {
 	return transA, transB, nil
 }
 
-// sameScalar compares plan coefficients for identity: a replayed plan must
-// have been built with bit-identical scalars (tolerance would let a plan
-// replay against a different problem), so this is deliberately an exact
-// bit-pattern comparison, not an approximate one.
-func sameScalar(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// matchGemmPlan checks that a replayed plan was built for this invocation.
-func matchGemmPlan(p *plan.Plan, opts GemmOpts, transA, transB byte, routine string) error {
-	if p == nil {
-		return errors.New("sched: nil plan")
-	}
-	if p.Routine != routine || p.Dtype != opts.Dtype ||
-		p.M != opts.M || p.N != opts.N || p.K != opts.K || p.T != opts.T ||
-		p.TransA != transA || p.TransB != transB ||
-		!sameScalar(p.Alpha, opts.Alpha) || !sameScalar(p.Beta, opts.Beta) ||
-		p.Locs[0] != opts.A.Loc || p.Locs[1] != opts.B.Loc || p.Locs[2] != opts.C.Loc {
-		return fmt.Errorf("sched: %s plan does not match the invocation", routine)
-	}
-	return nil
-}
-
-// gemmArgs binds the gemm operands in plan argument order.
-func gemmArgs(opts GemmOpts) []plan.Arg {
-	return []plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}}
-}
-
-// PendingGemm is an enqueued-but-not-drained tiled routine: every transfer
-// and kernel is on its streams, but the virtual clock has not been run.
-// The name is historical — the gemv/axpy/no-reuse Enqueue variants return
-// it too; the semantics are routine-agnostic.
-// It exists so cooperating schedulers (the multi-GPU layer) can enqueue
-// several schedules that then execute concurrently on a shared clock.
-// A context supports one pending gemm at a time: the pending run borrows
-// the context's reusable replay scratch, which the next enqueue reclaims.
-type PendingGemm struct {
-	ctx    *Context
-	res    Result
-	pooled []*cudart.DevBuffer
-	start  float64
-}
-
-// Finish releases the pending run's pooled buffers and returns its
-// result with the makespan measured to `end`. Call it exactly once, after
-// the shared engine has drained.
-func (p *PendingGemm) Finish(end float64) Result {
-	for _, b := range p.pooled {
-		p.ctx.Release(b)
-	}
-	p.pooled = nil
-	p.res.Seconds = end - p.start
-	return p.res
-}
-
-// OnDrained enqueues fn to run when all work enqueued so far on the
-// context's three streams has completed (used to timestamp a pending
-// run's own completion inside a larger concurrent batch).
-func (c *Context) OnDrained(fn func()) {
-	s := c.rt.NewStream()
-	s.WaitEvent(c.h2d.Record())
-	s.WaitEvent(c.comp.Record())
-	s.WaitEvent(c.d2h.Record())
-	s.Callback(fn)
-}
-
-// Gemm executes C = alpha*A*B + beta*C with square tiling size opts.T,
-// full data reuse and 3-way overlap, then synchronizes and reports the
-// run. Ragged edge tiles (dimensions not divisible by T) are handled.
-func (c *Context) Gemm(opts GemmOpts) (Result, error) {
-	pend, err := c.GemmEnqueue(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	end, err := c.rt.Sync()
-	res := pend.Finish(end)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// GemmWith executes a previously built full-reuse gemm plan against
-// operands of the matching shape, synchronizes and reports the run.
-func (c *Context) GemmWith(p *plan.Plan, opts GemmOpts) (Result, error) {
-	pend, err := c.GemmEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	end, err := c.rt.Sync()
-	res := pend.Finish(end)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// PlanGemm validates the invocation and builds its full-reuse tile plan
-// without touching the streams. The plan depends only on the geometry,
-// tiling size, operand locations and the context's scheduling knobs, so it
-// can be cached and replayed via GemmEnqueueWith/GemmWith.
-func (c *Context) PlanGemm(opts GemmOpts) (*plan.Plan, error) {
-	transA, transB, err := c.validateGemm(opts)
-	if err != nil {
-		return nil, err
-	}
-	return plan.BuildGemm(plan.GemmSpec{
+// gemmSpec is the planner input of a validated level-3 request with the
+// given comparator knobs.
+func gemmSpec(opts GemmOpts, transA, transB byte, dispatchS float64, blockingWB bool) plan.GemmSpec {
+	return plan.GemmSpec{
 		Dtype: opts.Dtype, TransA: transA, TransB: transB,
 		M: opts.M, N: opts.N, K: opts.K,
 		Alpha: opts.Alpha, Beta: opts.Beta,
 		LocA: opts.A.Loc, LocB: opts.B.Loc, LocC: opts.C.Loc,
 		T:                 opts.T,
-		DispatchOverheadS: c.overheadS,
-		BlockingWriteback: c.blockingWriteback,
-	}), nil
-}
-
-// GemmEnqueue builds the full tiled schedule on the context's streams
-// without draining the engine. See Gemm for semantics.
-func (c *Context) GemmEnqueue(opts GemmOpts) (*PendingGemm, error) {
-	p, err := c.PlanGemm(opts)
-	if err != nil {
-		return nil, err
+		DispatchOverheadS: dispatchS,
+		BlockingWriteback: blockingWB,
 	}
-	return c.replayGemm(p, opts)
 }
 
-// GemmEnqueueWith replays a previously built full-reuse gemm plan on the
-// context's streams without draining the engine. The operands must match
-// the plan's geometry and location vector; replay is event-identical to
-// GemmEnqueue with the same options.
-func (c *Context) GemmEnqueueWith(p *plan.Plan, opts GemmOpts) (*PendingGemm, error) {
+// gemmKey is the plan key of a validated level-3 request.
+func gemmKey(routine string, opts GemmOpts, transA, transB byte) plan.Key {
+	return plan.Key{
+		Routine: routine, Dtype: opts.Dtype, TransA: transA, TransB: transB,
+		M: opts.M, N: opts.N, K: opts.K, T: opts.T,
+		Alpha: math.Float64bits(opts.Alpha), Beta: math.Float64bits(opts.Beta),
+		Locs: [3]model.Loc{opts.A.Loc, opts.B.Loc, opts.C.Loc}, NLocs: 3,
+	}
+}
+
+func (opts GemmOpts) resolve(c *Context) (call, error) {
 	transA, transB, err := c.validateGemm(opts)
 	if err != nil {
-		return nil, err
+		return call{}, err
 	}
-	if err := matchGemmPlan(p, opts, transA, transB, "gemm"); err != nil {
-		return nil, err
-	}
-	return c.replayGemm(p, opts)
+	spec := gemmSpec(opts, transA, transB, c.overheadS, c.blockingWriteback)
+	return call{
+		key:   gemmKey("gemm", opts, transA, transB),
+		args:  [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}},
+		build: func() *plan.Plan { return plan.BuildGemm(spec) },
+	}, nil
 }
 
-// replayGemm runs a validated plan and wraps the pending result.
-func (c *Context) replayGemm(p *plan.Plan, opts GemmOpts) (*PendingGemm, error) {
-	return c.enqueuePlan(p, gemmArgs(opts))
-}
-
-// enqueuePlan replays a validated plan on the context's streams without
-// draining the engine — through the precompiled timing-only tape on
-// unbacked contexts, through the reference executor otherwise (the two are
-// pinned event-identical by the scheduler's tape-replay tests).
-func (c *Context) enqueuePlan(p *plan.Plan, args []plan.Arg) (*PendingGemm, error) {
-	res := Result{T: p.T, Subkernels: p.Subkernels, BytesH2D: p.BytesH2D, BytesD2H: p.BytesD2H}
-	start := c.rt.Now()
-	var pooled []*cudart.DevBuffer
-	var err error
-	if c.backed {
-		pooled, err = c.exec.Run(p, c.target(), args)
-	} else {
-		pooled, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &PendingGemm{ctx: c, res: res, pooled: pooled, start: start}, nil
-}
-
-// runPlanSync replays a plan, drains the engine and reports the run (the
-// shared tail of every run-to-completion entry point).
-func (c *Context) runPlanSync(p *plan.Plan, args []plan.Arg) (Result, error) {
-	pend, err := c.enqueuePlan(p, args)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
-}
-
-// finishSync drains the engine and settles an enqueued run (the shared
-// tail of the *With entry points, after their Enqueue variants return).
-func (c *Context) finishSync(pend *PendingGemm) (Result, error) {
-	end, err := c.rt.Sync()
-	res := pend.Finish(end)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// AxpyOpts parameterizes a tiled daxpy invocation.
+// AxpyOpts is the tiled daxpy request y += alpha*x: independent 1-D
+// chunks pipelined across the three streams.
 type AxpyOpts struct {
 	N     int
 	Alpha float64
@@ -500,67 +358,30 @@ type AxpyOpts struct {
 	T int
 }
 
-// validateAxpy checks the level-1 invocation.
-func (c *Context) validateAxpy(opts AxpyOpts) error {
+func (opts AxpyOpts) resolve(c *Context) (call, error) {
 	if opts.N <= 0 {
-		return fmt.Errorf("sched: non-positive axpy length %d", opts.N)
+		return call{}, fmt.Errorf("sched: non-positive axpy length %d", opts.N)
 	}
 	if opts.T <= 0 {
-		return fmt.Errorf("sched: non-positive tiling size %d", opts.T)
+		return call{}, fmt.Errorf("sched: non-positive tiling size %d", opts.T)
 	}
 	if err := opts.X.Validate("x", c.backed); err != nil {
-		return err
+		return call{}, err
 	}
 	if err := opts.Y.Validate("y", c.backed); err != nil {
-		return err
+		return call{}, err
 	}
 	if opts.X.N != opts.N || opts.Y.N != opts.N {
-		return errors.New("sched: vector lengths inconsistent with n")
+		return call{}, errors.New("sched: vector lengths inconsistent with n")
 	}
-	return nil
-}
-
-// PlanAxpy validates the invocation and builds its 1-D chunk plan.
-func (c *Context) PlanAxpy(opts AxpyOpts) (*plan.Plan, error) {
-	if err := c.validateAxpy(opts); err != nil {
-		return nil, err
-	}
-	return plan.BuildAxpy(plan.AxpySpec{
-		N: opts.N, Alpha: opts.Alpha,
-		LocX: opts.X.Loc, LocY: opts.Y.Loc, T: opts.T,
-	}), nil
-}
-
-// Axpy executes y += alpha*x with 1-D tiling and 3-way overlap.
-func (c *Context) Axpy(opts AxpyOpts) (Result, error) {
-	p, err := c.PlanAxpy(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.runPlanSync(p, []plan.Arg{{Vec: opts.X}, {Vec: opts.Y}})
-}
-
-// AxpyEnqueueWith replays a previously built axpy plan on the context's
-// streams without draining the engine (the enqueue-only counterpart of
-// AxpyWith, mirroring GemmEnqueueWith).
-func (c *Context) AxpyEnqueueWith(p *plan.Plan, opts AxpyOpts) (*PendingGemm, error) {
-	if err := c.validateAxpy(opts); err != nil {
-		return nil, err
-	}
-	if p == nil || p.Routine != "axpy" || p.N != opts.N || p.T != opts.T ||
-		!sameScalar(p.Alpha, opts.Alpha) ||
-		p.Locs[0] != opts.X.Loc || p.Locs[1] != opts.Y.Loc {
-		return nil, errors.New("sched: axpy plan does not match the invocation")
-	}
-	return c.enqueuePlan(p, []plan.Arg{{Vec: opts.X}, {Vec: opts.Y}})
-}
-
-// AxpyWith executes a previously built axpy plan against vectors of the
-// matching shape.
-func (c *Context) AxpyWith(p *plan.Plan, opts AxpyOpts) (Result, error) {
-	pend, err := c.AxpyEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
+	spec := plan.AxpySpec{N: opts.N, Alpha: opts.Alpha, LocX: opts.X.Loc, LocY: opts.Y.Loc, T: opts.T}
+	return call{
+		key: plan.Key{
+			Routine: "axpy", Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+			N: opts.N, T: opts.T, Alpha: math.Float64bits(opts.Alpha),
+			Locs: [3]model.Loc{opts.X.Loc, opts.Y.Loc}, NLocs: 2,
+		},
+		args:  [3]plan.Arg{{Vec: opts.X}, {Vec: opts.Y}},
+		build: func() *plan.Plan { return plan.BuildAxpy(spec) },
+	}, nil
 }

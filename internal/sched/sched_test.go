@@ -21,6 +21,37 @@ func newCtx(backed bool) *Context {
 	return NewContext(cudart.New(dev), backed)
 }
 
+// runReq is Context.Run over one concrete request type, so tables can
+// hold it next to the reference schedulers' signatures.
+func runReq[R Request](c *Context, r R) (Result, error) { return c.Run(r) }
+
+// runWith replays a prebuilt plan for r, drains the engine and reports
+// the run.
+func runWith(c *Context, p *plan.Plan, r Request) (Result, error) {
+	pend, err := c.Enqueue(p, r)
+	if err != nil {
+		return Result{}, err
+	}
+	end, err := c.rt.Sync()
+	res := pend.Finish(end)
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// planArgs plans r and returns the plan with its operands in plan
+// argument order.
+func planArgs(t testing.TB, c *Context, r Request) (*plan.Plan, []plan.Arg) {
+	t.Helper()
+	cl, err := r.resolve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cl.build()
+	return p, cl.args[:p.NumArgs()]
+}
+
 func randMat(rng *rand.Rand, rows, cols int) []float64 {
 	s := make([]float64, rows*cols)
 	for i := range s {
@@ -80,7 +111,7 @@ func runGemmCombo(t *testing.T, m, n, k, T int, alpha, beta float64, locs [3]mod
 	B := mat(k, n, hostB, locs[1])
 	C := mat(m, n, hostC, locs[2])
 
-	res, err := c.Gemm(GemmOpts{
+	res, err := c.Run(GemmOpts{
 		Dtype: kernelmodel.F64, M: m, N: n, K: k,
 		Alpha: alpha, Beta: beta, A: A, B: B, C: C, T: T,
 	})
@@ -127,7 +158,7 @@ func TestGemmBetaZeroSkipsCFetch(t *testing.T) {
 	for i := range hostC {
 		hostC[i] = math.NaN() // must be fully overwritten, never fetched
 	}
-	res, err := c.Gemm(GemmOpts{
+	res, err := c.Run(GemmOpts{
 		Dtype: kernelmodel.F64, M: m, N: n, K: k, Alpha: 1, Beta: 0,
 		A: &Matrix{Rows: m, Cols: k, Loc: model.OnHost, HostF64: hostA, HostLd: m},
 		B: &Matrix{Rows: k, Cols: n, Loc: model.OnHost, HostF64: hostB, HostLd: k},
@@ -168,7 +199,7 @@ func TestGemmSinglePrecision(t *testing.T) {
 	if err := blas.Sgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, hostA, m, hostB, k, 0, ref, m); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Gemm(GemmOpts{
+	_, err := c.Run(GemmOpts{
 		Dtype: kernelmodel.F32, M: m, N: n, K: k, Alpha: 1, Beta: 0,
 		A: &Matrix{Rows: m, Cols: k, Loc: model.OnHost, HostF32: hostA, HostLd: m},
 		B: &Matrix{Rows: k, Cols: n, Loc: model.OnHost, HostF32: hostB, HostLd: k},
@@ -199,7 +230,7 @@ func TestGemmFullReuseTransferVolume(t *testing.T) {
 		Dtype: kernelmodel.F64, M: m, N: n, K: k, Alpha: 1, Beta: 1,
 		A: A, B: B, C: C, T: T,
 	}
-	res, err := c.Gemm(opts)
+	res, err := c.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +248,7 @@ func TestGemmFullReuseTransferVolume(t *testing.T) {
 	}
 	// The invariant must hold at plan time too: the plan's annotations and
 	// the closed-form volumes both predict the executed traffic.
-	p, err := c.PlanGemm(opts)
+	p, err := c.Plan(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +273,7 @@ func TestGemmOverlapBeatsSerial(t *testing.T) {
 	A := &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m}
 	B := &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m}
 	C := &Matrix{Rows: m, Cols: m, Loc: model.OnHost, HostLd: m}
-	res, err := c.Gemm(GemmOpts{
+	res, err := c.Run(GemmOpts{
 		Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
 		A: A, B: B, C: C, T: T,
 	})
@@ -279,7 +310,7 @@ func TestGemmValidation(t *testing.T) {
 			A: &Matrix{Rows: 64, Cols: 64, Loc: model.OnDevice}, B: ok, C: ok, T: 32}, // no dev buffer
 	}
 	for i, opts := range cases {
-		if _, err := c.Gemm(opts); err == nil {
+		if _, err := c.Run(opts); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -315,7 +346,7 @@ func TestAxpyAllLocationCombos(t *testing.T) {
 		}
 		x := vec(hostX, combo[0])
 		y := vec(hostY, combo[1])
-		res, err := c.Axpy(AxpyOpts{N: n, Alpha: 2.5, X: x, Y: y, T: T})
+		res, err := c.Run(AxpyOpts{N: n, Alpha: 2.5, X: x, Y: y, T: T})
 		if err != nil {
 			t.Fatalf("combo %v: %v", combo, err)
 		}
@@ -342,17 +373,17 @@ func TestAxpyAllLocationCombos(t *testing.T) {
 func TestAxpyValidation(t *testing.T) {
 	c := newCtx(false)
 	x := &Vector{N: 100, Loc: model.OnHost}
-	if _, err := c.Axpy(AxpyOpts{N: 0, X: x, Y: x, T: 10}); err == nil {
+	if _, err := c.Run(AxpyOpts{N: 0, X: x, Y: x, T: 10}); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := c.Axpy(AxpyOpts{N: 100, X: x, Y: x, T: 0}); err == nil {
+	if _, err := c.Run(AxpyOpts{N: 100, X: x, Y: x, T: 0}); err == nil {
 		t.Error("T=0 should error")
 	}
-	if _, err := c.Axpy(AxpyOpts{N: 100, X: nil, Y: x, T: 10}); err == nil {
+	if _, err := c.Run(AxpyOpts{N: 100, X: nil, Y: x, T: 10}); err == nil {
 		t.Error("nil x should error")
 	}
 	y := &Vector{N: 50, Loc: model.OnHost}
-	if _, err := c.Axpy(AxpyOpts{N: 100, X: x, Y: y, T: 10}); err == nil {
+	if _, err := c.Run(AxpyOpts{N: 100, X: x, Y: y, T: 10}); err == nil {
 		t.Error("length mismatch should error")
 	}
 }
@@ -368,11 +399,11 @@ func TestBufferPoolReuseAcrossCalls(t *testing.T) {
 		C: &Matrix{Rows: 512, Cols: 512, Loc: model.OnHost, HostLd: 512},
 		T: 128,
 	}
-	if _, err := c.Gemm(opts); err != nil {
+	if _, err := c.Run(opts); err != nil {
 		t.Fatal(err)
 	}
 	peak1 := c.rt.Device().MemPeak()
-	if _, err := c.Gemm(opts); err != nil {
+	if _, err := c.Run(opts); err != nil {
 		t.Fatal(err)
 	}
 	if peak2 := c.rt.Device().MemPeak(); peak2 != peak1 {
@@ -389,7 +420,7 @@ func TestBufferPoolReuseAcrossCalls(t *testing.T) {
 func TestGemmDeterministicTiming(t *testing.T) {
 	run := func() float64 {
 		c := newCtx(false)
-		res, err := c.Gemm(GemmOpts{
+		res, err := c.Run(GemmOpts{
 			Dtype: kernelmodel.F64, M: 1024, N: 1024, K: 1024, Alpha: 1, Beta: 1,
 			A: &Matrix{Rows: 1024, Cols: 1024, Loc: model.OnHost, HostLd: 1024},
 			B: &Matrix{Rows: 1024, Cols: 1024, Loc: model.OnHost, HostLd: 1024},

@@ -32,7 +32,7 @@ func TestGemmAllTransposeCombos(t *testing.T) {
 			if err := blas.Dgemm(ta, tb, m, n, k, 1.5, hostA, aRows, hostB, bRows, 0.5, ref, m); err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.Gemm(GemmOpts{
+			res, err := c.Run(GemmOpts{
 				Dtype: kernelmodel.F64, TransA: ta, TransB: tb,
 				M: m, N: n, K: k, Alpha: 1.5, Beta: 0.5,
 				A: &Matrix{Rows: aRows, Cols: aCols, Loc: model.OnHost, HostF64: hostA, HostLd: aRows},
@@ -67,7 +67,7 @@ func TestGemmTransposedDeviceResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	devA := deviceMatrix(t, c, k, m, hostA)
-	res, err := c.Gemm(GemmOpts{
+	res, err := c.Run(GemmOpts{
 		Dtype: kernelmodel.F64, TransA: blas.Trans,
 		M: m, N: n, K: k, Alpha: 1, Beta: 0,
 		A: devA,
@@ -90,14 +90,14 @@ func TestGemmTransposedDeviceResident(t *testing.T) {
 func TestGemmBadTransposeFlag(t *testing.T) {
 	c := newCtx(false)
 	A := &Matrix{Rows: 64, Cols: 64, Loc: model.OnHost, HostLd: 64}
-	if _, err := c.Gemm(GemmOpts{
+	if _, err := c.Run(GemmOpts{
 		Dtype: kernelmodel.F64, TransA: 'X',
 		M: 64, N: 64, K: 64, A: A, B: A, C: A, T: 32,
 	}); err == nil {
 		t.Error("bad transpose flag should error")
 	}
 	// Shape mismatch under transposition must be caught.
-	if _, err := c.Gemm(GemmOpts{
+	if _, err := c.Run(GemmOpts{
 		Dtype: kernelmodel.F64, TransA: blas.Trans,
 		M: 64, N: 64, K: 32, A: A, B: A, C: A, T: 32,
 	}); err == nil {
@@ -120,7 +120,7 @@ func TestSyrkWrapper(t *testing.T) {
 		if err := blas.Syrk(trans, n, k, 1.5, hostA, aRows, 0.5, ref, n); err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Syrk(SyrkOpts{
+		res, err := c.Run(SyrkOpts{
 			Dtype: kernelmodel.F64, Trans: trans, N: n, K: k,
 			Alpha: 1.5, Beta: 0.5,
 			A: &Matrix{Rows: aRows, Cols: aCols, Loc: model.OnHost, HostF64: hostA, HostLd: aRows},
@@ -140,7 +140,7 @@ func TestSyrkWrapper(t *testing.T) {
 	// Bad flag propagates.
 	c := newCtx(false)
 	A := &Matrix{Rows: 8, Cols: 8, Loc: model.OnHost, HostLd: 8}
-	if _, err := c.Syrk(SyrkOpts{Dtype: kernelmodel.F64, Trans: 'Q', N: 8, K: 8, A: A, C: A, T: 8}); err == nil {
+	if _, err := c.Run(SyrkOpts{Dtype: kernelmodel.F64, Trans: 'Q', N: 8, K: 8, A: A, C: A, T: 8}); err == nil {
 		t.Error("bad syrk flag should error")
 	}
 }

@@ -22,7 +22,7 @@ func tracedGemm(t *testing.T, m, T int) *Trace {
 	dev := device.New(eng, machine.TestbedII(), 1, true)
 	tr := Attach(dev)
 	ctx := sched.NewContext(cudart.New(dev), false)
-	_, err := ctx.Gemm(sched.GemmOpts{
+	_, err := ctx.Run(sched.GemmOpts{
 		Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
 		A: operand.HostMatrix(m, m, nil),
 		B: operand.HostMatrix(m, m, nil),
