@@ -49,9 +49,9 @@ import (
 )
 
 // entry is one benchmark measurement in the output JSON. Kernel names the
-// micro-kernel variant that actually ran (naive, generic, avx, fma-avx2,
-// neon — see internal/blas/registry.go), so a committed baseline records
-// which numerics produced its numbers.
+// micro-kernel variant that actually ran (naive, generic, avx, avx512,
+// fma-avx2, neon — see internal/blas/registry.go), so a committed baseline
+// records which numerics produced its numbers.
 type entry struct {
 	Routine string  `json:"routine"`
 	Dtype   string  `json:"dtype"`

@@ -1,10 +1,14 @@
 package cocopelia
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+
+	"cocopelia/internal/blas"
 )
 
 // Deployment campaigns take a moment; share one library per configuration.
@@ -345,5 +349,38 @@ func TestSelectionModelOption(t *testing.T) {
 	if selBTS.Predicted <= selDR.Predicted {
 		t.Errorf("BTS selection predicted %g should exceed DR %g",
 			selBTS.Predicted, selDR.Predicted)
+	}
+}
+
+// TestDpotrfNotPositiveDefiniteReturnsError pins the payload failure
+// path: a non-SPD input must come back as an error wrapping
+// blas.ErrNotPositiveDefinite and naming the routine, not a panic, and
+// the library must stay usable for the next call.
+func TestDpotrfNotPositiveDefiniteReturnsError(t *testing.T) {
+	lib := openBacked(t)
+	defer lib.Close()
+	const n = 64
+	identity := func() []float64 {
+		a := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			a[i+i*n] = 1
+		}
+		return a
+	}
+	bad := identity()
+	bad[40+40*n] = -1
+	_, err := lib.DpotrfTile(n, HostMatrix(n, n, bad), 16)
+	if !errors.Is(err, blas.ErrNotPositiveDefinite) {
+		t.Fatalf("non-SPD DpotrfTile: err = %v, want one wrapping blas.ErrNotPositiveDefinite", err)
+	}
+	if !strings.Contains(err.Error(), "cholesky") && !strings.Contains(err.Error(), "potrf") {
+		t.Errorf("error %q does not name the routine", err)
+	}
+	good := identity()
+	if _, err := lib.DpotrfTile(n, HostMatrix(n, n, good), 16); err != nil {
+		t.Fatalf("SPD DpotrfTile after a failed call: %v", err)
+	}
+	if good[40+40*n] != 1 {
+		t.Errorf("Cholesky of I: L[40,40] = %v, want 1", good[40+40*n])
 	}
 }

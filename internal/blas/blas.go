@@ -457,7 +457,7 @@ func Symm[F Float](side, uplo byte, m, n int, alpha F, a []F, lda int, b []F, ld
 // Every side/trans combination reduces to solving E*x = alpha*y in place
 // for each column (side Left) or row (side Right) y of B, where E is
 // op(A) or op(A)^T. The effective triangle E is packed row-major so each dot
-// product is unit-stride, and four right-hand sides are solved per pass
+// product is unit-stride, and eight right-hand sides are solved per pass
 // over E. Each element still receives its terms one rounded
 // multiply-then-add at a time in increasing column order of E, then one
 // subtraction and (NonUnit) one division — the plain substitution loop's
@@ -508,7 +508,7 @@ func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda 
 	for r := 0; r < rhs; r += trsmRHS {
 		w := min(trsmRHS, rhs-r)
 		gatherRHS(w, na, alpha, b[r*rStep:], rStep, lStep, p)
-		solveTriangle4(lower, diag == NonUnit, na, e, p)
+		solveTriangle8(lower, diag == NonUnit, na, e, p)
 		scatterRHS(w, na, p, b[r*rStep:], rStep, lStep)
 	}
 	return nil
@@ -516,7 +516,7 @@ func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda 
 
 // trsmRHS is the number of right-hand sides Trsm solves per pass over the
 // packed triangle.
-const trsmRHS = 4
+const trsmRHS = 8
 
 // packTriangle copies the referenced triangle (diagonal included) of the
 // k x k matrix E into e row-major, E(i,l) at e[i*k+l]. E(i,l) is
@@ -572,11 +572,11 @@ func scatterRHS[F Float](w, k int, p []F, b []F, rStep, lStep int) {
 	}
 }
 
-// solveTriangle4 runs forward (lower) or backward substitution with the
-// packed k x k triangle e on the four interleaved right-hand sides in p.
+// solveTriangle8 runs forward (lower) or backward substitution with the
+// packed k x k triangle e on the eight interleaved right-hand sides in p.
 // Row i's dot product walks columns l of E in increasing order with one
 // accumulator per side, each term one rounded multiply-then-add.
-func solveTriangle4[F Float](lower, nonUnit bool, k int, e, p []F) {
+func solveTriangle8[F Float](lower, nonUnit bool, k int, e, p []F) {
 	p = p[:trsmRHS*k]
 	for t := 0; t < k; t++ {
 		i, lo, hi := t, 0, t
@@ -584,7 +584,7 @@ func solveTriangle4[F Float](lower, nonUnit bool, k int, e, p []F) {
 			i = k - 1 - t
 			lo, hi = i+1, k
 		}
-		var s0, s1, s2, s3 F
+		var s0, s1, s2, s3, s4, s5, s6, s7 F
 		xs := p[lo*trsmRHS : hi*trsmRHS]
 		for l, el := range e[i*k+lo : i*k+hi] {
 			x := xs[l*trsmRHS : l*trsmRHS+trsmRHS]
@@ -592,18 +592,30 @@ func solveTriangle4[F Float](lower, nonUnit bool, k int, e, p []F) {
 			s1 += el * x[1]
 			s2 += el * x[2]
 			s3 += el * x[3]
+			s4 += el * x[4]
+			s5 += el * x[5]
+			s6 += el * x[6]
+			s7 += el * x[7]
 		}
 		x := p[i*trsmRHS : i*trsmRHS+trsmRHS]
 		x[0] -= s0
 		x[1] -= s1
 		x[2] -= s2
 		x[3] -= s3
+		x[4] -= s4
+		x[5] -= s5
+		x[6] -= s6
+		x[7] -= s7
 		if nonUnit {
 			d := e[i*k+i]
 			x[0] /= d
 			x[1] /= d
 			x[2] /= d
 			x[3] /= d
+			x[4] /= d
+			x[5] /= d
+			x[6] /= d
+			x[7] /= d
 		}
 	}
 }

@@ -11,7 +11,10 @@ package blas
 //     (one IEEE multiply + one ordered add per term, no fused
 //     multiply-add). They are the default, and everything that pins
 //     byte-identical output — the campaign runs, the Float64bits
-//     differential tests — runs on them.
+//     differential tests — runs on them. Each C element's operation
+//     sequence does not depend on the register tile, so exact variants
+//     may use any tile: the portable and AVX kernels are 4x4, the
+//     AVX-512 one 16x4.
 //   - KernelFMA variants contract each multiply-add pair into a single
 //     rounding (VFMADD231 on amd64, FMLA on arm64) and may use a wider
 //     register tile. They are opt-in, strictly faster, and validated by
@@ -59,7 +62,7 @@ func (p KernelPolicy) String() string {
 // (nil means the portable Go kernels). Exactly one of f64/f32 is non-nil
 // for a native variant; both are nil for "generic".
 type kernelSel struct {
-	name   string // e.g. "generic", "avx", "fma-avx2", "neon"
+	name   string // e.g. "generic", "avx", "avx512", "fma-avx2", "neon"
 	policy KernelPolicy
 	mr, nr int
 	f64    func(kc int, a, b, c *float64, ldc int)

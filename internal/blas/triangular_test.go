@@ -122,6 +122,34 @@ func TestTrsmBitwiseDifferential(t *testing.T) {
 	}
 }
 
+// TestTrsmPanelTailsBitwise sweeps the right-hand-side count across the
+// panel width trsmRHS: every width from a single side up to one past a
+// full panel, and the tails of a second panel, so zero-filled unused lanes
+// and ragged last panels are checked bit for bit on both sides.
+func TestTrsmPanelTailsBitwise(t *testing.T) {
+	seed := int64(5000)
+	for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17} {
+		for _, side := range []byte{Left, Right} {
+			m, n := 11, w
+			if side == Right {
+				m, n = w, 11
+			}
+			for _, uplo := range []byte{Upper, Lower} {
+				for _, trans := range []byte{NoTrans, Trans} {
+					for _, diag := range []byte{NonUnit, Unit} {
+						for _, alpha := range []float64{1, 0.75} {
+							seed++
+							tc := triCase{side, uplo, trans, diag, m, n, 2, 1, alpha}
+							runTrsmCase[float64](t, tc, seed)
+							runTrsmCase[float32](t, tc, seed)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // factorOrders are the square orders of the factorization differentials.
 func factorOrders() []int {
 	seen := map[int]bool{}

@@ -228,6 +228,10 @@ type Runtime struct {
 	// the default blas.KernelExact keeps the bitwise oracle contract;
 	// blas.KernelFMA opts into the fused (ULP-bounded) micro-kernels.
 	payloadPolicy blas.KernelPolicy
+	// payloadErr is the first functional-payload error since the last
+	// Sync (a non-SPD or singular tile, or bad payload geometry); Sync
+	// returns and clears it.
+	payloadErr error
 
 	// opFree recycles op objects the moment their hardware work completes;
 	// evFree recycles completion events at Sync, with evLive tracking the
@@ -340,6 +344,7 @@ func (rt *Runtime) Reset(dev *device.Device) {
 	rt.streams = 0
 	rt.payloadPool = nil
 	rt.payloadPolicy = blas.KernelExact
+	rt.payloadErr = nil
 	for i := range rt.streamList {
 		rt.streamList[i] = nil
 	}
@@ -369,6 +374,15 @@ func (rt *Runtime) SetPayloadPolicy(p blas.KernelPolicy) { rt.payloadPolicy = p 
 
 // PayloadPolicy reports the kernel policy applied to backed payloads.
 func (rt *Runtime) PayloadPolicy() blas.KernelPolicy { return rt.payloadPolicy }
+
+// payloadFailed records a functional payload's error for Sync to return.
+// Only the first error of a batch is kept: later failures usually follow
+// from it (a factor tile that failed leaves its dependents garbage).
+func (rt *Runtime) payloadFailed(routine string, err error) {
+	if rt.payloadErr == nil {
+		rt.payloadErr = fmt.Errorf("cudart: %s payload: %w", routine, err)
+	}
+}
 
 // Device returns the underlying simulated device.
 func (rt *Runtime) Device() *device.Device { return rt.dev }
@@ -636,18 +650,23 @@ func (s *Stream) Callback(fn func()) *Event {
 // Sync runs the simulation until every submitted operation has completed.
 // It returns the virtual time, or an error if operations remain blocked on
 // dependencies that can never fire (a scheduling bug: a dependency cycle or
-// an event that is never recorded).
+// an event that is never recorded) or if a functional payload failed. A
+// payload error (wrapping the blas error, e.g. blas.ErrNotPositiveDefinite)
+// is the first one of the batch; the batch still drains and is recycled
+// as on success, so the runtime stays usable.
 //
-// On success the completed batch's events are recycled and every stream's
-// tail resets to the pre-completed event, so event handles returned before
+// On a drained batch the events are recycled and every stream's tail
+// resets to the pre-completed event, so event handles returned before
 // this call must not be used afterwards.
 //
 //cocolint:hotpath
 func (rt *Runtime) Sync() (sim.Time, error) {
 	end := rt.Engine().Run()
+	payloadErr := rt.payloadErr
+	rt.payloadErr = nil
 	if rt.outstanding != 0 {
 		//lint:ignore hotpath deadlock is a scheduling bug; this error path runs at most once per failed batch
-		return end, fmt.Errorf("cudart: deadlock: %d operations still blocked after drain", rt.outstanding)
+		return end, errors.Join(payloadErr, fmt.Errorf("cudart: deadlock: %d operations still blocked after drain", rt.outstanding))
 	}
 	for i, e := range rt.evLive {
 		rt.evLive[i] = nil
@@ -661,7 +680,7 @@ func (rt *Runtime) Sync() (sim.Time, error) {
 		s.tail = doneEvent
 		s.waits = s.waits[:0]
 	}
-	return end, nil
+	return end, payloadErr
 }
 
 // DevBuffer is typed device memory. Backed buffers carry real element
@@ -877,7 +896,7 @@ func (s *Stream) GemmAsync(transA, transB byte, m, n, k int,
 					a.f32[offA:], lda, b.f32[offB:], ldb, float32(beta), c.f32[offC:], ldc)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("cudart: gemm payload: %v", err))
+				s.rt.payloadFailed("gemm", err)
 			}
 		}
 	}
@@ -919,7 +938,7 @@ func (s *Stream) AxpyAsync(n int, alpha float64, x *DevBuffer, offX int64, y *De
 				err = blas.Saxpy(n, float32(alpha), x.f32[offX:], 1, y.f32[offY:], 1)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("cudart: axpy payload: %v", err))
+				s.rt.payloadFailed("axpy", err)
 			}
 		}
 	}
@@ -946,7 +965,7 @@ func (s *Stream) GemvAsync(trans byte, m, n int, alpha float64,
 				err = blas.Gemv(trans, m, n, float32(alpha), a.f32[offA:], lda, x.f32[offX:], 1, float32(beta), y.f32[offY:], 1)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("cudart: gemv payload: %v", err))
+				s.rt.payloadFailed("gemv", err)
 			}
 		}
 	}

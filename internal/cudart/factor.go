@@ -8,7 +8,6 @@ package cudart
 
 import (
 	"errors"
-	"fmt"
 
 	"cocopelia/internal/blas"
 	"cocopelia/internal/kernelmodel"
@@ -85,9 +84,9 @@ func kernelName(dt kernelmodel.Dtype, d, s string) string {
 }
 
 // PotrfAsync enqueues the in-place Cholesky factorization of the n x n
-// tile at A[offA] (referenced triangle per uplo). The payload panics on a
-// non-positive-definite tile, mirroring the other payloads' treatment of
-// impossible launches — callers own operand validity.
+// tile at A[offA] (referenced triangle per uplo). A non-positive-definite
+// tile fails the payload, and Sync returns the error (wrapping
+// blas.ErrNotPositiveDefinite), like every other payload failure.
 func (s *Stream) PotrfAsync(uplo byte, n int, a *DevBuffer, offA int64, lda int) (*Event, error) {
 	dt := a.dt
 	dur := s.rt.potrfTime(dt, n)
@@ -101,7 +100,7 @@ func (s *Stream) PotrfAsync(uplo byte, n int, a *DevBuffer, offA int64, lda int)
 				err = blas.Potrf(uplo, n, a.f32[offA:], lda)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("cudart: potrf payload: %v", err))
+				s.rt.payloadFailed("potrf", err)
 			}
 		}
 	}
@@ -124,7 +123,7 @@ func (s *Stream) GetrfAsync(n int, a *DevBuffer, offA int64, lda int) (*Event, e
 				err = blas.Getrf(n, a.f32[offA:], lda)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("cudart: getrf payload: %v", err))
+				s.rt.payloadFailed("getrf", err)
 			}
 		}
 	}
@@ -154,7 +153,7 @@ func (s *Stream) TrsmAsync(side, uplo, transA, diag byte, m, n int, alpha float6
 					a.f32[offA:], lda, b.f32[offB:], ldb)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("cudart: trsm payload: %v", err))
+				s.rt.payloadFailed("trsm", err)
 			}
 		}
 	}
@@ -187,7 +186,7 @@ func (s *Stream) SyrkAsync(uplo, trans byte, n, k int, alpha float64,
 				err = blas.Syrk(trans, n, k, float32(alpha), a.f32[offA:], lda, float32(beta), c.f32[offC:], ldc)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("cudart: syrk payload: %v", err))
+				s.rt.payloadFailed("syrk", err)
 			}
 		}
 	}

@@ -155,30 +155,64 @@ func TestPlanMemoization(t *testing.T) {
 // parallel engine is built around: the same campaign rendered serially and
 // with 8 workers must produce byte-identical text and CSV, because every
 // cell's noise seed derives from the cell key, never from execution order.
+//
+// Each of Fig. 4's three sub-sweeps is compared on its own fresh campaigns,
+// then the whole figure is. The race detector multiplies the campaign's
+// memory several times over, so under -race each sub-sweep runs a reduced
+// work-list (raceWorkList) and the whole-figure comparison runs only in the
+// normal build.
 func TestCampaignParallelDeterminism(t *testing.T) {
 	dep := testbedI(t).Pred.Deployment()
 	tb := machine.TestbedI()
-
-	render := func(workers int) (string, string) {
-		c := NewCampaignWithDeployment(tb, dep, true)
-		c.SetParallel(workers)
-		samples, err := c.Fig4()
-		if err != nil {
-			t.Fatal(err)
+	kinds := []model.Kind{model.CSO, model.BTS}
+	compare := func(t *testing.T, render func(c *Campaign) ([]ErrSample, error)) {
+		t.Helper()
+		out := func(workers int) (string, string) {
+			c := NewCampaignWithDeployment(tb, dep, true)
+			c.SetParallel(workers)
+			samples, err := render(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, cells := ErrCSV(samples)
+			return RenderErrSummary("fig4", samples), fmt.Sprint(h, cells)
 		}
-		h, cells := ErrCSV(samples)
-		return RenderErrSummary("fig4", samples), fmt.Sprint(h, cells)
+		serialText, serialCSV := out(1)
+		parText, parCSV := out(8)
+		if serialText != parText {
+			t.Errorf("rendered text differs between serial and parallel runs:\nserial:\n%s\nparallel:\n%s",
+				serialText, parText)
+		}
+		if serialCSV != parCSV {
+			t.Error("CSV cells differ between serial and parallel runs")
+		}
 	}
 
-	serialText, serialCSV := render(1)
-	parText, parCSV := render(8)
-	if serialText != parText {
-		t.Errorf("rendered text differs between serial and parallel runs:\nserial:\n%s\nparallel:\n%s",
-			serialText, parText)
+	for _, sw := range []struct {
+		name     string
+		problems []Problem
+		lib      Lib
+	}{
+		{"daxpy", DaxpyValidationSet(true), LibCoCoPeLia},
+		{"sgemm", GemmValidationSet("sgemm", true), LibNoReuse},
+		{"dgemm", GemmValidationSet("dgemm", true), LibNoReuse},
+	} {
+		problems := sw.problems
+		if raceEnabled {
+			problems = raceWorkList(problems)
+		}
+		t.Run(sw.name, func(t *testing.T) {
+			compare(t, func(c *Campaign) ([]ErrSample, error) {
+				return c.modelErrors(problems, sw.lib, kinds)
+			})
+		})
 	}
-	if serialCSV != parCSV {
-		t.Error("CSV cells differ between serial and parallel runs")
-	}
+	t.Run("fig4", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("whole-figure comparison runs in the normal build; the sub-sweeps above cover the race build")
+		}
+		compare(t, (*Campaign).Fig4)
+	})
 }
 
 // TestPlanEvictions drives planFor directly with oversized synthetic plans

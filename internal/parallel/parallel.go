@@ -23,30 +23,33 @@ import (
 // NewPool. A nil *Pool is valid everywhere and selects inline serial
 // execution on the calling goroutine.
 type Pool struct {
-	workers int
-	clock   Clock
-	jobs    atomic.Int64
-	busyNS  atomic.Int64
+	workers  int
+	newClock func() Clock
+	jobs     atomic.Int64
+	busyNS   atomic.Int64
 }
 
 // NewPool returns a pool bounded to n concurrent workers; n <= 0 selects
 // runtime.GOMAXPROCS(0). Utilization accounting samples the wall clock;
 // use NewPoolClock to inject a synthetic clock.
 func NewPool(n int) *Pool {
-	return NewPoolClock(n, wallClock)
+	return NewPoolClock(n, nil)
 }
 
 // NewPoolClock is NewPool with an injected time source for the busy-time
-// accounting. The clock is sampled concurrently from every worker, so it
-// must be safe for concurrent use.
-func NewPoolClock(n int, clock Clock) *Pool {
+// accounting: each work item's busy span is the difference of two samples
+// of the clock newClock returns for that item. newClock is called
+// concurrently from every worker, once per item, so a synthetic clock can
+// be made per item and the accounting stays exact however the workers
+// interleave. A nil newClock selects the wall clock.
+func NewPoolClock(n int, newClock func() Clock) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if clock == nil {
-		clock = wallClock
+	if newClock == nil {
+		newClock = func() Clock { return wallClock }
 	}
-	return &Pool{workers: n, clock: clock}
+	return &Pool{workers: n, newClock: newClock}
 }
 
 // Workers returns the pool's worker bound (1 for a nil pool).
@@ -99,13 +102,17 @@ func Map[T, R any](p *Pool, items []T, fn func(i int, item T) (R, error)) ([]R, 
 	}
 	if workers <= 1 {
 		for i, item := range items {
-			var start time.Time
+			var (
+				clock Clock
+				start time.Time
+			)
 			if p != nil {
-				start = p.clock()
+				clock = p.newClock()
+				start = clock()
 			}
 			r, err := fn(i, item)
 			if p != nil {
-				p.busyNS.Add(int64(p.clock().Sub(start)))
+				p.busyNS.Add(int64(clock().Sub(start)))
 				p.jobs.Add(1)
 			}
 			if err != nil {
@@ -132,9 +139,10 @@ func Map[T, R any](p *Pool, items []T, fn func(i int, item T) (R, error)) ([]R, 
 				if i >= len(items) || stop.Load() {
 					return
 				}
-				start := p.clock()
+				clock := p.newClock()
+				start := clock()
 				r, err := fn(i, items[i])
-				p.busyNS.Add(int64(p.clock().Sub(start)))
+				p.busyNS.Add(int64(clock().Sub(start)))
 				p.jobs.Add(1)
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })

@@ -125,23 +125,30 @@ func TestNilPoolIsServiceable(t *testing.T) {
 	}
 }
 
-// fakeClock is a deterministic, concurrency-safe Clock: every sample
-// advances virtual time by step, so each work item's measured busy span is
-// exactly step (one sample at start, one at end).
+// fakeClock is a deterministic Clock: every sample advances virtual time
+// by step. Each work item gets its own (perJobClock), so its measured busy
+// span is exactly step (one sample at start, one at end) no matter how the
+// workers interleave.
 type fakeClock struct {
-	ticks atomic.Int64
+	ticks int64
 	step  time.Duration
 }
 
 func (c *fakeClock) now() time.Time {
-	return time.Unix(0, c.ticks.Add(1)*int64(c.step))
+	c.ticks++
+	return time.Unix(0, c.ticks*int64(c.step))
+}
+
+// perJobClock returns a pool clock factory handing every work item a
+// fresh fakeClock of the given step.
+func perJobClock(step time.Duration) func() Clock {
+	return func() Clock { return (&fakeClock{step: step}).now }
 }
 
 func TestInjectedClockMakesStatsExact(t *testing.T) {
 	const items = 16
 	for _, workers := range []int{1, 4} {
-		clk := &fakeClock{step: time.Millisecond}
-		p := NewPoolClock(workers, clk.now)
+		p := NewPoolClock(workers, perJobClock(time.Millisecond))
 		if err := ForEach(p, make([]int, items), func(_, _ int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -158,8 +165,7 @@ func TestInjectedClockMakesStatsExact(t *testing.T) {
 }
 
 func TestInjectedClockUtilization(t *testing.T) {
-	clk := &fakeClock{step: time.Millisecond}
-	p := NewPoolClock(2, clk.now)
+	p := NewPoolClock(2, perJobClock(time.Millisecond))
 	if err := ForEach(p, make([]int, 10), func(_, _ int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,9 @@ func (c *Context) Enqueue(p *plan.Plan, r Request) (*PendingGemm, error) {
 }
 
 // Run plans and enqueues the request, drains the engine and reports the
-// run. Ragged edge tiles (dimensions not divisible by T) are handled.
+// run. Ragged edge tiles (dimensions not divisible by T) are handled. A
+// failed drain (a payload error such as a non-SPD tile) is returned
+// wrapped with the routine name.
 // The request is validated once: a plan just built from it carries its
 // key by construction (FuzzPlan pins that), so the replay skips the
 // key check Enqueue makes.
@@ -90,7 +92,7 @@ func (c *Context) Run(r Request) (Result, error) {
 	end, err := c.rt.Sync()
 	res := pend.Finish(end)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("sched: %s: %w", cl.key.Routine, err)
 	}
 	return res, nil
 }
