@@ -260,7 +260,7 @@ func checkBlas(path string, rep *report) error {
 }
 
 // campaignPhases splits a row's wall time by pipeline phase: plan builds
-// (cache misses), plan replay onto the streams, event-queue advance, and
+// (one per cell), plan replay onto the streams, event-queue advance, and
 // everything else (operand setup plus the comparator libraries that run to
 // completion internally). It makes a throughput change attributable — a
 // replay optimization must show up in enqueue, a DES optimization in
@@ -294,16 +294,13 @@ type campaignRow struct {
 // campaignReport is the JSON schema of results/bench-campaign.json.
 // Reference is the committed-baseline configuration (single worker,
 // per-phase timing); Sweep varies the worker count over the same
-// work-list; Normalized demonstrates geometry-normalized plan keys on a
-// mirror-symmetric work-list (its hit rate exceeds the reference
-// work-list's 2/3 because mirrored cells share one canonical plan).
+// work-list.
 type campaignReport struct {
-	Testbed    string        `json:"testbed"`
-	GOGC       int           `json:"gogc"`
-	Reps       int           `json:"reps"`
-	Reference  campaignRow   `json:"reference"`
-	Sweep      []campaignRow `json:"sweep"`
-	Normalized *campaignRow  `json:"normalized,omitempty"`
+	Testbed   string        `json:"testbed"`
+	GOGC      int           `json:"gogc"`
+	Reps      int           `json:"reps"`
+	Reference campaignRow   `json:"reference"`
+	Sweep     []campaignRow `json:"sweep"`
 }
 
 // campaignCells builds the benchmark's timing-only work-list: a tile-size
@@ -364,7 +361,7 @@ func campaignCells(smoke bool) []eval.MeasureCell {
 
 // campaignGOGC is the garbage-collection target percentage pinned for the
 // campaign benchmark. The campaign's live heap is dominated by long-lived
-// warm state (plan cache, tapes, op/event free lists) that the default
+// warm state (pooled simulation stacks, op/event free lists) that the default
 // GOGC=100 re-marks many times per second on a single P; pinning a high
 // target makes the measurement reflect simulation throughput rather than
 // ambient GC policy, keeps runs comparable across environments, and bounds
@@ -373,57 +370,11 @@ func campaignCells(smoke bool) []eval.MeasureCell {
 // row boundary (see runRow).
 const campaignGOGC = 800
 
-// campaignPlanBudget sizes each campaign runner's plan cache to hold the
-// entire sweep's plans (~1.1M ops ≈ 100MB; the default eval budget keeps
-// only the working set). With eviction off the singleflight hit/miss
-// split is a pure function of the work-list — eviction would reintroduce
-// execution-order dependence and break the cross-worker counter pin.
-const campaignPlanBudget = 1 << 22
-
-// normalizedCells builds the mirror-symmetric demo work-list: rectangular
-// gemm cells paired with their transpose mirrors (M and N exchanged, A and
-// B locations exchanged). With NormalizeKeys both orientations fold onto
-// one canonical plan — 1 miss and 5 hits per pair at 3 reps (83% hit rate)
-// instead of the 2/3 a distinct-shape work-list is capped at.
-func normalizedCells(smoke bool) []eval.MeasureCell {
-	type shape struct{ m, n, k int }
-	shapes := []shape{{4096, 2048, 2048}, {2048, 1024, 4096}, {8192, 2048, 1024}}
-	tiles := []int{256, 512}
-	if smoke {
-		shapes = []shape{{1024, 512, 512}}
-		tiles = []int{256}
-	}
-	locPairs := [][]model.Loc{
-		{model.OnHost, model.OnHost, model.OnHost},
-		{model.OnDevice, model.OnHost, model.OnHost},
-	}
-	var cells []eval.MeasureCell
-	for _, s := range shapes {
-		for _, locs := range locPairs {
-			p := eval.Problem{
-				Routine: "dgemm", Dtype: kernelmodel.F64, M: s.m, N: s.n, K: s.k,
-				Locs: append([]model.Loc(nil), locs...), Tag: "mirror",
-			}
-			q := eval.Problem{
-				Routine: "dgemm", Dtype: kernelmodel.F64, M: s.n, N: s.m, K: s.k,
-				Locs: []model.Loc{locs[1], locs[0], locs[2]}, Tag: "mirror",
-			}
-			for _, T := range tiles {
-				cells = append(cells,
-					eval.MeasureCell{Lib: eval.LibCoCoPeLia, P: p, T: T},
-					eval.MeasureCell{Lib: eval.LibCoCoPeLia, P: q, T: T})
-			}
-		}
-	}
-	return cells
-}
-
 // rowConfig parameterizes one measured campaign row.
 type rowConfig struct {
-	workers   int
-	passes    int
-	phases    bool
-	normalize bool
+	workers int
+	passes  int
+	phases  bool
 }
 
 // runRow measures one campaign configuration over the work-list: passes
@@ -440,11 +391,6 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 	var best campaignRow
 	for pass := 0; pass < cfg.passes; pass++ {
 		r := eval.NewRunner(tb)
-		r.NormalizeKeys = cfg.normalize
-		// Hold every plan of the sweep (no eviction): eviction outcomes are
-		// execution-order dependent, and the sweep pins its plan-cache
-		// counters byte-identical across worker counts.
-		r.PlanOpsBudget = campaignPlanBudget
 		if cfg.phases {
 			r.Clock = time.Now
 		}
@@ -512,12 +458,11 @@ func logRow(tag string, row campaignRow) {
 }
 
 // runCampaign measures the DES campaign pipeline — the reference
-// single-worker row with per-phase timing, a worker-count sweep
-// pinned byte-identical to the reference, and the geometry-normalization
-// demo — and writes the report JSON. With checkPath set it instead
-// compares the reference row against the committed baseline and fails on
-// regression (throughput down more than 15%, or any drift in the simulated
-// counters).
+// single-worker row with per-phase timing and a worker-count sweep pinned
+// byte-identical to the reference — and writes the report JSON. With
+// checkPath set it instead compares the reference row against the
+// committed baseline and fails on regression (throughput down more than
+// 15%, or any drift in the simulated counters).
 func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 	tb := machine.TestbedI()
 	cells := campaignCells(smoke)
@@ -533,7 +478,7 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 	ph := ref.Phases
 	log.Printf("campaign[ref]: phases plan=%.2fs enqueue=%.2fs advance=%.2fs other=%.2fs",
 		ph.PlanBuild, ph.Enqueue, ph.Advance, ph.Other)
-	log.Printf("campaign[ref]: plan cache %d hits / %d misses / %d evictions (%.0f%% hit rate)",
+	log.Printf("campaign[ref]: plans %d replays / %d builds / %d evictions (%.0f%% replayed)",
 		ref.PlanHits, ref.PlanMisses, ref.PlanEvictions, 100*ref.PlanHitRate)
 
 	rep := campaignReport{Testbed: tb.Name, GOGC: campaignGOGC, Reps: 3, Reference: ref}
@@ -560,18 +505,6 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 		}
 		rep.Sweep = append(rep.Sweep, row)
 	}
-
-	norm, err := runRow(tb, normalizedCells(smoke), rowConfig{workers: 1, passes: 1, normalize: true, phases: true})
-	if err != nil {
-		return err
-	}
-	logRow("norm", norm)
-	log.Printf("campaign[norm]: plan cache %d hits / %d misses (%.0f%% hit rate, mirror folding)",
-		norm.PlanHits, norm.PlanMisses, 100*norm.PlanHitRate)
-	if norm.PlanHitRate <= 2.0/3.0 {
-		return fmt.Errorf("normalized work-list hit rate %.3f did not beat the 2/3 distinct-shape cap", norm.PlanHitRate)
-	}
-	rep.Normalized = &norm
 
 	if checkPath != "" {
 		return checkCampaign(checkPath, &rep)

@@ -15,7 +15,7 @@
 // seed derives from the measurement cell's key, never from execution
 // order, so the experiment output on stdout and the CSV files are
 // byte-identical at any worker count; the run summary (wall-clock, worker
-// utilization, cache statistics) goes to stderr.
+// utilization, result-cache and plan statistics) goes to stderr.
 package main
 
 import (
@@ -234,14 +234,15 @@ func main() {
 		// experiment output on stdout stays byte-identical at any -parallel.
 		elapsed := time.Since(start)
 		hits, misses, waits := c.Runner.CacheStats()
+		replays, builds, _ := c.Runner.PlanCacheStats()
 		if c.Pool != nil {
 			st := c.Pool.Stats()
-			log.Printf("%s: %.2fs wall, %d workers, %d jobs, %.0f%% utilization, cache %d hits / %d misses / %d waits",
+			log.Printf("%s: %.2fs wall, %d workers, %d jobs, %.0f%% utilization, cache %d hits / %d misses / %d waits, plans %d built / %d replayed",
 				tb.Name, elapsed.Seconds(), c.Pool.Workers(), st.Jobs,
-				100*c.Pool.Utilization(elapsed), hits, misses, waits)
+				100*c.Pool.Utilization(elapsed), hits, misses, waits, builds, replays)
 		} else {
-			log.Printf("%s: %.2fs wall, serial, cache %d hits / %d misses / %d waits",
-				tb.Name, elapsed.Seconds(), hits, misses, waits)
+			log.Printf("%s: %.2fs wall, serial, cache %d hits / %d misses / %d waits, plans %d built / %d replayed",
+				tb.Name, elapsed.Seconds(), hits, misses, waits, builds, replays)
 		}
 	}
 }

@@ -38,10 +38,6 @@ const (
 	LibNoReuse Lib = "NoReuse"
 )
 
-// cacheShards is the number of independently locked cache partitions; it
-// only needs to exceed typical worker counts to keep lock contention low.
-const cacheShards = 16
-
 // cellKey is the comparable cache key of one measurement cell. It carries
 // every field the rendered string key (testbed|lib|problem-name|T) encodes,
 // so the cache partition it induces matches the legacy string keys — but a
@@ -58,57 +54,6 @@ type cellKey struct {
 	tile    int
 }
 
-// normalizeGemm folds a NoTrans gemm problem onto the canonical
-// representative of its mirror-equivalence class. The transpose identity
-// C^T = B^T·A^T makes gemm(M,N,K, A@locA, B@locB, C@locC) cost-isomorphic
-// to gemm(N,M,K, B^T@locB, A^T@locA, C^T@locC): tile counts, per-tile
-// transfer volumes and kernel shapes (the kernel-time model is symmetric
-// in M and N) all coincide, so the two orientations share one tile plan.
-// The canonical orientation is the lexicographically smaller of
-// (m, n, locA, locB) and its mirror (n, m, locB, locA); square problems
-// with symmetric locations are their own mirror and pass through
-// unchanged. The fold is applied to the Problem itself — before operand
-// materialization and plan-key construction — so every downstream layer
-// (plan cache, replay validation, result assembly) sees one orientation.
-// Seconds differ between the orientations only through the plan's op
-// order, which is exactly the modeling decision NormalizeKeys opts into;
-// the structural result fields (Subkernels, BytesH2D, BytesD2H) are
-// identical by symmetry.
-func normalizeGemm(p Problem) Problem {
-	if p.Routine != "dgemm" || len(p.Locs) != 3 {
-		return p
-	}
-	m, n := p.M, p.N
-	la, lb := p.Locs[0], p.Locs[1]
-	if m < n || (m == n && la <= lb) {
-		return p // already canonical
-	}
-	q := p
-	q.M, q.N = n, m
-	q.Locs = []model.Loc{lb, la, p.Locs[2]} // fresh slice: p.Locs is shared
-	return q
-}
-
-// planOpsBudget bounds the plan cache by total op count (an op is ~100
-// bytes, so this is a few tens of MB): once exceeded, the oldest plans are
-// dropped FIFO. Repetitions of a cell reuse its plan back-to-back, so the
-// budget only needs to hold the plans currently being measured — it must
-// exceed the largest single plan (~2*10^5 ops for the no-reuse schedule at
-// the sweep's smallest tile), and keeping it tight keeps the live heap,
-// and with it GC cost across the whole campaign, small.
-const planOpsBudget = 1 << 18
-
-// cacheShard is one mutex-protected partition of the measurement cache.
-type cacheShard struct {
-	mu sync.Mutex
-	// results holds completed measurements by cell key.
-	results map[cellKey]operand.Result
-	// inflight deduplicates concurrent requests for the same cell: the
-	// first caller simulates, later callers wait on the call's done
-	// channel (per-key singleflight).
-	inflight map[cellKey]*inflightCall
-}
-
 // inflightCall is one in-progress measurement that concurrent callers of
 // the same cell key wait on.
 type inflightCall struct {
@@ -122,10 +67,11 @@ type inflightCall struct {
 // parameters — never from execution order — so results are reproducible,
 // cacheable, and identical whether cells run serially or concurrently.
 //
-// Runner is safe for concurrent use: the cache is sharded behind mutexes
+// Runner is safe for concurrent use: one mutex guards the result cache,
 // and concurrent Measure calls for the same (lib, problem, T) cell
 // simulate it exactly once (the other callers block until the first
-// finishes).
+// finishes). It keeps no other cache: a cell's tile plan is built by its
+// first repetition, replayed by the rest and dropped with the cell.
 type Runner struct {
 	TB *machine.Testbed
 	// Reps is the number of averaged repetitions per measurement (the
@@ -134,26 +80,22 @@ type Runner struct {
 	Reps int
 	// SeedBase diversifies the noise streams of independent campaigns.
 	SeedBase int64
-	// NormalizeKeys folds mirror-equivalent gemm cells onto a canonical
-	// orientation before measuring (see normalizeGemm), so symmetric
-	// work-lists share tile plans. Off by default: the reference campaign
-	// is pinned byte-identical, and normalization measures the canonical
-	// representative of each mirror class instead of the literal cell.
-	NormalizeKeys bool
 	// Clock, when set, enables per-phase wall-time attribution
 	// (PhaseSeconds). It is injected rather than sampled so the eval layer
 	// stays wall-clock free under the determinism analyzer; cmd binaries
 	// pass time.Now.
 	Clock parallel.Clock
-	// PlanOpsBudget overrides the plan cache's FIFO-eviction budget
-	// (planOpsBudget when zero). Eviction outcomes depend on execution
-	// order — whether a shared key re-misses hinges on which insertions
-	// landed in between — so a campaign that pins its plan-cache counters
-	// byte-identical across worker counts must raise the budget above its
-	// work-list's total op count; cocobench does exactly that.
-	PlanOpsBudget int
 
-	shards [cacheShards]cacheShard
+	// mu guards results and inflight. Every miss simulates for at least
+	// a tenth of a millisecond and at most one caller per worker contends,
+	// so one lock is enough.
+	mu sync.Mutex
+	// results holds completed measurements by cell key.
+	results map[cellKey]operand.Result
+	// inflight deduplicates concurrent requests for the same cell: the
+	// first caller simulates, later callers wait on the call's done
+	// channel (per-key singleflight).
+	inflight map[cellKey]*inflightCall
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -162,25 +104,15 @@ type Runner struct {
 
 	phaseNS [numPhases]atomic.Int64
 
-	// The plan cache memoizes tile plans by invocation shape: a plan is a
-	// pure function of (routine variant, geometry, T, location vector) and
-	// the context knobs — which are the defaults on every fresh eval
-	// context — so a plan built during any repetition replays on every
-	// other repetition and cell of the same shape. Entries are inserted at
-	// first arrival (singleflight): later requesters of a key being built
-	// count as hits and wait on the entry's done channel, which keeps the
-	// hit/miss counters independent of worker count.
-	planMu        sync.Mutex
-	plans         map[plan.Key]*planEntry
-	planQueue     []planQEntry
-	planOps       int
-	planHits      atomic.Int64
-	planMisses    atomic.Int64
-	planEvictions atomic.Int64
+	// planBuilds counts the plans cells built (one per tile-scheduled
+	// cell), planReplays the further repetitions that replayed their
+	// cell's plan.
+	planBuilds  atomic.Int64
+	planReplays atomic.Int64
 
 	// bundleFree recycles wired simulation stacks (engine + device +
 	// runtime + scheduler context) across this runner's repetitions, so a
-	// cached-plan repetition re-derives nothing: no stream creation, no
+	// plan-replaying repetition re-derives nothing: no stream creation, no
 	// map growth — only a reseed and counter reset (see simBundle). It is
 	// a mutex-guarded free list rather than a sync.Pool deliberately: plan
 	// building allocates enough to trigger GC cycles mid-campaign, and
@@ -193,33 +125,13 @@ type Runner struct {
 	bundleFree []*simBundle
 }
 
-// planEntry is one plan-cache slot: inserted before the build runs, so
-// concurrent requesters of the same key join the in-flight build instead
-// of duplicating it.
-type planEntry struct {
-	done chan struct{}
-	p    *plan.Plan
-	err  error
-}
-
-// planQEntry is one FIFO-eviction record. It captures the entry identity,
-// not just the key: a key evicted and later rebuilt gets a fresh entry and
-// a fresh queue position, and the stale record must not evict the rebuilt
-// plan when it reaches the queue head.
-type planQEntry struct {
-	key plan.Key
-	e   *planEntry
-}
-
 // NewRunner creates a runner for a testbed.
 func NewRunner(tb *machine.Testbed) *Runner {
-	r := &Runner{TB: tb, Reps: 3, SeedBase: 1}
-	r.plans = map[plan.Key]*planEntry{}
-	for i := range r.shards {
-		r.shards[i].results = map[cellKey]operand.Result{}
-		r.shards[i].inflight = map[cellKey]*inflightCall{}
+	return &Runner{
+		TB: tb, Reps: 3, SeedBase: 1,
+		results:  map[cellKey]operand.Result{},
+		inflight: map[cellKey]*inflightCall{},
 	}
-	return r
 }
 
 // cell builds the comparable cache key for a measurement.
@@ -232,110 +144,18 @@ func cell(lib Lib, p Problem, T int) cellKey {
 	return ck
 }
 
-// fnvMix folds one value into a running FNV-1a hash.
-func fnvMix(h, v uint32) uint32 {
-	h ^= v
-	h *= 16777619
-	return h
-}
-
-// shard maps a cell key to its cache partition. Sharding only spreads lock
-// contention, so the hash needs no stability guarantee — an inline FNV-1a
-// over the discriminating fields avoids allocating a hasher per lookup.
-func (r *Runner) shard(ck cellKey) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(ck.lib); i++ {
-		h = fnvMix(h, uint32(ck.lib[i]))
-	}
-	for i := 0; i < len(ck.routine); i++ {
-		h = fnvMix(h, uint32(ck.routine[i]))
-	}
-	h = fnvMix(h, uint32(ck.m))
-	h = fnvMix(h, uint32(ck.n))
-	h = fnvMix(h, uint32(ck.k))
-	h = fnvMix(h, uint32(ck.tile))
-	return &r.shards[h%cacheShards]
-}
-
-// planFor returns the memoized plan for key, building it with build on a
-// miss. Replays only read the plan, so one canonical *plan.Plan per key is
-// safely shared across concurrent repetitions.
-//
-// The cache is singleflight: the first requester of a key inserts an
-// unfinished entry and builds; concurrent requesters of the same key count
-// as hits and wait on the entry instead of building a duplicate. This
-// keeps the hit/miss split a pure function of the work-list — identical at
-// any worker count — which the campaign identity checks rely on. Failed
-// builds are returned to every waiter but never cached.
-//
-//cocolint:hotpath
-func (r *Runner) planFor(key plan.Key, build func() (*plan.Plan, error)) (*plan.Plan, error) {
-	r.planMu.Lock()
-	if e, ok := r.plans[key]; ok {
-		r.planMu.Unlock()
-		r.planHits.Add(1)
-		<-e.done
-		return e.p, e.err
-	}
-	//lint:ignore hotpath plan-cache miss builds and caches the plan (entered with planMu held); each shape pays it once per eviction window
-	return r.planForMiss(key, build)
-}
-
-// planForMiss is planFor's uncached path, entered with planMu held: it
-// registers the in-flight entry, builds the plan, publishes it and evicts
-// FIFO past the op budget.
-func (r *Runner) planForMiss(key plan.Key, build func() (*plan.Plan, error)) (*plan.Plan, error) {
-	e := &planEntry{done: make(chan struct{})}
-	r.plans[key] = e
-	r.planMu.Unlock()
-	r.planMisses.Add(1)
-
-	e.p, e.err = build()
-	close(e.done)
-
-	r.planMu.Lock()
-	defer r.planMu.Unlock()
-	if e.err != nil {
-		// Never cache failures — but only remove our own entry, in case the
-		// key was already evicted and rebuilt by someone else.
-		if cur, ok := r.plans[key]; ok && cur == e {
-			delete(r.plans, key)
-		}
-		return nil, e.err
-	}
-	r.planQueue = append(r.planQueue, planQEntry{key: key, e: e})
-	r.planOps += len(e.p.Ops)
-	budget := r.PlanOpsBudget
-	if budget <= 0 {
-		budget = planOpsBudget
-	}
-	for r.planOps > budget && len(r.planQueue) > 1 {
-		old := r.planQueue[0]
-		r.planQueue = r.planQueue[1:]
-		if cur, ok := r.plans[old.key]; ok && cur == old.e {
-			r.planOps -= len(old.e.p.Ops)
-			delete(r.plans, old.key)
-			r.planEvictions.Add(1)
-		}
-		// A stale record (key evicted earlier, then rebuilt under a new
-		// entry) is skipped: its op count was already subtracted when the
-		// entry it names was evicted.
-	}
-	return e.p, nil
-}
-
-// PlanCacheStats reports plan-memoization activity: hits replayed an
-// already-built plan (or joined an in-flight build), misses built one, and
-// evictions dropped a built plan to keep the cache within its op budget.
-// Evictions explain the gap between distinct shapes and misses: an evicted
-// shape that recurs later in the work-list misses again.
+// PlanCacheStats reports plan reuse: misses counts the plans built (one
+// per tile-scheduled cell), hits the repetitions that replayed their
+// cell's plan, and evictions is always zero — a plan lives exactly as long
+// as its cell. The split is a pure function of the work-list and Reps, so
+// it is identical at any worker count.
 func (r *Runner) PlanCacheStats() (hits, misses, evictions int) {
-	return int(r.planHits.Load()), int(r.planMisses.Load()), int(r.planEvictions.Load())
+	return int(r.planReplays.Load()), int(r.planBuilds.Load()), 0
 }
 
 // Phase indices of Runner.phaseNS: where campaign wall time goes.
 const (
-	phasePlan    = iota // plan-cache lookups and (on misses) plan builds
+	phasePlan    = iota // plan builds (first repetition of a cell)
 	phaseEnqueue        // replaying plans onto the runtime's streams
 	phaseAdvance        // draining the event queue (runtime Sync)
 	phaseOther          // operand setup and the non-plan-replaying libraries
@@ -531,7 +351,7 @@ const ctxStreams = 3
 
 // simBundle is one fully wired simulation stack — engine, device, runtime
 // and scheduler context — recycled across a runner's repetitions. Pooling
-// the stack as a unit is what makes a cached-plan repetition allocation-
+// the stack as a unit is what makes a plan-replaying repetition allocation-
 // free outside the simulation itself: the engine keeps its heap backing
 // and event free list, the runtime its op/event slabs and kernel-duration
 // memo, the context its streams, bucket slice and replay scratch, and the
@@ -579,21 +399,20 @@ func (r *Runner) putBundle(b *simBundle) {
 	r.bundleMu.Unlock()
 }
 
-// runOnce executes one repetition and returns its result. The whole
-// simulation stack is pooled as a unit (reset-on-reuse is
+// runOnce executes one repetition and returns its result. For the
+// tile-scheduler libraries, *pl is the cell's plan: the first repetition
+// finds it nil and builds it, and later ones replay it as is (Enqueue
+// checks its key against the request on every call). The no-reuse
+// planner's slot count depends on free device memory, which is the same
+// on every repetition because the pooled bundle's reset restores it. The
+// whole simulation stack is pooled as a unit (reset-on-reuse is
 // indistinguishable from fresh — pinned by the sim package's reuse
 // property test and the campaign identity checks); no measurement state
 // leaks because every reset reseeds the noise streams and zeroes the
 // accounting. A failed repetition abandons its bundle rather than pooling
 // it: the engine, runtime or context may hold half-enqueued state whose
 // cleanup is not worth proving correct on an error path.
-func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Result, err error) {
-	if r.NormalizeKeys {
-		// Fold onto the mirror class's canonical orientation. The noise
-		// seed was already derived from the original cell key upstream, so
-		// mirrored cells keep distinct noise streams.
-		p = normalizeGemm(p)
-	}
+func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64, pl **plan.Plan) (res operand.Result, err error) {
 	bd := r.bundle(seed)
 	rt, ctx := bd.rt, bd.ctx
 	defer func() {
@@ -614,20 +433,16 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Res
 		return operand.Result{}, err
 	}
 	pc.lap(phaseOther)
-	key, err := ctx.Key(req)
-	if err != nil {
-		return operand.Result{}, err
-	}
-	// The no-reuse planner's slot count depends on free device memory,
-	// which is deterministic given the location vector (the same
-	// device-resident operands are staged before planning), so the key
-	// still fully determines the plan.
-	pl, err := r.planFor(key, func() (*plan.Plan, error) { return ctx.Plan(req) })
-	if err != nil {
-		return operand.Result{}, err
+	if *pl == nil {
+		if *pl, err = ctx.Plan(req); err != nil {
+			return operand.Result{}, err
+		}
+		r.planBuilds.Add(1)
+	} else {
+		r.planReplays.Add(1)
 	}
 	pc.lap(phasePlan)
-	pend, err := ctx.Enqueue(pl, req)
+	pend, err := ctx.Enqueue(*pl, req)
 	if err != nil {
 		return operand.Result{}, err
 	}
@@ -657,48 +472,48 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Res
 //cocolint:hotpath
 func (r *Runner) Measure(lib Lib, p Problem, T int) (operand.Result, error) {
 	ck := cell(lib, p, T)
-	s := r.shard(ck)
-	s.mu.Lock()
-	if res, ok := s.results[ck]; ok {
-		s.mu.Unlock()
+	r.mu.Lock()
+	if res, ok := r.results[ck]; ok {
+		r.mu.Unlock()
 		r.hits.Add(1)
 		return res, nil
 	}
-	if c, ok := s.inflight[ck]; ok {
-		s.mu.Unlock()
+	if c, ok := r.inflight[ck]; ok {
+		r.mu.Unlock()
 		r.waits.Add(1)
 		<-c.done
 		return c.res, c.err
 	}
-	//lint:ignore hotpath cache miss simulates the cell (entered with s.mu held); each distinct cell pays it once per campaign
-	return r.measureMiss(ck, s, lib, p, T)
+	//lint:ignore hotpath cache miss simulates the cell (entered with r.mu held); each distinct cell pays it once per campaign
+	return r.measureMiss(ck, lib, p, T)
 }
 
-// measureMiss is Measure's uncached path, entered with s.mu held: it
+// measureMiss is Measure's uncached path, entered with r.mu held: it
 // registers the in-flight call, simulates the cell and publishes the
-// result to the shard.
-func (r *Runner) measureMiss(ck cellKey, s *cacheShard, lib Lib, p Problem, T int) (operand.Result, error) {
+// result.
+func (r *Runner) measureMiss(ck cellKey, lib Lib, p Problem, T int) (operand.Result, error) {
 	c := &inflightCall{done: make(chan struct{})}
-	s.inflight[ck] = c
-	s.mu.Unlock()
+	r.inflight[ck] = c
+	r.mu.Unlock()
 	r.misses.Add(1)
 
 	// The string key is rendered only on this miss path: it feeds the
 	// per-repetition seed derivation, which must stay byte-identical.
 	c.res, c.err = r.measureCell(r.key(lib, p, T), lib, p, T)
 
-	s.mu.Lock()
-	delete(s.inflight, ck)
+	r.mu.Lock()
+	delete(r.inflight, ck)
 	if c.err == nil {
-		s.results[ck] = c.res
+		r.results[ck] = c.res
 	}
-	s.mu.Unlock()
+	r.mu.Unlock()
 	close(c.done)
 	return c.res, c.err
 }
 
 // measureCell executes the repetitions of one uncached cell and aggregates
-// them (see Measure for the semantics).
+// them (see Measure for the semantics). The cell's plan lives here: the
+// first repetition builds it and every repetition replays it.
 func (r *Runner) measureCell(key string, lib Lib, p Problem, T int) (operand.Result, error) {
 	reps := r.Reps
 	if reps < 1 {
@@ -706,8 +521,9 @@ func (r *Runner) measureCell(key string, lib Lib, p Problem, T int) (operand.Res
 	}
 	times := make([]float64, 0, reps)
 	var res operand.Result
+	var pl *plan.Plan
 	for i := 0; i < reps; i++ {
-		one, err := r.runOnce(lib, p, T, r.seedFor(key, i))
+		one, err := r.runOnce(lib, p, T, r.seedFor(key, i), &pl)
 		if err != nil {
 			return operand.Result{}, fmt.Errorf("eval: %s on %s (T=%d): %w", lib, p.Name(), T, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
 	"cocopelia/internal/parallel"
-	"cocopelia/internal/plan"
 	"cocopelia/internal/sched"
 	"cocopelia/internal/sim"
 )
@@ -113,9 +112,8 @@ func TestMeasureBatchDeduplicates(t *testing.T) {
 	}
 }
 
-// TestPlanMemoization checks that repetitions and libraries sharing an
-// invocation shape replay one memoized plan — each distinct (routine
-// variant, geometry, T, locations) key is planned once, every further
+// TestPlanMemoization checks that a cell's repetitions replay one plan —
+// each cell is planned once by its first repetition, every further
 // repetition is a hit — without perturbing the measured results (each
 // repetition still runs on its own seeded device).
 func TestPlanMemoization(t *testing.T) {
@@ -215,137 +213,47 @@ func TestCampaignParallelDeterminism(t *testing.T) {
 	})
 }
 
-// TestPlanEvictions drives planFor directly with oversized synthetic plans
-// so FIFO eviction triggers without simulating anything: once the op
-// budget overflows, the oldest plan is dropped (and counted), a re-request
-// of the dropped key misses again, and a stale queue record left by the
-// eviction must not evict the rebuilt plan.
-func TestPlanEvictions(t *testing.T) {
-	r := NewRunner(machine.TestbedI())
-	big := func() (*plan.Plan, error) {
-		return &plan.Plan{Ops: make([]plan.Op, planOpsBudget/2+1)}, nil
+// TestPlanCountersIndependentOfWorkers runs a work-list whose plans
+// together exceed 2^18 ops, more than an op-bounded plan store of that size
+// could keep, serially and on eight workers with default settings. Each cell builds its plan once and replays it on every further
+// repetition, so both runs report cells*(Reps-1) replays, one build per
+// cell and no evictions.
+func TestPlanCountersIndependentOfWorkers(t *testing.T) {
+	h := model.OnHost
+	var cells []MeasureCell
+	for _, n := range []int{1024, 1536, 2048} {
+		p := Problem{Routine: "dgemm", Dtype: kernelmodel.F64, M: n, N: n, K: n,
+			Locs: []model.Loc{h, h, h}, Tag: "counters"}
+		cells = append(cells, MeasureCell{LibNoReuse, p, 64}, MeasureCell{LibCoCoPeLia, p, 64})
 	}
-	key := func(m int) plan.Key { return plan.Key{Routine: "synthetic", M: m} }
 
-	for m := 0; m < 3; m++ {
-		if _, err := r.planFor(key(m), big); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three plans of budget/2+1 ops each: inserting the second evicts the
-	// first, inserting the third evicts the second.
-	hits, misses, evictions := r.PlanCacheStats()
-	if hits != 0 || misses != 3 || evictions != 2 {
-		t.Fatalf("after 3 oversized inserts: hits=%d misses=%d evictions=%d, want 0/3/2", hits, misses, evictions)
-	}
-	// Key 0 was evicted, so it misses and rebuilds; its stale queue record
-	// is long gone, but key 2's record is still queued — rebuilding key 0
-	// evicts key 2, not the fresh key 0.
-	if _, err := r.planFor(key(0), big); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.planFor(key(0), func() (*plan.Plan, error) {
-		t.Fatal("rebuilt plan was evicted by its own stale queue record")
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses, evictions = r.PlanCacheStats()
-	if hits != 1 || misses != 4 || evictions != 3 {
-		t.Errorf("after re-request of evicted key: hits=%d misses=%d evictions=%d, want 1/4/3", hits, misses, evictions)
-	}
-}
-
-// TestNormalizeGemmCanonical covers the mirror fold itself: canonical
-// orientations pass through untouched, non-canonical ones are mirrored
-// (M/N and the A/B locations exchange), and the shared Locs backing slice
-// of the input problem is never mutated.
-func TestNormalizeGemmCanonical(t *testing.T) {
-	h, d := model.OnHost, model.OnDevice
-	mk := func(m, n int, la, lb model.Loc) Problem {
-		return Problem{Routine: "dgemm", Dtype: kernelmodel.F64, M: m, N: n, K: 64,
-			Locs: []model.Loc{la, lb, h}}
-	}
-	cases := []struct {
-		name     string
-		in, want Problem
-	}{
-		{"square symmetric is fixed", mk(64, 64, h, h), mk(64, 64, h, h)},
-		{"m<n is canonical", mk(32, 64, d, h), mk(32, 64, d, h)},
-		{"m>n mirrors", mk(64, 32, d, h), mk(32, 64, h, d)},
-		{"square with locA>locB mirrors", mk(64, 64, d, h), mk(64, 64, h, d)},
-		{"square with locA<locB is canonical", mk(64, 64, h, d), mk(64, 64, h, d)},
-	}
-	for _, c := range cases {
-		locsBefore := append([]model.Loc(nil), c.in.Locs...)
-		got := normalizeGemm(c.in)
-		if got.M != c.want.M || got.N != c.want.N || got.K != c.want.K ||
-			got.Locs[0] != c.want.Locs[0] || got.Locs[1] != c.want.Locs[1] || got.Locs[2] != c.want.Locs[2] {
-			t.Errorf("%s: normalizeGemm = %dx%d %v, want %dx%d %v",
-				c.name, got.M, got.N, got.Locs, c.want.M, c.want.N, c.want.Locs)
-		}
-		for i, l := range c.in.Locs {
-			if l != locsBefore[i] {
-				t.Fatalf("%s: normalizeGemm mutated the input Locs slice", c.name)
-			}
-		}
-	}
-	// Mirror keys coincide: both orientations produce the same plan key.
-	keyOf := func(p Problem) plan.Key {
+	ops := 0
+	for _, c := range cells {
 		rt := cudart.New(device.New(sim.New(), machine.TestbedI(), 1, false))
-		req, err := Request(rt, LibCoCoPeLia, p, 16)
+		req, err := Request(rt, c.Lib, c.P, c.T)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := sched.NewContext(rt, false).Key(req)
+		pl, err := sched.NewContext(rt, false).Plan(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return k
+		ops += len(pl.Ops)
 	}
-	a, b := normalizeGemm(mk(64, 32, d, h)), normalizeGemm(mk(32, 64, h, d))
-	if keyOf(a) != keyOf(b) {
-		t.Errorf("mirror orientations map to distinct plan keys: %+v vs %+v", a, b)
-	}
-}
-
-// TestNormalizeKeysFoldsMirrors measures a rectangular cell and its
-// transpose mirror on a NormalizeKeys runner: the pair shares one plan
-// (one miss, 2*Reps-1 hits) and the structural result fields coincide by
-// symmetry. A default runner keeps the orientations separate.
-func TestNormalizeKeysFoldsMirrors(t *testing.T) {
-	h, d := model.OnHost, model.OnDevice
-	p := Problem{Routine: "dgemm", Dtype: kernelmodel.F64, M: 2048, N: 1024, K: 1024,
-		Locs: []model.Loc{d, h, h}, Tag: "mirror"}
-	q := Problem{Routine: "dgemm", Dtype: kernelmodel.F64, M: 1024, N: 2048, K: 1024,
-		Locs: []model.Loc{h, d, h}, Tag: "mirror"}
-
-	r := NewRunner(machine.TestbedI())
-	r.NormalizeKeys = true
-	resP, err := r.Measure(LibCoCoPeLia, p, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resQ, err := r.Measure(LibCoCoPeLia, q, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses, _ := r.PlanCacheStats()
-	if misses != 1 || hits != 2*r.Reps-1 {
-		t.Errorf("normalized mirror pair: hits=%d misses=%d, want %d/1", hits, misses, 2*r.Reps-1)
-	}
-	if resP.Subkernels != resQ.Subkernels || resP.BytesH2D != resQ.BytesH2D || resP.BytesD2H != resQ.BytesD2H {
-		t.Errorf("mirror structural fields differ: %+v vs %+v", resP, resQ)
+	if ops <= 1<<18 {
+		t.Fatalf("work-list plans total %d ops, want more than %d", ops, 1<<18)
 	}
 
-	plain := NewRunner(machine.TestbedI())
-	if _, err := plain.Measure(LibCoCoPeLia, p, 512); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Measure(LibCoCoPeLia, q, 512); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses, _ := plain.PlanCacheStats(); misses != 2 {
-		t.Errorf("default runner folded mirrors: misses=%d, want 2", misses)
+	for _, pool := range []*parallel.Pool{nil, parallel.NewPool(8)} {
+		r := NewRunner(machine.TestbedI())
+		r.Reps = 2
+		if err := r.MeasureBatch(pool, cells); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses, evictions := r.PlanCacheStats()
+		if want := len(cells) * (r.Reps - 1); hits != want || misses != len(cells) || evictions != 0 {
+			t.Errorf("workers=%d: plan counters %d/%d/%d, want %d/%d/0",
+				pool.Workers(), hits, misses, evictions, want, len(cells))
+		}
 	}
 }

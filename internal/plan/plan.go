@@ -249,7 +249,7 @@ func (p *Plan) NumArgs() int { return len(p.Locs) }
 // Key identifies the invocation a plan was built for: every field a replay
 // must match. Scalars are compared as bit patterns, so a replay is never
 // accepted against a problem whose coefficients merely compare equal (+0
-// and -0 differ). Key is comparable, so plan caches index on it directly.
+// and -0 differ). Key is comparable, so a replay checks it with ==.
 type Key struct {
 	Routine        string
 	Dtype          kernelmodel.Dtype

@@ -137,10 +137,11 @@ func FuzzPlan(f *testing.F) {
 			}
 		}
 
-		key, err := c.Key(r)
+		cl, err := r.resolve(c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		key := cl.key
 		if p.Key() != key {
 			t.Fatalf("%s: plan key %+v, request key %+v", name, p.Key(), key)
 		}

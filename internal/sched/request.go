@@ -33,18 +33,11 @@ type call struct {
 // request (or of no plan at all).
 var ErrPlanMismatch = errors.New("sched: plan does not match the request")
 
-// Key validates the request and returns the key of the plan Plan would
-// build for it, so callers can memoize plans without building them.
-func (c *Context) Key(r Request) (plan.Key, error) {
-	cl, err := r.resolve(c)
-	return cl.key, err
-}
-
 // Plan validates the request and builds its tile plan without touching
 // the streams. The plan depends only on the request's key and the
 // context's scheduling knobs (and, for the no-reuse comparator, the free
-// device memory that sizes its staging ring), so it can be cached and
-// replayed with Enqueue.
+// device memory that sizes its staging ring), so it can be replayed with
+// Enqueue.
 func (c *Context) Plan(r Request) (*plan.Plan, error) {
 	cl, err := r.resolve(c)
 	if err != nil {
