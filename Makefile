@@ -2,8 +2,8 @@ GO ?= go
 
 .PHONY: build test vet lint lint-json race verify bench bench-blas \
 	bench-blas-check bench-blas-smoke bench-campaign bench-campaign-check \
-	bench-campaign-smoke bench-factor bench-factor-check cross-arm64 \
-	fuzz-smoke plan-golden-smoke profile results
+	bench-campaign-smoke bench-factor bench-factor-check bench-select-smoke \
+	cross-arm64 fuzz-smoke plan-golden-smoke profile results
 
 build:
 	$(GO) build ./...
@@ -36,11 +36,13 @@ race:
 # verify is the pre-commit gate: compile, vet, the invariant analyzers,
 # the race-enabled suite, the build-only benchmark smoke, a sub-second
 # run of the campaign-throughput mode, the factorization-sweep identity
-# gate, the golden tile-plan check, a short fuzz of the request path, and
-# the arm64 cross-compile (the NEON kernels have no native CI runner, so
+# gate, one pass of the factorization tile-selection benchmark, the golden
+# tile-plan check, a short fuzz of the request path, and the arm64
+# cross-compile (the NEON kernels have no native CI runner, so
 # assemble+vet is their regression gate).
 verify: build vet lint race bench-blas-smoke bench-campaign-smoke \
-	bench-factor-check plan-golden-smoke fuzz-smoke cross-arm64
+	bench-factor-check bench-select-smoke plan-golden-smoke fuzz-smoke \
+	cross-arm64
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -71,7 +73,7 @@ bench-campaign:
 	$(GO) run ./cmd/cocobench -campaign -out results/bench-campaign.json
 
 # bench-campaign-check re-runs the reference campaign and fails if the
-# event/plan-cache counters drift from the committed baseline (the sweep
+# event count or the plan build/replay counters drift from the committed baseline (the sweep
 # must stay byte-identical) or if throughput regresses more than 15%
 # against it. Run after any change to the DES core, scheduler, or eval
 # pipeline; refresh the baseline with bench-campaign when a slowdown is
@@ -98,6 +100,12 @@ bench-factor:
 # replay, not a tolerance check. Sub-second (timing-only simulation).
 bench-factor-check:
 	$(GO) run ./cmd/cocobench -factor -check results/bench-factor.json
+
+# bench-select-smoke runs BenchmarkSelectFactorTile once (cold: a fresh
+# session's candidate-plan search; warm: a selection-cache hit) so verify
+# keeps the factorization selection path exercised and timed.
+bench-select-smoke:
+	$(GO) test -run '^$$' -bench SelectFactorTile -benchtime 1x .
 
 # cross-arm64 cross-compiles and vets the whole module for linux/arm64,
 # gating the NEON micro-kernels (gemm_arm64.s) and their build-tagged

@@ -343,3 +343,48 @@ func BenchmarkSelectTile(b *testing.B) {
 		}
 	}
 }
+
+// selSink keeps the benchmarked selections observable.
+var selSink Selection
+
+func BenchmarkSelectFactorTile(b *testing.B) {
+	// Factorization tile selection on Testbed II, dpotrf n = 8192: cold
+	// builds and bounds every candidate plan in a fresh session (opened
+	// outside the timer), warm answers from the session's selection cache.
+	// The deployment comes through Options, so microbench is not timed.
+	dep := benchDeployment(b, machine.TestbedII())
+	open := func(b *testing.B) *Library {
+		lib, err := Open(TestbedII(), Options{Deployment: dep})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return lib
+	}
+	A := HostMatrix(8192, 8192, nil)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			lib := open(b)
+			b.StartTimer()
+			var err error
+			if selSink, err = lib.SelectFactorTile("dpotrf", 8192, 8192, A, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		lib := open(b)
+		if _, err := lib.SelectFactorTile("dpotrf", 8192, 8192, A, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if selSink, err = lib.SelectFactorTile("dpotrf", 8192, 8192, A, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -10,8 +10,10 @@
 //     this bounds how fast tables and figures regenerate;
 //   - with -factor, the tiled factorization planners (cholesky, lu, trsm)
 //     over the task-graph IR, recording each cell's simulated makespan and
-//     traffic — the committed baseline pins the new planners' schedules
-//     exactly, the way the campaign baseline pins the flat gemm plans.
+//     traffic plus the tile the library facade selects for each problem —
+//     the committed baseline pins the new planners' schedules and the
+//     selections exactly, the way the campaign baseline pins the flat gemm
+//     plans.
 //
 // Examples:
 //
@@ -40,10 +42,12 @@ import (
 	"strings"
 	"time"
 
+	"cocopelia"
 	"cocopelia/internal/blas"
 	"cocopelia/internal/eval"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
+	"cocopelia/internal/microbench"
 	"cocopelia/internal/model"
 	"cocopelia/internal/parallel"
 )
@@ -597,15 +601,27 @@ type factorRow struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
+// factorSelection is the tile the library facade's SelectFactorTile picks
+// for one factorization problem in a fresh session, with its predicted
+// full-overlap bound. Both are deterministic and must reproduce exactly.
+type factorSelection struct {
+	Routine      string  `json:"routine"`
+	M            int     `json:"m"`
+	N            int     `json:"n"`
+	SelectedTile int     `json:"selected_tile"`
+	PredictedS   float64 `json:"predicted_s"`
+}
+
 // factorReport is the JSON schema of results/bench-factor.json. Events is
 // the total DES event count of the whole sweep — one number that pins the
 // factorization plans' event-graph shapes the way the campaign baseline
 // pins the flat gemm plans.
 type factorReport struct {
-	Testbed string      `json:"testbed"`
-	Reps    int         `json:"reps"`
-	Events  int64       `json:"events"`
-	Rows    []factorRow `json:"rows"`
+	Testbed    string            `json:"testbed"`
+	Reps       int               `json:"reps"`
+	Events     int64             `json:"events"`
+	Rows       []factorRow       `json:"rows"`
+	Selections []factorSelection `json:"selections"`
 }
 
 // factorTiles returns the tile sweep for the factorization mode.
@@ -648,6 +664,11 @@ func runFactor(out string, smoke bool, checkPath string) error {
 	}
 	rep.Events = r.EventsProcessed()
 	log.Printf("factor sweep: %d cells, %d DES events", len(rep.Rows), rep.Events)
+	sels, err := factorSelections(tb, eval.FactorSet(smoke))
+	if err != nil {
+		return err
+	}
+	rep.Selections = sels
 
 	if checkPath != "" {
 		return checkFactor(checkPath, &rep)
@@ -657,6 +678,36 @@ func runFactor(out string, smoke bool, checkPath string) error {
 	}
 	log.Printf("wrote %s (%d rows)", out, len(rep.Rows))
 	return nil
+}
+
+// factorSelections records SelectFactorTile's choice for each problem,
+// each from a fresh session on tb so that no choice is answered from
+// another's selection cache. The sessions share one deployment.
+func factorSelections(tb *machine.Testbed, problems []eval.Problem) ([]factorSelection, error) {
+	dep := microbench.Run(tb, microbench.DefaultConfig())
+	var out []factorSelection
+	for _, p := range problems {
+		lib, err := cocopelia.Open(tb, cocopelia.Options{Deployment: dep})
+		if err != nil {
+			return nil, err
+		}
+		// The factor set's operands are host-resident; B is dtrsm's
+		// right-hand side and unused by dpotrf and dgetrf.
+		a, b := cocopelia.HostMatrix(p.M, p.M, nil), cocopelia.HostMatrix(p.M, p.N, nil)
+		sel, err := lib.SelectFactorTile(p.Routine, p.M, p.N, a, b)
+		if cerr := lib.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("select %s: %w", p.Name(), err)
+		}
+		log.Printf("factor select %-6s n=%-5d T=%-4d predicted %8.2f ms", p.Routine, p.N, sel.T, sel.Predicted*1e3)
+		out = append(out, factorSelection{
+			Routine: p.Routine, M: p.M, N: p.N,
+			SelectedTile: sel.T, PredictedS: sel.Predicted,
+		})
+	}
+	return out, nil
 }
 
 // checkFactor gates a fresh factorization sweep against the committed
@@ -698,7 +749,20 @@ func checkFactor(path string, rep *factorReport) error {
 	if rep.Events != base.Events {
 		return fmt.Errorf("factor sweep processed %d DES events, baseline %s has %d", rep.Events, path, base.Events)
 	}
-	log.Printf("factor check OK: %d rows and %d events identical to baseline %s", len(rep.Rows), rep.Events, path)
+	if len(rep.Selections) != len(base.Selections) {
+		return fmt.Errorf("factor sweep has %d selections, baseline %s has %d", len(rep.Selections), path, len(base.Selections))
+	}
+	for i, sel := range rep.Selections {
+		b := base.Selections[i]
+		if sel.Routine != b.Routine || sel.M != b.M || sel.N != b.N || sel.SelectedTile != b.SelectedTile ||
+			math.Float64bits(sel.PredictedS) != math.Float64bits(b.PredictedS) {
+			return fmt.Errorf("factor selection %d is %s %dx%d T=%d predicted=%v, baseline %s has %s %dx%d T=%d predicted=%v",
+				i, sel.Routine, sel.M, sel.N, sel.SelectedTile, sel.PredictedS,
+				path, b.Routine, b.M, b.N, b.SelectedTile, b.PredictedS)
+		}
+	}
+	log.Printf("factor check OK: %d rows, %d selections and %d events identical to baseline %s",
+		len(rep.Rows), len(rep.Selections), rep.Events, path)
 	return nil
 }
 

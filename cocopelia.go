@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/device"
@@ -136,6 +137,8 @@ type Library struct {
 	ctx    *sched.Context
 	selL3  ModelKind
 	traced *Trace
+	// kt memoizes the kernel durations factorization tile selection sums.
+	kt kernelmodel.Memo
 }
 
 // Open deploys (or adopts) the machine models for the testbed and returns
@@ -381,7 +384,7 @@ func (l *Library) predictPlanOverlap(p *plan.Plan) float64 {
 	v := p.Volumes()
 	tIn := float64(nIn)*l.tb.H2D.LatencyS + float64(v.BytesH2D)/l.tb.H2D.BandwidthBps
 	tOut := float64(nOut)*l.tb.D2H.LatencyS + float64(v.BytesD2H)/l.tb.D2H.BandwidthBps
-	return math.Max(p.KernelSeconds(&l.tb.GPU), math.Max(tIn, tOut))
+	return math.Max(p.KernelSeconds(&l.tb.GPU, &l.kt), math.Max(tIn, tOut))
 }
 
 // factorPlan builds the task-graph plan for one factorization invocation.
@@ -405,8 +408,29 @@ func (l *Library) factorPlan(routine string, m, n, T int, diag byte, alpha float
 // a factorization routine ("dpotrf", "dgetrf" or "dtrsm" — for dpotrf and
 // dgetrf pass m == n). Problems smaller than the candidate grid run as a
 // single tile; Selection.Predicted is the bound at the chosen tile either
-// way.
+// way. Like SelectGemmTile, the choice is made once per parameter
+// signature — routine, m, n and the locations of A (and B for dtrsm) — and
+// reused from the session's selection cache by later identical calls,
+// which build no plans and leave operand validation to the routine run.
+// Errors are not cached.
 func (l *Library) SelectFactorTile(routine string, m, n int, a, b *Matrix) (Selection, error) {
+	var buf [48]byte
+	key := append(buf[:0], "factor|"...)
+	key = append(key, routine...)
+	key = strconv.AppendInt(append(key, '|'), int64(m), 10)
+	key = strconv.AppendInt(append(key, '|'), int64(n), 10)
+	key = strconv.AppendInt(append(key, '|'), int64(locOfMatrix(a)), 10)
+	if routine == "dtrsm" {
+		key = strconv.AppendInt(append(key, '|'), int64(locOfMatrix(b)), 10)
+	}
+	return l.pred.Cached(string(key), func() (Selection, error) {
+		return l.selectFactorTile(routine, m, n, a, b)
+	})
+}
+
+// selectFactorTile is SelectFactorTile's uncached search: it builds the
+// plan of every candidate tile and keeps the arg-min of the overlap bound.
+func (l *Library) selectFactorTile(routine string, m, n int, a, b *Matrix) (Selection, error) {
 	minDim := min(m, n)
 	if routine != "dtrsm" {
 		minDim = n

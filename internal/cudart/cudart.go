@@ -250,78 +250,16 @@ type Runtime struct {
 	evSlab  []Event
 	winFree []*hostWindow
 
-	// kernelTimes memoizes the pure kernel-model duration lookups: a tiled
-	// sweep launches thousands of identically-shaped kernels, and the
-	// model's exp/log/cbrt evaluation dominates an otherwise trivial path.
-	// Keys pack (routine, dtype, dims) into one integer — integer map
-	// hashing is markedly cheaper than hashing a four-field struct — and
-	// ktLast short-circuits the map entirely for the common case of
-	// back-to-back launches of the same shape.
-	kernelTimes map[int64]float64
-	ktLastKey   int64
-	ktLastDur   float64
+	// kt memoizes the pure kernel-model duration lookups: a tiled sweep
+	// launches thousands of identically-shaped kernels, and the model's
+	// pow/cbrt evaluation dominates an otherwise trivial launch path.
+	kt kernelmodel.Memo
 }
 
-// Kernel-time key layout: routine tag | dtype | 20-bit dims. Dimensions at
-// or above ktDimLimit bypass the memo (the model evaluation is pure, so
-// skipping the cache never changes results).
-const (
-	ktDimLimit = 1 << 20
-	ktGemm     = int64(1) << 61
-	ktGemv     = int64(2) << 61
-	ktAxpy     = int64(3) << 61
-)
-
-// kernelTime returns the memoized duration for key, evaluating the model on
-// a miss. key must be non-zero (the routine tag guarantees this), so the
-// zero value of ktLastKey never aliases a real entry.
-func (rt *Runtime) kernelTime(key int64, eval func() float64) float64 {
-	if key == rt.ktLastKey {
-		return rt.ktLastDur
-	}
-	dur, ok := rt.kernelTimes[key]
-	if !ok {
-		dur = eval()
-		if rt.kernelTimes == nil {
-			rt.kernelTimes = make(map[int64]float64)
-		}
-		rt.kernelTimes[key] = dur
-	}
-	rt.ktLastKey, rt.ktLastDur = key, dur
-	return dur
-}
-
-// gemmTime returns the memoized gemm kernel duration for the shape.
-func (rt *Runtime) gemmTime(dt kernelmodel.Dtype, m, n, k int) float64 {
-	if m >= ktDimLimit || n >= ktDimLimit || k >= ktDimLimit {
-		return kernelmodel.GemmTime(&rt.dev.Testbed().GPU, dt, m, n, k)
-	}
-	key := ktGemm | int64(dt)<<60 | int64(m)<<40 | int64(n)<<20 | int64(k)
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.GemmTime(&rt.dev.Testbed().GPU, dt, m, n, k)
-	})
-}
-
-// gemvTime returns the memoized gemv kernel duration for the shape.
-func (rt *Runtime) gemvTime(dt kernelmodel.Dtype, m, n int) float64 {
-	if m >= ktDimLimit || n >= ktDimLimit {
-		return kernelmodel.GemvTime(&rt.dev.Testbed().GPU, dt, m, n)
-	}
-	key := ktGemv | int64(dt)<<60 | int64(m)<<40 | int64(n)<<20
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.GemvTime(&rt.dev.Testbed().GPU, dt, m, n)
-	})
-}
-
-// axpyTime returns the memoized axpy kernel duration for the length.
-func (rt *Runtime) axpyTime(dt kernelmodel.Dtype, n int) float64 {
-	if n >= ktDimLimit {
-		return kernelmodel.AxpyTime(&rt.dev.Testbed().GPU, dt, n)
-	}
-	key := ktAxpy | int64(dt)<<60 | int64(n)<<20
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.AxpyTime(&rt.dev.Testbed().GPU, dt, n)
-	})
+// kernelTime returns the memoized duration of a kernel launch on the
+// runtime's GPU model.
+func (rt *Runtime) kernelTime(sh kernelmodel.Shape) float64 {
+	return rt.kt.Time(&rt.dev.Testbed().GPU, sh)
 }
 
 // New creates a runtime bound to a device.
@@ -335,10 +273,6 @@ func New(dev *device.Device) *Runtime { return &Runtime{dev: dev} }
 // their live events recycled. After Reset the runtime behaves identically
 // to New(dev); only allocation behaviour differs.
 func (rt *Runtime) Reset(dev *device.Device) {
-	if rt.dev == nil || dev == nil || rt.dev.Testbed() != dev.Testbed() {
-		rt.kernelTimes = nil
-		rt.ktLastKey, rt.ktLastDur = 0, 0
-	}
 	rt.dev = dev
 	rt.outstanding = 0
 	rt.streams = 0
@@ -879,7 +813,7 @@ func (s *Stream) GemmAsync(transA, transB byte, m, n, k int,
 	if a.dt != dt || b.dt != dt {
 		return nil, errors.New("cudart: gemm operand dtype mismatch")
 	}
-	dur := s.rt.gemmTime(dt, m, n, k)
+	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindGemm, Dtype: dt, M: m, N: n, K: k})
 	name := "dgemm"
 	if dt == kernelmodel.F32 {
 		name = "sgemm"
@@ -923,7 +857,7 @@ func (s *Stream) AxpyAsync(n int, alpha float64, x *DevBuffer, offX int64, y *De
 		return nil, err
 	}
 	dt := y.dt
-	dur := s.rt.axpyTime(dt, n)
+	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindAxpy, Dtype: dt, N: n})
 	name := "daxpy"
 	if dt == kernelmodel.F32 {
 		name = "saxpy"
@@ -954,7 +888,7 @@ func (s *Stream) GemvAsync(trans byte, m, n int, alpha float64,
 		return nil, errors.New("cudart: gemv operand dtype mismatch")
 	}
 	dt := y.dt
-	dur := s.rt.gemvTime(dt, m, n)
+	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindGemv, Dtype: dt, M: m, N: n})
 	var payload func()
 	if y.Backed() {
 		payload = func() {

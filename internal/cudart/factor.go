@@ -13,68 +13,6 @@ import (
 	"cocopelia/internal/kernelmodel"
 )
 
-// Kernel-time memo tags of the factorization routines. The flat-BLAS tags
-// (ktGemm..ktAxpy) always set bit 61 or 62, so keys with those bits clear
-// form a disjoint family; the factorization routines put their sub-tag in
-// the low bits instead (their dims occupy bits 20..59, dtype bit 60), which
-// also keeps every key non-zero as kernelTime requires.
-const (
-	ktfPotrf int64 = 1
-	ktfGetrf int64 = 2
-	ktfTrsmL int64 = 3
-	ktfTrsmR int64 = 4
-	ktfSyrk  int64 = 5
-)
-
-// potrfTime returns the memoized Cholesky tile-kernel duration.
-func (rt *Runtime) potrfTime(dt kernelmodel.Dtype, n int) float64 {
-	if n >= ktDimLimit {
-		return kernelmodel.PotrfTime(&rt.dev.Testbed().GPU, dt, n)
-	}
-	key := int64(dt)<<60 | int64(n)<<20 | ktfPotrf
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.PotrfTime(&rt.dev.Testbed().GPU, dt, n)
-	})
-}
-
-// getrfTime returns the memoized LU tile-kernel duration.
-func (rt *Runtime) getrfTime(dt kernelmodel.Dtype, n int) float64 {
-	if n >= ktDimLimit {
-		return kernelmodel.GetrfTime(&rt.dev.Testbed().GPU, dt, n)
-	}
-	key := int64(dt)<<60 | int64(n)<<20 | ktfGetrf
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.GetrfTime(&rt.dev.Testbed().GPU, dt, n)
-	})
-}
-
-// trsmTime returns the memoized triangular-solve kernel duration; the side
-// flag selects the sub-tag (the shape dims occupy bits 20..59).
-func (rt *Runtime) trsmTime(dt kernelmodel.Dtype, side byte, m, n int) float64 {
-	if m >= ktDimLimit || n >= ktDimLimit {
-		return kernelmodel.TrsmTime(&rt.dev.Testbed().GPU, dt, side, m, n)
-	}
-	tag := ktfTrsmR
-	if side == blas.Left {
-		tag = ktfTrsmL
-	}
-	key := int64(dt)<<60 | int64(m)<<40 | int64(n)<<20 | tag
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.TrsmTime(&rt.dev.Testbed().GPU, dt, side, m, n)
-	})
-}
-
-// syrkTime returns the memoized rank-k-update kernel duration.
-func (rt *Runtime) syrkTime(dt kernelmodel.Dtype, n, k int) float64 {
-	if n >= ktDimLimit || k >= ktDimLimit {
-		return kernelmodel.SyrkTime(&rt.dev.Testbed().GPU, dt, n, k)
-	}
-	key := int64(dt)<<60 | int64(n)<<40 | int64(k)<<20 | ktfSyrk
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.SyrkTime(&rt.dev.Testbed().GPU, dt, n, k)
-	})
-}
-
 // kernelName picks the dtype-prefixed kernel name ("dpotrf"/"spotrf", ...).
 func kernelName(dt kernelmodel.Dtype, d, s string) string {
 	if dt == kernelmodel.F32 {
@@ -89,7 +27,7 @@ func kernelName(dt kernelmodel.Dtype, d, s string) string {
 // blas.ErrNotPositiveDefinite), like every other payload failure.
 func (s *Stream) PotrfAsync(uplo byte, n int, a *DevBuffer, offA int64, lda int) (*Event, error) {
 	dt := a.dt
-	dur := s.rt.potrfTime(dt, n)
+	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindPotrf, Dtype: dt, N: n})
 	var payload func()
 	if a.Backed() {
 		payload = func() {
@@ -112,7 +50,7 @@ func (s *Stream) PotrfAsync(uplo byte, n int, a *DevBuffer, offA int64, lda int)
 // n x n tile at A[offA].
 func (s *Stream) GetrfAsync(n int, a *DevBuffer, offA int64, lda int) (*Event, error) {
 	dt := a.dt
-	dur := s.rt.getrfTime(dt, n)
+	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindGetrf, Dtype: dt, N: n})
 	var payload func()
 	if a.Backed() {
 		payload = func() {
@@ -140,7 +78,7 @@ func (s *Stream) TrsmAsync(side, uplo, transA, diag byte, m, n int, alpha float6
 	if a.dt != dt {
 		return nil, errors.New("cudart: trsm operand dtype mismatch")
 	}
-	dur := s.rt.trsmTime(dt, side, m, n)
+	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindTrsm, Dtype: dt, Side: side, M: m, N: n})
 	var payload func()
 	if b.Backed() {
 		payload = func() {
@@ -175,7 +113,7 @@ func (s *Stream) SyrkAsync(uplo, trans byte, n, k int, alpha float64,
 	if a.dt != dt {
 		return nil, errors.New("cudart: syrk operand dtype mismatch")
 	}
-	dur := s.rt.syrkTime(dt, n, k)
+	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindSyrk, Dtype: dt, N: n, K: k})
 	var payload func()
 	if c.Backed() {
 		payload = func() {

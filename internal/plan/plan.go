@@ -296,36 +296,44 @@ func (p *Plan) Volumes() Volumes {
 }
 
 // KernelSeconds sums the modeled execution time of every kernel op on gpu
-// — the compute term of the Werkhoven-style full-overlap lower bound
-// max(kernel sum, t_h2d, t_d2h). Dispatch ops contribute their fixed
-// duration; transfer ops contribute nothing.
-func (p *Plan) KernelSeconds(gpu *machine.GPUSpec) float64 {
+// in op order — the compute term of the Werkhoven-style full-overlap lower
+// bound max(kernel sum, t_h2d, t_d2h). Each op's duration is the one a
+// replay tape compiled for gpu carries, taken from memo, so the sum costs
+// one model evaluation per distinct kernel shape. Dispatch ops contribute
+// their fixed duration; transfer ops contribute nothing.
+func (p *Plan) KernelSeconds(gpu *machine.GPUSpec, memo *kernelmodel.Memo) float64 {
 	sum := 0.0
 	for i := range p.Ops {
-		o := &p.Ops[i]
-		if o.Kind != OpKernel {
-			continue
-		}
-		switch o.Kernel {
-		case KDispatch:
-			sum += p.DispatchS
-		case KGemm:
-			sum += kernelmodel.GemmTime(gpu, p.Dtype, int(o.M), int(o.N), int(o.K))
-		case KGemv:
-			sum += kernelmodel.GemvTime(gpu, kernelmodel.F64, int(o.M), int(o.N))
-		case KAxpy:
-			sum += kernelmodel.AxpyTime(gpu, kernelmodel.F64, int(o.N))
-		case KPotrf:
-			sum += kernelmodel.PotrfTime(gpu, p.Dtype, int(o.N))
-		case KGetrf:
-			sum += kernelmodel.GetrfTime(gpu, p.Dtype, int(o.N))
-		case KTrsm:
-			sum += kernelmodel.TrsmTime(gpu, p.Dtype, o.Side, int(o.M), int(o.N))
-		case KSyrk:
-			sum += kernelmodel.SyrkTime(gpu, p.Dtype, int(o.N), int(o.K))
+		if o := &p.Ops[i]; o.Kind == OpKernel {
+			sum += p.kernelDur(gpu, memo, o)
 		}
 	}
 	return sum
+}
+
+// kernelDur returns kernel op o's modeled duration on gpu through memo: the
+// one per-op duration function of KernelSeconds and compileTape.
+func (p *Plan) kernelDur(gpu *machine.GPUSpec, memo *kernelmodel.Memo, o *Op) float64 {
+	s := kernelmodel.Shape{Dtype: p.Dtype}
+	switch o.Kernel {
+	case KDispatch:
+		return p.DispatchS
+	case KGemm:
+		s.Kind, s.M, s.N, s.K = kernelmodel.KindGemm, int(o.M), int(o.N), int(o.K)
+	case KGemv:
+		s.Kind, s.M, s.N = kernelmodel.KindGemv, int(o.M), int(o.N)
+	case KAxpy:
+		s.Kind, s.N = kernelmodel.KindAxpy, int(o.N)
+	case KPotrf:
+		s.Kind, s.N = kernelmodel.KindPotrf, int(o.N)
+	case KGetrf:
+		s.Kind, s.N = kernelmodel.KindGetrf, int(o.N)
+	case KTrsm:
+		s.Kind, s.Side, s.M, s.N = kernelmodel.KindTrsm, o.Side, int(o.M), int(o.N)
+	case KSyrk:
+		s.Kind, s.N, s.K = kernelmodel.KindSyrk, int(o.N), int(o.K)
+	}
+	return memo.Time(gpu, s)
 }
 
 // TransferOps counts the plan's fetch and write-back operations. Each

@@ -327,13 +327,17 @@ ops 24
 volumes h2d=224 d2h=128 subkernels=6
 `
 
-func TestGoldenPlans(t *testing.T) {
+// goldenCase is one golden plan and its pinned dump.
+type goldenCase struct {
+	name string
+	p    *Plan
+	want string
+}
+
+// goldenCases builds the golden plans.
+func goldenCases() []goldenCase {
 	H, D := model.OnHost, model.OnDevice
-	cases := []struct {
-		name string
-		p    *Plan
-		want string
-	}{
+	return []goldenCase{
 		{"gemm-hhh", BuildGemm(GemmSpec{Dtype: kernelmodel.F64,
 			TransA: blas.NoTrans, TransB: blas.NoTrans,
 			M: 4, N: 2, K: 4, Alpha: 1, Beta: 1,
@@ -361,7 +365,10 @@ func TestGoldenPlans(t *testing.T) {
 		{"trsm", BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit,
 			M: 4, N: 4, Alpha: 1, LocA: H, LocB: H, T: 2}), goldenTrsm},
 	}
-	for _, tc := range cases {
+}
+
+func TestGoldenPlans(t *testing.T) {
+	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := tc.p.Dump(); got != tc.want {
 				t.Errorf("plan dump diverged from golden.\ngot:\n%s\nwant:\n%s", got, tc.want)

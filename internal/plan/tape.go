@@ -39,34 +39,19 @@ const (
 	tKernel
 )
 
-// tapeNames is the kernel-name table tapeOp.name indexes into; keeping the
-// string out of the op makes the instruction array pointer-free, so tapes
-// are never scanned by the garbage collector and their arenas zero faster.
-var tapeNames = [...]string{"dispatch", "dgemm", "sgemm", "gemv", "daxpy",
-	"dpotrf", "spotrf", "dgetrf", "sgetrf", "dtrsm", "strsm", "dsyrk", "ssyrk"}
-
-const (
-	nDispatch uint8 = iota
-	nDgemm
-	nSgemm
-	nGemv
-	nDaxpy
-	nDpotrf
-	nSpotrf
-	nDgetrf
-	nSgetrf
-	nDtrsm
-	nStrsm
-	nDsyrk
-	nSsyrk
-)
-
-// dtypeName picks the float64 or float32 member of a d/s kernel-name pair.
-func dtypeName(dt kernelmodel.Dtype, d, s uint8) uint8 {
-	if dt == kernelmodel.F32 {
-		return s
-	}
-	return d
+// tapeNames is the kernel-name table a tapeOp's kernel kind and dtype
+// (kernelmodel.F64, kernelmodel.F32) index; keeping the string out of the
+// op makes the instruction array pointer-free, so tapes are never scanned
+// by the garbage collector and their arenas zero faster.
+var tapeNames = [...][2]string{
+	KGemm:     {"dgemm", "sgemm"},
+	KGemv:     {"gemv", "gemv"},
+	KAxpy:     {"daxpy", "daxpy"},
+	KDispatch: {"dispatch", "dispatch"},
+	KPotrf:    {"dpotrf", "spotrf"},
+	KGetrf:    {"dgetrf", "sgetrf"},
+	KTrsm:     {"dtrsm", "strsm"},
+	KSyrk:     {"dsyrk", "ssyrk"},
 }
 
 // tapeOp is one precompiled instruction.
@@ -77,7 +62,8 @@ type tapeOp struct {
 	ev           int32   // completion-event slot, -1 when nothing waits
 	depOff, depN int32   // window into Tape.deps
 	code         uint8
-	name         uint8 // kernel-name index into tapeNames
+	kernel       Kernel // kernel kind and dtype, indexing tapeNames
+	dt           uint8
 	dir          machine.LinkDir
 }
 
@@ -95,30 +81,9 @@ func (p *Plan) TapeFor(gpu *machine.GPUSpec) *Tape {
 	return t
 }
 
-// tapeMemo is a tiny linear-scan memo for kernel-duration evaluations
-// during one tape compilation: a tiled plan launches thousands of kernels
-// with only a handful of distinct shapes (full tiles plus edge tiles), and
-// the model's exp/log/cbrt evaluation dominates otherwise.
-type tapeMemo struct {
-	keys []int64
-	durs []float64
-}
-
-func (m *tapeMemo) get(key int64, eval func() float64) float64 {
-	for i, k := range m.keys {
-		if k == key {
-			return m.durs[i]
-		}
-	}
-	d := eval()
-	m.keys = append(m.keys, key)
-	m.durs = append(m.durs, d)
-	return d
-}
-
-// compileTape lowers a plan to its flat enqueue tape, evaluating the same
-// kernel-duration model the cudart launch path would consult (memoized
-// there, precomputed here) so replay timing is bit-identical.
+// compileTape lowers a plan to its flat enqueue tape. Kernel durations come
+// from kernelDur, the same memoized model the cudart launch path consults,
+// so replay timing is bit-identical.
 func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 	t := &Tape{
 		gpu:     gpu,
@@ -132,10 +97,7 @@ func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 	for i, d := range p.deps {
 		t.deps[i] = p.Ops[d].Ev
 	}
-	// One memo per kernel kind: factorization plans mix GEMM, TRSM, SYRK and
-	// the diagonal kernels in a single op list, and their shape keys (two or
-	// three packed dims) would collide across kinds in a shared table.
-	var memos [KSyrk + 1]tapeMemo
+	var memo kernelmodel.Memo
 	for i := range p.Ops {
 		o := &p.Ops[i]
 		to := &t.ops[i]
@@ -150,47 +112,8 @@ func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 			to.code, to.dir = tWriteback, machine.D2H
 			to.bytes = tapeBytes(p, o)
 		case OpKernel:
-			to.code = tKernel
-			switch o.Kernel {
-			case KDispatch:
-				to.name, to.dur = nDispatch, p.DispatchS
-			case KGemm:
-				to.name = dtypeName(p.Dtype, nDgemm, nSgemm)
-				to.dur = memos[KGemm].get(int64(o.M)<<42|int64(o.N)<<21|int64(o.K), func() float64 {
-					return kernelmodel.GemmTime(gpu, p.Dtype, int(o.M), int(o.N), int(o.K))
-				})
-			case KGemv:
-				to.name = nGemv
-				to.dur = memos[KGemv].get(int64(o.M)<<21|int64(o.N), func() float64 {
-					return kernelmodel.GemvTime(gpu, kernelmodel.F64, int(o.M), int(o.N))
-				})
-			case KAxpy:
-				to.name = nDaxpy
-				to.dur = memos[KAxpy].get(int64(o.N), func() float64 {
-					return kernelmodel.AxpyTime(gpu, kernelmodel.F64, int(o.N))
-				})
-			case KPotrf:
-				to.name = dtypeName(p.Dtype, nDpotrf, nSpotrf)
-				to.dur = memos[KPotrf].get(int64(o.N), func() float64 {
-					return kernelmodel.PotrfTime(gpu, p.Dtype, int(o.N))
-				})
-			case KGetrf:
-				to.name = dtypeName(p.Dtype, nDgetrf, nSgetrf)
-				to.dur = memos[KGetrf].get(int64(o.N), func() float64 {
-					return kernelmodel.GetrfTime(gpu, p.Dtype, int(o.N))
-				})
-			case KTrsm:
-				to.name = dtypeName(p.Dtype, nDtrsm, nStrsm)
-				// Side changes the flop/byte shape, so it is part of the key.
-				to.dur = memos[KTrsm].get(int64(o.Side)<<42|int64(o.M)<<21|int64(o.N), func() float64 {
-					return kernelmodel.TrsmTime(gpu, p.Dtype, o.Side, int(o.M), int(o.N))
-				})
-			case KSyrk:
-				to.name = dtypeName(p.Dtype, nDsyrk, nSsyrk)
-				to.dur = memos[KSyrk].get(int64(o.N)<<21|int64(o.K), func() float64 {
-					return kernelmodel.SyrkTime(gpu, p.Dtype, int(o.N), int(o.K))
-				})
-			}
+			to.code, to.kernel, to.dt = tKernel, o.Kernel, uint8(p.Dtype)
+			to.dur = p.kernelDur(gpu, &memo, o)
 		}
 	}
 	return t
@@ -283,7 +206,7 @@ func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
 			for _, d := range deps[o.depOff : o.depOff+o.depN] {
 				comp.WaitEvent(events[d])
 			}
-			ev := comp.KernelOp(tapeNames[o.name], o.dur)
+			ev := comp.KernelOp(tapeNames[o.kernel][o.dt], o.dur)
 			if o.ev >= 0 {
 				events[o.ev] = ev
 			}

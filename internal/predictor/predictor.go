@@ -11,6 +11,7 @@ package predictor
 
 import (
 	"fmt"
+	"strings"
 
 	"cocopelia/internal/machine"
 	"cocopelia/internal/microbench"
@@ -88,20 +89,31 @@ func signature(kind model.Kind, prm *model.Params) string {
 // Select returns the model-optimal tiling size for the invocation,
 // consulting the selection cache first.
 func (p *Predictor) Select(kind model.Kind, prm *model.Params) (model.Selection, error) {
-	key := signature(kind, prm)
+	return p.Cached(signature(kind, prm), func() (model.Selection, error) {
+		sm, err := p.SubModels(prm.Routine, 0)
+		if err != nil {
+			return model.Selection{}, err
+		}
+		return model.SelectT(kind, prm, sm)
+	})
+}
+
+// Cached is the model-reuse cache every tile selection of the session goes
+// through: it returns the selection stored under the signature key,
+// counting a hit, or runs pick, stores its selection and counts a miss.
+// Errors are returned uncached, so a failing signature fails on every
+// call. The key is copied on store, so it may alias a caller's scratch
+// buffer.
+func (p *Predictor) Cached(key string, pick func() (model.Selection, error)) (model.Selection, error) {
 	if sel, ok := p.cache[key]; ok {
 		p.hits++
 		return sel, nil
 	}
-	sm, err := p.SubModels(prm.Routine, 0)
+	sel, err := pick()
 	if err != nil {
 		return model.Selection{}, err
 	}
-	sel, err := model.SelectT(kind, prm, sm)
-	if err != nil {
-		return model.Selection{}, err
-	}
-	p.cache[key] = sel
+	p.cache[strings.Clone(key)] = sel
 	p.misses++
 	return sel, nil
 }
