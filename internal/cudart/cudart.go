@@ -18,13 +18,15 @@
 // real arithmetic/data movement on backed buffers, so schedulers are
 // verified numerically and timed by the same code path.
 //
-// The launch path is allocation-free in steady state: per-launch op objects
-// and their completion events come from runtime-owned free lists, operand
-// descriptions live in fields of the op (dispatched by kind) instead of
-// per-call closures, and the dependency-edge slices reuse their backing
-// arrays. Ops recycle as soon as their hardware work completes; events
-// recycle at the next successful Sync, which is also when every stream's
-// tail is reset to the shared pre-completed event.
+// The launch path is allocation-free in steady state. Ops are carved in
+// enqueue order from a per-batch arena of retained fixed-size chunks, and
+// each op embeds its completion event. Operand descriptions live in fields
+// of the op (dispatched by kind) instead of per-call closures. Dependency
+// edges are int32 arena handles, and outstanding-dependency counts live in
+// a dense array indexed by arena slot, so releasing a waiter is an array
+// decrement. A Sync that drains the batch rewinds the arena (replay op i
+// always reuses slot i) and resets every stream's tail to the shared
+// pre-completed event.
 package cudart
 
 import (
@@ -39,26 +41,31 @@ import (
 	"cocopelia/internal/sim"
 )
 
-// Event is a completion marker, as in CUDA. The zero value is not useful;
-// events come from Stream.Record or are pre-completed via DoneEvent.
+// Event is a completion marker, as in CUDA. Events come from Stream.Record
+// or are pre-completed via DoneEvent; a zero Event never completes.
 //
-// Lifetime: an *Event returned by this package is valid until the
-// Runtime.Sync call that drains it returns successfully; at that point the
-// runtime recycles the object for later launches and holders must drop
-// their references (every scheduler in this repository consumes its events
-// within one enqueue+Sync cycle).
-// Nearly every event has exactly one waiter — the next op chained on a
-// stream tail — so the first waiter lives in an inline slot and only
-// fan-outs of two or more touch the overflow slice. Steady-state replays
+// Lifetime: every event except DoneEvent is embedded in the op whose
+// completion it marks, and the next batch reuses that op once Runtime.Sync
+// has drained this one. An *Event returned by this package is therefore
+// valid until the Sync call that drains it returns successfully (or until
+// Runtime.Reset); holders must drop their references at that point (every
+// scheduler in this repository consumes its events within one enqueue+Sync
+// cycle).
+//
+// Waiters are arena handles, not pointers. Nearly every event has exactly
+// one waiter — the next op chained on a stream tail — so the first waiter
+// lives in an inline slot and only fan-outs of two or more touch the
+// overflow slice, whose backing array survives reuse. Steady-state replays
 // therefore allocate no waiter arrays at all.
 type Event struct {
 	done    bool
-	w0      *op   // first registered waiter (fires before the overflow)
-	waiters []*op // second and later waiters, in registration order
+	w0      int32   // arena slot + 1 of the first waiter (fires before the overflow); 0 when none
+	waiters []int32 // arena slots of the second and later waiters, in registration order
 }
 
 // doneEvent is the shared pre-completed event. It is immutable in effect:
-// fire is a no-op on a done event and addWaiter never appends to one.
+// only an op's own event is ever fired, and addWaiter never registers on a
+// done event.
 var doneEvent = &Event{done: true}
 
 // DoneEvent returns an already-completed event.
@@ -81,34 +88,30 @@ const (
 	opGet2D                  // 2-D device-to-host submatrix copy
 )
 
-// op is one scheduled stream operation. Ops are recycled through the
-// runtime free list the moment their hardware work completes.
-//
-// The layout is tuned for the firing path, which touches hundreds of
-// thousands of scattered op objects per replay: the fields depSatisfied,
-// launch and finish read (pointers first, then the packed small scalars)
-// sit together at the front, and the functional operands of backed
-// transfers live behind the host pointer in a separate pooled hostWindow,
-// keeping the op itself in the 96-byte malloc class. Timing-only
-// transfers — the overwhelming majority in paper-scale sweeps — never
-// allocate a window, so the replay working set stays dense.
-type op struct {
-	rt       *Runtime
-	complete *Event
+var opKindNames = [...]string{"callback", "kernel", "h2d", "d2h", "set2d", "get2d"}
 
-	// depFn and hwDone are method values created once per op object; they
-	// survive free-list recycling, so the steady-state launch path pays no
-	// closure allocations.
-	depFn  func()
-	hwDone func()
+// op is one scheduled stream operation. Ops live in the runtime's arena:
+// an op's slot is fixed for the object's life, and the object is reused
+// only after its batch has drained.
+//
+// The fields launch and finish read sit together at the front, and the
+// functional operands of backed transfers live behind the host pointer in
+// a separate pooled hostWindow. Timing-only transfers — the overwhelming
+// majority in paper-scale sweeps — never allocate a window, so the replay
+// working set stays dense.
+type op struct {
+	rt *Runtime
+
+	// startFn and hwDone are method values created at the slot's first
+	// use, so the steady-state launch path pays no closure allocations.
+	startFn func()
+	hwDone  func()
 
 	payload func()
 	buf     *DevBuffer
 	host    *hostWindow // functional transfer operands; nil when timing-only
 
-	// deps is the outstanding-dependency count (valid between enqueue and
-	// launch).
-	deps int32
+	slot int32 // arena slot: the op's index in its batch
 	kind opKind
 	dir  machine.LinkDir
 
@@ -117,6 +120,8 @@ type op struct {
 	name     string
 
 	bytes int64 // transfer volume
+
+	complete Event
 }
 
 // hostWindow carries the host-side operands of a functional (backed)
@@ -132,13 +137,10 @@ type hostWindow struct {
 	ldh, ldd   int32
 }
 
+// start launches an op that had no outstanding dependencies at enqueue.
+//
 //cocolint:hotpath
-func (o *op) depSatisfied() {
-	o.deps--
-	if o.deps == 0 {
-		o.rt.launch(o)
-	}
-}
+func (o *op) start() { o.rt.launch(o) }
 
 // hwComplete is the hardware-completion callback: it performs the data
 // movement of transfer ops (kernel payloads run inside the device model)
@@ -153,16 +155,15 @@ func (o *op) hwComplete() {
 	o.finish()
 }
 
-// finish retires a completed op: it is recycled before its completion event
-// fires, so waiters launched by the event can reuse the object immediately.
+// finish retires a completed op: it drops the operand references and fires
+// the completion event, launching the waiters it releases.
 //
 //cocolint:hotpath
 func (o *op) finish() {
 	rt := o.rt
 	rt.outstanding--
-	ev := o.complete
 	rt.recycleOp(o)
-	fire(ev)
+	rt.fire(&o.complete)
 }
 
 // runCopy performs the functional data movement of a transfer op on backed
@@ -217,6 +218,14 @@ func (o *op) runCopy() {
 	}
 }
 
+// opChunk is the arena's chunk size in ops. It is small because every
+// runtime holds at least one chunk: sessions that launch only short
+// batches keep a small footprint.
+const (
+	opChunkShift = 9
+	opChunk      = 1 << opChunkShift
+)
+
 // Runtime owns the streams and buffers of one simulated process.
 type Runtime struct {
 	dev         *device.Device
@@ -233,21 +242,15 @@ type Runtime struct {
 	// returns and clears it.
 	payloadErr error
 
-	// opFree recycles op objects the moment their hardware work completes;
-	// evFree recycles completion events at Sync, with evLive tracking the
-	// events handed out since the last Sync. Fresh events are carved from
-	// evSlab blocks rather than allocated individually: a replay keeps up to
-	// ~10^5 events live at once, and contiguous slabs make the fire/wait
-	// paths' event touches neighbours instead of scattered heap objects.
-	// Fresh ops are carved from contiguous opSlab blocks, like events: the
-	// dependency-firing path chases op pointers hundreds of thousands of
-	// times per replay, and slab-packed neighbours keep it in cache where
-	// individually allocated ops scatter across the heap.
-	opFree  []*op
-	opSlab  []op
-	evFree  []*Event
-	evLive  []*Event
-	evSlab  []Event
+	// The op arena. Ops are carved in enqueue order from retained chunks;
+	// next is the cursor (the batch index of the next op) and deps[h] the
+	// outstanding-dependency count of the op at slot h. A chunk is
+	// appended only when a batch runs deeper than any before it, and a
+	// drained Sync or Reset rewinds next to zero, so a replay's firing
+	// walks the same memory forward along each stream every time.
+	chunks  []*[opChunk]op
+	deps    []int32
+	next    int32
 	winFree []*hostWindow
 
 	// kt memoizes the pure kernel-model duration lookups: a tiled sweep
@@ -266,12 +269,13 @@ func (rt *Runtime) kernelTime(sh kernelmodel.Shape) float64 {
 func New(dev *device.Device) *Runtime { return &Runtime{dev: dev} }
 
 // Reset rebinds the runtime to a fresh device while keeping its warmed
-// object pools: the op and event free lists, and — when the new device runs
-// the same testbed — the memoized kernel durations. Streams of the previous
-// run are dropped. Operations still pending (after a failed Sync) are
-// abandoned exactly as discarding the runtime would abandon them, with
-// their live events recycled. After Reset the runtime behaves identically
-// to New(dev); only allocation behaviour differs.
+// object pools: the op arena, and — when the new device runs the same
+// testbed — the memoized kernel durations. Streams of the previous run are
+// dropped. Operations still pending (after a failed Sync) are abandoned
+// exactly as discarding the runtime would abandon them: their operands are
+// dropped and the arena rewinds, so the previous device must not run
+// again. After Reset the runtime behaves identically to New(dev); only
+// allocation behaviour differs.
 func (rt *Runtime) Reset(dev *device.Device) {
 	rt.dev = dev
 	rt.outstanding = 0
@@ -283,14 +287,10 @@ func (rt *Runtime) Reset(dev *device.Device) {
 		rt.streamList[i] = nil
 	}
 	rt.streamList = rt.streamList[:0]
-	for i, e := range rt.evLive {
-		rt.evLive[i] = nil
-		e.done = false
-		e.w0 = nil
-		e.waiters = e.waiters[:0]
-		rt.evFree = append(rt.evFree, e)
+	for h := int32(0); h < rt.next; h++ {
+		rt.recycleOp(rt.opAt(h))
 	}
-	rt.evLive = rt.evLive[:0]
+	rt.next = 0
 }
 
 // SetPayloadPool installs a worker pool for the functional GEMM payloads
@@ -327,33 +327,46 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.dev.Engine() }
 // Now returns the current virtual time.
 func (rt *Runtime) Now() sim.Time { return rt.dev.Engine().Now() }
 
-// allocOp returns a recycled (or fresh) op of the given kind with a live
-// completion event attached.
+// opAt returns the op at arena slot h.
+func (rt *Runtime) opAt(h int32) *op {
+	return &rt.chunks[h>>opChunkShift][h&(opChunk-1)]
+}
+
+// allocOp carves the next arena slot as an op of the given kind with a
+// fresh completion event.
 func (rt *Runtime) allocOp(kind opKind) *op {
-	var o *op
-	if n := len(rt.opFree); n > 0 {
-		o = rt.opFree[n-1]
-		rt.opFree[n-1] = nil
-		rt.opFree = rt.opFree[:n-1]
-	} else {
-		if len(rt.opSlab) == 0 {
-			rt.opSlab = make([]op, 512)
-		}
-		o = &rt.opSlab[0]
-		rt.opSlab = rt.opSlab[1:]
-		o.rt = rt
-		o.depFn = o.depSatisfied
+	h := rt.next
+	if int(h) == len(rt.deps) {
+		rt.growArena()
+	}
+	rt.next++
+	o := rt.opAt(h)
+	if o.hwDone == nil { // first use of the slot
+		o.startFn = o.start
 		o.hwDone = o.hwComplete
 	}
 	o.kind = kind
-	o.complete = rt.allocEvent()
+	o.complete = Event{waiters: o.complete.waiters[:0]}
 	return o
 }
 
-// recycleOp clears an op's references and parks it on the free list,
-// returning any host window to the window pool.
+// growArena appends one chunk to the arena, binding each new op to its
+// slot. allocOp creates a slot's callbacks at its first use, so a short
+// batch pays for the ops it launches, not for the whole chunk.
+func (rt *Runtime) growArena() {
+	c := new([opChunk]op)
+	base := int32(len(rt.deps))
+	for i := range c {
+		c[i].rt, c[i].slot = rt, base+int32(i)
+	}
+	rt.chunks = append(rt.chunks, c)
+	rt.deps = append(rt.deps, make([]int32, opChunk)...)
+}
+
+// recycleOp drops a finished (or abandoned) op's operand references, so
+// the arena pins no payload closures or buffers, and returns its host
+// window to the window pool.
 func (rt *Runtime) recycleOp(o *op) {
-	o.complete = nil
 	o.name = ""
 	o.payload = nil
 	o.buf = nil
@@ -362,7 +375,6 @@ func (rt *Runtime) recycleOp(o *op) {
 		*w = hostWindow{}
 		rt.winFree = append(rt.winFree, w)
 	}
-	rt.opFree = append(rt.opFree, o)
 }
 
 // allocWindow returns a recycled (or fresh) zeroed host window for a
@@ -384,26 +396,6 @@ func needsWindow(buf *DevBuffer, hostF64 []float64, hostF32 []float32) bool {
 	return (buf.f64 != nil || buf.f32 != nil) && (hostF64 != nil || hostF32 != nil)
 }
 
-// allocEvent returns a recycled (or fresh) incomplete event, tracked for
-// recycling at the next successful Sync.
-func (rt *Runtime) allocEvent() *Event {
-	var e *Event
-	if n := len(rt.evFree); n > 0 {
-		e = rt.evFree[n-1]
-		rt.evFree[n-1] = nil
-		rt.evFree = rt.evFree[:n-1]
-		e.done = false
-	} else {
-		if len(rt.evSlab) == 0 {
-			rt.evSlab = make([]Event, 1024)
-		}
-		e = &rt.evSlab[0]
-		rt.evSlab = rt.evSlab[1:]
-	}
-	rt.evLive = append(rt.evLive, e)
-	return e
-}
-
 // launch hands a ready op to the hardware.
 //
 //cocolint:hotpath
@@ -422,43 +414,46 @@ func (rt *Runtime) launch(o *op) {
 	}
 }
 
-// fire completes an event and releases its waiters, decrementing their
-// dependency counters and launching every op that reaches zero. The waiters
-// backing array is kept for reuse: no appends can race the drain because a
-// done event never accepts new waiters.
+// fire completes an op's event and releases its waiters in registration
+// order. A done event accepts no new waiters, so nothing appends to the
+// overflow while it drains.
 //
 //cocolint:hotpath
-func fire(e *Event) {
-	if e.done {
-		return
-	}
+func (rt *Runtime) fire(e *Event) {
 	e.done = true
-	if w := e.w0; w != nil {
-		e.w0 = nil
-		w.depSatisfied()
+	if e.w0 != 0 {
+		rt.release(e.w0 - 1)
 	}
-	if len(e.waiters) > 0 {
-		ws := e.waiters
-		e.waiters = e.waiters[:0]
-		for _, o := range ws {
-			o.depSatisfied()
-		}
+	for _, h := range e.waiters {
+		rt.release(h)
 	}
 }
 
-// addWaiter registers o to run after e (no-op when e already completed;
-// the caller must have counted the dependency before calling). The first
-// waiter takes the inline slot; registration order is preserved because
-// fire drains the slot before the overflow slice.
-func addWaiter(e *Event, o *op) bool {
+// release counts one satisfied dependency of the op at slot h and launches
+// it when none remain; the op itself is touched only then.
+//
+//cocolint:hotpath
+func (rt *Runtime) release(h int32) {
+	d := &rt.deps[h]
+	*d--
+	if *d == 0 {
+		rt.launch(rt.opAt(h))
+	}
+}
+
+// addWaiter registers the op at slot h to run after e (no-op when e
+// already completed; the caller must have counted the dependency before
+// calling). The first waiter takes the inline slot; registration order is
+// preserved because fire drains the slot before the overflow slice.
+func addWaiter(e *Event, h int32) bool {
 	if e == nil || e.done {
 		return false
 	}
-	if e.w0 == nil && len(e.waiters) == 0 {
-		e.w0 = o
+	if e.w0 == 0 {
+		e.w0 = h + 1
 		return true
 	}
-	e.waiters = append(e.waiters, o)
+	e.waiters = append(e.waiters, h)
 	return true
 }
 
@@ -471,7 +466,7 @@ type Stream struct {
 }
 
 // NewStream creates a stream. The runtime tracks it so Sync can reset its
-// tail when the completed batch's events are recycled.
+// tail when the completed batch's ops are reused.
 func (rt *Runtime) NewStream() *Stream {
 	rt.streams++
 	s := &Stream{rt: rt, id: rt.streams, tail: doneEvent}
@@ -500,7 +495,9 @@ func (rt *Runtime) TruncateStreams(n int) {
 	rt.streams = n
 }
 
-// WaitEvent orders all work submitted to s after this call behind ev.
+// WaitEvent orders all work submitted to s after this call behind ev,
+// which must come from s's runtime (or be DoneEvent): waiters are handles
+// into the recording runtime's arena.
 //
 //cocolint:hotpath
 func (s *Stream) WaitEvent(ev *Event) {
@@ -522,25 +519,23 @@ func (s *Stream) enqueue(o *op) *Event {
 	rt := s.rt
 	rt.outstanding++
 	deps := int32(0)
-	if addWaiter(s.tail, o) {
+	if addWaiter(s.tail, o.slot) {
 		deps++
 	}
 	for _, w := range s.waits {
-		if addWaiter(w, o) {
+		if addWaiter(w, o.slot) {
 			deps++
 		}
 	}
 	s.waits = s.waits[:0]
-	s.tail = o.complete
+	s.tail = &o.complete
+	rt.deps[o.slot] = deps
 	if deps == 0 {
-		o.deps = 1
 		// Defer through the engine so submission order among independent
 		// ops is preserved and callers never re-enter the hardware model.
-		rt.Engine().After(0, o.depFn)
-	} else {
-		o.deps = deps
+		rt.Engine().After(0, o.startFn)
 	}
-	return o.complete
+	return &o.complete
 }
 
 // TransferOp enqueues a pre-validated timing-only transfer: bytes move in
@@ -585,13 +580,14 @@ func (s *Stream) Callback(fn func()) *Event {
 // It returns the virtual time, or an error if operations remain blocked on
 // dependencies that can never fire (a scheduling bug: a dependency cycle or
 // an event that is never recorded) or if a functional payload failed. A
+// deadlock error names the lowest blocked op by its index in the batch. A
 // payload error (wrapping the blas error, e.g. blas.ErrNotPositiveDefinite)
-// is the first one of the batch; the batch still drains and is recycled
-// as on success, so the runtime stays usable.
+// is the first one of the batch; the batch still drains and its ops are
+// reused as on success, so the runtime stays usable.
 //
-// On a drained batch the events are recycled and every stream's tail
-// resets to the pre-completed event, so event handles returned before
-// this call must not be used afterwards.
+// On a drained batch the arena rewinds and every stream's tail resets to
+// the pre-completed event, so event handles returned before this call must
+// not be used afterwards.
 //
 //cocolint:hotpath
 func (rt *Runtime) Sync() (sim.Time, error) {
@@ -600,21 +596,38 @@ func (rt *Runtime) Sync() (sim.Time, error) {
 	rt.payloadErr = nil
 	if rt.outstanding != 0 {
 		//lint:ignore hotpath deadlock is a scheduling bug; this error path runs at most once per failed batch
-		return end, errors.Join(payloadErr, fmt.Errorf("cudart: deadlock: %d operations still blocked after drain", rt.outstanding))
+		return end, errors.Join(payloadErr, rt.deadlock())
 	}
-	for i, e := range rt.evLive {
-		rt.evLive[i] = nil
-		e.w0 = nil
-		e.waiters = e.waiters[:0]
-		//lint:ignore hotpath evFree reuses its backing array; it grows only until the deepest batch of the run
-		rt.evFree = append(rt.evFree, e)
-	}
-	rt.evLive = rt.evLive[:0]
+	rt.next = 0
 	for _, s := range rt.streamList {
 		s.tail = doneEvent
 		s.waits = s.waits[:0]
 	}
 	return end, payloadErr
+}
+
+// deadlock describes a batch that drained with ops still outstanding,
+// naming the lowest arena slot still waiting on a dependency: its batch
+// index, kind, kernel name and outstanding dependency count.
+func (rt *Runtime) deadlock() error {
+	msg := fmt.Sprintf("cudart: deadlock: %d operations still blocked after drain", rt.outstanding)
+	for h := int32(0); h < rt.next; h++ {
+		n := rt.deps[h]
+		if n <= 0 {
+			continue
+		}
+		o := rt.opAt(h)
+		what := opKindNames[o.kind]
+		if o.name != "" {
+			what += " " + o.name
+		}
+		unit := "dependencies"
+		if n == 1 {
+			unit = "dependency"
+		}
+		return fmt.Errorf("%s; first: op %d (%s) waiting on %d %s", msg, h, what, n, unit)
+	}
+	return errors.New(msg)
 }
 
 // DevBuffer is typed device memory. Backed buffers carry real element

@@ -433,8 +433,56 @@ func TestSyncDetectsDeadlock(t *testing.T) {
 	never := &Event{} // recorded nowhere, never fires
 	s.WaitEvent(never)
 	s.Callback(func() {})
-	if _, err := rt.Sync(); err == nil {
-		t.Error("Sync should report blocked operations")
+	_, err := rt.Sync()
+	want := "cudart: deadlock: 1 operations still blocked after drain; first: op 0 (callback) waiting on 1 dependency"
+	if err == nil || err.Error() != want {
+		t.Errorf("Sync error %v, want %q", err, want)
+	}
+
+	// The report names the lowest blocked op by its index in the batch,
+	// even when ops ahead of it ran and ops behind it are blocked too.
+	rt = newRT()
+	s = rt.NewStream()
+	if _, err := s.KernelAsync("dgemm", 1e-6, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitEvent(&Event{})
+	s.WaitEvent(&Event{})
+	if _, err := s.KernelAsync("dpotrf", 1e-6, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Callback(func() {})
+	_, err = rt.Sync()
+	want = "cudart: deadlock: 2 operations still blocked after drain; first: op 1 (kernel dpotrf) waiting on 2 dependencies"
+	if err == nil || err.Error() != want {
+		t.Errorf("Sync error %v, want %q", err, want)
+	}
+}
+
+// TestFanOutReleasesInRegistrationOrder pins the waiter order of one event
+// with several waiters: the inline first waiter is released before the
+// overflow, and the overflow in registration order, on a fresh and on a
+// reused arena alike.
+func TestFanOutReleasesInRegistrationOrder(t *testing.T) {
+	rt := newRT()
+	for batch := 0; batch < 2; batch++ {
+		src := rt.NewStream()
+		if _, err := src.KernelAsync("k", 1e-6, nil); err != nil {
+			t.Fatal(err)
+		}
+		ev := src.Record()
+		var order []int
+		for i := 0; i < 4; i++ {
+			s := rt.NewStream()
+			s.WaitEvent(ev)
+			s.Callback(func() { order = append(order, i) })
+		}
+		if _, err := rt.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 2 || order[3] != 3 {
+			t.Errorf("batch %d: waiters released in order %v, want [0 1 2 3]", batch, order)
+		}
 	}
 }
 
@@ -468,9 +516,9 @@ func TestMallocFree(t *testing.T) {
 }
 
 // TestLaunchSyncSteadyStateDoesNotAllocate pins the zero-allocation
-// invariant of the timing-only launch path: once the op, event, kernel-task
-// and transfer free lists are warm, a full enqueue+Sync cycle over all
-// three engines allocates nothing (the cudart analog of the sim package's
+// invariant of the timing-only launch path: once the op arena and the
+// kernel-task and transfer free lists are warm, a full enqueue+Sync cycle
+// over all three engines allocates nothing (the cudart analog of the sim package's
 // TestScheduleSteadyStateDoesNotAllocateEvents).
 func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 	rt := newRT()
@@ -499,5 +547,35 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, cycle)
 	if allocs != 0 {
 		t.Errorf("steady-state launch+sync allocates %.1f objects/op, want 0", allocs)
+	}
+
+	// A batch deeper than one arena chunk, fanned across streams, allocates
+	// nothing either once its chunks exist.
+	streams := []*Stream{s, rt.NewStream(), rt.NewStream()}
+	big := func() {
+		for i := 0; i < 2*opChunk+opChunk/2; i++ {
+			st := streams[i%len(streams)]
+			if i%7 == 0 {
+				st.WaitEvent(streams[(i+1)%len(streams)].Record())
+			}
+			switch i % 3 {
+			case 0:
+				st.TransferOp(machine.H2D, 4096, buf)
+			case 1:
+				st.KernelOp("k", 1e-6)
+			default:
+				st.TransferOp(machine.D2H, 4096, buf)
+			}
+		}
+		if _, err := rt.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big()
+	if len(rt.chunks) < 3 {
+		t.Fatalf("batch used %d arena chunks, want at least 3", len(rt.chunks))
+	}
+	if allocs := testing.AllocsPerRun(20, big); allocs != 0 {
+		t.Errorf("steady-state multi-chunk launch+sync allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -26,6 +26,45 @@ func TestRandomDAGOrderingStress(t *testing.T) {
 	}
 }
 
+// TestRandomDAGArenaReuse replays random DAGs on one reused runtime. Every
+// fifth DAG follows a deliberately deadlocked batch, deeper than one arena
+// chunk, that is abandoned with Reset; the ordering invariants must still
+// hold, and no abandoned op's payload may run from a reused slot.
+func TestRandomDAGArenaReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rt := New(device.New(sim.New(), machine.TestbedI(), 1, false))
+	stale := false
+	for i := 0; i < 30; i++ {
+		if i%5 == 4 {
+			s := rt.NewStream()
+			s.WaitEvent(&Event{}) // never fires
+			for j := 0; j < opChunk+opChunk/2; j++ {
+				if _, err := s.KernelAsync("blocked", 1e-6, func() { stale = true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := rt.Sync(); err == nil {
+				t.Fatal("deadlocked batch: Sync reported no error")
+			}
+			rt.Reset(device.New(sim.New(), machine.TestbedI(), int64(i), false))
+			// Payload-free kernels reuse every abandoned slot.
+			s = rt.NewStream()
+			for j := 0; j < opChunk+opChunk/2; j++ {
+				s.KernelOp("k", 1e-6)
+			}
+			if _, err := rt.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if stale {
+				t.Fatal("an abandoned op's payload ran from a reused arena slot")
+			}
+		}
+		if !runDAG(t, rng, rt) {
+			return
+		}
+	}
+}
+
 // runDAG executes one randomized DAG and checks its ordering invariants.
 func runDAG(t *testing.T, rng *rand.Rand, rt *Runtime) bool {
 	t.Helper()

@@ -25,7 +25,6 @@
 package kernelmodel
 
 import (
-	"fmt"
 	"math"
 
 	"cocopelia/internal/machine"
@@ -228,94 +227,6 @@ func SyrkTime(g *machine.GPUSpec, dt Dtype, n, k int) float64 {
 	tCompute := flops / (peak(g, dt) * gemmEff(g, dt, n, n, k))
 	tMemory := float64(bytes) / (g.MemBandwidthBps * memEff(g, bytes))
 	return g.KernelLaunchS + math.Max(tCompute, tMemory)
-}
-
-// DotTime returns the execution time of a length-n dot product (reads two
-// vectors, reduction output negligible).
-func DotTime(g *machine.GPUSpec, dt Dtype, n int) float64 {
-	if n <= 0 {
-		return g.KernelLaunchS
-	}
-	bytes := 2 * int64(n) * dt.Size()
-	return g.KernelLaunchS + float64(bytes)/(g.MemBandwidthBps*memEff(g, bytes))
-}
-
-// ScalTime returns the execution time of x *= alpha for a length-n vector
-// (read + write of one vector).
-func ScalTime(g *machine.GPUSpec, dt Dtype, n int) float64 {
-	if n <= 0 {
-		return g.KernelLaunchS
-	}
-	bytes := 2 * int64(n) * dt.Size()
-	return g.KernelLaunchS + float64(bytes)/(g.MemBandwidthBps*memEff(g, bytes))
-}
-
-// Routine identifies a modeled BLAS kernel for the generic dispatcher.
-type Routine string
-
-// The routines with ground-truth timing models.
-const (
-	RoutineGemm  Routine = "gemm"
-	RoutineAxpy  Routine = "axpy"
-	RoutineGemv  Routine = "gemv"
-	RoutineDot   Routine = "dot"
-	RoutineScal  Routine = "scal"
-	RoutinePotrf Routine = "potrf"
-	RoutineGetrf Routine = "getrf"
-	RoutineTrsm  Routine = "trsm"
-	RoutineSyrk  Routine = "syrk"
-)
-
-// Time dispatches to the routine-specific model. dims carries (M, N, K) for
-// gemm, (M, N) for gemv and trsm (trsm dispatches as a left-side solve;
-// right-side callers use TrsmTime directly), (N, K) for syrk, and (N) for
-// potrf, getrf and the level-1 routines.
-func Time(g *machine.GPUSpec, r Routine, dt Dtype, dims ...int) (float64, error) {
-	switch r {
-	case RoutineGemm:
-		if len(dims) != 3 {
-			return 0, fmt.Errorf("kernelmodel: gemm needs 3 dims, got %d", len(dims))
-		}
-		return GemmTime(g, dt, dims[0], dims[1], dims[2]), nil
-	case RoutineGemv:
-		if len(dims) != 2 {
-			return 0, fmt.Errorf("kernelmodel: gemv needs 2 dims, got %d", len(dims))
-		}
-		return GemvTime(g, dt, dims[0], dims[1]), nil
-	case RoutineTrsm:
-		if len(dims) != 2 {
-			return 0, fmt.Errorf("kernelmodel: trsm needs 2 dims, got %d", len(dims))
-		}
-		return TrsmTime(g, dt, 'L', dims[0], dims[1]), nil
-	case RoutineSyrk:
-		if len(dims) != 2 {
-			return 0, fmt.Errorf("kernelmodel: syrk needs 2 dims, got %d", len(dims))
-		}
-		return SyrkTime(g, dt, dims[0], dims[1]), nil
-	case RoutinePotrf:
-		if len(dims) != 1 {
-			return 0, fmt.Errorf("kernelmodel: potrf needs 1 dim, got %d", len(dims))
-		}
-		return PotrfTime(g, dt, dims[0]), nil
-	case RoutineGetrf:
-		if len(dims) != 1 {
-			return 0, fmt.Errorf("kernelmodel: getrf needs 1 dim, got %d", len(dims))
-		}
-		return GetrfTime(g, dt, dims[0]), nil
-	case RoutineAxpy, RoutineDot, RoutineScal:
-		if len(dims) != 1 {
-			return 0, fmt.Errorf("kernelmodel: %s needs 1 dim, got %d", r, len(dims))
-		}
-		switch r {
-		case RoutineAxpy:
-			return AxpyTime(g, dt, dims[0]), nil
-		case RoutineDot:
-			return DotTime(g, dt, dims[0]), nil
-		default:
-			return ScalTime(g, dt, dims[0]), nil
-		}
-	}
-	return 0, fmt.Errorf("kernelmodel: unknown routine %q", r)
 }
 
 // GemmGflops is a convenience that converts a gemm time to GFLOP/s.

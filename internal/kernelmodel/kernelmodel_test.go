@@ -140,8 +140,6 @@ func TestLevel1And2Monotone(t *testing.T) {
 	g := gpuI()
 	for _, fn := range []func(int) float64{
 		func(n int) float64 { return AxpyTime(g, F64, n) },
-		func(n int) float64 { return DotTime(g, F64, n) },
-		func(n int) float64 { return ScalTime(g, F64, n) },
 		func(n int) float64 { return GemvTime(g, F64, n, n) },
 	} {
 		prev := 0.0
@@ -153,37 +151,8 @@ func TestLevel1And2Monotone(t *testing.T) {
 			prev = v
 		}
 	}
-	if GemvTime(g, F64, 0, 5) != g.KernelLaunchS || DotTime(g, F64, -3) != g.KernelLaunchS ||
-		ScalTime(g, F64, 0) != g.KernelLaunchS {
+	if GemvTime(g, F64, 0, 5) != g.KernelLaunchS {
 		t.Error("degenerate level-1/2 kernels should cost the launch")
-	}
-}
-
-func TestTimeDispatch(t *testing.T) {
-	g := gpuI()
-	cases := []struct {
-		r    Routine
-		dims []int
-		ok   bool
-	}{
-		{RoutineGemm, []int{128, 128, 128}, true},
-		{RoutineGemm, []int{128}, false},
-		{RoutineGemv, []int{128, 128}, true},
-		{RoutineGemv, []int{128, 128, 128}, false},
-		{RoutineAxpy, []int{1024}, true},
-		{RoutineAxpy, []int{}, false},
-		{RoutineDot, []int{1024}, true},
-		{RoutineScal, []int{1024}, true},
-		{Routine("lu"), []int{4}, false},
-	}
-	for _, c := range cases {
-		v, err := Time(g, c.r, F64, c.dims...)
-		if c.ok && (err != nil || v <= 0) {
-			t.Errorf("%s%v: unexpected err=%v v=%g", c.r, c.dims, err, v)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("%s%v: expected error", c.r, c.dims)
-		}
 	}
 }
 

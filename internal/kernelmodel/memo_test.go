@@ -100,3 +100,29 @@ func TestMemoKeepsAliasingShapesApart(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeTimeDispatch pins Shape.Time as the one kernel dispatcher:
+// every kind yields a positive, finite duration for a tile shape, and the
+// zero Shape names no kernel.
+func TestShapeTimeDispatch(t *testing.T) {
+	g := gpuI()
+	for _, s := range []Shape{
+		{Kind: KindGemm, Dtype: F64, M: 128, N: 128, K: 128},
+		{Kind: KindGemv, Dtype: F64, M: 128, N: 128},
+		{Kind: KindAxpy, Dtype: F64, N: 1024},
+		{Kind: KindPotrf, Dtype: F64, N: 128},
+		{Kind: KindGetrf, Dtype: F64, N: 128},
+		{Kind: KindTrsm, Dtype: F64, Side: 'L', M: 128, N: 128},
+		{Kind: KindSyrk, Dtype: F64, N: 128, K: 128},
+	} {
+		if v := s.Time(g); !(v > 0) || math.IsInf(v, 0) {
+			t.Errorf("%+v: duration %g, want positive and finite", s, v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("the zero Shape should name no kernel")
+		}
+	}()
+	Shape{}.Time(g)
+}
