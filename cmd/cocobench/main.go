@@ -45,10 +45,8 @@ import (
 	"cocopelia"
 	"cocopelia/internal/blas"
 	"cocopelia/internal/eval"
-	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
 	"cocopelia/internal/microbench"
-	"cocopelia/internal/model"
 	"cocopelia/internal/parallel"
 )
 
@@ -268,7 +266,9 @@ func checkBlas(path string, rep *report) error {
 // everything else (operand setup plus the comparator libraries that run to
 // completion internally). It makes a throughput change attributable — a
 // replay optimization must show up in enqueue, a DES optimization in
-// advance.
+// advance. Phases are summed over the goroutines that run repetitions, so
+// with a cell's repetitions fanned out their total can exceed the row's
+// wall time.
 type campaignPhases struct {
 	PlanBuild float64 `json:"plan_build"`
 	Enqueue   float64 `json:"enqueue"`
@@ -276,12 +276,13 @@ type campaignPhases struct {
 	Other     float64 `json:"other"`
 }
 
-// campaignRow is one measured configuration of the campaign pipeline. The
-// simulated outcome — events, plan hits/misses/evictions — must be
+// campaignRow is one measured configuration of the campaign pipeline:
+// Callers goroutines measure the work-list's cells, one at a time each.
+// The simulated outcome — events, plan hits/misses/evictions — must be
 // identical across every row of a report (asserted at run time); only the
 // wall-clock numbers may differ.
 type campaignRow struct {
-	Workers       int             `json:"workers"`
+	Callers       int             `json:"callers"`
 	Passes        int             `json:"passes"`
 	Cells         int             `json:"cells"`
 	Events        int64           `json:"events"`
@@ -296,71 +297,16 @@ type campaignRow struct {
 }
 
 // campaignReport is the JSON schema of results/bench-campaign.json.
-// Reference is the committed-baseline configuration (single worker,
-// per-phase timing); Sweep varies the worker count over the same
-// work-list.
+// Reference is the committed-baseline configuration (one caller, whose
+// cells fan their repetitions out over the free cores; per-phase timing);
+// Sweep varies the caller count over the same work-list, with each cell's
+// repetitions serial on its caller.
 type campaignReport struct {
 	Testbed   string        `json:"testbed"`
 	GOGC      int           `json:"gogc"`
 	Reps      int           `json:"reps"`
 	Reference campaignRow   `json:"reference"`
 	Sweep     []campaignRow `json:"sweep"`
-}
-
-// campaignCells builds the benchmark's timing-only work-list: a tile-size
-// sweep of every level-3 library over square dgemm problems across the
-// host/device location combinations, plus a CoCoPeLia daxpy sweep — the
-// same cell shapes the Fig. 4-7 campaigns are made of, scaled to run in
-// seconds rather than minutes.
-func campaignCells(smoke bool) []eval.MeasureCell {
-	sizes := []int{2048, 4096, 8192}
-	tiles := map[int][]int{
-		2048: {256, 512, 1024},
-		4096: {256, 512, 1024, 2048},
-		8192: {256, 512, 1024, 2048},
-	}
-	if smoke {
-		sizes = []int{512}
-		tiles = map[int][]int{512: {128, 256}}
-	}
-	combos := [][]model.Loc{
-		{model.OnHost, model.OnHost, model.OnHost},
-		{model.OnDevice, model.OnHost, model.OnHost},
-		{model.OnDevice, model.OnDevice, model.OnHost},
-	}
-	libs := []eval.Lib{eval.LibCoCoPeLia, eval.LibNoReuse, eval.LibCuBLASXt}
-	if smoke {
-		libs = []eval.Lib{eval.LibCoCoPeLia}
-	}
-	var cells []eval.MeasureCell
-	for _, s := range sizes {
-		for _, locs := range combos {
-			p := eval.Problem{
-				Routine: "dgemm", Dtype: kernelmodel.F64, M: s, N: s, K: s,
-				Locs: append([]model.Loc(nil), locs...), Tag: "square",
-			}
-			for _, lib := range libs {
-				for _, T := range tiles[s] {
-					cells = append(cells, eval.MeasureCell{Lib: lib, P: p, T: T})
-				}
-			}
-			if !smoke {
-				cells = append(cells, eval.MeasureCell{Lib: eval.LibBLASX, P: p, T: 0})
-			}
-		}
-	}
-	if !smoke {
-		for _, locs := range model.LocCombos(2) {
-			p := eval.Problem{
-				Routine: "daxpy", Dtype: kernelmodel.F64, N: 32 << 20,
-				Locs: append([]model.Loc(nil), locs...), Tag: "vector",
-			}
-			for _, T := range []int{1 << 20, 4 << 20} {
-				cells = append(cells, eval.MeasureCell{Lib: eval.LibCoCoPeLia, P: p, T: T})
-			}
-		}
-	}
-	return cells
 }
 
 // campaignGOGC is the garbage-collection target percentage pinned for the
@@ -376,7 +322,7 @@ const campaignGOGC = 800
 
 // rowConfig parameterizes one measured campaign row.
 type rowConfig struct {
-	workers int
+	callers int
 	passes  int
 	phases  bool
 }
@@ -399,8 +345,8 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 			r.Clock = time.Now
 		}
 		var pool *parallel.Pool
-		if cfg.workers > 1 {
-			pool = parallel.NewPool(cfg.workers)
+		if cfg.callers > 1 {
+			pool = parallel.NewPool(cfg.callers)
 		}
 		// Collections happen between rows, never inside the timed region: the
 		// pre-row GC shrinks the live set to a few MB, which would otherwise
@@ -422,7 +368,7 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 
 		hits, misses, evictions := r.PlanCacheStats()
 		row := campaignRow{
-			Workers: cfg.workers, Passes: cfg.passes,
+			Callers: cfg.callers, Passes: cfg.passes,
 			Cells:  len(cells),
 			Events: r.EventsProcessed(), WallSeconds: wall,
 			CellsPerSec: float64(len(cells)) / wall, EventsPerSec: float64(r.EventsProcessed()) / wall,
@@ -457,24 +403,24 @@ func sameOutcome(a, b campaignRow) bool {
 
 // logRow prints one row's throughput line.
 func logRow(tag string, row campaignRow) {
-	log.Printf("campaign[%s]: workers=%d %d cells, %d events in %.2fs  (%.1f cells/s, %.3g events/s)",
-		tag, row.Workers, row.Cells, row.Events, row.WallSeconds, row.CellsPerSec, row.EventsPerSec)
+	log.Printf("campaign[%s]: callers=%d %d cells, %d events in %.2fs  (%.1f cells/s, %.3g events/s)",
+		tag, row.Callers, row.Cells, row.Events, row.WallSeconds, row.CellsPerSec, row.EventsPerSec)
 }
 
 // runCampaign measures the DES campaign pipeline — the reference
-// single-worker row with per-phase timing and a worker-count sweep pinned
+// one-caller row with per-phase timing and a caller-count sweep pinned
 // byte-identical to the reference — and writes the report JSON. With
 // checkPath set it instead compares the reference row against the
 // committed baseline and fails on regression (any drift in the simulated
 // counters, or a phase more than 20% slower).
 func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 	tb := machine.TestbedI()
-	cells := campaignCells(smoke)
+	cells := eval.CampaignCells(smoke)
 
 	prevGC := debug.SetGCPercent(campaignGOGC)
 	defer debug.SetGCPercent(prevGC)
 
-	ref, err := runRow(tb, cells, rowConfig{workers: 1, passes: passes, phases: true})
+	ref, err := runRow(tb, cells, rowConfig{callers: 1, passes: passes, phases: true})
 	if err != nil {
 		return err
 	}
@@ -486,14 +432,14 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 		ref.PlanHits, ref.PlanMisses, ref.PlanEvictions, 100*ref.PlanHitRate)
 
 	rep := campaignReport{Testbed: tb.Name, GOGC: campaignGOGC, Reps: 3, Reference: ref}
-	for _, cfg := range []rowConfig{{workers: 2}, {workers: 8}} {
+	for _, cfg := range []rowConfig{{callers: 2}, {callers: 8}} {
 		// Sweep rows get the same best-of-passes treatment as the reference:
-		// multi-worker rows on a contended host swing far more than a
-		// single-worker row, and one pass would record scheduler noise
+		// multi-caller rows on a contended host swing far more than a
+		// one-caller row, and one pass would record scheduler noise
 		// rather than throughput.
 		cfg.passes = passes
 		// Every sweep row carries its own phase split, so regressions that
-		// only show up at a particular worker count are attributable without
+		// only show up at a particular caller count are attributable without
 		// a bisection run.
 		cfg.phases = true
 		row, err := runRow(tb, cells, cfg)
@@ -503,8 +449,8 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 		logRow("sweep", row)
 		if !sameOutcome(row, ref) {
 			return fmt.Errorf(
-				"campaign not byte-identical at workers=%d: events=%d plans=%d/%d/%d, reference events=%d plans=%d/%d/%d",
-				cfg.workers, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
+				"campaign not byte-identical at callers=%d: events=%d plans=%d/%d/%d, reference events=%d plans=%d/%d/%d",
+				cfg.callers, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
 				ref.Events, ref.PlanHits, ref.PlanMisses, ref.PlanEvictions)
 		}
 		rep.Sweep = append(rep.Sweep, row)

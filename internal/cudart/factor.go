@@ -14,7 +14,7 @@ import (
 )
 
 // kernelName picks the dtype-prefixed kernel name ("dpotrf"/"spotrf", ...).
-func kernelName(dt kernelmodel.Dtype, d, s string) string {
+func kernelName(dt kernelmodel.Dtype, d, s KernelName) KernelName {
 	if dt == kernelmodel.F32 {
 		return s
 	}
@@ -42,7 +42,7 @@ func (s *Stream) PotrfAsync(uplo byte, n int, a *DevBuffer, offA int64, lda int)
 			}
 		}
 	}
-	o := s.allocKernelOp(kernelName(dt, "dpotrf", "spotrf"), dur, payload)
+	o := s.allocKernelOp(kernelName(dt, NameDpotrf, NameSpotrf), dur, payload)
 	return s.enqueue(o), nil
 }
 
@@ -65,7 +65,7 @@ func (s *Stream) GetrfAsync(n int, a *DevBuffer, offA int64, lda int) (*Event, e
 			}
 		}
 	}
-	o := s.allocKernelOp(kernelName(dt, "dgetrf", "sgetrf"), dur, payload)
+	o := s.allocKernelOp(kernelName(dt, NameDgetrf, NameSgetrf), dur, payload)
 	return s.enqueue(o), nil
 }
 
@@ -95,7 +95,7 @@ func (s *Stream) TrsmAsync(side, uplo, transA, diag byte, m, n int, alpha float6
 			}
 		}
 	}
-	o := s.allocKernelOp(kernelName(dt, "dtrsm", "strsm"), dur, payload)
+	o := s.allocKernelOp(kernelName(dt, NameDtrsm, NameStrsm), dur, payload)
 	return s.enqueue(o), nil
 }
 
@@ -128,6 +128,6 @@ func (s *Stream) SyrkAsync(uplo, trans byte, n, k int, alpha float64,
 			}
 		}
 	}
-	o := s.allocKernelOp(kernelName(dt, "dsyrk", "ssyrk"), dur, payload)
+	o := s.allocKernelOp(kernelName(dt, NameDsyrk, NameSsyrk), dur, payload)
 	return s.enqueue(o), nil
 }

@@ -50,7 +50,7 @@ func TestRandomDAGArenaReuse(t *testing.T) {
 			// Payload-free kernels reuse every abandoned slot.
 			s = rt.NewStream()
 			for j := 0; j < opChunk+opChunk/2; j++ {
-				s.KernelOp("k", 1e-6)
+				s.KernelOp(NameDgemm, 1e-6)
 			}
 			if _, err := rt.Sync(); err != nil {
 				t.Fatal(err)

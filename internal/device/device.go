@@ -36,16 +36,14 @@ type Buffer struct {
 func (b *Buffer) Size() int64 { return b.size }
 
 // kernelTask is one queued kernel execution. Tasks recycle through the
-// device free list at completion, and the fire closure is created once per
-// task object, so steady-state launches allocate nothing.
+// device free list at completion, and completion reaches the launcher
+// through a handle, so a task holds no callback of its own and
+// steady-state launches allocate nothing.
 type kernelTask struct {
-	dev      *Device
 	name     string
 	duration float64
 	payload  func()
-	done     func()
-	start    sim.Time
-	fire     func() // cached method value: completes this task
+	done     sim.Handle
 }
 
 // Device is one simulated GPU attached to a sim.Engine.
@@ -55,12 +53,20 @@ type Device struct {
 	link *link.Link
 	rng  *rand.Rand
 
-	// queue is a FIFO ring over a reusable backing array: qHead indexes the
-	// next task to run and the slice compacts to [:0] whenever it drains.
-	queue      []*kernelTask
-	qHead      int
-	taskFree   []*kernelTask
-	computing  bool
+	// queue is a FIFO over a reusable backing array: qHead indexes the next
+	// task to run. The slice compacts to [:0] whenever it drains, and an
+	// append that finds the array full slides the waiting tasks to the front
+	// once at least half of it has run, so the array grows with the
+	// backlog, not with the number of kernels launched.
+	queue    []*kernelTask
+	qHead    int
+	taskFree []*kernelTask
+	// running is the executing kernel (nil when idle) and started its start
+	// time. finishFn, the engine callback that completes it, is created once
+	// per device: one kernel runs at a time.
+	running    *kernelTask
+	started    sim.Time
+	finishFn   func()
 	busy       float64
 	kernels    int64
 	memUsed    int64
@@ -94,6 +100,7 @@ func New(eng *sim.Engine, tb *machine.Testbed, seed int64, noiseless bool) *Devi
 		linkRng = rand.New(rand.NewSource(seed ^ 0x5deece66d))
 	}
 	d.link = link.New(eng, tb, sigma, linkRng)
+	d.finishFn = d.finish
 	return d
 }
 
@@ -110,12 +117,10 @@ func (d *Device) Reset(seed int64) {
 	if d.rng != nil {
 		d.rng.Seed(seed)
 	}
-	for i := range d.queue {
-		d.queue[i] = nil
-	}
+	clear(d.queue)
 	d.queue = d.queue[:0]
 	d.qHead = 0
-	d.computing = false
+	d.running = nil
 	d.busy = 0
 	d.kernels = 0
 	d.memUsed, d.memPeak = 0, 0
@@ -194,33 +199,36 @@ func (d *Device) allocTask() *kernelTask {
 		d.taskFree = d.taskFree[:n-1]
 		return t
 	}
-	t := &kernelTask{dev: d}
-	t.fire = t.complete
-	return t
+	return &kernelTask{}
 }
 
 // LaunchKernel enqueues a kernel with the given base duration on the
 // compute engine. payload (optional) performs the functional arithmetic
-// and runs at completion time, before onDone (optional) is notified.
+// and runs at completion time, before done (optional) is notified.
 // Durations must be non-negative.
 //
 //cocolint:hotpath
-func (d *Device) LaunchKernel(name string, duration float64, payload, onDone func()) {
+func (d *Device) LaunchKernel(name string, duration float64, payload func(), done sim.Handle) {
 	if duration < 0 {
 		panic(fmt.Sprintf("device: negative kernel duration %g", duration))
 	}
+	if len(d.queue) == cap(d.queue) && 2*d.qHead >= len(d.queue) {
+		n := copy(d.queue, d.queue[d.qHead:])
+		clear(d.queue[n:])
+		d.queue, d.qHead = d.queue[:n], 0
+	}
 	t := d.allocTask()
-	t.name, t.duration, t.payload, t.done = name, duration, payload, onDone
-	//lint:ignore hotpath queue compacts to length zero whenever the engine drains it; the backing array grows only to the deepest backlog
+	t.name, t.duration, t.payload, t.done = name, duration, payload, done
+	//lint:ignore hotpath queue compacts whenever it drains or half of it has run; the backing array grows only to twice the deepest backlog
 	d.queue = append(d.queue, t)
-	if !d.computing {
+	if d.running == nil {
 		d.runNext()
 	}
 }
 
 // runNext pops the compute queue and executes its head.
 func (d *Device) runNext() {
-	if d.computing {
+	if d.running != nil {
 		return
 	}
 	if d.qHead == len(d.queue) {
@@ -237,35 +245,33 @@ func (d *Device) runNext() {
 		d.queue = d.queue[:0]
 		d.qHead = 0
 	}
-	d.computing = true
-	t.start = d.eng.Now()
-	d.eng.After(d.noisy(t.duration), t.fire)
+	d.running = t
+	d.started = d.eng.Now()
+	d.eng.After(d.noisy(t.duration), d.finishFn)
 }
 
-// complete finishes an executed kernel: accounting and the trace observer
-// first, then the task recycles (its callbacks are saved locally, so a
-// payload or completion callback that launches more kernels may reuse the
-// object immediately), the next kernel starts, and the completion callback
-// runs last — so a callback that enqueues more work observes a busy
+// finish completes the running kernel: accounting and the trace observer
+// first, then the task recycles (its fields are saved locally, so a payload
+// or launcher that launches more kernels may reuse the object at once), the
+// payload runs, the next kernel starts, and the completion handle is
+// notified last — so a launcher that enqueues more work observes a busy
 // engine, matching hardware queues.
-func (t *kernelTask) complete() {
-	d := t.dev
-	d.computing = false
-	d.busy += d.eng.Now() - t.start
+func (d *Device) finish() {
+	t := d.running
+	d.running = nil
+	d.busy += d.eng.Now() - d.started
 	d.kernels++
 	if d.kernelObs != nil {
-		d.kernelObs(t.name, t.start, d.eng.Now())
+		d.kernelObs(t.name, d.started, d.eng.Now())
 	}
 	payload, done := t.payload, t.done
-	t.name, t.payload, t.done = "", nil, nil
+	*t = kernelTask{}
 	d.taskFree = append(d.taskFree, t)
 	if payload != nil {
 		payload()
 	}
 	d.runNext()
-	if done != nil {
-		done()
-	}
+	done.Fire()
 }
 
 // ComputeStats describes the compute engine's accumulated activity.

@@ -9,6 +9,14 @@ import (
 	"cocopelia/internal/sim"
 )
 
+// fnDone adapts a test closure to a completion receiver.
+type fnDone func()
+
+func (f fnDone) Complete(int32) { f() }
+
+// on wraps fn as a completion handle.
+func on(fn func()) sim.Handle { return sim.Handle{To: fnDone(fn)} }
+
 func newDev(noiseless bool) (*sim.Engine, *Device) {
 	eng := sim.New()
 	return eng, New(eng, machine.TestbedI(), 1, noiseless)
@@ -18,7 +26,7 @@ func TestKernelSerialization(t *testing.T) {
 	eng, d := newDev(true)
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
-		d.LaunchKernel("k", 1.0, nil, func() { ends = append(ends, eng.Now()) })
+		d.LaunchKernel("k", 1.0, nil, on(func() { ends = append(ends, eng.Now()) }))
 	}
 	eng.Run()
 	want := []sim.Time{1, 2, 3}
@@ -38,7 +46,7 @@ func TestKernelPayloadRunsBeforeDone(t *testing.T) {
 	var order []string
 	d.LaunchKernel("k", 0.5,
 		func() { order = append(order, "payload") },
-		func() { order = append(order, "done") })
+		on(func() { order = append(order, "done") }))
 	eng.Run()
 	if len(order) != 2 || order[0] != "payload" || order[1] != "done" {
 		t.Errorf("order = %v", order)
@@ -54,8 +62,8 @@ func TestKernelObserver(t *testing.T) {
 			t.Error("empty kernel interval")
 		}
 	})
-	d.LaunchKernel("dgemm", 0.1, nil, nil)
-	d.LaunchKernel("sgemm", 0.1, nil, nil)
+	d.LaunchKernel("dgemm", 0.1, nil, sim.Handle{})
+	d.LaunchKernel("sgemm", 0.1, nil, sim.Handle{})
 	eng.Run()
 	if len(names) != 2 || names[0] != "dgemm" || names[1] != "sgemm" {
 		t.Errorf("observed %v", names)
@@ -69,15 +77,15 @@ func TestNegativeDurationPanics(t *testing.T) {
 			t.Error("negative duration should panic")
 		}
 	}()
-	d.LaunchKernel("k", -1, nil, nil)
+	d.LaunchKernel("k", -1, nil, sim.Handle{})
 }
 
 func TestCompletionCallbackCanEnqueue(t *testing.T) {
 	eng, d := newDev(true)
 	var secondEnd sim.Time
-	d.LaunchKernel("a", 1, nil, func() {
-		d.LaunchKernel("b", 1, nil, func() { secondEnd = eng.Now() })
-	})
+	d.LaunchKernel("a", 1, nil, on(func() {
+		d.LaunchKernel("b", 1, nil, on(func() { secondEnd = eng.Now() }))
+	}))
 	eng.Run()
 	if math.Abs(secondEnd-2) > 1e-12 {
 		t.Errorf("chained kernel ended at %v, want 2", secondEnd)
@@ -89,7 +97,7 @@ func TestNoiseDeterministicPerSeed(t *testing.T) {
 		eng := sim.New()
 		d := New(eng, machine.TestbedII(), seed, false)
 		var end sim.Time
-		d.LaunchKernel("k", 1.0, nil, func() { end = eng.Now() })
+		d.LaunchKernel("k", 1.0, nil, on(func() { end = eng.Now() }))
 		eng.Run()
 		return end
 	}
@@ -144,8 +152,8 @@ func TestTransferAndComputeOverlap(t *testing.T) {
 	tb := d.Testbed()
 	bytes := int64(tb.H2D.BandwidthBps) // ~1 second of transfer
 	var kernelEnd, xferEnd sim.Time
-	d.LaunchKernel("k", 1.0, nil, func() { kernelEnd = eng.Now() })
-	d.Link().Submit(machine.H2D, bytes, func() { xferEnd = eng.Now() })
+	d.LaunchKernel("k", 1.0, nil, on(func() { kernelEnd = eng.Now() }))
+	d.Link().Submit(machine.H2D, bytes, on(func() { xferEnd = eng.Now() }))
 	end := eng.Run()
 	if kernelEnd == 0 || xferEnd == 0 {
 		t.Fatal("callbacks missing")

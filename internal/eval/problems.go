@@ -311,3 +311,60 @@ func DaxpyPerfSet(fast bool) []Problem {
 	}
 	return out
 }
+
+// CampaignCells builds the campaign benchmark's timing-only work-list: a
+// tile-size sweep of every level-3 library over square dgemm problems
+// across the host/device location combinations, plus a CoCoPeLia daxpy
+// sweep — the same cell shapes the Fig. 4-7 campaigns are made of, scaled
+// to run in seconds rather than minutes. The full list is 114 cells firing 4,393,143
+// events; smoke is a one-size, one-library subset.
+func CampaignCells(smoke bool) []MeasureCell {
+	sizes := []int{2048, 4096, 8192}
+	tiles := map[int][]int{
+		2048: {256, 512, 1024},
+		4096: {256, 512, 1024, 2048},
+		8192: {256, 512, 1024, 2048},
+	}
+	if smoke {
+		sizes = []int{512}
+		tiles = map[int][]int{512: {128, 256}}
+	}
+	combos := [][]model.Loc{
+		{model.OnHost, model.OnHost, model.OnHost},
+		{model.OnDevice, model.OnHost, model.OnHost},
+		{model.OnDevice, model.OnDevice, model.OnHost},
+	}
+	libs := []Lib{LibCoCoPeLia, LibNoReuse, LibCuBLASXt}
+	if smoke {
+		libs = []Lib{LibCoCoPeLia}
+	}
+	var cells []MeasureCell
+	for _, s := range sizes {
+		for _, locs := range combos {
+			p := Problem{
+				Routine: "dgemm", Dtype: kernelmodel.F64, M: s, N: s, K: s,
+				Locs: append([]model.Loc(nil), locs...), Tag: "square",
+			}
+			for _, lib := range libs {
+				for _, T := range tiles[s] {
+					cells = append(cells, MeasureCell{Lib: lib, P: p, T: T})
+				}
+			}
+			if !smoke {
+				cells = append(cells, MeasureCell{Lib: LibBLASX, P: p, T: 0})
+			}
+		}
+	}
+	if !smoke {
+		for _, locs := range model.LocCombos(2) {
+			p := Problem{
+				Routine: "daxpy", Dtype: kernelmodel.F64, N: 32 << 20,
+				Locs: append([]model.Loc(nil), locs...), Tag: "vector",
+			}
+			for _, T := range []int{1 << 20, 4 << 20} {
+				cells = append(cells, MeasureCell{Lib: LibCoCoPeLia, P: p, T: T})
+			}
+		}
+	}
+	return cells
+}

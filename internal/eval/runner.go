@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,6 +74,15 @@ type inflightCall struct {
 // simulate it exactly once (the other callers block until the first
 // finishes). It keeps no other cache: a cell's tile plan is built by its
 // first repetition, replayed by the rest and dropped with the cell.
+//
+// A cell's repetitions are independent seeded simulations, each on its own
+// pooled bundle, so Measure runs them concurrently through the parallel
+// package when cores are free: at most GOMAXPROCS goroutines simulate
+// this runner's cells at once, callers included, and with GOMAXPROCS = 1
+// repetitions run inline. MeasureBatch on a pool of more than one worker
+// keeps each cell's repetitions serial, because fanning out over cells
+// already fills the cores. Results are aggregated in repetition order, so
+// they are bit-identical either way.
 type Runner struct {
 	TB *machine.Testbed
 	// Reps is the number of averaged repetitions per measurement (the
@@ -101,6 +112,11 @@ type Runner struct {
 	misses atomic.Int64
 	waits  atomic.Int64
 	events atomic.Int64
+
+	// simulating counts the goroutines simulating this runner's cells:
+	// every caller inside measureCell plus the repetition goroutines it
+	// reserved (see reserveHelpers).
+	simulating atomic.Int32
 
 	phaseNS [numPhases]atomic.Int64
 
@@ -165,8 +181,11 @@ const (
 // PhaseSeconds reports the accumulated per-phase wall time of this
 // runner's repetitions: plan building, plan replay (enqueue), event-queue
 // advance, and everything else (operand setup plus the comparator
-// libraries that run to completion internally). All zero unless Clock is
-// set.
+// libraries that run to completion internally). Phases are summed over the
+// goroutines that run repetitions, so with concurrent repetitions their
+// total can exceed the elapsed wall time; the time a repetition spends
+// waiting for its cell's plan is charged to no phase. All zero unless
+// Clock is set.
 func (r *Runner) PhaseSeconds() (planBuild, enqueue, advance, other float64) {
 	const s = 1e-9
 	return float64(r.phaseNS[phasePlan].Load()) * s,
@@ -189,6 +208,14 @@ func (r *Runner) startLap() phaseLap {
 		return phaseLap{}
 	}
 	return phaseLap{r: r, mark: r.Clock()}
+}
+
+// skip restarts the interval without charging the time since the
+// previous lap to any phase.
+func (pc *phaseLap) skip() {
+	if pc.r != nil {
+		pc.mark = pc.r.Clock()
+	}
 }
 
 // lap charges the time since the previous lap (or startLap) to phase ph.
@@ -399,22 +426,54 @@ func (r *Runner) putBundle(b *simBundle) {
 	r.bundleMu.Unlock()
 }
 
-// runOnce executes one repetition and returns its result. For the
-// tile-scheduler libraries, *pl is the cell's plan: the first repetition
-// finds it nil and builds it, and later ones replay it as is (Enqueue
-// checks its key against the request on every call). The no-reuse
-// planner's slot count depends on free device memory, which is the same
-// on every repetition because the pooled bundle's reset restores it. The
-// whole simulation stack is pooled as a unit (reset-on-reuse is
-// indistinguishable from fresh — pinned by the sim package's reuse
-// property test and the campaign identity checks); no measurement state
-// leaks because every reset reseeds the noise streams and zeroes the
-// accounting. A failed repetition abandons its bundle rather than pooling
-// it: the engine, runtime or context may hold half-enqueued state whose
-// cleanup is not worth proving correct on an error path.
-func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64, pl **plan.Plan) (res operand.Result, err error) {
-	bd := r.bundle(seed)
+// cellPlan is the tile plan of one cell in flight: repetition 0 builds it,
+// compiles its replay tape and publishes it, and the other repetitions
+// wait for it.
+type cellPlan struct {
+	ready chan struct{}
+	once  sync.Once
+	pl    *plan.Plan
+}
+
+// publish records the plan, nil when repetition 0 failed before building
+// it, and releases the waiting repetitions. Only the first call counts.
+func (c *cellPlan) publish(pl *plan.Plan) {
+	c.once.Do(func() {
+		c.pl = pl
+		close(c.ready)
+	})
+}
+
+// wait blocks until repetition 0 publishes and returns its plan.
+func (c *cellPlan) wait() *plan.Plan {
+	<-c.ready
+	return c.pl
+}
+
+// errNoPlan stops a repetition whose cell's plan was never built; the cell
+// reports repetition 0's own error instead.
+var errNoPlan = errors.New("eval: repetition 0 failed before building the cell's plan")
+
+// runOnce executes one repetition on bd and returns its result. For the
+// tile-scheduler libraries, repetition 0 (first) builds the cell's plan,
+// compiles its replay tape and publishes both through cp; the others wait
+// for it and replay it as is (Enqueue checks its key against the request
+// on every call). The no-reuse planner's slot count depends on free device
+// memory, which is the same on every repetition because the pooled
+// bundle's reset restores it. The whole simulation stack is pooled as a
+// unit (reset-on-reuse is indistinguishable from fresh — pinned by the sim
+// package's reuse property test and the campaign identity checks); no
+// measurement state leaks because every reset reseeds the noise streams
+// and zeroes the accounting. A failed repetition abandons its bundle
+// rather than pooling it: the engine, runtime or context may hold
+// half-enqueued state whose cleanup is not worth proving correct on an
+// error path.
+func (r *Runner) runOnce(bd *simBundle, lib Lib, p Problem, T int, cp *cellPlan, first bool) (res operand.Result, err error) {
 	rt, ctx := bd.rt, bd.ctx
+	if first {
+		// However repetition 0 ends, the waiting repetitions are released.
+		defer cp.publish(nil)
+	}
 	defer func() {
 		r.events.Add(int64(bd.eng.Processed()))
 		if err == nil {
@@ -433,16 +492,23 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64, pl **plan.Plan) 
 		return operand.Result{}, err
 	}
 	pc.lap(phaseOther)
-	if *pl == nil {
-		if *pl, err = ctx.Plan(req); err != nil {
+	var pl *plan.Plan
+	if first {
+		if pl, err = ctx.Plan(req); err != nil {
 			return operand.Result{}, err
 		}
+		pl.TapeFor(&rt.Device().Testbed().GPU)
+		cp.publish(pl)
 		r.planBuilds.Add(1)
 	} else {
+		if pl = cp.wait(); pl == nil {
+			return operand.Result{}, errNoPlan
+		}
+		pc.skip()
 		r.planReplays.Add(1)
 	}
 	pc.lap(phasePlan)
-	pend, err := ctx.Enqueue(*pl, req)
+	pend, err := ctx.Enqueue(pl, req)
 	if err != nil {
 		return operand.Result{}, err
 	}
@@ -468,9 +534,20 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64, pl **plan.Plan) 
 // Results are cached by (testbed, lib, problem, T). Measure is safe for
 // concurrent use, and concurrent calls for the same cell simulate it
 // exactly once; errors are returned to every waiter but never cached.
+// The repetitions of a simulated cell run concurrently when cores are
+// free (see Runner).
 //
 //cocolint:hotpath
 func (r *Runner) Measure(lib Lib, p Problem, T int) (operand.Result, error) {
+	return r.measure(lib, p, T, true)
+}
+
+// measure is Measure with the repetition fan-out chosen by the caller:
+// campaigns turn it off when they fan out over a multi-worker pool
+// themselves.
+//
+//cocolint:hotpath
+func (r *Runner) measure(lib Lib, p Problem, T int, fanOut bool) (operand.Result, error) {
 	ck := cell(lib, p, T)
 	r.mu.Lock()
 	if res, ok := r.results[ck]; ok {
@@ -485,13 +562,13 @@ func (r *Runner) Measure(lib Lib, p Problem, T int) (operand.Result, error) {
 		return c.res, c.err
 	}
 	//lint:ignore hotpath cache miss simulates the cell (entered with r.mu held); each distinct cell pays it once per campaign
-	return r.measureMiss(ck, lib, p, T)
+	return r.measureMiss(ck, lib, p, T, fanOut)
 }
 
 // measureMiss is Measure's uncached path, entered with r.mu held: it
 // registers the in-flight call, simulates the cell and publishes the
 // result.
-func (r *Runner) measureMiss(ck cellKey, lib Lib, p Problem, T int) (operand.Result, error) {
+func (r *Runner) measureMiss(ck cellKey, lib Lib, p Problem, T int, fanOut bool) (operand.Result, error) {
 	c := &inflightCall{done: make(chan struct{})}
 	r.inflight[ck] = c
 	r.mu.Unlock()
@@ -499,7 +576,7 @@ func (r *Runner) measureMiss(ck cellKey, lib Lib, p Problem, T int) (operand.Res
 
 	// The string key is rendered only on this miss path: it feeds the
 	// per-repetition seed derivation, which must stay byte-identical.
-	c.res, c.err = r.measureCell(r.key(lib, p, T), lib, p, T)
+	c.res, c.err = r.measureCell(r.key(lib, p, T), lib, p, T, fanOut)
 
 	r.mu.Lock()
 	delete(r.inflight, ck)
@@ -511,30 +588,67 @@ func (r *Runner) measureMiss(ck cellKey, lib Lib, p Problem, T int) (operand.Res
 	return c.res, c.err
 }
 
-// measureCell executes the repetitions of one uncached cell and aggregates
-// them (see Measure for the semantics). The cell's plan lives here: the
-// first repetition builds it and every repetition replays it.
-func (r *Runner) measureCell(key string, lib Lib, p Problem, T int) (operand.Result, error) {
-	reps := r.Reps
-	if reps < 1 {
-		reps = 1
+// reserveHelpers reserves up to want extra repetition goroutines for a
+// caller already counted in r.simulating, as many as keep the count at or
+// below GOMAXPROCS, and returns how many it got.
+func (r *Runner) reserveHelpers(want int) int {
+	limit := int32(runtime.GOMAXPROCS(0))
+	for {
+		cur := r.simulating.Load()
+		n := min(int32(want), limit-cur)
+		if n <= 0 {
+			return 0
+		}
+		if r.simulating.CompareAndSwap(cur, cur+n) {
+			return int(n)
+		}
 	}
-	times := make([]float64, 0, reps)
-	var res operand.Result
-	var pl *plan.Plan
-	for i := 0; i < reps; i++ {
-		one, err := r.runOnce(lib, p, T, r.seedFor(key, i), &pl)
+}
+
+// measureCell executes the repetitions of one uncached cell and aggregates
+// them (see Measure for the semantics). With fanOut set, the repetitions
+// run concurrently on as many goroutines as reserveHelpers grants, each on
+// its own pooled bundle; otherwise they run in order on the caller's
+// goroutine. Repetition 0's bundle is taken before any other repetition
+// starts, and the results and errors are read in repetition order, so the
+// result, and the error a failed cell reports, do not depend on which
+// goroutine ran what.
+func (r *Runner) measureCell(key string, lib Lib, p Problem, T int, fanOut bool) (operand.Result, error) {
+	reps := max(r.Reps, 1)
+	r.simulating.Add(1)
+	defer r.simulating.Add(-1)
+	var pool *parallel.Pool
+	if fanOut {
+		if n := r.reserveHelpers(reps - 1); n > 0 {
+			defer r.simulating.Add(int32(-n))
+			pool = parallel.NewPool(1 + n)
+		}
+	}
+
+	cp := &cellPlan{ready: make(chan struct{})}
+	first := r.bundle(r.seedFor(key, 0))
+	errs := make([]error, reps)
+	ones, _ := parallel.Map(pool, make([]struct{}, reps), func(i int, _ struct{}) (operand.Result, error) {
+		bd := first
+		if i > 0 {
+			bd = r.bundle(r.seedFor(key, i))
+		}
+		one, err := r.runOnce(bd, lib, p, T, cp, i == 0)
+		errs[i] = err
+		return one, nil
+	})
+	for _, err := range errs {
 		if err != nil {
 			return operand.Result{}, fmt.Errorf("eval: %s on %s (T=%d): %w", lib, p.Name(), T, err)
 		}
-		times = append(times, one.Seconds)
-		if i == 0 {
-			res = one
-		} else {
-			res.Subkernels = max(res.Subkernels, one.Subkernels)
-			res.BytesH2D = max(res.BytesH2D, one.BytesH2D)
-			res.BytesD2H = max(res.BytesD2H, one.BytesD2H)
-		}
+	}
+	times := make([]float64, reps)
+	res := ones[0]
+	for i, one := range ones {
+		times[i] = one.Seconds
+		res.Subkernels = max(res.Subkernels, one.Subkernels)
+		res.BytesH2D = max(res.BytesH2D, one.BytesH2D)
+		res.BytesD2H = max(res.BytesD2H, one.BytesD2H)
 	}
 	res.Seconds = stats.Mean(times)
 	return res, nil
@@ -552,7 +666,9 @@ type MeasureCell struct {
 // Duplicate cells are deduplicated before fan-out. The first simulation
 // error cancels the batch and is returned. A nil pool prefetches serially
 // (the legacy execution order); the cached results are identical either
-// way because every cell's noise seed derives from its key alone.
+// way because every cell's noise seed derives from its key alone. On a
+// pool of more than one worker the fan-out over cells takes precedence,
+// and each cell's repetitions run serially on its worker.
 func (r *Runner) MeasureBatch(pool *parallel.Pool, cells []MeasureCell) error {
 	seen := make(map[cellKey]bool, len(cells))
 	uniq := make([]MeasureCell, 0, len(cells))
@@ -563,8 +679,9 @@ func (r *Runner) MeasureBatch(pool *parallel.Pool, cells []MeasureCell) error {
 			uniq = append(uniq, c)
 		}
 	}
+	fanOut := pool.Workers() <= 1
 	return parallel.ForEach(pool, uniq, func(_ int, c MeasureCell) error {
-		_, err := r.Measure(c.Lib, c.P, c.T)
+		_, err := r.measure(c.Lib, c.P, c.T, fanOut)
 		return err
 	})
 }

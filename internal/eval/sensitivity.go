@@ -62,14 +62,16 @@ func (c *Campaign) Sensitivity(size int, scales []float64) ([]SensitivityRow, er
 		tb.D2H.BandwidthBps *= scale
 
 		// Full pipeline on the hypothetical machine: deploy, select,
-		// measure. The inner steps run serially — the outer fan-out over
-		// scales already saturates the pool.
+		// measure. The deployment runs serially, and so do each cell's
+		// repetitions when the outer fan-out over scales runs on a
+		// multi-worker pool: it already saturates the cores.
 		cfg := microbench.DefaultConfig()
 		cfg.Workers = 1
 		dep := microbench.Run(&tb, cfg)
 		pred := predictor.New(dep)
 		runner := NewRunner(&tb)
 		runner.Reps = c.Runner.Reps
+		fanOut := c.Pool.Workers() <= 1
 
 		sel, err := pred.Select(model.DR, &prm)
 		if err != nil {
@@ -81,12 +83,12 @@ func (c *Campaign) Sensitivity(size int, scales []float64) ([]SensitivityRow, er
 			TModel:       sel.T,
 			TStatic:      Fig6StaticT,
 		}
-		staticRes, err := runner.Measure(LibCoCoPeLia, p, row.TStatic)
+		staticRes, err := runner.measure(LibCoCoPeLia, p, row.TStatic, fanOut)
 		if err != nil {
 			return SensitivityRow{}, err
 		}
 		row.GflopsStatic = staticRes.Gflops(p.M, p.N, p.K)
-		modelRes, err := runner.Measure(LibCoCoPeLia, p, sel.T)
+		modelRes, err := runner.measure(LibCoCoPeLia, p, sel.T, fanOut)
 		if err != nil {
 			return SensitivityRow{}, err
 		}
@@ -98,7 +100,7 @@ func (c *Campaign) Sensitivity(size int, scales []float64) ([]SensitivityRow, er
 		grid = append(grid, row.TStatic, sel.T)
 		best := math.Inf(1)
 		for _, T := range grid {
-			res, err := runner.Measure(LibCoCoPeLia, p, T)
+			res, err := runner.measure(LibCoCoPeLia, p, T, fanOut)
 			if err != nil {
 				return SensitivityRow{}, err
 			}

@@ -31,11 +31,10 @@ import (
 type Observer func(dir machine.LinkDir, start, end sim.Time, bytes int64)
 
 // transfer is one queued or in-flight copy. Transfers recycle through the
-// link free list at completion; the two scheduling closures are created
-// once per transfer object, so steady-state submissions allocate nothing.
+// link free list at completion, and completion reaches the submitter
+// through a handle, so a transfer holds no callback of its own and
+// steady-state submissions allocate nothing.
 type transfer struct {
-	link      *Link
-	dir       machine.LinkDir
 	bytes     int64
 	remaining float64 // bytes left to drain in the data phase
 	rate      float64 // current drain rate, bytes/s
@@ -43,22 +42,27 @@ type transfer struct {
 	dataStart sim.Time
 	updated   sim.Time // when `remaining` was last settled
 	inData    bool     // latency phase finished
-	done      func()
+	done      sim.Handle
 	complete  *sim.Event
-	enterFn   func() // cached: begins this transfer's data phase
-	finishFn  func() // cached: completes this transfer's direction
 }
 
-// channel is one direction of the link.
+// channel is one direction of the link. One transfer is active per
+// direction at a time, so the two engine callbacks that drive it (enterFn
+// ends the latency phase, finishFn completes the transfer) are created
+// once per channel.
 type channel struct {
-	params  machine.LinkParams
-	queue   []*transfer // FIFO ring over a reusable backing array
-	qHead   int
-	active  *transfer
-	busy    float64 // accumulated busy seconds (latency + data)
-	started sim.Time
-	bytes   int64 // total payload bytes completed
-	count   int64 // total transfers completed
+	params machine.LinkParams
+	// queue is a FIFO over a reusable backing array, qHead its head; it
+	// compacts like the device's compute queue (see device.Device).
+	queue    []*transfer
+	qHead    int
+	active   *transfer // nil when idle
+	busy     float64   // accumulated busy seconds (latency + data)
+	started  sim.Time
+	bytes    int64 // total payload bytes completed
+	count    int64 // total transfers completed
+	enterFn  func()
+	finishFn func()
 }
 
 // Link is the simulated interconnect. It must be driven by the same
@@ -81,8 +85,17 @@ func New(eng *sim.Engine, tb *machine.Testbed, noiseSigma float64, rng *rand.Ran
 		noise: noiseSigma,
 		rng:   rng,
 	}
-	l.dirs[machine.H2D] = &channel{params: tb.H2D}
-	l.dirs[machine.D2H] = &channel{params: tb.D2H}
+	for _, dir := range []machine.LinkDir{machine.H2D, machine.D2H} {
+		params := tb.H2D
+		if dir == machine.D2H {
+			params = tb.D2H
+		}
+		l.dirs[dir] = &channel{
+			params:   params,
+			enterFn:  func() { l.enterData(dir) },
+			finishFn: func() { l.finish(dir) },
+		}
+	}
 	return l
 }
 
@@ -101,9 +114,7 @@ func (l *Link) Reset(seed int64) {
 		l.rng.Seed(seed)
 	}
 	for _, c := range l.dirs {
-		for i := range c.queue {
-			c.queue[i] = nil
-		}
+		clear(c.queue)
 		c.queue = c.queue[:0]
 		c.qHead = 0
 		c.active = nil
@@ -126,42 +137,40 @@ func (l *Link) Stats(dir machine.LinkDir) Stats {
 	return Stats{BusySeconds: c.busy, Bytes: c.bytes, Transfers: c.count}
 }
 
-// Submit enqueues a transfer of the given size; onDone fires (as a
+// Submit enqueues a transfer of the given size; done is notified (as a
 // simulation event) when the last byte lands. Zero-byte transfers cost the
 // latency only. Negative sizes panic: they always indicate a caller bug.
+// The bandwidth noise is drawn at submission.
 //
 //cocolint:hotpath
-func (l *Link) Submit(dir machine.LinkDir, bytes int64, onDone func()) {
+func (l *Link) Submit(dir machine.LinkDir, bytes int64, done sim.Handle) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("link: negative transfer size %d", bytes))
 	}
-	t := l.allocTransfer(dir, bytes, onDone)
 	c := l.dirs[dir]
-	//lint:ignore hotpath per-direction queue compacts to length zero whenever it drains; the backing array grows only to the deepest backlog
+	if len(c.queue) == cap(c.queue) && 2*c.qHead >= len(c.queue) {
+		n := copy(c.queue, c.queue[c.qHead:])
+		clear(c.queue[n:])
+		c.queue, c.qHead = c.queue[:n], 0
+	}
+	t := l.allocTransfer()
+	t.bytes, t.remaining, t.bwFactor, t.done = bytes, float64(bytes), l.bwFactor(), done
+	//lint:ignore hotpath per-direction queue compacts whenever it drains or half of it has run; the backing array grows only to twice the deepest backlog
 	c.queue = append(c.queue, t)
 	if c.active == nil {
 		l.startNext(dir)
 	}
 }
 
-// allocTransfer returns a recycled (or fresh) transfer, drawing the
-// bandwidth noise at submission time exactly as before.
-func (l *Link) allocTransfer(dir machine.LinkDir, bytes int64, onDone func()) *transfer {
-	var t *transfer
+// allocTransfer returns a recycled (or fresh) zeroed transfer.
+func (l *Link) allocTransfer() *transfer {
 	if n := len(l.free); n > 0 {
-		t = l.free[n-1]
+		t := l.free[n-1]
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
-		t.rate, t.dataStart, t.updated = 0, 0, 0
-		t.inData = false
-	} else {
-		t = &transfer{link: l}
-		t.enterFn = func() { t.link.enterData(t.dir, t) }
-		t.finishFn = func() { t.link.finish(t.dir) }
+		return t
 	}
-	t.dir, t.bytes, t.remaining = dir, bytes, float64(bytes)
-	t.done, t.bwFactor = onDone, l.bwFactor()
-	return t
+	return &transfer{}
 }
 
 // bwFactor draws the per-transfer bandwidth noise.
@@ -189,21 +198,21 @@ func (l *Link) startNext(dir machine.LinkDir) {
 		}
 		return
 	}
-	t := c.queue[c.qHead]
+	c.active = c.queue[c.qHead]
 	c.queue[c.qHead] = nil
 	c.qHead++
 	if c.qHead == len(c.queue) {
 		c.queue = c.queue[:0]
 		c.qHead = 0
 	}
-	c.active = t
 	c.started = l.eng.Now()
-	l.eng.After(c.params.LatencyS, t.enterFn)
+	l.eng.After(c.params.LatencyS, c.enterFn)
 }
 
-// enterData moves a transfer from its latency phase into the fluid data
-// phase and recomputes rates on both directions.
-func (l *Link) enterData(dir machine.LinkDir, t *transfer) {
+// enterData moves dir's active transfer from its latency phase into the
+// fluid data phase and recomputes rates on both directions.
+func (l *Link) enterData(dir machine.LinkDir) {
+	t := l.dirs[dir].active
 	t.inData = true
 	t.dataStart = l.eng.Now()
 	t.updated = l.eng.Now()
@@ -264,7 +273,7 @@ func (l *Link) replanOne(dir machine.LinkDir, c *channel, t *transfer, now sim.T
 	if t.complete != nil && t.complete.Pending() {
 		l.eng.Reschedule(t.complete, finish)
 	} else {
-		t.complete = l.eng.Schedule(finish, t.finishFn)
+		t.complete = l.eng.Schedule(finish, c.finishFn)
 	}
 }
 
@@ -285,9 +294,6 @@ func (l *Link) finish(dir machine.LinkDir) {
 	}
 	now := l.eng.Now()
 	c.active = nil
-	// The completion event has fired; the engine may recycle it, so the
-	// reference must not outlive this call.
-	t.complete = nil
 	c.busy += now - c.started
 	c.bytes += t.bytes
 	c.count++
@@ -295,14 +301,14 @@ func (l *Link) finish(dir machine.LinkDir) {
 		l.observer(dir, t.dataStart, now, t.bytes)
 	}
 	// The opposite direction speeds up now that we are done. The transfer
-	// recycles before its completion callback runs (the callback is saved
-	// locally), so a callback that submits more transfers may reuse it.
+	// recycles before its completion handle is notified (the handle is saved
+	// locally), so a submitter that queues more transfers may reuse it. Its
+	// completion event has fired and the engine may recycle it, so the
+	// reference is dropped with the rest of the transfer.
 	l.replan()
 	l.startNext(dir)
 	done := t.done
-	t.done = nil
+	*t = transfer{}
 	l.free = append(l.free, t)
-	if done != nil {
-		done()
-	}
+	done.Fire()
 }

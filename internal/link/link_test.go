@@ -18,6 +18,14 @@ func testbed(lat float64) *machine.Testbed {
 	return tb
 }
 
+// fnDone adapts a test closure to a completion receiver.
+type fnDone func()
+
+func (f fnDone) Complete(int32) { f() }
+
+// on wraps fn as a completion handle.
+func on(fn func()) sim.Handle { return sim.Handle{To: fnDone(fn)} }
+
 func almost(t *testing.T, got, want, tol float64, what string) {
 	t.Helper()
 	if math.Abs(got-want) > tol {
@@ -29,7 +37,7 @@ func TestSingleTransferTime(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testbed(1e-5), 0, nil)
 	var doneAt sim.Time
-	l.Submit(machine.H2D, 1e9, func() { doneAt = eng.Now() })
+	l.Submit(machine.H2D, 1e9, on(func() { doneAt = eng.Now() }))
 	eng.Run()
 	almost(t, doneAt, 1.00001, 1e-12, "h2d 1GB at 1GB/s + 10us latency")
 }
@@ -38,7 +46,7 @@ func TestZeroByteTransfer(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testbed(5e-6), 0, nil)
 	var doneAt sim.Time
-	l.Submit(machine.D2H, 0, func() { doneAt = eng.Now() })
+	l.Submit(machine.D2H, 0, on(func() { doneAt = eng.Now() }))
 	eng.Run()
 	almost(t, doneAt, 5e-6, 1e-15, "zero-byte transfer costs latency only")
 }
@@ -49,7 +57,7 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Error("negative size should panic")
 		}
 	}()
-	New(sim.New(), testbed(0), 0, nil).Submit(machine.H2D, -1, nil)
+	New(sim.New(), testbed(0), 0, nil).Submit(machine.H2D, -1, sim.Handle{})
 }
 
 func TestSameDirectionSerializesFIFO(t *testing.T) {
@@ -59,10 +67,10 @@ func TestSameDirectionSerializesFIFO(t *testing.T) {
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		l.Submit(machine.H2D, 1e9, func() {
+		l.Submit(machine.H2D, 1e9, on(func() {
 			order = append(order, i)
 			times = append(times, eng.Now())
-		})
+		}))
 	}
 	eng.Run()
 	for i := 0; i < 3; i++ {
@@ -81,8 +89,8 @@ func TestFullBidirectionalSlowdown(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testbed(0), 0, nil)
 	var h2dAt, d2hAt sim.Time
-	l.Submit(machine.H2D, 1e9, func() { h2dAt = eng.Now() })
-	l.Submit(machine.D2H, 1e9, func() { d2hAt = eng.Now() })
+	l.Submit(machine.H2D, 1e9, on(func() { h2dAt = eng.Now() }))
+	l.Submit(machine.D2H, 1e9, on(func() { d2hAt = eng.Now() }))
 	eng.Run()
 	almost(t, h2dAt, 2.0, 1e-9, "h2d under contention")
 	almost(t, d2hAt, 2.5, 1e-9, "d2h piecewise")
@@ -96,8 +104,8 @@ func TestPartialOverlapMatchesEq3(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testbed(0), 0, nil)
 	var h2dAt, d2hAt sim.Time
-	l.Submit(machine.H2D, 1e9, func() { h2dAt = eng.Now() })
-	l.Submit(machine.D2H, 25e7, func() { d2hAt = eng.Now() })
+	l.Submit(machine.H2D, 1e9, on(func() { h2dAt = eng.Now() }))
+	l.Submit(machine.D2H, 25e7, on(func() { d2hAt = eng.Now() }))
 	eng.Run()
 	almost(t, d2hAt, 1.0, 1e-9, "short d2h")
 	almost(t, h2dAt, 1.5, 1e-9, "long h2d piecewise (Eq. 3)")
@@ -112,9 +120,9 @@ func TestLateOppositeArrivalSlowsInFlight(t *testing.T) {
 	tb := testbed(0)
 	l := New(eng, tb, 0, nil)
 	var h2dAt sim.Time
-	l.Submit(machine.H2D, 1e9, func() { h2dAt = eng.Now() })
+	l.Submit(machine.H2D, 1e9, on(func() { h2dAt = eng.Now() }))
 	eng.Schedule(0.5, func() {
-		l.Submit(machine.D2H, 125e6, nil)
+		l.Submit(machine.D2H, 125e6, sim.Handle{})
 	})
 	eng.Run()
 	almost(t, h2dAt, 1.25, 1e-9, "in-flight h2d slowed by late d2h")
@@ -132,9 +140,9 @@ func TestObserverAndStats(t *testing.T) {
 			t.Error("observer interval reversed")
 		}
 	})
-	l.Submit(machine.H2D, 1000, nil)
-	l.Submit(machine.H2D, 2000, nil)
-	l.Submit(machine.D2H, 500, nil)
+	l.Submit(machine.H2D, 1000, sim.Handle{})
+	l.Submit(machine.H2D, 2000, sim.Handle{})
+	l.Submit(machine.D2H, 500, sim.Handle{})
 	eng.Run()
 	if len(observed) != 2 || observed[0] != 1000 || observed[1] != 2000 {
 		t.Errorf("observer saw %v", observed)
@@ -156,7 +164,7 @@ func TestNoiseDeterminism(t *testing.T) {
 		eng := sim.New()
 		l := New(eng, testbed(0), 0.05, rand.New(rand.NewSource(42)))
 		var at sim.Time
-		l.Submit(machine.H2D, 1e8, func() { at = eng.Now() })
+		l.Submit(machine.H2D, 1e8, on(func() { at = eng.Now() }))
 		return func() sim.Time { eng.Run(); return at }()
 	}
 	if run() != run() {
@@ -169,10 +177,10 @@ func TestNoiseVariesAcrossTransfers(t *testing.T) {
 	l := New(eng, testbed(0), 0.05, rand.New(rand.NewSource(1)))
 	var t1, t2 sim.Time
 	start2 := sim.Time(0)
-	l.Submit(machine.H2D, 1e8, func() { t1 = eng.Now() })
+	l.Submit(machine.H2D, 1e8, on(func() { t1 = eng.Now() }))
 	eng.Schedule(10, func() {
 		start2 = eng.Now()
-		l.Submit(machine.H2D, 1e8, func() { t2 = eng.Now() - start2 })
+		l.Submit(machine.H2D, 1e8, on(func() { t2 = eng.Now() - start2 }))
 	})
 	eng.Run()
 	if t1 == t2 {
@@ -193,7 +201,7 @@ func TestBusyConservationUncontended(t *testing.T) {
 	l := New(eng, testbed(0), 0, nil)
 	const n = 7
 	for i := 0; i < n; i++ {
-		l.Submit(machine.H2D, 3e8, nil)
+		l.Submit(machine.H2D, 3e8, sim.Handle{})
 	}
 	eng.Run()
 	st := l.Stats(machine.H2D)

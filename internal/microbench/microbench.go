@@ -160,7 +160,14 @@ type runner struct {
 	tb  *machine.Testbed
 	eng *sim.Engine
 	dev *device.Device
+	end sim.Time // completion time of the last probed transfer or kernel
 }
+
+// Complete records the completion time of the probed transfer or kernel.
+func (r *runner) Complete(int32) { r.end = r.eng.Now() }
+
+// probe is the completion handle of a probed transfer or kernel.
+func (r *runner) probe() sim.Handle { return sim.Handle{To: r} }
 
 func newRunner(tb *machine.Testbed, cfg Config, seed int64) *runner {
 	eng := sim.New()
@@ -196,10 +203,9 @@ func (r *runner) measure(fn func() float64) float64 {
 // clock.
 func (r *runner) timedTransfer(dir machine.LinkDir, bytes int64) float64 {
 	start := r.eng.Now()
-	var end sim.Time
-	r.dev.Link().Submit(dir, bytes, func() { end = r.eng.Now() })
+	r.dev.Link().Submit(dir, bytes, r.probe())
 	r.eng.Run()
-	return end - start
+	return r.end - start
 }
 
 // timedTransferBid runs one transfer while the opposite direction is kept
@@ -208,20 +214,20 @@ func (r *runner) timedTransferBid(dir machine.LinkDir, bytes int64) float64 {
 	opposite := otherDir(dir)
 	// Saturate the opposite direction with a transfer several times
 	// larger, submitted first so it is in its data phase throughout.
-	r.dev.Link().Submit(opposite, bytes*8, nil)
-	var start, end sim.Time
+	r.dev.Link().Submit(opposite, bytes*8, sim.Handle{})
+	var start sim.Time
 	started := false
 	// Submit the measured transfer after the opposite's latency phase.
 	r.eng.After(r.tb.Link(opposite).LatencyS*2, func() {
 		start = r.eng.Now()
 		started = true
-		r.dev.Link().Submit(dir, bytes, func() { end = r.eng.Now() })
+		r.dev.Link().Submit(dir, bytes, r.probe())
 	})
 	r.eng.Run()
 	if !started {
 		panic("microbench: bidirectional probe never started")
 	}
-	return end - start
+	return r.end - start
 }
 
 func otherDir(dir machine.LinkDir) machine.LinkDir {
@@ -292,10 +298,9 @@ func assembleFit(dirName string, vals map[string]float64) TransferFit {
 // returns its measured (noisy) duration.
 func (r *runner) timedKernel(name string, baseDuration float64) float64 {
 	start := r.eng.Now()
-	var end sim.Time
-	r.dev.LaunchKernel(name, baseDuration, nil, func() { end = r.eng.Now() })
+	r.dev.LaunchKernel(name, baseDuration, nil, r.probe())
 	r.eng.Run()
-	return end - start
+	return r.end - start
 }
 
 // mcell is one independent measurement cell of the deployment campaign:

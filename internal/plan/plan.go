@@ -240,7 +240,7 @@ type Plan struct {
 
 	// tape caches the plan's precompiled timing-only replay tape (see
 	// tape.go). Plans with a compiled tape must not be copied by value.
-	tape tapeSlot
+	tape tapeCache
 }
 
 // NumArgs returns the number of operand bindings the plan expects.

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
@@ -39,19 +39,19 @@ const (
 	tKernel
 )
 
-// tapeNames is the kernel-name table a tapeOp's kernel kind and dtype
-// (kernelmodel.F64, kernelmodel.F32) index; keeping the string out of the
-// op makes the instruction array pointer-free, so tapes are never scanned
-// by the garbage collector and their arenas zero faster.
-var tapeNames = [...][2]string{
-	KGemm:     {"dgemm", "sgemm"},
-	KGemv:     {"gemv", "gemv"},
-	KAxpy:     {"daxpy", "daxpy"},
-	KDispatch: {"dispatch", "dispatch"},
-	KPotrf:    {"dpotrf", "spotrf"},
-	KGetrf:    {"dgetrf", "sgetrf"},
-	KTrsm:     {"dtrsm", "strsm"},
-	KSyrk:     {"dsyrk", "ssyrk"},
+// tapeNames maps a tapeOp's kernel kind and dtype (kernelmodel.F64,
+// kernelmodel.F32) to the runtime's kernel-name index; keeping the string
+// out of the op makes the instruction array pointer-free, so tapes are
+// never scanned by the garbage collector and their arenas zero faster.
+var tapeNames = [...][2]cudart.KernelName{
+	KGemm:     {cudart.NameDgemm, cudart.NameSgemm},
+	KGemv:     {cudart.NameGemv, cudart.NameGemv},
+	KAxpy:     {cudart.NameDaxpy, cudart.NameDaxpy},
+	KDispatch: {cudart.NameDispatch, cudart.NameDispatch},
+	KPotrf:    {cudart.NameDpotrf, cudart.NameSpotrf},
+	KGetrf:    {cudart.NameDgetrf, cudart.NameSgetrf},
+	KTrsm:     {cudart.NameDtrsm, cudart.NameStrsm},
+	KSyrk:     {cudart.NameDsyrk, cudart.NameSsyrk},
 }
 
 // tapeOp is one precompiled instruction.
@@ -68,16 +68,21 @@ type tapeOp struct {
 }
 
 // TapeFor returns the plan's replay tape for the given GPU model,
-// compiling and caching it on first use. The cache is a single atomic
-// slot: every runner replays a plan on one testbed, and a racing
-// recompile produces an identical tape (compilation is pure), so last
-// write wins safely.
+// compiling and caching it on first use. It compiles at most once per
+// (plan, GPU model), even when concurrent replays ask for the same tape
+// first: one caller compiles under the cache's lock and the others wait
+// for its tape, so every caller gets the same pointer.
 func (p *Plan) TapeFor(gpu *machine.GPUSpec) *Tape {
-	if t := p.tape.Load(); t != nil && t.gpu == gpu {
-		return t
+	c := &p.tape
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range c.tapes {
+		if t.gpu == gpu {
+			return t
+		}
 	}
 	t := compileTape(p, gpu)
-	p.tape.Store(t)
+	c.tapes = append(c.tapes, t)
 	return t
 }
 
@@ -190,7 +195,7 @@ func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
 			for _, d := range deps[o.depOff : o.depOff+o.depN] {
 				h2d.WaitEvent(events[d])
 			}
-			ev := h2d.TransferOp(o.dir, o.bytes, e.slots[o.slot])
+			ev := h2d.TransferOp(o.dir, o.bytes)
 			if o.ev >= 0 {
 				events[o.ev] = ev
 			}
@@ -198,7 +203,7 @@ func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
 			for _, d := range deps[o.depOff : o.depOff+o.depN] {
 				d2h.WaitEvent(events[d])
 			}
-			ev := d2h.TransferOp(o.dir, o.bytes, e.slots[o.slot])
+			ev := d2h.TransferOp(o.dir, o.bytes)
 			if o.ev >= 0 {
 				events[o.ev] = ev
 			}
@@ -222,6 +227,10 @@ func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
 	return e.pooled, nil
 }
 
-// tapeSlot is the Plan field backing TapeFor's cache. The alias lives here
-// (not in plan.go) so the atomic dependency stays with the tape code.
-type tapeSlot = atomic.Pointer[Tape]
+// tapeCache is the Plan field backing TapeFor: the compiled tapes, one per
+// GPU model, guarded by mu. It lives here (not in plan.go) so the
+// synchronization stays with the tape code.
+type tapeCache struct {
+	mu    sync.Mutex
+	tapes []*Tape
+}

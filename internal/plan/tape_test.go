@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"cocopelia/internal/blas"
@@ -50,5 +51,47 @@ func TestKernelSecondsMatchesTape(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTapeForCompilesOnce pins the tape cache under concurrent first use:
+// every caller gets the same tape, the cache holds one tape per GPU model,
+// and returning to a GPU model reuses its tape.
+func TestTapeForCompilesOnce(t *testing.T) {
+	p := BuildCholesky(CholeskySpec{Dtype: kernelmodel.F64, N: 2048, LocA: model.OnHost, T: 256})
+	gpuI, gpuII := &machine.TestbedI().GPU, &machine.TestbedII().GPU
+
+	const callers = 16
+	tapes := make([]*Tape, callers)
+	var ready, done sync.WaitGroup
+	ready.Add(1)
+	for i := range tapes {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Wait()
+			tapes[i] = p.TapeFor(gpuI)
+		}()
+	}
+	ready.Done()
+	done.Wait()
+	for i, tp := range tapes {
+		if tp != tapes[0] {
+			t.Fatalf("caller %d got tape %p, caller 0 got %p", i, tp, tapes[0])
+		}
+	}
+	if n := len(p.tape.tapes); n != 1 {
+		t.Errorf("%d concurrent first uses cached %d tapes, want 1", callers, n)
+	}
+
+	other := p.TapeFor(gpuII)
+	if other == tapes[0] || p.TapeFor(gpuII) != other {
+		t.Error("a second GPU model must get its own cached tape")
+	}
+	if p.TapeFor(gpuI) != tapes[0] {
+		t.Error("returning to the first GPU model recompiled its tape")
+	}
+	if n := len(p.tape.tapes); n != 2 {
+		t.Errorf("two GPU models cached %d tapes, want 2", n)
 	}
 }

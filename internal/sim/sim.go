@@ -462,3 +462,26 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	}
 	return fired
 }
+
+// Completer receives handle-typed completions. Hardware models built on the
+// engine (the copy engines, the compute engine) notify a submitter through
+// a Completer and the int32 slot it chose, instead of through a closure per
+// submission, so a submitter with many in-flight operations needs no
+// per-operation callback object.
+type Completer interface {
+	Complete(slot int32)
+}
+
+// Handle names one completion: a receiver plus the slot it is notified
+// with. The zero Handle notifies nobody.
+type Handle struct {
+	To   Completer
+	Slot int32
+}
+
+// Fire notifies the handle's receiver, if any.
+func (h Handle) Fire() {
+	if h.To != nil {
+		h.To.Complete(h.Slot)
+	}
+}
