@@ -52,8 +52,9 @@ import (
 
 // entry is one benchmark measurement in the output JSON. Kernel names the
 // micro-kernel variant that actually ran (naive, generic, avx, avx512,
-// fma-avx2, neon — see internal/blas/registry.go), so a committed baseline
-// records which numerics produced its numbers.
+// fma-avx2, neon — see internal/blas/registry.go — or solve8, the TRSM
+// rows' eight-side substitution), so a committed baseline records which
+// numerics produced its numbers.
 type entry struct {
 	Routine string  `json:"routine"`
 	Dtype   string  `json:"dtype"`
@@ -176,35 +177,49 @@ func runBlas(out string, sizes []int, reps int, checkPath string) error {
 		c := make([]float64, n*n)
 		a32, b32 := toF32(a), toF32(b)
 		c32 := make([]float32, n*n)
+		// The TRSM rows solve L*X = B for n right-hand sides with a
+		// well-conditioned lower triangle L, restoring B before each solve.
+		tri := lowerTriangle(a, n)
 
+		gemmFlops := 2 * float64(n) * float64(n) * float64(n)
+		trsmFlops := float64(n) * float64(n) * float64(n)
 		runs := []struct {
 			routine string
 			dtype   string
 			kernel  string
 			workers int
+			flops   float64
 			call    func() error
 		}{
-			{"dgemm-naive", "f64", "naive", 1, func() error {
+			{"dgemm-naive", "f64", "naive", 1, gemmFlops, func() error {
 				return blas.GemmNaive(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"dgemm", "f64", exact64, 1, func() error {
+			{"dgemm", "f64", exact64, 1, gemmFlops, func() error {
 				return blas.Dgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"dgemm-fma", "f64", fma64, 1, func() error {
+			{"dgemm-fma", "f64", fma64, 1, gemmFlops, func() error {
 				return blas.GemmPolicy(blas.KernelFMA, blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"dgemm-parallel", "f64", exact64, workers, func() error {
+			{"dgemm-parallel", "f64", exact64, workers, gemmFlops, func() error {
 				return blas.GemmParallel(pool, blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"sgemm", "f32", exact32, 1, func() error {
+			{"sgemm", "f32", exact32, 1, gemmFlops, func() error {
 				return blas.Sgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, a32, n, b32, n, 0, c32, n)
 			}},
-			{"sgemm-fma", "f32", fma32, 1, func() error {
+			{"sgemm-fma", "f32", fma32, 1, gemmFlops, func() error {
 				return blas.GemmPolicy(blas.KernelFMA, blas.NoTrans, blas.NoTrans, n, n, n, 1, a32, n, b32, n, 0, c32, n)
+			}},
+			{"dtrsm", "f64", "solve8", 1, trsmFlops, func() error {
+				copy(c, b)
+				return blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, n, n, 1, tri, n, c, n)
+			}},
+			{"dtrsm-parallel", "f64", "solve8", workers, trsmFlops, func() error {
+				copy(c, b)
+				return blas.TrsmParallel(pool, blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, n, n, 1, tri, n, c, n)
 			}},
 		}
 		for _, r := range runs {
-			e, err := measure(r.routine, n, r.workers, reps, r.call)
+			e, err := measure(r.routine, n, r.workers, reps, r.flops, r.call)
 			if err != nil {
 				return fmt.Errorf("%s n=%d: %w", r.routine, n, err)
 			}
@@ -728,7 +743,7 @@ func writeJSON(path string, v any) error {
 }
 
 // measure times call (after one warm-up) and keeps the best of reps.
-func measure(routine string, n, workers, reps int, call func() error) (entry, error) {
+func measure(routine string, n, workers, reps int, flops float64, call func() error) (entry, error) {
 	if err := call(); err != nil {
 		return entry{}, err
 	}
@@ -743,7 +758,6 @@ func measure(routine string, n, workers, reps int, call func() error) (entry, er
 		}
 	}
 	sec := best.Seconds()
-	flops := 2 * float64(n) * float64(n) * float64(n)
 	return entry{Routine: routine, Size: n, Workers: workers, Reps: reps,
 		Seconds: sec, Gflops: flops / sec / 1e9}, nil
 }
@@ -773,6 +787,20 @@ func randMat(rng *rand.Rand, n int) []float64 {
 		m[i] = rng.NormFloat64()
 	}
 	return m
+}
+
+// lowerTriangle returns the lower triangle of the n x n matrix a scaled
+// by 1/n, with a diagonal of at least 2, so triangular solves with it stay
+// well conditioned.
+func lowerTriangle(a []float64, n int) []float64 {
+	l := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		for i := j + 1; i < n; i++ {
+			l[i+j*n] = a[i+j*n] / float64(n)
+		}
+		l[j+j*n] = 2 + math.Abs(a[j+j*n])
+	}
+	return l
 }
 
 func toF32(x []float64) []float32 {

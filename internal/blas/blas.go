@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"cocopelia/internal/parallel"
 )
 
 // Float is the element-type constraint of the generic kernels.
@@ -325,14 +327,9 @@ func Ger[F Float](m, n int, alpha F, x []F, incx int, y []F, incy int, a []F, ld
 // Syrk computes C = alpha*A*A^T + beta*C (trans=NoTrans) or
 // C = alpha*A^T*A + beta*C (trans=Trans) for the full n x n matrix C
 // (both triangles are written; the framework has no packed storage).
+// It is SyrkParallelPolicy with a nil pool and KernelExact.
 func Syrk[F Float](trans byte, n, k int, alpha F, a []F, lda int, beta F, c []F, ldc int) error {
-	if err := checkTrans("syrk", trans); err != nil {
-		return err
-	}
-	if trans == NoTrans {
-		return Gemm(NoTrans, Trans, n, n, k, alpha, a, lda, a, lda, beta, c, ldc)
-	}
-	return Gemm(Trans, NoTrans, n, n, k, alpha, a, lda, a, lda, beta, c, ldc)
+	return SyrkParallelPolicy(nil, KernelExact, trans, n, k, alpha, a, lda, beta, c, ldc)
 }
 
 // Side and triangle flags for symm/trsm, matching the BLAS character
@@ -452,17 +449,27 @@ func Symm[F Float](side, uplo byte, m, n int, alpha F, a []F, lda int, b []F, ld
 
 // Trsm solves op(A)*X = alpha*B (side Left) or X*op(A) = alpha*B (side
 // Right) for X, overwriting B, where A is triangular per uplo/diag and
-// B is m x n.
+// B is m x n. It is TrsmParallel with a nil pool.
+func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda int, b []F, ldb int) error {
+	return TrsmParallel(nil, side, uplo, transA, diag, m, n, alpha, a, lda, b, ldb)
+}
+
+// TrsmParallel is Trsm with its right-hand sides split over the pool's
+// workers (a nil pool runs inline).
 //
 // Every side/trans combination reduces to solving E*x = alpha*y in place
 // for each column (side Left) or row (side Right) y of B, where E is
-// op(A) or op(A)^T. The effective triangle E is packed row-major so each dot
-// product is unit-stride, and eight right-hand sides are solved per pass
-// over E. Each element still receives its terms one rounded
+// op(A) or op(A)^T. The effective triangle E is packed row-major once, so
+// each dot product is unit-stride, and eight right-hand sides are solved
+// per pass over it. Each element still receives its terms one rounded
 // multiply-then-add at a time in increasing column order of E, then one
 // subtraction and (NonUnit) one division — the plain substitution loop's
 // exact operation sequence — so results are bitwise identical to it.
-func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda int, b []F, ldb int) error {
+// Right-hand sides are independent, so each worker solves a contiguous
+// range of whole eight-side groups against the shared packed triangle in
+// a panel of its own, and the result is bitwise identical at any worker
+// count.
+func TrsmParallel[F Float](p *parallel.Pool, side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda int, b []F, ldb int) error {
 	if side != Left && side != Right {
 		return badShape("trsm: bad side %q", side)
 	}
@@ -497,21 +504,54 @@ func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda 
 	}
 	bufs := gemmBufPool.Get().(*gemmBuffers)
 	defer gemmBufPool.Put(bufs)
-	e, p := packSlices[F](bufs, na*na, trsmRHS*na)
+	e, panel := packSlices[F](bufs, na*na, trsmRHS*na)
 	packTriangle(lower, rowsInA, na, a, lda, e)
 	// Right-hand side r is column r of B (side Left) or row r of B (side
 	// Right); element l of it sits at b[r*rStep + l*lStep].
-	rhs, rStep, lStep := n, ldb, 1
+	t := trsmSolve[F]{lower: lower, nonUnit: diag == NonUnit, k: na, alpha: alpha, e: e,
+		b: b, rStep: ldb, lStep: 1}
+	rhs := n
 	if side == Right {
-		rhs, rStep, lStep = m, 1, ldb
+		rhs, t.rStep, t.lStep = m, 1, ldb
 	}
-	for r := 0; r < rhs; r += trsmRHS {
-		w := min(trsmRHS, rhs-r)
-		gatherRHS(w, na, alpha, b[r*rStep:], rStep, lStep, p)
-		solveTriangle8(lower, diag == NonUnit, na, e, p)
-		scatterRHS(w, na, p, b[r*rStep:], rStep, lStep)
+	groups := (rhs + trsmRHS - 1) / trsmRHS
+	workers := min(p.Workers(), groups)
+	if workers <= 1 {
+		t.sides(0, rhs, panel)
+		return nil
 	}
-	return nil
+	// One contiguous range of whole groups per worker. The split only
+	// chooses who solves a side, never how.
+	shared := t // the workers' copy, so t stays off the heap on the inline path
+	return parallel.ForEach(p, splitUnits(rhs, trsmRHS, workers), func(_ int, r span) error {
+		wb := gemmBufPool.Get().(*gemmBuffers)
+		defer gemmBufPool.Put(wb)
+		_, wp := packSlices[F](wb, 0, trsmRHS*na)
+		shared.sides(r.lo, r.hi, wp)
+		return nil
+	})
+}
+
+// trsmSolve is one Trsm call's packed triangle E (k x k, see
+// packTriangle) and its right-hand sides: side r's element l is
+// b[r*rStep+l*lStep].
+type trsmSolve[F Float] struct {
+	lower, nonUnit bool
+	k              int
+	alpha          F
+	e, b           []F
+	rStep, lStep   int
+}
+
+// sides solves right-hand sides [lo, hi) in groups of trsmRHS through the
+// interleaved panel p (trsmRHS*k elements).
+func (t trsmSolve[F]) sides(lo, hi int, p []F) {
+	for r := lo; r < hi; r += trsmRHS {
+		w := min(trsmRHS, hi-r)
+		gatherRHS(w, t.k, t.alpha, t.b[r*t.rStep:], t.rStep, t.lStep, p)
+		solveTriangle8(t.lower, t.nonUnit, t.k, t.e, p)
+		scatterRHS(w, t.k, p, t.b[r*t.rStep:], t.rStep, t.lStep)
+	}
 }
 
 // trsmRHS is the number of right-hand sides Trsm solves per pass over the

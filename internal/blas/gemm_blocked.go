@@ -123,19 +123,27 @@ func GemmParallelPolicy[F Float](p *parallel.Pool, policy KernelPolicy, transA, 
 		gemmColumns(sel, transA, transB, m, 0, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return nil
 	}
-	// Split the column panels into one contiguous, NR-aligned range per
-	// worker. The split only chooses who computes a column, never how.
-	panelsPer := ((n+sel.nr-1)/sel.nr + workers - 1) / workers
-	type colRange struct{ lo, hi int }
-	ranges := make([]colRange, 0, workers)
-	for lo := 0; lo < n; lo += panelsPer * sel.nr {
-		ranges = append(ranges, colRange{lo, min(lo+panelsPer*sel.nr, n)})
-	}
-	return parallel.ForEach(p, ranges, func(_ int, r colRange) error {
+	// One contiguous, NR-aligned column range per worker. The split only
+	// chooses who computes a column, never how.
+	return parallel.ForEach(p, splitUnits(n, sel.nr, workers), func(_ int, r span) error {
 		scaleColumns(m, r.lo, r.hi, beta, c, ldc)
 		gemmColumns(sel, transA, transB, m, r.lo, r.hi, k, alpha, a, lda, b, ldb, c, ldc)
 		return nil
 	})
+}
+
+// span is the half-open index range [lo, hi).
+type span struct{ lo, hi int }
+
+// splitUnits splits [0, n) into at most workers contiguous spans of whole
+// units of the given width (the last span may end mid-unit at n).
+func splitUnits(n, unit, workers int) []span {
+	per := ((n+unit-1)/unit + workers - 1) / workers * unit
+	spans := make([]span, 0, workers)
+	for lo := 0; lo < n; lo += per {
+		spans = append(spans, span{lo, min(lo+per, n)})
+	}
+	return spans
 }
 
 // gemmColumns runs the blocked engine over C columns [jLo, jHi) on the

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"cocopelia/internal/parallel"
 )
 
 // Differential tests of the packed Trsm/Potrf/Getrf kernels against the
@@ -147,6 +149,50 @@ func TestTrsmPanelTailsBitwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTrsmParallelBitwise splits the right-hand sides of every
+// side/uplo/trans/diag combination over 1, 2 and 8 workers: side counts
+// below, at and past one trsmRHS group and ragged multi-group counts,
+// with a padded ldb, must match the oracle bit for bit at every width.
+func TestTrsmParallelBitwise(t *testing.T) {
+	pools := []*parallel.Pool{parallel.NewPool(1), parallel.NewPool(2), parallel.NewPool(8)}
+	seed := int64(9000)
+	for _, side := range []byte{Left, Right} {
+		for _, uplo := range []byte{Upper, Lower} {
+			for _, trans := range []byte{NoTrans, Trans} {
+				for _, diag := range []byte{NonUnit, Unit} {
+					for _, rhs := range []int{1, 7, 8, 9, 33, 130} {
+						m, n := 37, rhs
+						if side == Right {
+							m, n = rhs, 37
+						}
+						seed++
+						tc := triCase{side, uplo, trans, diag, m, n, 2, 3, 0.75}
+						for _, p := range pools {
+							runTrsmParallelCase[float64](t, p, tc, seed)
+							runTrsmParallelCase[float32](t, p, tc, seed)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func runTrsmParallelCase[F Float](t *testing.T, p *parallel.Pool, tc triCase, seed int64) {
+	t.Helper()
+	a, lda, b, ldb := trsmOperands[F](tc, rand.New(rand.NewSource(seed)))
+	want := append([]F(nil), b...)
+	if err := trsmRef(tc.side, tc.uplo, tc.trans, tc.diag, tc.m, tc.n, F(tc.alpha), a, lda, want, ldb); err != nil {
+		t.Fatalf("%s: oracle: %v", tc.name(), err)
+	}
+	if err := TrsmParallel(p, tc.side, tc.uplo, tc.trans, tc.diag, tc.m, tc.n, F(tc.alpha), a, lda, b, ldb); err != nil {
+		t.Fatalf("%s workers=%d: %v", tc.name(), p.Workers(), err)
+	}
+	if i := firstBitDiff(b, want); i >= 0 {
+		t.Fatalf("%s (%T) workers=%d: element %d = %v, oracle %v", tc.name(), b[0], p.Workers(), i, b[i], want[i])
 	}
 }
 

@@ -272,6 +272,8 @@ type Runtime struct {
 	outstanding int
 	streams     int
 	streamList  []*Stream
+	// payloadPool runs the GEMM, SYRK and TRSM payloads of backed
+	// buffers; New and Reset install a GOMAXPROCS-wide pool.
 	payloadPool *parallel.Pool
 	// payloadPolicy selects the CPU kernel numerics for backed payloads:
 	// the default blas.KernelExact keeps the bitwise oracle contract;
@@ -325,9 +327,10 @@ func (rt *Runtime) kernelTime(sh kernelmodel.Shape) float64 {
 	return rt.kt.Time(&rt.dev.Testbed().GPU, sh)
 }
 
-// New creates a runtime bound to a device.
+// New creates a runtime bound to a device. Its backed payloads run on a
+// GOMAXPROCS-wide pool (see SetPayloadPool).
 func New(dev *device.Device) *Runtime {
-	rt := &Runtime{dev: dev}
+	rt := &Runtime{dev: dev, payloadPool: parallel.NewPool(0)}
 	rt.startFn = rt.startRoot
 	return rt
 }
@@ -344,7 +347,7 @@ func (rt *Runtime) Reset(dev *device.Device) {
 	rt.dev = dev
 	rt.outstanding = 0
 	rt.streams = 0
-	rt.payloadPool = nil
+	rt.payloadPool = parallel.NewPool(0)
 	rt.payloadPolicy = blas.KernelExact
 	rt.payloadErr = nil
 	for i := range rt.streamList {
@@ -360,10 +363,11 @@ func (rt *Runtime) Reset(dev *device.Device) {
 	rt.rootHead = 0
 }
 
-// SetPayloadPool installs a worker pool for the functional GEMM payloads
-// of backed buffers. The blocked engine is bitwise deterministic across
-// worker counts, so the pool changes only wall-clock time, never results.
-// A nil pool (the default) runs payloads inline.
+// SetPayloadPool replaces the worker pool that runs the GEMM, SYRK and
+// TRSM payloads of backed buffers (a GOMAXPROCS-wide pool by default).
+// Those payloads are bitwise deterministic across worker counts, so the
+// pool changes only wall-clock time, never results. A nil pool runs
+// payloads inline. Timing-only runs never touch the pool.
 func (rt *Runtime) SetPayloadPool(p *parallel.Pool) { rt.payloadPool = p }
 
 // SetPayloadPolicy selects the CPU kernel numerics for backed payloads.

@@ -84,10 +84,10 @@ func (s *Stream) TrsmAsync(side, uplo, transA, diag byte, m, n int, alpha float6
 		payload = func() {
 			var err error
 			if dt == kernelmodel.F64 {
-				err = blas.Trsm(side, uplo, transA, diag, m, n, alpha,
+				err = blas.TrsmParallel(s.rt.payloadPool, side, uplo, transA, diag, m, n, alpha,
 					a.f64[offA:], lda, b.f64[offB:], ldb)
 			} else {
-				err = blas.Trsm(side, uplo, transA, diag, m, n, float32(alpha),
+				err = blas.TrsmParallel(s.rt.payloadPool, side, uplo, transA, diag, m, n, float32(alpha),
 					a.f32[offA:], lda, b.f32[offB:], ldb)
 			}
 			if err != nil {
@@ -119,9 +119,11 @@ func (s *Stream) SyrkAsync(uplo, trans byte, n, k int, alpha float64,
 		payload = func() {
 			var err error
 			if dt == kernelmodel.F64 {
-				err = blas.Syrk(trans, n, k, alpha, a.f64[offA:], lda, beta, c.f64[offC:], ldc)
+				err = blas.SyrkParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, trans, n, k, alpha,
+					a.f64[offA:], lda, beta, c.f64[offC:], ldc)
 			} else {
-				err = blas.Syrk(trans, n, k, float32(alpha), a.f32[offA:], lda, float32(beta), c.f32[offC:], ldc)
+				err = blas.SyrkParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, trans, n, k, float32(alpha),
+					a.f32[offA:], lda, float32(beta), c.f32[offC:], ldc)
 			}
 			if err != nil {
 				s.rt.payloadFailed("syrk", err)
