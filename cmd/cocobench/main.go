@@ -1,43 +1,62 @@
-// Command cocobench measures the two wall-clock throughput surfaces of the
-// simulator itself (not the simulated-GPU numbers the eval pipeline
-// produces):
+// Command cocobench measures the wall-clock throughput of the simulator
+// itself (not the simulated-GPU numbers the eval pipeline produces) in three
+// modes:
 //
-//   - the host BLAS payload engine (the blocked, packed GEMM of
-//     internal/blas) against the naive reference loop, as GFLOP/s per
-//     (routine, size) — this bounds functional-verification turnaround;
-//   - with -campaign, the discrete-event campaign pipeline itself, as
-//     cells/sec and events/sec over a timing-only measurement sweep —
-//     this bounds how fast tables and figures regenerate;
+//   - by default, the host BLAS payload engine (the blocked, packed GEMM and
+//     TRSM of internal/blas) against the naive reference loop, per (routine,
+//     size) — this bounds functional-verification turnaround;
+//   - with -campaign, the discrete-event campaign pipeline over a
+//     timing-only measurement sweep — this bounds how fast tables and
+//     figures regenerate;
 //   - with -factor, the tiled factorization planners (cholesky, lu, trsm)
 //     over the task-graph IR, recording each cell's simulated makespan and
-//     traffic plus the tile the library facade selects for each problem —
-//     the committed baseline pins the new planners' schedules and the
-//     selections exactly, the way the campaign baseline pins the flat gemm
-//     plans.
+//     traffic plus the tile the library facade selects for each problem.
+//
+// Every mode writes one report schema: a header and rows, each row a key,
+// exact fields, timing fields and labels (see row). Exact fields are
+// simulated outcomes and counters, the same on every host; timing fields
+// are wall-clock seconds, which do not carry from one host to another. The
+// two gates split by field kind:
+//
+//   - -check FILE compares the exact fields of a fresh run with a committed
+//     report, bit for bit, over the same set of rows. It prints the timings
+//     but never fails on them, so it passes at any host speed.
+//   - -against BASE runs the cocobench binary BASE and this one as fresh
+//     child processes with the same mode flags, alternately, gateRuns times
+//     each on this host, and fails if the median of any timing field is
+//     slower than the base median by more than the paired bound. It
+//     compares no exact fields: a change that alters the simulation on
+//     purpose re-records the committed reports.
 //
 // Examples:
 //
 //	cocobench                              # default sizes, results/bench-blas.json
-//	cocobench -sizes 256,512 -reps 5
+//	cocobench -sizes 256,512 -out /tmp/blas.json
 //	cocobench -smoke                       # one tiny size, sanity + CI smoke
 //	cocobench -campaign                    # DES sweep, results/bench-campaign.json
+//	cocobench -campaign -passes 1 -check results/bench-campaign.json
+//	cocobench -campaign -passes 2 -against /tmp/cocobench-base
 //	cocobench -campaign -cpuprofile results/campaign.pprof
-//	cocobench -factor                      # results/bench-factor.json
 //	cocobench -factor -check results/bench-factor.json
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -50,42 +69,70 @@ import (
 	"cocopelia/internal/parallel"
 )
 
-// entry is one benchmark measurement in the output JSON. Kernel names the
-// micro-kernel variant that actually ran (naive, generic, avx, avx512,
-// fma-avx2, neon — see internal/blas/registry.go — or solve8, the TRSM
-// rows' eight-side substitution), so a committed baseline records which
-// numerics produced its numbers.
-type entry struct {
-	Routine string  `json:"routine"`
-	Dtype   string  `json:"dtype"`
-	Kernel  string  `json:"kernel"`
-	Size    int     `json:"size"`
-	Workers int     `json:"workers"`
-	Reps    int     `json:"reps"`
-	Seconds float64 `json:"seconds"` // best-of-reps wall time per call
-	Gflops  float64 `json:"gflops"`
+// report is the one schema of every cocobench output. The header says what
+// ran where; Rows are in run order.
+type report struct {
+	Mode     string `json:"mode"`              // blas, campaign or factor
+	Testbed  string `json:"testbed,omitempty"` // simulated testbed (campaign, factor)
+	Arch     string `json:"arch,omitempty"`    // host GOARCH (blas)
+	MaxProcs int    `json:"maxprocs"`
+	GOGC     int    `json:"gogc,omitempty"` // pinned collector target (campaign)
+	Reps     int    `json:"reps"`
+	Rows     []row  `json:"rows"`
 }
 
-type report struct {
-	Arch    string  `json:"arch"`
-	Maxproc int     `json:"maxprocs"`
-	Entries []entry `json:"entries"`
+// row is one measured configuration, named by Key (e.g. campaign/callers=1,
+// dgemm/512, dpotrf/4096/T=512, select/dgetrf/8192). Exact fields are
+// simulated outcomes and counters; integer counters are exact in a float64
+// up to 2^53. Timing fields are wall-clock seconds, lower is better. Labels
+// describe the run, such as the BLAS kernel variant, and are never compared.
+// Rates derived from these (cells/s, GFLOP/s) are printed, not recorded.
+type row struct {
+	Key    string             `json:"key"`
+	Exact  map[string]float64 `json:"exact,omitempty"`
+	Timing map[string]float64 `json:"timing,omitempty"`
+	Labels map[string]string  `json:"labels,omitempty"`
 }
+
+const (
+	// blasReps is the number of timed calls per BLAS row (best is kept).
+	blasReps = 3
+	// gateRuns is the number of runs of each build in a paired gate. On a
+	// 2-vCPU host with a one-core busy loop beside it, a campaign phase
+	// scatters over a third of its median from one process to the next, and
+	// medians of fewer runs read below gateBound against the same build.
+	gateRuns = 15
+	// gateBound is the lowest base/head ratio of timing medians the paired
+	// gate accepts: the working tree may be at most 1/0.85 = 1.18x slower.
+	gateBound = 0.85
+	// gateSlack is added to each limit, so that scheduler jitter on a field
+	// of a few milliseconds (a campaign's plan_build phase, the BLAS calls
+	// below n=1024) cannot fail it on its own. It dominates the bound only
+	// for fields under about 20 ms.
+	gateSlack = 0.005
+)
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cocobench: ")
-	out := flag.String("out", "", "output JSON path (default per mode under results/)")
+	out := flag.String("out", "", "output JSON path (default results/bench-MODE.json); with -against, a directory for every run's report")
 	sizesFlag := flag.String("sizes", "256,512,1024,2048", "comma-separated square GEMM sizes")
-	reps := flag.Int("reps", 3, "repetitions per measurement (best is kept)")
 	smoke := flag.Bool("smoke", false, "tiny work-list, for CI sanity")
-	campaign := flag.Bool("campaign", false, "benchmark the DES campaign pipeline (cells/sec) instead of the BLAS payload engine")
+	campaign := flag.Bool("campaign", false, "benchmark the DES campaign pipeline instead of the BLAS payload engine")
 	factor := flag.Bool("factor", false, "sweep the tiled factorization planners (cholesky/lu/trsm) and record their simulated outcomes")
-	passes := flag.Int("passes", 3, "campaign passes per measured row (fresh runner each, fastest pass kept)")
-	check := flag.String("check", "", "compare against this committed baseline JSON and fail on regression (campaign reference row, or BLAS GFLOP/s per routine and size)")
+	passes := flag.Int("passes", 3, "campaign passes per measured row (fresh runner each, fastest pass of each timing kept)")
+	check := flag.String("check", "", "compare the exact fields of this run with this committed report and fail on any difference")
+	against := flag.String("against", "", "paired timing gate: run this base cocobench binary and this one alternately and fail on a slower timing median")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measured section to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this path")
 	flag.Parse()
+
+	if *against != "" {
+		if err := gate(*against, *out, childArgs()); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	if *memprofile != "" {
 		path := *memprofile
@@ -112,64 +159,70 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *campaign {
-		if *out == "" {
-			*out = filepath.Join("results", "bench-campaign.json")
-		}
-		if err := runCampaign(*out, *smoke, *passes, *check); err != nil {
+	var base, rep *report
+	var err error
+	if *check != "" {
+		if base, err = readReport(*check); err != nil {
 			log.Fatal(err)
 		}
-		return
 	}
-	if *factor {
-		if *out == "" {
-			*out = filepath.Join("results", "bench-factor.json")
-		}
-		if err := runFactor(*out, *smoke, *check); err != nil {
+	switch {
+	case *campaign:
+		rep, err = runCampaign(*smoke, *passes)
+	case *factor:
+		rep, err = runFactor(*smoke)
+	default:
+		var sizes []int
+		sizes, err = parseSizes(*sizesFlag)
+		if err != nil {
 			log.Fatal(err)
 		}
-		return
+		if *smoke {
+			sizes = []int{128}
+		}
+		rep, err = runBlas(sizes)
 	}
-	if *out == "" {
-		*out = filepath.Join("results", "bench-blas.json")
-	}
-
-	sizes, err := parseSizes(*sizesFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *smoke {
-		sizes = []int{128}
-	}
 
-	if err := runBlas(*out, sizes, *reps, *check); err != nil {
+	if base != nil {
+		if err := compare([]*report{base}, []*report{rep}, false); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("check OK: %d rows, exact fields identical to %s", len(rep.Rows), *check)
+		return
+	}
+	if *out == "" {
+		*out = filepath.Join("results", "bench-"+rep.Mode+".json")
+	}
+	if err := writeJSON(*out, rep); err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("wrote %s (%d rows)", *out, len(rep.Rows))
 }
 
-// runBlas measures the dtype x kernel-variant sweep of the payload engine
-// and either writes the report or, with checkPath set, gates it against a
-// committed baseline instead.
-func runBlas(out string, sizes []int, reps int, checkPath string) error {
+// runBlas measures the dtype x kernel-variant sweep of the payload engine.
+func runBlas(sizes []int) (*report, error) {
 	workers := runtime.GOMAXPROCS(0)
 	pool := parallel.NewPool(workers)
 	exact64, err := blas.SelectedKernel[float64](blas.KernelExact)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fma64, err := blas.SelectedKernel[float64](blas.KernelFMA)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	exact32, err := blas.SelectedKernel[float32](blas.KernelExact)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fma32, err := blas.SelectedKernel[float32](blas.KernelFMA)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep := report{Arch: runtime.GOARCH, Maxproc: workers}
+	rep := &report{Mode: "blas", Arch: runtime.GOARCH, MaxProcs: workers, Reps: blasReps}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(7))
 		a := randMat(rng, n)
@@ -183,6 +236,10 @@ func runBlas(out string, sizes []int, reps int, checkPath string) error {
 
 		gemmFlops := 2 * float64(n) * float64(n) * float64(n)
 		trsmFlops := float64(n) * float64(n) * float64(n)
+		// kernel names the micro-kernel variant that actually runs (naive,
+		// generic, avx, avx512, fma-avx2, neon — see internal/blas/registry.go
+		// — or solve8, the TRSM rows' eight-side substitution), so a report
+		// records which numerics produced its timings.
 		runs := []struct {
 			routine string
 			dtype   string
@@ -219,109 +276,20 @@ func runBlas(out string, sizes []int, reps int, checkPath string) error {
 			}},
 		}
 		for _, r := range runs {
-			e, err := measure(r.routine, n, r.workers, reps, r.flops, r.call)
+			sec, err := bestCall(r.call)
 			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", r.routine, n, err)
+				return nil, fmt.Errorf("%s n=%d: %w", r.routine, n, err)
 			}
-			e.Dtype, e.Kernel = r.dtype, r.kernel
 			log.Printf("%-14s n=%-5d kernel=%-9s workers=%-2d %8.1f ms  %7.2f GFLOP/s",
-				e.Routine, e.Size, e.Kernel, e.Workers, e.Seconds*1e3, e.Gflops)
-			rep.Entries = append(rep.Entries, e)
+				r.routine, n, r.kernel, r.workers, sec*1e3, r.flops/sec/1e9)
+			rep.Rows = append(rep.Rows, row{
+				Key:    fmt.Sprintf("%s/%d", r.routine, n),
+				Timing: map[string]float64{"best_call": sec},
+				Labels: map[string]string{"dtype": r.dtype, "kernel": r.kernel, "workers": strconv.Itoa(r.workers)},
+			})
 		}
 	}
-
-	if checkPath != "" {
-		return checkBlas(checkPath, &rep)
-	}
-	if err := writeJSON(out, &rep); err != nil {
-		return err
-	}
-	log.Printf("wrote %s (%d entries)", out, len(rep.Entries))
-	return nil
-}
-
-// checkBlas gates a fresh BLAS sweep against the committed baseline: every
-// measured (routine, size) present in both reports must reach at least 85%
-// of the baseline GFLOP/s. Rows only one side measured (a new variant, or
-// a size the check run skipped) pass vacuously.
-func checkBlas(path string, rep *report) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	baseOf := make(map[string]entry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseOf[fmt.Sprintf("%s/%d", e.Routine, e.Size)] = e
-	}
-	checked := 0
-	for _, e := range rep.Entries {
-		b, ok := baseOf[fmt.Sprintf("%s/%d", e.Routine, e.Size)]
-		if !ok {
-			continue
-		}
-		checked++
-		if floor := 0.85 * b.Gflops; e.Gflops < floor {
-			return fmt.Errorf("%s n=%d regressed: %.2f GFLOP/s < %.2f (85%% of baseline %.2f, kernel %s vs %s)",
-				e.Routine, e.Size, e.Gflops, floor, b.Gflops, e.Kernel, b.Kernel)
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("baseline %s shares no (routine, size) rows with this run", path)
-	}
-	log.Printf("blas check OK: %d rows within 85%% of baseline %s", checked, path)
-	return nil
-}
-
-// campaignPhases splits a row's wall time by pipeline phase: plan builds
-// (one per cell), plan replay onto the streams, event-queue advance, and
-// everything else (operand setup plus the comparator libraries that run to
-// completion internally). It makes a throughput change attributable — a
-// replay optimization must show up in enqueue, a DES optimization in
-// advance. Phases are summed over the goroutines that run repetitions, so
-// with a cell's repetitions fanned out their total can exceed the row's
-// wall time.
-type campaignPhases struct {
-	PlanBuild float64 `json:"plan_build"`
-	Enqueue   float64 `json:"enqueue"`
-	Advance   float64 `json:"advance"`
-	Other     float64 `json:"other"`
-}
-
-// campaignRow is one measured configuration of the campaign pipeline:
-// Callers goroutines measure the work-list's cells, one at a time each.
-// The simulated outcome — events, plan hits/misses/evictions — must be
-// identical across every row of a report (asserted at run time); only the
-// wall-clock numbers may differ.
-type campaignRow struct {
-	Callers       int             `json:"callers"`
-	Passes        int             `json:"passes"`
-	Cells         int             `json:"cells"`
-	Events        int64           `json:"events"`
-	WallSeconds   float64         `json:"wall_seconds"`
-	CellsPerSec   float64         `json:"cells_per_sec"`
-	EventsPerSec  float64         `json:"events_per_sec"`
-	PlanHits      int             `json:"plan_hits"`
-	PlanMisses    int             `json:"plan_misses"`
-	PlanEvictions int             `json:"plan_evictions"`
-	PlanHitRate   float64         `json:"plan_hit_rate"`
-	Phases        *campaignPhases `json:"phase_seconds,omitempty"`
-}
-
-// campaignReport is the JSON schema of results/bench-campaign.json.
-// Reference is the committed-baseline configuration (one caller, whose
-// cells fan their repetitions out over the free cores; per-phase timing);
-// Sweep varies the caller count over the same work-list, with each cell's
-// repetitions serial on its caller.
-type campaignReport struct {
-	Testbed   string        `json:"testbed"`
-	GOGC      int           `json:"gogc"`
-	Reps      int           `json:"reps"`
-	Reference campaignRow   `json:"reference"`
-	Sweep     []campaignRow `json:"sweep"`
+	return rep, nil
 }
 
 // campaignGOGC is the garbage-collection target percentage pinned for the
@@ -335,33 +303,35 @@ type campaignReport struct {
 // row boundary (see runRow).
 const campaignGOGC = 800
 
-// rowConfig parameterizes one measured campaign row.
-type rowConfig struct {
-	callers int
-	passes  int
-	phases  bool
-}
-
-// runRow measures one campaign configuration over the work-list: passes
-// independent cold runs (fresh runner each), keeping the fastest pass's
-// wall-clock numbers. The simulated counters must be identical across
-// passes — a fresh runner replays the same deterministic campaign — and a
-// drift fails the run. Best-of-passes filters out interference from other
-// processes sharing the machine's cores, which otherwise dominates the
-// variance of a sub-two-second measurement.
-func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campaignRow, error) {
-	if cfg.passes < 1 {
-		cfg.passes = 1
-	}
-	var best campaignRow
-	for pass := 0; pass < cfg.passes; pass++ {
+// runRow measures the work-list with callers goroutines, each measuring
+// one cell at a time, and appends the row to rep. It runs passes
+// independent cold runs (fresh runner each) and keeps each timing field's
+// fastest pass. The simulated counters must be identical across passes — a fresh
+// runner replays the same deterministic campaign — and a drift fails the
+// run. Best-of-passes filters out interference from other processes sharing
+// the machine's cores, which otherwise dominates the variance of a
+// sub-second measurement.
+//
+// The phase timings split the wall time: plan builds (one per cell), plan
+// replay onto the streams, event-queue advance, and everything else (operand
+// setup plus the comparator libraries that run to completion internally).
+// They are summed over the goroutines that run repetitions, so with a cell's
+// repetitions fanned out their total can exceed the row's wall time. A row
+// with more callers than GOMAXPROCS records no phases: there a goroutine
+// waiting for a core is charged to whatever phase it is in, and the split
+// swings several-fold from run to run with the scheduler.
+func runRow(rep *report, tb *machine.Testbed, cells []eval.MeasureCell, callers, passes int) error {
+	phases := callers <= runtime.GOMAXPROCS(0)
+	var best row
+	for pass := 0; pass < max(passes, 1); pass++ {
 		r := eval.NewRunner(tb)
-		if cfg.phases {
+		if phases {
 			r.Clock = time.Now
 		}
+		rep.Reps = r.Reps
 		var pool *parallel.Pool
-		if cfg.callers > 1 {
-			pool = parallel.NewPool(cfg.callers)
+		if callers > 1 {
+			pool = parallel.NewPool(callers)
 		}
 		// Collections happen between rows, never inside the timed region: the
 		// pre-row GC shrinks the live set to a few MB, which would otherwise
@@ -378,211 +348,69 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 		wall := time.Since(start).Seconds()
 		debug.SetGCPercent(gcOff)
 		if err != nil {
-			return campaignRow{}, err
+			return err
 		}
 
-		hits, misses, evictions := r.PlanCacheStats()
-		row := campaignRow{
-			Callers: cfg.callers, Passes: cfg.passes,
-			Cells:  len(cells),
-			Events: r.EventsProcessed(), WallSeconds: wall,
-			CellsPerSec: float64(len(cells)) / wall, EventsPerSec: float64(r.EventsProcessed()) / wall,
-			PlanHits: hits, PlanMisses: misses, PlanEvictions: evictions,
+		replays, builds, _ := r.PlanCacheStats()
+		cur := row{
+			Key: fmt.Sprintf("campaign/callers=%d", callers),
+			Exact: map[string]float64{
+				"cells": float64(len(cells)), "events": float64(r.EventsProcessed()),
+				"plan_builds": float64(builds), "plan_replays": float64(replays),
+			},
+			Timing: map[string]float64{"wall": wall},
+			Labels: map[string]string{"passes": strconv.Itoa(passes)},
 		}
-		if total := hits + misses; total > 0 {
-			row.PlanHitRate = float64(hits) / float64(total)
+		if phases {
+			t := cur.Timing
+			t["plan_build"], t["enqueue"], t["advance"], t["other"] = r.PhaseSeconds()
 		}
-		if cfg.phases {
-			pb, enq, adv, other := r.PhaseSeconds()
-			row.Phases = &campaignPhases{PlanBuild: pb, Enqueue: enq, Advance: adv, Other: other}
+		if pass > 0 && !maps.Equal(cur.Exact, best.Exact) {
+			return fmt.Errorf("campaign drift across passes at callers=%d: pass %d saw %v, pass 0 saw %v",
+				callers, pass, cur.Exact, best.Exact)
 		}
-		if pass > 0 && (row.Events != best.Events || row.PlanHits != best.PlanHits ||
-			row.PlanMisses != best.PlanMisses || row.PlanEvictions != best.PlanEvictions) {
-			return campaignRow{}, fmt.Errorf(
-				"campaign drift across passes: pass %d saw events=%d plans=%d/%d/%d, pass 0 saw events=%d plans=%d/%d/%d",
-				pass, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
-				best.Events, best.PlanHits, best.PlanMisses, best.PlanEvictions)
+		if pass == 0 {
+			best = cur
 		}
-		if pass == 0 || row.WallSeconds < best.WallSeconds {
-			best = row
+		for f, v := range cur.Timing {
+			best.Timing[f] = min(best.Timing[f], v)
 		}
 	}
-	return best, nil
+	e, t := best.Exact, best.Timing
+	log.Printf("%s: %d cells, %.0f events in %.2fs  (%.1f cells/s, %.3g events/s)",
+		best.Key, len(cells), e["events"], t["wall"], e["cells"]/t["wall"], e["events"]/t["wall"])
+	log.Printf("%s: plans %.0f replays / %.0f builds (%.0f%% replayed)",
+		best.Key, e["plan_replays"], e["plan_builds"], 100*e["plan_replays"]/(e["plan_replays"]+e["plan_builds"]))
+	if phases {
+		log.Printf("%s: phases plan=%.3fs enqueue=%.3fs advance=%.3fs other=%.3fs",
+			best.Key, t["plan_build"], t["enqueue"], t["advance"], t["other"])
+	}
+	rep.Rows = append(rep.Rows, best)
+	return nil
 }
 
-// sameOutcome reports whether two rows simulated the identical campaign.
-func sameOutcome(a, b campaignRow) bool {
-	return a.Events == b.Events && a.PlanHits == b.PlanHits &&
-		a.PlanMisses == b.PlanMisses && a.PlanEvictions == b.PlanEvictions
-}
-
-// logRow prints one row's throughput line.
-func logRow(tag string, row campaignRow) {
-	log.Printf("campaign[%s]: callers=%d %d cells, %d events in %.2fs  (%.1f cells/s, %.3g events/s)",
-		tag, row.Callers, row.Cells, row.Events, row.WallSeconds, row.CellsPerSec, row.EventsPerSec)
-}
-
-// runCampaign measures the DES campaign pipeline — the reference
-// one-caller row with per-phase timing and a caller-count sweep pinned
-// byte-identical to the reference — and writes the report JSON. With
-// checkPath set it instead compares the reference row against the
-// committed baseline and fails on regression (any drift in the simulated
-// counters, or a phase more than 20% slower).
-func runCampaign(out string, smoke bool, passes int, checkPath string) error {
+// runCampaign measures the DES campaign pipeline: the reference row (one
+// caller, whose cells fan their repetitions out over the free cores) and a
+// caller-count sweep over the same work-list, with each cell's repetitions
+// serial on its caller. Every sweep row must reproduce the reference row's
+// exact fields — the determinism contract, asserted on every run.
+func runCampaign(smoke bool, passes int) (*report, error) {
 	tb := machine.TestbedI()
 	cells := eval.CampaignCells(smoke)
 
 	prevGC := debug.SetGCPercent(campaignGOGC)
 	defer debug.SetGCPercent(prevGC)
 
-	ref, err := runRow(tb, cells, rowConfig{callers: 1, passes: passes, phases: true})
-	if err != nil {
-		return err
-	}
-	logRow("ref", ref)
-	ph := ref.Phases
-	log.Printf("campaign[ref]: phases plan=%.2fs enqueue=%.2fs advance=%.2fs other=%.2fs",
-		ph.PlanBuild, ph.Enqueue, ph.Advance, ph.Other)
-	log.Printf("campaign[ref]: plans %d replays / %d builds / %d evictions (%.0f%% replayed)",
-		ref.PlanHits, ref.PlanMisses, ref.PlanEvictions, 100*ref.PlanHitRate)
-
-	rep := campaignReport{Testbed: tb.Name, GOGC: campaignGOGC, Reps: 3, Reference: ref}
-	for _, cfg := range []rowConfig{{callers: 2}, {callers: 8}} {
-		// Sweep rows get the same best-of-passes treatment as the reference:
-		// multi-caller rows on a contended host swing far more than a
-		// one-caller row, and one pass would record scheduler noise
-		// rather than throughput.
-		cfg.passes = passes
-		// Every sweep row carries its own phase split, so regressions that
-		// only show up at a particular caller count are attributable without
-		// a bisection run.
-		cfg.phases = true
-		row, err := runRow(tb, cells, cfg)
-		if err != nil {
-			return err
+	rep := &report{Mode: "campaign", Testbed: tb.Name, MaxProcs: runtime.GOMAXPROCS(0), GOGC: campaignGOGC}
+	for _, callers := range []int{1, 2, 8} {
+		if err := runRow(rep, tb, cells, callers, passes); err != nil {
+			return nil, err
 		}
-		logRow("sweep", row)
-		if !sameOutcome(row, ref) {
-			return fmt.Errorf(
-				"campaign not byte-identical at callers=%d: events=%d plans=%d/%d/%d, reference events=%d plans=%d/%d/%d",
-				cfg.callers, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
-				ref.Events, ref.PlanHits, ref.PlanMisses, ref.PlanEvictions)
-		}
-		rep.Sweep = append(rep.Sweep, row)
-	}
-
-	if checkPath != "" {
-		return checkCampaign(checkPath, &rep)
-	}
-	if err := writeJSON(out, &rep); err != nil {
-		return err
-	}
-	log.Printf("wrote %s", out)
-	return nil
-}
-
-// checkCampaign compares a freshly measured campaign against the committed
-// baseline: the reference row's simulated counters must match exactly (any
-// drift means the simulation changed, which a perf PR must not do), and no
-// phase of the reference row may run more than 20% slower than its
-// baseline phase. Throughput is gated against the base build on the same
-// host instead (scripts/campaign-gate.sh): an absolute cells/s floor
-// recorded on another host state fails or passes with the host's load.
-// The phase bound is just as host-dependent (absolute seconds from the
-// recording host), so refresh the baseline where the check runs. Sweep
-// rows are not gated: multi-worker rows on a contended host attribute
-// descheduled time to whatever phase was running, swinging far past any
-// useful bound; their splits stay in the JSON for attribution.
-func checkCampaign(path string, rep *campaignReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base campaignReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	ref := rep.Reference
-	b := base.Reference
-	if !sameOutcome(ref, b) {
-		return fmt.Errorf(
-			"campaign drifted from baseline %s: events=%d plans=%d/%d/%d, baseline events=%d plans=%d/%d/%d",
-			path, ref.Events, ref.PlanHits, ref.PlanMisses, ref.PlanEvictions,
-			b.Events, b.PlanHits, b.PlanMisses, b.PlanEvictions)
-	}
-	if err := phaseGate("reference", ref.Phases, b.Phases); err != nil {
-		return err
-	}
-	log.Printf("campaign check OK: %.1f cells/s (baseline %.1f, not gated), counters identical, phases within bounds",
-		ref.CellsPerSec, b.CellsPerSec)
-	return nil
-}
-
-// phaseGate fails when any phase of got runs more than 20% slower than the
-// matching baseline phase. A 20ms absolute slack absorbs timer jitter on
-// phases too small for a ratio to mean anything. Baselines written before
-// per-row phase attribution carry no phase split; those rows pass vacuously.
-func phaseGate(tag string, got, base *campaignPhases) error {
-	if got == nil || base == nil {
-		return nil
-	}
-	checks := []struct {
-		name      string
-		got, base float64
-	}{
-		{"plan_build", got.PlanBuild, base.PlanBuild},
-		{"enqueue", got.Enqueue, base.Enqueue},
-		{"advance", got.Advance, base.Advance},
-		{"other", got.Other, base.Other},
-	}
-	for _, c := range checks {
-		if limit := 1.20*c.base + 0.02; c.got > limit {
-			return fmt.Errorf("campaign %s phase %s regressed: %.3fs > limit %.3fs (120%% of baseline %.3fs + 20ms slack)",
-				tag, c.name, c.got, limit, c.base)
+		if got, ref := rep.Rows[len(rep.Rows)-1], rep.Rows[0]; !maps.Equal(got.Exact, ref.Exact) {
+			return nil, fmt.Errorf("campaign not byte-identical at %s: %v, reference %v", got.Key, got.Exact, ref.Exact)
 		}
 	}
-	return nil
-}
-
-// factorRow is one measured factorization cell. Every field except
-// WallSeconds is a simulated outcome and must reproduce exactly: the
-// schedule a task-graph planner emits is deterministic, so any drift in
-// SimSeconds, Subkernels or the traffic bytes means the planner (or the
-// executor replaying it) changed.
-type factorRow struct {
-	Routine     string  `json:"routine"`
-	M           int     `json:"m"`
-	N           int     `json:"n"`
-	Tile        int     `json:"tile"`
-	SimSeconds  float64 `json:"sim_seconds"`
-	Gflops      float64 `json:"gflops"`
-	Subkernels  int64   `json:"subkernels"`
-	BytesH2D    int64   `json:"bytes_h2d"`
-	BytesD2H    int64   `json:"bytes_d2h"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
-// factorSelection is the tile the library facade's SelectFactorTile picks
-// for one factorization problem in a fresh session, with its predicted
-// full-overlap bound. Both are deterministic and must reproduce exactly.
-type factorSelection struct {
-	Routine      string  `json:"routine"`
-	M            int     `json:"m"`
-	N            int     `json:"n"`
-	SelectedTile int     `json:"selected_tile"`
-	PredictedS   float64 `json:"predicted_s"`
-}
-
-// factorReport is the JSON schema of results/bench-factor.json. Events is
-// the total DES event count of the whole sweep — one number that pins the
-// factorization plans' event-graph shapes the way the campaign baseline
-// pins the flat gemm plans.
-type factorReport struct {
-	Testbed    string            `json:"testbed"`
-	Reps       int               `json:"reps"`
-	Events     int64             `json:"events"`
-	Rows       []factorRow       `json:"rows"`
-	Selections []factorSelection `json:"selections"`
+	return rep, nil
 }
 
 // factorTiles returns the tile sweep for the factorization mode.
@@ -593,60 +421,56 @@ func factorTiles(smoke bool) []int {
 	return []int{512, 1024}
 }
 
-// runFactor sweeps the tiled factorization planners over the factor
-// problem set on testbed I and either writes the report or, with checkPath
-// set, gates the simulated outcomes against the committed baseline. The
-// sweep is timing-only (no payload), so the whole mode runs in well under
-// a second.
-func runFactor(out string, smoke bool, checkPath string) error {
+// runFactor sweeps the tiled factorization planners over the factor problem
+// set on testbed I. The sweep is timing-only (no payload), so the whole mode
+// runs in well under a second. Besides one row per cell, the report holds a
+// sweep row with the total DES event count — one number that pins the
+// factorization plans' event-graph shapes — and one row per problem with
+// the tile SelectFactorTile picks.
+func runFactor(smoke bool) (*report, error) {
 	tb := machine.TestbedI()
 	r := eval.NewRunner(tb)
-	rep := factorReport{Testbed: tb.Name, Reps: r.Reps}
+	rep := &report{Mode: "factor", Testbed: tb.Name, MaxProcs: runtime.GOMAXPROCS(0), Reps: r.Reps}
 	for _, p := range eval.FactorSet(smoke) {
 		for _, T := range factorTiles(smoke) {
 			start := time.Now()
 			res, err := r.Measure(eval.LibCoCoPeLia, p, T)
 			if err != nil {
-				return fmt.Errorf("factor %s T=%d: %w", p.Name(), T, err)
+				return nil, fmt.Errorf("factor %s T=%d: %w", p.Name(), T, err)
 			}
-			row := factorRow{
-				Routine: p.Routine, M: p.M, N: p.N, Tile: T,
-				SimSeconds: res.Seconds,
-				Gflops:     p.Flops() / res.Seconds / 1e9,
-				Subkernels: res.Subkernels,
-				BytesH2D:   res.BytesH2D, BytesD2H: res.BytesD2H,
-				WallSeconds: time.Since(start).Seconds(),
-			}
+			wall := time.Since(start).Seconds()
 			log.Printf("factor %-6s n=%-5d T=%-4d sim %8.2f ms  %7.1f GFLOP/s  %4d kernels  %5.1f MB up  %5.1f MB down",
-				row.Routine, row.N, row.Tile, row.SimSeconds*1e3, row.Gflops,
-				row.Subkernels, float64(row.BytesH2D)/1e6, float64(row.BytesD2H)/1e6)
-			rep.Rows = append(rep.Rows, row)
+				p.Routine, p.N, T, res.Seconds*1e3, p.Flops()/res.Seconds/1e9,
+				res.Subkernels, float64(res.BytesH2D)/1e6, float64(res.BytesD2H)/1e6)
+			rep.Rows = append(rep.Rows, row{
+				Key: fmt.Sprintf("%s/%d/T=%d", p.Routine, p.N, T),
+				Exact: map[string]float64{
+					"sim_seconds": res.Seconds, "subkernels": float64(res.Subkernels),
+					"bytes_h2d": float64(res.BytesH2D), "bytes_d2h": float64(res.BytesD2H),
+				},
+				Timing: map[string]float64{"wall": wall},
+			})
 		}
 	}
-	rep.Events = r.EventsProcessed()
-	log.Printf("factor sweep: %d cells, %d DES events", len(rep.Rows), rep.Events)
+	events := r.EventsProcessed()
+	log.Printf("factor sweep: %d cells, %d DES events", len(rep.Rows), events)
+	rep.Rows = append(rep.Rows, row{Key: "sweep", Exact: map[string]float64{"events": float64(events)}})
+
 	sels, err := factorSelections(tb, eval.FactorSet(smoke))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep.Selections = sels
-
-	if checkPath != "" {
-		return checkFactor(checkPath, &rep)
-	}
-	if err := writeJSON(out, &rep); err != nil {
-		return err
-	}
-	log.Printf("wrote %s (%d rows)", out, len(rep.Rows))
-	return nil
+	rep.Rows = append(rep.Rows, sels...)
+	return rep, nil
 }
 
-// factorSelections records SelectFactorTile's choice for each problem,
-// each from a fresh session on tb so that no choice is answered from
-// another's selection cache. The sessions share one deployment.
-func factorSelections(tb *machine.Testbed, problems []eval.Problem) ([]factorSelection, error) {
+// factorSelections records SelectFactorTile's choice and its predicted
+// full-overlap bound for each problem, each from a fresh session on tb so
+// that no choice is answered from another's selection cache. The sessions
+// share one deployment.
+func factorSelections(tb *machine.Testbed, problems []eval.Problem) ([]row, error) {
 	dep := microbench.Run(tb, microbench.DefaultConfig())
-	var out []factorSelection
+	var out []row
 	for _, p := range problems {
 		lib, err := cocopelia.Open(tb, cocopelia.Options{Deployment: dep})
 		if err != nil {
@@ -663,68 +487,213 @@ func factorSelections(tb *machine.Testbed, problems []eval.Problem) ([]factorSel
 			return nil, fmt.Errorf("select %s: %w", p.Name(), err)
 		}
 		log.Printf("factor select %-6s n=%-5d T=%-4d predicted %8.2f ms", p.Routine, p.N, sel.T, sel.Predicted*1e3)
-		out = append(out, factorSelection{
-			Routine: p.Routine, M: p.M, N: p.N,
-			SelectedTile: sel.T, PredictedS: sel.Predicted,
+		out = append(out, row{
+			Key:   fmt.Sprintf("select/%s/%d", p.Routine, p.N),
+			Exact: map[string]float64{"selected_tile": float64(sel.T), "predicted_seconds": sel.Predicted},
 		})
 	}
 	return out, nil
 }
 
-// checkFactor gates a fresh factorization sweep against the committed
-// baseline. Unlike the BLAS and campaign gates there is no tolerance: every
-// simulated field must match exactly (encoding/json round-trips float64
-// shortest-form, so == on SimSeconds is an exact bit comparison), and the
-// two sweeps must contain the same rows. Wall-clock columns are
-// informational only.
-func checkFactor(path string, rep *factorReport) error {
-	data, err := os.ReadFile(path)
+// childArgs returns the flags set on this invocation that choose what a
+// gate's child runs measure: the mode and its work-list.
+func childArgs() []string {
+	var args []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "against", "out", "check", "cpuprofile", "memprofile":
+			return
+		}
+		args = append(args, "-"+f.Name+"="+f.Value.String())
+	})
+	return args
+}
+
+// gate is the paired timing gate: it runs baseBin and this executable with
+// args, alternating which runs first, gateRuns times each, keeps every
+// run's report in dir (a temporary directory when dir is empty) as
+// base-N.json and head-N.json, and compares the two sides' timings. Both
+// builds run on the same host in alternating order, so host speed and load
+// cancel out of the ratio.
+func gate(baseBin, dir string, args []string) error {
+	self, err := os.Executable()
 	if err != nil {
 		return err
 	}
-	var base factorReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	if len(rep.Rows) != len(base.Rows) {
-		return fmt.Errorf("factor sweep has %d rows, baseline %s has %d", len(rep.Rows), path, len(base.Rows))
-	}
-	for i, row := range rep.Rows {
-		b := base.Rows[i]
-		if row.Routine != b.Routine || row.M != b.M || row.N != b.N || row.Tile != b.Tile {
-			return fmt.Errorf("factor row %d is %s %dx%d T=%d, baseline has %s %dx%d T=%d",
-				i, row.Routine, row.M, row.N, row.Tile, b.Routine, b.M, b.N, b.Tile)
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "cocobench-gate"); err != nil {
+			return err
 		}
-		// Bit identity, not tolerance: the simulated time must round-trip
-		// through the JSON baseline unchanged.
-		if math.Float64bits(row.SimSeconds) != math.Float64bits(b.SimSeconds) ||
-			row.Subkernels != b.Subkernels ||
-			row.BytesH2D != b.BytesH2D || row.BytesD2H != b.BytesD2H {
-			return fmt.Errorf(
-				"factor %s n=%d T=%d drifted from baseline %s: sim=%v kernels=%d h2d=%d d2h=%d, baseline sim=%v kernels=%d h2d=%d d2h=%d",
-				row.Routine, row.N, row.Tile, path,
-				row.SimSeconds, row.Subkernels, row.BytesH2D, row.BytesD2H,
-				b.SimSeconds, b.Subkernels, b.BytesH2D, b.BytesD2H)
-		}
+		defer os.RemoveAll(dir)
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	if rep.Events != base.Events {
-		return fmt.Errorf("factor sweep processed %d DES events, baseline %s has %d", rep.Events, path, base.Events)
-	}
-	if len(rep.Selections) != len(base.Selections) {
-		return fmt.Errorf("factor sweep has %d selections, baseline %s has %d", len(rep.Selections), path, len(base.Selections))
-	}
-	for i, sel := range rep.Selections {
-		b := base.Selections[i]
-		if sel.Routine != b.Routine || sel.M != b.M || sel.N != b.N || sel.SelectedTile != b.SelectedTile ||
-			math.Float64bits(sel.PredictedS) != math.Float64bits(b.PredictedS) {
-			return fmt.Errorf("factor selection %d is %s %dx%d T=%d predicted=%v, baseline %s has %s %dx%d T=%d predicted=%v",
-				i, sel.Routine, sel.M, sel.N, sel.SelectedTile, sel.PredictedS,
-				path, b.Routine, b.M, b.N, b.SelectedTile, b.PredictedS)
+	sides := [2]struct {
+		name, bin string
+		runs      []*report
+	}{{name: "base", bin: baseBin}, {name: "head", bin: self}}
+	for i := 1; i <= gateRuns; i++ {
+		for j := 0; j < 2; j++ {
+			s := &sides[(i+j)%2]
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.json", s.name, i))
+			var stderr bytes.Buffer
+			cmd := exec.Command(s.bin, append(args, "-out", path)...)
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err != nil {
+				return fmt.Errorf("gate: %s run %d (%s %s): %w\n%s", s.name, i, s.bin, strings.Join(args, " "), err, stderr.Bytes())
+			}
+			rep, err := readReport(path)
+			if err != nil {
+				return fmt.Errorf("gate: %s run %d: %w", s.name, i, err)
+			}
+			s.runs = append(s.runs, rep)
 		}
 	}
-	log.Printf("factor check OK: %d rows, %d selections and %d events identical to baseline %s",
-		len(rep.Rows), len(rep.Selections), rep.Events, path)
+	if err := compare(sides[0].runs, sides[1].runs, true); err != nil {
+		return err
+	}
+	log.Printf("gate OK: no timing median above the base median / %.2f + %.0f ms (base %s, %d alternating runs each)",
+		gateBound, gateSlack*1e3, baseBin, gateRuns)
 	return nil
+}
+
+// compare is the one check of cocobench reports. Each field kind has one
+// rule, and paired says which applies:
+//
+//   - Unpaired, base is a committed report and head one fresh run. Every
+//     exact field must match bit for bit, and both must hold the same rows.
+//     Timings are printed and never fail: the committed ones come from the
+//     recording host.
+//   - Paired, base and head are runs of two builds alternated on one host.
+//     For every timing field of the rows both builds measure, the head
+//     median may be at most 1/gateBound times the base median plus
+//     gateSlack. Exact fields are not compared: a change that alters the
+//     simulation on purpose re-records the committed report.
+//
+// The error names every failing row and field.
+func compare(base, head []*report, paired bool) error {
+	for _, side := range [][]*report{base, head} {
+		for _, r := range side {
+			if r.Mode != base[0].Mode {
+				return fmt.Errorf("report modes differ: %s and %s", base[0].Mode, r.Mode)
+			}
+		}
+	}
+	baseRows, err := rowsByKey(base[0])
+	if err != nil {
+		return err
+	}
+	var errs []error
+	for _, h := range head[0].Rows {
+		b, ok := baseRows[h.Key]
+		if !ok {
+			if !paired {
+				errs = append(errs, fmt.Errorf("row %s: not in the base report", h.Key))
+			}
+			continue
+		}
+		delete(baseRows, h.Key)
+		if paired {
+			for _, f := range sortedKeys(h.Timing) {
+				bm, hm := median(base, h.Key, f), median(head, h.Key, f)
+				limit := bm/gateBound + gateSlack
+				log.Printf("gate %s %s: base %.4gs, head %.4gs (%.3fx, limit %.4gs)", h.Key, f, bm, hm, bm/hm, limit)
+				if hm > limit {
+					errs = append(errs, fmt.Errorf("row %s field %s: head median %.4gs > limit %.4gs (base median %.4gs / %.2f + %.1fms)",
+						h.Key, f, hm, limit, bm, gateBound, gateSlack*1e3))
+				}
+			}
+			continue
+		}
+		for _, f := range sortedKeys(h.Timing) {
+			log.Printf("check %s %s: %.4gs (base %.4gs, not gated)", h.Key, f, h.Timing[f], b.Timing[f])
+		}
+		fields := map[string]float64{}
+		maps.Copy(fields, h.Exact)
+		maps.Copy(fields, b.Exact)
+		for _, f := range sortedKeys(fields) {
+			hv, hok := h.Exact[f]
+			bv, bok := b.Exact[f]
+			if hok != bok || math.Float64bits(hv) != math.Float64bits(bv) {
+				errs = append(errs, fmt.Errorf("row %s field %s: %s, base %s", h.Key, f, exactString(hv, hok), exactString(bv, bok)))
+			}
+		}
+	}
+	if !paired {
+		for _, k := range sortedKeys(baseRows) {
+			errs = append(errs, fmt.Errorf("row %s: missing from this run", k))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// rowsByKey indexes a report's rows, rejecting a duplicate key.
+func rowsByKey(r *report) (map[string]row, error) {
+	m := make(map[string]row, len(r.Rows))
+	for _, x := range r.Rows {
+		if _, dup := m[x.Key]; dup {
+			return nil, fmt.Errorf("%s report has two rows %s", r.Mode, x.Key)
+		}
+		m[x.Key] = x
+	}
+	return m, nil
+}
+
+// median returns the median of timing field f of row key over runs that
+// hold it (the mean of the middle two for an even count).
+func median(runs []*report, key, f string) float64 {
+	var v []float64
+	for _, r := range runs {
+		for _, x := range r.Rows {
+			if t, ok := x.Timing[f]; ok && x.Key == key {
+				v = append(v, t)
+			}
+		}
+	}
+	sort.Float64s(v)
+	n := len(v)
+	if n == 0 {
+		return math.NaN()
+	}
+	return (v[(n-1)/2] + v[n/2]) / 2
+}
+
+// exactString prints an exact field in full: the shortest decimal that
+// reads back to the same bits, so a last-ulp difference shows.
+func exactString(v float64, ok bool) string {
+	if !ok {
+		return "missing"
+	}
+	return strconv.FormatFloat(v, 'f', -1, 64)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// readReport loads a report, refusing any other schema: a report written by
+// a cocobench older than this schema (top-level reference/sweep, entries,
+// or factor rows with routine fields) is not read.
+func readReport(path string) (*report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var rep report
+	if err = dec.Decode(&rep); err == nil && rep.Mode == "" {
+		err = errors.New("no mode")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s is not a cocobench report of the mode/rows schema (%v): a report from an older cocobench must be re-recorded, and a gate's base build must write this schema", path, err)
+	}
+	return &rep, nil
 }
 
 // writeJSON marshals v indented and writes it to path, creating the
@@ -742,24 +711,23 @@ func writeJSON(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// measure times call (after one warm-up) and keeps the best of reps.
-func measure(routine string, n, workers, reps int, flops float64, call func() error) (entry, error) {
+// bestCall times call (after one warm-up) and returns the best of blasReps
+// calls in seconds.
+func bestCall(call func() error) (float64, error) {
 	if err := call(); err != nil {
-		return entry{}, err
+		return 0, err
 	}
 	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
+	for i := 0; i < blasReps; i++ {
 		start := time.Now()
 		if err := call(); err != nil {
-			return entry{}, err
+			return 0, err
 		}
 		if d := time.Since(start); d < best {
 			best = d
 		}
 	}
-	sec := best.Seconds()
-	return entry{Routine: routine, Size: n, Workers: workers, Reps: reps,
-		Seconds: sec, Gflops: flops / sec / 1e9}, nil
+	return best.Seconds(), nil
 }
 
 func parseSizes(s string) ([]int, error) {
