@@ -231,15 +231,28 @@ func runBlas(sizes []int) (*report, error) {
 		a32, b32 := toF32(a), toF32(b)
 		c32 := make([]float32, n*n)
 		// The TRSM rows solve L*X = B for n right-hand sides with a
-		// well-conditioned lower triangle L, restoring B before each solve.
+		// well-conditioned lower triangle L, restoring B before each solve;
+		// the POTRF rows factor an SPD matrix, restored the same way.
 		tri := lowerTriangle(a, n)
+		spd, err := spdMatrix(a, n)
+		if err != nil {
+			return nil, err
+		}
 
 		gemmFlops := 2 * float64(n) * float64(n) * float64(n)
 		trsmFlops := float64(n) * float64(n) * float64(n)
+		potrfFlops := trsmFlops / 3
 		// kernel names the micro-kernel variant that actually runs (naive,
-		// generic, avx, avx512, fma-avx2, neon — see internal/blas/registry.go
-		// — or solve8, the TRSM rows' eight-side substitution), so a report
-		// records which numerics produced its timings.
+		// generic, avx, avx512, fma-avx2, neon — see internal/blas/registry.go),
+		// so a report records which numerics produced its timings. The TRSM
+		// and POTRF rows run left-looking blocks whose GEMM steps use the
+		// exact kernel, with the rest in the eight-side substitution
+		// (solve8) or the row-mirror column loop (rowmirror); where the
+		// exact kernel is the portable one they run one block, no GEMM.
+		trsmKernel, potrfKernel := "solve8", "rowmirror"
+		if exact64 != "generic" {
+			trsmKernel, potrfKernel = exact64+"+solve8", exact64+"+rowmirror"
+		}
 		runs := []struct {
 			routine string
 			dtype   string
@@ -266,13 +279,21 @@ func runBlas(sizes []int) (*report, error) {
 			{"sgemm-fma", "f32", fma32, 1, gemmFlops, func() error {
 				return blas.GemmPolicy(blas.KernelFMA, blas.NoTrans, blas.NoTrans, n, n, n, 1, a32, n, b32, n, 0, c32, n)
 			}},
-			{"dtrsm", "f64", "solve8", 1, trsmFlops, func() error {
+			{"dtrsm", "f64", trsmKernel, 1, trsmFlops, func() error {
 				copy(c, b)
 				return blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, n, n, 1, tri, n, c, n)
 			}},
-			{"dtrsm-parallel", "f64", "solve8", workers, trsmFlops, func() error {
+			{"dtrsm-parallel", "f64", trsmKernel, workers, trsmFlops, func() error {
 				copy(c, b)
 				return blas.TrsmParallel(pool, blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, n, n, 1, tri, n, c, n)
+			}},
+			{"dpotrf", "f64", potrfKernel, 1, potrfFlops, func() error {
+				copy(c, spd)
+				return blas.Potrf(blas.Lower, n, c, n)
+			}},
+			{"dpotrf-parallel", "f64", potrfKernel, workers, potrfFlops, func() error {
+				copy(c, spd)
+				return blas.PotrfParallel(pool, blas.Lower, n, c, n)
 			}},
 		}
 		for _, r := range runs {
@@ -769,6 +790,19 @@ func lowerTriangle(a []float64, n int) []float64 {
 		l[j+j*n] = 2 + math.Abs(a[j+j*n])
 	}
 	return l
+}
+
+// spdMatrix returns a*a^T/n + I for the n x n matrix a: symmetric positive
+// definite, so a Cholesky factorization of it runs to completion.
+func spdMatrix(a []float64, n int) ([]float64, error) {
+	s := make([]float64, n*n)
+	if err := blas.Dgemm(blas.NoTrans, blas.Trans, n, n, n, 1/float64(n), a, n, a, n, 0, s, n); err != nil {
+		return nil, err
+	}
+	for j := 0; j < n; j++ {
+		s[j+j*n]++
+	}
+	return s, nil
 }
 
 func toF32(x []float64) []float32 {

@@ -465,9 +465,14 @@ func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda 
 // multiply-then-add at a time in increasing column order of E, then one
 // subtraction and (NonUnit) one division — the plain substitution loop's
 // exact operation sequence — so results are bitwise identical to it.
+//
+// Forward substitution (lower E) runs left-looking in row blocks of
+// blockWidth: the terms of a block's rows over the columns already solved
+// come from one exact GEMM against the solved rows of B, and the in-block
+// substitution continues those same accumulators (see trsmSolve.sides).
 // Right-hand sides are independent, so each worker solves a contiguous
 // range of whole eight-side groups against the shared packed triangle in
-// a panel of its own, and the result is bitwise identical at any worker
+// buffers of its own, and the result is bitwise identical at any worker
 // count.
 func TrsmParallel[F Float](p *parallel.Pool, side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda int, b []F, ldb int) error {
 	if side != Left && side != Right {
@@ -502,13 +507,16 @@ func TrsmParallel[F Float](p *parallel.Pool, side, uplo, transA, diag byte, m, n
 	if side == Right {
 		lower, rowsInA = !lower, !rowsInA
 	}
-	bufs := gemmBufPool.Get().(*gemmBuffers)
-	defer gemmBufPool.Put(bufs)
-	e, panel := packSlices[F](bufs, na*na, trsmRHS*na)
-	packTriangle(lower, rowsInA, na, a, lda, e)
+	// Backward substitution adds a row's in-block terms before the terms
+	// of the rows solved in earlier blocks, so only forward substitution
+	// splits into blocks; upper E is one block, the unblocked solve.
+	nb := na
+	if lower {
+		nb = blockWidth[F](na)
+	}
 	// Right-hand side r is column r of B (side Left) or row r of B (side
 	// Right); element l of it sits at b[r*rStep + l*lStep].
-	t := trsmSolve[F]{lower: lower, nonUnit: diag == NonUnit, k: na, alpha: alpha, e: e,
+	t := trsmSolve[F]{lower: lower, nonUnit: diag == NonUnit, k: na, nb: nb, alpha: alpha,
 		b: b, rStep: ldb, lStep: 1}
 	rhs := n
 	if side == Right {
@@ -516,42 +524,118 @@ func TrsmParallel[F Float](p *parallel.Pool, side, uplo, transA, diag byte, m, n
 	}
 	groups := (rhs + trsmRHS - 1) / trsmRHS
 	workers := min(p.Workers(), groups)
+	bufs := triBufPool.Get().(*gemmBuffers)
+	defer triBufPool.Put(bufs)
+	inline := 0 // the inline solve's workspace
 	if workers <= 1 {
-		t.sides(0, rhs, panel)
-		return nil
+		inline = t.workLen(rhs)
+	}
+	e, work := packSlices[F](bufs, na*na, inline)
+	t.e = e
+	packTriangle(lower, rowsInA, na, a, lda, e)
+	if workers <= 1 {
+		return t.sides(0, rhs, work)
 	}
 	// One contiguous range of whole groups per worker. The split only
 	// chooses who solves a side, never how.
 	shared := t // the workers' copy, so t stays off the heap on the inline path
 	return parallel.ForEach(p, splitUnits(rhs, trsmRHS, workers), func(_ int, r span) error {
-		wb := gemmBufPool.Get().(*gemmBuffers)
-		defer gemmBufPool.Put(wb)
-		_, wp := packSlices[F](wb, 0, trsmRHS*na)
-		shared.sides(r.lo, r.hi, wp)
-		return nil
+		wb := triBufPool.Get().(*gemmBuffers)
+		defer triBufPool.Put(wb)
+		_, work := packSlices[F](wb, 0, shared.workLen(r.hi-r.lo))
+		return shared.sides(r.lo, r.hi, work)
 	})
+}
+
+// trsmBlock is the row-block width of the left-looking Trsm and Potrf:
+// the fastest of 16, 32 and 64 in BenchmarkTrsm on an AVX-512 host.
+const trsmBlock = 32
+
+// blockWidth returns the left-looking block width of an order-k Trsm or
+// Potrf with element type F: trsmBlock where the exact GEMM kernel for F
+// is native, and k — one block, the unblocked loop — where it is the
+// portable Go kernel (float32, arm64, named float types) or cannot be
+// resolved. The portable kernel runs the GEMM prefix no faster than the
+// substitution loop itself, so blocking would only add packing.
+func blockWidth[F Float](k int) int {
+	sel, err := kernelFor[F](KernelExact)
+	if err != nil || (sel.f64 == nil && sel.f32 == nil) {
+		return k
+	}
+	return trsmBlock
 }
 
 // trsmSolve is one Trsm call's packed triangle E (k x k, see
 // packTriangle) and its right-hand sides: side r's element l is
-// b[r*rStep+l*lStep].
+// b[r*rStep+l*lStep]. Rows are solved in blocks of nb.
 type trsmSolve[F Float] struct {
 	lower, nonUnit bool
-	k              int
+	k, nb          int
 	alpha          F
 	e, b           []F
 	rStep, lStep   int
 }
 
-// sides solves right-hand sides [lo, hi) in groups of trsmRHS through the
-// interleaved panel p (trsmRHS*k elements).
-func (t trsmSolve[F]) sides(lo, hi int, p []F) {
-	for r := lo; r < hi; r += trsmRHS {
-		w := min(trsmRHS, hi-r)
-		gatherRHS(w, t.k, t.alpha, t.b[r*t.rStep:], t.rStep, t.lStep, p)
-		solveTriangle8(t.lower, t.nonUnit, t.k, t.e, p)
-		scatterRHS(w, t.k, p, t.b[r*t.rStep:], t.rStep, t.lStep)
+// workLen is the workspace sides needs for w right-hand sides: the
+// interleaved panel of trsmRHS*nb elements and, with more than one block,
+// nb seed rows of roundUp(w, trsmRHS) sums.
+func (t trsmSolve[F]) workLen(w int) int {
+	n := trsmRHS * t.nb
+	if t.nb < t.k {
+		n += t.nb * roundUp(w, trsmRHS)
 	}
+	return n
+}
+
+// sides solves right-hand sides [lo, hi) block by block in work
+// (workLen(hi-lo) elements): the interleaved panel p, then the block's
+// seed rows s.
+//
+// For row block [i0, i1) one GEMM with beta = 0 first computes
+// S(r, i) = sum over l < i0 of E(i, l)*X(l, r) from the rows of B the
+// earlier blocks solved. The exact kernels add those terms in increasing
+// l, each one rounded multiply and one rounded add starting from +0 — the
+// substitution loop's own accumulator sequence — and solveTriangle8 then
+// continues each accumulator over l in [i0, i), so every element is
+// bitwise what the unblocked solve computes.
+func (t trsmSolve[F]) sides(lo, hi int, work []F) error {
+	p, s := work[:trsmRHS*t.nb], work[trsmRHS*t.nb:]
+	w := hi - lo
+	ldS := roundUp(w, trsmRHS)
+	// The GEMM writes S transposed, the sums of block row i for sides
+	// lo.. at s[i*ldS:], so each row's eight seeds are contiguous. The
+	// padding lanes past w seed the panel's zero-filled unused lanes.
+	for i := 0; i < len(s); i += ldS {
+		clear(s[i+w : i+ldS])
+	}
+	// The GEMM's A operand is X^T: op(A)(r, l) = b[r*rStep+l*lStep] is
+	// NoTrans with lda = lStep when the sides are rows of B (rStep = 1)
+	// and Trans with lda = rStep when they are columns (lStep = 1).
+	xTrans, ldx := NoTrans, t.lStep
+	if t.lStep == 1 {
+		xTrans, ldx = Trans, t.rStep
+	}
+	for i0 := 0; i0 < t.k; i0 += t.nb {
+		i1 := min(i0+t.nb, t.k)
+		if i0 > 0 {
+			if err := GemmPolicy(KernelExact, xTrans, NoTrans, w, i1-i0, i0, 1,
+				t.b[lo*t.rStep:], ldx, t.e[i0*t.k:], t.k, 0, s, ldS); err != nil {
+				return err
+			}
+		}
+		for r := lo; r < hi; r += trsmRHS {
+			g := min(trsmRHS, hi-r)
+			x := t.b[r*t.rStep+i0*t.lStep:]
+			gatherRHS(g, i1-i0, t.alpha, x, t.rStep, t.lStep, p)
+			var seed []F // the first block's sums start from zero
+			if i0 > 0 {
+				seed = s[r-lo:]
+			}
+			solveTriangle8(t.lower, t.nonUnit, t.k, i0, i1, t.e, p, seed, ldS)
+			scatterRHS(g, i1-i0, p, x, t.rStep, t.lStep)
+		}
+	}
+	return nil
 }
 
 // trsmRHS is the number of right-hand sides Trsm solves per pass over the
@@ -612,20 +696,29 @@ func scatterRHS[F Float](w, k int, p []F, b []F, rStep, lStep int) {
 	}
 }
 
-// solveTriangle8 runs forward (lower) or backward substitution with the
-// packed k x k triangle e on the eight interleaved right-hand sides in p.
-// Row i's dot product walks columns l of E in increasing order with one
-// accumulator per side, each term one rounded multiply-then-add.
-func solveTriangle8[F Float](lower, nonUnit bool, k int, e, p []F) {
-	p = p[:trsmRHS*k]
-	for t := 0; t < k; t++ {
-		i, lo, hi := t, 0, t
+// solveTriangle8 runs forward (lower) or backward substitution for rows
+// [i0, i1) of the packed k x k triangle e on eight interleaved right-hand
+// sides; p holds those rows, row i at p[(i-i0)*trsmRHS:]. Row i's dot
+// product walks columns l of E in increasing order within the block (l in
+// [i0, i) forward, (i, i1) backward) with one accumulator per side, each
+// term one rounded multiply-then-add. The accumulators of row i start from
+// seed[(i-i0)*ldS:] — the sums over the columns of earlier blocks — or
+// from zero when seed is nil.
+func solveTriangle8[F Float](lower, nonUnit bool, k, i0, i1 int, e, p, seed []F, ldS int) {
+	p = p[:trsmRHS*(i1-i0)]
+	for t := i0; t < i1; t++ {
+		i, lo, hi := t, i0, t
 		if !lower {
-			i = k - 1 - t
-			lo, hi = i+1, k
+			i = i1 - 1 - (t - i0)
+			lo, hi = i+1, i1
 		}
 		var s0, s1, s2, s3, s4, s5, s6, s7 F
-		xs := p[lo*trsmRHS : hi*trsmRHS]
+		if seed != nil {
+			sd := seed[(i-i0)*ldS : (i-i0)*ldS+trsmRHS]
+			s0, s1, s2, s3 = sd[0], sd[1], sd[2], sd[3]
+			s4, s5, s6, s7 = sd[4], sd[5], sd[6], sd[7]
+		}
+		xs := p[(lo-i0)*trsmRHS : (hi-i0)*trsmRHS]
 		for l, el := range e[i*k+lo : i*k+hi] {
 			x := xs[l*trsmRHS : l*trsmRHS+trsmRHS]
 			s0 += el * x[0]
@@ -637,7 +730,7 @@ func solveTriangle8[F Float](lower, nonUnit bool, k int, e, p []F) {
 			s6 += el * x[6]
 			s7 += el * x[7]
 		}
-		x := p[i*trsmRHS : i*trsmRHS+trsmRHS]
+		x := p[(i-i0)*trsmRHS : (i-i0)*trsmRHS+trsmRHS]
 		x[0] -= s0
 		x[1] -= s1
 		x[2] -= s2

@@ -50,6 +50,14 @@ type gemmBuffers struct {
 
 var gemmBufPool = sync.Pool{New: func() any { return new(gemmBuffers) }}
 
+// triBufPool recycles the workspaces of the triangular kernels (Trsm's
+// packed triangle, seed rows and panel, Potrf's row mirror and seed rows).
+// It is apart from gemmBufPool because those kernels hold a workspace
+// while their GEMM steps take packing buffers: drawn from one pool, the
+// two roles would swap objects from call to call and each would regrow
+// the other's slices.
+var triBufPool = sync.Pool{New: func() any { return new(gemmBuffers) }}
+
 // asTyped reinterprets *[]E as []F when F and E are the same type (the
 // alloc-free pointer form of the conversion: a pointer always fits an
 // interface word, so boxing it never heap-allocates).

@@ -102,9 +102,9 @@ func BenchmarkSgemm(b *testing.B) {
 // benchTriangular times b.N runs of call on a fresh copy of src (restored
 // outside the timer, so repeated solves never drift into denormals) and
 // reports GFLOP/s for flops per call.
-func benchTriangular(b *testing.B, flops float64, src []float64, call func(work []float64)) {
+func benchTriangular[F Float](b *testing.B, flops float64, src []F, call func(work []F)) {
 	b.Helper()
-	work := append([]float64(nil), src...)
+	work := append([]F(nil), src...)
 	call(work) // warm up the pooled buffers so steady state is measured
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -122,24 +122,32 @@ func benchTriangular(b *testing.B, flops float64, src []float64, call func(work 
 var triangularImpls = []string{"packed", "ref"}
 
 // BenchmarkTrsm measures square solves (n^3 flops) at the paper's tile
-// sizes for a forward (LLNN) and a transposed right-side (RLTN) variant.
+// sizes for a forward (LLNN) and a transposed right-side (RLTN) variant,
+// in float64 and (sub-benchmarks suffixed -f32) float32. Both variants
+// are forward substitutions, so the float64 ones run left-looking blocks
+// on the exact GEMM kernel and the float32 ones one block (blockWidth).
 func BenchmarkTrsm(b *testing.B) {
 	for _, v := range []struct{ side, uplo, trans byte }{{Left, Lower, NoTrans}, {Right, Lower, Trans}} {
 		for _, n := range []int{256, 512} {
-			rng := rand.New(rand.NewSource(1))
-			a, _, bm, _ := trsmOperands[float64](triCase{side: v.side, uplo: v.uplo, m: n, n: n}, rng)
-			for _, impl := range triangularImpls {
-				solve := Trsm[float64]
-				if impl == "ref" {
-					solve = trsmRef[float64]
-				}
-				b.Run(fmt.Sprintf("%c%c%cN/n=%d/%s", v.side, v.uplo, v.trans, n, impl), func(b *testing.B) {
-					benchTriangular(b, float64(n)*float64(n)*float64(n), bm, func(w []float64) {
-						_ = solve(v.side, v.uplo, v.trans, NonUnit, n, n, 1, a, n, w, n)
-					})
-				})
-			}
+			benchTrsm[float64](b, v.side, v.uplo, v.trans, n, "")
+			benchTrsm[float32](b, v.side, v.uplo, v.trans, n, "-f32")
 		}
+	}
+}
+
+func benchTrsm[F Float](b *testing.B, side, uplo, trans byte, n int, suffix string) {
+	rng := rand.New(rand.NewSource(1))
+	a, _, bm, _ := trsmOperands[F](triCase{side: side, uplo: uplo, m: n, n: n}, rng)
+	for _, impl := range triangularImpls {
+		solve := Trsm[F]
+		if impl == "ref" {
+			solve = trsmRef[F]
+		}
+		b.Run(fmt.Sprintf("%c%c%cN/n=%d/%s%s", side, uplo, trans, n, impl, suffix), func(b *testing.B) {
+			benchTriangular(b, float64(n)*float64(n)*float64(n), bm, func(w []F) {
+				_ = solve(side, uplo, trans, NonUnit, n, n, 1, a, n, w, n)
+			})
+		})
 	}
 }
 

@@ -99,8 +99,13 @@ func runTrsmCase[F Float](t *testing.T, tc triCase, seed int64) {
 }
 
 // triSizes is the differential size matrix: m x n for Trsm; the factor
-// tests use each distinct extent as a square order.
-var triSizes = [][2]int{{1, 1}, {2, 2}, {5, 5}, {7, 5}, {13, 9}, {64, 33}, {33, 64}, {131, 131}}
+// tests use each distinct extent as a square order. The last rows put
+// the triangle one short of, at and one past a left-looking block
+// (trsmBlock), over several blocks with a ragged last one, and at the
+// paper's 256 tile.
+var triSizes = [][2]int{{1, 1}, {2, 2}, {5, 5}, {7, 5}, {13, 9}, {64, 33}, {33, 64}, {131, 131},
+	{trsmBlock - 1, trsmBlock + 1}, {trsmBlock, trsmBlock}, {trsmBlock + 1, trsmBlock - 1},
+	{3*trsmBlock + 5, 3*trsmBlock + 5}, {256, 20}, {20, 256}}
 
 func TestTrsmBitwiseDifferential(t *testing.T) {
 	seed := int64(0)
@@ -156,23 +161,25 @@ func TestTrsmPanelTailsBitwise(t *testing.T) {
 // side/uplo/trans/diag combination over 1, 2 and 8 workers: side counts
 // below, at and past one trsmRHS group and ragged multi-group counts,
 // with a padded ldb, must match the oracle bit for bit at every width.
+// The triangle orders straddle the left-looking block edges (trsmBlock),
+// so every worker's seed rows and ragged last block are covered too.
 func TestTrsmParallelBitwise(t *testing.T) {
 	pools := []*parallel.Pool{parallel.NewPool(1), parallel.NewPool(2), parallel.NewPool(8)}
 	seed := int64(9000)
-	for _, side := range []byte{Left, Right} {
-		for _, uplo := range []byte{Upper, Lower} {
-			for _, trans := range []byte{NoTrans, Trans} {
-				for _, diag := range []byte{NonUnit, Unit} {
-					for _, rhs := range []int{1, 7, 8, 9, 33, 130} {
-						m, n := 37, rhs
-						if side == Right {
-							m, n = rhs, 37
-						}
-						seed++
-						tc := triCase{side, uplo, trans, diag, m, n, 2, 3, 0.75}
-						for _, p := range pools {
-							runTrsmParallelCase[float64](t, p, tc, seed)
-							runTrsmParallelCase[float32](t, p, tc, seed)
+	for _, k := range []int{37, trsmBlock - 1, trsmBlock, trsmBlock + 1, 3*trsmBlock + 5, 256} {
+		for _, side := range []byte{Left, Right} {
+			for _, uplo := range []byte{Upper, Lower} {
+				for _, trans := range []byte{NoTrans, Trans} {
+					for _, diag := range []byte{NonUnit, Unit} {
+						for _, rhs := range []int{1, 7, 8, 9, 33, 130} {
+							m, n := k, rhs
+							if side == Right {
+								m, n = rhs, k
+							}
+							seed++
+							tc := triCase{side, uplo, trans, diag, m, n, 2, 3, 0.75}
+							runTrsmParallelCase[float64](t, pools, tc, seed)
+							runTrsmParallelCase[float32](t, pools, tc, seed)
 						}
 					}
 				}
@@ -181,18 +188,21 @@ func TestTrsmParallelBitwise(t *testing.T) {
 	}
 }
 
-func runTrsmParallelCase[F Float](t *testing.T, p *parallel.Pool, tc triCase, seed int64) {
+func runTrsmParallelCase[F Float](t *testing.T, pools []*parallel.Pool, tc triCase, seed int64) {
 	t.Helper()
 	a, lda, b, ldb := trsmOperands[F](tc, rand.New(rand.NewSource(seed)))
 	want := append([]F(nil), b...)
 	if err := trsmRef(tc.side, tc.uplo, tc.trans, tc.diag, tc.m, tc.n, F(tc.alpha), a, lda, want, ldb); err != nil {
 		t.Fatalf("%s: oracle: %v", tc.name(), err)
 	}
-	if err := TrsmParallel(p, tc.side, tc.uplo, tc.trans, tc.diag, tc.m, tc.n, F(tc.alpha), a, lda, b, ldb); err != nil {
-		t.Fatalf("%s workers=%d: %v", tc.name(), p.Workers(), err)
-	}
-	if i := firstBitDiff(b, want); i >= 0 {
-		t.Fatalf("%s (%T) workers=%d: element %d = %v, oracle %v", tc.name(), b[0], p.Workers(), i, b[i], want[i])
+	for _, p := range pools {
+		got := append([]F(nil), b...)
+		if err := TrsmParallel(p, tc.side, tc.uplo, tc.trans, tc.diag, tc.m, tc.n, F(tc.alpha), a, lda, got, ldb); err != nil {
+			t.Fatalf("%s workers=%d: %v", tc.name(), p.Workers(), err)
+		}
+		if i := firstBitDiff(got, want); i >= 0 {
+			t.Fatalf("%s (%T) workers=%d: element %d = %v, oracle %v", tc.name(), got[0], p.Workers(), i, got[i], want[i])
+		}
 	}
 }
 
@@ -274,12 +284,16 @@ func checkFactor[F Float](t *testing.T, tag string, a []F, kernel, oracle func([
 	}
 }
 
+// potrfCase runs Potrf inline and with each block's GEMM step on 2 and 8
+// workers.
 func potrfCase[F Float](t *testing.T, uplo byte, n, pad int, seed int64) {
 	t.Helper()
 	a, lda := spdOperand[F](uplo, n, pad, rand.New(rand.NewSource(seed)))
-	checkFactor(t, fmt.Sprintf("potrf %c n=%d lda=%d", uplo, n, lda), a,
-		func(x []F) error { return Potrf(uplo, n, x, lda) },
-		func(x []F) error { return potrfRef(uplo, n, x, lda) })
+	for _, p := range []*parallel.Pool{nil, parallel.NewPool(2), parallel.NewPool(8)} {
+		checkFactor(t, fmt.Sprintf("potrf %c n=%d lda=%d workers=%d", uplo, n, lda, p.Workers()), a,
+			func(x []F) error { return PotrfParallel(p, uplo, n, x, lda) },
+			func(x []F) error { return potrfRef(uplo, n, x, lda) })
+	}
 }
 
 func getrfCase[F Float](t *testing.T, n, pad int, seed int64) {
@@ -315,10 +329,13 @@ func TestGetrfBitwiseDifferential(t *testing.T) {
 }
 
 // TestPotrfFailureParity breaks the SPD property at leading minor j+1 and
-// requires the oracle's error text and partially factored state.
+// requires the oracle's error text and partially factored state. The
+// trsmBlock cases fail in the second left-looking block, at its first
+// column and inside it, after one seeded GEMM step.
 func TestPotrfFailureParity(t *testing.T) {
 	for _, uplo := range []byte{Lower, Upper} {
-		for _, tc := range []struct{ n, j int }{{2, 0}, {9, 4}, {64, 37}, {131, 130}} {
+		for _, tc := range []struct{ n, j int }{{2, 0}, {9, 4}, {64, 37}, {131, 130},
+			{3*trsmBlock + 5, trsmBlock}, {3*trsmBlock + 5, trsmBlock + 7}} {
 			a, lda := spdOperand[float64](uplo, tc.n, 2, rand.New(rand.NewSource(int64(tc.n))))
 			a[tc.j+tc.j*lda] = -1
 			got := append([]float64(nil), a...)

@@ -272,7 +272,7 @@ type Runtime struct {
 	outstanding int
 	streams     int
 	streamList  []*Stream
-	// payloadPool runs the GEMM, SYRK and TRSM payloads of backed
+	// payloadPool runs the GEMM, SYRK, TRSM and POTRF payloads of backed
 	// buffers; New and Reset install a GOMAXPROCS-wide pool.
 	payloadPool *parallel.Pool
 	// payloadPolicy selects the CPU kernel numerics for backed payloads:
@@ -363,8 +363,8 @@ func (rt *Runtime) Reset(dev *device.Device) {
 	rt.rootHead = 0
 }
 
-// SetPayloadPool replaces the worker pool that runs the GEMM, SYRK and
-// TRSM payloads of backed buffers (a GOMAXPROCS-wide pool by default).
+// SetPayloadPool replaces the worker pool that runs the GEMM, SYRK, TRSM
+// and POTRF payloads of backed buffers (a GOMAXPROCS-wide pool by default).
 // Those payloads are bitwise deterministic across worker counts, so the
 // pool changes only wall-clock time, never results. A nil pool runs
 // payloads inline. Timing-only runs never touch the pool.

@@ -33,9 +33,9 @@ func (s *Stream) PotrfAsync(uplo byte, n int, a *DevBuffer, offA int64, lda int)
 		payload = func() {
 			var err error
 			if dt == kernelmodel.F64 {
-				err = blas.Potrf(uplo, n, a.f64[offA:], lda)
+				err = blas.PotrfParallel(s.rt.payloadPool, uplo, n, a.f64[offA:], lda)
 			} else {
-				err = blas.Potrf(uplo, n, a.f32[offA:], lda)
+				err = blas.PotrfParallel(s.rt.payloadPool, uplo, n, a.f32[offA:], lda)
 			}
 			if err != nil {
 				s.rt.payloadFailed("potrf", err)
