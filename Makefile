@@ -37,9 +37,9 @@ race:
 # the invariant analyzers, the race-enabled suite, a sub-second run of the
 # campaign mode, the campaign and factorization-sweep identity checks, one
 # pass of the factorization tile-selection benchmark, the golden tile-plan
-# check, a short fuzz of the request path, and the arm64 cross-compile (the
-# NEON kernels have no native CI runner, so assemble+vet is their
-# regression gate). The bench checks here compare exact fields only, so they
+# check, a short fuzz of the request path, and the arm64 cross-compile (there
+# is no native arm64 CI runner, so build+vet is that port's regression
+# gate). The bench checks here compare exact fields only, so they
 # pass at any host speed; timings are gated by the bench-*-gate targets.
 verify: build vet lint race bench-campaign-smoke bench-campaign-check \
 	bench-factor-check bench-select-smoke plan-golden-smoke fuzz-smoke \
@@ -125,8 +125,9 @@ bench-select-smoke:
 	$(GO) test -run '^$$' -bench SelectFactorTile -benchtime 1x .
 
 # cross-arm64 cross-compiles and vets the whole module for linux/arm64,
-# gating the NEON micro-kernels (gemm_arm64.s) and their build-tagged
-# registration on hosts without arm64 hardware or emulation.
+# where the BLAS payloads run the portable Go micro-kernel, so the
+# amd64-only kernel files and their build tags are checked to stay out of
+# that build on hosts without arm64 hardware or emulation.
 cross-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"log"
 	"math"
 	"os"
 	"path/filepath"
@@ -52,6 +54,7 @@ func TestCompare(t *testing.T) {
 		base   []*report
 		paired bool
 		want   []string // substrings of the error; none means compare passes
+		logs   []string // substrings of the log
 	}{
 		{name: "identical", head: one, base: one},
 		{name: "exact float one ulp", base: one, head: edited(func(r *report) {
@@ -90,11 +93,22 @@ func TestCompare(t *testing.T) {
 		{name: "paired ignores exact fields", paired: true, base: scaled(1), head: edited(func(r *report) {
 			r.Rows[1].Exact["events"]++
 			r.Rows = append(r.Rows, row{Key: "new", Timing: map[string]float64{"wall": 9}})
-		})},
+		}), logs: []string{"gate new: only in head, not gated"}},
+		{name: "paired base-only row passes", paired: true, base: scaled(1, 1, 1), head: edited(func(r *report) {
+			r.Rows = r.Rows[1:]
+		}), logs: []string{"gate dpotrf/4096/T=512: only in base, not gated"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
 			err := compare(tc.base, tc.head, tc.paired)
+			for _, w := range tc.logs {
+				if !strings.Contains(logged.String(), w) {
+					t.Errorf("log %q does not contain %q", logged.String(), w)
+				}
+			}
 			if len(tc.want) == 0 {
 				if err != nil {
 					t.Fatalf("compare failed: %v", err)

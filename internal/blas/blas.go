@@ -327,9 +327,9 @@ func Ger[F Float](m, n int, alpha F, x []F, incx int, y []F, incy int, a []F, ld
 // Syrk computes C = alpha*A*A^T + beta*C (trans=NoTrans) or
 // C = alpha*A^T*A + beta*C (trans=Trans) for the full n x n matrix C
 // (both triangles are written; the framework has no packed storage).
-// It is SyrkParallelPolicy with a nil pool and KernelExact.
+// It is SyrkParallel with a nil pool.
 func Syrk[F Float](trans byte, n, k int, alpha F, a []F, lda int, beta F, c []F, ldc int) error {
-	return SyrkParallelPolicy(nil, KernelExact, trans, n, k, alpha, a, lda, beta, c, ldc)
+	return SyrkParallel(nil, trans, n, k, alpha, a, lda, beta, c, ldc)
 }
 
 // Side and triangle flags for symm/trsm, matching the BLAS character
@@ -552,14 +552,13 @@ func TrsmParallel[F Float](p *parallel.Pool, side, uplo, transA, diag byte, m, n
 const trsmBlock = 32
 
 // blockWidth returns the left-looking block width of an order-k Trsm or
-// Potrf with element type F: trsmBlock where the exact GEMM kernel for F
-// is native, and k — one block, the unblocked loop — where it is the
-// portable Go kernel (float32, arm64, named float types) or cannot be
-// resolved. The portable kernel runs the GEMM prefix no faster than the
-// substitution loop itself, so blocking would only add packing.
+// Potrf with element type F: trsmBlock where the GEMM kernel for F is
+// native, and k — one block, the unblocked loop — where it is the
+// portable Go kernel (float32, named float types, hosts without AVX). The
+// portable kernel runs the GEMM prefix no faster than the substitution
+// loop itself, so blocking would only add packing.
 func blockWidth[F Float](k int) int {
-	sel, err := kernelFor[F](KernelExact)
-	if err != nil || (sel.f64 == nil && sel.f32 == nil) {
+	if kernelFor[F]().f64 == nil {
 		return k
 	}
 	return trsmBlock
@@ -618,7 +617,7 @@ func (t trsmSolve[F]) sides(lo, hi int, work []F) error {
 	for i0 := 0; i0 < t.k; i0 += t.nb {
 		i1 := min(i0+t.nb, t.k)
 		if i0 > 0 {
-			if err := GemmPolicy(KernelExact, xTrans, NoTrans, w, i1-i0, i0, 1,
+			if err := Gemm(xTrans, NoTrans, w, i1-i0, i0, 1,
 				t.b[lo*t.rStep:], ldx, t.e[i0*t.k:], t.k, 0, s, ldS); err != nil {
 				return err
 			}

@@ -14,12 +14,12 @@ const (
 	// gemmMR x gemmNR is the register micro-tile of the portable exact
 	// kernel: the micro-kernel keeps an MRxNR block of C in registers
 	// while streaming one packed A micro-panel against one packed B
-	// micro-panel. Native kernel variants may register wider tiles
-	// (registry.go); the packing layer follows the selected tile.
+	// micro-panel. A native kernel may use a wider tile (registry.go);
+	// the packing layer follows the selected tile.
 	gemmMR = 4
 	gemmNR = 4
-	// maxMR/maxNR bound any registered kernel tile: they size the tail
-	// kernel's stack accumulator, and registration rejects tiles past
+	// maxMR/maxNR bound any native kernel tile: they size the tail
+	// kernel's stack accumulator, and setKernel64 rejects tiles past
 	// them (or tiles that do not divide gemmMC/gemmNC).
 	maxMR = 16
 	maxNR = 4

@@ -27,31 +27,14 @@ func hasAVX() bool {
 	return xcr0&0x6 == 0x6
 }
 
-// hasAVX2FMA reports AVX2 plus FMA3 support on top of hasAVX (leaf 1
-// ECX bit 12 for FMA, leaf 7 EBX bit 5 for AVX2).
-func hasAVX2FMA() bool {
+// hasAVX512 reports AVX-512F support (leaf 7 EBX bit 16) with OS-enabled
+// ZMM state (XCR0 must cover the opmask and both upper-ZMM state
+// components on top of XMM|YMM, or any EVEX-encoded instruction faults).
+func hasAVX512() bool {
 	if !hasAVX() {
 		return false
 	}
-	maxID, _, _, _ := cpuidAsm(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx, _ := cpuidAsm(1, 0)
-	const fma = 1 << 12
-	if ecx&fma == 0 {
-		return false
-	}
-	_, ebx, _, _ := cpuidAsm(7, 0)
-	const avx2 = 1 << 5
-	return ebx&avx2 != 0
-}
-
-// hasAVX512 reports AVX-512F support with OS-enabled ZMM state (XCR0
-// must cover the opmask and both upper-ZMM state components on top of
-// XMM|YMM, or any EVEX-encoded instruction faults).
-func hasAVX512() bool {
-	if !hasAVX2FMA() {
+	if maxID, _, _, _ := cpuidAsm(0, 0); maxID < 7 {
 		return false
 	}
 	_, ebx, _, _ := cpuidAsm(7, 0)

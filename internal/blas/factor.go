@@ -93,7 +93,7 @@ func PotrfParallel[F Float](p *parallel.Pool, uplo byte, n int, a []F, lda int) 
 		if j0 > 0 {
 			// S = R(j0:j1, 0:j0) * R(j0:n, 0:j0)^T.
 			seed = sums
-			if err := GemmParallelPolicy(p, KernelExact, Trans, NoTrans, w, n-j0, j0, 1,
+			if err := GemmParallel(p, Trans, NoTrans, w, n-j0, j0, 1,
 				rows[j0*ld:], ld, rows[j0*ld:], ld, 0, seed, w); err != nil {
 				return err
 			}

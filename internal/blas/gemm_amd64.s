@@ -2,9 +2,10 @@
 //
 // Arithmetic contract (see microkernel.go): per-lane IEEE-754 double
 // multiply (VMULPD) followed by an ordered add (VADDPD) per k step —
-// deliberately NOT VFMADD, whose single rounding would break the bitwise
-// equality of the engine with the GemmNaive oracle and with the portable
-// Go micro-kernel used for tails and other element types.
+// deliberately not a fused multiply-add, whose single rounding would
+// break the bitwise equality of the engine with the GemmNaive oracle and
+// with the portable Go micro-kernel used for tails and other element
+// types.
 
 #include "textflag.h"
 

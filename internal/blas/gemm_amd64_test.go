@@ -8,96 +8,70 @@ import (
 	"testing"
 )
 
-// Direct micro-kernel tests: each fused assembly kernel must match a
-// scalar math.FMA reference bit for bit on packed panels — VFMADD231
-// and math.FMA round identically, so there is no tolerance here. This
-// covers kernels the registry shadows on this host (on an AVX-512
-// machine the AVX2 float64 kernel never resolves, but it must still be
-// correct for the hosts where it does).
-
-// fmaRef64 accumulates c (mrK x 4, column-major, leading dim ldc) with
-// one fused rounding per term, mirroring the packed-panel layout the
-// kernels consume.
-func fmaRef64(kc, mrK int, ap, bp, c []float64, ldc int) {
-	for l := 0; l < kc; l++ {
-		for j := 0; j < 4; j++ {
-			b := bp[l*4+j]
-			for i := 0; i < mrK; i++ {
-				c[i+j*ldc] = math.FMA(ap[l*mrK+i], b, c[i+j*ldc])
-			}
-		}
+// TestExactKernelsMatchPortable drives each native float64 micro-kernel
+// this host can run directly on packed panels, including the 4x4 AVX
+// kernel that the AVX-512 one shadows in Gemm, against the portable Go
+// kernels: microKernelTail over the full tile, plus microKernel4x4 for
+// 4x4 tiles. Ragged tiles use zero-padded panels as packA/packB build
+// them; the native kernel writes its full tile to scratch and the valid
+// corner must match the tail kernel's. No tolerance: every kernel is
+// bitwise exact.
+func TestExactKernelsMatchPortable(t *testing.T) {
+	var kernels []kernelSel
+	if hasAVX512() {
+		kernels = append(kernels, kernelSel{name: "avx512", mr: 16, nr: 4, f64: dgemmKernel16x4AVX512Exact})
 	}
-}
-
-func testFusedKernel64(t *testing.T, mrK int, kern func(kc int, a, b, c *float64, ldc int)) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(int64(mrK)))
-	for _, kc := range []int{1, 2, 7, gemmKC} {
-		ldc := mrK + 3
-		ap := randSlice(rng, mrK*kc)
-		bp := randSlice(rng, 4*kc)
-		c0 := randSlice(rng, ldc*4)
-		want := append([]float64(nil), c0...)
-		fmaRef64(kc, mrK, ap, bp, want, ldc)
-		got := append([]float64(nil), c0...)
-		kern(kc, &ap[0], &bp[0], &got[0], ldc)
-		if i := bitsEqual64(got, want); i >= 0 {
-			t.Fatalf("kc=%d: kernel differs from math.FMA reference at element %d: %v != %v",
-				kc, i, got[i], want[i])
-		}
+	if hasAVX() {
+		kernels = append(kernels, kernelSel{name: "avx", mr: 4, nr: 4, f64: dgemmKernel4x4AVX})
 	}
-}
-
-func TestDgemmKernel8x4FMADirect(t *testing.T) {
-	if !hasAVX2FMA() {
-		t.Skip("no AVX2+FMA on this host")
+	if len(kernels) == 0 {
+		t.Skip("no AVX on this host")
 	}
-	testFusedKernel64(t, 8, dgemmKernel8x4FMA)
-}
-
-func TestDgemmKernel16x4AVX512Direct(t *testing.T) {
-	if !hasAVX512() {
-		t.Skip("no AVX-512 on this host")
-	}
-	testFusedKernel64(t, 16, dgemmKernel16x4AVX512)
-}
-
-func TestSgemmKernel16x4FMADirect(t *testing.T) {
-	if !hasAVX2FMA() {
-		t.Skip("no AVX2+FMA on this host")
-	}
-	rng := rand.New(rand.NewSource(5))
-	const mrK = 16
-	for _, kc := range []int{1, 3, gemmKC} {
-		ldc := mrK + 1
-		ap := make([]float32, mrK*kc)
-		bp := make([]float32, 4*kc)
-		c0 := make([]float32, ldc*4)
-		for i := range ap {
-			ap[i] = float32(rng.NormFloat64())
-		}
-		for i := range bp {
-			bp[i] = float32(rng.NormFloat64())
-		}
-		for i := range c0 {
-			c0[i] = float32(rng.NormFloat64())
-		}
-		want := append([]float32(nil), c0...)
-		for l := 0; l < kc; l++ {
-			for j := 0; j < 4; j++ {
-				b := bp[l*4+j]
-				for i := 0; i < mrK; i++ {
-					// One fused rounding per term, in float32: FMA32(a, b, c)
-					// is the correctly rounded float32 of the exact a*b+c.
-					want[i+j*ldc] = float32(math.FMA(float64(ap[l*mrK+i]), float64(b), float64(want[i+j*ldc])))
+	for _, k := range kernels {
+		rng := rand.New(rand.NewSource(int64(k.mr*100 + k.nr)))
+		for _, kc := range []int{1, 2, 3, 7, gemmKC} {
+			for _, mr := range []int{k.mr, k.mr - 1, 1} {
+				for _, nr := range []int{k.nr, k.nr - 1, 1} {
+					exactKernelCase(t, k, rng, kc, mr, nr)
 				}
 			}
 		}
-		got := append([]float32(nil), c0...)
-		sgemmKernel16x4FMA(kc, &ap[0], &bp[0], &got[0], ldc)
-		if i := bitsEqual32(got, want); i >= 0 {
-			t.Fatalf("kc=%d: kernel differs from FMA reference at element %d: %v != %v",
-				kc, i, got[i], want[i])
+	}
+}
+
+// exactKernelCase checks one (kc, mr, nr) tile of kernel k: panels are
+// packed k.mr x k.nr wide with rows >= mr and columns >= nr zero.
+func exactKernelCase(t *testing.T, k kernelSel, rng *rand.Rand, kc, mr, nr int) {
+	t.Helper()
+	mrK, nrK := k.mr, k.nr
+	ap := make([]float64, mrK*kc)
+	bp := make([]float64, nrK*kc)
+	for l := 0; l < kc; l++ {
+		for i := 0; i < mr; i++ {
+			ap[l*mrK+i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(20)-10)
+		}
+		for j := 0; j < nr; j++ {
+			bp[l*nrK+j] = rng.NormFloat64()
+		}
+	}
+	ldc := mrK + 3
+	c0 := randSlice(rng, ldc*nrK)
+	want := append([]float64(nil), c0...)
+	microKernelTail(kc, mr, nr, mrK, nrK, ap, bp, want, ldc)
+	if mr == 4 && nr == 4 && mrK == 4 && nrK == 4 {
+		want4 := append([]float64(nil), c0...)
+		microKernel4x4(kc, ap, bp, want4, ldc)
+		if i := bitsEqual64(want4, want); i >= 0 {
+			t.Fatalf("portable kernels disagree at kc=%d element %d", kc, i)
+		}
+	}
+	got := append([]float64(nil), c0...)
+	k.f64(kc, &ap[0], &bp[0], &got[0], ldc)
+	for j := 0; j < nr; j++ {
+		for i := 0; i < mr; i++ {
+			if g, w := got[i+j*ldc], want[i+j*ldc]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s kc=%d tile %dx%d: c[%d,%d] = %v, portable kernel %v", k.name, kc, mr, nr, i, j, g, w)
+			}
 		}
 	}
 }

@@ -1,13 +1,12 @@
-// AVX-512 exact micro-kernel of the blocked GEMM engine, registered
-// under KernelExact (gemm_amd64.go) ahead of the 4x4 AVX kernel when ZMM
-// state is available.
+// AVX-512 exact micro-kernel of the blocked GEMM engine, installed
+// (gemm_amd64.go) ahead of the 4x4 AVX kernel when ZMM state is available.
 //
-// Same 16x4 register plan as the fused kernel in gemm_avx512_amd64.s,
-// but every VFMADD231PD is split into a VMULPD into a spare ZMM
-// (Z20..Z27) and an ordered VADDPD into the accumulator: each C element
-// receives round(a*b), then round(c + .), one term at a time in
-// increasing k order — the oracle's exact operation sequence, so the
-// kernel is bitwise identical to GemmNaive and to the 4x4 AVX kernel.
+// A 16x4 register tile, two ZMM accumulators per C column. Each term is a
+// VMULPD into a spare ZMM (Z20..Z27) and an ordered VADDPD into the
+// accumulator, never a fused multiply-add: each C element receives
+// round(a*b), then round(c + .), one term at a time in increasing k
+// order — the oracle's exact operation sequence, so the kernel is bitwise
+// identical to GemmNaive and to the 4x4 AVX kernel.
 
 #include "textflag.h"
 

@@ -5,21 +5,16 @@ import "cocopelia/internal/parallel"
 // This file is the driver of the blocked GEMM engine: three-level cache
 // blocking (NC column panels x KC depth panels x MC row blocks) over the
 // packed micro-panels of pack.go, with the innermost work done by the
-// micro-kernel variant the registry resolves for the call's element type
-// and KernelPolicy (registry.go: portable/AVX exact kernels, AVX2+FMA and
-// NEON fused kernels).
+// micro-kernel registry.go selects for the call's element type (the
+// portable Go kernel, or the AVX/AVX-512 one for float64).
 //
 // Determinism: C columns are independent — element (i,j) is touched only
 // by the beta pass over column j and by micro-kernels in column j's panel
 // — so partitioning columns across workers cannot change any element's
 // accumulation order. Within one column the order is fixed by the pc/k
-// loops: terms arrive in increasing k, one rounded accumulation step
-// each. Under KernelExact that step is the oracle's multiply-then-add, so
-// results are bitwise identical to GemmNaive; under KernelFMA it is one
-// fused rounding, so results are ULP-bounded against the oracle instead.
-// Either way the schedule is a pure function of (m, n, k, kernel), so
-// results are bitwise identical across worker counts;
-// TestGemmBlockedBitwise* and TestGemmFMA* pin these properties.
+// loops: terms arrive in increasing k, each the oracle's one rounded
+// multiply and one rounded add, so results are bitwise identical to
+// GemmNaive at any worker count; TestGemmBlockedBitwise* pins this.
 
 // checkGemm validates a Gemm call's flags, dimensions and operand shapes.
 func checkGemm[F Float](transA, transB byte, m, n, k int, a []F, lda int, b []F, ldb int, c []F, ldc int) error {
@@ -69,39 +64,22 @@ func scaleColumns[F Float](m, jLo, jHi int, beta F, c []F, ldc int) {
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C where op(A) is m x k,
 // op(B) is k x n and C is m x n, all column-major, using the blocked
-// packed engine on the calling goroutine under the default KernelExact
-// policy. Results are bitwise identical to the GemmNaive oracle.
+// packed engine on the calling goroutine. Results are bitwise identical
+// to the GemmNaive oracle. It is GemmParallel with a nil pool.
 func Gemm[F Float](transA, transB byte, m, n, k int, alpha F, a []F, lda int, b []F, ldb int, beta F, c []F, ldc int) error {
-	return GemmParallelPolicy(nil, KernelExact, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-// GemmPolicy is Gemm under an explicit kernel policy (see KernelPolicy
-// for the numerics contract of each).
-func GemmPolicy[F Float](policy KernelPolicy, transA, transB byte, m, n, k int, alpha F, a []F, lda int, b []F, ldb int, beta F, c []F, ldc int) error {
-	return GemmParallelPolicy(nil, policy, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	return GemmParallel(nil, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // GemmParallel is Gemm fanned out over the pool's workers, each owning a
 // disjoint range of C column panels. The fixed blocking makes every C
 // element's accumulation order independent of the partition, so the result
-// is bitwise identical at any worker count (a nil pool runs inline).
+// is bitwise identical at any worker count (a nil pool runs inline) and
+// to the GemmNaive oracle.
 func GemmParallel[F Float](p *parallel.Pool, transA, transB byte, m, n, k int, alpha F, a []F, lda int, b []F, ldb int, beta F, c []F, ldc int) error {
-	return GemmParallelPolicy(p, KernelExact, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-// GemmParallelPolicy is the full engine entry point: an explicit kernel
-// policy and a worker pool. Whatever the selected kernel, the blocking
-// schedule depends only on (m, n, k, kernel), so results are bitwise
-// identical at any worker count; KernelExact results are additionally
-// bitwise identical to the GemmNaive oracle.
-func GemmParallelPolicy[F Float](p *parallel.Pool, policy KernelPolicy, transA, transB byte, m, n, k int, alpha F, a []F, lda int, b []F, ldb int, beta F, c []F, ldc int) error {
 	if err := checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
 	}
-	sel, err := kernelFor[F](policy)
-	if err != nil {
-		return err
-	}
+	sel := kernelFor[F]()
 	if m == 0 || n == 0 {
 		return nil
 	}
@@ -157,29 +135,14 @@ func gemmColumns[F Float](sel kernelSel, transA, transB byte, m, jLo, jHi, k int
 	bpCap := min(gemmKC, k) * roundUp(min(gemmNC, jHi-jLo), nrK)
 	ap, bp := packSlices[F](bufs, apCap, bpCap)
 
-	// Native-kernel views (nil unless F is literally the kernel's element
-	// type). The pointer-based casts never allocate.
+	// Native-kernel views: kernelFor returns a native kernel only when F
+	// is float64, so the casts hold. They never allocate.
 	var a64, b64, c64 []float64
 	kern64 := sel.f64
 	if kern64 != nil {
-		var okA, okB, okC bool
-		a64, okA = asTyped[float64](&ap)
-		b64, okB = asTyped[float64](&bp)
-		c64, okC = asTyped[float64](&c)
-		if !okA || !okB || !okC {
-			kern64 = nil
-		}
-	}
-	var a32, b32, c32 []float32
-	kern32 := sel.f32
-	if kern32 != nil {
-		var okA, okB, okC bool
-		a32, okA = asTyped[float32](&ap)
-		b32, okB = asTyped[float32](&bp)
-		c32, okC = asTyped[float32](&c)
-		if !okA || !okB || !okC {
-			kern32 = nil
-		}
+		a64, _ = asTyped[float64](&ap)
+		b64, _ = asTyped[float64](&bp)
+		c64, _ = asTyped[float64](&c)
 	}
 
 	for jc := jLo; jc < jHi; jc += gemmNC {
@@ -200,11 +163,6 @@ func gemmColumns[F Float](sel kernelSel, transA, transB byte, m, jLo, jHi, k int
 							if kern64 != nil {
 								cb := c64[(ic+ir)+(jc+jr)*ldc:]
 								kern64(kc, &a64[ir*kc], &b64[jr*kc], &cb[0], ldc)
-								continue
-							}
-							if kern32 != nil {
-								cb := c32[(ic+ir)+(jc+jr)*ldc:]
-								kern32(kc, &a32[ir*kc], &b32[jr*kc], &cb[0], ldc)
 								continue
 							}
 							if mrK == gemmMR && nrK == gemmNR {
@@ -269,16 +227,11 @@ func GemmNaive[F Float](transA, transB byte, m, n, k int, alpha F, a []F, lda in
 
 // SyrkParallel is Syrk through the parallel blocked engine.
 func SyrkParallel[F Float](p *parallel.Pool, trans byte, n, k int, alpha F, a []F, lda int, beta F, c []F, ldc int) error {
-	return SyrkParallelPolicy(p, KernelExact, trans, n, k, alpha, a, lda, beta, c, ldc)
-}
-
-// SyrkParallelPolicy is SyrkParallel under an explicit kernel policy.
-func SyrkParallelPolicy[F Float](p *parallel.Pool, policy KernelPolicy, trans byte, n, k int, alpha F, a []F, lda int, beta F, c []F, ldc int) error {
 	if err := checkTrans("syrk", trans); err != nil {
 		return err
 	}
 	if trans == NoTrans {
-		return GemmParallelPolicy(p, policy, NoTrans, Trans, n, n, k, alpha, a, lda, a, lda, beta, c, ldc)
+		return GemmParallel(p, NoTrans, Trans, n, n, k, alpha, a, lda, a, lda, beta, c, ldc)
 	}
-	return GemmParallelPolicy(p, policy, Trans, NoTrans, n, n, k, alpha, a, lda, a, lda, beta, c, ldc)
+	return GemmParallel(p, Trans, NoTrans, n, n, k, alpha, a, lda, a, lda, beta, c, ldc)
 }

@@ -150,34 +150,54 @@ func TestGemmBlockedBitwiseFuzz(t *testing.T) {
 	}
 }
 
-// TestGemmBlockedFloat32 pins the float32 path (portable micro-kernel) to
-// its oracle, serial and parallel.
+// TestGemmBlockedFloat32 pins the portable micro-kernel path to its
+// oracle, serial and at 2 and 8 workers, over every transpose pair and
+// shapes ragged against the tile and the MC/KC blocks: for float32, and
+// for a named float64 type, which runs the portable kernel on float64
+// arithmetic.
 func TestGemmBlockedFloat32(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	m, n, k := 67, 45, gemmKC+9
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	c0 := make([]float32, m*n)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
+	type named64 float64
+	shapes := [][3]int{{67, 45, gemmKC + 9}, {17, 5, 67}, {gemmMC + 9, 33, gemmKC + 5}}
+	for si, sh := range shapes {
+		for _, ta := range []byte{NoTrans, Trans} {
+			for _, tb := range []byte{NoTrans, Trans} {
+				seed := int64(17 + si)
+				portableGemmCase[float32](t, ta, tb, sh[0], sh[1], sh[2], seed)
+				portableGemmCase[named64](t, ta, tb, sh[0], sh[1], sh[2], seed)
+			}
+		}
 	}
-	for i := range b {
-		b[i] = float32(rng.NormFloat64())
+}
+
+// portableGemmCase checks one configuration of element type F against
+// GemmNaive bit for bit, with alpha 1.25 and beta -0.5.
+func portableGemmCase[F Float](t *testing.T, ta, tb byte, m, n, k int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	fill := func(rows, cols int) []F {
+		x := make([]F, rows*cols)
+		for i := range x {
+			x[i] = F(rng.NormFloat64())
+		}
+		return x
 	}
-	for i := range c0 {
-		c0[i] = float32(rng.NormFloat64())
-	}
-	ref := append([]float32(nil), c0...)
-	if err := GemmNaive[float32](NoTrans, Trans, m, n, k, 1.25, a, m, b, n, -0.5, ref, m); err != nil {
+	aRows, aCols := opDims(ta, m, k)
+	bRows, bCols := opDims(tb, k, n)
+	a, b, c0 := fill(aRows, aCols), fill(bRows, bCols), fill(m, n)
+	ref := append([]F(nil), c0...)
+	if err := GemmNaive(ta, tb, m, n, k, 1.25, a, aRows, b, bRows, -0.5, ref, m); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []*parallel.Pool{nil, parallel.NewPool(8)} {
-		got := append([]float32(nil), c0...)
-		if err := GemmParallel[float32](p, NoTrans, Trans, m, n, k, 1.25, a, m, b, n, -0.5, got, m); err != nil {
+	for _, p := range []*parallel.Pool{nil, parallel.NewPool(2), parallel.NewPool(8)} {
+		got := append([]F(nil), c0...)
+		if err := GemmParallel(p, ta, tb, m, n, k, 1.25, a, aRows, b, bRows, -0.5, got, m); err != nil {
 			t.Fatal(err)
 		}
-		if i := bitsEqual32(got, ref); i >= 0 {
-			t.Fatalf("workers=%d: differs from oracle at %d: %v != %v", p.Workers(), i, got[i], ref[i])
+		for i := range got {
+			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(ref[i])) {
+				t.Fatalf("%T %c%c m=%d n=%d k=%d workers=%d: differs from oracle at %d: %v != %v",
+					got[i], ta, tb, m, n, k, p.Workers(), i, got[i], ref[i])
+			}
 		}
 	}
 }

@@ -56,8 +56,8 @@ func microKernel4x4[F Float](kc int, ap, bp []F, c []F, ldc int) {
 // nr <= nrK) read from zero-padded micro-panels whose packed widths are
 // the selected kernel's mrK x nrK tile. Only the valid C elements are
 // loaded and stored; padded lanes accumulate zeros into dead accumulator
-// slots. Arithmetic stays exact (one multiply, one ordered add per term)
-// under every policy — tails never fuse.
+// slots. Arithmetic is the same as every kernel's: one multiply, one
+// ordered add per term.
 func microKernelTail[F Float](kc, mr, nr, mrK, nrK int, ap, bp []F, c []F, ldc int) {
 	var acc [maxMR * maxNR]F
 	for jj := 0; jj < nr; jj++ {

@@ -7,7 +7,7 @@ package blas
 // micro-panels with unit stride — and ragged edges are zero-padded to full
 // micro-panel width so only the C write-back needs tail handling. The
 // panel widths mr/nr come from the selected kernel variant (registry.go):
-// 4x4 for the exact kernels, wider tiles for the fused ones.
+// 4x4 for the portable and AVX kernels, 16x4 for the AVX-512 one.
 //
 // alpha is folded into the packed B panel: the oracle computes every term
 // as op(A)[i,l] * (alpha*op(B)[l,j]), so scaling B at pack time (one

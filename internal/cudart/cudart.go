@@ -275,10 +275,6 @@ type Runtime struct {
 	// payloadPool runs the GEMM, SYRK, TRSM and POTRF payloads of backed
 	// buffers; New and Reset install a GOMAXPROCS-wide pool.
 	payloadPool *parallel.Pool
-	// payloadPolicy selects the CPU kernel numerics for backed payloads:
-	// the default blas.KernelExact keeps the bitwise oracle contract;
-	// blas.KernelFMA opts into the fused (ULP-bounded) micro-kernels.
-	payloadPolicy blas.KernelPolicy
 	// payloadErr is the first functional-payload error since the last
 	// Sync (a non-SPD or singular tile, or bad payload geometry); Sync
 	// returns and clears it.
@@ -348,7 +344,6 @@ func (rt *Runtime) Reset(dev *device.Device) {
 	rt.outstanding = 0
 	rt.streams = 0
 	rt.payloadPool = parallel.NewPool(0)
-	rt.payloadPolicy = blas.KernelExact
 	rt.payloadErr = nil
 	for i := range rt.streamList {
 		rt.streamList[i] = nil
@@ -369,16 +364,6 @@ func (rt *Runtime) Reset(dev *device.Device) {
 // pool changes only wall-clock time, never results. A nil pool runs
 // payloads inline. Timing-only runs never touch the pool.
 func (rt *Runtime) SetPayloadPool(p *parallel.Pool) { rt.payloadPool = p }
-
-// SetPayloadPolicy selects the CPU kernel numerics for backed payloads.
-// The default blas.KernelExact reproduces the GemmNaive oracle bit for
-// bit; blas.KernelFMA routes to the fused micro-kernels (FMA/NEON),
-// which are ULP-bounded against the oracle and still bitwise
-// reproducible across worker counts. Reset restores the default.
-func (rt *Runtime) SetPayloadPolicy(p blas.KernelPolicy) { rt.payloadPolicy = p }
-
-// PayloadPolicy reports the kernel policy applied to backed payloads.
-func (rt *Runtime) PayloadPolicy() blas.KernelPolicy { return rt.payloadPolicy }
 
 // payloadFailed records a functional payload's error for Sync to return.
 // Only the first error of a batch is kept: later failures usually follow
@@ -953,10 +938,10 @@ func (s *Stream) GemmAsync(transA, transB byte, m, n, k int,
 		payload = func() {
 			var err error
 			if dt == kernelmodel.F64 {
-				err = blas.GemmParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, transA, transB, m, n, k, alpha,
+				err = blas.GemmParallel(s.rt.payloadPool, transA, transB, m, n, k, alpha,
 					a.f64[offA:], lda, b.f64[offB:], ldb, beta, c.f64[offC:], ldc)
 			} else {
-				err = blas.GemmParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, transA, transB, m, n, k, float32(alpha),
+				err = blas.GemmParallel(s.rt.payloadPool, transA, transB, m, n, k, float32(alpha),
 					a.f32[offA:], lda, b.f32[offB:], ldb, float32(beta), c.f32[offC:], ldc)
 			}
 			if err != nil {

@@ -258,155 +258,6 @@ func TestGemmAsyncPayloadPoolBitwise(t *testing.T) {
 	}
 }
 
-// TestGemmAsyncPayloadPolicy opts payloads into the fused kernels with
-// SetPayloadPolicy: the result must stay within a k-scaled ULP bound of
-// the exact engine, be bitwise identical across worker counts, and the
-// policy must revert to exact on Reset.
-func TestGemmAsyncPayloadPolicy(t *testing.T) {
-	m, n, k := 130, 70, 65
-	rng := rand.New(rand.NewSource(43))
-	hostA := make([]float64, m*k)
-	hostB := make([]float64, k*n)
-	for i := range hostA {
-		hostA[i] = rng.NormFloat64()
-	}
-	for i := range hostB {
-		hostB[i] = rng.NormFloat64()
-	}
-	run := func(policy blas.KernelPolicy, pool *parallel.Pool) []float64 {
-		rt := newRT()
-		rt.SetPayloadPool(pool)
-		rt.SetPayloadPolicy(policy)
-		s := rt.NewStream()
-		dA, _ := rt.Malloc(kernelmodel.F64, int64(m*k), true)
-		dB, _ := rt.Malloc(kernelmodel.F64, int64(k*n), true)
-		dC, _ := rt.Malloc(kernelmodel.F64, int64(m*n), true)
-		_, _ = s.MemcpyH2DAsync(dA, 0, hostA, nil, int64(m*k))
-		_, _ = s.MemcpyH2DAsync(dB, 0, hostB, nil, int64(k*n))
-		if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, m, n, k, 1.25, dA, 0, m, dB, 0, k, 0, dC, 0, m); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, m*n)
-		_, _ = s.MemcpyD2HAsync(out, nil, dC, 0, int64(m*n))
-		if _, err := rt.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	exact := run(blas.KernelExact, nil)
-	fused := run(blas.KernelFMA, nil)
-	// Magnitude bound per element: 1.25 * sum_l |A[i,l]||B[l,j]|, computed
-	// on the host (cancellation makes |exact| itself too small a yardstick).
-	absA := make([]float64, len(hostA))
-	absB := make([]float64, len(hostB))
-	for i, v := range hostA {
-		absA[i] = math.Abs(v)
-	}
-	for i, v := range hostB {
-		absB[i] = math.Abs(v)
-	}
-	mag := make([]float64, m*n)
-	if err := blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1.25, absA, m, absB, k, 0, mag, m); err != nil {
-		t.Fatal(err)
-	}
-	bound := 4 * float64(k+2) * 0x1p-52
-	for i := range exact {
-		if diff := math.Abs(fused[i] - exact[i]); diff > bound*mag[i] {
-			t.Fatalf("fused payload element %d outside ULP bound: %v vs %v", i, fused[i], exact[i])
-		}
-	}
-	for _, w := range []int{2, 8} {
-		pooled := run(blas.KernelFMA, parallel.NewPool(w))
-		for i := range fused {
-			if math.Float64bits(fused[i]) != math.Float64bits(pooled[i]) {
-				t.Fatalf("workers=%d: fused payload differs from serial at %d", w, i)
-			}
-		}
-	}
-	rt := newRT()
-	rt.SetPayloadPolicy(blas.KernelFMA)
-	if got := rt.PayloadPolicy(); got != blas.KernelFMA {
-		t.Fatalf("PayloadPolicy after set: %v", got)
-	}
-	rt.Reset(rt.Device())
-	if got := rt.PayloadPolicy(); got != blas.KernelExact {
-		t.Fatalf("PayloadPolicy after Reset: %v, want exact", got)
-	}
-}
-
-// TestSyrkAsyncPayloadPolicy is TestGemmAsyncPayloadPolicy for SYRK
-// tiles: the payload policy reaches them too, so the fused result stays
-// within a k-scaled ULP bound of the exact one, is bitwise identical
-// across worker counts, and (on a host with a fused kernel) differs from
-// the exact result.
-func TestSyrkAsyncPayloadPolicy(t *testing.T) {
-	n, k := 70, 65
-	rng := rand.New(rand.NewSource(47))
-	hostA := make([]float64, n*k)
-	hostC := make([]float64, n*n)
-	for i := range hostA {
-		hostA[i] = rng.NormFloat64()
-	}
-	for i := range hostC {
-		hostC[i] = rng.NormFloat64()
-	}
-	run := func(policy blas.KernelPolicy, pool *parallel.Pool) []float64 {
-		rt := newRT()
-		rt.SetPayloadPool(pool)
-		rt.SetPayloadPolicy(policy)
-		s := rt.NewStream()
-		dA, _ := rt.Malloc(kernelmodel.F64, int64(n*k), true)
-		dC, _ := rt.Malloc(kernelmodel.F64, int64(n*n), true)
-		_, _ = s.MemcpyH2DAsync(dA, 0, hostA, nil, int64(n*k))
-		_, _ = s.MemcpyH2DAsync(dC, 0, hostC, nil, int64(n*n))
-		if _, err := s.SyrkAsync(blas.Lower, blas.NoTrans, n, k, 1.25, dA, 0, n, 0.5, dC, 0, n); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, n*n)
-		_, _ = s.MemcpyD2HAsync(out, nil, dC, 0, int64(n*n))
-		if _, err := rt.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	exact := run(blas.KernelExact, nil)
-	fused := run(blas.KernelFMA, nil)
-	// Magnitude bound per element: 1.25 * sum_l |A[i,l]||A[j,l]| + 0.5*|C|.
-	absA := make([]float64, len(hostA))
-	for i, v := range hostA {
-		absA[i] = math.Abs(v)
-	}
-	mag := make([]float64, n*n)
-	for i, v := range hostC {
-		mag[i] = math.Abs(v)
-	}
-	if err := blas.Dgemm(blas.NoTrans, blas.Trans, n, n, k, 1.25, absA, n, absA, n, 0.5, mag, n); err != nil {
-		t.Fatal(err)
-	}
-	bound := 4 * float64(k+2) * 0x1p-52
-	differs := false
-	for i := range exact {
-		if diff := math.Abs(fused[i] - exact[i]); diff > bound*mag[i] {
-			t.Fatalf("fused syrk payload element %d outside ULP bound: %v vs %v", i, fused[i], exact[i])
-		}
-		differs = differs || math.Float64bits(fused[i]) != math.Float64bits(exact[i])
-	}
-	exactName, _ := blas.SelectedKernel[float64](blas.KernelExact)
-	fusedName, _ := blas.SelectedKernel[float64](blas.KernelFMA)
-	if fusedName != exactName && !differs {
-		t.Fatalf("fused kernel %s left every syrk element bitwise equal to exact %s: the policy did not reach the payload",
-			fusedName, exactName)
-	}
-	for _, w := range []int{2, 8} {
-		pooled := run(blas.KernelFMA, parallel.NewPool(w))
-		for i := range fused {
-			if math.Float64bits(fused[i]) != math.Float64bits(pooled[i]) {
-				t.Fatalf("workers=%d: fused syrk payload differs from serial at %d", w, i)
-			}
-		}
-	}
-}
-
 // TestDefaultPayloadPool pins that New and Reset both install a pool as
 // wide as GOMAXPROCS at the time of the call, whatever pool was set
 // before.

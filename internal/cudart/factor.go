@@ -119,10 +119,10 @@ func (s *Stream) SyrkAsync(uplo, trans byte, n, k int, alpha float64,
 		payload = func() {
 			var err error
 			if dt == kernelmodel.F64 {
-				err = blas.SyrkParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, trans, n, k, alpha,
+				err = blas.SyrkParallel(s.rt.payloadPool, trans, n, k, alpha,
 					a.f64[offA:], lda, beta, c.f64[offC:], ldc)
 			} else {
-				err = blas.SyrkParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, trans, n, k, float32(alpha),
+				err = blas.SyrkParallel(s.rt.payloadPool, trans, n, k, float32(alpha),
 					a.f32[offA:], lda, float32(beta), c.f32[offC:], ldc)
 			}
 			if err != nil {
