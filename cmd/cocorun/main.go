@@ -227,16 +227,13 @@ var libs = map[string]eval.Lib{
 	"unified":   eval.LibUnified,
 }
 
-// runOnce runs one repetition through the eval runner's library dispatch,
-// but on a caller-supplied runtime so the trace attaches to the same
-// device.
+// runOnce runs one repetition of the eval runner's request for the
+// library, but on a caller-supplied runtime so the trace attaches to the
+// same device.
 func runOnce(rt *cudart.Runtime, lib string, p eval.Problem, T int) (operand.Result, error) {
 	l, ok := libs[lib]
 	if !ok {
 		return operand.Result{}, fmt.Errorf("unknown library %s", lib)
-	}
-	if l != eval.LibCoCoPeLia && l != eval.LibNoReuse {
-		return eval.RunComparator(rt, l, p, T)
 	}
 	req, err := eval.Request(rt, l, p, T)
 	if err != nil {

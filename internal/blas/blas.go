@@ -13,7 +13,6 @@ package blas
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"cocopelia/internal/parallel"
 )
@@ -113,123 +112,6 @@ func Axpy[F Float](n int, alpha F, x []F, incx int, y []F, incy int) error {
 	return nil
 }
 
-// Scal computes x *= alpha over a length-n strided vector.
-func Scal[F Float](n int, alpha F, x []F, incx int) error {
-	if err := checkVector("x", n, incx, x); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		x[vecIdx(i, n, incx)] *= alpha
-	}
-	return nil
-}
-
-// Copy copies x into y over length-n strided vectors.
-func Copy[F Float](n int, x []F, incx int, y []F, incy int) error {
-	if err := checkVector("x", n, incx, x); err != nil {
-		return err
-	}
-	if err := checkVector("y", n, incy, y); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		y[vecIdx(i, n, incy)] = x[vecIdx(i, n, incx)]
-	}
-	return nil
-}
-
-// Swap exchanges x and y over length-n strided vectors.
-func Swap[F Float](n int, x []F, incx int, y []F, incy int) error {
-	if err := checkVector("x", n, incx, x); err != nil {
-		return err
-	}
-	if err := checkVector("y", n, incy, y); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		xi, yi := vecIdx(i, n, incx), vecIdx(i, n, incy)
-		x[xi], y[yi] = y[yi], x[xi]
-	}
-	return nil
-}
-
-// Dot returns the inner product of two length-n strided vectors.
-func Dot[F Float](n int, x []F, incx int, y []F, incy int) (F, error) {
-	if err := checkVector("x", n, incx, x); err != nil {
-		return 0, err
-	}
-	if err := checkVector("y", n, incy, y); err != nil {
-		return 0, err
-	}
-	var s F
-	for i := 0; i < n; i++ {
-		s += x[vecIdx(i, n, incx)] * y[vecIdx(i, n, incy)]
-	}
-	return s, nil
-}
-
-// Nrm2 returns the Euclidean norm of a length-n strided vector, using the
-// scaled accumulation that avoids overflow.
-func Nrm2[F Float](n int, x []F, incx int) (F, error) {
-	if err := checkVector("x", n, incx, x); err != nil {
-		return 0, err
-	}
-	var scale, ssq float64 = 0, 1
-	for i := 0; i < n; i++ {
-		v := math.Abs(float64(x[vecIdx(i, n, incx)]))
-		if v == 0 {
-			continue
-		}
-		if scale < v {
-			r := scale / v
-			ssq = 1 + ssq*r*r
-			scale = v
-		} else {
-			r := v / scale
-			ssq += r * r
-		}
-	}
-	return F(scale * math.Sqrt(ssq)), nil
-}
-
-// Asum returns the sum of absolute values of a length-n strided vector.
-func Asum[F Float](n int, x []F, incx int) (F, error) {
-	if err := checkVector("x", n, incx, x); err != nil {
-		return 0, err
-	}
-	var s F
-	for i := 0; i < n; i++ {
-		v := x[vecIdx(i, n, incx)]
-		if v < 0 {
-			v = -v
-		}
-		s += v
-	}
-	return s, nil
-}
-
-// Iamax returns the index (0-based, into the logical vector) of the element
-// with the largest absolute value, or -1 for an empty vector.
-func Iamax[F Float](n int, x []F, incx int) (int, error) {
-	if err := checkVector("x", n, incx, x); err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return -1, nil
-	}
-	best, bestAbs := 0, F(-1)
-	for i := 0; i < n; i++ {
-		v := x[vecIdx(i, n, incx)]
-		if v < 0 {
-			v = -v
-		}
-		if v > bestAbs {
-			best, bestAbs = i, v
-		}
-	}
-	return best, nil
-}
-
 // opDims returns the (rows, cols) of op(X) for an rows x cols stored X.
 func opDims(trans byte, rows, cols int) (int, int) {
 	if trans == Trans {
@@ -294,36 +176,6 @@ func Gemv[F Float](trans byte, m, n int, alpha F, a []F, lda int, x []F, incx in
 	return nil
 }
 
-// Ger computes A += alpha * x * y^T for an m x n matrix A.
-func Ger[F Float](m, n int, alpha F, x []F, incx int, y []F, incy int, a []F, lda int) error {
-	if err := checkMatrix("A", m, n, lda, a); err != nil {
-		return err
-	}
-	if err := checkVector("x", m, incx, x); err != nil {
-		return err
-	}
-	if err := checkVector("y", n, incy, y); err != nil {
-		return err
-	}
-	if alpha == 0 || m == 0 || n == 0 {
-		return nil
-	}
-	for j := 0; j < n; j++ {
-		yj := alpha * y[vecIdx(j, n, incy)]
-		col := a[j*lda : j*lda+m]
-		if incx == 1 {
-			for i, xv := range x[:m] {
-				col[i] += xv * yj
-			}
-			continue
-		}
-		for i := 0; i < m; i++ {
-			col[i] += x[vecIdx(i, m, incx)] * yj
-		}
-	}
-	return nil
-}
-
 // Syrk computes C = alpha*A*A^T + beta*C (trans=NoTrans) or
 // C = alpha*A^T*A + beta*C (trans=Trans) for the full n x n matrix C
 // (both triangles are written; the framework has no packed storage).
@@ -332,12 +184,12 @@ func Syrk[F Float](trans byte, n, k int, alpha F, a []F, lda int, beta F, c []F,
 	return SyrkParallel(nil, trans, n, k, alpha, a, lda, beta, c, ldc)
 }
 
-// Side and triangle flags for symm/trsm, matching the BLAS character
-// convention.
+// Side and triangle flags for the triangular routines, matching the BLAS
+// character convention.
 const (
-	// Left selects op on the left: C = alpha*A*B + ...
+	// Left selects op(A) on the left: op(A)*X = alpha*B.
 	Left byte = 'L'
-	// Right selects op on the right: C = alpha*B*A + ...
+	// Right selects op(A) on the right: X*op(A) = alpha*B.
 	Right byte = 'R'
 	// Upper selects the upper triangle of a triangular/symmetric matrix.
 	Upper byte = 'U'
@@ -348,104 +200,6 @@ const (
 	// NonUnit marks an explicit diagonal.
 	NonUnit byte = 'N'
 )
-
-// Symm computes C = alpha*A*B + beta*C (side Left) or
-// C = alpha*B*A + beta*C (side Right), where A is symmetric with the
-// referenced triangle given by uplo. C is m x n; A is m x m (Left) or
-// n x n (Right).
-func Symm[F Float](side, uplo byte, m, n int, alpha F, a []F, lda int, b []F, ldb int, beta F, c []F, ldc int) error {
-	if side != Left && side != Right {
-		return badShape("symm: bad side %q", side)
-	}
-	if uplo != Upper && uplo != Lower {
-		return badShape("symm: bad uplo %q", uplo)
-	}
-	na := m
-	if side == Right {
-		na = n
-	}
-	if err := checkMatrix("A", na, na, lda, a); err != nil {
-		return err
-	}
-	if err := checkMatrix("B", m, n, ldb, b); err != nil {
-		return err
-	}
-	if err := checkMatrix("C", m, n, ldc, c); err != nil {
-		return err
-	}
-	if m == 0 || n == 0 {
-		return nil
-	}
-	// Beta pass over whole C columns first (as in Gemm), so the alpha == 0
-	// fast path and the accumulation loops below never rescale C.
-	for j := 0; j < n; j++ {
-		col := c[j*ldc : j*ldc+m]
-		if beta == 0 {
-			for i := range col {
-				col[i] = 0
-			}
-		} else if beta != 1 {
-			for i := range col {
-				col[i] *= beta
-			}
-		}
-	}
-	if alpha == 0 {
-		return nil
-	}
-	if side == Left {
-		// C[:, j] += sum_l A[:, l] * (alpha*B[l, j]): column-sliced axpy
-		// accumulation, mirroring the Gemm idiom. Symmetric column l is
-		// read from the referenced triangle in two parts — a unit-stride
-		// stored column segment and the mirrored row at stride lda.
-		for j := 0; j < n; j++ {
-			cCol := c[j*ldc : j*ldc+m]
-			bCol := b[j*ldb : j*ldb+m]
-			for l := 0; l < m; l++ {
-				blj := alpha * bCol[l]
-				arow := a[l:]
-				if uplo == Upper {
-					// A[0..l, l] is stored column l; A[l+1.., l] mirrors
-					// stored row l.
-					aCol := a[l*lda : l*lda+l+1]
-					for i, av := range aCol {
-						cCol[i] += av * blj
-					}
-					for i := l + 1; i < m; i++ {
-						cCol[i] += arow[i*lda] * blj
-					}
-				} else {
-					// A[0..l-1, l] mirrors stored row l; A[l.., l] is
-					// stored column l.
-					for i := 0; i < l; i++ {
-						cCol[i] += arow[i*lda] * blj
-					}
-					aCol := a[l+l*lda : l*lda+m]
-					for o, av := range aCol {
-						cCol[l+o] += av * blj
-					}
-				}
-			}
-		}
-		return nil
-	}
-	// Side == Right: C[:, j] += sum_l B[:, l] * (alpha*A[l, j]).
-	for j := 0; j < n; j++ {
-		cCol := c[j*ldc : j*ldc+m]
-		for l := 0; l < n; l++ {
-			i, jj := l, j
-			if (uplo == Upper && i > jj) || (uplo == Lower && i < jj) {
-				i, jj = jj, i
-			}
-			alj := alpha * a[i+jj*lda]
-			bCol := b[l*ldb : l*ldb+m]
-			for ii, bv := range bCol {
-				cCol[ii] += bv * alj
-			}
-		}
-	}
-	return nil
-}
 
 // Trsm solves op(A)*X = alpha*B (side Left) or X*op(A) = alpha*B (side
 // Right) for X, overwriting B, where A is triangular per uplo/diag and
@@ -779,14 +533,3 @@ func Sgemm(transA, transB byte, m, n, k int, alpha float32, a []float32, lda int
 func Dgemv(trans byte, m, n int, alpha float64, a []float64, lda int, x []float64, incx int, beta float64, y []float64, incy int) error {
 	return Gemv(trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
 }
-
-// Ddot is Dot for float64.
-func Ddot(n int, x []float64, incx int, y []float64, incy int) (float64, error) {
-	return Dot(n, x, incx, y, incy)
-}
-
-// Dnrm2 is Nrm2 for float64.
-func Dnrm2(n int, x []float64, incx int) (float64, error) { return Nrm2(n, x, incx) }
-
-// Dscal is Scal for float64.
-func Dscal(n int, alpha float64, x []float64, incx int) error { return Scal(n, alpha, x, incx) }

@@ -218,65 +218,6 @@ func TestAxpyValidation(t *testing.T) {
 	}
 }
 
-func TestScalCopySwap(t *testing.T) {
-	x := []float64{1, 2, 3}
-	if err := Dscal(3, 3, x, 1); err != nil {
-		t.Fatal(err)
-	}
-	if x[2] != 9 {
-		t.Errorf("scal: %v", x)
-	}
-	y := make([]float64, 3)
-	if err := Copy(3, x, 1, y, 1); err != nil {
-		t.Fatal(err)
-	}
-	if maxAbsDiff(x, y) != 0 {
-		t.Errorf("copy: %v", y)
-	}
-	z := []float64{-1, -2, -3}
-	if err := Swap(3, y, 1, z, 1); err != nil {
-		t.Fatal(err)
-	}
-	if z[0] != 3 || y[0] != -1 {
-		t.Errorf("swap: y=%v z=%v", y, z)
-	}
-}
-
-func TestDotNrm2AsumIamax(t *testing.T) {
-	x := []float64{3, -4, 0}
-	d, err := Ddot(3, x, 1, x, 1)
-	if err != nil || d != 25 {
-		t.Errorf("dot = %v, %v", d, err)
-	}
-	n, err := Dnrm2(3, x, 1)
-	if err != nil || math.Abs(n-5) > 1e-14 {
-		t.Errorf("nrm2 = %v, %v", n, err)
-	}
-	a, err := Asum(3, x, 1)
-	if err != nil || a != 7 {
-		t.Errorf("asum = %v, %v", a, err)
-	}
-	i, err := Iamax(3, x, 1)
-	if err != nil || i != 1 {
-		t.Errorf("iamax = %v, %v", i, err)
-	}
-	if i, _ := Iamax[float64](0, nil, 1); i != -1 {
-		t.Error("iamax of empty should be -1")
-	}
-}
-
-func TestNrm2NoOverflow(t *testing.T) {
-	x := []float64{1e200, 1e200}
-	n, err := Dnrm2(2, x, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1e200 * math.Sqrt2
-	if math.Abs(n-want)/want > 1e-14 {
-		t.Errorf("nrm2 overflow-safe: got %g, want %g", n, want)
-	}
-}
-
 func TestGemvAgainstGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, n := 6, 4
@@ -306,20 +247,6 @@ func TestGemvTrans(t *testing.T) {
 	}
 	if y[0] != 3 || y[1] != 7 {
 		t.Errorf("gemv trans: %v", y)
-	}
-}
-
-func TestGer(t *testing.T) {
-	a := make([]float64, 4) // 2x2 zero
-	x := []float64{1, 2}
-	y := []float64{3, 4}
-	if err := Ger(2, 2, 1, x, 1, y, 1, a, 2); err != nil {
-		t.Fatal(err)
-	}
-	// a[i + j*2] = x[i]*y[j]
-	want := []float64{3, 6, 4, 8}
-	if d := maxAbsDiff(a, want); d != 0 {
-		t.Errorf("ger: %v", a)
 	}
 }
 
@@ -408,24 +335,6 @@ func TestGemmTransposeIdentityProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: dot(x, x) == nrm2(x)^2 within tolerance.
-func TestDotNrm2ConsistencyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(64)
-		x := randSlice(r, n)
-		d, err1 := Ddot(n, x, 1, x, 1)
-		nm, err2 := Dnrm2(n, x, 1)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(d-nm*nm) <= 1e-9*(1+math.Abs(d))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }

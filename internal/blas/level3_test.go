@@ -7,68 +7,6 @@ import (
 	"testing/quick"
 )
 
-// symmetrize fills the unreferenced triangle so the reference full-matrix
-// product can be computed directly.
-func symmetrize(a []float64, n, lda int, uplo byte) []float64 {
-	full := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			ii, jj := i, j
-			if (uplo == Upper && i > j) || (uplo == Lower && i < j) {
-				ii, jj = j, i
-			}
-			full[i+j*n] = a[ii+jj*lda]
-		}
-	}
-	return full
-}
-
-func TestSymmAgainstGemm(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for _, side := range []byte{Left, Right} {
-		for _, uplo := range []byte{Upper, Lower} {
-			m, n := 7, 5
-			na := m
-			if side == Right {
-				na = n
-			}
-			a := randSlice(rng, na*na)
-			b := randSlice(rng, m*n)
-			c := randSlice(rng, m*n)
-			cRef := append([]float64(nil), c...)
-			if err := Symm(side, uplo, m, n, 1.3, a, na, b, m, -0.4, c, m); err != nil {
-				t.Fatalf("side=%c uplo=%c: %v", side, uplo, err)
-			}
-			full := symmetrize(a, na, na, uplo)
-			var err error
-			if side == Left {
-				err = Dgemm(NoTrans, NoTrans, m, n, m, 1.3, full, m, b, m, -0.4, cRef, m)
-			} else {
-				err = Dgemm(NoTrans, NoTrans, m, n, n, 1.3, b, m, full, n, -0.4, cRef, m)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiff(c, cRef); d > 1e-12 {
-				t.Errorf("side=%c uplo=%c: diff %g", side, uplo, d)
-			}
-		}
-	}
-}
-
-func TestSymmValidation(t *testing.T) {
-	a := make([]float64, 16)
-	if err := Symm('X', Upper, 2, 2, 1.0, a, 4, a, 4, 0, a, 4); err == nil {
-		t.Error("bad side should error")
-	}
-	if err := Symm(Left, 'X', 2, 2, 1.0, a, 4, a, 4, 0, a, 4); err == nil {
-		t.Error("bad uplo should error")
-	}
-	if err := Symm(Left, Upper, 8, 2, 1.0, a, 4, a, 8, 0, a, 8); err == nil {
-		t.Error("short A should error")
-	}
-}
-
 // trsmCase runs one trsm and validates it by multiplying back.
 func trsmCase(t *testing.T, side, uplo, transA, diag byte, m, n int, seed int64) {
 	t.Helper()

@@ -578,24 +578,6 @@ func (rt *Runtime) NewStream() *Stream {
 // ID returns a small integer identifying the stream (useful in traces).
 func (s *Stream) ID() int { return s.id }
 
-// TruncateStreams drops every stream created after the first n and rewinds
-// the stream-id counter, so the next NewStream call hands out the same id a
-// fresh runtime's n+1-th stream would get. Callers that pool a runtime
-// together with a context holding n long-lived streams use it to shed the
-// per-call streams comparator libraries create, keeping both the Sync
-// tail-reset loop and the id sequence identical across pooled repetitions.
-// It must only be called between batches (no operations outstanding).
-func (rt *Runtime) TruncateStreams(n int) {
-	if n > len(rt.streamList) {
-		n = len(rt.streamList)
-	}
-	for i := n; i < len(rt.streamList); i++ {
-		rt.streamList[i] = nil
-	}
-	rt.streamList = rt.streamList[:n]
-	rt.streams = n
-}
-
 // WaitEvent orders all work submitted to s after this call behind ev,
 // which must come from s's runtime (or be DoneEvent): waiters are handles
 // into the recording runtime's arena.

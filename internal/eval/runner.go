@@ -11,9 +11,6 @@ import (
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
-	"cocopelia/internal/libs/blasx"
-	"cocopelia/internal/libs/cublasxt"
-	"cocopelia/internal/libs/unified"
 	"cocopelia/internal/machine"
 	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
@@ -120,8 +117,8 @@ type Runner struct {
 
 	phaseNS [numPhases]atomic.Int64
 
-	// planBuilds counts the plans cells built (one per tile-scheduled
-	// cell), planReplays the further repetitions that replayed their
+	// planBuilds counts the plans cells built (one per cell),
+	// planReplays the further repetitions that replayed their
 	// cell's plan.
 	planBuilds  atomic.Int64
 	planReplays atomic.Int64
@@ -161,7 +158,7 @@ func cell(lib Lib, p Problem, T int) cellKey {
 }
 
 // PlanCacheStats reports plan reuse: misses counts the plans built (one
-// per tile-scheduled cell), hits the repetitions that replayed their
+// per cell), hits the repetitions that replayed their
 // cell's plan, and evictions is always zero — a plan lives exactly as long
 // as its cell. The split is a pure function of the work-list and Reps, so
 // it is identical at any worker count.
@@ -174,14 +171,13 @@ const (
 	phasePlan    = iota // plan builds (first repetition of a cell)
 	phaseEnqueue        // replaying plans onto the runtime's streams
 	phaseAdvance        // draining the event queue (runtime Sync)
-	phaseOther          // operand setup and the non-plan-replaying libraries
+	phaseOther          // operand setup
 	numPhases
 )
 
 // PhaseSeconds reports the accumulated per-phase wall time of this
 // runner's repetitions: plan building, plan replay (enqueue), event-queue
-// advance, and everything else (operand setup plus the comparator
-// libraries that run to completion internally). Phases are summed over the
+// advance, and everything else (operand setup). Phases are summed over the
 // goroutines that run repetitions, so with concurrent repetitions their
 // total can exceed the elapsed wall time; the time a repetition spends
 // waiting for its cell's plan is charged to no phase. All zero unless
@@ -293,12 +289,18 @@ func (o *operands) gemm(p Problem) (a, b, c *operand.Matrix) {
 // Request materializes problem p's operands on rt and maps them to the
 // scheduler request lib runs at tiling size T, with the measurement
 // campaign's fixed scalars: alpha = beta = 1 for gemm and gemv, alpha =
-// 1.1 for daxpy and alpha = 1 for dtrsm. Only the tile-scheduler libraries
-// have requests: CoCoPeLia for every routine, NoReuse for gemm. The
-// operands carry no storage, so the request suits timing-only contexts.
+// 1.1 for daxpy and alpha = 1 for dtrsm. CoCoPeLia has every routine;
+// NoReuse, cuBLASXt and BLASX have gemm, and unified memory has daxpy.
+// BLASX ignores T for its static tile size and unified memory for its
+// prefetch chunk. The operands carry no storage, so the request suits
+// timing-only contexts.
 func Request(rt *cudart.Runtime, lib Lib, p Problem, T int) (sched.Request, error) {
 	gemm := p.Routine != "daxpy" && p.Routine != "dgemv" && !isFactor(p.Routine)
-	if lib != LibCoCoPeLia && (lib != LibNoReuse || !gemm) {
+	switch {
+	case lib == LibCoCoPeLia,
+		gemm && (lib == LibNoReuse || lib == LibCuBLASXt || lib == LibBLASX),
+		p.Routine == "daxpy" && lib == LibUnified:
+	default:
 		return nil, fmt.Errorf("eval: library %s has no %s", lib, p.Routine)
 	}
 	o := operands{rt: rt}
@@ -307,6 +309,9 @@ func Request(rt *cudart.Runtime, lib Lib, p Problem, T int) (sched.Request, erro
 	case "daxpy":
 		x, y := o.vec(p.N, p.Locs[0]), o.vec(p.N, p.Locs[1])
 		req = sched.AxpyOpts{N: p.N, Alpha: 1.1, X: x, Y: y, T: T}
+		if lib == LibUnified {
+			req = sched.AxpyUnifiedOpts{N: p.N, Alpha: 1.1, X: x, Y: y}
+		}
 	case "dgemv":
 		a, x, y := o.mat(kernelmodel.F64, p.M, p.N, p.Locs[0]), o.vec(p.N, p.Locs[1]), o.vec(p.M, p.Locs[2])
 		req = sched.GemvOpts{M: p.M, N: p.N, Alpha: 1, Beta: 1, A: a, X: x, Y: y, T: T}
@@ -321,9 +326,16 @@ func Request(rt *cudart.Runtime, lib Lib, p Problem, T int) (sched.Request, erro
 	default:
 		a, b, c := o.gemm(p)
 		g := sched.GemmOpts{Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T}
-		req = g
-		if lib == LibNoReuse {
+		switch lib {
+		case LibCoCoPeLia:
+			req = g
+		case LibNoReuse:
 			req = sched.GemmNoReuseOpts(g)
+		case LibCuBLASXt:
+			req = sched.GemmXtOpts(g)
+		case LibBLASX:
+			g.T = sched.BlasxTile(p.M, p.N, p.K)
+			req = sched.GemmBlasxOpts{GemmOpts: g, DispatchS: sched.BlasxDispatchS, BlockingWriteback: true}
 		}
 	}
 	if o.err != nil {
@@ -336,45 +348,6 @@ func Request(rt *cudart.Runtime, lib Lib, p Problem, T int) (sched.Request, erro
 func isFactor(routine string) bool {
 	return routine == "dpotrf" || routine == "dgetrf" || routine == "dtrsm"
 }
-
-// RunComparator executes one repetition of a comparator library that
-// schedules internally — cuBLASXt or BLASX on gemm, unified memory on
-// daxpy — on rt at tiling size T (ignored by BLASX and unified memory).
-func RunComparator(rt *cudart.Runtime, lib Lib, p Problem, T int) (operand.Result, error) {
-	o := operands{rt: rt}
-	if p.Routine == "daxpy" {
-		if lib != LibUnified {
-			return operand.Result{}, fmt.Errorf("eval: library %s has no daxpy", lib)
-		}
-		x, y := o.vec(p.N, p.Locs[0]), o.vec(p.N, p.Locs[1])
-		if o.err != nil {
-			return operand.Result{}, o.err
-		}
-		return unified.Daxpy(rt, p.N, 1.1, x, y, false)
-	}
-	if p.Routine == "dgemv" || isFactor(p.Routine) || (lib != LibCuBLASXt && lib != LibBLASX) {
-		return operand.Result{}, fmt.Errorf("eval: library %s has no %s", lib, p.Routine)
-	}
-	a, b, c := o.gemm(p)
-	if o.err != nil {
-		return operand.Result{}, o.err
-	}
-	if lib == LibCuBLASXt {
-		return cublasxt.New(rt, 0, false).Gemm(cublasxt.GemmOpts{
-			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
-			Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T,
-		})
-	}
-	return blasx.New(rt, false).Gemm(blasx.GemmOpts{
-		Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
-		Alpha: 1, Beta: 1, A: a, B: b, C: c,
-	})
-}
-
-// ctxStreams is the number of long-lived streams a bundle's scheduler
-// context owns (h2d, d2h, compute); TruncateStreams rewinds a reused
-// bundle's runtime to exactly these.
-const ctxStreams = 3
 
 // simBundle is one fully wired simulation stack — engine, device, runtime
 // and scheduler context — recycled across a runner's repetitions. Pooling
@@ -393,8 +366,8 @@ type simBundle struct {
 
 // bundle returns a simulation stack ready for one repetition with the
 // given noise seed: a pooled stack is reset in place (engine cleared,
-// device and link reseeded, comparator-created streams shed, tile pool
-// emptied), a fresh one is wired from scratch. Either way the stack is
+// device and link reseeded, tile pool emptied), a fresh one is wired from
+// scratch. Either way the stack is
 // indistinguishable from a freshly constructed one — the reuse property
 // tests in sim, and the campaign identity checks in cocobench, pin it.
 func (r *Runner) bundle(seed int64) *simBundle {
@@ -409,7 +382,6 @@ func (r *Runner) bundle(seed int64) *simBundle {
 	if b != nil {
 		b.eng.Reset()
 		b.dev.Reset(seed)
-		b.rt.TruncateStreams(ctxStreams)
 		b.ctx.Reset()
 		return b
 	}
@@ -454,13 +426,13 @@ func (c *cellPlan) wait() *plan.Plan {
 // reports repetition 0's own error instead.
 var errNoPlan = errors.New("eval: repetition 0 failed before building the cell's plan")
 
-// runOnce executes one repetition on bd and returns its result. For the
-// tile-scheduler libraries, repetition 0 (first) builds the cell's plan,
-// compiles its replay tape and publishes both through cp; the others wait
-// for it and replay it as is (Enqueue checks its key against the request
-// on every call). The no-reuse planner's slot count depends on free device
-// memory, which is the same on every repetition because the pooled
-// bundle's reset restores it. The whole simulation stack is pooled as a
+// runOnce executes one repetition on bd and returns its result.
+// Repetition 0 (first) builds the cell's plan, compiles its replay tape and
+// publishes both through cp; the others wait for it and replay it as is
+// (Enqueue checks its key against the request on every call). The no-reuse
+// and cuBLASXt planners size their staging to free device memory, which is
+// the same on every repetition because the pooled bundle's reset restores
+// it. The whole simulation stack is pooled as a
 // unit (reset-on-reuse is indistinguishable from fresh — pinned by the sim
 // package's reuse property test and the campaign identity checks); no
 // measurement state leaks because every reset reseeds the noise streams
@@ -481,12 +453,6 @@ func (r *Runner) runOnce(bd *simBundle, lib Lib, p Problem, T int, cp *cellPlan,
 		}
 	}()
 	pc := r.startLap()
-
-	if lib != LibCoCoPeLia && lib != LibNoReuse {
-		res, err := RunComparator(rt, lib, p, T)
-		pc.lap(phaseOther)
-		return res, err
-	}
 	req, err := Request(rt, lib, p, T)
 	if err != nil {
 		return operand.Result{}, err
@@ -637,6 +603,11 @@ func (r *Runner) measureCell(key string, lib Lib, p Problem, T int, fanOut bool)
 		errs[i] = err
 		return one, nil
 	})
+	// Every repetition has returned, so nothing else holds the cell's plan:
+	// its arrays go to the next cell's plan.
+	if cp.pl != nil {
+		cp.pl.Release()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return operand.Result{}, fmt.Errorf("eval: %s on %s (T=%d): %w", lib, p.Name(), T, err)

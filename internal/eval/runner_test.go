@@ -141,6 +141,18 @@ func TestPlanMemoization(t *testing.T) {
 	if misses != 2 || hits != 2*(r.Reps-1) {
 		t.Errorf("plan cache after two libs: hits=%d misses=%d, want %d/2", hits, misses, 2*(r.Reps-1))
 	}
+	// The comparator libraries run as plans too: each cell plans once.
+	vec := Problem{Routine: "daxpy", Dtype: kernelmodel.F64, N: 1 << 20,
+		Locs: []model.Loc{model.OnHost, model.OnHost}, Tag: "vector"}
+	for _, c := range []MeasureCell{{LibCuBLASXt, p, 1024}, {LibBLASX, p, 0}, {LibUnified, vec, 0}} {
+		if _, err := r.Measure(c.Lib, c.P, c.T); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, misses, _ = r.PlanCacheStats()
+	if misses != 5 || hits != 5*(r.Reps-1) {
+		t.Errorf("plan cache after the comparators: hits=%d misses=%d, want %d/5", hits, misses, 5*(r.Reps-1))
+	}
 	// A second runner (planning from scratch) reproduces the result
 	// exactly: memoization must not leak state between repetitions.
 	fresh := NewRunner(machine.TestbedI())
@@ -217,18 +229,23 @@ func TestCampaignParallelDeterminism(t *testing.T) {
 	})
 }
 
-// TestPlanCountersIndependentOfWorkers runs a work-list whose plans
-// together exceed 2^18 ops, more than an op-bounded plan store of that size
-// could keep, serially and on eight workers with default settings. Each cell builds its plan once and replays it on every further
-// repetition, so both runs report cells*(Reps-1) replays, one build per
-// cell and no evictions.
+// TestPlanCountersIndependentOfWorkers runs a work-list of every library,
+// comparators included, whose plans together exceed 2^18 ops, more than an
+// op-bounded plan store of that size could keep, serially and on eight
+// workers with default settings. Each cell builds its plan once and
+// replays it on every further repetition, so both runs report
+// cells*(Reps-1) replays, one build per cell and no evictions.
 func TestPlanCountersIndependentOfWorkers(t *testing.T) {
 	h := model.OnHost
 	var cells []MeasureCell
 	for _, n := range []int{1024, 1536, 2048} {
 		p := Problem{Routine: "dgemm", Dtype: kernelmodel.F64, M: n, N: n, K: n,
 			Locs: []model.Loc{h, h, h}, Tag: "counters"}
-		cells = append(cells, MeasureCell{LibNoReuse, p, 64}, MeasureCell{LibCoCoPeLia, p, 64})
+		cells = append(cells, MeasureCell{LibNoReuse, p, 64}, MeasureCell{LibCoCoPeLia, p, 64},
+			MeasureCell{LibCuBLASXt, p, 128}, MeasureCell{LibBLASX, p, 0})
+		v := Problem{Routine: "daxpy", Dtype: kernelmodel.F64, N: n << 10,
+			Locs: []model.Loc{h, h}, Tag: "counters"}
+		cells = append(cells, MeasureCell{LibUnified, v, 0})
 	}
 
 	ops := 0
@@ -386,8 +403,8 @@ func TestRepetitionFanOutMatchesSerial(t *testing.T) {
 		return out
 	}
 	ref := measure(1, nil)
-	if ref.events != 4393143 || ref.plans != [3]int{144, 72, 0} {
-		t.Fatalf("serial reference: %d events, plan counters %v; want 4393143 and [144 72 0]", ref.events, ref.plans)
+	if ref.events != 4393143 || ref.plans != [3]int{228, 114, 0} {
+		t.Fatalf("serial reference: %d events, plan counters %v; want 4393143 and [228 114 0]", ref.events, ref.plans)
 	}
 	procs := max(2, runtime.GOMAXPROCS(0))
 	for _, tc := range []struct {

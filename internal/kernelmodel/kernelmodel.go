@@ -228,11 +228,3 @@ func SyrkTime(g *machine.GPUSpec, dt Dtype, n, k int) float64 {
 	tMemory := float64(bytes) / (g.MemBandwidthBps * memEff(g, bytes))
 	return g.KernelLaunchS + math.Max(tCompute, tMemory)
 }
-
-// GemmGflops is a convenience that converts a gemm time to GFLOP/s.
-func GemmGflops(m, n, k int, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return 2 * float64(m) * float64(n) * float64(k) / seconds / 1e9
-}

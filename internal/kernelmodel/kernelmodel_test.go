@@ -32,12 +32,17 @@ func TestGemmTimeMonotoneInSize(t *testing.T) {
 	}
 }
 
+// gflops converts an m x n x k gemm time to GFLOP/s.
+func gflops(m, n, k int, seconds float64) float64 {
+	return 2 * float64(m) * float64(n) * float64(k) / seconds / 1e9
+}
+
 func TestGemmEfficiencyImprovesWithSize(t *testing.T) {
 	// GFLOP/s should rise with tile size (GPU underutilization for small
 	// tiles) and approach but not exceed peak*maxEff.
 	for _, g := range []*machine.GPUSpec{gpuI(), gpuII()} {
-		small := GemmGflops(256, 256, 256, GemmTime(g, F64, 256, 256, 256))
-		large := GemmGflops(8192, 8192, 8192, GemmTime(g, F64, 8192, 8192, 8192))
+		small := gflops(256, 256, 256, GemmTime(g, F64, 256, 256, 256))
+		large := gflops(8192, 8192, 8192, GemmTime(g, F64, 8192, 8192, 8192))
 		if small >= large {
 			t.Errorf("%s: small tile %g GF/s >= large tile %g GF/s", g.Name, small, large)
 		}
@@ -98,7 +103,7 @@ func TestSpikesLargerOnTestbedII(t *testing.T) {
 	spread := func(g *machine.GPUSpec) float64 {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for T := 2048; T <= 4096; T += 128 {
-			gf := GemmGflops(T, T, T, GemmTime(g, F64, T, T, T))
+			gf := gflops(T, T, T, GemmTime(g, F64, T, T, T))
 			eff := gf * 1e9 / g.PeakFlops64
 			lo = math.Min(lo, eff)
 			hi = math.Max(hi, eff)
@@ -153,15 +158,6 @@ func TestLevel1And2Monotone(t *testing.T) {
 	}
 	if GemvTime(g, F64, 0, 5) != g.KernelLaunchS {
 		t.Error("degenerate level-1/2 kernels should cost the launch")
-	}
-}
-
-func TestGemmGflops(t *testing.T) {
-	if GemmGflops(1000, 1000, 1000, 1) != 2 {
-		t.Error("GFLOP/s conversion wrong")
-	}
-	if GemmGflops(10, 10, 10, 0) != 0 {
-		t.Error("zero time should yield 0 GF/s")
 	}
 }
 

@@ -1,3 +1,5 @@
+// Package blasx holds the tests of the BLASX comparator, which runs as the
+// scheduler request sched.GemmBlasxOpts.
 package blasx
 
 import (
@@ -15,23 +17,33 @@ import (
 	"cocopelia/internal/sim"
 )
 
-func newLib(backed bool) *Library {
-	eng := sim.New()
-	dev := device.New(eng, machine.TestbedI(), 1, true)
-	return New(cudart.New(dev), backed)
+func newCtx(backed bool) *sched.Context {
+	dev := device.New(sim.New(), machine.TestbedI(), 1, true)
+	return sched.NewContext(cudart.New(dev), backed)
+}
+
+// request is the BLASX comparator's gemm at its static tile size.
+func request(m, n, k int, beta float64, a, b, c *operand.Matrix) sched.GemmBlasxOpts {
+	return sched.GemmBlasxOpts{
+		GemmOpts: sched.GemmOpts{
+			Dtype: kernelmodel.F64, M: m, N: n, K: k, Alpha: 1, Beta: beta,
+			A: a, B: b, C: c, T: sched.BlasxTile(m, n, k),
+		},
+		DispatchS: sched.BlasxDispatchS, BlockingWriteback: true,
+	}
 }
 
 func TestTileFor(t *testing.T) {
-	if TileFor(8192, 8192, 8192) != StaticT {
+	if sched.BlasxTile(8192, 8192, 8192) != sched.BlasxStaticT {
 		t.Error("large problems use the static tile")
 	}
-	if TileFor(1024, 8192, 8192) != 1024 {
+	if sched.BlasxTile(1024, 8192, 8192) != 1024 {
 		t.Error("tile clamps to the smallest dimension")
 	}
 }
 
 func TestGemmFunctional(t *testing.T) {
-	l := newLib(true)
+	ctx := newCtx(true)
 	m, n, k := 96, 80, 64
 	rng := rand.New(rand.NewSource(1))
 	hostA := make([]float64, m*k)
@@ -47,12 +59,10 @@ func TestGemmFunctional(t *testing.T) {
 	if err := blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, hostA, m, hostB, k, 0, ref, m); err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Gemm(GemmOpts{
-		Dtype: kernelmodel.F64, M: m, N: n, K: k, Alpha: 1, Beta: 0,
-		A: operand.HostMatrix(m, k, hostA),
-		B: operand.HostMatrix(k, n, hostB),
-		C: operand.HostMatrix(m, n, hostC),
-	})
+	res, err := ctx.Run(request(m, n, k, 0,
+		operand.HostMatrix(m, k, hostA),
+		operand.HostMatrix(k, n, hostB),
+		operand.HostMatrix(m, n, hostC)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +79,17 @@ func TestGemmFunctional(t *testing.T) {
 }
 
 func TestStaticTileUsedForLargeProblem(t *testing.T) {
-	l := newLib(false)
+	ctx := newCtx(false)
 	m := 4096
-	res, err := l.Gemm(GemmOpts{
-		Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
-		A: operand.HostMatrix(m, m, nil),
-		B: operand.HostMatrix(m, m, nil),
-		C: operand.HostMatrix(m, m, nil),
-	})
+	res, err := ctx.Run(request(m, m, m, 1,
+		operand.HostMatrix(m, m, nil),
+		operand.HostMatrix(m, m, nil),
+		operand.HostMatrix(m, m, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.T != StaticT {
-		t.Errorf("tile = %d, want %d", res.T, StaticT)
+	if res.T != sched.BlasxStaticT {
+		t.Errorf("tile = %d, want %d", res.T, sched.BlasxStaticT)
 	}
 	// Reuse-aware transfer volume.
 	if want := int64(3*m*m) * 8; res.BytesH2D != want {
@@ -91,38 +99,30 @@ func TestStaticTileUsedForLargeProblem(t *testing.T) {
 
 func TestDispatchOverheadSlowsVsCoCoPeLia(t *testing.T) {
 	// At the same tile size, BLASX's dispatch overhead must make it
-	// slower than the plain CoCoPeLia scheduler.
+	// slower than the plain CoCoPeLia scheduler, and the BLASX plan must
+	// refuse to replay for the CoCoPeLia request (the knobs are in the key).
 	m := 4096
-	runBlasx := func() float64 {
-		l := newLib(false)
-		res, err := l.Gemm(GemmOpts{
-			Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
-			A: operand.HostMatrix(m, m, nil),
-			B: operand.HostMatrix(m, m, nil),
-			C: operand.HostMatrix(m, m, nil),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Seconds
+	req := request(m, m, m, 1,
+		operand.HostMatrix(m, m, nil),
+		operand.HostMatrix(m, m, nil),
+		operand.HostMatrix(m, m, nil))
+	blasx, err := newCtx(false).Run(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runCoco := func() float64 {
-		eng := sim.New()
-		dev := device.New(eng, machine.TestbedI(), 1, true)
-		ctx := sched.NewContext(cudart.New(dev), false)
-		res, err := ctx.Run(sched.GemmOpts{
-			Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
-			A: operand.HostMatrix(m, m, nil),
-			B: operand.HostMatrix(m, m, nil),
-			C: operand.HostMatrix(m, m, nil),
-			T: StaticT,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Seconds
+	ctx := newCtx(false)
+	coco, err := ctx.Run(req.GemmOpts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b, c := runBlasx(), runCoco(); b <= c {
-		t.Errorf("blasx (%g) should be slower than cocopelia at same T (%g)", b, c)
+	if blasx.Seconds <= coco.Seconds {
+		t.Errorf("blasx (%g) should be slower than cocopelia at same T (%g)", blasx.Seconds, coco.Seconds)
+	}
+	p, err := ctx.Plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Enqueue(p, req.GemmOpts); err == nil {
+		t.Error("a BLASX plan replayed for the CoCoPeLia request")
 	}
 }

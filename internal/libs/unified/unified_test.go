@@ -1,3 +1,6 @@
+// Package unified holds the tests of the unified-memory daxpy comparator,
+// which runs as the scheduler request sched.AxpyUnifiedOpts over
+// plan.BuildAxpyUnified.
 package unified
 
 import (
@@ -14,21 +17,21 @@ import (
 	"cocopelia/internal/sim"
 )
 
-func newRT() *cudart.Runtime {
-	eng := sim.New()
-	return cudart.New(device.New(eng, machine.TestbedII(), 1, true))
+func newCtx(backed bool) (*sched.Context, *cudart.Runtime) {
+	rt := cudart.New(device.New(sim.New(), machine.TestbedII(), 1, true))
+	return sched.NewContext(rt, backed), rt
 }
 
 func TestDaxpyFunctional(t *testing.T) {
-	rt := newRT()
-	n := 3 * PrefetchElems / 2 // exercises a ragged final chunk
+	ctx, rt := newCtx(true)
+	n := 3 * sched.UnifiedPrefetchElems / 2 // exercises a ragged final chunk
 	x := make([]float64, n)
 	y := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i % 97)
 		y[i] = 1
 	}
-	res, err := Daxpy(rt, n, 3, operand.HostVector(n, x), operand.HostVector(n, y), true)
+	res, err := ctx.Run(sched.AxpyUnifiedOpts{N: n, Alpha: 3, X: operand.HostVector(n, x), Y: operand.HostVector(n, y)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +50,18 @@ func TestDaxpyFunctional(t *testing.T) {
 	if want := int64(n) * 8; res.BytesD2H != want {
 		t.Errorf("d2h = %d, want %d", res.BytesD2H, want)
 	}
+	// The managed mirrors return to the context's pool after the call.
+	if err := ctx.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
 	if rt.Device().MemUsed() != 0 {
 		t.Error("managed mirrors not freed")
 	}
 }
 
 func TestDaxpyDeviceResidentNoTraffic(t *testing.T) {
-	rt := newRT()
-	n := PrefetchElems
+	ctx, rt := newCtx(false)
+	n := sched.UnifiedPrefetchElems
 	mk := func() *operand.Vector {
 		buf, err := rt.Malloc(kernelmodel.F64, int64(n), false)
 		if err != nil {
@@ -62,7 +69,7 @@ func TestDaxpyDeviceResidentNoTraffic(t *testing.T) {
 		}
 		return &operand.Vector{N: n, Loc: model.OnDevice, Dev: buf}
 	}
-	res, err := Daxpy(rt, n, 2, mk(), mk(), false)
+	res, err := ctx.Run(sched.AxpyUnifiedOpts{N: n, Alpha: 2, X: mk(), Y: mk()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,45 +84,36 @@ func TestDaxpySlowerThanCoCoPeLia(t *testing.T) {
 	// memory cannot overlap the write-back with compute and pays far more
 	// per-transfer latencies.
 	n := 64 << 20
-	runUM := func() float64 {
-		rt := newRT()
-		res, err := Daxpy(rt, n, 2, operand.HostVector(n, nil), operand.HostVector(n, nil), false)
+	x, y := operand.HostVector(n, nil), operand.HostVector(n, nil)
+	run := func(r sched.Request) float64 {
+		ctx, _ := newCtx(false)
+		res, err := ctx.Run(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seconds
 	}
-	runCoco := func() float64 {
-		rt := newRT()
-		ctx := sched.NewContext(rt, false)
-		res, err := ctx.Run(sched.AxpyOpts{
-			N: n, Alpha: 2,
-			X: operand.HostVector(n, nil),
-			Y: operand.HostVector(n, nil),
-			T: 8 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Seconds
-	}
-	um, coco := runUM(), runCoco()
+	um := run(sched.AxpyUnifiedOpts{N: n, Alpha: 2, X: x, Y: y})
+	coco := run(sched.AxpyOpts{N: n, Alpha: 2, X: x, Y: y, T: 8 << 20})
 	if coco >= um {
 		t.Errorf("cocopelia daxpy (%g) should beat unified memory (%g)", coco, um)
 	}
 }
 
 func TestDaxpyValidation(t *testing.T) {
-	rt := newRT()
+	ctx, _ := newCtx(false)
 	v := operand.HostVector(100, nil)
-	if _, err := Daxpy(rt, 0, 1, v, v, false); err == nil {
-		t.Error("n=0 should error")
-	}
-	if _, err := Daxpy(rt, 100, 1, nil, v, false); err == nil {
-		t.Error("nil x should error")
-	}
 	w := operand.HostVector(50, nil)
-	if _, err := Daxpy(rt, 100, 1, v, w, false); err == nil {
-		t.Error("length mismatch should error")
+	for _, c := range []struct {
+		what string
+		req  sched.AxpyUnifiedOpts
+	}{
+		{"n=0", sched.AxpyUnifiedOpts{N: 0, Alpha: 1, X: v, Y: v}},
+		{"nil x", sched.AxpyUnifiedOpts{N: 100, Alpha: 1, X: nil, Y: v}},
+		{"length mismatch", sched.AxpyUnifiedOpts{N: 100, Alpha: 1, X: v, Y: w}},
+	} {
+		if _, err := ctx.Run(c.req); err == nil {
+			t.Errorf("%s should error", c.what)
+		}
 	}
 }

@@ -158,23 +158,3 @@ func PredictExtended(kind Kind, p *Params, sm SubModels, T int) (float64, error)
 	}
 	return Predict(kind, p, sm, T)
 }
-
-// OptimalChunks returns the chunk count n minimizing the [11]-style
-// pipelined time t(n) = dominant*(n-1)/n + (tIn+tExec+tOut)/n + c*n for a
-// per-chunk management overhead c > 0 (their method for choosing the
-// number of CUDA streams). It returns at least 1.
-func OptimalChunks(tIn, tExec, tOut, overheadPerChunk float64) int {
-	if overheadPerChunk <= 0 {
-		return 1
-	}
-	dominant := math.Max(tExec, math.Max(tIn, tOut))
-	fill := tIn + tExec + tOut - dominant
-	if fill <= 0 {
-		return 1
-	}
-	n := int(math.Round(math.Sqrt(fill / overheadPerChunk)))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}

@@ -126,21 +126,3 @@ func TestPredictExtendedFallsBack(t *testing.T) {
 		t.Error("invalid params should error")
 	}
 }
-
-func TestOptimalChunks(t *testing.T) {
-	// fill = tIn + tOut when exec dominates.
-	n := OptimalChunks(0.1, 1.0, 0.1, 1e-4)
-	want := int(math.Round(math.Sqrt(0.2 / 1e-4)))
-	if n != want {
-		t.Errorf("chunks = %d, want %d", n, want)
-	}
-	if OptimalChunks(1, 1, 1, 0) != 1 {
-		t.Error("zero overhead should return 1")
-	}
-	if OptimalChunks(0, 1, 0, 1e-4) != 1 {
-		t.Error("no fill time should return 1")
-	}
-	if OptimalChunks(1e-9, 1, 0, 10) != 1 {
-		t.Error("overhead-dominated should clamp to 1")
-	}
-}

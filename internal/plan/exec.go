@@ -16,11 +16,12 @@ type Allocator interface {
 	Release(b *cudart.DevBuffer)
 }
 
-// Target is the execution surface a plan replays onto: the three operation
-// streams and the staging allocator of one scheduler context.
+// Target is the execution surface a plan replays onto: the streams and the
+// staging allocator of one scheduler context. Streams must hold at least
+// the plan's Streams entries; op o runs on Streams[o.Stream].
 type Target struct {
-	H2D, D2H, Comp *cudart.Stream
-	Alloc          Allocator
+	Streams []*cudart.Stream
+	Alloc   Allocator
 }
 
 // Arg binds one plan operand at replay time: exactly one of Mat/Vec is set,
@@ -44,7 +45,8 @@ type Executor struct {
 // resolve maps a kernel operand reference to (buffer, offset, ld).
 func (e *Executor) resolve(args []Arg, r Ref) (*cudart.DevBuffer, int64, int) {
 	if r.Slot >= 0 {
-		return e.slots[r.Slot], 0, int(r.Row) // a slot ref's Row carries the ld
+		// A slot ref's Row carries the ld and its Col the element offset.
+		return e.slots[r.Slot], int64(r.Col), int(r.Row)
 	}
 	a := args[r.Arg]
 	if a.Mat != nil {
@@ -94,57 +96,48 @@ func (e *Executor) Run(p *Plan, tgt Target, args []Arg) ([]*cudart.DevBuffer, er
 	for i := range p.Ops {
 		o := &p.Ops[i]
 		deps := p.deps[o.depOff : o.depOff+o.depN]
+		s := tgt.Streams[o.Stream]
+		for _, d := range deps { // allocations have none
+			s.WaitEvent(e.events[p.Ops[d].Ev])
+		}
+		var ev *cudart.Event
+		var err error
 		switch o.Kind {
 		case OpAlloc:
-			s := p.Slots[o.Slot]
-			buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
+			sl := p.Slots[o.Slot]
+			buf, err := tgt.Alloc.Acquire(sl.Dtype, sl.Elems)
 			if err != nil {
 				return fail(err)
 			}
 			e.slots[o.Slot] = buf
 			e.pooled = append(e.pooled, buf)
+			continue
 
 		case OpFetch:
-			for _, d := range deps {
-				tgt.H2D.WaitEvent(e.events[p.Ops[d].Ev])
-			}
 			dst := e.slots[o.Slot]
-			var ev *cudart.Event
-			var err error
 			if o.N == 0 {
 				v := args[o.A.Arg].Vec
 				var host []float64
 				if v.HostF64 != nil {
 					host = v.HostF64[o.A.Row:]
 				}
-				ev, err = tgt.H2D.MemcpyH2DAsync(dst, 0, host, nil, int64(o.M))
+				ev, err = s.MemcpyH2DAsync(dst, int64(o.K), host, nil, int64(o.M))
 			} else {
 				m := args[o.A.Arg].Mat
 				h64, h32 := m.HostSlices(int(o.A.Row), int(o.A.Col))
-				ev, err = tgt.H2D.SetMatrixAsync(int(o.M), int(o.N),
+				ev, err = s.SetMatrixAsync(int(o.M), int(o.N),
 					h64, h32, m.HostLd, dst, 0, int(o.M))
-			}
-			if err != nil {
-				return fail(err)
-			}
-			if o.Ev >= 0 {
-				e.events[o.Ev] = ev
 			}
 
 		case OpKernel:
-			for _, d := range deps {
-				tgt.Comp.WaitEvent(e.events[p.Ops[d].Ev])
-			}
-			var ev *cudart.Event
-			var err error
 			switch o.Kernel {
 			case KDispatch:
-				ev, err = tgt.Comp.KernelAsync("dispatch", p.DispatchS, nil)
+				ev, err = s.KernelAsync("dispatch", p.DispatchS, nil)
 			case KGemm:
 				aBuf, aOff, aLd := e.resolve(args, o.A)
 				bBuf, bOff, bLd := e.resolve(args, o.B)
 				cBuf, cOff, cLd := e.resolve(args, o.C)
-				ev, err = tgt.Comp.GemmAsync(o.TransA, o.TransB,
+				ev, err = s.GemmAsync(o.TransA, o.TransB,
 					int(o.M), int(o.N), int(o.K), p.opAlpha(o),
 					aBuf, aOff, aLd, bBuf, bOff, bLd,
 					p.opBeta(o), cBuf, cOff, cLd)
@@ -152,75 +145,64 @@ func (e *Executor) Run(p *Plan, tgt Target, args []Arg) ([]*cudart.DevBuffer, er
 				aBuf, aOff, aLd := e.resolve(args, o.A)
 				xBuf, xOff, _ := e.resolve(args, o.B)
 				yBuf, yOff, _ := e.resolve(args, o.C)
-				ev, err = tgt.Comp.GemvAsync(blas.NoTrans,
+				ev, err = s.GemvAsync(blas.NoTrans,
 					int(o.M), int(o.N), p.Alpha,
 					aBuf, aOff, aLd, xBuf, xOff, p.opBeta(o), yBuf, yOff)
 			case KAxpy:
 				xBuf, xOff, _ := e.resolve(args, o.A)
 				yBuf, yOff, _ := e.resolve(args, o.C)
-				ev, err = tgt.Comp.AxpyAsync(int(o.N), p.Alpha, xBuf, xOff, yBuf, yOff)
+				ev, err = s.AxpyAsync(int(o.N), p.Alpha, xBuf, xOff, yBuf, yOff)
 			case KPotrf:
 				aBuf, aOff, aLd := e.resolve(args, o.A)
-				ev, err = tgt.Comp.PotrfAsync(o.Uplo, int(o.N), aBuf, aOff, aLd)
+				ev, err = s.PotrfAsync(o.Uplo, int(o.N), aBuf, aOff, aLd)
 			case KGetrf:
 				aBuf, aOff, aLd := e.resolve(args, o.A)
-				ev, err = tgt.Comp.GetrfAsync(int(o.N), aBuf, aOff, aLd)
+				ev, err = s.GetrfAsync(int(o.N), aBuf, aOff, aLd)
 			case KTrsm:
 				aBuf, aOff, aLd := e.resolve(args, o.A)
 				bBuf, bOff, bLd := e.resolve(args, o.B)
-				ev, err = tgt.Comp.TrsmAsync(o.Side, o.Uplo, o.TransA, o.Diag,
+				ev, err = s.TrsmAsync(o.Side, o.Uplo, o.TransA, o.Diag,
 					int(o.M), int(o.N), p.opAlpha(o),
 					aBuf, aOff, aLd, bBuf, bOff, bLd)
 			case KSyrk:
 				aBuf, aOff, aLd := e.resolve(args, o.A)
 				cBuf, cOff, cLd := e.resolve(args, o.C)
-				ev, err = tgt.Comp.SyrkAsync(o.Uplo, o.TransA, int(o.N), int(o.K),
+				ev, err = s.SyrkAsync(o.Uplo, o.TransA, int(o.N), int(o.K),
 					p.opAlpha(o), aBuf, aOff, aLd,
 					p.opBeta(o), cBuf, cOff, cLd)
 			}
-			if err != nil {
-				return fail(err)
-			}
-			if o.Ev >= 0 {
-				e.events[o.Ev] = ev
-			}
 
 		case OpWriteback:
-			for _, d := range deps {
-				tgt.D2H.WaitEvent(e.events[p.Ops[d].Ev])
-			}
 			src := e.slots[o.Slot]
-			var ev *cudart.Event
-			var err error
 			if o.N == 0 {
 				v := args[o.A.Arg].Vec
 				var host []float64
 				if v.HostF64 != nil {
 					host = v.HostF64[o.A.Row:]
 				}
-				ev, err = tgt.D2H.MemcpyD2HAsync(host, nil, src, 0, int64(o.M))
+				ev, err = s.MemcpyD2HAsync(host, nil, src, int64(o.K), int64(o.M))
 			} else {
 				m := args[o.A.Arg].Mat
 				h64, h32 := m.HostSlices(int(o.A.Row), int(o.A.Col))
-				ev, err = tgt.D2H.GetMatrixAsync(int(o.M), int(o.N),
+				ev, err = s.GetMatrixAsync(int(o.M), int(o.N),
 					src, 0, int(o.M), h64, h32, m.HostLd)
 			}
-			if err != nil {
-				return fail(err)
-			}
-			if o.Ev >= 0 {
-				e.events[o.Ev] = ev
-			}
+		}
+		if err != nil {
+			return fail(err)
+		}
+		if o.Ev >= 0 {
+			e.events[o.Ev] = ev
 		}
 	}
 
 	// Leave the streams in the exact state direct scheduling left them:
 	// waits the schedule registered but never consumed stay pending.
 	for _, id := range p.TailH2D {
-		tgt.H2D.WaitEvent(e.events[p.Ops[id].Ev])
+		tgt.Streams[StreamH2D].WaitEvent(e.events[p.Ops[id].Ev])
 	}
 	for _, id := range p.TailComp {
-		tgt.Comp.WaitEvent(e.events[p.Ops[id].Ev])
+		tgt.Streams[StreamComp].WaitEvent(e.events[p.Ops[id].Ev])
 	}
 	return e.pooled, nil
 }

@@ -68,8 +68,9 @@ func BuildGemm(spec GemmSpec) *Plan {
 		TransA: spec.TransA, TransB: spec.TransB,
 		M: spec.M, N: spec.N, K: spec.K, T: T,
 		Alpha: spec.Alpha, Beta: spec.Beta,
-		DispatchS: spec.DispatchOverheadS,
-		Locs:      []model.Loc{spec.LocA, spec.LocB, spec.LocC},
+		DispatchS:         spec.DispatchOverheadS,
+		BlockingWriteback: spec.BlockingWriteback,
+		Locs:              []model.Loc{spec.LocA, spec.LocB, spec.LocC},
 	}
 	g := NewGraph(p)
 
@@ -367,6 +368,143 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 	}
 	for _, id := range pendingH2D {
 		g.TailH2D(id)
+	}
+	return g.Finish()
+}
+
+// XtStreams is the number of worker streams of the cuBLASXt schedule
+// (cuBLASXt runs a small fixed pool of streams per GPU).
+const XtStreams = 4
+
+// BuildGemmXt emits the gemm schedule of NVIDIA's cuBLASXt, the
+// state-of-practice offload library the paper evaluates against:
+//
+//   - square tiling with the caller's tile size (cuBLASXt exposes
+//     cublasXtSetBlockDim; it does not select the tile size itself);
+//   - output tiles dealt round-robin to XtStreams worker streams, each
+//     pipelining fetch, compute and write-back of its tiles through its own
+//     staging slots, so overlap comes only from workers being in different
+//     pipeline phases;
+//   - no reuse across sub-kernels: input tiles are fetched again for every
+//     sub-kernel, so A crosses the link about N/T times and B about M/T
+//     times, the traffic BLASX and CoCoPeLia avoid;
+//   - in-stream ordering only: no op carries a dependency edge.
+//
+// Device-resident operands are used in place. freeBytes is the device
+// memory free at plan time: when the workers' full-tile staging does not
+// fit, fewer workers take part (at least one), as cuBLASXt bounds its
+// workspace, so the plan embeds its worker count.
+func BuildGemmXt(spec GemmSpec, freeBytes int64) *Plan {
+	T := spec.T
+	mt := ceil(spec.M, T)
+	nt := ceil(spec.N, T)
+	kt := ceil(spec.K, T)
+	dt := spec.Dtype
+
+	p := &Plan{
+		Routine: "gemm-cublasxt", Dtype: dt,
+		TransA: blas.NoTrans, TransB: blas.NoTrans,
+		M: spec.M, N: spec.N, K: spec.K, T: T,
+		Alpha: spec.Alpha, Beta: spec.Beta,
+		Locs: []model.Loc{spec.LocA, spec.LocB, spec.LocC},
+	}
+	g := NewGraph(p)
+
+	hostA, hostB, hostC := spec.LocA == model.OnHost, spec.LocB == model.OnHost, spec.LocC == model.OnHost
+	tileA := int64(min(T, spec.M)) * int64(min(T, spec.K))
+	tileB := int64(min(T, spec.K)) * int64(min(T, spec.N))
+	tileC := int64(min(T, spec.M)) * int64(min(T, spec.N))
+	fetchC := spec.Beta != 0 // C contributes only when beta != 0
+	sk := mt * nt * kt
+	// A worker stages one full tile of each host-resident operand.
+	var groupBytes int64
+	slots, ops := 0, sk
+	if hostA {
+		groupBytes += tileA * dt.Size()
+		slots, ops = slots+1, ops+sk
+	}
+	if hostB {
+		groupBytes += tileB * dt.Size()
+		slots, ops = slots+1, ops+sk
+	}
+	if hostC {
+		groupBytes += tileC * dt.Size()
+		slots, ops = slots+1, ops+mt*nt // write-backs
+		if fetchC {
+			ops += mt * nt
+		}
+	}
+	workers := XtStreams
+	if groupBytes > 0 {
+		if byMem := int(freeBytes / (groupBytes + groupBytes/8)); byMem < workers {
+			workers = max(byMem, 1)
+		}
+	}
+	g.Grow(workers*slots, workers*slots+ops, 0)
+
+	// Each worker's staging slots, allocated worker by worker before any
+	// transfer, sized to a full tile so no slot is reallocated mid-run.
+	type worker struct{ a, b, c int32 }
+	ws := make([]worker, workers)
+	for i := range ws {
+		w := &ws[i]
+		if hostA {
+			w.a = g.Slot(dt, tileA)
+			g.Alloc(w.a)
+		}
+		if hostB {
+			w.b = g.Slot(dt, tileB)
+			g.Alloc(w.b)
+		}
+		if hostC {
+			w.c = g.Slot(dt, tileC)
+			g.Alloc(w.c)
+		}
+	}
+
+	tile := 0
+	for tj := 0; tj < nt; tj++ {
+		for ti := 0; ti < mt; ti++ {
+			wi := tile % workers
+			w := &ws[wi]
+			g.Pin(uint8(wi))
+			tile++
+			rows := min(T, spec.M-ti*T)
+			cols := min(T, spec.N-tj*T)
+
+			cRef := ArgRef(2, int32(ti*T), int32(tj*T))
+			if hostC {
+				if fetchC {
+					g.Fetch(2, int32(ti*T), int32(tj*T), int32(rows), int32(cols), w.c)
+				}
+				cRef = SlotRef(w.c, int32(rows))
+			}
+			for tk := 0; tk < kt; tk++ {
+				inner := min(T, spec.K-tk*T)
+				aRef := ArgRef(0, int32(ti*T), int32(tk*T))
+				if hostA {
+					g.Fetch(0, int32(ti*T), int32(tk*T), int32(rows), int32(inner), w.a)
+					aRef = SlotRef(w.a, int32(rows))
+				}
+				bRef := ArgRef(1, int32(tk*T), int32(tj*T))
+				if hostB {
+					g.Fetch(1, int32(tk*T), int32(tj*T), int32(inner), int32(cols), w.b)
+					bRef = SlotRef(w.b, int32(inner))
+				}
+				beta := 1.0
+				if tk == 0 {
+					beta = spec.Beta
+					if hostC && !fetchC {
+						beta = 0
+					}
+				}
+				g.Gemm(blas.NoTrans, blas.NoTrans, int32(rows), int32(cols), int32(inner),
+					AlphaPlan, betaSel(beta), aRef, bRef, cRef)
+			}
+			if hostC {
+				g.Writeback(w.c, 2, int32(ti*T), int32(tj*T), int32(rows), int32(cols))
+			}
+		}
 	}
 	return g.Finish()
 }

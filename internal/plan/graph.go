@@ -40,7 +40,7 @@ type Graph struct {
 // NewGraph starts building ops into p. The caller fills the plan header
 // (routine, geometry, scalars, locations) before or after building; Finish
 // seals the dependency-event table.
-func NewGraph(p *Plan) *Graph { return &Graph{b: builder{p: p}} }
+func NewGraph(p *Plan) *Graph { return &Graph{b: builder{p: p, route: kindStream}} }
 
 // Plan returns the plan under construction (header fields may be adjusted
 // until Finish).
@@ -48,23 +48,34 @@ func (g *Graph) Plan() *Plan { return g.b.p }
 
 // Grow pre-sizes the op, dependency and slot arenas for a planner that
 // knows its schedule shape; appending tens of thousands of ops through
-// slice growth would otherwise dominate planning time.
+// slice growth would otherwise dominate planning time. The op and
+// dependency arenas come from released plans when one fits (see
+// Plan.Release).
 func (g *Graph) Grow(slots, ops, deps int) {
 	p := g.b.p
 	if cap(p.Slots) < slots {
 		p.Slots = append(make([]Slot, 0, slots), p.Slots...)
 	}
 	if cap(p.Ops) < ops {
-		p.Ops = append(make([]Op, 0, ops), p.Ops...)
+		p.Ops = append(freeOps.take(ops), p.Ops...)
 	}
 	if cap(p.deps) < deps {
-		p.deps = append(make([]int32, 0, deps), p.deps...)
+		p.deps = append(freeDeps.take(deps), p.deps...)
 	}
 }
 
 // SlotRef builds a staging-slot operand reference; ld is the slot's leading
 // dimension (0 for vectors).
 func SlotRef(slot, ld int32) Ref { return slotRef(slot, ld) }
+
+// Pin routes every op emitted after it to context stream s, whatever its
+// kind, instead of its kind's stream (StreamH2D, StreamD2H, StreamComp).
+// Ops on one stream run in emission order, so a pinned pipeline needs no
+// dependency edges between its own ops.
+func (g *Graph) Pin(s uint8) {
+	g.b.route = [4]uint8{OpAlloc: 0, OpFetch: s, OpKernel: s, OpWriteback: s}
+	g.b.p.Streams = max(g.b.p.Streams, int(s)+1)
+}
 
 // ArgRef builds a bound-operand window reference at element coordinates
 // (row, col).
@@ -93,7 +104,7 @@ func (g *Graph) deps(ids []OpID) {
 func (g *Graph) Fetch(arg int8, row, col, m, n, slot int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpFetch, slot
+	o.Kind, o.Stream, o.Slot = OpFetch, g.b.route[OpFetch], slot
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
 	g.b.p.BytesH2D += int64(m) * int64(n) * g.b.p.Dtype.Size()
@@ -101,11 +112,11 @@ func (g *Graph) Fetch(arg int8, row, col, m, n, slot int32, deps ...OpID) OpID {
 }
 
 // FetchVec emits an h2d transfer of m elements of bound vector operand arg
-// starting at off into slot.
-func (g *Graph) FetchVec(arg int8, off, m, slot int32, deps ...OpID) OpID {
+// starting at off into slot at element offset slotOff.
+func (g *Graph) FetchVec(arg int8, off, m, slot, slotOff int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpFetch, slot
+	o.Kind, o.Stream, o.Slot, o.K = OpFetch, g.b.route[OpFetch], slot, slotOff
 	o.A, o.M = argRef(arg, off, 0), m
 	g.b.p.BytesH2D += int64(m) * g.b.p.Dtype.Size()
 	return id
@@ -116,19 +127,19 @@ func (g *Graph) FetchVec(arg int8, off, m, slot int32, deps ...OpID) OpID {
 func (g *Graph) Writeback(slot int32, arg int8, row, col, m, n int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpWriteback, slot
+	o.Kind, o.Stream, o.Slot = OpWriteback, g.b.route[OpWriteback], slot
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
 	g.b.p.BytesD2H += int64(m) * int64(n) * g.b.p.Dtype.Size()
 	return id
 }
 
-// WritebackVec emits a d2h transfer of m elements back to bound vector
-// operand arg at off.
-func (g *Graph) WritebackVec(slot int32, arg int8, off, m int32, deps ...OpID) OpID {
+// WritebackVec emits a d2h transfer of m elements from slot at element
+// offset slotOff back to bound vector operand arg at off.
+func (g *Graph) WritebackVec(slot, slotOff int32, arg int8, off, m int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpWriteback, slot
+	o.Kind, o.Stream, o.Slot, o.K = OpWriteback, g.b.route[OpWriteback], slot, slotOff
 	o.A, o.M = argRef(arg, off, 0), m
 	g.b.p.BytesD2H += int64(m) * g.b.p.Dtype.Size()
 	return id
@@ -139,7 +150,7 @@ func (g *Graph) WritebackVec(slot int32, arg int8, off, m int32, deps ...OpID) O
 func (g *Graph) Dispatch(deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KDispatch
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KDispatch
 	return id
 }
 
@@ -147,7 +158,7 @@ func (g *Graph) Dispatch(deps ...OpID) OpID {
 func (g *Graph) Gemm(transA, transB byte, m, n, k int32, alpha AlphaSel, beta BetaSel, a, b, c Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KGemm
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KGemm
 	o.TransA, o.TransB = transA, transB
 	o.M, o.N, o.K = m, n, k
 	o.Alpha, o.Beta = alpha, beta
@@ -160,7 +171,7 @@ func (g *Graph) Gemm(transA, transB byte, m, n, k int32, alpha AlphaSel, beta Be
 func (g *Graph) Gemv(m, n int32, beta BetaSel, a, x, y Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KGemv
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KGemv
 	o.M, o.N = m, n
 	o.Beta = beta
 	o.A, o.B, o.C = a, x, y
@@ -172,7 +183,7 @@ func (g *Graph) Gemv(m, n int32, beta BetaSel, a, x, y Ref, deps ...OpID) OpID {
 func (g *Graph) Axpy(n int32, x, y Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KAxpy
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KAxpy
 	o.N = n
 	o.A, o.C = x, y
 	g.b.p.Subkernels++
@@ -184,7 +195,7 @@ func (g *Graph) Axpy(n int32, x, y Ref, deps ...OpID) OpID {
 func (g *Graph) Potrf(uplo byte, n int32, a Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KPotrf
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KPotrf
 	o.Uplo, o.N = uplo, n
 	o.A = a
 	g.b.p.Subkernels++
@@ -195,7 +206,7 @@ func (g *Graph) Potrf(uplo byte, n int32, a Ref, deps ...OpID) OpID {
 func (g *Graph) Getrf(n int32, a Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KGetrf
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KGetrf
 	o.N = n
 	o.A = a
 	g.b.p.Subkernels++
@@ -207,7 +218,7 @@ func (g *Graph) Getrf(n int32, a Ref, deps ...OpID) OpID {
 func (g *Graph) Trsm(side, uplo, transA, diag byte, m, n int32, alpha AlphaSel, a, b Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KTrsm
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KTrsm
 	o.Side, o.Uplo, o.TransA, o.Diag = side, uplo, transA, diag
 	o.M, o.N = m, n
 	o.Alpha = alpha
@@ -221,7 +232,7 @@ func (g *Graph) Trsm(side, uplo, transA, diag byte, m, n int32, alpha AlphaSel, 
 func (g *Graph) Syrk(uplo, trans byte, n, k int32, alpha AlphaSel, beta BetaSel, a, c Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KSyrk
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KSyrk
 	o.Uplo, o.TransA = uplo, trans
 	o.N, o.K = n, k
 	o.Alpha, o.Beta = alpha, beta

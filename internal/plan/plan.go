@@ -29,9 +29,9 @@ import (
 	"cocopelia/internal/model"
 )
 
-// Kind is the operation class of one plan op. The executing stream is
-// implied: fetches run on the h2d stream, write-backs on the d2h stream,
-// kernels on the compute stream, and allocations touch no stream.
+// Kind is the operation class of one plan op. Allocations touch no
+// stream; every other op runs on the context stream its Stream field
+// indexes.
 type Kind uint8
 
 // The op kinds.
@@ -41,6 +41,21 @@ const (
 	OpKernel
 	OpWriteback
 )
+
+// The stream indices of the three-stream schedules: a context's first
+// three streams carry the h2d transfers, the d2h transfers and the kernels,
+// and the builders route each op to its kind's stream unless Graph.Pin
+// routes it elsewhere (the cuBLASXt schedule pins each output tile's
+// fetches, kernels and write-back to one worker stream).
+const (
+	StreamH2D uint8 = iota
+	StreamD2H
+	StreamComp
+)
+
+// kindStream is the stream the builders route an op of each kind to
+// unless it is pinned.
+var kindStream = [4]uint8{OpAlloc: 0, OpFetch: StreamH2D, OpKernel: StreamComp, OpWriteback: StreamD2H}
 
 // Kernel is the kernel sub-kind of an OpKernel op.
 type Kernel uint8
@@ -66,7 +81,9 @@ const (
 // (Row, Col); the executor resolves the window against the operand's
 // device buffer and leading dimension at replay time, so plans stay
 // layout-agnostic. A staging-slot reference needs no coordinates, so Row
-// doubles as the slot's leading dimension (0 for vectors).
+// doubles as the slot's leading dimension (0 for vectors) and Col as the
+// element offset into the slot (nonzero only for the chunks of a
+// whole-vector slot).
 type Ref struct {
 	Slot     int32
 	Arg      int8
@@ -76,6 +93,10 @@ type Ref struct {
 // slotRef builds a staging-slot reference; Row carries the leading
 // dimension.
 func slotRef(slot, ld int32) Ref { return Ref{Slot: slot, Row: ld} }
+
+// slotOffRef builds a staging-slot reference at an element offset; Col
+// carries the offset.
+func slotOffRef(slot, off int32) Ref { return Ref{Slot: slot, Col: off} }
 
 // argRef builds a bound-operand window reference.
 func argRef(arg int8, row, col int32) Ref {
@@ -119,8 +140,10 @@ const (
 //   - Transfers (OpFetch, OpWriteback) move an M x N element window of one
 //     bound operand through staging slot Slot, reusing A as the host-side
 //     window (operand index and element coordinates); N == 0 marks a 1-D
-//     vector transfer of M elements. The byte volume is derived, not
-//     stored (see Plan.opBytes).
+//     vector transfer of M elements, which K places at an element offset
+//     into the slot. The byte volume is derived, not stored (see
+//     Plan.opBytes).
+//   - Stream indexes the context stream the op runs on (see StreamH2D).
 //
 // Dependencies reference earlier op ids and are stored in the plan's
 // shared arena.
@@ -134,6 +157,7 @@ type Op struct {
 	// factorization kernels (KTrsm uses all three, KPotrf/KSyrk use Uplo);
 	// the flat BLAS kinds leave them zero.
 	Side, Uplo, Diag byte
+	Stream           uint8
 	Slot             int32
 	M, N, K          int32
 	A, B, C          Ref
@@ -215,6 +239,9 @@ type Plan struct {
 	// DispatchS is the duration of the plan's dispatch ops, when the
 	// schedule has them (comparator runtimes); zero otherwise.
 	DispatchS float64
+	// BlockingWriteback records that the compute stream waits for each
+	// output tile's write-back (the BLASX-style schedule).
+	BlockingWriteback bool
 	// Locs is the operand location vector in argument order (gemm: A, B,
 	// C; gemv: A, x, y; axpy: x, y).
 	Locs []model.Loc
@@ -237,6 +264,10 @@ type Plan struct {
 	// EvSlots is the size of the executor's completion-event table: the
 	// number of ops some later op (or tail wait) depends on.
 	EvSlots int
+	// Streams is the number of context streams the plan indexes: one more
+	// than the highest Op.Stream, and at least the three of the
+	// three-stream schedules.
+	Streams int
 
 	// tape caches the plan's precompiled timing-only replay tape (see
 	// tape.go). Plans with a compiled tape must not be copied by value.
@@ -258,6 +289,10 @@ type Key struct {
 	M, N, K, T     int
 	// Alpha and Beta are the math.Float64bits of the plan scalars.
 	Alpha, Beta uint64
+	// DispatchS is the math.Float64bits of the plan's dispatch duration and
+	// BlockingWB its blocking write-back flag (the BLASX request's knobs).
+	DispatchS  uint64
+	BlockingWB bool
 	// Locs is the operand location vector in argument order; NLocs is
 	// its length.
 	Locs  [3]model.Loc
@@ -271,6 +306,7 @@ func (p *Plan) Key() Key {
 		TransA: p.TransA, TransB: p.TransB, Diag: p.Diag,
 		M: p.M, N: p.N, K: p.K, T: p.T,
 		Alpha: math.Float64bits(p.Alpha), Beta: math.Float64bits(p.Beta),
+		DispatchS: math.Float64bits(p.DispatchS), BlockingWB: p.BlockingWriteback,
 		NLocs: len(p.Locs),
 	}
 	copy(k.Locs[:], p.Locs)
@@ -358,6 +394,9 @@ func (p *Plan) TransferOps() (h2d, d2h int) {
 type builder struct {
 	p        *Plan
 	depStart int32
+	// route is the stream each op kind is emitted to: kindStream, or the
+	// pinned stream (see Graph.Pin).
+	route [4]uint8
 }
 
 // dep records a dependency for the next emitted op. id < 0 (the planner's
@@ -370,7 +409,7 @@ func (b *builder) dep(id int32) {
 
 // emit appends a zero op to the arena, binding the dependencies recorded
 // since the last emit, and returns the arena slot for the caller to fill
-// in place along with its id. Op is a wide struct and planners emit
+// in place (kind and stream included) along with its id. Op is a wide struct and planners emit
 // hundreds of thousands per campaign; filling the slot directly avoids a
 // per-op stack literal plus arena copy. Callers must only set fields —
 // never hold the pointer across another emit (the arena may grow).
@@ -432,6 +471,7 @@ func finish(p *Plan) *Plan {
 		mark(id)
 	}
 	p.EvSlots = int(n)
+	p.Streams = max(p.Streams, int(StreamComp)+1)
 	return p
 }
 
@@ -440,7 +480,7 @@ func argNames(routine string) []string {
 	switch routine {
 	case "gemv":
 		return []string{"A", "x", "y"}
-	case "axpy":
+	case "axpy", "axpy-unified":
 		return []string{"x", "y"}
 	case "cholesky", "lu":
 		return []string{"A"}
@@ -479,8 +519,11 @@ func transString(ta, tb byte) string {
 // refString renders a kernel operand reference.
 func refString(r Ref, names []string) string {
 	if r.Slot >= 0 {
-		if r.Row > 0 { // a slot ref's Row carries the leading dimension
+		switch {
+		case r.Row > 0: // a slot ref's Row carries the leading dimension
 			return fmt.Sprintf("s%d(ld=%d)", r.Slot, r.Row)
+		case r.Col > 0: // and its Col the element offset
+			return fmt.Sprintf("s%d+%d", r.Slot, r.Col)
 		}
 		return fmt.Sprintf("s%d", r.Slot)
 	}
@@ -488,11 +531,19 @@ func refString(r Ref, names []string) string {
 }
 
 // Dump renders the plan as deterministic text: one line per slot and op,
-// with ids, kinds, shapes, dependency edges and byte volumes. The format
-// is stable — golden tests and the cocomodel -dump-plan flag both pin it.
+// with ids, kinds, shapes, dependency edges and byte volumes. A plan that
+// routes any op off its kind's stream also names every op's stream. The
+// format is stable — golden tests and the cocomodel -dump-plan flag both
+// pin it.
 func (p *Plan) Dump() string {
 	var sb strings.Builder
 	names := argNames(p.Routine)
+	pinned := false
+	for i := range p.Ops {
+		if o := &p.Ops[i]; o.Kind != OpAlloc && o.Stream != kindStream[o.Kind] {
+			pinned = true
+		}
+	}
 	fmt.Fprintf(&sb, "plan %s dtype=%s trans=%s m=%d n=%d k=%d T=%d alpha=%g beta=%g locs=%s\n",
 		p.Routine, p.Dtype, transString(p.TransA, p.TransB),
 		p.M, p.N, p.K, p.T, p.Alpha, p.Beta, locString(p.Locs))
@@ -503,6 +554,9 @@ func (p *Plan) Dump() string {
 	fmt.Fprintf(&sb, "ops %d\n", len(p.Ops))
 	for i := range p.Ops {
 		fmt.Fprintf(&sb, "  o%d %s", i, opString(p, int32(i), names))
+		if o := &p.Ops[i]; pinned && o.Kind != OpAlloc {
+			fmt.Fprintf(&sb, " stream=%d", o.Stream)
+		}
 		if deps := p.Deps(i); len(deps) > 0 {
 			sb.WriteString(" deps=[")
 			for j, d := range deps {
@@ -545,15 +599,15 @@ func opString(p *Plan, i int32, names []string) string {
 		return fmt.Sprintf("alloc s%d", o.Slot)
 	case OpFetch:
 		if o.N == 0 {
-			return fmt.Sprintf("fetch %s[%d:+%d] -> s%d bytes=%d",
-				names[o.A.Arg], o.A.Row, o.M, o.Slot, p.opBytes(o))
+			return fmt.Sprintf("fetch %s[%d:+%d] -> %s bytes=%d",
+				names[o.A.Arg], o.A.Row, o.M, refString(slotOffRef(o.Slot, o.K), names), p.opBytes(o))
 		}
 		return fmt.Sprintf("fetch %s[%d,%d %dx%d] -> s%d bytes=%d",
 			names[o.A.Arg], o.A.Row, o.A.Col, o.M, o.N, o.Slot, p.opBytes(o))
 	case OpWriteback:
 		if o.N == 0 {
-			return fmt.Sprintf("writeback s%d -> %s[%d:+%d] bytes=%d",
-				o.Slot, names[o.A.Arg], o.A.Row, o.M, p.opBytes(o))
+			return fmt.Sprintf("writeback %s -> %s[%d:+%d] bytes=%d",
+				refString(slotOffRef(o.Slot, o.K), names), names[o.A.Arg], o.A.Row, o.M, p.opBytes(o))
 		}
 		return fmt.Sprintf("writeback s%d -> %s[%d,%d %dx%d] bytes=%d",
 			o.Slot, names[o.A.Arg], o.A.Row, o.A.Col, o.M, o.N, p.opBytes(o))

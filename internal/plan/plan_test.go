@@ -327,6 +327,190 @@ ops 24
 volumes h2d=224 d2h=128 subkernels=6
 `
 
+// goldenXtRagged pins the cuBLASXt schedule: six output tiles, ragged in m
+// and n, dealt round-robin to the four worker streams (tiles 4 and 5 wrap
+// to workers 0 and 1), each worker fetching its inputs again into its own
+// three slots, with no dependency edges.
+const goldenXtRagged = `plan gemm-cublasxt dtype=f64 trans=nn m=3 n=5 k=2 T=2 alpha=1 beta=1 locs=HHH
+slots 12
+  s0 f64 elems=4
+  s1 f64 elems=4
+  s2 f64 elems=4
+  s3 f64 elems=4
+  s4 f64 elems=4
+  s5 f64 elems=4
+  s6 f64 elems=4
+  s7 f64 elems=4
+  s8 f64 elems=4
+  s9 f64 elems=4
+  s10 f64 elems=4
+  s11 f64 elems=4
+ops 42
+  o0 alloc s0
+  o1 alloc s1
+  o2 alloc s2
+  o3 alloc s3
+  o4 alloc s4
+  o5 alloc s5
+  o6 alloc s6
+  o7 alloc s7
+  o8 alloc s8
+  o9 alloc s9
+  o10 alloc s10
+  o11 alloc s11
+  o12 fetch C[0,0 2x2] -> s2 bytes=32 stream=0
+  o13 fetch A[0,0 2x2] -> s0 bytes=32 stream=0
+  o14 fetch B[0,0 2x2] -> s1 bytes=32 stream=0
+  o15 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s0(ld=2) B=s1(ld=2) C=s2(ld=2) stream=0
+  o16 writeback s2 -> C[0,0 2x2] bytes=32 stream=0
+  o17 fetch C[2,0 1x2] -> s5 bytes=16 stream=1
+  o18 fetch A[2,0 1x2] -> s3 bytes=16 stream=1
+  o19 fetch B[0,0 2x2] -> s4 bytes=32 stream=1
+  o20 gemm nn m=1 n=2 k=2 alpha=1 beta=1 A=s3(ld=1) B=s4(ld=2) C=s5(ld=1) stream=1
+  o21 writeback s5 -> C[2,0 1x2] bytes=16 stream=1
+  o22 fetch C[0,2 2x2] -> s8 bytes=32 stream=2
+  o23 fetch A[0,0 2x2] -> s6 bytes=32 stream=2
+  o24 fetch B[0,2 2x2] -> s7 bytes=32 stream=2
+  o25 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s6(ld=2) B=s7(ld=2) C=s8(ld=2) stream=2
+  o26 writeback s8 -> C[0,2 2x2] bytes=32 stream=2
+  o27 fetch C[2,2 1x2] -> s11 bytes=16 stream=3
+  o28 fetch A[2,0 1x2] -> s9 bytes=16 stream=3
+  o29 fetch B[0,2 2x2] -> s10 bytes=32 stream=3
+  o30 gemm nn m=1 n=2 k=2 alpha=1 beta=1 A=s9(ld=1) B=s10(ld=2) C=s11(ld=1) stream=3
+  o31 writeback s11 -> C[2,2 1x2] bytes=16 stream=3
+  o32 fetch C[0,4 2x1] -> s2 bytes=16 stream=0
+  o33 fetch A[0,0 2x2] -> s0 bytes=32 stream=0
+  o34 fetch B[0,4 2x1] -> s1 bytes=16 stream=0
+  o35 gemm nn m=2 n=1 k=2 alpha=1 beta=1 A=s0(ld=2) B=s1(ld=2) C=s2(ld=2) stream=0
+  o36 writeback s2 -> C[0,4 2x1] bytes=16 stream=0
+  o37 fetch C[2,4 1x1] -> s5 bytes=8 stream=1
+  o38 fetch A[2,0 1x2] -> s3 bytes=16 stream=1
+  o39 fetch B[0,4 2x1] -> s4 bytes=16 stream=1
+  o40 gemm nn m=1 n=1 k=2 alpha=1 beta=1 A=s3(ld=1) B=s4(ld=2) C=s5(ld=1) stream=1
+  o41 writeback s5 -> C[2,4 1x1] bytes=8 stream=1
+volumes h2d=424 d2h=120 subkernels=6
+`
+
+// goldenXtDevA pins a cuBLASXt plan with A on the device: A is read in
+// place, and each worker stages only B and C.
+const goldenXtDevA = `plan gemm-cublasxt dtype=f64 trans=nn m=4 n=2 k=4 T=2 alpha=1 beta=1 locs=DHH
+slots 8
+  s0 f64 elems=4
+  s1 f64 elems=4
+  s2 f64 elems=4
+  s3 f64 elems=4
+  s4 f64 elems=4
+  s5 f64 elems=4
+  s6 f64 elems=4
+  s7 f64 elems=4
+ops 20
+  o0 alloc s0
+  o1 alloc s1
+  o2 alloc s2
+  o3 alloc s3
+  o4 alloc s4
+  o5 alloc s5
+  o6 alloc s6
+  o7 alloc s7
+  o8 fetch C[0,0 2x2] -> s1 bytes=32 stream=0
+  o9 fetch B[0,0 2x2] -> s0 bytes=32 stream=0
+  o10 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=A[0,0] B=s0(ld=2) C=s1(ld=2) stream=0
+  o11 fetch B[2,0 2x2] -> s0 bytes=32 stream=0
+  o12 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=A[0,2] B=s0(ld=2) C=s1(ld=2) stream=0
+  o13 writeback s1 -> C[0,0 2x2] bytes=32 stream=0
+  o14 fetch C[2,0 2x2] -> s3 bytes=32 stream=1
+  o15 fetch B[0,0 2x2] -> s2 bytes=32 stream=1
+  o16 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=A[2,0] B=s2(ld=2) C=s3(ld=2) stream=1
+  o17 fetch B[2,0 2x2] -> s2 bytes=32 stream=1
+  o18 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=A[2,2] B=s2(ld=2) C=s3(ld=2) stream=1
+  o19 writeback s3 -> C[2,0 2x2] bytes=32 stream=1
+volumes h2d=192 d2h=64 subkernels=4
+`
+
+// goldenXtTight pins a cuBLASXt plan whose free device memory (250 bytes)
+// stages only two workers.
+const goldenXtTight = `plan gemm-cublasxt dtype=f64 trans=nn m=4 n=4 k=2 T=2 alpha=1 beta=1 locs=HHH
+slots 6
+  s0 f64 elems=4
+  s1 f64 elems=4
+  s2 f64 elems=4
+  s3 f64 elems=4
+  s4 f64 elems=4
+  s5 f64 elems=4
+ops 26
+  o0 alloc s0
+  o1 alloc s1
+  o2 alloc s2
+  o3 alloc s3
+  o4 alloc s4
+  o5 alloc s5
+  o6 fetch C[0,0 2x2] -> s2 bytes=32 stream=0
+  o7 fetch A[0,0 2x2] -> s0 bytes=32 stream=0
+  o8 fetch B[0,0 2x2] -> s1 bytes=32 stream=0
+  o9 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s0(ld=2) B=s1(ld=2) C=s2(ld=2) stream=0
+  o10 writeback s2 -> C[0,0 2x2] bytes=32 stream=0
+  o11 fetch C[2,0 2x2] -> s5 bytes=32 stream=1
+  o12 fetch A[2,0 2x2] -> s3 bytes=32 stream=1
+  o13 fetch B[0,0 2x2] -> s4 bytes=32 stream=1
+  o14 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s3(ld=2) B=s4(ld=2) C=s5(ld=2) stream=1
+  o15 writeback s5 -> C[2,0 2x2] bytes=32 stream=1
+  o16 fetch C[0,2 2x2] -> s2 bytes=32 stream=0
+  o17 fetch A[0,0 2x2] -> s0 bytes=32 stream=0
+  o18 fetch B[0,2 2x2] -> s1 bytes=32 stream=0
+  o19 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s0(ld=2) B=s1(ld=2) C=s2(ld=2) stream=0
+  o20 writeback s2 -> C[0,2 2x2] bytes=32 stream=0
+  o21 fetch C[2,2 2x2] -> s5 bytes=32 stream=1
+  o22 fetch A[2,0 2x2] -> s3 bytes=32 stream=1
+  o23 fetch B[0,2 2x2] -> s4 bytes=32 stream=1
+  o24 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s3(ld=2) B=s4(ld=2) C=s5(ld=2) stream=1
+  o25 writeback s5 -> C[2,2 2x2] bytes=32 stream=1
+volumes h2d=384 d2h=128 subkernels=4
+`
+
+// goldenUnifiedHH pins the unified-memory daxpy: whole-vector mirrors,
+// chunk prefetches each kernel waits on, and y's migration back queued
+// behind the last kernel.
+const goldenUnifiedHH = `plan axpy-unified dtype=f64 trans=nn m=0 n=5 k=0 T=2 alpha=1.1 beta=0 locs=HH
+slots 2
+  s0 f64 elems=5
+  s1 f64 elems=5
+ops 14
+  o0 alloc s0
+  o1 alloc s1
+  o2 fetch x[0:+2] -> s0 bytes=16
+  o3 fetch y[0:+2] -> s1 bytes=16
+  o4 axpy n=2 alpha=1.1 x=s0 y=s1 deps=[o3]
+  o5 fetch x[2:+2] -> s0+2 bytes=16
+  o6 fetch y[2:+2] -> s1+2 bytes=16
+  o7 axpy n=2 alpha=1.1 x=s0+2 y=s1+2 deps=[o6]
+  o8 fetch x[4:+1] -> s0+4 bytes=8
+  o9 fetch y[4:+1] -> s1+4 bytes=8
+  o10 axpy n=1 alpha=1.1 x=s0+4 y=s1+4 deps=[o9]
+  o11 writeback s1 -> y[0:+2] bytes=16 deps=[o10]
+  o12 writeback s1+2 -> y[2:+2] bytes=16
+  o13 writeback s1+4 -> y[4:+1] bytes=8
+volumes h2d=80 d2h=40 subkernels=3
+`
+
+// goldenUnifiedDH pins the unified-memory daxpy with x on the device: x is
+// read in place and only y migrates.
+const goldenUnifiedDH = `plan axpy-unified dtype=f64 trans=nn m=0 n=5 k=0 T=2 alpha=1.1 beta=0 locs=DH
+slots 1
+  s0 f64 elems=5
+ops 10
+  o0 alloc s0
+  o1 fetch y[0:+2] -> s0 bytes=16
+  o2 axpy n=2 alpha=1.1 x=x[0,0] y=s0 deps=[o1]
+  o3 fetch y[2:+2] -> s0+2 bytes=16
+  o4 axpy n=2 alpha=1.1 x=x[2,0] y=s0+2 deps=[o3]
+  o5 fetch y[4:+1] -> s0+4 bytes=8
+  o6 axpy n=1 alpha=1.1 x=x[4,0] y=s0+4 deps=[o5]
+  o7 writeback s0 -> y[0:+2] bytes=16 deps=[o6]
+  o8 writeback s0+2 -> y[2:+2] bytes=16
+  o9 writeback s0+4 -> y[4:+1] bytes=8
+volumes h2d=40 d2h=40 subkernels=3
+`
+
 // goldenCase is one golden plan and its pinned dump.
 type goldenCase struct {
 	name string
@@ -364,6 +548,20 @@ func goldenCases() []goldenCase {
 			N: 6, LocA: H, T: 2}), goldenLU},
 		{"trsm", BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit,
 			M: 4, N: 4, Alpha: 1, LocA: H, LocB: H, T: 2}), goldenTrsm},
+		{"cublasxt-ragged", BuildGemmXt(GemmSpec{Dtype: kernelmodel.F64,
+			TransA: blas.NoTrans, TransB: blas.NoTrans,
+			M: 3, N: 5, K: 2, Alpha: 1, Beta: 1,
+			LocA: H, LocB: H, LocC: H, T: 2}, 1<<30), goldenXtRagged},
+		{"cublasxt-devA", BuildGemmXt(GemmSpec{Dtype: kernelmodel.F64,
+			TransA: blas.NoTrans, TransB: blas.NoTrans,
+			M: 4, N: 2, K: 4, Alpha: 1, Beta: 1,
+			LocA: D, LocB: H, LocC: H, T: 2}, 1<<30), goldenXtDevA},
+		{"cublasxt-tight", BuildGemmXt(GemmSpec{Dtype: kernelmodel.F64,
+			TransA: blas.NoTrans, TransB: blas.NoTrans,
+			M: 4, N: 4, K: 2, Alpha: 1, Beta: 1,
+			LocA: H, LocB: H, LocC: H, T: 2}, 250), goldenXtTight},
+		{"unified-hh", BuildAxpyUnified(AxpySpec{N: 5, Alpha: 1.1, LocX: H, LocY: H, T: 2}), goldenUnifiedHH},
+		{"unified-dh", BuildAxpyUnified(AxpySpec{N: 5, Alpha: 1.1, LocX: D, LocY: H, T: 2}), goldenUnifiedDH},
 	}
 }
 
@@ -406,6 +604,10 @@ func planBattery() map[string]*Plan {
 		"lu":            BuildLU(LUSpec{Dtype: kernelmodel.F64, N: 130, LocA: H, T: 64}),
 		"trsm":          BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit, M: 130, N: 70, Alpha: 0.5, LocA: H, LocB: H, T: 64}),
 		"trsm-unit":     BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.Unit, M: 96, N: 64, Alpha: 1, LocA: D, LocB: H, T: 32}),
+		"cublasxt":      BuildGemmXt(gemm(nn, nn, 130, 70, 95, 0.5, H, H, H, 64), 1<<30),
+		"cublasxt-dev":  BuildGemmXt(gemm(nn, nn, 128, 64, 64, 0, D, H, D, 32), 1<<30),
+		"unified":       BuildAxpyUnified(AxpySpec{N: 1000, Alpha: 1.1, LocX: H, LocY: H, T: 384}),
+		"unified-dev":   BuildAxpyUnified(AxpySpec{N: 777, Alpha: 0.75, LocX: D, LocY: H, T: 256}),
 	}
 }
 

@@ -31,11 +31,10 @@ type Tape struct {
 	slots   []Slot
 }
 
-// tapeOp codes: which stream the op runs on and what it enqueues.
+// tapeOp codes: what the op enqueues.
 const (
 	tAlloc uint8 = iota
-	tFetch
-	tWriteback
+	tTransfer
 	tKernel
 )
 
@@ -62,6 +61,7 @@ type tapeOp struct {
 	ev           int32   // completion-event slot, -1 when nothing waits
 	depOff, depN int32   // window into Tape.deps
 	code         uint8
+	stream       uint8  // index into Target.Streams
 	kernel       Kernel // kernel kind and dtype, indexing tapeNames
 	dt           uint8
 	dir          machine.LinkDir
@@ -92,8 +92,8 @@ func (p *Plan) TapeFor(gpu *machine.GPUSpec) *Tape {
 func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 	t := &Tape{
 		gpu:     gpu,
-		ops:     make([]tapeOp, len(p.Ops)),
-		deps:    make([]int32, len(p.deps)),
+		ops:     freeTape.take(len(p.Ops))[:len(p.Ops)],
+		deps:    freeDeps.take(len(p.deps))[:len(p.deps)],
 		tailH2D: evSlotsOf(p, p.TailH2D),
 		tailCmp: evSlotsOf(p, p.TailComp),
 		evSlots: p.EvSlots,
@@ -107,14 +107,15 @@ func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 		o := &p.Ops[i]
 		to := &t.ops[i]
 		to.ev, to.depOff, to.depN, to.slot = o.Ev, o.depOff, o.depN, o.Slot
+		to.stream = o.Stream
 		switch o.Kind {
 		case OpAlloc:
 			to.code = tAlloc
 		case OpFetch:
-			to.code, to.dir = tFetch, machine.H2D
+			to.code, to.dir = tTransfer, machine.H2D
 			to.bytes = tapeBytes(p, o)
 		case OpWriteback:
-			to.code, to.dir = tWriteback, machine.D2H
+			to.code, to.dir = tTransfer, machine.D2H
 			to.bytes = tapeBytes(p, o)
 		case OpKernel:
 			to.code, to.kernel, to.dt = tKernel, o.Kernel, uint8(p.Dtype)
@@ -172,7 +173,7 @@ func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
 	// Hoist the hot-loop state into locals: the loop body runs hundreds of
 	// thousands of times per replay and the compiler cannot otherwise prove
 	// these loads loop-invariant across the stream calls.
-	events, deps, h2d, d2h, comp := e.events, t.deps, tgt.H2D, tgt.D2H, tgt.Comp
+	events, deps, streams := e.events, t.deps, tgt.Streams
 	for i := range t.ops {
 		o := &t.ops[i]
 		switch o.code {
@@ -191,27 +192,21 @@ func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
 			e.slots[o.slot] = buf
 			//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
 			e.pooled = append(e.pooled, buf)
-		case tFetch:
+		case tTransfer:
+			s := streams[o.stream]
 			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				h2d.WaitEvent(events[d])
+				s.WaitEvent(events[d])
 			}
-			ev := h2d.TransferOp(o.dir, o.bytes)
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
-		case tWriteback:
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				d2h.WaitEvent(events[d])
-			}
-			ev := d2h.TransferOp(o.dir, o.bytes)
+			ev := s.TransferOp(o.dir, o.bytes)
 			if o.ev >= 0 {
 				events[o.ev] = ev
 			}
 		case tKernel:
+			s := streams[o.stream]
 			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				comp.WaitEvent(events[d])
+				s.WaitEvent(events[d])
 			}
-			ev := comp.KernelOp(tapeNames[o.kernel][o.dt], o.dur)
+			ev := s.KernelOp(tapeNames[o.kernel][o.dt], o.dur)
 			if o.ev >= 0 {
 				events[o.ev] = ev
 			}
@@ -219,10 +214,10 @@ func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
 	}
 
 	for _, s := range t.tailH2D {
-		tgt.H2D.WaitEvent(e.events[s])
+		streams[StreamH2D].WaitEvent(e.events[s])
 	}
 	for _, s := range t.tailCmp {
-		tgt.Comp.WaitEvent(e.events[s])
+		streams[StreamComp].WaitEvent(e.events[s])
 	}
 	return e.pooled, nil
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,5 +94,37 @@ func TestTapeForCompilesOnce(t *testing.T) {
 	}
 	if n := len(p.tape.tapes); n != 2 {
 		t.Errorf("two GPU models cached %d tapes, want 2", n)
+	}
+}
+
+// TestReleaseRecyclesArenas builds a plan into the arrays a larger,
+// released plan leaves behind: it must take them, and its dump and its
+// tape must equal those of the same plan built before.
+func TestReleaseRecyclesArenas(t *testing.T) {
+	gpu := &machine.TestbedI().GPU
+	build := func(locA model.Loc, beta float64) *Plan {
+		p := BuildGemmNoReuse(GemmSpec{Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+			M: 130, N: 70, K: 95, Alpha: 1, Beta: beta,
+			LocA: locA, LocB: model.OnHost, LocC: model.OnHost, T: 16}, 1<<30)
+		p.TapeFor(gpu)
+		return p
+	}
+	want := build(model.OnDevice, 0)
+	dirty := build(model.OnHost, 0.5)
+	ops := &dirty.Ops[:1][0]
+	dirty.Release()
+	if dirty.Ops != nil || dirty.tape.tapes != nil {
+		t.Fatal("Release kept the plan's arrays")
+	}
+	got := build(model.OnDevice, 0)
+	if &got.Ops[:1][0] != ops {
+		t.Error("the plan built after Release did not take the released op array")
+	}
+	if d, w := got.Dump(), want.Dump(); d != w {
+		t.Fatalf("plan rebuilt over released arrays:\n%s\nwant:\n%s", d, w)
+	}
+	gt, wt := got.TapeFor(gpu), want.TapeFor(gpu)
+	if !slices.Equal(gt.ops, wt.ops) || !slices.Equal(gt.deps, wt.deps) {
+		t.Fatal("tape rebuilt over released arrays differs")
 	}
 }

@@ -9,11 +9,10 @@ import (
 // GemvSpec parameterizes the level-2 planner (y = alpha*A*x + beta*y,
 // float64, A stored MxN).
 type GemvSpec struct {
-	M, N              int
-	Alpha, Beta       float64
-	LocA, LocX, LocY  model.Loc
-	T                 int
-	BlockingWriteback bool
+	M, N             int
+	Alpha, Beta      float64
+	LocA, LocX, LocY model.Loc
+	T                int
 }
 
 // BuildGemv emits the level-2 schedule: A tiles fetched per sub-kernel, x
@@ -49,11 +48,10 @@ func BuildGemv(spec GemvSpec) *Plan {
 		slot := g.Slot(kernelmodel.F64, int64(n))
 		g.Alloc(slot)
 		ch.ref = SlotRef(slot, 0)
-		ch.ready = g.FetchVec(1, int32(tj*T), int32(n), slot)
+		ch.ready = g.FetchVec(1, int32(tj*T), int32(n), slot, 0)
 		return ch
 	}
 
-	pendingWB := NoOp
 	lastComp := NoOp
 	var depBuf []OpID
 
@@ -69,7 +67,7 @@ func BuildGemv(spec GemvSpec) *Plan {
 			g.Alloc(ySlot)
 			yRef = SlotRef(ySlot, 0)
 			if spec.Beta != 0 {
-				yReady = g.FetchVec(2, int32(ti*T), int32(rows), ySlot)
+				yReady = g.FetchVec(2, int32(ti*T), int32(rows), ySlot, 0)
 			}
 		}
 
@@ -85,11 +83,9 @@ func BuildGemv(spec GemvSpec) *Plan {
 				aRef = SlotRef(slot, int32(rows))
 			}
 
-			// Compute-stream waits, in registration order: pending blocking
-			// write-back, the A fetch, the x chunk, then (first column only)
-			// the y chunk.
-			depBuf = append(depBuf[:0], pendingWB, aReady, xc.ready)
-			pendingWB = NoOp
+			// Compute-stream waits, in registration order: the A fetch, the
+			// x chunk, then (first column only) the y chunk.
+			depBuf = append(depBuf[:0], aReady, xc.ready)
 			beta := 1.0
 			if tj == 0 {
 				depBuf = append(depBuf, yReady)
@@ -103,13 +99,9 @@ func BuildGemv(spec GemvSpec) *Plan {
 		}
 
 		if spec.LocY == model.OnHost {
-			wb := g.WritebackVec(ySlot, 2, int32(ti*T), int32(rows), lastComp)
-			if spec.BlockingWriteback {
-				pendingWB = wb
-			}
+			g.WritebackVec(ySlot, 0, 2, int32(ti*T), int32(rows), lastComp)
 		}
 	}
-	g.TailComp(pendingWB)
 	return g.Finish()
 }
 
@@ -144,7 +136,7 @@ func BuildAxpy(spec AxpySpec) *Plan {
 			}
 			slot := g.Slot(kernelmodel.F64, int64(n))
 			g.Alloc(slot)
-			ready := g.FetchVec(arg, int32(off), int32(n), slot)
+			ready := g.FetchVec(arg, int32(off), int32(n), slot, 0)
 			return SlotRef(slot, 0), ready
 		}
 		xRef, xReady := chunk(0)
@@ -153,7 +145,74 @@ func BuildAxpy(spec AxpySpec) *Plan {
 		kid := g.Axpy(int32(n), xRef, yRef, xReady, yReady)
 
 		if spec.LocY == model.OnHost {
-			g.WritebackVec(yRef.Slot, 1, int32(off), int32(n), kid)
+			g.WritebackVec(yRef.Slot, 0, 1, int32(off), int32(n), kid)
+		}
+	}
+	return g.Finish()
+}
+
+// BuildAxpyUnified emits the unified-memory daxpy baseline the paper
+// compares CoCoPeLia's level-1 path against: CUDA unified memory with
+// prefetching. Each host-resident operand gets a whole-vector managed
+// mirror. Prefetch hints stream its pages to the device in spec.T-element
+// chunks on the h2d stream ahead of each chunk's kernel, so h2d overlaps
+// compute, but at a fixed small granularity that pays the per-transfer
+// latency far more often than a tiled scheduler. The written pages of y
+// migrate back on demand only when the host touches y, after the last
+// kernel: the d2h chunks all queue behind the whole kernel sequence and
+// never overlap compute. Device-resident operands need no migration.
+func BuildAxpyUnified(spec AxpySpec) *Plan {
+	T := spec.T
+	p := &Plan{
+		Routine: "axpy-unified", Dtype: kernelmodel.F64,
+		TransA: blas.NoTrans, TransB: blas.NoTrans,
+		N: spec.N, T: T,
+		Alpha: spec.Alpha,
+		Locs:  []model.Loc{spec.LocX, spec.LocY},
+	}
+	g := NewGraph(p)
+
+	// mirror allocates a host-resident operand's managed mirror; -1 marks a
+	// device-resident operand, used in place.
+	mirror := func(arg int8) int32 {
+		if p.Locs[arg] == model.OnDevice {
+			return -1
+		}
+		slot := g.Slot(kernelmodel.F64, int64(spec.N))
+		g.Alloc(slot)
+		return slot
+	}
+	xs, ys := mirror(0), mirror(1)
+	ref := func(arg int8, slot int32, off int) Ref {
+		if slot < 0 {
+			return ArgRef(arg, int32(off), 0)
+		}
+		return slotOffRef(slot, int32(off))
+	}
+
+	chunks := ceil(spec.N, T)
+	lastKernel := NoOp
+	for ci := 0; ci < chunks; ci++ {
+		off := ci * T
+		n := min(T, spec.N-off)
+		// The kernel waits for the prefetch stream's tail: the chunk's
+		// last prefetch.
+		ready := NoOp
+		if xs >= 0 {
+			ready = g.FetchVec(0, int32(off), int32(n), xs, int32(off))
+		}
+		if ys >= 0 {
+			ready = g.FetchVec(1, int32(off), int32(n), ys, int32(off))
+		}
+		lastKernel = g.Axpy(int32(n), ref(0, xs, off), ref(1, ys, off), ready)
+	}
+	if ys >= 0 {
+		// The first migration back waits for the last kernel; the rest
+		// follow it in stream order.
+		for ci := 0; ci < chunks; ci++ {
+			off := ci * T
+			g.WritebackVec(ys, int32(off), 1, int32(off), int32(min(T, spec.N-off)), lastKernel)
+			lastKernel = NoOp
 		}
 	}
 	return g.Finish()

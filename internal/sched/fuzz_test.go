@@ -27,13 +27,16 @@ func fuzzFlags(s *reqShape, flags uint8) {
 // operands come from buildReq, so they always match the dimensions).
 func validShape(routine string, s reqShape) bool {
 	trans := func(b byte, allowT bool) bool { return b == 0 || b == blas.NoTrans || (allowT && b == blas.Trans) }
+	if routine == "axpy-unified" {
+		return s.n > 0 // the prefetch chunk is fixed, not the request's T
+	}
 	if s.n <= 0 || s.T <= 0 {
 		return false
 	}
 	switch routine {
-	case "gemm":
+	case "gemm", "gemm-blasx":
 		return s.m > 0 && s.k > 0 && trans(s.transA, true) && trans(s.transB, true)
-	case "gemm-noreuse":
+	case "gemm-noreuse", "gemm-cublasxt":
 		return s.m > 0 && s.k > 0 && trans(s.transA, false) && trans(s.transB, false)
 	case "gemv":
 		return s.m > 0
@@ -53,7 +56,7 @@ func closedForm(k plan.Key) (plan.Volumes, bool) {
 		Beta: math.Float64frombits(k.Beta), LocA: k.Locs[0], LocB: k.Locs[1], LocC: k.Locs[2], T: k.T,
 	}
 	switch k.Routine {
-	case "gemm":
+	case "gemm": // the BLASX request's knobs move no data
 		return plan.GemmVolumes(gemm), true
 	case "gemm-noreuse":
 		return plan.GemmNoReuseVolumes(gemm), true
@@ -156,11 +159,18 @@ func FuzzPlan(f *testing.F) {
 		if got := (plan.Volumes{BytesH2D: res.BytesH2D, BytesD2H: res.BytesD2H, Subkernels: res.Subkernels}); got != p.Volumes() {
 			t.Fatalf("%s: replay reported %+v, plan annotates %+v", name, got, p.Volumes())
 		}
+		// The device counts the BLASX request's dispatch kernels too.
+		dispatches := int64(0)
+		for _, o := range p.Ops {
+			if o.Kind == plan.OpKernel && o.Kernel == plan.KDispatch {
+				dispatches++
+			}
+		}
 		lk := c.rt.Device().Link()
 		moved := plan.Volumes{
 			BytesH2D:   lk.Stats(machine.H2D).Bytes,
 			BytesD2H:   lk.Stats(machine.D2H).Bytes,
-			Subkernels: c.rt.Device().ComputeStats().Kernels,
+			Subkernels: c.rt.Device().ComputeStats().Kernels - dispatches,
 		}
 		if moved != p.Volumes() {
 			t.Fatalf("%s %+v: replay moved %+v, plan annotates %+v", name, s, moved, p.Volumes())

@@ -49,8 +49,7 @@ func (opts GemvOpts) resolve(c *Context) (call, error) {
 		M: opts.M, N: opts.N,
 		Alpha: opts.Alpha, Beta: opts.Beta,
 		LocA: opts.A.Loc, LocX: opts.X.Loc, LocY: opts.Y.Loc,
-		T:                 opts.T,
-		BlockingWriteback: c.blockingWriteback,
+		T: opts.T,
 	}
 	return call{
 		key: plan.Key{

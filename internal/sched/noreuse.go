@@ -18,26 +18,32 @@ import (
 // transpose flag.
 type GemmNoReuseOpts GemmOpts
 
+// validateNoTrans checks the level-3 request of a comparator that takes
+// its operands stored NoTrans (the no-reuse and cuBLASXt schedules).
+func (c *Context) validateNoTrans(routine string, g GemmOpts) error {
+	if t := g.TransA; t != 0 && t != blas.NoTrans {
+		return fmt.Errorf("sched: %s takes NoTrans operands only, got TransA %q", routine, t)
+	}
+	if t := g.TransB; t != 0 && t != blas.NoTrans {
+		return fmt.Errorf("sched: %s takes NoTrans operands only, got TransB %q", routine, t)
+	}
+	_, _, err := c.validateGemm(g)
+	return err
+}
+
 func (opts GemmNoReuseOpts) resolve(c *Context) (call, error) {
-	if t := opts.TransA; t != 0 && t != blas.NoTrans {
-		return call{}, fmt.Errorf("sched: gemm-noreuse takes NoTrans operands only, got TransA %q", t)
-	}
-	if t := opts.TransB; t != 0 && t != blas.NoTrans {
-		return call{}, fmt.Errorf("sched: gemm-noreuse takes NoTrans operands only, got TransB %q", t)
-	}
 	g := GemmOpts(opts)
-	if _, _, err := c.validateGemm(g); err != nil {
+	if err := c.validateNoTrans("gemm-noreuse", g); err != nil {
 		return call{}, err
 	}
 	// The staging depth is sized to the device memory free at planning
 	// time, so the plan embeds the slot-group ring it will replay with.
-	spec := gemmSpec(g, blas.NoTrans, blas.NoTrans, 0, false)
+	spec := gemmSpec(g, blas.NoTrans, blas.NoTrans)
 	return call{
 		key:  gemmKey("gemm-noreuse", g, blas.NoTrans, blas.NoTrans),
 		args: [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}},
 		build: func() *plan.Plan {
-			dev := c.rt.Device()
-			return plan.BuildGemmNoReuse(spec, dev.Testbed().GPU.MemBytes-dev.MemUsed())
+			return plan.BuildGemmNoReuse(spec, c.freeBytes())
 		},
 	}, nil
 }

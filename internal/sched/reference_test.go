@@ -21,10 +21,17 @@ import (
 	"cocopelia/internal/machine"
 	"cocopelia/internal/model"
 	"cocopelia/internal/parallel"
+	"cocopelia/internal/plan"
 	"cocopelia/internal/sim"
 )
 
 func ceil(a, b int) int { return (a + b - 1) / b }
+
+// refStreams returns the context's h2d, d2h and compute streams, the three
+// the oracle schedules onto.
+func refStreams(c *Context) (h2d, d2h, comp *cudart.Stream) {
+	return c.streams[plan.StreamH2D], c.streams[plan.StreamD2H], c.streams[plan.StreamComp]
+}
 
 // refTile is the oracle's devTile.
 type refTile struct {
@@ -35,8 +42,10 @@ type refTile struct {
 	live  bool
 }
 
-// refGemm is the original GemmEnqueue loop followed by Sync/Finish.
-func refGemm(c *Context, opts GemmOpts) (Result, error) {
+// refGemm is the original GemmEnqueue loop followed by Sync/Finish, with
+// the BLASX request's knobs.
+func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Result, error) {
+	h2d, d2h, comp := refStreams(c)
 	dt := opts.Dtype
 	transA, err := normTrans(opts.TransA)
 	if err != nil {
@@ -97,7 +106,7 @@ func refGemm(c *Context, opts GemmOpts) (Result, error) {
 		t.buf, t.off, t.ld = buf, 0, rows
 		if fetch {
 			h64, h32 := m.HostSlices(ti*T, tj*T)
-			ev, err := c.h2d.SetMatrixAsync(rows, tcols, h64, h32, m.HostLd, buf, 0, rows)
+			ev, err := h2d.SetMatrixAsync(rows, tcols, h64, h32, m.HostLd, buf, 0, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -137,22 +146,22 @@ func refGemm(c *Context, opts GemmOpts) (Result, error) {
 				if err != nil {
 					return fail(err)
 				}
-				c.comp.WaitEvent(aTile.ready)
-				c.comp.WaitEvent(bTile.ready)
+				comp.WaitEvent(aTile.ready)
+				comp.WaitEvent(bTile.ready)
 				beta := 1.0
 				if tk == 0 {
-					c.comp.WaitEvent(cTile.ready)
+					comp.WaitEvent(cTile.ready)
 					beta = opts.Beta
 					if !fetchC {
 						beta = 0
 					}
 				}
-				if c.overheadS > 0 {
-					if _, err := c.comp.KernelAsync("dispatch", c.overheadS, nil); err != nil {
+				if overheadS > 0 {
+					if _, err := comp.KernelAsync("dispatch", overheadS, nil); err != nil {
 						return fail(err)
 					}
 				}
-				if _, err := c.comp.GemmAsync(transA, transB,
+				if _, err := comp.GemmAsync(transA, transB,
 					rows, cols, inner, opts.Alpha,
 					aTile.buf, aTile.off, aTile.ld,
 					bTile.buf, bTile.off, bTile.ld,
@@ -162,15 +171,15 @@ func refGemm(c *Context, opts GemmOpts) (Result, error) {
 				res.Subkernels++
 			}
 			if opts.C.Loc == model.OnHost {
-				c.d2h.WaitEvent(c.comp.Record())
+				d2h.WaitEvent(comp.Record())
 				h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-				if _, err := c.d2h.GetMatrixAsync(rows, cols,
+				if _, err := d2h.GetMatrixAsync(rows, cols,
 					cTile.buf, cTile.off, cTile.ld, h64, h32, opts.C.HostLd); err != nil {
 					return fail(err)
 				}
 				res.BytesD2H += int64(rows) * int64(cols) * dt.Size()
-				if c.blockingWriteback {
-					c.comp.WaitEvent(c.d2h.Record())
+				if blockingWB {
+					comp.WaitEvent(d2h.Record())
 				}
 			}
 		}
@@ -196,6 +205,7 @@ type refSlotGroup struct {
 
 // refGemmNoReuse is the original stateless-sub-kernel loop.
 func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
+	h2d, d2h, comp := refStreams(c)
 	dt := opts.Dtype
 	T := opts.T
 	mt := ceil(opts.M, T)
@@ -270,13 +280,13 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				cols := min(T, opts.N-tj*T)
 				g := &slots[idx%nSlots]
 				idx++
-				c.h2d.WaitEvent(g.lastKernel)
-				c.h2d.WaitEvent(g.lastWriteback)
+				h2d.WaitEvent(g.lastKernel)
+				h2d.WaitEvent(g.lastWriteback)
 
 				aBuf, aOff, aLd := opts.A.Dev, int64(ti*T)+int64(tk*T)*int64(opts.A.DevLd), opts.A.DevLd
 				if opts.A.Loc == model.OnHost {
 					h64, h32 := opts.A.HostSlices(ti*T, tk*T)
-					if _, err := c.h2d.SetMatrixAsync(rows, inner, h64, h32, opts.A.HostLd, g.a, 0, rows); err != nil {
+					if _, err := h2d.SetMatrixAsync(rows, inner, h64, h32, opts.A.HostLd, g.a, 0, rows); err != nil {
 						return fail(err)
 					}
 					res.BytesH2D += int64(rows) * int64(inner) * dt.Size()
@@ -285,7 +295,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				bBuf, bOff, bLd := opts.B.Dev, int64(tk*T)+int64(tj*T)*int64(opts.B.DevLd), opts.B.DevLd
 				if opts.B.Loc == model.OnHost {
 					h64, h32 := opts.B.HostSlices(tk*T, tj*T)
-					if _, err := c.h2d.SetMatrixAsync(inner, cols, h64, h32, opts.B.HostLd, g.b, 0, inner); err != nil {
+					if _, err := h2d.SetMatrixAsync(inner, cols, h64, h32, opts.B.HostLd, g.b, 0, inner); err != nil {
 						return fail(err)
 					}
 					res.BytesH2D += int64(inner) * int64(cols) * dt.Size()
@@ -298,10 +308,10 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 					fetch := tk > 0 || opts.Beta != 0
 					if fetch {
 						if wb := writebackOf[ti*nt+tj]; wb != nil {
-							c.h2d.WaitEvent(wb)
+							h2d.WaitEvent(wb)
 						}
 						h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-						if _, err := c.h2d.SetMatrixAsync(rows, cols, h64, h32, opts.C.HostLd, g.c, 0, rows); err != nil {
+						if _, err := h2d.SetMatrixAsync(rows, cols, h64, h32, opts.C.HostLd, g.c, 0, rows); err != nil {
 							return fail(err)
 						}
 						res.BytesH2D += int64(rows) * int64(cols) * dt.Size()
@@ -315,24 +325,24 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 					beta = opts.Beta
 				}
 
-				c.comp.WaitEvent(c.h2d.Record())
-				if _, err := c.comp.GemmAsync(blas.NoTrans, blas.NoTrans,
+				comp.WaitEvent(h2d.Record())
+				if _, err := comp.GemmAsync(blas.NoTrans, blas.NoTrans,
 					rows, cols, inner, opts.Alpha,
 					aBuf, aOff, aLd, bBuf, bOff, bLd,
 					beta, cBuf, cOff, cLd); err != nil {
 					return fail(err)
 				}
 				res.Subkernels++
-				g.lastKernel = c.comp.Record()
+				g.lastKernel = comp.Record()
 
 				if opts.C.Loc == model.OnHost {
-					c.d2h.WaitEvent(g.lastKernel)
+					d2h.WaitEvent(g.lastKernel)
 					h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-					if _, err := c.d2h.GetMatrixAsync(rows, cols, cBuf, cOff, cLd, h64, h32, opts.C.HostLd); err != nil {
+					if _, err := d2h.GetMatrixAsync(rows, cols, cBuf, cOff, cLd, h64, h32, opts.C.HostLd); err != nil {
 						return fail(err)
 					}
 					res.BytesD2H += int64(rows) * int64(cols) * dt.Size()
-					g.lastWriteback = c.d2h.Record()
+					g.lastWriteback = d2h.Record()
 					writebackOf[ti*nt+tj] = g.lastWriteback
 				}
 			}
@@ -359,6 +369,7 @@ type refVecChunk struct {
 
 // refGemv is the original level-2 loop.
 func refGemv(c *Context, opts GemvOpts) (Result, error) {
+	h2d, d2h, comp := refStreams(c)
 	T := opts.T
 	mt := ceil(opts.M, T)
 	nt := ceil(opts.N, T)
@@ -391,7 +402,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 		if opts.X.HostF64 != nil {
 			host = opts.X.HostF64[tj*T:]
 		}
-		ev, err := c.h2d.MemcpyH2DAsync(buf, 0, host, nil, int64(n))
+		ev, err := h2d.MemcpyH2DAsync(buf, 0, host, nil, int64(n))
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +430,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 				if opts.Y.HostF64 != nil {
 					host = opts.Y.HostF64[ti*T:]
 				}
-				ev, err := c.h2d.MemcpyH2DAsync(buf, 0, host, nil, int64(rows))
+				ev, err := h2d.MemcpyH2DAsync(buf, 0, host, nil, int64(rows))
 				if err != nil {
 					return fail(err)
 				}
@@ -442,27 +453,27 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 				}
 				pooled = append(pooled, buf)
 				h64, h32 := opts.A.HostSlices(ti*T, tj*T)
-				ev, err := c.h2d.SetMatrixAsync(rows, cols, h64, h32, opts.A.HostLd, buf, 0, rows)
+				ev, err := h2d.SetMatrixAsync(rows, cols, h64, h32, opts.A.HostLd, buf, 0, rows)
 				if err != nil {
 					return fail(err)
 				}
 				res.BytesH2D += int64(rows) * int64(cols) * 8
-				c.comp.WaitEvent(ev)
+				comp.WaitEvent(ev)
 				aBuf, aOff, aLd = buf, 0, rows
 			} else {
 				aOff = int64(ti*T) + int64(tj*T)*int64(opts.A.DevLd)
 			}
 
-			c.comp.WaitEvent(xc.ready)
+			comp.WaitEvent(xc.ready)
 			beta := 1.0
 			if tj == 0 {
-				c.comp.WaitEvent(yReady)
+				comp.WaitEvent(yReady)
 				beta = opts.Beta
 				if opts.Y.Loc == model.OnHost && opts.Beta == 0 {
 					beta = 0
 				}
 			}
-			if _, err := c.comp.GemvAsync(blas.NoTrans, rows, cols, opts.Alpha,
+			if _, err := comp.GemvAsync(blas.NoTrans, rows, cols, opts.Alpha,
 				aBuf, aOff, aLd, xc.buf, xc.off, beta, yBuf, yOff); err != nil {
 				return fail(err)
 			}
@@ -470,18 +481,15 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 		}
 
 		if opts.Y.Loc == model.OnHost {
-			c.d2h.WaitEvent(c.comp.Record())
+			d2h.WaitEvent(comp.Record())
 			var host []float64
 			if opts.Y.HostF64 != nil {
 				host = opts.Y.HostF64[ti*T:]
 			}
-			if _, err := c.d2h.MemcpyD2HAsync(host, nil, yBuf, yOff, int64(rows)); err != nil {
+			if _, err := d2h.MemcpyD2HAsync(host, nil, yBuf, yOff, int64(rows)); err != nil {
 				return fail(err)
 			}
 			res.BytesD2H += int64(rows) * 8
-			if c.blockingWriteback {
-				c.comp.WaitEvent(c.d2h.Record())
-			}
 		}
 	}
 
@@ -498,6 +506,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 
 // refAxpy is the original level-1 loop.
 func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
+	h2d, d2h, comp := refStreams(c)
 	res := Result{T: opts.T}
 	start := c.rt.Now()
 	var pooled []*cudart.DevBuffer
@@ -530,7 +539,7 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 			if opts.X.HostF64 != nil {
 				host = opts.X.HostF64[off:]
 			}
-			ev, err := c.h2d.MemcpyH2DAsync(b, 0, host, nil, int64(n))
+			ev, err := h2d.MemcpyH2DAsync(b, 0, host, nil, int64(n))
 			if err != nil {
 				return fail(err)
 			}
@@ -554,7 +563,7 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 			if opts.Y.HostF64 != nil {
 				host = opts.Y.HostF64[off:]
 			}
-			ev, err := c.h2d.MemcpyH2DAsync(b, 0, host, nil, int64(n))
+			ev, err := h2d.MemcpyH2DAsync(b, 0, host, nil, int64(n))
 			if err != nil {
 				return fail(err)
 			}
@@ -562,20 +571,20 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 			res.BytesH2D += int64(n) * 8
 		}
 
-		c.comp.WaitEvent(xReady)
-		c.comp.WaitEvent(yReady)
-		if _, err := c.comp.AxpyAsync(n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
+		comp.WaitEvent(xReady)
+		comp.WaitEvent(yReady)
+		if _, err := comp.AxpyAsync(n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
 			return fail(err)
 		}
 		res.Subkernels++
 
 		if opts.Y.Loc == model.OnHost {
-			c.d2h.WaitEvent(c.comp.Record())
+			d2h.WaitEvent(comp.Record())
 			var host []float64
 			if opts.Y.HostF64 != nil {
 				host = opts.Y.HostF64[off:]
 			}
-			if _, err := c.d2h.MemcpyD2HAsync(host, nil, yBuf, yOff, int64(n)); err != nil {
+			if _, err := d2h.MemcpyD2HAsync(host, nil, yBuf, yOff, int64(n)); err != nil {
 				return fail(err)
 			}
 			res.BytesD2H += int64(n) * 8
@@ -679,13 +688,11 @@ func outputVec(t *testing.T, c *Context, v *Vector) []float64 {
 // gemmEquivCase builds one gemm scenario (shared by the reuse and no-reuse
 // suites via the runner argument).
 func gemmEquivCase(name string, m, n, k, T int, transA, transB byte, alpha, beta float64,
-	locs [3]model.Loc, overheadS float64, blockingWB bool,
+	locs [3]model.Loc,
 	planned func(*Context, GemmOpts) (Result, error),
 	direct func(*Context, GemmOpts) (Result, error)) equivCase {
 	return equivCase{name: name, run: func(t *testing.T, c *Context, useDirect bool) (Result, []float64) {
 		t.Helper()
-		c.SetDispatchOverhead(overheadS)
-		c.SetBlockingWriteback(blockingWB)
 		rng := rand.New(rand.NewSource(int64(m + 31*n + 7*k)))
 		ar, ac := m, k
 		if transA == blas.Trans {
@@ -714,20 +721,25 @@ func gemmEquivCase(name string, m, n, k, T int, transA, transB byte, alpha, beta
 
 // equivCases enumerates the replay-equivalence scenarios across all four
 // routines: location combinations, ragged shapes, transposes, beta = 0 and
-// the comparator knobs (dispatch overhead, blocking write-back).
+// the BLASX request's knobs (dispatch overhead, blocking write-back).
 func equivCases() []equivCase {
 	H, D := model.OnHost, model.OnDevice
 	gemm := func(c *Context, o GemmOpts) (Result, error) { return c.Run(o) }
+	refGemmPlain := func(c *Context, o GemmOpts) (Result, error) { return refGemm(c, o, 0, false) }
+	blasx := func(c *Context, o GemmOpts) (Result, error) {
+		return c.Run(GemmBlasxOpts{GemmOpts: o, DispatchS: 2e-5, BlockingWriteback: true})
+	}
+	refBlasx := func(c *Context, o GemmOpts) (Result, error) { return refGemm(c, o, 2e-5, true) }
 	noreuse := func(c *Context, o GemmOpts) (Result, error) { return c.Run(GemmNoReuseOpts(o)) }
 	cases := []equivCase{
-		gemmEquivCase("gemm/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/trans", 90, 110, 70, 64, blas.Trans, blas.Trans, 1, 1, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/devA-devC", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, H, D}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/blasx-knobs", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{H, H, H}, 2e-5, true, gemm, refGemm),
-		gemmEquivCase("noreuse/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, 0, false, noreuse, refGemmNoReuse),
-		gemmEquivCase("noreuse/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, 0, false, noreuse, refGemmNoReuse),
-		gemmEquivCase("noreuse/device", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, D, D}, 0, false, noreuse, refGemmNoReuse),
+		gemmEquivCase("gemm/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, gemm, refGemmPlain),
+		gemmEquivCase("gemm/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, gemm, refGemmPlain),
+		gemmEquivCase("gemm/trans", 90, 110, 70, 64, blas.Trans, blas.Trans, 1, 1, [3]model.Loc{H, H, H}, gemm, refGemmPlain),
+		gemmEquivCase("gemm/devA-devC", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, H, D}, gemm, refGemmPlain),
+		gemmEquivCase("gemm/blasx-knobs", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{H, H, H}, blasx, refBlasx),
+		gemmEquivCase("noreuse/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, noreuse, refGemmNoReuse),
+		gemmEquivCase("noreuse/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, noreuse, refGemmNoReuse),
+		gemmEquivCase("noreuse/device", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, D, D}, noreuse, refGemmNoReuse),
 		{name: "gemv/host-ragged", run: func(t *testing.T, c *Context, direct bool) (Result, []float64) {
 			rng := rand.New(rand.NewSource(17))
 			m, n := 190, 140
@@ -745,8 +757,7 @@ func equivCases() []equivCase {
 			}
 			return res, outputVec(t, c, Y)
 		}},
-		{name: "gemv/devX-blockingWB", run: func(t *testing.T, c *Context, direct bool) (Result, []float64) {
-			c.SetBlockingWriteback(true)
+		{name: "gemv/devX-beta0", run: func(t *testing.T, c *Context, direct bool) (Result, []float64) {
 			rng := rand.New(rand.NewSource(19))
 			m, n := 150, 130
 			A := equivMat(t, c, m, n, randMat(rng, m, n), model.OnHost)

@@ -46,9 +46,9 @@ func replayOnce(t *testing.T, tape bool, build func(c *Context) (*plan.Plan, []p
 	p, args := build(c)
 	var err error
 	if tape {
-		_, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target())
+		_, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(p))
 	} else {
-		_, err = c.exec.Run(p, c.target(), args)
+		_, err = c.exec.Run(p, c.target(p), args)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,6 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 	gemm := func(dt kernelmodel.Dtype, transA, transB byte, m, n, k, T int, alpha, beta float64,
 		locs [3]model.Loc, dispatch float64) func(c *Context) (*plan.Plan, []plan.Arg) {
 		return func(c *Context) (*plan.Plan, []plan.Arg) {
-			c.SetDispatchOverhead(dispatch)
 			ar, ac := m, k
 			if transA == blas.Trans {
 				ar, ac = k, m
@@ -101,7 +100,7 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 				B: timingMat(t, c, br, bc, locs[1]),
 				C: timingMat(t, c, m, n, locs[2]),
 			}
-			return planArgs(t, c, opts)
+			return planArgs(t, c, GemmBlasxOpts{GemmOpts: opts, DispatchS: dispatch})
 		}
 	}
 
@@ -126,6 +125,28 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 				C: timingMat(t, c, 96, 96, H),
 			}
 			return planArgs(t, c, GemmNoReuseOpts(opts))
+		})
+	})
+	t.Run("gemm-cublasxt", func(t *testing.T) {
+		checkTapeMatchesRun(t, "gemm-cublasxt", func(c *Context) (*plan.Plan, []plan.Arg) {
+			opts := GemmOpts{
+				Dtype: kernelmodel.F64, M: 100, N: 96, K: 70, Alpha: 1, Beta: 1, T: 32,
+				A: timingMat(t, c, 100, 70, D),
+				B: timingMat(t, c, 70, 96, H),
+				C: timingMat(t, c, 100, 96, H),
+			}
+			return planArgs(t, c, GemmXtOpts(opts))
+		})
+	})
+	t.Run("axpy-unified", func(t *testing.T) {
+		checkTapeMatchesRun(t, "axpy-unified", func(c *Context) (*plan.Plan, []plan.Arg) {
+			n := 2*UnifiedPrefetchElems + 1000
+			opts := AxpyUnifiedOpts{
+				N: n, Alpha: 1.1,
+				X: &Vector{N: n, Loc: model.OnHost},
+				Y: &Vector{N: n, Loc: model.OnHost},
+			}
+			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("gemv", func(t *testing.T) {
@@ -202,7 +223,7 @@ func tapeFixture(tb testing.TB, m, n, k, T int) (*Context, *plan.Tape) {
 // replayTapeOnce replays the tape, drains the engine and releases the
 // staging buffers back to the pool.
 func replayTapeOnce(tb testing.TB, c *Context, tape *plan.Tape) {
-	pooled, err := c.exec.RunTape(tape, c.target())
+	pooled, err := c.exec.RunTape(tape, plan.Target{Streams: c.streams, Alloc: c})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // Request is one routine invocation: the option structs GemmOpts,
-// GemmNoReuseOpts, GemvOpts, AxpyOpts, SyrkOpts, CholeskyOpts, LUOpts and
-// TrsmOpts. Every request reaches the streams the same way — Plan builds
+// GemmNoReuseOpts, GemvOpts, AxpyOpts, SyrkOpts, CholeskyOpts, LUOpts,
+// TrsmOpts and the comparator requests GemmXtOpts, GemmBlasxOpts and
+// AxpyUnifiedOpts. Every request reaches the streams the same way — Plan builds
 // its tile plan, Enqueue replays a plan built for it, Run does both and
 // drains the engine — so a new routine is one request type plus one
 // planner.
@@ -34,10 +35,9 @@ type call struct {
 var ErrPlanMismatch = errors.New("sched: plan does not match the request")
 
 // Plan validates the request and builds its tile plan without touching
-// the streams. The plan depends only on the request's key and the
-// context's scheduling knobs (and, for the no-reuse comparator, the free
-// device memory that sizes its staging ring), so it can be replayed with
-// Enqueue.
+// the streams. The plan depends only on the request's key (and, for the
+// no-reuse and cuBLASXt comparators, the free device memory that sizes
+// their staging), so it can be replayed with Enqueue.
 func (c *Context) Plan(r Request) (*plan.Plan, error) {
 	cl, err := r.resolve(c)
 	if err != nil {
@@ -115,6 +115,10 @@ func keyDiff(got, want plan.Key) string {
 		return "alpha"
 	case got.Beta != want.Beta:
 		return "beta"
+	case got.DispatchS != want.DispatchS:
+		return "dispatch duration"
+	case got.BlockingWB != want.BlockingWB:
+		return "blocking write-back"
 	case got.NLocs != want.NLocs:
 		return "location count"
 	}
@@ -153,13 +157,13 @@ func (p *PendingGemm) Finish(end float64) Result {
 }
 
 // OnDrained enqueues fn to run when all work enqueued so far on the
-// context's three streams has completed (used to timestamp a pending
-// run's own completion inside a larger concurrent batch).
+// context's streams has completed (used to timestamp a pending run's own
+// completion inside a larger concurrent batch).
 func (c *Context) OnDrained(fn func()) {
 	s := c.rt.NewStream()
-	s.WaitEvent(c.h2d.Record())
-	s.WaitEvent(c.comp.Record())
-	s.WaitEvent(c.d2h.Record())
+	for _, st := range c.streams {
+		s.WaitEvent(st.Record())
+	}
 	s.Callback(fn)
 }
 
@@ -173,9 +177,9 @@ func (c *Context) enqueuePlan(p *plan.Plan, args []plan.Arg) (*PendingGemm, erro
 	var pooled []*cudart.DevBuffer
 	var err error
 	if c.backed {
-		pooled, err = c.exec.Run(p, c.target(), args)
+		pooled, err = c.exec.Run(p, c.target(p), args)
 	} else {
-		pooled, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target())
+		pooled, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(p))
 	}
 	if err != nil {
 		return nil, err

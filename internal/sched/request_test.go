@@ -23,7 +23,8 @@ type reqShape struct {
 }
 
 // reqRoutines names the request types buildReq can build.
-var reqRoutines = []string{"gemm", "gemm-noreuse", "gemv", "axpy", "syrk", "cholesky", "lu", "trsm"}
+var reqRoutines = []string{"gemm", "gemm-noreuse", "gemv", "axpy", "syrk", "cholesky", "lu", "trsm",
+	"gemm-cublasxt", "gemm-blasx", "axpy-unified"}
 
 // buildReq materializes the shape's operands on c — storage-free host
 // descriptors, unbacked device buffers — and returns the routine's
@@ -63,14 +64,19 @@ func buildReq(t testing.TB, c *Context, routine string, s reqShape) Request {
 		br, bc = s.n, s.k
 	}
 	switch routine {
-	case "gemm", "gemm-noreuse":
+	case "gemm", "gemm-noreuse", "gemm-cublasxt", "gemm-blasx":
 		g := GemmOpts{
 			Dtype: s.dt, TransA: s.transA, TransB: s.transB,
 			M: s.m, N: s.n, K: s.k, Alpha: s.alpha, Beta: s.beta, T: s.T,
 			A: mat(s.dt, ar, ac, s.locs[0]), B: mat(s.dt, br, bc, s.locs[1]), C: mat(s.dt, s.m, s.n, s.locs[2]),
 		}
-		if routine == "gemm-noreuse" {
+		switch routine {
+		case "gemm-noreuse":
 			return GemmNoReuseOpts(g)
+		case "gemm-cublasxt":
+			return GemmXtOpts(g)
+		case "gemm-blasx":
+			return GemmBlasxOpts{GemmOpts: g, DispatchS: BlasxDispatchS, BlockingWriteback: true}
 		}
 		return g
 	case "gemv":
@@ -78,6 +84,8 @@ func buildReq(t testing.TB, c *Context, routine string, s reqShape) Request {
 			A: mat(kernelmodel.F64, s.m, s.n, s.locs[0]), X: vec(s.n, s.locs[1]), Y: vec(s.m, s.locs[2])}
 	case "axpy":
 		return AxpyOpts{N: s.n, Alpha: s.alpha, T: s.T, X: vec(s.n, s.locs[0]), Y: vec(s.n, s.locs[1])}
+	case "axpy-unified":
+		return AxpyUnifiedOpts{N: s.n, Alpha: s.alpha, X: vec(s.n, s.locs[0]), Y: vec(s.n, s.locs[1])}
 	case "syrk":
 		rows, cols := s.n, s.k
 		if s.transA == blas.Trans {
@@ -120,18 +128,24 @@ func TestEnqueuePlanMismatch(t *testing.T) {
 		"dtype":      func(s *reqShape) { s.dt = kernelmodel.F32 },
 	}
 	routines := []struct {
-		name   string
-		fields []string // perturbations the routine's key carries
-		twin   string   // a routine whose plan the request must refuse
+		name      string
+		fields    []string // perturbations the routine's key carries
+		twin      string   // a routine whose plan the request must refuse
+		twinField string   // the key field the twin's plan differs in; "" is the routine
 	}{
-		{"gemm", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "TransA", "TransB", "dtype"}, "gemm-noreuse"},
-		{"gemm-noreuse", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "dtype"}, "gemm"},
-		{"gemv", []string{"m", "n", "T", "location 0", "location 1", "location 2", "alpha", "beta"}, "gemm"},
-		{"axpy", []string{"n", "T", "location 0", "location 1", "alpha"}, "gemv"},
-		{"syrk", []string{"n", "k", "T", "location 0", "location 2", "alpha", "beta", "TransA", "dtype"}, "gemm-noreuse"},
-		{"cholesky", []string{"n", "T", "location 0", "dtype"}, "lu"},
-		{"lu", []string{"n", "T", "location 0", "dtype"}, "cholesky"},
-		{"trsm", []string{"m", "n", "T", "location 0", "location 1", "alpha", "diag", "dtype"}, "gemm"},
+		{"gemm", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "TransA", "TransB", "dtype"}, "gemm-noreuse", ""},
+		{"gemm-noreuse", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "dtype"}, "gemm", ""},
+		{"gemv", []string{"m", "n", "T", "location 0", "location 1", "location 2", "alpha", "beta"}, "gemm", ""},
+		{"axpy", []string{"n", "T", "location 0", "location 1", "alpha"}, "gemv", ""},
+		{"syrk", []string{"n", "k", "T", "location 0", "location 2", "alpha", "beta", "TransA", "dtype"}, "gemm-noreuse", ""},
+		{"cholesky", []string{"n", "T", "location 0", "dtype"}, "lu", ""},
+		{"lu", []string{"n", "T", "location 0", "dtype"}, "cholesky", ""},
+		{"trsm", []string{"m", "n", "T", "location 0", "location 1", "alpha", "diag", "dtype"}, "gemm", ""},
+		{"gemm-cublasxt", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "dtype"}, "gemm-noreuse", ""},
+		// A BLASX request is a gemm request with knobs: the CoCoPeLia plan
+		// differs from it in the dispatch duration.
+		{"gemm-blasx", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "TransA", "TransB", "dtype"}, "gemm", "dispatch duration"},
+		{"axpy-unified", []string{"n", "location 0", "location 1", "alpha"}, "axpy", ""},
 	}
 	base := reqShape{dt: kernelmodel.F64, m: 64, n: 48, k: 32, T: 16}
 	check := func(t *testing.T, err error, routine, field string) {
@@ -169,7 +183,11 @@ func TestEnqueuePlanMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = c.Enqueue(twin, buildReq(t, c, rt.name, base))
-			check(t, err, keyRoutine, "routine")
+			want := rt.twinField
+			if want == "" {
+				want = "routine"
+			}
+			check(t, err, keyRoutine, want)
 		})
 		t.Run(rt.name+"/nil", func(t *testing.T) {
 			_, err := c.Enqueue(nil, buildReq(t, c, rt.name, base))

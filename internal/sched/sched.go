@@ -5,12 +5,14 @@
 // buffer/stream reuse across calls.
 //
 // Every routine is a Request (GemmOpts, GemmNoReuseOpts, GemvOpts,
-// AxpyOpts, SyrkOpts, CholeskyOpts, LUOpts, TrsmOpts) and reaches the
-// streams through one path: Context.Plan validates the request and builds
-// its deterministic tile-operation plan (internal/plan), Context.Enqueue
-// replays a plan built for the request, and Context.Run does both and
-// drains the engine. Plans are pure functions of the request's plan.Key
-// and the context's knobs, so callers that repeat an invocation shape
+// AxpyOpts, SyrkOpts, CholeskyOpts, LUOpts, TrsmOpts, and the comparator
+// libraries' GemmXtOpts, GemmBlasxOpts and AxpyUnifiedOpts) and reaches
+// the streams through one path: Context.Plan validates the request and
+// builds its deterministic tile-operation plan (internal/plan),
+// Context.Enqueue replays a plan built for the request, and Context.Run
+// does both and drains the engine. Plans are pure functions of the
+// request's plan.Key (and, for the comparators that size their staging to
+// it, the free device memory), so callers that repeat an invocation shape
 // (campaign sweeps, multi-GPU panels) build the plan once and Enqueue it
 // many times; the replay is event-identical to a fresh Run.
 package sched
@@ -55,51 +57,37 @@ type poolBucket struct {
 }
 
 // Context holds the reusable state of the CoCoPeLia library on one device:
-// the three operation streams, the tile-buffer pool and the plan executor's
+// the operation streams, the tile-buffer pool and the plan executor's
 // replay scratch. Reusing a Context across calls emulates the paper's
 // iterative use-case (no per-call allocation/stream-creation overhead after
 // the first call).
 type Context struct {
-	rt     *cudart.Runtime
-	h2d    *cudart.Stream
-	d2h    *cudart.Stream
-	comp   *cudart.Stream
-	pool   []poolBucket
-	backed bool
+	rt *cudart.Runtime
+	// streams are the streams plans index (plan.Op.Stream): h2d, d2h and
+	// compute first, then the further worker streams the first plan that
+	// needs them (the cuBLASXt schedule) creates.
+	streams []*cudart.Stream
+	pool    []poolBucket
+	backed  bool
 
 	// exec replays tile plans onto the streams; it owns the per-call
 	// scratch (event table, slot bindings, acquired-buffer list), so the
 	// replay loops allocate nothing once the context is warm.
 	exec plan.Executor
-	// overheadS is an optional per-sub-kernel dispatch overhead occupying
-	// the compute pipeline; the CoCoPeLia library leaves it zero, while
-	// comparator wrappers (e.g. the BLASX-style library with its runtime
-	// tile-management engine) use it to model their scheduling cost.
-	overheadS float64
-	// blockingWriteback makes the compute stream wait for each completed
-	// output tile's write-back before starting the next tile — the
-	// synchronization behaviour of tile-manager runtimes that confirm an
-	// output tile's host copy before recycling its cache slot. The
-	// CoCoPeLia library leaves this off (write-backs are fully
-	// asynchronous on the d2h stream).
-	blockingWriteback bool
 }
-
-// SetDispatchOverhead sets the per-sub-kernel dispatch overhead in seconds.
-func (c *Context) SetDispatchOverhead(seconds float64) { c.overheadS = seconds }
-
-// SetBlockingWriteback toggles compute-blocking output write-backs.
-func (c *Context) SetBlockingWriteback(on bool) { c.blockingWriteback = on }
 
 // NewContext creates a scheduler context. backed selects functional runs
 // (real arithmetic on real storage); timing-only runs pass false.
 func NewContext(rt *cudart.Runtime, backed bool) *Context {
-	return &Context{
-		rt:     rt,
-		h2d:    rt.NewStream(),
-		d2h:    rt.NewStream(),
-		comp:   rt.NewStream(),
-		backed: backed,
+	c := &Context{rt: rt, backed: backed}
+	c.growStreams(int(plan.StreamComp) + 1)
+	return c
+}
+
+// growStreams creates streams until the context owns n.
+func (c *Context) growStreams(n int) {
+	for len(c.streams) < n {
+		c.streams = append(c.streams, c.rt.NewStream())
 	}
 }
 
@@ -107,7 +95,7 @@ func NewContext(rt *cudart.Runtime, backed bool) *Context {
 func (c *Context) Runtime() *cudart.Runtime { return c.rt }
 
 // Reset returns the context to its just-created state while keeping its
-// three streams and the executor's replay scratch. The tile pool is
+// streams and the executor's replay scratch. The tile pool is
 // emptied — the pooled buffers are dropped, not freed, because callers
 // reset the device's memory accounting wholesale in the same breath — so
 // the next call's Acquire sequence hits the allocator exactly as a fresh
@@ -121,13 +109,13 @@ func (c *Context) Reset() {
 		}
 		bk.bufs = bk.bufs[:0]
 	}
-	c.overheadS = 0
-	c.blockingWriteback = false
 }
 
-// target is the execution surface plans replay onto.
-func (c *Context) target() plan.Target {
-	return plan.Target{H2D: c.h2d, D2H: c.d2h, Comp: c.comp, Alloc: c}
+// target is the execution surface p replays onto, with every stream p
+// indexes.
+func (c *Context) target(p *plan.Plan) plan.Target {
+	c.growStreams(p.Streams)
+	return plan.Target{Streams: c.streams, Alloc: c}
 }
 
 // bucket returns the pool bucket for key, or nil.
@@ -311,17 +299,14 @@ func (c *Context) validateGemm(opts GemmOpts) (transA, transB byte, err error) {
 	return transA, transB, nil
 }
 
-// gemmSpec is the planner input of a validated level-3 request with the
-// given comparator knobs.
-func gemmSpec(opts GemmOpts, transA, transB byte, dispatchS float64, blockingWB bool) plan.GemmSpec {
+// gemmSpec is the planner input of a validated level-3 request.
+func gemmSpec(opts GemmOpts, transA, transB byte) plan.GemmSpec {
 	return plan.GemmSpec{
 		Dtype: opts.Dtype, TransA: transA, TransB: transB,
 		M: opts.M, N: opts.N, K: opts.K,
 		Alpha: opts.Alpha, Beta: opts.Beta,
 		LocA: opts.A.Loc, LocB: opts.B.Loc, LocC: opts.C.Loc,
-		T:                 opts.T,
-		DispatchOverheadS: dispatchS,
-		BlockingWriteback: blockingWB,
+		T: opts.T,
 	}
 }
 
@@ -335,14 +320,23 @@ func gemmKey(routine string, opts GemmOpts, transA, transB byte) plan.Key {
 	}
 }
 
-func (opts GemmOpts) resolve(c *Context) (call, error) {
+func (opts GemmOpts) resolve(c *Context) (call, error) { return c.gemmCall(opts, 0, false) }
+
+// gemmCall resolves a full-reuse gemm request with the BLASX request's
+// knobs: a per-sub-kernel dispatch cost and compute-blocking write-backs
+// (zero and false for CoCoPeLia's own schedule). The knobs are part of the
+// key, so a plan replays only against requests with the same knobs.
+func (c *Context) gemmCall(opts GemmOpts, dispatchS float64, blockingWB bool) (call, error) {
 	transA, transB, err := c.validateGemm(opts)
 	if err != nil {
 		return call{}, err
 	}
-	spec := gemmSpec(opts, transA, transB, c.overheadS, c.blockingWriteback)
+	spec := gemmSpec(opts, transA, transB)
+	spec.DispatchOverheadS, spec.BlockingWriteback = dispatchS, blockingWB
+	key := gemmKey("gemm", opts, transA, transB)
+	key.DispatchS, key.BlockingWB = math.Float64bits(dispatchS), blockingWB
 	return call{
-		key:   gemmKey("gemm", opts, transA, transB),
+		key:   key,
 		args:  [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}},
 		build: func() *plan.Plan { return plan.BuildGemm(spec) },
 	}, nil
@@ -358,21 +352,29 @@ type AxpyOpts struct {
 	T int
 }
 
+// validateAxpy checks the operands of a daxpy request of length n.
+func (c *Context) validateAxpy(n int, x, y *Vector) error {
+	if n <= 0 {
+		return fmt.Errorf("sched: non-positive axpy length %d", n)
+	}
+	if err := x.Validate("x", c.backed); err != nil {
+		return err
+	}
+	if err := y.Validate("y", c.backed); err != nil {
+		return err
+	}
+	if x.N != n || y.N != n {
+		return errors.New("sched: vector lengths inconsistent with n")
+	}
+	return nil
+}
+
 func (opts AxpyOpts) resolve(c *Context) (call, error) {
-	if opts.N <= 0 {
-		return call{}, fmt.Errorf("sched: non-positive axpy length %d", opts.N)
+	if err := c.validateAxpy(opts.N, opts.X, opts.Y); err != nil {
+		return call{}, err
 	}
 	if opts.T <= 0 {
 		return call{}, fmt.Errorf("sched: non-positive tiling size %d", opts.T)
-	}
-	if err := opts.X.Validate("x", c.backed); err != nil {
-		return call{}, err
-	}
-	if err := opts.Y.Validate("y", c.backed); err != nil {
-		return call{}, err
-	}
-	if opts.X.N != opts.N || opts.Y.N != opts.N {
-		return call{}, errors.New("sched: vector lengths inconsistent with n")
 	}
 	spec := plan.AxpySpec{N: opts.N, Alpha: opts.Alpha, LocX: opts.X.Loc, LocY: opts.Y.Loc, T: opts.T}
 	return call{

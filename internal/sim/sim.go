@@ -444,25 +444,6 @@ func (e *Engine) Run() Time {
 	}
 }
 
-// RunUntil fires events with timestamps <= deadline (advancing the clock to
-// at most deadline) and returns the number of events fired.
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	fired := uint64(0)
-	for {
-		ev := e.peek()
-		if ev == nil || ev.at > deadline {
-			break
-		}
-		e.take(ev)
-		e.fire(ev)
-		fired++
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return fired
-}
-
 // Completer receives handle-typed completions. Hardware models built on the
 // engine (the copy engines, the compute engine) notify a submitter through
 // a Completer and the int32 slot it chose, instead of through a closure per

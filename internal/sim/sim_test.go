@@ -118,30 +118,6 @@ func TestRescheduleFiredPanics(t *testing.T) {
 	e.Reschedule(ev, 5)
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var got []Time
-	for _, at := range []Time{1, 2, 3, 4, 5} {
-		at := at
-		e.Schedule(at, func() { got = append(got, at) })
-	}
-	n := e.RunUntil(3)
-	if n != 3 || len(got) != 3 {
-		t.Errorf("RunUntil(3) fired %d events (%v), want 3", n, got)
-	}
-	if e.Now() != 3 {
-		t.Errorf("clock = %v, want 3", e.Now())
-	}
-	// Deadline past the last event advances the clock to the deadline.
-	e.RunUntil(10)
-	if e.Now() != 10 {
-		t.Errorf("clock = %v, want 10", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Error("queue should be drained")
-	}
-}
-
 func TestProcessedCount(t *testing.T) {
 	e := New()
 	for i := 0; i < 7; i++ {

@@ -233,37 +233,6 @@ func FitZeroIntercept(x, y []float64) (slope, rse float64, err error) {
 	return slope, rse, nil
 }
 
-// FitLinear fits y = a + b*x by ordinary least squares and returns the
-// intercept a, slope b and residual standard error.
-func FitLinear(x, y []float64) (intercept, slope, rse float64, err error) {
-	n := len(x)
-	if n < 2 || n != len(y) {
-		return 0, 0, 0, errors.New("stats: need >= 2 equal-length samples")
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx float64
-	for i := range x {
-		sxy += (x[i] - mx) * (y[i] - my)
-		sxx += (x[i] - mx) * (x[i] - mx)
-	}
-	if sxx == 0 {
-		return 0, 0, 0, errors.New("stats: degenerate regressor (constant x)")
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	var ss float64
-	for i := range x {
-		r := y[i] - intercept - slope*x[i]
-		ss += r * r
-	}
-	df := n - 2
-	if df < 1 {
-		df = 1
-	}
-	rse = math.Sqrt(ss / float64(df))
-	return intercept, slope, rse, nil
-}
-
 // RelErrPercent returns the paper's relative error metric,
 // 100*(predicted-measured)/measured. A zero measured value yields NaN.
 func RelErrPercent(predicted, measured float64) float64 {

@@ -166,25 +166,6 @@ func TestFitZeroInterceptRecoversNoisySlope(t *testing.T) {
 	}
 }
 
-func TestFitLinear(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 1 + 2x
-	a, b, rse, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, a, 1, 1e-12, "intercept")
-	almost(t, b, 2, 1e-12, "slope")
-	almost(t, rse, 0, 1e-12, "rse")
-
-	if _, _, _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("too-short fit should error")
-	}
-	if _, _, _, err := FitLinear([]float64{2, 2}, []float64{1, 5}); err == nil {
-		t.Error("constant x should error")
-	}
-}
-
 func TestRelErrPercent(t *testing.T) {
 	almost(t, RelErrPercent(110, 100), 10, 1e-12, "over")
 	almost(t, RelErrPercent(90, 100), -10, 1e-12, "under")
