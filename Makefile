@@ -139,10 +139,12 @@ plan-golden-smoke:
 	$(GO) test -run 'TestGoldenPlans' -count=1 ./internal/plan
 
 # fuzz-smoke fuzzes the scheduler's request path (every routine through
-# Plan and Enqueue) for ten seconds beyond the seed corpus, which plain
-# go test already runs.
+# Plan and Enqueue) for ten seconds, and its backed replay (real data,
+# checked against a host reference) for ten more, beyond the seed corpus,
+# which plain go test already runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanBacked$$' -fuzztime 10s ./internal/sched
 
 # profile captures a CPU profile of the campaign sweep for pprof:
 #   go tool pprof -top results/campaign.pprof

@@ -363,9 +363,11 @@ func (t trsmSolve[F]) sides(lo, hi int, work []F) error {
 	}
 	// The GEMM's A operand is X^T: op(A)(r, l) = b[r*rStep+l*lStep] is
 	// NoTrans with lda = lStep when the sides are rows of B (rStep = 1)
-	// and Trans with lda = rStep when they are columns (lStep = 1).
+	// and Trans with lda = rStep when they are columns (lStep = 1). A
+	// single packed row of B has both steps 1 and is rows; a single row of
+	// columns (m = 1) is one block and never reaches the GEMM.
 	xTrans, ldx := NoTrans, t.lStep
-	if t.lStep == 1 {
+	if t.rStep != 1 {
 		xTrans, ldx = Trans, t.rStep
 	}
 	for i0 := 0; i0 < t.k; i0 += t.nb {

@@ -102,10 +102,11 @@ func runTrsmCase[F Float](t *testing.T, tc triCase, seed int64) {
 // tests use each distinct extent as a square order. The last rows put
 // the triangle one short of, at and one past a left-looking block
 // (trsmBlock), over several blocks with a ragged last one, and at the
-// paper's 256 tile.
+// paper's 256 tile; {1, trsmBlock + 1} is a single packed row of B
+// (unpadded, ldb = 1) against a two-block triangle on side Right.
 var triSizes = [][2]int{{1, 1}, {2, 2}, {5, 5}, {7, 5}, {13, 9}, {64, 33}, {33, 64}, {131, 131},
 	{trsmBlock - 1, trsmBlock + 1}, {trsmBlock, trsmBlock}, {trsmBlock + 1, trsmBlock - 1},
-	{3*trsmBlock + 5, 3*trsmBlock + 5}, {256, 20}, {20, 256}}
+	{3*trsmBlock + 5, 3*trsmBlock + 5}, {256, 20}, {20, 256}, {1, trsmBlock + 1}}
 
 func TestTrsmBitwiseDifferential(t *testing.T) {
 	seed := int64(0)

@@ -1,7 +1,7 @@
-// Package cudart provides the CUDA-runtime-like programming model that all
-// GPU BLAS libraries in this repository are written against: in-order
-// streams, events, asynchronous host-device copies and asynchronous kernel
-// launches, on top of the discrete-event device simulator.
+// Package cudart provides the CUDA-runtime-like programming model the tile
+// plans replay onto: in-order streams, events, asynchronous transfers and
+// asynchronous kernel launches, on top of the discrete-event device
+// simulator.
 //
 // Semantics mirror the CUDA runtime closely:
 //
@@ -14,20 +14,23 @@
 //   - Stream.Record returns an event that completes when all work
 //     submitted to the stream so far has completed.
 //
-// Every operation optionally carries a functional payload that performs the
-// real arithmetic/data movement on backed buffers, so schedulers are
-// verified numerically and timed by the same code path.
+// Work reaches the engines through two primitives: Stream.TransferOp and
+// Stream.KernelOp. Each takes optional functional operands — the host
+// window a transfer moves, the payload a kernel computes on backed
+// buffers — that are nil in timing-only runs, so numerically verified runs
+// and timed runs issue the identical operation sequence. MemcpyH2DAsync
+// and MemcpyD2HAsync are checked 1-D transfers on top of TransferOp, and
+// Callback runs a host function in stream order.
 //
 // The launch path is allocation-free in steady state. Ops are carved in
 // enqueue order from a per-batch arena of retained fixed-size chunks, and
-// each op embeds its completion event. Operand descriptions live in fields
-// of the op (dispatched by kind) instead of per-call closures. Dependency
-// edges are int32 arena handles, and outstanding-dependency counts live in
-// a dense array beside the ops, so releasing a waiter is an array
-// decrement. The device and link notify completions through a handle (the
-// runtime plus the op's slot), so no slot holds a callback object. A Sync
-// that drains the batch rewinds the arena (replay op i always reuses slot
-// i) and resets every stream's tail to the shared pre-completed event.
+// each op embeds its completion event. Dependency edges are int32 arena
+// handles, and outstanding-dependency counts live in a dense array beside
+// the ops, so releasing a waiter is an array decrement. The device and
+// link notify completions through a handle (the runtime plus the op's
+// slot), so no slot holds a callback object. A Sync that drains the batch
+// rewinds the arena (replay op i always reuses slot i) and resets every
+// stream's tail to the shared pre-completed event.
 package cudart
 
 import (
@@ -35,7 +38,6 @@ import (
 	"fmt"
 	"math"
 
-	"cocopelia/internal/blas"
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
@@ -87,13 +89,17 @@ type opKind uint8
 const (
 	opCallback opKind = iota // host function, zero duration
 	opKernel                 // compute-engine kernel
-	opH2D                    // 1-D host-to-device copy
-	opD2H                    // 1-D device-to-host copy
-	opSet2D                  // 2-D host-to-device submatrix copy
-	opGet2D                  // 2-D device-to-host submatrix copy
+	opH2D                    // host-to-device transfer
+	opD2H                    // device-to-host transfer
 )
 
-var opKindNames = [...]string{"callback", "kernel", "h2d", "d2h", "set2d", "get2d"}
+var opKindNames = [...]string{"callback", "kernel", "h2d", "d2h"}
+
+// Payload is a kernel's functional body: the arithmetic it performs on
+// backed buffers when the kernel completes, on the runtime's payload worker
+// pool (nil runs it inline). The runtime keeps the batch's first payload
+// error for Sync to return.
+type Payload func(pool *parallel.Pool) error
 
 // op is one scheduled stream operation. Ops live in the runtime's arena:
 // an op's slot is fixed for the object's life, and the object is reused
@@ -103,12 +109,12 @@ var opKindNames = [...]string{"callback", "kernel", "h2d", "d2h", "set2d", "get2
 // knows it), its kernel name is an index into the kernel-name table, the
 // kernel duration and the transfer volume share one word, and the event's
 // overflow waiters live in the runtime. The functional operands of backed
-// transfers live behind the host pointer in a separate pooled hostWindow.
+// transfers live behind the host pointer in a separate pooled Window.
 // Timing-only transfers — the overwhelming majority in paper-scale sweeps —
-// never allocate a window, so the replay working set stays dense.
+// never take a window, so the replay working set stays dense.
 type op struct {
-	payload func()
-	host    *hostWindow // functional transfer operands; nil when timing-only
+	payload Payload // kernel payload or callback body; nil when timing-only
+	host    *Window // functional transfer operands; nil when timing-only
 
 	// amount is the kind-exclusive scalar: a kernel's duration in seconds
 	// (as float64 bits) or a transfer's volume in bytes.
@@ -128,28 +134,19 @@ func (o *op) duration() float64 { return math.Float64frombits(o.amount) }
 // bytes is a transfer op's volume.
 func (o *op) bytes() int64 { return int64(o.amount) }
 
-// setKernel fills a kernel op's name and duration.
-func (o *op) setKernel(name KernelName, duration float64) {
-	o.name, o.amount = name, math.Float64bits(duration)
-}
-
-// setTransfer fills a transfer op's direction and volume.
-func (o *op) setTransfer(dir machine.LinkDir, bytes int64) {
-	o.dir, o.amount = dir, uint64(bytes)
-}
-
-// hostWindow carries the operands of a functional (backed) transfer: the
-// device buffer, the host slices and the 1-D or 2-D window geometry. It
-// exists only while its op is in flight and recycles through the runtime's
-// window free list.
-type hostWindow struct {
-	buf        *DevBuffer
-	f64        []float64
-	f32        []float32
-	off        int64
-	elems      int64
-	rows, cols int32
-	ldh, ldd   int32
+// Window is the functional side of a transfer between a backed device
+// buffer and host storage: Cols columns of Rows elements each, column j at
+// Off + j*Ldd in Buf and at j*Ldh in the host slice matching the buffer's
+// dtype. A 1-D copy is one column. Transfers copy the window into a pooled
+// one, so callers may reuse theirs at once.
+type Window struct {
+	Buf      *DevBuffer
+	F64      []float64
+	F32      []float32
+	Off      int64
+	Rows     int64
+	Cols     int32
+	Ldh, Ldd int32
 }
 
 // waiterNode is one overflow waiter: the arena slot it releases and the
@@ -164,19 +161,32 @@ type waiterNode struct {
 // hardware models converts a pointer and allocates nothing.
 type hwPort Runtime
 
-// Complete is the hardware-completion callback: it performs the data
-// movement of transfer ops (kernel payloads run inside the device model)
-// and then finishes the op.
+// Complete is the hardware-completion callback: it runs the payload of a
+// kernel op or performs the data movement of a transfer op, and then
+// finishes the op.
 //
 //cocolint:hotpath
 func (p *hwPort) Complete(slot int32) {
 	rt := (*Runtime)(p)
 	o := rt.opAt(slot)
-	switch o.kind {
-	case opH2D, opD2H, opSet2D, opGet2D:
-		o.runCopy()
+	if o.kind == opKernel {
+		if o.payload != nil {
+			//lint:ignore hotpath only backed kernels carry a payload; its arithmetic dwarfs the dynamic call and the error it may record
+			rt.runPayload(o)
+		}
+	} else if o.host != nil {
+		o.host.move(o.dir)
 	}
 	rt.finish(o)
+}
+
+// runPayload runs an op's functional body and keeps the batch's first
+// error for Sync. Later failures usually follow from the first (a factor
+// tile that failed leaves its dependents garbage).
+func (rt *Runtime) runPayload(o *op) {
+	if err := o.payload(rt.payloadPool); err != nil && rt.payloadErr == nil {
+		rt.payloadErr = fmt.Errorf("cudart: %s payload: %w", kernelNames[o.name], err)
+	}
 }
 
 // handle is the completion handle of the op at slot h.
@@ -194,54 +204,27 @@ func (rt *Runtime) finish(o *op) {
 	rt.fire(&o.complete)
 }
 
-// runCopy performs the functional data movement of a transfer op on backed
-// buffers. Timing-only transfers carry no host window and return
-// immediately: there is nothing to move, and paper-scale sweeps issue
-// millions of such transfers.
-func (o *op) runCopy() {
-	w := o.host
-	if w == nil {
-		return
+// move performs a window's data movement in direction dir, in the dtype
+// both sides carry (a side without storage moves nothing).
+func (w *Window) move(dir machine.LinkDir) {
+	b := w.Buf
+	switch {
+	case b.f64 != nil && w.F64 != nil:
+		moveCols(b.f64, w.F64, w, dir)
+	case b.f32 != nil && w.F32 != nil:
+		moveCols(b.f32, w.F32, w, dir)
 	}
-	b := w.buf
-	switch o.kind {
-	case opH2D:
-		switch {
-		case b.f64 != nil && w.f64 != nil:
-			copy(b.f64[w.off:w.off+w.elems], w.f64[:w.elems])
-		case b.f32 != nil && w.f32 != nil:
-			copy(b.f32[w.off:w.off+w.elems], w.f32[:w.elems])
-		}
-	case opD2H:
-		switch {
-		case b.f64 != nil && w.f64 != nil:
-			copy(w.f64[:w.elems], b.f64[w.off:w.off+w.elems])
-		case b.f32 != nil && w.f32 != nil:
-			copy(w.f32[:w.elems], b.f32[w.off:w.off+w.elems])
-		}
-	case opSet2D:
-		rows := int(w.rows)
-		for j := 0; j < int(w.cols); j++ {
-			d := w.off + int64(j)*int64(w.ldd)
-			h := j * int(w.ldh)
-			switch {
-			case b.f64 != nil && w.f64 != nil:
-				copy(b.f64[d:d+int64(rows)], w.f64[h:h+rows])
-			case b.f32 != nil && w.f32 != nil:
-				copy(b.f32[d:d+int64(rows)], w.f32[h:h+rows])
-			}
-		}
-	case opGet2D:
-		rows := int(w.rows)
-		for j := 0; j < int(w.cols); j++ {
-			d := w.off + int64(j)*int64(w.ldd)
-			h := j * int(w.ldh)
-			switch {
-			case b.f64 != nil && w.f64 != nil:
-				copy(w.f64[h:h+rows], b.f64[d:d+int64(rows)])
-			case b.f32 != nil && w.f32 != nil:
-				copy(w.f32[h:h+rows], b.f32[d:d+int64(rows)])
-			}
+}
+
+// moveCols copies a window's columns between device and host storage.
+func moveCols[T float32 | float64](dev, host []T, w *Window, dir machine.LinkDir) {
+	for j := int64(0); j < int64(w.Cols); j++ {
+		d := dev[w.Off+j*int64(w.Ldd):][:w.Rows]
+		h := host[j*int64(w.Ldh):][:w.Rows]
+		if dir == machine.H2D {
+			copy(d, h)
+		} else {
+			copy(h, d)
 		}
 	}
 }
@@ -287,7 +270,7 @@ type Runtime struct {
 	// walks the same memory forward along each stream every time.
 	chunks  []*arenaChunk
 	next    int32
-	winFree []*hostWindow
+	winFree []*Window
 
 	// waiters holds the overflow waiters (second and later) of the batch's
 	// events in retained chunks, numbered in registration order across the
@@ -304,23 +287,6 @@ type Runtime struct {
 	roots    []int32
 	rootHead int
 	startFn  func()
-
-	// extraNames extends the builtin kernel-name table with the other
-	// names KernelAsync callers pass, in first-use order; extraIndex maps
-	// each back to its index.
-	extraNames []string
-	extraIndex map[string]KernelName
-
-	// kt memoizes the pure kernel-model duration lookups: a tiled sweep
-	// launches thousands of identically-shaped kernels, and the model's
-	// pow/cbrt evaluation dominates an otherwise trivial launch path.
-	kt kernelmodel.Memo
-}
-
-// kernelTime returns the memoized duration of a kernel launch on the
-// runtime's GPU model.
-func (rt *Runtime) kernelTime(sh kernelmodel.Shape) float64 {
-	return rt.kt.Time(&rt.dev.Testbed().GPU, sh)
 }
 
 // New creates a runtime bound to a device. Its backed payloads run on a
@@ -332,13 +298,13 @@ func New(dev *device.Device) *Runtime {
 }
 
 // Reset rebinds the runtime to a fresh device while keeping its warmed
-// object pools: the op arena, and — when the new device runs the same
-// testbed — the memoized kernel durations. Streams of the previous run are
-// dropped. Operations still pending (after a failed Sync) are abandoned
-// exactly as discarding the runtime would abandon them: their operands are
-// dropped and the arena rewinds, so the previous device must not run
-// again. After Reset the runtime behaves identically to New(dev); only
-// allocation behaviour differs.
+// object pools: the op arena, the overflow waiter nodes and the host
+// windows. Streams of the previous run are dropped. Operations still
+// pending (after a failed Sync) are abandoned exactly as discarding the
+// runtime would abandon them: their operands are dropped and the arena
+// rewinds, so the previous device must not run again. After Reset the
+// runtime behaves identically to New(dev); only allocation behaviour
+// differs.
 func (rt *Runtime) Reset(dev *device.Device) {
 	rt.dev = dev
 	rt.outstanding = 0
@@ -358,21 +324,12 @@ func (rt *Runtime) Reset(dev *device.Device) {
 	rt.rootHead = 0
 }
 
-// SetPayloadPool replaces the worker pool that runs the GEMM, SYRK, TRSM
-// and POTRF payloads of backed buffers (a GOMAXPROCS-wide pool by default).
-// Those payloads are bitwise deterministic across worker counts, so the
-// pool changes only wall-clock time, never results. A nil pool runs
-// payloads inline. Timing-only runs never touch the pool.
+// SetPayloadPool replaces the worker pool that kernel payloads run on (a
+// GOMAXPROCS-wide pool by default). The payloads are bitwise deterministic
+// across worker counts, so the pool changes only wall-clock time, never
+// results. A nil pool runs payloads inline. Timing-only runs never touch
+// the pool.
 func (rt *Runtime) SetPayloadPool(p *parallel.Pool) { rt.payloadPool = p }
-
-// payloadFailed records a functional payload's error for Sync to return.
-// Only the first error of a batch is kept: later failures usually follow
-// from it (a factor tile that failed leaves its dependents garbage).
-func (rt *Runtime) payloadFailed(routine string, err error) {
-	if rt.payloadErr == nil {
-		rt.payloadErr = fmt.Errorf("cudart: %s payload: %w", routine, err)
-	}
-}
 
 // Device returns the underlying simulated device.
 func (rt *Runtime) Device() *device.Device { return rt.dev }
@@ -431,28 +388,21 @@ func (rt *Runtime) recycleOp(o *op) {
 	o.payload = nil
 	if w := o.host; w != nil {
 		o.host = nil
-		*w = hostWindow{}
+		*w = Window{}
 		rt.winFree = append(rt.winFree, w)
 	}
 }
 
 // allocWindow returns a recycled (or fresh) zeroed host window for a
 // functional transfer.
-func (rt *Runtime) allocWindow() *hostWindow {
+func (rt *Runtime) allocWindow() *Window {
 	if n := len(rt.winFree); n > 0 {
 		w := rt.winFree[n-1]
 		rt.winFree[n-1] = nil
 		rt.winFree = rt.winFree[:n-1]
 		return w
 	}
-	return &hostWindow{}
-}
-
-// needsWindow reports whether a transfer between buf and the given host
-// slices can move data (backed buffer and a host side present) and so needs
-// its operands carried on the op.
-func needsWindow(buf *DevBuffer, hostF64 []float64, hostF32 []float32) bool {
-	return (buf.f64 != nil || buf.f32 != nil) && (hostF64 != nil || hostF32 != nil)
+	return &Window{}
 }
 
 // launch hands a ready op to the hardware.
@@ -461,13 +411,11 @@ func needsWindow(buf *DevBuffer, hostF64 []float64, hostF32 []float32) bool {
 func (rt *Runtime) launch(o *op) {
 	switch o.kind {
 	case opCallback:
-		if o.payload != nil {
-			//lint:ignore hotpath callback payloads are caller-provided host functions; schedulers keep them off the steady-state replay path
-			o.payload()
-		}
+		//lint:ignore hotpath callback payloads are caller-provided host functions; schedulers keep them off the steady-state replay path
+		rt.runPayload(o)
 		rt.finish(o)
 	case opKernel:
-		rt.dev.LaunchKernel(rt.kernelName(o.name), o.duration(), o.payload, rt.handle(o.slot))
+		rt.dev.LaunchKernel(kernelNames[o.name], o.duration(), rt.handle(o.slot))
 	default:
 		rt.dev.Link().Submit(o.dir, o.bytes(), rt.handle(o.slot))
 	}
@@ -623,32 +571,37 @@ func (s *Stream) enqueue(o *op) *Event {
 	return &o.complete
 }
 
-// TransferOp enqueues a pre-validated timing-only transfer of bytes in
-// direction dir, with no host-side window. It produces the identical op,
-// dependency and event structure as the checked Memcpy/SetMatrix/GetMatrix
-// entry points do on unbacked buffers — the plan replay tape uses it to
-// skip per-op validation and operand resolution.
+// TransferOp enqueues a transfer of bytes in direction dir. w, when not
+// nil, is its functional window, copied into a pooled one: the data the
+// transfer moves when it completes. Timing-only runs pass nil. The
+// transfer is not validated; MemcpyH2DAsync and MemcpyD2HAsync are the
+// checked 1-D forms.
 //
 //cocolint:hotpath
-func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64) *Event {
+func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64, w *Window) *Event {
 	kind := opH2D
 	if dir == machine.D2H {
 		kind = opD2H
 	}
 	o := s.rt.allocOp(kind)
-	o.setTransfer(dir, bytes)
+	o.dir, o.amount = dir, uint64(bytes)
+	if w != nil {
+		//lint:ignore hotpath backed transfers only; the window free list grows to the run's peak in-flight backed transfers
+		o.host = s.rt.allocWindow()
+		*o.host = *w
+	}
 	return s.enqueue(o)
 }
 
-// KernelOp enqueues a payload-free kernel with a precomputed duration — the
-// tape replay analog of GemmAsync/GemvAsync/AxpyAsync on unbacked buffers,
-// whose payloads are nil and whose durations are pure functions of the
-// launch shape.
+// KernelOp enqueues kernel name with the given duration. payload, when not
+// nil, is its functional body, run when the kernel completes; timing-only
+// runs pass nil.
 //
 //cocolint:hotpath
-func (s *Stream) KernelOp(name KernelName, duration float64) *Event {
+func (s *Stream) KernelOp(name KernelName, duration float64, payload Payload) *Event {
 	o := s.rt.allocOp(opKernel)
-	o.setKernel(name, duration)
+	o.name, o.amount = name, math.Float64bits(duration)
+	o.payload = payload
 	return s.enqueue(o)
 }
 
@@ -656,7 +609,10 @@ func (s *Stream) KernelOp(name KernelName, duration float64) *Event {
 // order (like cudaLaunchHostFunc).
 func (s *Stream) Callback(fn func()) *Event {
 	o := s.rt.allocOp(opCallback)
-	o.payload = fn
+	o.payload = func(*parallel.Pool) error {
+		fn()
+		return nil
+	}
 	return s.enqueue(o)
 }
 
@@ -704,7 +660,7 @@ func (rt *Runtime) deadlock() error {
 		o := rt.opAt(h)
 		what := opKindNames[o.kind]
 		if o.name != 0 {
-			what += " " + rt.kernelName(o.name)
+			what += " " + kernelNames[o.name]
 		}
 		unit := "dependencies"
 		if n == 1 {
@@ -790,14 +746,7 @@ func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64,
 	if err := memcpyBounds(dst, dstOff, elems, "h2d"); err != nil {
 		return nil, err
 	}
-	o := s.rt.allocOp(opH2D)
-	o.setTransfer(machine.H2D, elems*dst.dt.Size())
-	if needsWindow(dst, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.buf, w.f64, w.f32, w.off, w.elems = dst, hostF64, hostF32, dstOff, elems
-		o.host = w
-	}
-	return s.enqueue(o), nil
+	return s.TransferOp(machine.H2D, elems*dst.dt.Size(), window1D(dst, dstOff, hostF64, hostF32, elems)), nil
 }
 
 // MemcpyD2HAsync enqueues a 1-D device-to-host copy.
@@ -805,202 +754,14 @@ func (s *Stream) MemcpyD2HAsync(hostF64 []float64, hostF32 []float32, src *DevBu
 	if err := memcpyBounds(src, srcOff, elems, "d2h"); err != nil {
 		return nil, err
 	}
-	o := s.rt.allocOp(opD2H)
-	o.setTransfer(machine.D2H, elems*src.dt.Size())
-	if needsWindow(src, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.buf, w.f64, w.f32, w.off, w.elems = src, hostF64, hostF32, srcOff, elems
-		o.host = w
-	}
-	return s.enqueue(o), nil
+	return s.TransferOp(machine.D2H, elems*src.dt.Size(), window1D(src, srcOff, hostF64, hostF32, elems)), nil
 }
 
-// matrixArgs describes one side of a 2-D (sub)matrix copy, in the manner of
-// cublasSetMatrixAsync / cublasGetMatrixAsync: rows x cols elements,
-// column-major with a leading dimension.
-func check2D(rows, cols int, ld int, what string) error {
-	if rows < 0 || cols < 0 {
-		return fmt.Errorf("cudart: %s: negative dims %dx%d", what, rows, cols)
+// window1D is the functional window of a 1-D copy, or nil when the copy
+// moves no data (an unbacked buffer or no host storage).
+func window1D(buf *DevBuffer, off int64, hostF64 []float64, hostF32 []float32, elems int64) *Window {
+	if !buf.Backed() || (hostF64 == nil && hostF32 == nil) {
+		return nil
 	}
-	if ld < max(1, rows) {
-		return fmt.Errorf("cudart: %s: ld %d < rows %d", what, ld, rows)
-	}
-	return nil
-}
-
-// SetMatrixAsync enqueues a 2-D h2d copy of a rows x cols column-major
-// submatrix from host (leading dimension ldh) into dst at element offset
-// dstOff with leading dimension ldd. Exactly one of hostF64/hostF32 must
-// match the buffer dtype in functional runs.
-func (s *Stream) SetMatrixAsync(rows, cols int, hostF64 []float64, hostF32 []float32, ldh int, dst *DevBuffer, dstOff int64, ldd int) (*Event, error) {
-	if err := check2D(rows, cols, ldh, "setmatrix host"); err != nil {
-		return nil, err
-	}
-	if err := check2D(rows, cols, ldd, "setmatrix device"); err != nil {
-		return nil, err
-	}
-	need := int64(0)
-	if cols > 0 {
-		need = int64(cols-1)*int64(ldd) + int64(rows)
-	}
-	if err := memcpyBounds(dst, dstOff, need, "setmatrix"); err != nil {
-		return nil, err
-	}
-	o := s.rt.allocOp(opSet2D)
-	o.setTransfer(machine.H2D, int64(rows)*int64(cols)*dst.dt.Size())
-	if needsWindow(dst, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.buf, w.f64, w.f32, w.off = dst, hostF64, hostF32, dstOff
-		w.rows, w.cols, w.ldh, w.ldd = int32(rows), int32(cols), int32(ldh), int32(ldd)
-		o.host = w
-	}
-	return s.enqueue(o), nil
-}
-
-// GetMatrixAsync enqueues a 2-D d2h copy (the cublasGetMatrixAsync analog).
-func (s *Stream) GetMatrixAsync(rows, cols int, src *DevBuffer, srcOff int64, lds int, hostF64 []float64, hostF32 []float32, ldh int) (*Event, error) {
-	if err := check2D(rows, cols, lds, "getmatrix device"); err != nil {
-		return nil, err
-	}
-	if err := check2D(rows, cols, ldh, "getmatrix host"); err != nil {
-		return nil, err
-	}
-	need := int64(0)
-	if cols > 0 {
-		need = int64(cols-1)*int64(lds) + int64(rows)
-	}
-	if err := memcpyBounds(src, srcOff, need, "getmatrix"); err != nil {
-		return nil, err
-	}
-	o := s.rt.allocOp(opGet2D)
-	o.setTransfer(machine.D2H, int64(rows)*int64(cols)*src.dt.Size())
-	if needsWindow(src, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.buf, w.f64, w.f32, w.off = src, hostF64, hostF32, srcOff
-		w.rows, w.cols, w.ldh, w.ldd = int32(rows), int32(cols), int32(ldh), int32(lds)
-		o.host = w
-	}
-	return s.enqueue(o), nil
-}
-
-// KernelAsync enqueues a generic kernel with an explicit duration and an
-// optional functional payload. Comparator libraries use it to model their
-// own runtime overheads (e.g. tile-management work) on the compute engine.
-func (s *Stream) KernelAsync(name string, duration float64, payload func()) (*Event, error) {
-	if duration < 0 {
-		return nil, fmt.Errorf("cudart: negative kernel duration %g", duration)
-	}
-	k, err := s.rt.intern(name)
-	if err != nil {
-		return nil, err
-	}
-	o := s.allocKernelOp(k, duration, payload)
-	return s.enqueue(o), nil
-}
-
-// GemmAsync enqueues C = alpha*op(A)*op(B) + beta*C on the stream, where
-// the operands are column-major submatrices of device buffers. Timing comes
-// from the kernel ground-truth model; arithmetic runs on backed buffers.
-func (s *Stream) GemmAsync(transA, transB byte, m, n, k int,
-	alpha float64, a *DevBuffer, offA int64, lda int,
-	b *DevBuffer, offB int64, ldb int,
-	beta float64, c *DevBuffer, offC int64, ldc int) (*Event, error) {
-
-	dt := c.dt
-	if a.dt != dt || b.dt != dt {
-		return nil, errors.New("cudart: gemm operand dtype mismatch")
-	}
-	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindGemm, Dtype: dt, M: m, N: n, K: k})
-	name := NameDgemm
-	if dt == kernelmodel.F32 {
-		name = NameSgemm
-	}
-	var payload func()
-	if c.Backed() {
-		payload = func() {
-			var err error
-			if dt == kernelmodel.F64 {
-				err = blas.GemmParallel(s.rt.payloadPool, transA, transB, m, n, k, alpha,
-					a.f64[offA:], lda, b.f64[offB:], ldb, beta, c.f64[offC:], ldc)
-			} else {
-				err = blas.GemmParallel(s.rt.payloadPool, transA, transB, m, n, k, float32(alpha),
-					a.f32[offA:], lda, b.f32[offB:], ldb, float32(beta), c.f32[offC:], ldc)
-			}
-			if err != nil {
-				s.rt.payloadFailed("gemm", err)
-			}
-		}
-	}
-	o := s.allocKernelOp(name, dur, payload)
-	return s.enqueue(o), nil
-}
-
-// allocKernelOp builds a kernel op (shared by the BLAS launch wrappers).
-func (s *Stream) allocKernelOp(name KernelName, dur float64, payload func()) *op {
-	o := s.rt.allocOp(opKernel)
-	o.setKernel(name, dur)
-	o.payload = payload
-	return o
-}
-
-// AxpyAsync enqueues y += alpha*x over device vectors.
-func (s *Stream) AxpyAsync(n int, alpha float64, x *DevBuffer, offX int64, y *DevBuffer, offY int64) (*Event, error) {
-	if x.dt != y.dt {
-		return nil, errors.New("cudart: axpy operand dtype mismatch")
-	}
-	if err := memcpyBounds(x, offX, int64(n), "axpy x"); err != nil {
-		return nil, err
-	}
-	if err := memcpyBounds(y, offY, int64(n), "axpy y"); err != nil {
-		return nil, err
-	}
-	dt := y.dt
-	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindAxpy, Dtype: dt, N: n})
-	name := NameDaxpy
-	if dt == kernelmodel.F32 {
-		name = NameSaxpy
-	}
-	var payload func()
-	if y.Backed() {
-		payload = func() {
-			var err error
-			if dt == kernelmodel.F64 {
-				err = blas.Daxpy(n, alpha, x.f64[offX:], 1, y.f64[offY:], 1)
-			} else {
-				err = blas.Saxpy(n, float32(alpha), x.f32[offX:], 1, y.f32[offY:], 1)
-			}
-			if err != nil {
-				s.rt.payloadFailed("axpy", err)
-			}
-		}
-	}
-	o := s.allocKernelOp(name, dur, payload)
-	return s.enqueue(o), nil
-}
-
-// GemvAsync enqueues y = alpha*op(A)*x + beta*y over device operands.
-func (s *Stream) GemvAsync(trans byte, m, n int, alpha float64,
-	a *DevBuffer, offA int64, lda int, x *DevBuffer, offX int64,
-	beta float64, y *DevBuffer, offY int64) (*Event, error) {
-	if a.dt != x.dt || x.dt != y.dt {
-		return nil, errors.New("cudart: gemv operand dtype mismatch")
-	}
-	dt := y.dt
-	dur := s.rt.kernelTime(kernelmodel.Shape{Kind: kernelmodel.KindGemv, Dtype: dt, M: m, N: n})
-	var payload func()
-	if y.Backed() {
-		payload = func() {
-			var err error
-			if dt == kernelmodel.F64 {
-				err = blas.Dgemv(trans, m, n, alpha, a.f64[offA:], lda, x.f64[offX:], 1, beta, y.f64[offY:], 1)
-			} else {
-				err = blas.Gemv(trans, m, n, float32(alpha), a.f32[offA:], lda, x.f32[offX:], 1, float32(beta), y.f32[offY:], 1)
-			}
-			if err != nil {
-				s.rt.payloadFailed("gemv", err)
-			}
-		}
-	}
-	o := s.allocKernelOp(NameGemv, dur, payload)
-	return s.enqueue(o), nil
+	return &Window{Buf: buf, F64: hostF64, F32: hostF32, Off: off, Rows: elems, Cols: 1}
 }

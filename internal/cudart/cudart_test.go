@@ -1,14 +1,13 @@
 package cudart
 
 import (
-	"fmt"
+	"errors"
 	"math"
-	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
-	"cocopelia/internal/blas"
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
@@ -133,23 +132,20 @@ func TestMemcpyTiming(t *testing.T) {
 	}
 }
 
-func TestSetGetMatrixSubmatrix(t *testing.T) {
+// TestTransferWindowSubmatrix moves a 2x3 submatrix of a 4x4 host matrix
+// (ld 4) into a packed device buffer (ld 2) and back into a packed host
+// buffer through 2-D transfer windows.
+func TestTransferWindowSubmatrix(t *testing.T) {
 	rt := newRT()
 	s := rt.NewStream()
-	// Host matrix 4x4 col-major; copy its 2x3 submatrix starting at (1,1).
 	host := make([]float64, 16)
 	for i := range host {
 		host[i] = float64(i)
 	}
 	dev, _ := rt.Malloc(kernelmodel.F64, 6, true)
-	sub := host[1+4:] // offset (1,1), ld 4
-	if _, err := s.SetMatrixAsync(2, 3, sub, nil, 4, dev, 0, 2); err != nil {
-		t.Fatal(err)
-	}
 	out := make([]float64, 6)
-	if _, err := s.GetMatrixAsync(2, 3, dev, 0, 2, out, nil, 2); err != nil {
-		t.Fatal(err)
-	}
+	s.TransferOp(machine.H2D, 48, &Window{Buf: dev, F64: host[1+4:], Rows: 2, Cols: 3, Ldh: 4, Ldd: 2})
+	s.TransferOp(machine.D2H, 48, &Window{Buf: dev, F64: out, Rows: 2, Cols: 3, Ldh: 2, Ldd: 2})
 	if _, err := rt.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,100 +157,40 @@ func TestSetGetMatrixSubmatrix(t *testing.T) {
 	}
 }
 
-func TestSetMatrixValidation(t *testing.T) {
+// TestKernelPayloads pins the kernel payload contract: a payload runs when
+// its kernel completes, on the runtime's payload pool, before the ops
+// waiting on the kernel start; and the first failing payload of a batch is
+// the error Sync returns, named by its kernel and wrapping the payload's
+// error. The batch still drains, so the runtime stays usable.
+func TestKernelPayloads(t *testing.T) {
 	rt := newRT()
-	s := rt.NewStream()
-	dev, _ := rt.Malloc(kernelmodel.F64, 6, false)
-	if _, err := s.SetMatrixAsync(4, 2, nil, nil, 2, dev, 0, 4); err == nil {
-		t.Error("host ld < rows should error")
+	pool := parallel.NewPool(2)
+	rt.SetPayloadPool(pool)
+	s, waiter := rt.NewStream(), rt.NewStream()
+	errFirst, errSecond := errors.New("first"), errors.New("second")
+	var order []string
+	var got []*parallel.Pool
+	ev := s.KernelOp(NameDgemm, 1e-6, func(p *parallel.Pool) error {
+		order, got = append(order, "payload"), append(got, p)
+		return nil
+	})
+	waiter.WaitEvent(ev)
+	waiter.Callback(func() { order = append(order, "waiter") })
+	s.KernelOp(NameDpotrf, 1e-6, func(*parallel.Pool) error { return errFirst })
+	s.KernelOp(NameDtrsm, 1e-6, func(*parallel.Pool) error { return errSecond })
+	_, err := rt.Sync()
+	if len(got) != 1 || got[0] != pool {
+		t.Errorf("payload ran %d times on pools %v, want once on the runtime's", len(got), got)
 	}
-	if _, err := s.SetMatrixAsync(2, 4, nil, nil, 2, dev, 0, 2); err == nil {
-		t.Error("device overflow should error")
+	if len(order) != 2 || order[0] != "payload" {
+		t.Errorf("order %v, want the payload before its waiter", order)
 	}
-	if _, err := s.SetMatrixAsync(-1, 2, nil, nil, 2, dev, 0, 2); err == nil {
-		t.Error("negative rows should error")
+	if !errors.Is(err, errFirst) || errors.Is(err, errSecond) || !strings.Contains(err.Error(), "dpotrf payload") {
+		t.Fatalf("Sync error %v, want the dpotrf payload's first error only", err)
 	}
-}
-
-func TestGemmAsyncFunctional(t *testing.T) {
-	rt := newRT()
-	s := rt.NewStream()
-	m, n, k := 4, 3, 5
-	rng := rand.New(rand.NewSource(9))
-	hostA := make([]float64, m*k)
-	hostB := make([]float64, k*n)
-	hostC := make([]float64, m*n)
-	for i := range hostA {
-		hostA[i] = rng.NormFloat64()
-	}
-	for i := range hostB {
-		hostB[i] = rng.NormFloat64()
-	}
-	dA, _ := rt.Malloc(kernelmodel.F64, int64(m*k), true)
-	dB, _ := rt.Malloc(kernelmodel.F64, int64(k*n), true)
-	dC, _ := rt.Malloc(kernelmodel.F64, int64(m*n), true)
-	_, _ = s.MemcpyH2DAsync(dA, 0, hostA, nil, int64(m*k))
-	_, _ = s.MemcpyH2DAsync(dB, 0, hostB, nil, int64(k*n))
-	if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, m, n, k, 1, dA, 0, m, dB, 0, k, 0, dC, 0, m); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = s.MemcpyD2HAsync(hostC, nil, dC, 0, int64(m*n))
+	s.KernelOp(NameDgemm, 1e-6, nil)
 	if _, err := rt.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	ref := make([]float64, m*n)
-	if err := blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, hostA, m, hostB, k, 0, ref, m); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if math.Abs(hostC[i]-ref[i]) > 1e-12 {
-			t.Fatalf("gemm async mismatch at %d: %g vs %g", i, hostC[i], ref[i])
-		}
-	}
-}
-
-// TestGemmAsyncPayloadPoolBitwise runs the same GEMM payload serially and
-// through a worker pool installed with SetPayloadPool: the blocked engine
-// guarantees bitwise identical results at any worker count.
-func TestGemmAsyncPayloadPoolBitwise(t *testing.T) {
-	m, n, k := 130, 70, 65
-	rng := rand.New(rand.NewSource(41))
-	hostA := make([]float64, m*k)
-	hostB := make([]float64, k*n)
-	for i := range hostA {
-		hostA[i] = rng.NormFloat64()
-	}
-	for i := range hostB {
-		hostB[i] = rng.NormFloat64()
-	}
-	run := func(pool *parallel.Pool) []float64 {
-		rt := newRT()
-		rt.SetPayloadPool(pool)
-		s := rt.NewStream()
-		dA, _ := rt.Malloc(kernelmodel.F64, int64(m*k), true)
-		dB, _ := rt.Malloc(kernelmodel.F64, int64(k*n), true)
-		dC, _ := rt.Malloc(kernelmodel.F64, int64(m*n), true)
-		_, _ = s.MemcpyH2DAsync(dA, 0, hostA, nil, int64(m*k))
-		_, _ = s.MemcpyH2DAsync(dB, 0, hostB, nil, int64(k*n))
-		if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, m, n, k, 1.25, dA, 0, m, dB, 0, k, 0, dC, 0, m); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, m*n)
-		_, _ = s.MemcpyD2HAsync(out, nil, dC, 0, int64(m*n))
-		if _, err := rt.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	serial := run(nil)
-	for _, w := range []int{2, 8} {
-		pooled := run(parallel.NewPool(w))
-		for i := range serial {
-			if math.Float64bits(serial[i]) != math.Float64bits(pooled[i]) {
-				t.Fatalf("workers=%d: payload differs from serial at %d: %v != %v",
-					w, i, pooled[i], serial[i])
-			}
-		}
+		t.Fatalf("batch after a payload failure: %v", err)
 	}
 }
 
@@ -280,75 +216,6 @@ func TestDefaultPayloadPool(t *testing.T) {
 	}
 }
 
-func TestGemmDtypeMismatch(t *testing.T) {
-	rt := newRT()
-	s := rt.NewStream()
-	d64, _ := rt.Malloc(kernelmodel.F64, 16, false)
-	d32, _ := rt.Malloc(kernelmodel.F32, 16, false)
-	if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, 2, 2, 2, 1, d64, 0, 2, d32, 0, 2, 0, d64, 0, 2); err == nil {
-		t.Error("dtype mismatch should error")
-	}
-}
-
-func TestAxpyAsyncFunctional(t *testing.T) {
-	rt := newRT()
-	s := rt.NewStream()
-	n := 100
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i)
-		y[i] = 1
-	}
-	dX, _ := rt.Malloc(kernelmodel.F64, int64(n), true)
-	dY, _ := rt.Malloc(kernelmodel.F64, int64(n), true)
-	_, _ = s.MemcpyH2DAsync(dX, 0, x, nil, int64(n))
-	_, _ = s.MemcpyH2DAsync(dY, 0, y, nil, int64(n))
-	if _, err := s.AxpyAsync(n, 2, dX, 0, dY, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, n)
-	_, _ = s.MemcpyD2HAsync(out, nil, dY, 0, int64(n))
-	if _, err := rt.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if out[i] != 1+2*float64(i) {
-			t.Fatalf("axpy mismatch at %d: %g", i, out[i])
-		}
-	}
-	if _, err := s.AxpyAsync(200, 1, dX, 0, dY, 0); err == nil {
-		t.Error("axpy out of range should error")
-	}
-}
-
-func TestGemvAsyncFunctional(t *testing.T) {
-	rt := newRT()
-	s := rt.NewStream()
-	m, n := 3, 2
-	a := []float64{1, 2, 3, 4, 5, 6} // 3x2 col-major
-	x := []float64{1, 1}
-	dA, _ := rt.Malloc(kernelmodel.F64, 6, true)
-	dX, _ := rt.Malloc(kernelmodel.F64, 2, true)
-	dY, _ := rt.Malloc(kernelmodel.F64, 3, true)
-	_, _ = s.MemcpyH2DAsync(dA, 0, a, nil, 6)
-	_, _ = s.MemcpyH2DAsync(dX, 0, x, nil, 2)
-	if _, err := s.GemvAsync(blas.NoTrans, m, n, 1, dA, 0, m, dX, 0, 0, dY, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, 3)
-	_, _ = s.MemcpyD2HAsync(out, nil, dY, 0, 3)
-	if _, err := rt.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{5, 7, 9}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("gemv: got %v, want %v", out, want)
-		}
-	}
-}
-
 func TestThreeWayOverlap(t *testing.T) {
 	// The core 3-way concurrency behaviour: an h2d copy, a kernel and a
 	// d2h copy on three streams overlap; makespan ~ max of the three, not
@@ -360,7 +227,7 @@ func TestThreeWayOverlap(t *testing.T) {
 	in, _ := rt.Malloc(kernelmodel.F64, elems, false)
 	out, _ := rt.Malloc(kernelmodel.F64, elems, false)
 	_, _ = sIn.MemcpyH2DAsync(in, 0, nil, nil, elems)
-	_, _ = sK.GemmAsync(blas.NoTrans, blas.NoTrans, 2048, 2048, 2048, 1, in, 0, 2048, in, 0, 2048, 0, out, 0, 2048)
+	sK.KernelOp(NameDgemm, kernelmodel.GemmTime(&tb.GPU, kernelmodel.F64, 2048, 2048, 2048), nil)
 	_, _ = sOut.MemcpyD2HAsync(nil, nil, out, 0, elems)
 	end, err := rt.Sync()
 	if err != nil {
@@ -392,14 +259,10 @@ func TestSyncDetectsDeadlock(t *testing.T) {
 	// even when ops ahead of it ran and ops behind it are blocked too.
 	rt = newRT()
 	s = rt.NewStream()
-	if _, err := s.KernelAsync("dgemm", 1e-6, nil); err != nil {
-		t.Fatal(err)
-	}
+	s.KernelOp(NameDgemm, 1e-6, nil)
 	s.WaitEvent(&Event{})
 	s.WaitEvent(&Event{})
-	if _, err := s.KernelAsync("dpotrf", 1e-6, nil); err != nil {
-		t.Fatal(err)
-	}
+	s.KernelOp(NameDpotrf, 1e-6, nil)
 	s.Callback(func() {})
 	_, err = rt.Sync()
 	want = "cudart: deadlock: 2 operations still blocked after drain; first: op 1 (kernel dpotrf) waiting on 2 dependencies"
@@ -416,9 +279,7 @@ func TestFanOutReleasesInRegistrationOrder(t *testing.T) {
 	rt := newRT()
 	for batch := 0; batch < 2; batch++ {
 		src := rt.NewStream()
-		if _, err := src.KernelAsync("k", 1e-6, nil); err != nil {
-			t.Fatal(err)
-		}
+		src.KernelOp(NameDgemm, 1e-6, nil)
 		ev := src.Record()
 		var order []int
 		for i := 0; i < 4; i++ {
@@ -480,9 +341,7 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 		if _, err := s.MemcpyH2DAsync(buf, 0, nil, nil, 1024); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.KernelAsync("k", 1e-6, nil); err != nil {
-			t.Fatal(err)
-		}
+		s.KernelOp(NameDgemm, 1e-6, nil)
 		if _, err := s.MemcpyD2HAsync(nil, nil, buf, 0, 1024); err != nil {
 			t.Fatal(err)
 		}
@@ -509,11 +368,11 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				st.TransferOp(machine.H2D, 4096)
+				st.TransferOp(machine.H2D, 4096, nil)
 			case 1:
-				st.KernelOp(NameDgemm, 1e-6)
+				st.KernelOp(NameDgemm, 1e-6, nil)
 			default:
-				st.TransferOp(machine.D2H, 4096)
+				st.TransferOp(machine.D2H, 4096, nil)
 			}
 		}
 		if _, err := rt.Sync(); err != nil {
@@ -532,10 +391,10 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 	// the runtime's waiter nodes, whose chunks the next replay reuses.
 	fan := []*Stream{rt.NewStream(), rt.NewStream(), rt.NewStream(), rt.NewStream()}
 	fanOut := func() {
-		ev := s.KernelOp(NameDgemm, 1e-6)
+		ev := s.KernelOp(NameDgemm, 1e-6, nil)
 		for _, st := range fan {
 			st.WaitEvent(ev)
-			st.TransferOp(machine.D2H, 4096)
+			st.TransferOp(machine.D2H, 4096, nil)
 		}
 		if _, err := rt.Sync(); err != nil {
 			t.Fatal(err)
@@ -555,7 +414,7 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 	dev := rt.Device()
 	var c counter
 	hw := func() {
-		dev.LaunchKernel("k", 1e-6, nil, sim.Handle{To: &c, Slot: 1})
+		dev.LaunchKernel("k", 1e-6, sim.Handle{To: &c, Slot: 1})
 		dev.Link().Submit(machine.H2D, 4096, sim.Handle{To: &c, Slot: 2})
 		dev.Link().Submit(machine.D2H, 4096, sim.Handle{To: &c, Slot: 3})
 		dev.Engine().Run()
@@ -582,32 +441,5 @@ func (c *counter) Complete(slot int32) { c.n, c.sum = c.n+1, c.sum+int(slot) }
 func TestOpLayout(t *testing.T) {
 	if n := unsafe.Sizeof(op{}); n > 64 {
 		t.Errorf("op is %d bytes, want at most 64", n)
-	}
-}
-
-// TestKernelNameTable pins the kernel-name table: builtin names keep their
-// fixed indices, other names intern per runtime and read back, and the
-// table refuses a name past its two-byte index range instead of wrapping.
-func TestKernelNameTable(t *testing.T) {
-	rt := newRT()
-	if k, err := rt.intern("dgemm"); err != nil || k != NameDgemm {
-		t.Fatalf("intern(dgemm) = %d, %v; want the builtin %d", k, err, NameDgemm)
-	}
-	s := rt.NewStream()
-	extra := maxKernelNames - int(numBuiltinNames)
-	for i := 0; i < extra; i++ {
-		name := fmt.Sprint("k", i)
-		if _, err := s.KernelAsync(name, 0, nil); err != nil {
-			t.Fatalf("name %d of %d: %v", i, extra, err)
-		}
-	}
-	if k, _ := rt.intern("k7"); rt.kernelName(k) != "k7" {
-		t.Errorf("interned k7 reads back as %q", rt.kernelName(k))
-	}
-	if _, err := s.KernelAsync("one too many", 0, nil); err == nil {
-		t.Error("a name past the table's range was accepted")
-	}
-	if _, err := rt.Sync(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
+	"cocopelia/internal/parallel"
 	"cocopelia/internal/sim"
 )
 
@@ -39,9 +40,7 @@ func TestRandomDAGArenaReuse(t *testing.T) {
 			s := rt.NewStream()
 			s.WaitEvent(&Event{}) // never fires
 			for j := 0; j < opChunk+opChunk/2; j++ {
-				if _, err := s.KernelAsync("blocked", 1e-6, func() { stale = true }); err != nil {
-					t.Fatal(err)
-				}
+				s.KernelOp(NameDpotrf, 1e-6, func(*parallel.Pool) error { stale = true; return nil })
 			}
 			if _, err := rt.Sync(); err == nil {
 				t.Fatal("deadlocked batch: Sync reported no error")
@@ -50,7 +49,7 @@ func TestRandomDAGArenaReuse(t *testing.T) {
 			// Payload-free kernels reuse every abandoned slot.
 			s = rt.NewStream()
 			for j := 0; j < opChunk+opChunk/2; j++ {
-				s.KernelOp(NameDgemm, 1e-6)
+				s.KernelOp(NameDgemm, 1e-6, nil)
 			}
 			if _, err := rt.Sync(); err != nil {
 				t.Fatal(err)
@@ -128,9 +127,7 @@ func runDAG(t *testing.T, rng *rand.Rand, rt *Runtime) bool {
 			streams[s].Callback(func() { executed = append(executed, i) })
 			events[i] = streams[s].Record()
 		default:
-			if _, err := streams[s].KernelAsync("k", float64(rng.Intn(100))*1e-6, nil); err != nil {
-				t.Fatal(err)
-			}
+			streams[s].KernelOp(NameDgemm, float64(rng.Intn(100))*1e-6, nil)
 			streams[s].Callback(func() { executed = append(executed, i) })
 			events[i] = streams[s].Record()
 		}

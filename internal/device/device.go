@@ -5,11 +5,11 @@
 // accountant.
 //
 // The device is purely an execution-timing substrate. Kernel durations are
-// supplied by the caller (the cudart layer computes them from the
-// kernelmodel ground truth); the device adds per-invocation multiplicative
-// noise and serializes execution on the virtual clock. Functional payloads
-// — closures that perform the actual BLAS arithmetic on backed buffers —
-// run at kernel completion, so numerics and timing stay consistent.
+// supplied by the caller (the plan tapes compute them from the kernelmodel
+// ground truth); the device adds per-invocation multiplicative noise and
+// serializes execution on the virtual clock. It notifies each kernel's
+// completion through a handle, where the cudart layer runs the kernel's
+// functional payload, so numerics and timing stay consistent.
 package device
 
 import (
@@ -42,7 +42,6 @@ func (b *Buffer) Size() int64 { return b.size }
 type kernelTask struct {
 	name     string
 	duration float64
-	payload  func()
 	done     sim.Handle
 }
 
@@ -203,12 +202,11 @@ func (d *Device) allocTask() *kernelTask {
 }
 
 // LaunchKernel enqueues a kernel with the given base duration on the
-// compute engine. payload (optional) performs the functional arithmetic
-// and runs at completion time, before done (optional) is notified.
+// compute engine; done (optional) is notified when it completes.
 // Durations must be non-negative.
 //
 //cocolint:hotpath
-func (d *Device) LaunchKernel(name string, duration float64, payload func(), done sim.Handle) {
+func (d *Device) LaunchKernel(name string, duration float64, done sim.Handle) {
 	if duration < 0 {
 		panic(fmt.Sprintf("device: negative kernel duration %g", duration))
 	}
@@ -218,7 +216,7 @@ func (d *Device) LaunchKernel(name string, duration float64, payload func(), don
 		d.queue, d.qHead = d.queue[:n], 0
 	}
 	t := d.allocTask()
-	t.name, t.duration, t.payload, t.done = name, duration, payload, done
+	t.name, t.duration, t.done = name, duration, done
 	//lint:ignore hotpath queue compacts whenever it drains or half of it has run; the backing array grows only to twice the deepest backlog
 	d.queue = append(d.queue, t)
 	if d.running == nil {
@@ -251,11 +249,11 @@ func (d *Device) runNext() {
 }
 
 // finish completes the running kernel: accounting and the trace observer
-// first, then the task recycles (its fields are saved locally, so a payload
-// or launcher that launches more kernels may reuse the object at once), the
-// payload runs, the next kernel starts, and the completion handle is
-// notified last — so a launcher that enqueues more work observes a busy
-// engine, matching hardware queues.
+// first, then the task recycles (its handle is saved locally, so a
+// launcher that launches more kernels may reuse the object at once), the
+// next kernel starts, and the completion handle is notified last — so a
+// launcher that enqueues more work observes a busy engine, matching
+// hardware queues.
 func (d *Device) finish() {
 	t := d.running
 	d.running = nil
@@ -264,12 +262,9 @@ func (d *Device) finish() {
 	if d.kernelObs != nil {
 		d.kernelObs(t.name, d.started, d.eng.Now())
 	}
-	payload, done := t.payload, t.done
+	done := t.done
 	*t = kernelTask{}
 	d.taskFree = append(d.taskFree, t)
-	if payload != nil {
-		payload()
-	}
 	d.runNext()
 	done.Fire()
 }

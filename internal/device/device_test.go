@@ -26,7 +26,7 @@ func TestKernelSerialization(t *testing.T) {
 	eng, d := newDev(true)
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
-		d.LaunchKernel("k", 1.0, nil, on(func() { ends = append(ends, eng.Now()) }))
+		d.LaunchKernel("k", 1.0, on(func() { ends = append(ends, eng.Now()) }))
 	}
 	eng.Run()
 	want := []sim.Time{1, 2, 3}
@@ -41,18 +41,6 @@ func TestKernelSerialization(t *testing.T) {
 	}
 }
 
-func TestKernelPayloadRunsBeforeDone(t *testing.T) {
-	eng, d := newDev(true)
-	var order []string
-	d.LaunchKernel("k", 0.5,
-		func() { order = append(order, "payload") },
-		on(func() { order = append(order, "done") }))
-	eng.Run()
-	if len(order) != 2 || order[0] != "payload" || order[1] != "done" {
-		t.Errorf("order = %v", order)
-	}
-}
-
 func TestKernelObserver(t *testing.T) {
 	eng, d := newDev(true)
 	var names []string
@@ -62,8 +50,8 @@ func TestKernelObserver(t *testing.T) {
 			t.Error("empty kernel interval")
 		}
 	})
-	d.LaunchKernel("dgemm", 0.1, nil, sim.Handle{})
-	d.LaunchKernel("sgemm", 0.1, nil, sim.Handle{})
+	d.LaunchKernel("dgemm", 0.1, sim.Handle{})
+	d.LaunchKernel("sgemm", 0.1, sim.Handle{})
 	eng.Run()
 	if len(names) != 2 || names[0] != "dgemm" || names[1] != "sgemm" {
 		t.Errorf("observed %v", names)
@@ -77,14 +65,14 @@ func TestNegativeDurationPanics(t *testing.T) {
 			t.Error("negative duration should panic")
 		}
 	}()
-	d.LaunchKernel("k", -1, nil, sim.Handle{})
+	d.LaunchKernel("k", -1, sim.Handle{})
 }
 
 func TestCompletionCallbackCanEnqueue(t *testing.T) {
 	eng, d := newDev(true)
 	var secondEnd sim.Time
-	d.LaunchKernel("a", 1, nil, on(func() {
-		d.LaunchKernel("b", 1, nil, on(func() { secondEnd = eng.Now() }))
+	d.LaunchKernel("a", 1, on(func() {
+		d.LaunchKernel("b", 1, on(func() { secondEnd = eng.Now() }))
 	}))
 	eng.Run()
 	if math.Abs(secondEnd-2) > 1e-12 {
@@ -97,7 +85,7 @@ func TestNoiseDeterministicPerSeed(t *testing.T) {
 		eng := sim.New()
 		d := New(eng, machine.TestbedII(), seed, false)
 		var end sim.Time
-		d.LaunchKernel("k", 1.0, nil, on(func() { end = eng.Now() }))
+		d.LaunchKernel("k", 1.0, on(func() { end = eng.Now() }))
 		eng.Run()
 		return end
 	}
@@ -152,7 +140,7 @@ func TestTransferAndComputeOverlap(t *testing.T) {
 	tb := d.Testbed()
 	bytes := int64(tb.H2D.BandwidthBps) // ~1 second of transfer
 	var kernelEnd, xferEnd sim.Time
-	d.LaunchKernel("k", 1.0, nil, on(func() { kernelEnd = eng.Now() }))
+	d.LaunchKernel("k", 1.0, on(func() { kernelEnd = eng.Now() }))
 	d.Link().Submit(machine.H2D, bytes, on(func() { xferEnd = eng.Now() }))
 	end := eng.Run()
 	if kernelEnd == 0 || xferEnd == 0 {

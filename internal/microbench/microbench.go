@@ -298,7 +298,7 @@ func assembleFit(dirName string, vals map[string]float64) TransferFit {
 // returns its measured (noisy) duration.
 func (r *runner) timedKernel(name string, baseDuration float64) float64 {
 	start := r.eng.Now()
-	r.dev.LaunchKernel(name, baseDuration, nil, r.probe())
+	r.dev.LaunchKernel(name, baseDuration, r.probe())
 	r.eng.Run()
 	return r.end - start
 }

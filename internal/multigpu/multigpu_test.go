@@ -179,6 +179,48 @@ func TestMultiGPUMatchesSingleGPUScheduler(t *testing.T) {
 	}
 }
 
+// TestRepeatedGemmKeepsStreams repeats one cluster gemm: every GPU's
+// runtime must keep the streams it had after the first call, so the
+// per-call drain callback reuses its context's stream instead of adding
+// one per call.
+func TestRepeatedGemmKeepsStreams(t *testing.T) {
+	cl, err := NewCluster(machine.TestbedII(), 2, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := 1024
+	opts := GemmOpts{
+		Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
+		A: operand.HostMatrix(m, m, nil),
+		B: operand.HostMatrix(m, m, nil),
+		C: operand.HostMatrix(m, m, nil),
+		T: 512,
+	}
+	nextID := func() []int {
+		var ids []int
+		for i := 0; i < cl.Size(); i++ {
+			ids = append(ids, cl.Runtime(i).NewStream().ID())
+		}
+		return ids
+	}
+	if _, err := cl.Gemm(opts); err != nil {
+		t.Fatal(err)
+	}
+	first := nextID()
+	for i := 0; i < 20; i++ {
+		if _, err := cl.Gemm(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each probe above and below creates one stream per GPU.
+	got := nextID()
+	for i := range got {
+		if got[i] != first[i]+1 {
+			t.Errorf("GPU %d: next stream id %d after 20 more calls, want %d", i, got[i], first[i]+1)
+		}
+	}
+}
+
 func TestPredictAndSelect(t *testing.T) {
 	dep := microbench.Run(machine.TestbedII(), microbench.DefaultConfig())
 	pred := predictor.New(dep)

@@ -35,8 +35,10 @@ func HostMatrix(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostF64: data, HostLd: rows}
 }
 
-// Validate checks the descriptor for the routine dtype. backed requires
-// host storage to actually be present and large enough.
+// Validate checks the descriptor for the routine dtype: host storage, or a
+// device buffer of the dtype, holds every element the shape and leading
+// dimension address. Timing-only runs may omit host storage; backed runs
+// need storage on the host or device side.
 func (m *Matrix) Validate(name string, dt kernelmodel.Dtype, backed bool) error {
 	if m == nil {
 		return fmt.Errorf("operand: %s is nil", name)
@@ -68,6 +70,18 @@ func (m *Matrix) Validate(name string, dt kernelmodel.Dtype, backed bool) error 
 	if m.Dev.Dtype() != dt {
 		return fmt.Errorf("operand: %s device buffer dtype mismatch", name)
 	}
+	return checkDev(name, m.Dev, int64(m.Cols-1)*int64(m.DevLd)+int64(m.Rows), backed)
+}
+
+// checkDev checks that a device buffer holds need elements and, on backed
+// runs, carries storage.
+func checkDev(name string, b *cudart.DevBuffer, need int64, backed bool) error {
+	if b.Elems() < need {
+		return fmt.Errorf("operand: %s device buffer of %d elements, shape needs %d", name, b.Elems(), need)
+	}
+	if backed && !b.Backed() {
+		return fmt.Errorf("operand: %s device buffer has no storage", name)
+	}
 	return nil
 }
 
@@ -97,7 +111,9 @@ func HostVector(n int, data []float64) *Vector {
 	return &Vector{N: n, Loc: model.OnHost, HostF64: data}
 }
 
-// Validate checks the descriptor. backed requires host storage.
+// Validate checks the descriptor: host storage, or a float64 device
+// buffer, holds all N elements. Timing-only runs may omit host storage;
+// backed runs need storage on the host or device side.
 func (v *Vector) Validate(name string, backed bool) error {
 	if v == nil {
 		return fmt.Errorf("operand: %s is nil", name)
@@ -114,7 +130,10 @@ func (v *Vector) Validate(name string, backed bool) error {
 	if v.Dev == nil {
 		return fmt.Errorf("operand: %s on device without a buffer", name)
 	}
-	return nil
+	if v.Dev.Dtype() != kernelmodel.F64 {
+		return fmt.Errorf("operand: %s device buffer dtype mismatch", name)
+	}
+	return checkDev(name, v.Dev, int64(v.N), backed)
 }
 
 // Result reports one routine invocation's execution.

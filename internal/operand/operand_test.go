@@ -75,6 +75,18 @@ func TestMatrixValidateDevice(t *testing.T) {
 	if err := wrongDt.Validate("A", kernelmodel.F32, false); err == nil {
 		t.Error("dtype mismatch should error")
 	}
+	// The last column of a 4x4 matrix at ld 5 ends at element 3*5+4 = 19.
+	wideLd := &Matrix{Rows: 4, Cols: 4, Loc: model.OnDevice, Dev: buf, DevLd: 5}
+	if err := wideLd.Validate("A", kernelmodel.F64, false); err == nil {
+		t.Error("a buffer shorter than (cols-1)*ld+rows should error")
+	}
+	tall := &Matrix{Rows: 4, Cols: 3, Loc: model.OnDevice, Dev: buf, DevLd: 5}
+	if err := tall.Validate("A", kernelmodel.F64, false); err != nil {
+		t.Errorf("a buffer of exactly (cols-1)*ld+rows elements: %v", err)
+	}
+	if err := good.Validate("A", kernelmodel.F64, true); err == nil {
+		t.Error("an unbacked device buffer should error on a backed run")
+	}
 }
 
 func TestHostSlices(t *testing.T) {
@@ -116,6 +128,16 @@ func TestVectorValidate(t *testing.T) {
 	hv := HostVector(4, make([]float64, 4))
 	if err := hv.Validate("x", true); err != nil {
 		t.Error(err)
+	}
+	dev := &Vector{N: 4, Loc: model.OnDevice, Dev: devBuffer(t, kernelmodel.F64, 4)}
+	if err := dev.Validate("x", false); err != nil {
+		t.Error(err)
+	}
+	if err := (&Vector{N: 5, Loc: model.OnDevice, Dev: dev.Dev}).Validate("x", false); err == nil {
+		t.Error("device vector longer than its buffer should error")
+	}
+	if err := (&Vector{N: 4, Loc: model.OnDevice, Dev: devBuffer(t, kernelmodel.F32, 4)}).Validate("x", false); err == nil {
+		t.Error("float32 device vector should error")
 	}
 }
 

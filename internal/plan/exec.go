@@ -1,12 +1,11 @@
 package plan
 
 import (
-	"fmt"
-
 	"cocopelia/internal/blas"
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/operand"
+	"cocopelia/internal/parallel"
 )
 
 // Allocator is the staging-buffer pool a plan replays against (implemented
@@ -18,10 +17,13 @@ type Allocator interface {
 
 // Target is the execution surface a plan replays onto: the streams and the
 // staging allocator of one scheduler context. Streams must hold at least
-// the plan's Streams entries; op o runs on Streams[o.Stream].
+// the plan's Streams entries; op o runs on Streams[o.Stream]. Backed
+// targets (real storage, functional runs) also bind each transfer's host
+// window and each kernel's payload.
 type Target struct {
 	Streams []*cudart.Stream
 	Alloc   Allocator
+	Backed  bool
 }
 
 // Arg binds one plan operand at replay time: exactly one of Mat/Vec is set,
@@ -32,14 +34,123 @@ type Arg struct {
 }
 
 // Executor replays plans onto a target. It owns reusable scratch (the
-// op-id -> event table, the slot bindings and the acquired-buffer list), so
-// replay allocates nothing once warm; like the scheduler context whose
-// scratch it replaces, one executor supports one in-flight replay at a
-// time.
+// op-id -> event table, the slot bindings, the acquired-buffer list and
+// the transfer window being bound), so replay allocates nothing once warm;
+// like the scheduler context whose scratch it replaces, one executor
+// supports one in-flight replay at a time.
 type Executor struct {
 	events []*cudart.Event
 	slots  []*cudart.DevBuffer
 	pooled []*cudart.DevBuffer
+	win    cudart.Window
+}
+
+// RunTape replays the plan compiled into t onto tgt with the operands
+// bound by args, in op order: each op's dependency waits first, in their
+// recorded order, then its transfer or kernel. The sequence is the same on
+// backed and timing-only targets, so both fire the identical simulation
+// events; a backed target additionally binds each op's functional operands
+// from the plan op at the same index (see window and payload).
+//
+// RunTape returns the staging buffers acquired from the allocator; the
+// caller releases them after the engine drains. On error every acquired
+// buffer has already been released.
+//
+//cocolint:hotpath
+func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
+	// Event slots need no clearing between replays: a dependency edge always
+	// references an op emitted earlier in the tape, so every slot is written
+	// before it is read (stale pointers from a previous replay are never
+	// observed). The replay property tests pin this.
+	if cap(e.events) < t.evSlots {
+		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more event slots than any before it
+		e.events = make([]*cudart.Event, t.evSlots)
+	}
+	e.events = e.events[:t.evSlots]
+	if cap(e.slots) < len(t.slots) {
+		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more staging slots than any before it
+		e.slots = make([]*cudart.DevBuffer, len(t.slots))
+	}
+	e.slots = e.slots[:len(t.slots)]
+	e.pooled = e.pooled[:0]
+
+	// Hoist the hot-loop state into locals: the loop body runs hundreds of
+	// thousands of times per replay and the compiler cannot otherwise prove
+	// these loads loop-invariant across the stream calls.
+	events, deps, streams, backed := e.events, t.deps, tgt.Streams, tgt.Backed
+	for i := range t.ops {
+		o := &t.ops[i]
+		switch o.code {
+		case tAlloc:
+			s := t.slots[o.slot]
+			//lint:ignore hotpath Alloc is an interface by design; the sched.Pool implementation's Acquire is proved free at its own hot root
+			buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
+			if err != nil {
+				for _, b := range e.pooled {
+					//lint:ignore hotpath acquire-failure unwind runs at most once per failed replay
+					tgt.Alloc.Release(b)
+				}
+				e.pooled = e.pooled[:0]
+				return nil, err
+			}
+			e.slots[o.slot] = buf
+			//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
+			e.pooled = append(e.pooled, buf)
+		case tTransfer:
+			s := streams[o.stream]
+			for _, d := range deps[o.depOff : o.depOff+o.depN] {
+				s.WaitEvent(events[d])
+			}
+			var w *cudart.Window
+			if backed {
+				w = e.window(&t.plan.Ops[i], args)
+			}
+			ev := s.TransferOp(o.dir, o.bytes, w)
+			if o.ev >= 0 {
+				events[o.ev] = ev
+			}
+		case tKernel:
+			s := streams[o.stream]
+			for _, d := range deps[o.depOff : o.depOff+o.depN] {
+				s.WaitEvent(events[d])
+			}
+			var payload cudart.Payload
+			if backed {
+				//lint:ignore hotpath backed targets only: one payload closure per kernel, which the kernel's arithmetic dwarfs
+				payload = e.payload(t.plan, &t.plan.Ops[i], args)
+			}
+			ev := s.KernelOp(tapeNames[o.kernel][o.dt], o.dur, payload)
+			if o.ev >= 0 {
+				events[o.ev] = ev
+			}
+		}
+	}
+
+	for _, s := range t.tailH2D {
+		streams[StreamH2D].WaitEvent(e.events[s])
+	}
+	for _, s := range t.tailCmp {
+		streams[StreamComp].WaitEvent(e.events[s])
+	}
+	return e.pooled, nil
+}
+
+// window binds transfer op o (a fetch or a write-back) to its host window:
+// the bound operand's element window at (A.Row, A.Col) and the staging
+// slot it moves through. It fills and returns the executor's scratch
+// window, which the transfer copies.
+func (e *Executor) window(o *Op, args []Arg) *cudart.Window {
+	w := &e.win
+	*w = cudart.Window{Buf: e.slots[o.Slot], Rows: int64(o.M), Cols: 1}
+	if o.N == 0 {
+		// A vector transfer: M elements at slot offset K.
+		w.F64, w.Off = args[o.A.Arg].Vec.HostF64[o.A.Row:], int64(o.K)
+		return w
+	}
+	m := args[o.A.Arg].Mat
+	w.F64, w.F32 = m.HostSlices(int(o.A.Row), int(o.A.Col))
+	w.Cols, w.Ldh, w.Ldd = o.N, int32(m.HostLd), o.M
+	return w
 }
 
 // resolve maps a kernel operand reference to (buffer, offset, ld).
@@ -55,154 +166,71 @@ func (e *Executor) resolve(args []Arg, r Ref) (*cudart.DevBuffer, int64, int) {
 	return a.Vec.Dev, int64(r.Row), 0
 }
 
-// Run replays p onto tgt with the operands bound by args. It issues the
-// plan's stream calls in op order — each op's dependency waits first, in
-// their recorded order, then the matching asynchronous call — which is
-// exactly the call sequence the direct scheduler produced, so the
-// simulation's event order is preserved.
-//
-// Run returns the staging buffers acquired from the allocator; the caller
-// releases them after the engine drains. On error every acquired buffer
-// has already been released.
-func (e *Executor) Run(p *Plan, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
-	if len(args) != p.NumArgs() {
-		return nil, fmt.Errorf("plan: %s plan wants %d operands, got %d",
-			p.Routine, p.NumArgs(), len(args))
+// payload binds kernel op o of p to its operands: the functional body the
+// runtime runs when the kernel completes (nil for a dispatch op, which
+// computes nothing). Operand windows lie inside their validated operands
+// and staging slots by construction, so binding checks no bounds.
+func (e *Executor) payload(p *Plan, o *Op, args []Arg) cudart.Payload {
+	if o.Kernel == KDispatch {
+		return nil
 	}
-	// The event table is dense over referenced ops only (Op.Ev), so the
-	// pointer scratch — allocated, zeroed and GC-scanned per fresh context —
-	// stays proportional to the dependency structure, not the op count.
-	if cap(e.events) < p.EvSlots {
-		e.events = make([]*cudart.Event, p.EvSlots)
+	if p.Dtype == kernelmodel.F32 {
+		return bindKernel[float32](e, p, o, args)
 	}
-	e.events = e.events[:p.EvSlots]
-	for i := range e.events {
-		e.events[i] = nil
-	}
-	if cap(e.slots) < len(p.Slots) {
-		e.slots = make([]*cudart.DevBuffer, len(p.Slots))
-	}
-	e.slots = e.slots[:len(p.Slots)]
-	e.pooled = e.pooled[:0]
+	return bindKernel[float64](e, p, o, args)
+}
 
-	fail := func(err error) ([]*cudart.DevBuffer, error) {
-		for _, b := range e.pooled {
-			tgt.Alloc.Release(b)
+// bindKernel is payload in element type T: one switch over the kernel
+// kinds, each closing over its resolved operands and scalars.
+func bindKernel[T blas.Float](e *Executor, p *Plan, o *Op, args []Arg) cudart.Payload {
+	m, n, k := int(o.M), int(o.N), int(o.K)
+	alpha, beta := T(p.opAlpha(o)), T(p.opBeta(o))
+	side, uplo, transA, transB, diag := o.Side, o.Uplo, o.TransA, o.TransB, o.Diag
+	a, lda := elems[T](e, args, o.A)
+	switch o.Kernel {
+	case KGemm:
+		b, ldb := elems[T](e, args, o.B)
+		c, ldc := elems[T](e, args, o.C)
+		return func(pool *parallel.Pool) error {
+			return blas.GemmParallel(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		}
-		e.pooled = e.pooled[:0]
-		return nil, err
-	}
-
-	for i := range p.Ops {
-		o := &p.Ops[i]
-		deps := p.deps[o.depOff : o.depOff+o.depN]
-		s := tgt.Streams[o.Stream]
-		for _, d := range deps { // allocations have none
-			s.WaitEvent(e.events[p.Ops[d].Ev])
+	case KGemv:
+		x, _ := elems[T](e, args, o.B)
+		y, _ := elems[T](e, args, o.C)
+		return func(*parallel.Pool) error {
+			return blas.Gemv(blas.NoTrans, m, n, alpha, a, lda, x, 1, beta, y, 1)
 		}
-		var ev *cudart.Event
-		var err error
-		switch o.Kind {
-		case OpAlloc:
-			sl := p.Slots[o.Slot]
-			buf, err := tgt.Alloc.Acquire(sl.Dtype, sl.Elems)
-			if err != nil {
-				return fail(err)
-			}
-			e.slots[o.Slot] = buf
-			e.pooled = append(e.pooled, buf)
-			continue
-
-		case OpFetch:
-			dst := e.slots[o.Slot]
-			if o.N == 0 {
-				v := args[o.A.Arg].Vec
-				var host []float64
-				if v.HostF64 != nil {
-					host = v.HostF64[o.A.Row:]
-				}
-				ev, err = s.MemcpyH2DAsync(dst, int64(o.K), host, nil, int64(o.M))
-			} else {
-				m := args[o.A.Arg].Mat
-				h64, h32 := m.HostSlices(int(o.A.Row), int(o.A.Col))
-				ev, err = s.SetMatrixAsync(int(o.M), int(o.N),
-					h64, h32, m.HostLd, dst, 0, int(o.M))
-			}
-
-		case OpKernel:
-			switch o.Kernel {
-			case KDispatch:
-				ev, err = s.KernelAsync("dispatch", p.DispatchS, nil)
-			case KGemm:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				bBuf, bOff, bLd := e.resolve(args, o.B)
-				cBuf, cOff, cLd := e.resolve(args, o.C)
-				ev, err = s.GemmAsync(o.TransA, o.TransB,
-					int(o.M), int(o.N), int(o.K), p.opAlpha(o),
-					aBuf, aOff, aLd, bBuf, bOff, bLd,
-					p.opBeta(o), cBuf, cOff, cLd)
-			case KGemv:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				xBuf, xOff, _ := e.resolve(args, o.B)
-				yBuf, yOff, _ := e.resolve(args, o.C)
-				ev, err = s.GemvAsync(blas.NoTrans,
-					int(o.M), int(o.N), p.Alpha,
-					aBuf, aOff, aLd, xBuf, xOff, p.opBeta(o), yBuf, yOff)
-			case KAxpy:
-				xBuf, xOff, _ := e.resolve(args, o.A)
-				yBuf, yOff, _ := e.resolve(args, o.C)
-				ev, err = s.AxpyAsync(int(o.N), p.Alpha, xBuf, xOff, yBuf, yOff)
-			case KPotrf:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				ev, err = s.PotrfAsync(o.Uplo, int(o.N), aBuf, aOff, aLd)
-			case KGetrf:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				ev, err = s.GetrfAsync(int(o.N), aBuf, aOff, aLd)
-			case KTrsm:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				bBuf, bOff, bLd := e.resolve(args, o.B)
-				ev, err = s.TrsmAsync(o.Side, o.Uplo, o.TransA, o.Diag,
-					int(o.M), int(o.N), p.opAlpha(o),
-					aBuf, aOff, aLd, bBuf, bOff, bLd)
-			case KSyrk:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				cBuf, cOff, cLd := e.resolve(args, o.C)
-				ev, err = s.SyrkAsync(o.Uplo, o.TransA, int(o.N), int(o.K),
-					p.opAlpha(o), aBuf, aOff, aLd,
-					p.opBeta(o), cBuf, cOff, cLd)
-			}
-
-		case OpWriteback:
-			src := e.slots[o.Slot]
-			if o.N == 0 {
-				v := args[o.A.Arg].Vec
-				var host []float64
-				if v.HostF64 != nil {
-					host = v.HostF64[o.A.Row:]
-				}
-				ev, err = s.MemcpyD2HAsync(host, nil, src, int64(o.K), int64(o.M))
-			} else {
-				m := args[o.A.Arg].Mat
-				h64, h32 := m.HostSlices(int(o.A.Row), int(o.A.Col))
-				ev, err = s.GetMatrixAsync(int(o.M), int(o.N),
-					src, 0, int(o.M), h64, h32, m.HostLd)
-			}
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if o.Ev >= 0 {
-			e.events[o.Ev] = ev
+	case KAxpy:
+		y, _ := elems[T](e, args, o.C)
+		return func(*parallel.Pool) error { return blas.Axpy(n, alpha, a, 1, y, 1) }
+	case KPotrf:
+		return func(pool *parallel.Pool) error { return blas.PotrfParallel(pool, uplo, n, a, lda) }
+	case KGetrf:
+		return func(*parallel.Pool) error { return blas.Getrf(n, a, lda) }
+	case KTrsm:
+		b, ldb := elems[T](e, args, o.B)
+		return func(pool *parallel.Pool) error {
+			return blas.TrsmParallel(pool, side, uplo, transA, diag, m, n, alpha, a, lda, b, ldb)
 		}
 	}
+	// KSyrk: the payload writes the full tile (there is no packed
+	// triangular storage); factorization plans never read the other
+	// triangle, so uplo matters to the timing model only.
+	c, ldc := elems[T](e, args, o.C)
+	return func(pool *parallel.Pool) error {
+		return blas.SyrkParallel(pool, transA, n, k, alpha, a, lda, beta, c, ldc)
+	}
+}
 
-	// Leave the streams in the exact state direct scheduling left them:
-	// waits the schedule registered but never consumed stay pending.
-	for _, id := range p.TailH2D {
-		tgt.Streams[StreamH2D].WaitEvent(e.events[p.Ops[id].Ev])
+// elems resolves a kernel operand reference to the element storage from
+// its window's first element on, and its leading dimension.
+func elems[T blas.Float](e *Executor, args []Arg, r Ref) ([]T, int) {
+	buf, off, ld := e.resolve(args, r)
+	var s any
+	if _, ok := any(T(0)).(float32); ok {
+		s = buf.F32()
+	} else {
+		s = buf.F64()
 	}
-	for _, id := range p.TailComp {
-		tgt.Streams[StreamComp].WaitEvent(e.events[p.Ops[id].Ev])
-	}
-	return e.pooled, nil
+	return s.([]T)[off:], ld
 }

@@ -74,14 +74,14 @@ func BuildCholesky(spec CholeskySpec) *Plan {
 		}
 		t.live = true
 		if spec.LocA == model.OnDevice {
-			t.ref = ArgRef(0, int32(i*T), int32(j*T))
+			t.ref = argRef(0, int32(i*T), int32(j*T))
 			t.ready = NoOp
 			return t
 		}
 		r, c := rows(i), rows(j)
 		slot := g.Slot(dt, int64(r)*int64(c))
 		g.Alloc(slot)
-		t.ref = SlotRef(slot, int32(r))
+		t.ref = slotRef(slot, int32(r))
 		t.ready = g.Fetch(0, int32(i*T), int32(j*T), int32(r), int32(c), slot)
 		return t
 	}
@@ -177,14 +177,14 @@ func BuildLU(spec LUSpec) *Plan {
 		}
 		t.live = true
 		if spec.LocA == model.OnDevice {
-			t.ref = ArgRef(0, int32(i*T), int32(j*T))
+			t.ref = argRef(0, int32(i*T), int32(j*T))
 			t.ready = NoOp
 			return t
 		}
 		r, c := rows(i), rows(j)
 		slot := g.Slot(dt, int64(r)*int64(c))
 		g.Alloc(slot)
-		t.ref = SlotRef(slot, int32(r))
+		t.ref = slotRef(slot, int32(r))
 		t.ready = g.Fetch(0, int32(i*T), int32(j*T), int32(r), int32(c), slot)
 		return t
 	}
@@ -295,14 +295,14 @@ func BuildTrsm(spec TrsmSpec) *Plan {
 		}
 		t.live = true
 		if spec.LocA == model.OnDevice {
-			t.ref = ArgRef(0, int32(i*T), int32(k*T))
+			t.ref = argRef(0, int32(i*T), int32(k*T))
 			t.ready = NoOp
 			return t
 		}
 		r, c := rowsM(i), rowsM(k)
 		slot := g.Slot(dt, int64(r)*int64(c))
 		g.Alloc(slot)
-		t.ref = SlotRef(slot, int32(r))
+		t.ref = slotRef(slot, int32(r))
 		t.ready = g.Fetch(0, int32(i*T), int32(k*T), int32(r), int32(c), slot)
 		return t
 	}
@@ -316,14 +316,14 @@ func BuildTrsm(spec TrsmSpec) *Plan {
 		}
 		t.live = true
 		if spec.LocB == model.OnDevice {
-			t.ref = ArgRef(1, int32(i*T), int32(j*T))
+			t.ref = argRef(1, int32(i*T), int32(j*T))
 			t.ready = NoOp
 			return t
 		}
 		r, c := rowsM(i), colsN(j)
 		slot := g.Slot(dt, int64(r)*int64(c))
 		g.Alloc(slot)
-		t.ref = SlotRef(slot, int32(r))
+		t.ref = slotRef(slot, int32(r))
 		t.ready = g.Fetch(1, int32(i*T), int32(j*T), int32(r), int32(c), slot)
 		return t
 	}

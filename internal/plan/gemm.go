@@ -121,13 +121,13 @@ func BuildGemm(spec GemmSpec) *Plan {
 		}
 		t.live = true
 		if loc(arg) == model.OnDevice {
-			t.ref = ArgRef(arg, int32(ti*T), int32(tj*T))
+			t.ref = argRef(arg, int32(ti*T), int32(tj*T))
 			t.ready = NoOp
 			return t
 		}
 		slot := g.Slot(dt, int64(rows)*int64(cols))
 		g.Alloc(slot)
-		t.ref = SlotRef(slot, int32(rows))
+		t.ref = slotRef(slot, int32(rows))
 		t.ready = NoOp
 		if fetch {
 			t.ready = g.Fetch(arg, int32(ti*T), int32(tj*T), int32(rows), int32(cols), slot)
@@ -317,20 +317,20 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 					pendingH2D = pendingH2D[:0]
 				}
 
-				aRef := ArgRef(0, int32(ti*T), int32(tk*T))
+				aRef := argRef(0, int32(ti*T), int32(tk*T))
 				if spec.LocA == model.OnHost {
 					emitFetch(0, int(gr.a), ti*T, tk*T, rows, inner)
-					aRef = SlotRef(gr.a, int32(rows))
+					aRef = slotRef(gr.a, int32(rows))
 				}
-				bRef := ArgRef(1, int32(tk*T), int32(tj*T))
+				bRef := argRef(1, int32(tk*T), int32(tj*T))
 				if spec.LocB == model.OnHost {
 					emitFetch(1, int(gr.b), tk*T, tj*T, inner, cols)
-					bRef = SlotRef(gr.b, int32(inner))
+					bRef = slotRef(gr.b, int32(inner))
 				}
 				beta := 1.0
-				cRef := ArgRef(2, int32(ti*T), int32(tj*T))
+				cRef := argRef(2, int32(ti*T), int32(tj*T))
 				if spec.LocC == model.OnHost {
-					cRef = SlotRef(gr.c, int32(rows))
+					cRef = slotRef(gr.c, int32(rows))
 					fetch := tk > 0 || spec.Beta != 0
 					if fetch {
 						// The previous write-back of this C tile must land in
@@ -472,24 +472,24 @@ func BuildGemmXt(spec GemmSpec, freeBytes int64) *Plan {
 			rows := min(T, spec.M-ti*T)
 			cols := min(T, spec.N-tj*T)
 
-			cRef := ArgRef(2, int32(ti*T), int32(tj*T))
+			cRef := argRef(2, int32(ti*T), int32(tj*T))
 			if hostC {
 				if fetchC {
 					g.Fetch(2, int32(ti*T), int32(tj*T), int32(rows), int32(cols), w.c)
 				}
-				cRef = SlotRef(w.c, int32(rows))
+				cRef = slotRef(w.c, int32(rows))
 			}
 			for tk := 0; tk < kt; tk++ {
 				inner := min(T, spec.K-tk*T)
-				aRef := ArgRef(0, int32(ti*T), int32(tk*T))
+				aRef := argRef(0, int32(ti*T), int32(tk*T))
 				if hostA {
 					g.Fetch(0, int32(ti*T), int32(tk*T), int32(rows), int32(inner), w.a)
-					aRef = SlotRef(w.a, int32(rows))
+					aRef = slotRef(w.a, int32(rows))
 				}
-				bRef := ArgRef(1, int32(tk*T), int32(tj*T))
+				bRef := argRef(1, int32(tk*T), int32(tj*T))
 				if hostB {
 					g.Fetch(1, int32(tk*T), int32(tj*T), int32(inner), int32(cols), w.b)
-					bRef = SlotRef(w.b, int32(inner))
+					bRef = slotRef(w.b, int32(inner))
 				}
 				beta := 1.0
 				if tk == 0 {

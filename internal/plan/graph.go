@@ -17,7 +17,7 @@ const NoOp OpID = -1
 // SYRK and GEMM tile ops into a single plan). It is the general surface the
 // routine-specific planners are thin clients of.
 //
-// The builder preserves every property the downstream layers rely on:
+// Graph preserves every property the downstream layers rely on:
 //
 //   - ops and dependency edges live in deterministic arena-allocated lists
 //     (emission order is the IR);
@@ -34,17 +34,45 @@ const NoOp OpID = -1
 // refetch round-trip appears between them, and the executor turns the edge
 // into a stream wait on the producer's completion event.
 type Graph struct {
-	b builder
+	p        *Plan
+	depStart int32 // first dependency edge of the op being built
+	// route is the stream each op kind is emitted to: kindStream, or the
+	// pinned stream (see Pin).
+	route [4]uint8
 }
 
 // NewGraph starts building ops into p. The caller fills the plan header
 // (routine, geometry, scalars, locations) before or after building; Finish
 // seals the dependency-event table.
-func NewGraph(p *Plan) *Graph { return &Graph{b: builder{p: p, route: kindStream}} }
+func NewGraph(p *Plan) *Graph { return &Graph{p: p, route: kindStream} }
 
 // Plan returns the plan under construction (header fields may be adjusted
 // until Finish).
-func (g *Graph) Plan() *Plan { return g.b.p }
+func (g *Graph) Plan() *Plan { return g.p }
+
+// emit appends a zero op to the arena, binding the dependencies recorded
+// since the last emit, and returns the arena slot for the caller to fill
+// in place (kind and stream included) along with its id. Op is a wide
+// struct and planners emit hundreds of thousands per campaign; filling the
+// slot directly avoids a per-op stack literal plus arena copy. Callers must
+// only set fields — never hold the pointer across another emit (the arena
+// may grow).
+func (g *Graph) emit() (*Op, int32) {
+	id := int32(len(g.p.Ops))
+	if int(id) < cap(g.p.Ops) {
+		// The arena comes zeroed from make, so extending into capacity
+		// yields a zero op without writing 96 bytes of zeros first; the
+		// caller fills only the fields it needs.
+		g.p.Ops = g.p.Ops[:id+1]
+	} else {
+		g.p.Ops = append(g.p.Ops, Op{})
+	}
+	o := &g.p.Ops[id]
+	o.depOff = g.depStart
+	o.depN = int32(len(g.p.deps)) - g.depStart
+	g.depStart = int32(len(g.p.deps))
+	return o, id
+}
 
 // Grow pre-sizes the op, dependency and slot arenas for a planner that
 // knows its schedule shape; appending tens of thousands of ops through
@@ -52,7 +80,7 @@ func (g *Graph) Plan() *Plan { return g.b.p }
 // dependency arenas come from released plans when one fits (see
 // Plan.Release).
 func (g *Graph) Grow(slots, ops, deps int) {
-	p := g.b.p
+	p := g.p
 	if cap(p.Slots) < slots {
 		p.Slots = append(make([]Slot, 0, slots), p.Slots...)
 	}
@@ -64,37 +92,37 @@ func (g *Graph) Grow(slots, ops, deps int) {
 	}
 }
 
-// SlotRef builds a staging-slot operand reference; ld is the slot's leading
-// dimension (0 for vectors).
-func SlotRef(slot, ld int32) Ref { return slotRef(slot, ld) }
-
 // Pin routes every op emitted after it to context stream s, whatever its
 // kind, instead of its kind's stream (StreamH2D, StreamD2H, StreamComp).
 // Ops on one stream run in emission order, so a pinned pipeline needs no
 // dependency edges between its own ops.
 func (g *Graph) Pin(s uint8) {
-	g.b.route = [4]uint8{OpAlloc: 0, OpFetch: s, OpKernel: s, OpWriteback: s}
-	g.b.p.Streams = max(g.b.p.Streams, int(s)+1)
+	g.route = [4]uint8{OpAlloc: 0, OpFetch: s, OpKernel: s, OpWriteback: s}
+	g.p.Streams = max(g.p.Streams, int(s)+1)
 }
-
-// ArgRef builds a bound-operand window reference at element coordinates
-// (row, col).
-func ArgRef(arg int8, row, col int32) Ref { return argRef(arg, row, col) }
 
 // Slot registers a staging buffer shape and returns its slot id.
 func (g *Graph) Slot(dt kernelmodel.Dtype, elems int64) int32 {
-	return g.b.slot(dt, elems)
+	id := int32(len(g.p.Slots))
+	g.p.Slots = append(g.p.Slots, Slot{Dtype: dt, Elems: elems})
+	return id
 }
 
 // Alloc emits the pool acquisition of a slot. Allocation order is part of
 // the IR: it determines pool-eviction behaviour and the device memory peak.
-func (g *Graph) Alloc(slot int32) OpID { return g.b.alloc(slot) }
+func (g *Graph) Alloc(slot int32) OpID {
+	o, id := g.emit()
+	o.Kind, o.Slot = OpAlloc, slot
+	return id
+}
 
 // deps registers the dependency edges of the op about to be emitted, in
 // argument order (negative ids skipped).
 func (g *Graph) deps(ids []OpID) {
 	for _, id := range ids {
-		g.b.dep(id)
+		if id >= 0 {
+			g.p.deps = append(g.p.deps, id)
+		}
 	}
 }
 
@@ -103,11 +131,11 @@ func (g *Graph) deps(ids []OpID) {
 // volume. deps order is wait-registration order.
 func (g *Graph) Fetch(arg int8, row, col, m, n, slot int32, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Slot = OpFetch, g.b.route[OpFetch], slot
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Slot = OpFetch, g.route[OpFetch], slot
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
-	g.b.p.BytesH2D += int64(m) * int64(n) * g.b.p.Dtype.Size()
+	g.p.BytesH2D += int64(m) * int64(n) * g.p.Dtype.Size()
 	return id
 }
 
@@ -115,10 +143,10 @@ func (g *Graph) Fetch(arg int8, row, col, m, n, slot int32, deps ...OpID) OpID {
 // starting at off into slot at element offset slotOff.
 func (g *Graph) FetchVec(arg int8, off, m, slot, slotOff int32, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Slot, o.K = OpFetch, g.b.route[OpFetch], slot, slotOff
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Slot, o.K = OpFetch, g.route[OpFetch], slot, slotOff
 	o.A, o.M = argRef(arg, off, 0), m
-	g.b.p.BytesH2D += int64(m) * g.b.p.Dtype.Size()
+	g.p.BytesH2D += int64(m) * g.p.Dtype.Size()
 	return id
 }
 
@@ -126,11 +154,11 @@ func (g *Graph) FetchVec(arg int8, off, m, slot, slotOff int32, deps ...OpID) Op
 // operand arg at (row, col), accounting its bytes in the D2H volume.
 func (g *Graph) Writeback(slot int32, arg int8, row, col, m, n int32, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Slot = OpWriteback, g.b.route[OpWriteback], slot
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Slot = OpWriteback, g.route[OpWriteback], slot
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
-	g.b.p.BytesD2H += int64(m) * int64(n) * g.b.p.Dtype.Size()
+	g.p.BytesD2H += int64(m) * int64(n) * g.p.Dtype.Size()
 	return id
 }
 
@@ -138,10 +166,10 @@ func (g *Graph) Writeback(slot int32, arg int8, row, col, m, n int32, deps ...Op
 // offset slotOff back to bound vector operand arg at off.
 func (g *Graph) WritebackVec(slot, slotOff int32, arg int8, off, m int32, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Slot, o.K = OpWriteback, g.b.route[OpWriteback], slot, slotOff
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Slot, o.K = OpWriteback, g.route[OpWriteback], slot, slotOff
 	o.A, o.M = argRef(arg, off, 0), m
-	g.b.p.BytesD2H += int64(m) * g.b.p.Dtype.Size()
+	g.p.BytesD2H += int64(m) * g.p.Dtype.Size()
 	return id
 }
 
@@ -149,44 +177,44 @@ func (g *Graph) WritebackVec(slot, slotOff int32, arg int8, off, m int32, deps .
 // DispatchS); it does not count as a sub-kernel.
 func (g *Graph) Dispatch(deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KDispatch
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KDispatch
 	return id
 }
 
 // Gemm emits C = alpha*op(A)*op(B) + beta*C over tile refs.
 func (g *Graph) Gemm(transA, transB byte, m, n, k int32, alpha AlphaSel, beta BetaSel, a, b, c Ref, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KGemm
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KGemm
 	o.TransA, o.TransB = transA, transB
 	o.M, o.N, o.K = m, n, k
 	o.Alpha, o.Beta = alpha, beta
 	o.A, o.B, o.C = a, b, c
-	g.b.p.Subkernels++
+	g.p.Subkernels++
 	return id
 }
 
 // Gemv emits y = alpha*A*x + beta*y over tile refs.
 func (g *Graph) Gemv(m, n int32, beta BetaSel, a, x, y Ref, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KGemv
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KGemv
 	o.M, o.N = m, n
 	o.Beta = beta
 	o.A, o.B, o.C = a, x, y
-	g.b.p.Subkernels++
+	g.p.Subkernels++
 	return id
 }
 
 // Axpy emits y += alpha*x over vector refs.
 func (g *Graph) Axpy(n int32, x, y Ref, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KAxpy
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KAxpy
 	o.N = n
 	o.A, o.C = x, y
-	g.b.p.Subkernels++
+	g.p.Subkernels++
 	return id
 }
 
@@ -194,22 +222,22 @@ func (g *Graph) Axpy(n int32, x, y Ref, deps ...OpID) OpID {
 // (the referenced triangle per uplo).
 func (g *Graph) Potrf(uplo byte, n int32, a Ref, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KPotrf
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KPotrf
 	o.Uplo, o.N = uplo, n
 	o.A = a
-	g.b.p.Subkernels++
+	g.p.Subkernels++
 	return id
 }
 
 // Getrf emits the in-place unpivoted LU factorization of the n x n tile a.
 func (g *Graph) Getrf(n int32, a Ref, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KGetrf
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KGetrf
 	o.N = n
 	o.A = a
-	g.b.p.Subkernels++
+	g.p.Subkernels++
 	return id
 }
 
@@ -217,13 +245,13 @@ func (g *Graph) Getrf(n int32, a Ref, deps ...OpID) OpID {
 // X*op(A) = alpha*B (side R), overwriting B.
 func (g *Graph) Trsm(side, uplo, transA, diag byte, m, n int32, alpha AlphaSel, a, b Ref, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KTrsm
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KTrsm
 	o.Side, o.Uplo, o.TransA, o.Diag = side, uplo, transA, diag
 	o.M, o.N = m, n
 	o.Alpha = alpha
 	o.A, o.B = a, b
-	g.b.p.Subkernels++
+	g.p.Subkernels++
 	return id
 }
 
@@ -231,13 +259,13 @@ func (g *Graph) Trsm(side, uplo, transA, diag byte, m, n int32, alpha AlphaSel, 
 // C = alpha*A*A^T + beta*C (trans 'N') or alpha*A^T*A + beta*C (trans 'T').
 func (g *Graph) Syrk(uplo, trans byte, n, k int32, alpha AlphaSel, beta BetaSel, a, c Ref, deps ...OpID) OpID {
 	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Stream, o.Kernel = OpKernel, g.b.route[OpKernel], KSyrk
+	o, id := g.emit()
+	o.Kind, o.Stream, o.Kernel = OpKernel, g.route[OpKernel], KSyrk
 	o.Uplo, o.TransA = uplo, trans
 	o.N, o.K = n, k
 	o.Alpha, o.Beta = alpha, beta
 	o.A, o.C = a, c
-	g.b.p.Subkernels++
+	g.p.Subkernels++
 	return id
 }
 
@@ -245,16 +273,16 @@ func (g *Graph) Syrk(uplo, trans byte, n, k int32, alpha AlphaSel, beta BetaSel,
 // pending (unconsumed) h2d-stream wait at return.
 func (g *Graph) TailH2D(id OpID) {
 	if id >= 0 {
-		g.b.p.TailH2D = append(g.b.p.TailH2D, id)
+		g.p.TailH2D = append(g.p.TailH2D, id)
 	}
 }
 
 // TailComp records a pending compute-stream tail wait.
 func (g *Graph) TailComp(id OpID) {
 	if id >= 0 {
-		g.b.p.TailComp = append(g.b.p.TailComp, id)
+		g.p.TailComp = append(g.p.TailComp, id)
 	}
 }
 
 // Finish assigns the completion-event table and returns the sealed plan.
-func (g *Graph) Finish() *Plan { return finish(g.b.p) }
+func (g *Graph) Finish() *Plan { return finish(g.p) }

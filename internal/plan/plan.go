@@ -387,65 +387,6 @@ func (p *Plan) TransferOps() (h2d, d2h int) {
 	return h2d, d2h
 }
 
-// builder accumulates ops and dependency edges while a planner runs.
-// Dependencies for the op being built are appended to the arena before
-// emit; dep ignores absent edges (negative ids), mirroring WaitEvent's
-// no-op on pre-completed events.
-type builder struct {
-	p        *Plan
-	depStart int32
-	// route is the stream each op kind is emitted to: kindStream, or the
-	// pinned stream (see Graph.Pin).
-	route [4]uint8
-}
-
-// dep records a dependency for the next emitted op. id < 0 (the planner's
-// encoding of an already-completed event) is skipped.
-func (b *builder) dep(id int32) {
-	if id >= 0 {
-		b.p.deps = append(b.p.deps, id)
-	}
-}
-
-// emit appends a zero op to the arena, binding the dependencies recorded
-// since the last emit, and returns the arena slot for the caller to fill
-// in place (kind and stream included) along with its id. Op is a wide struct and planners emit
-// hundreds of thousands per campaign; filling the slot directly avoids a
-// per-op stack literal plus arena copy. Callers must only set fields —
-// never hold the pointer across another emit (the arena may grow).
-func (b *builder) emit() (*Op, int32) {
-	id := int32(len(b.p.Ops))
-	if int(id) < cap(b.p.Ops) {
-		// The arena comes zeroed from make, so extending into capacity
-		// yields a zero op without writing 96 bytes of zeros first; the
-		// caller fills only the fields it needs.
-		b.p.Ops = b.p.Ops[:id+1]
-	} else {
-		b.p.Ops = append(b.p.Ops, Op{})
-	}
-	o := &b.p.Ops[id]
-	o.depOff = b.depStart
-	o.depN = int32(len(b.p.deps)) - b.depStart
-	b.depStart = int32(len(b.p.deps))
-	return o, id
-}
-
-// slot registers a staging buffer shape and returns its slot id.
-func (b *builder) slot(dt kernelmodel.Dtype, elems int64) int32 {
-	id := int32(len(b.p.Slots))
-	b.p.Slots = append(b.p.Slots, Slot{Dtype: dt, Elems: elems})
-	return id
-}
-
-// alloc emits the pool acquisition of a slot (allocation order is part of
-// the IR: it determines pool-eviction behaviour and the device's memory
-// peak, which replay must reproduce).
-func (b *builder) alloc(slot int32) int32 {
-	o, id := b.emit()
-	o.Kind, o.Slot = OpAlloc, slot
-	return id
-}
-
 // finish assigns the completion-event slots: every op referenced by a
 // dependency edge or a tail wait gets a dense table index in
 // first-reference order, all others get -1. Called once by each planner

@@ -8,20 +8,18 @@ import (
 	"cocopelia/internal/machine"
 )
 
-// Tape is a plan precompiled for timing-only replay on one GPU model: a
-// flat instruction array with every per-op decision already taken. Where
-// Executor.Run re-derives each op's stream call per replay — nested kind
-// switches, transfer-size validation, operand resolution, memoized
-// kernel-duration lookups — the tape stores the outcome (stream code,
-// byte volume, kernel name and duration, dependency event slots) in
-// contiguous slices, so replay is a tight loop over plain data with no
-// per-op dispatch beyond one switch on the precomputed code.
+// Tape is a plan precompiled for replay on one GPU model: a flat
+// instruction array with every per-op timing decision already taken. It
+// stores the outcome (stream code, byte volume, kernel name and duration,
+// dependency event slots) in contiguous slices, so replay is a tight loop
+// over plain data with no per-op dispatch beyond one switch on the
+// precomputed code.
 //
-// A tape is valid only for unbacked (timing-only) targets: functional
-// payloads and host-side windows are exactly what it strips. Executor.Run
-// remains the reference path for backed runs, and the two are pinned
-// event-identical by the plan package's replay tests.
+// Tape op i is plan op i. Functional operands (host windows, kernel
+// payloads) are not compiled in: a backed replay binds them from the
+// plan's op at the same index, and a timing-only replay never looks.
 type Tape struct {
+	plan    *Plan
 	gpu     *machine.GPUSpec // kernel durations are GPU-model-specific
 	ops     []tapeOp
 	deps    []int32 // dependency edges as completion-event slots
@@ -87,10 +85,10 @@ func (p *Plan) TapeFor(gpu *machine.GPUSpec) *Tape {
 }
 
 // compileTape lowers a plan to its flat enqueue tape. Kernel durations come
-// from kernelDur, the same memoized model the cudart launch path consults,
-// so replay timing is bit-identical.
+// from kernelDur, the one per-op duration function.
 func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 	t := &Tape{
+		plan:    p,
 		gpu:     gpu,
 		ops:     freeTape.take(len(p.Ops))[:len(p.Ops)],
 		deps:    freeDeps.take(len(p.deps))[:len(p.deps)],
@@ -125,8 +123,8 @@ func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 	return t
 }
 
-// tapeBytes is the byte volume the checked transfer entry points would
-// compute: window elements times the staging slot's element size.
+// tapeBytes is a transfer's byte volume: window elements times the staging
+// slot's element size.
 func tapeBytes(p *Plan, o *Op) int64 {
 	elems := int64(o.M)
 	if o.N != 0 {
@@ -142,84 +140,6 @@ func evSlotsOf(p *Plan, ids []int32) []int32 {
 		out[i] = p.Ops[id].Ev
 	}
 	return out
-}
-
-// RunTape replays a precompiled tape onto tgt: the batched, timing-only
-// counterpart of Run, issuing the identical stream-call sequence (and so
-// the identical simulation events) with no per-op validation, resolution
-// or duration lookups. The target must be unbacked; backed runs take Run.
-//
-// Like Run it returns the acquired staging buffers for the caller to
-// release after the engine drains, releasing them itself on error.
-//
-//cocolint:hotpath
-func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
-	// Event slots need no clearing between replays: a dependency edge always
-	// references an op emitted earlier in the tape, so every slot is written
-	// before it is read (stale pointers from a previous replay are never
-	// observed). The replay property tests pin this.
-	if cap(e.events) < t.evSlots {
-		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more event slots than any before it
-		e.events = make([]*cudart.Event, t.evSlots)
-	}
-	e.events = e.events[:t.evSlots]
-	if cap(e.slots) < len(t.slots) {
-		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more staging slots than any before it
-		e.slots = make([]*cudart.DevBuffer, len(t.slots))
-	}
-	e.slots = e.slots[:len(t.slots)]
-	e.pooled = e.pooled[:0]
-
-	// Hoist the hot-loop state into locals: the loop body runs hundreds of
-	// thousands of times per replay and the compiler cannot otherwise prove
-	// these loads loop-invariant across the stream calls.
-	events, deps, streams := e.events, t.deps, tgt.Streams
-	for i := range t.ops {
-		o := &t.ops[i]
-		switch o.code {
-		case tAlloc:
-			s := t.slots[o.slot]
-			//lint:ignore hotpath Alloc is an interface by design; the sched.Pool implementation's Acquire is proved free at its own hot root
-			buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
-			if err != nil {
-				for _, b := range e.pooled {
-					//lint:ignore hotpath acquire-failure unwind runs at most once per failed replay
-					tgt.Alloc.Release(b)
-				}
-				e.pooled = e.pooled[:0]
-				return nil, err
-			}
-			e.slots[o.slot] = buf
-			//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
-			e.pooled = append(e.pooled, buf)
-		case tTransfer:
-			s := streams[o.stream]
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				s.WaitEvent(events[d])
-			}
-			ev := s.TransferOp(o.dir, o.bytes)
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
-		case tKernel:
-			s := streams[o.stream]
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				s.WaitEvent(events[d])
-			}
-			ev := s.KernelOp(tapeNames[o.kernel][o.dt], o.dur)
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
-		}
-	}
-
-	for _, s := range t.tailH2D {
-		streams[StreamH2D].WaitEvent(e.events[s])
-	}
-	for _, s := range t.tailCmp {
-		streams[StreamComp].WaitEvent(e.events[s])
-	}
-	return e.pooled, nil
 }
 
 // tapeCache is the Plan field backing TapeFor: the compiled tapes, one per

@@ -41,13 +41,13 @@ func BuildGemv(spec GemvSpec) *Plan {
 		}
 		ch.live = true
 		if spec.LocX == model.OnDevice {
-			ch.ref = ArgRef(1, int32(tj*T), 0)
+			ch.ref = argRef(1, int32(tj*T), 0)
 			ch.ready = NoOp
 			return ch
 		}
 		slot := g.Slot(kernelmodel.F64, int64(n))
 		g.Alloc(slot)
-		ch.ref = SlotRef(slot, 0)
+		ch.ref = slotRef(slot, 0)
 		ch.ready = g.FetchVec(1, int32(tj*T), int32(n), slot, 0)
 		return ch
 	}
@@ -61,11 +61,11 @@ func BuildGemv(spec GemvSpec) *Plan {
 		ySlot := int32(-1)
 		yReady := NoOp
 		if spec.LocY == model.OnDevice {
-			yRef = ArgRef(2, int32(ti*T), 0)
+			yRef = argRef(2, int32(ti*T), 0)
 		} else {
 			ySlot = g.Slot(kernelmodel.F64, int64(rows))
 			g.Alloc(ySlot)
-			yRef = SlotRef(ySlot, 0)
+			yRef = slotRef(ySlot, 0)
 			if spec.Beta != 0 {
 				yReady = g.FetchVec(2, int32(ti*T), int32(rows), ySlot, 0)
 			}
@@ -74,13 +74,13 @@ func BuildGemv(spec GemvSpec) *Plan {
 		for tj := 0; tj < nt; tj++ {
 			cols := min(T, spec.N-tj*T)
 			xc := getX(tj, cols)
-			aRef := ArgRef(0, int32(ti*T), int32(tj*T))
+			aRef := argRef(0, int32(ti*T), int32(tj*T))
 			aReady := NoOp
 			if spec.LocA == model.OnHost {
 				slot := g.Slot(kernelmodel.F64, int64(rows)*int64(cols))
 				g.Alloc(slot)
 				aReady = g.Fetch(0, int32(ti*T), int32(tj*T), int32(rows), int32(cols), slot)
-				aRef = SlotRef(slot, int32(rows))
+				aRef = slotRef(slot, int32(rows))
 			}
 
 			// Compute-stream waits, in registration order: the A fetch, the
@@ -132,12 +132,12 @@ func BuildAxpy(spec AxpySpec) *Plan {
 
 		chunk := func(arg int8) (Ref, OpID) {
 			if p.Locs[arg] == model.OnDevice {
-				return ArgRef(arg, int32(off), 0), NoOp
+				return argRef(arg, int32(off), 0), NoOp
 			}
 			slot := g.Slot(kernelmodel.F64, int64(n))
 			g.Alloc(slot)
 			ready := g.FetchVec(arg, int32(off), int32(n), slot, 0)
-			return SlotRef(slot, 0), ready
+			return slotRef(slot, 0), ready
 		}
 		xRef, xReady := chunk(0)
 		yRef, yReady := chunk(1)
@@ -185,7 +185,7 @@ func BuildAxpyUnified(spec AxpySpec) *Plan {
 	xs, ys := mirror(0), mirror(1)
 	ref := func(arg int8, slot int32, off int) Ref {
 		if slot < 0 {
-			return ArgRef(arg, int32(off), 0)
+			return argRef(arg, int32(off), 0)
 		}
 		return slotOffRef(slot, int32(off))
 	}

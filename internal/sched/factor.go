@@ -21,7 +21,7 @@ import (
 // backed contexts A's lower triangle is overwritten by L. Tiles strictly
 // above the diagonal are never touched; above-diagonal entries inside
 // diagonal tiles hold intermediate update values on return (the SYRK
-// payload writes full tiles — see cudart.SyrkAsync).
+// payload writes full tiles: there is no packed triangular storage).
 type CholeskyOpts struct {
 	Dtype kernelmodel.Dtype
 	N     int

@@ -33,6 +33,92 @@ func refStreams(c *Context) (h2d, d2h, comp *cudart.Stream) {
 	return c.streams[plan.StreamH2D], c.streams[plan.StreamD2H], c.streams[plan.StreamComp]
 }
 
+// The oracle's launch helpers: the checked per-routine stream calls the
+// imperative schedulers were written against, one helper per call, rebuilt
+// on the runtime's transfer and kernel primitives with the original kernel
+// names, model durations and CPU payloads. The equivalence cases run
+// float64 operands only, so the kernel payloads are float64.
+
+// refSetMatrixAsync enqueues a 2-D h2d copy of a rows x cols submatrix from
+// host storage (leading dimension ldh) into dst at dstOff (leading
+// dimension ldd).
+func refSetMatrixAsync(s *cudart.Stream, rows, cols int, h64 []float64, h32 []float32, ldh int,
+	dst *cudart.DevBuffer, dstOff int64, ldd int) (*cudart.Event, error) {
+	return refCopy2D(s, machine.H2D, rows, cols, h64, h32, ldh, dst, dstOff, ldd), nil
+}
+
+// refGetMatrixAsync enqueues the d2h counterpart of refSetMatrixAsync.
+func refGetMatrixAsync(s *cudart.Stream, rows, cols int, src *cudart.DevBuffer, srcOff int64, lds int,
+	h64 []float64, h32 []float32, ldh int) (*cudart.Event, error) {
+	return refCopy2D(s, machine.D2H, rows, cols, h64, h32, ldh, src, srcOff, lds), nil
+}
+
+// refCopy2D enqueues a 2-D copy in direction dir, moving data when both
+// the device buffer and the host side carry storage.
+func refCopy2D(s *cudart.Stream, dir machine.LinkDir, rows, cols int, h64 []float64, h32 []float32, ldh int,
+	buf *cudart.DevBuffer, off int64, ldd int) *cudart.Event {
+	var w *cudart.Window
+	if buf.Backed() && (h64 != nil || h32 != nil) {
+		w = &cudart.Window{Buf: buf, F64: h64, F32: h32, Off: off,
+			Rows: int64(rows), Cols: int32(cols), Ldh: int32(ldh), Ldd: int32(ldd)}
+	}
+	return s.TransferOp(dir, int64(rows)*int64(cols)*buf.Dtype().Size(), w)
+}
+
+// refDur is the model duration of a kernel launch on the context's GPU.
+func refDur(c *Context, sh kernelmodel.Shape) float64 {
+	return sh.Time(&c.rt.Device().Testbed().GPU)
+}
+
+// refDispatchAsync enqueues a payload-free dispatch-overhead kernel.
+func refDispatchAsync(s *cudart.Stream, duration float64) (*cudart.Event, error) {
+	return s.KernelOp(cudart.NameDispatch, duration, nil), nil
+}
+
+// refGemmAsync enqueues C = alpha*op(A)*op(B) + beta*C over device
+// submatrices, with a payload when C is backed.
+func refGemmAsync(c *Context, s *cudart.Stream, transA, transB byte, m, n, k int,
+	alpha float64, a *cudart.DevBuffer, offA int64, lda int,
+	b *cudart.DevBuffer, offB int64, ldb int,
+	beta float64, cb *cudart.DevBuffer, offC int64, ldc int) (*cudart.Event, error) {
+	var payload cudart.Payload
+	if cb.Backed() {
+		payload = func(pool *parallel.Pool) error {
+			return blas.GemmParallel(pool, transA, transB, m, n, k, alpha,
+				a.F64()[offA:], lda, b.F64()[offB:], ldb, beta, cb.F64()[offC:], ldc)
+		}
+	}
+	dur := refDur(c, kernelmodel.Shape{Kind: kernelmodel.KindGemm, Dtype: kernelmodel.F64, M: m, N: n, K: k})
+	return s.KernelOp(cudart.NameDgemm, dur, payload), nil
+}
+
+// refGemvAsync enqueues y = alpha*op(A)*x + beta*y over device operands.
+func refGemvAsync(c *Context, s *cudart.Stream, trans byte, m, n int, alpha float64,
+	a *cudart.DevBuffer, offA int64, lda int, x *cudart.DevBuffer, offX int64,
+	beta float64, y *cudart.DevBuffer, offY int64) (*cudart.Event, error) {
+	var payload cudart.Payload
+	if y.Backed() {
+		payload = func(*parallel.Pool) error {
+			return blas.Gemv(trans, m, n, alpha, a.F64()[offA:], lda, x.F64()[offX:], 1, beta, y.F64()[offY:], 1)
+		}
+	}
+	dur := refDur(c, kernelmodel.Shape{Kind: kernelmodel.KindGemv, Dtype: kernelmodel.F64, M: m, N: n})
+	return s.KernelOp(cudart.NameGemv, dur, payload), nil
+}
+
+// refAxpyAsync enqueues y += alpha*x over device vectors.
+func refAxpyAsync(c *Context, s *cudart.Stream, n int, alpha float64,
+	x *cudart.DevBuffer, offX int64, y *cudart.DevBuffer, offY int64) (*cudart.Event, error) {
+	var payload cudart.Payload
+	if y.Backed() {
+		payload = func(*parallel.Pool) error {
+			return blas.Axpy(n, alpha, x.F64()[offX:], 1, y.F64()[offY:], 1)
+		}
+	}
+	dur := refDur(c, kernelmodel.Shape{Kind: kernelmodel.KindAxpy, Dtype: kernelmodel.F64, N: n})
+	return s.KernelOp(cudart.NameDaxpy, dur, payload), nil
+}
+
 // refTile is the oracle's devTile.
 type refTile struct {
 	buf   *cudart.DevBuffer
@@ -106,7 +192,7 @@ func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Res
 		t.buf, t.off, t.ld = buf, 0, rows
 		if fetch {
 			h64, h32 := m.HostSlices(ti*T, tj*T)
-			ev, err := h2d.SetMatrixAsync(rows, tcols, h64, h32, m.HostLd, buf, 0, rows)
+			ev, err := refSetMatrixAsync(h2d, rows, tcols, h64, h32, m.HostLd, buf, 0, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -157,11 +243,11 @@ func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Res
 					}
 				}
 				if overheadS > 0 {
-					if _, err := comp.KernelAsync("dispatch", overheadS, nil); err != nil {
+					if _, err := refDispatchAsync(comp, overheadS); err != nil {
 						return fail(err)
 					}
 				}
-				if _, err := comp.GemmAsync(transA, transB,
+				if _, err := refGemmAsync(c, comp, transA, transB,
 					rows, cols, inner, opts.Alpha,
 					aTile.buf, aTile.off, aTile.ld,
 					bTile.buf, bTile.off, bTile.ld,
@@ -173,7 +259,7 @@ func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Res
 			if opts.C.Loc == model.OnHost {
 				d2h.WaitEvent(comp.Record())
 				h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-				if _, err := d2h.GetMatrixAsync(rows, cols,
+				if _, err := refGetMatrixAsync(d2h, rows, cols,
 					cTile.buf, cTile.off, cTile.ld, h64, h32, opts.C.HostLd); err != nil {
 					return fail(err)
 				}
@@ -286,7 +372,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				aBuf, aOff, aLd := opts.A.Dev, int64(ti*T)+int64(tk*T)*int64(opts.A.DevLd), opts.A.DevLd
 				if opts.A.Loc == model.OnHost {
 					h64, h32 := opts.A.HostSlices(ti*T, tk*T)
-					if _, err := h2d.SetMatrixAsync(rows, inner, h64, h32, opts.A.HostLd, g.a, 0, rows); err != nil {
+					if _, err := refSetMatrixAsync(h2d, rows, inner, h64, h32, opts.A.HostLd, g.a, 0, rows); err != nil {
 						return fail(err)
 					}
 					res.BytesH2D += int64(rows) * int64(inner) * dt.Size()
@@ -295,7 +381,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				bBuf, bOff, bLd := opts.B.Dev, int64(tk*T)+int64(tj*T)*int64(opts.B.DevLd), opts.B.DevLd
 				if opts.B.Loc == model.OnHost {
 					h64, h32 := opts.B.HostSlices(tk*T, tj*T)
-					if _, err := h2d.SetMatrixAsync(inner, cols, h64, h32, opts.B.HostLd, g.b, 0, inner); err != nil {
+					if _, err := refSetMatrixAsync(h2d, inner, cols, h64, h32, opts.B.HostLd, g.b, 0, inner); err != nil {
 						return fail(err)
 					}
 					res.BytesH2D += int64(inner) * int64(cols) * dt.Size()
@@ -311,7 +397,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 							h2d.WaitEvent(wb)
 						}
 						h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-						if _, err := h2d.SetMatrixAsync(rows, cols, h64, h32, opts.C.HostLd, g.c, 0, rows); err != nil {
+						if _, err := refSetMatrixAsync(h2d, rows, cols, h64, h32, opts.C.HostLd, g.c, 0, rows); err != nil {
 							return fail(err)
 						}
 						res.BytesH2D += int64(rows) * int64(cols) * dt.Size()
@@ -326,7 +412,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				}
 
 				comp.WaitEvent(h2d.Record())
-				if _, err := comp.GemmAsync(blas.NoTrans, blas.NoTrans,
+				if _, err := refGemmAsync(c, comp, blas.NoTrans, blas.NoTrans,
 					rows, cols, inner, opts.Alpha,
 					aBuf, aOff, aLd, bBuf, bOff, bLd,
 					beta, cBuf, cOff, cLd); err != nil {
@@ -338,7 +424,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				if opts.C.Loc == model.OnHost {
 					d2h.WaitEvent(g.lastKernel)
 					h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-					if _, err := d2h.GetMatrixAsync(rows, cols, cBuf, cOff, cLd, h64, h32, opts.C.HostLd); err != nil {
+					if _, err := refGetMatrixAsync(d2h, rows, cols, cBuf, cOff, cLd, h64, h32, opts.C.HostLd); err != nil {
 						return fail(err)
 					}
 					res.BytesD2H += int64(rows) * int64(cols) * dt.Size()
@@ -453,7 +539,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 				}
 				pooled = append(pooled, buf)
 				h64, h32 := opts.A.HostSlices(ti*T, tj*T)
-				ev, err := h2d.SetMatrixAsync(rows, cols, h64, h32, opts.A.HostLd, buf, 0, rows)
+				ev, err := refSetMatrixAsync(h2d, rows, cols, h64, h32, opts.A.HostLd, buf, 0, rows)
 				if err != nil {
 					return fail(err)
 				}
@@ -473,7 +559,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 					beta = 0
 				}
 			}
-			if _, err := comp.GemvAsync(blas.NoTrans, rows, cols, opts.Alpha,
+			if _, err := refGemvAsync(c, comp, blas.NoTrans, rows, cols, opts.Alpha,
 				aBuf, aOff, aLd, xc.buf, xc.off, beta, yBuf, yOff); err != nil {
 				return fail(err)
 			}
@@ -573,7 +659,7 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 
 		comp.WaitEvent(xReady)
 		comp.WaitEvent(yReady)
-		if _, err := comp.AxpyAsync(n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
+		if _, err := refAxpyAsync(c, comp, n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
 			return fail(err)
 		}
 		res.Subkernels++

@@ -11,75 +11,82 @@ import (
 	"cocopelia/internal/sim"
 )
 
-// The tape-replay tests pin plan.RunTape to the reference Executor.Run on
-// timing-only contexts: both paths must issue the identical stream-call
-// sequence and therefore produce the identical simulation — same end time,
-// same processed-event count, same per-direction link traffic.
+// The replay tests pin the two sides of the one replay path to each
+// other: a backed run (real operands; every transfer carries its host
+// window and every kernel its payload) and a timing-only tape replay of
+// the same plan must fire the identical simulation — the same kernels and
+// transfers at the same virtual times, the same processed-event count and
+// the same end time.
 
-// timingMat returns a storage-free operand at loc (device buffers are
-// allocated unbacked when needed).
-func timingMat(t *testing.T, c *Context, rows, cols int, loc model.Loc) *Matrix {
-	t.Helper()
-	if loc == model.OnHost {
-		return &Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}
-	}
-	buf, err := c.rt.Malloc(kernelmodel.F64, int64(rows)*int64(cols), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}
+// replayEvent is one kernel or transfer as the hardware models saw it.
+type replayEvent struct {
+	kernel     string // "" for a transfer
+	dir        machine.LinkDir
+	bytes      int64
+	start, end sim.Time
 }
 
 type replayTrace struct {
 	end       sim.Time
 	processed uint64
-	h2d, d2h  int64 // link bytes
-	transfers int64
+	events    []replayEvent
 }
 
-// replayOnce builds a fresh timing-only context, lets build produce the
-// plan and its bound arguments, replays through the selected path, and
-// drains the simulation.
-func replayOnce(t *testing.T, tape bool, build func(c *Context) (*plan.Plan, []plan.Arg)) replayTrace {
+// replayOnce builds a fresh backed or timing-only context, lets build
+// produce the plan and its bound arguments, replays it and drains the
+// simulation, recording every kernel and transfer in completion order. It
+// returns the trace, the plan and its arguments.
+func replayOnce(t *testing.T, backed bool, build func(c *Context) (*plan.Plan, []plan.Arg)) (replayTrace, *plan.Plan, []plan.Arg) {
 	t.Helper()
-	c := newCtx(false)
+	c := newCtx(backed)
+	var tr replayTrace
+	c.rt.Device().SetKernelObserver(func(name string, start, end sim.Time) {
+		tr.events = append(tr.events, replayEvent{kernel: name, start: start, end: end})
+	})
+	c.rt.Device().Link().SetObserver(func(dir machine.LinkDir, start, end sim.Time, bytes int64) {
+		tr.events = append(tr.events, replayEvent{dir: dir, bytes: bytes, start: start, end: end})
+	})
 	p, args := build(c)
-	var err error
-	if tape {
-		_, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(p))
-	} else {
-		_, err = c.exec.Run(p, c.target(p), args)
-	}
-	if err != nil {
+	if _, err := c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(p), args); err != nil {
 		t.Fatal(err)
 	}
 	end, err := c.rt.Sync()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk := c.rt.Device().Link()
-	h2d, d2h := lk.Stats(machine.H2D), lk.Stats(machine.D2H)
-	return replayTrace{
-		end:       end,
-		processed: c.rt.Engine().Processed(),
-		h2d:       h2d.Bytes,
-		d2h:       d2h.Bytes,
-		transfers: h2d.Transfers + d2h.Transfers,
-	}
+	tr.end, tr.processed = end, c.rt.Engine().Processed()
+	return tr, p, args
 }
 
+// checkTapeMatchesRun compares a backed run of the plan build makes with a
+// timing-only replay of it.
 func checkTapeMatchesRun(t *testing.T, name string, build func(c *Context) (*plan.Plan, []plan.Arg)) {
 	t.Helper()
-	ref := replayOnce(t, false, build)
-	got := replayOnce(t, true, build)
-	if got != ref {
-		t.Errorf("%s: tape replay diverged from Executor.Run:\n  run  %+v\n  tape %+v", name, ref, got)
+	ref, _, _ := replayOnce(t, true, build)
+	got, _, _ := replayOnce(t, false, build)
+	checkSameTrace(t, name, ref, got)
+}
+
+// checkSameTrace fails unless a timing-only replay fired exactly what the
+// backed run did.
+func checkSameTrace(t *testing.T, name string, ref, got replayTrace) {
+	t.Helper()
+	if got.end != ref.end || got.processed != ref.processed || len(got.events) != len(ref.events) {
+		t.Fatalf("%s: timing-only replay diverged from the backed run: end %v / %v, %d / %d events processed, %d / %d kernels and transfers",
+			name, got.end, ref.end, got.processed, ref.processed, len(got.events), len(ref.events))
 	}
-	if ref.processed == 0 {
-		t.Errorf("%s: reference replay processed no events", name)
+	for i := range ref.events {
+		if got.events[i] != ref.events[i] {
+			t.Fatalf("%s: event %d diverged: backed %+v, timing-only %+v", name, i, ref.events[i], got.events[i])
+		}
+	}
+	if len(ref.events) == 0 {
+		t.Errorf("%s: the backed run fired no kernel or transfer", name)
 	}
 }
 
+// TestTapeReplayMatchesRun runs every schedule family backed and replays
+// it timing-only, demanding the identical fired sequence.
 func TestTapeReplayMatchesRun(t *testing.T) {
 	H, D := model.OnHost, model.OnDevice
 	gemm := func(dt kernelmodel.Dtype, transA, transB byte, m, n, k, T int, alpha, beta float64,
@@ -96,9 +103,9 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 			opts := GemmOpts{
 				Dtype: dt, TransA: transA, TransB: transB,
 				M: m, N: n, K: k, Alpha: alpha, Beta: beta, T: T,
-				A: timingMat(t, c, ar, ac, locs[0]),
-				B: timingMat(t, c, br, bc, locs[1]),
-				C: timingMat(t, c, m, n, locs[2]),
+				A: testMat(t, c, dt, ar, ac, locs[0], 0),
+				B: testMat(t, c, dt, br, bc, locs[1], 0),
+				C: testMat(t, c, dt, m, n, locs[2], 0),
 			}
 			return planArgs(t, c, GemmBlasxOpts{GemmOpts: opts, DispatchS: dispatch})
 		}
@@ -120,9 +127,9 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 		checkTapeMatchesRun(t, "gemm-noreuse", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := GemmOpts{
 				Dtype: kernelmodel.F64, M: 96, N: 96, K: 64, Alpha: 1, Beta: 1, T: 32,
-				A: timingMat(t, c, 96, 64, H),
-				B: timingMat(t, c, 64, 96, H),
-				C: timingMat(t, c, 96, 96, H),
+				A: testMat(t, c, kernelmodel.F64, 96, 64, H, 0),
+				B: testMat(t, c, kernelmodel.F64, 64, 96, H, 0),
+				C: testMat(t, c, kernelmodel.F64, 96, 96, H, 0),
 			}
 			return planArgs(t, c, GemmNoReuseOpts(opts))
 		})
@@ -131,9 +138,9 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 		checkTapeMatchesRun(t, "gemm-cublasxt", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := GemmOpts{
 				Dtype: kernelmodel.F64, M: 100, N: 96, K: 70, Alpha: 1, Beta: 1, T: 32,
-				A: timingMat(t, c, 100, 70, D),
-				B: timingMat(t, c, 70, 96, H),
-				C: timingMat(t, c, 100, 96, H),
+				A: testMat(t, c, kernelmodel.F64, 100, 70, D, 0),
+				B: testMat(t, c, kernelmodel.F64, 70, 96, H, 0),
+				C: testMat(t, c, kernelmodel.F64, 100, 96, H, 0),
 			}
 			return planArgs(t, c, GemmXtOpts(opts))
 		})
@@ -143,8 +150,8 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 			n := 2*UnifiedPrefetchElems + 1000
 			opts := AxpyUnifiedOpts{
 				N: n, Alpha: 1.1,
-				X: &Vector{N: n, Loc: model.OnHost},
-				Y: &Vector{N: n, Loc: model.OnHost},
+				X: testVec(t, c, n, model.OnHost, 0),
+				Y: testVec(t, c, n, model.OnHost, 0),
 			}
 			return planArgs(t, c, opts)
 		})
@@ -153,9 +160,9 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 		checkTapeMatchesRun(t, "gemv", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := GemvOpts{
 				M: 96, N: 64, Alpha: 1.25, Beta: 0.75, T: 32,
-				A: timingMat(t, c, 96, 64, H),
-				X: &Vector{N: 64, Loc: model.OnHost},
-				Y: &Vector{N: 96, Loc: model.OnHost},
+				A: testMat(t, c, kernelmodel.F64, 96, 64, H, 0),
+				X: testVec(t, c, 64, model.OnHost, 0),
+				Y: testVec(t, c, 96, model.OnHost, 0),
 			}
 			return planArgs(t, c, opts)
 		})
@@ -164,8 +171,8 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 		checkTapeMatchesRun(t, "axpy", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := AxpyOpts{
 				N: 1000, Alpha: 1.1, T: 256,
-				X: &Vector{N: 1000, Loc: model.OnHost},
-				Y: &Vector{N: 1000, Loc: model.OnHost},
+				X: testVec(t, c, 1000, model.OnHost, 0),
+				Y: testVec(t, c, 1000, model.OnHost, 0),
 			}
 			return planArgs(t, c, opts)
 		})
@@ -173,29 +180,29 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 	t.Run("cholesky", func(t *testing.T) {
 		checkTapeMatchesRun(t, "cholesky", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := CholeskyOpts{Dtype: kernelmodel.F64, N: 100, T: 32,
-				A: timingMat(t, c, 100, 100, H)}
+				A: testMat(t, c, kernelmodel.F64, 100, 100, H, 0)}
 			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("cholesky-device", func(t *testing.T) {
 		checkTapeMatchesRun(t, "cholesky-device", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := CholeskyOpts{Dtype: kernelmodel.F64, N: 96, T: 32,
-				A: timingMat(t, c, 96, 96, D)}
+				A: testMat(t, c, kernelmodel.F64, 96, 96, D, 0)}
 			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("lu", func(t *testing.T) {
 		checkTapeMatchesRun(t, "lu", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := LUOpts{Dtype: kernelmodel.F64, N: 100, T: 32,
-				A: timingMat(t, c, 100, 100, H)}
+				A: testMat(t, c, kernelmodel.F64, 100, 100, H, 0)}
 			return planArgs(t, c, opts)
 		})
 	})
 	t.Run("trsm", func(t *testing.T) {
 		checkTapeMatchesRun(t, "trsm", func(c *Context) (*plan.Plan, []plan.Arg) {
 			opts := TrsmOpts{Dtype: kernelmodel.F64, M: 96, N: 64, Alpha: 0.75, T: 32,
-				A: timingMat(t, c, 96, 96, H),
-				B: timingMat(t, c, 96, 64, H)}
+				A: testMat(t, c, kernelmodel.F64, 96, 96, H, 0),
+				B: testMat(t, c, kernelmodel.F64, 96, 64, H, 0)}
 			return planArgs(t, c, opts)
 		})
 	})
@@ -223,7 +230,7 @@ func tapeFixture(tb testing.TB, m, n, k, T int) (*Context, *plan.Tape) {
 // replayTapeOnce replays the tape, drains the engine and releases the
 // staging buffers back to the pool.
 func replayTapeOnce(tb testing.TB, c *Context, tape *plan.Tape) {
-	pooled, err := c.exec.RunTape(tape, plan.Target{Streams: c.streams, Alloc: c})
+	pooled, err := c.exec.RunTape(tape, plan.Target{Streams: c.streams, Alloc: c}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -158,29 +158,24 @@ func (p *PendingGemm) Finish(end float64) Result {
 
 // OnDrained enqueues fn to run when all work enqueued so far on the
 // context's streams has completed (used to timestamp a pending run's own
-// completion inside a larger concurrent batch).
+// completion inside a larger concurrent batch). The callback runs on the
+// context's drain stream, created on first use.
 func (c *Context) OnDrained(fn func()) {
-	s := c.rt.NewStream()
-	for _, st := range c.streams {
-		s.WaitEvent(st.Record())
+	if c.drain == nil {
+		c.drain = c.rt.NewStream()
 	}
-	s.Callback(fn)
+	for _, st := range c.streams {
+		c.drain.WaitEvent(st.Record())
+	}
+	c.drain.Callback(fn)
 }
 
 // enqueuePlan replays a validated plan on the context's streams without
-// draining the engine — through the precompiled timing-only tape on
-// unbacked contexts, through the reference executor otherwise (the two are
-// pinned event-identical by the scheduler's tape-replay tests).
+// draining the engine, through the plan's tape for the device's GPU model.
 func (c *Context) enqueuePlan(p *plan.Plan, args []plan.Arg) (*PendingGemm, error) {
 	res := Result{T: p.T, Subkernels: p.Subkernels, BytesH2D: p.BytesH2D, BytesD2H: p.BytesD2H}
 	start := c.rt.Now()
-	var pooled []*cudart.DevBuffer
-	var err error
-	if c.backed {
-		pooled, err = c.exec.Run(p, c.target(p), args)
-	} else {
-		pooled, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(p))
-	}
+	pooled, err := c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(p), args)
 	if err != nil {
 		return nil, err
 	}

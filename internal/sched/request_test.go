@@ -26,34 +26,91 @@ type reqShape struct {
 var reqRoutines = []string{"gemm", "gemm-noreuse", "gemv", "axpy", "syrk", "cholesky", "lu", "trsm",
 	"gemm-cublasxt", "gemm-blasx", "axpy-unified"}
 
-// buildReq materializes the shape's operands on c — storage-free host
-// descriptors, unbacked device buffers — and returns the routine's
-// request. Operand shapes follow the request's (valid) transpose flags;
-// non-positive dimensions give 1-element operands, so the request itself
-// must reject them.
+// testMat returns a packed rows x cols operand at loc: storage-free (and
+// on an unbacked device buffer) on timing-only contexts, filled with
+// testData(rows, cols, seed) on backed ones. Device data is written
+// straight into the buffer, so operand setup fires no simulation events.
+func testMat(t testing.TB, c *Context, dt kernelmodel.Dtype, rows, cols int, loc model.Loc, seed int) *Matrix {
+	t.Helper()
+	m := &Matrix{Rows: rows, Cols: cols, Loc: loc, HostLd: rows}
+	var data []float64
+	if c.backed {
+		data = testData(rows, cols, seed)
+	}
+	if loc == model.OnDevice {
+		buf, err := c.rt.Malloc(dt, int64(rows)*int64(cols), c.backed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.HostLd, m.Dev, m.DevLd = 0, buf, rows
+		storeF(data, buf.F64(), buf.F32())
+		return m
+	}
+	if data != nil {
+		if dt == kernelmodel.F32 {
+			m.HostF32 = make([]float32, len(data))
+		} else {
+			m.HostF64 = data
+		}
+		storeF(data, nil, m.HostF32)
+	}
+	return m
+}
+
+// testVec is testMat for (float64) vectors.
+func testVec(t testing.TB, c *Context, n int, loc model.Loc, seed int) *Vector {
+	t.Helper()
+	m := testMat(t, c, kernelmodel.F64, n, 1, loc, seed)
+	if loc == model.OnDevice {
+		return &Vector{N: n, Loc: loc, Dev: m.Dev}
+	}
+	return &Vector{N: n, Loc: loc, HostF64: m.HostF64}
+}
+
+// testData is a column-major rows x cols pattern that every routine can
+// run on: off-diagonal entries in (-1, 1) scaled down by the larger
+// dimension, symmetric in (i, j), and a diagonal in [1, 3). Square
+// instances are diagonally dominant, hence positive definite, factor
+// without pivoting and solve stably even with a unit diagonal.
+func testData(rows, cols, seed int) []float64 {
+	d := make([]float64, rows*cols)
+	scale := 1 / float64(max(rows, cols))
+	for j := 0; j < cols; j++ {
+		for i := 0; i < rows; i++ {
+			lo, hi := min(i, j), max(i, j)
+			u := float64((lo*7919+hi*104729+seed*15485863)%2000)/1000 - 1
+			if i == j {
+				d[i+j*rows] = 2 + u
+			} else {
+				d[i+j*rows] = u * scale
+			}
+		}
+	}
+	return d
+}
+
+// storeF copies data into whichever of f64 and f32 is set.
+func storeF(data, f64 []float64, f32 []float32) {
+	copy(f64, data)
+	for i := range f32 {
+		f32[i] = float32(data[i])
+	}
+}
+
+// buildReq materializes the shape's operands on c with testMat and testVec
+// and returns the routine's request. Operand shapes follow the request's
+// (valid) transpose flags; non-positive dimensions give 1-element
+// operands, so the request itself must reject them.
 func buildReq(t testing.TB, c *Context, routine string, s reqShape) Request {
 	t.Helper()
+	seed := 0
 	mat := func(dt kernelmodel.Dtype, rows, cols int, loc model.Loc) *Matrix {
-		rows, cols = max(rows, 1), max(cols, 1)
-		if loc == model.OnHost {
-			return &Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}
-		}
-		buf, err := c.rt.Malloc(dt, int64(rows)*int64(cols), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}
+		seed++
+		return testMat(t, c, dt, max(rows, 1), max(cols, 1), loc, seed)
 	}
 	vec := func(n int, loc model.Loc) *Vector {
-		n = max(n, 1)
-		if loc == model.OnHost {
-			return &Vector{N: n, Loc: model.OnHost}
-		}
-		buf, err := c.rt.Malloc(kernelmodel.F64, int64(n), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Vector{N: n, Loc: model.OnDevice, Dev: buf}
+		seed++
+		return testVec(t, c, max(n, 1), loc, seed)
 	}
 	ar, ac := s.m, s.k
 	if s.transA == blas.Trans {

@@ -67,8 +67,11 @@ type Context struct {
 	// compute first, then the further worker streams the first plan that
 	// needs them (the cuBLASXt schedule) creates.
 	streams []*cudart.Stream
-	pool    []poolBucket
-	backed  bool
+	// drain is the stream OnDrained's callbacks wait on, created on first
+	// use.
+	drain  *cudart.Stream
+	pool   []poolBucket
+	backed bool
 
 	// exec replays tile plans onto the streams; it owns the per-call
 	// scratch (event table, slot bindings, acquired-buffer list), so the
@@ -115,7 +118,7 @@ func (c *Context) Reset() {
 // indexes.
 func (c *Context) target(p *plan.Plan) plan.Target {
 	c.growStreams(p.Streams)
-	return plan.Target{Streams: c.streams, Alloc: c}
+	return plan.Target{Streams: c.streams, Alloc: c, Backed: c.backed}
 }
 
 // bucket returns the pool bucket for key, or nil.

@@ -388,6 +388,41 @@ func TestAxpyValidation(t *testing.T) {
 	}
 }
 
+// TestShortDeviceOperandRejected gives a request device-resident operands
+// whose buffers are shorter than their shapes address. Timing-only and
+// backed contexts alike must refuse them before anything is enqueued, not
+// accept them or index past the buffer.
+func TestShortDeviceOperandRejected(t *testing.T) {
+	for _, backed := range []bool{false, true} {
+		c := newCtx(backed)
+		host := func(rows, cols int) *Matrix {
+			m := &Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}
+			if backed {
+				m.HostF64 = make([]float64, rows*cols)
+			}
+			return m
+		}
+		short, err := c.rt.Malloc(kernelmodel.F64, 10, backed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gemm := GemmOpts{Dtype: kernelmodel.F64, M: 64, N: 64, K: 64, Alpha: 1, Beta: 1, T: 32,
+			A: &Matrix{Rows: 64, Cols: 64, Loc: model.OnDevice, Dev: short, DevLd: 64},
+			B: host(64, 64), C: host(64, 64)}
+		if _, err := c.Run(gemm); err == nil {
+			t.Errorf("backed=%v: gemm with A on a 10-element buffer accepted", backed)
+		}
+		x := &Vector{N: 64, Loc: model.OnHost}
+		if backed {
+			x.HostF64 = make([]float64, 64)
+		}
+		axpy := AxpyOpts{N: 64, Alpha: 1, T: 32, X: x, Y: &Vector{N: 64, Loc: model.OnDevice, Dev: short}}
+		if _, err := c.Run(axpy); err == nil {
+			t.Errorf("backed=%v: axpy with y on a 10-element buffer accepted", backed)
+		}
+	}
+}
+
 func TestBufferPoolReuseAcrossCalls(t *testing.T) {
 	// The second identical call must reuse pooled buffers: device memory
 	// peak should not double.
