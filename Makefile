@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test vet lint lint-json race verify bench bench-blas \
 	bench-blas-gate bench-campaign bench-campaign-check bench-campaign-gate \
 	bench-campaign-smoke bench-factor bench-factor-check bench-select-smoke \
-	cross-arm64 fuzz-smoke plan-golden-smoke profile results
+	cross-arm64 fuzz-smoke perfbench-check plan-golden-smoke profile results
 
 build:
 	$(GO) build ./...
@@ -37,13 +37,14 @@ race:
 # the invariant analyzers, the race-enabled suite, a sub-second run of the
 # campaign mode, the campaign and factorization-sweep identity checks, one
 # pass of the factorization tile-selection benchmark, the golden tile-plan
-# check, a short fuzz of the request path, and the arm64 cross-compile (there
+# check, a short fuzz of the request path, the arm64 cross-compile (there
 # is no native arm64 CI runner, so build+vet is that port's regression
-# gate). The bench checks here compare exact fields only, so they
-# pass at any host speed; timings are gated by the bench-*-gate targets.
+# gate), and the build, vet and tests of the repository benchmark's module.
+# The bench checks here compare exact fields only, so they pass at any host
+# speed; timings are gated by the bench-*-gate targets.
 verify: build vet lint race bench-campaign-smoke bench-campaign-check \
 	bench-factor-check bench-select-smoke plan-golden-smoke fuzz-smoke \
-	cross-arm64
+	cross-arm64 perfbench-check
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -145,6 +146,16 @@ plan-golden-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanBacked$$' -fuzztime 10s ./internal/sched
+
+# perfbench-check builds, vets and tests the repository benchmark
+# (perfbench/_src, its own module over this one), so a change to a name it
+# pins (sched.Context.PlanGemm and the EnqueueWith forwards, plan.Plan.Ops,
+# eval.Runner) fails here rather than only when the benchmark runs. It
+# writes nothing under perfbench/: the binary goes to /dev/null.
+perfbench-check:
+	$(GO) build -C perfbench/_src -o /dev/null .
+	$(GO) vet -C perfbench/_src ./...
+	$(GO) test -C perfbench/_src ./...
 
 # profile captures a CPU profile of the campaign sweep for pprof:
 #   go tool pprof -top results/campaign.pprof

@@ -139,6 +139,9 @@ type Library struct {
 	traced *Trace
 	// kt memoizes the kernel durations factorization tile selection sums.
 	kt kernelmodel.Memo
+	// stage is the stream of the synchronous uploads and readbacks
+	// (DeviceMatrix, DeviceVector, ReadDeviceMatrix), created on first use.
+	stage *cudart.Stream
 }
 
 // Open deploys (or adopts) the machine models for the testbed and returns
@@ -530,19 +533,12 @@ func (l *Library) DeviceMatrix(routine string, rows, cols int, data []float64) (
 	if routine == "sgemm" {
 		dt = kernelmodel.F32
 	}
-	backed := data != nil
-	buf, err := l.rt.Malloc(dt, int64(rows)*int64(cols), backed)
+	buf, err := l.rt.Malloc(dt, int64(rows)*int64(cols), data != nil)
 	if err != nil {
 		return nil, err
 	}
-	if data != nil {
-		s := l.rt.NewStream()
-		if _, err := s.MemcpyH2DAsync(buf, 0, data, nil, int64(rows)*int64(cols)); err != nil {
-			return nil, err
-		}
-		if _, err := l.rt.Sync(); err != nil {
-			return nil, err
-		}
+	if err := l.upload(buf, data); err != nil {
+		return nil, err
 	}
 	return &Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}, nil
 }
@@ -554,16 +550,38 @@ func (l *Library) DeviceVector(n int, data []float64) (*Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if data != nil {
-		s := l.rt.NewStream()
-		if _, err := s.MemcpyH2DAsync(buf, 0, data, nil, int64(n)); err != nil {
-			return nil, err
-		}
-		if _, err := l.rt.Sync(); err != nil {
-			return nil, err
-		}
+	if err := l.upload(buf, data); err != nil {
+		return nil, err
 	}
 	return &Vector{N: n, Loc: model.OnDevice, Dev: buf}, nil
+}
+
+// stageStream returns the session's staging stream, created on first use:
+// one stream serves every upload and readback, so they leave the runtime's
+// stream set (which every Sync walks) unchanged after the first.
+func (l *Library) stageStream() *cudart.Stream {
+	if l.stage == nil {
+		l.stage = l.rt.NewStream()
+	}
+	return l.stage
+}
+
+// upload copies data, when given, into the whole of the fresh buffer buf
+// and drains the engine; on failure it frees buf.
+func (l *Library) upload(buf *cudart.DevBuffer, data []float64) error {
+	if data == nil {
+		return nil
+	}
+	_, err := l.stageStream().MemcpyH2DAsync(buf, 0, data, nil, buf.Elems())
+	if err == nil {
+		_, err = l.rt.Sync()
+	}
+	if err != nil {
+		// The copy's error is the one to report; freeing a buffer just
+		// allocated cannot fail.
+		_ = l.rt.Free(buf)
+	}
+	return err
 }
 
 // ReadDeviceMatrix copies a device-resident matrix back to a host slice
@@ -573,8 +591,7 @@ func (l *Library) ReadDeviceMatrix(m *Matrix, dst []float64) error {
 	if m == nil || m.Loc != model.OnDevice || m.Dev == nil {
 		return errors.New("cocopelia: not a device matrix")
 	}
-	s := l.rt.NewStream()
-	if _, err := s.MemcpyD2HAsync(dst, nil, m.Dev, 0, int64(m.Rows)*int64(m.Cols)); err != nil {
+	if _, err := l.stageStream().MemcpyD2HAsync(dst, nil, m.Dev, 0, int64(m.Rows)*int64(m.Cols)); err != nil {
 		return err
 	}
 	_, err := l.rt.Sync()

@@ -203,6 +203,62 @@ func TestDeviceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeviceUploadChecksHostData pins the host-side checks of the
+// synchronous device copies: a host slice of the wrong dtype or length is
+// an error naming the copy, not a silent no-op or a panic in Sync, and a
+// failed upload frees its buffer.
+func TestDeviceUploadChecksHostData(t *testing.T) {
+	lib := openBacked(t)
+	defer lib.Close()
+	used := lib.rt.Device().MemUsed()
+	if _, err := lib.DeviceMatrix("sgemm", 2, 2, []float64{1, 2, 3, 4}); err == nil || !strings.Contains(err.Error(), "h2d") {
+		t.Errorf("float64 data into an sgemm matrix: error %v, want an h2d error", err)
+	}
+	if _, err := lib.DeviceVector(8, []float64{1, 2, 3, 4}); err == nil || !strings.Contains(err.Error(), "h2d of 8") {
+		t.Errorf("4 elements into an 8-element vector: error %v, want an h2d error", err)
+	}
+	if got := lib.rt.Device().MemUsed(); got != used {
+		t.Errorf("failed uploads left %d bytes allocated, want %d", got, used)
+	}
+	s, err := lib.DeviceMatrix("sgemm", 2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.ReadDeviceMatrix(s, make([]float64, 4)); err == nil || !strings.Contains(err.Error(), "d2h") {
+		t.Errorf("reading an sgemm matrix into float64: error %v, want a d2h error", err)
+	}
+}
+
+// TestDeviceCopiesKeepStreams repeats uploads and readbacks: after the
+// first, they must reuse the session's staging stream rather than add one
+// stream per copy to the runtime, whose every Sync walks all streams.
+func TestDeviceCopiesKeepStreams(t *testing.T) {
+	lib := openBacked(t)
+	defer lib.Close()
+	data := []float64{1, 2, 3, 4}
+	copies := func(n int) {
+		for i := 0; i < n; i++ {
+			v, err := lib.DeviceMatrix("dgemm", 2, 2, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lib.ReadDeviceMatrix(v, make([]float64, 4)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lib.DeviceVector(4, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	copies(1)
+	first := lib.rt.NewStream().ID()
+	copies(100)
+	// The probes above and below create one stream each.
+	if got := lib.rt.NewStream().ID(); got != first+1 {
+		t.Errorf("next stream id %d after 100 more copies, want %d", got, first+1)
+	}
+}
+
 func TestSelectionCachedAndPlausible(t *testing.T) {
 	lib := openTiming(t)
 	defer lib.Close()

@@ -728,8 +728,15 @@ func (rt *Runtime) Free(b *DevBuffer) error {
 	return rt.dev.Free(b.mem)
 }
 
-// memcpyBounds validates an elems-sized access at off into b.
-func memcpyBounds(b *DevBuffer, off, elems int64, what string) error {
+// ErrHostSlice reports a 1-D copy whose host slice does not fit the device
+// buffer: a slice of the other dtype, or one shorter than the copy.
+var ErrHostSlice = errors.New("cudart: host slice does not fit the copy")
+
+// memcpyBounds validates a 1-D copy of elems elements at off into b: the
+// range must lie inside b, and a host side, when given (nil/nil is a
+// timing-only copy), must be exactly the slice of b's dtype, holding at
+// least elems elements.
+func memcpyBounds(b *DevBuffer, off, elems int64, hostF64 []float64, hostF32 []float32, what string) error {
 	if b == nil {
 		return fmt.Errorf("cudart: %s: nil device buffer", what)
 	}
@@ -737,13 +744,29 @@ func memcpyBounds(b *DevBuffer, off, elems int64, what string) error {
 		return fmt.Errorf("cudart: %s: range [%d, %d) outside buffer of %d elems",
 			what, off, off+elems, b.elems)
 	}
-	return nil
+	if hostF64 == nil && hostF32 == nil {
+		return nil
+	}
+	n, ok := int64(len(hostF64)), hostF32 == nil
+	if b.dt == kernelmodel.F32 {
+		n, ok = int64(len(hostF32)), hostF64 == nil
+	}
+	if ok && n >= elems {
+		return nil
+	}
+	host := fmt.Sprintf("[]float64 of %d", len(hostF64))
+	if hostF64 == nil {
+		host = fmt.Sprintf("[]float32 of %d", len(hostF32))
+	} else if hostF32 != nil {
+		host += fmt.Sprintf(" and []float32 of %d", len(hostF32))
+	}
+	return fmt.Errorf("%w: %s of %d %s elements with host %s", ErrHostSlice, what, elems, b.dt, host)
 }
 
 // MemcpyH2DAsync enqueues a 1-D host-to-device copy of elems elements from
 // hostF64/hostF32 (per the buffer dtype) into dst at dstOff.
 func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64, hostF32 []float32, elems int64) (*Event, error) {
-	if err := memcpyBounds(dst, dstOff, elems, "h2d"); err != nil {
+	if err := memcpyBounds(dst, dstOff, elems, hostF64, hostF32, "h2d"); err != nil {
 		return nil, err
 	}
 	return s.TransferOp(machine.H2D, elems*dst.dt.Size(), window1D(dst, dstOff, hostF64, hostF32, elems)), nil
@@ -751,7 +774,7 @@ func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64,
 
 // MemcpyD2HAsync enqueues a 1-D device-to-host copy.
 func (s *Stream) MemcpyD2HAsync(hostF64 []float64, hostF32 []float32, src *DevBuffer, srcOff, elems int64) (*Event, error) {
-	if err := memcpyBounds(src, srcOff, elems, "d2h"); err != nil {
+	if err := memcpyBounds(src, srcOff, elems, hostF64, hostF32, "d2h"); err != nil {
 		return nil, err
 	}
 	return s.TransferOp(machine.D2H, elems*src.dt.Size(), window1D(src, srcOff, hostF64, hostF32, elems)), nil

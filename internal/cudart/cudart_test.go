@@ -98,18 +98,55 @@ func TestMemcpyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemcpyBounds checks the 1-D copies' validation: the device range,
+// and a given host slice's dtype and length (nil/nil is a timing-only
+// copy); a rejected copy names its direction and sizes.
 func TestMemcpyBounds(t *testing.T) {
 	rt := newRT()
 	s := rt.NewStream()
-	buf, _ := rt.Malloc(kernelmodel.F64, 10, false)
-	if _, err := s.MemcpyH2DAsync(buf, 5, nil, nil, 6); err == nil {
-		t.Error("out-of-range h2d should error")
+	unbacked, _ := rt.Malloc(kernelmodel.F64, 10, false)
+	f64, _ := rt.Malloc(kernelmodel.F64, 8, true)
+	f32, _ := rt.Malloc(kernelmodel.F32, 4, true)
+	h2d := func(b *DevBuffer, off, n int64, h64 []float64, h32 []float32) error {
+		_, err := s.MemcpyH2DAsync(b, off, h64, h32, n)
+		return err
 	}
-	if _, err := s.MemcpyH2DAsync(nil, 0, nil, nil, 1); err == nil {
-		t.Error("nil buffer should error")
+	d2h := func(b *DevBuffer, off, n int64, h64 []float64, h32 []float32) error {
+		_, err := s.MemcpyD2HAsync(h64, h32, b, off, n)
+		return err
 	}
-	if _, err := s.MemcpyD2HAsync(nil, nil, buf, -1, 2); err == nil {
-		t.Error("negative offset should error")
+	cases := []struct {
+		name string
+		err  error
+		want string // a substring of the error; "" accepts the copy
+	}{
+		{"h2d past the end", h2d(unbacked, 5, 6, nil, nil), "h2d: range [5, 11)"},
+		{"nil buffer", h2d(nil, 0, 1, nil, nil), "h2d: nil device buffer"},
+		{"negative offset", d2h(unbacked, -1, 2, nil, nil), "d2h: range [-1, 1)"},
+		{"timing-only h2d", h2d(f64, 0, 8, nil, nil), ""},
+		{"timing-only d2h", d2h(f32, 0, 4, nil, nil), ""},
+		{"h2d f64", h2d(f64, 2, 4, make([]float64, 4), nil), ""},
+		{"d2h f32", d2h(f32, 0, 4, nil, make([]float32, 5)), ""},
+		{"h2d float64 into f32", h2d(f32, 0, 4, []float64{1, 2, 3, 4}, nil), "h2d of 4 f32 elements with host []float64 of 4"},
+		{"d2h f32 into float64", d2h(f32, 0, 4, make([]float64, 4), nil), "d2h of 4 f32 elements with host []float64 of 4"},
+		{"h2d float32 into f64", h2d(f64, 0, 2, nil, make([]float32, 2)), "h2d of 2 f64 elements with host []float32 of 2"},
+		{"h2d short slice", h2d(f64, 0, 8, make([]float64, 4), nil), "h2d of 8 f64 elements with host []float64 of 4"},
+		{"d2h short slice", d2h(f32, 1, 3, nil, make([]float32, 2)), "d2h of 3 f32 elements with host []float32 of 2"},
+		{"both host slices", h2d(f64, 0, 1, make([]float64, 1), make([]float32, 1)), "h2d of 1 f64 elements with host []float64 of 1 and []float32 of 1"},
+		{"unbacked short slice", h2d(unbacked, 0, 10, make([]float64, 9), nil), "h2d of 10 f64 elements with host []float64 of 9"},
+	}
+	for _, tc := range cases {
+		switch {
+		case tc.want == "" && tc.err != nil:
+			t.Errorf("%s: %v", tc.name, tc.err)
+		case tc.want != "" && (tc.err == nil || !strings.Contains(tc.err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, tc.err, tc.want)
+		case errors.Is(tc.err, ErrHostSlice) != strings.Contains(tc.want, "with host"):
+			t.Errorf("%s: error %v: ErrHostSlice must mark exactly the host-slice rejections", tc.name, tc.err)
+		}
+	}
+	if _, err := rt.Sync(); err != nil {
+		t.Fatal(err)
 	}
 }
 

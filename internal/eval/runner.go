@@ -129,11 +129,10 @@ type Runner struct {
 	// map growth — only a reseed and counter reset (see simBundle). It is
 	// a mutex-guarded free list rather than a sync.Pool deliberately: plan
 	// building allocates enough to trigger GC cycles mid-campaign, and
-	// sync.Pool drops its contents at every GC — losing the op/event slabs,
-	// free lists and kernel-duration memos whose warmth is the entire point
-	// of pooling. The list is per-runner because the duration memo is
-	// testbed-specific; it grows to at most the number of concurrent
-	// Measure calls.
+	// sync.Pool drops its contents at every GC — losing the op/event slabs
+	// and free lists whose warmth is the entire point of pooling. The list
+	// is per-runner because a bundle's device is wired to the runner's
+	// testbed; it grows to at most the number of concurrent Measure calls.
 	bundleMu   sync.Mutex
 	bundleFree []*simBundle
 }
@@ -353,9 +352,9 @@ func isFactor(routine string) bool {
 // and scheduler context — recycled across a runner's repetitions. Pooling
 // the stack as a unit is what makes a plan-replaying repetition allocation-
 // free outside the simulation itself: the engine keeps its heap backing
-// and event free list, the runtime its op/event slabs and kernel-duration
-// memo, the context its streams, bucket slice and replay scratch, and the
-// device its task free list. Per repetition only the noise streams are
+// and event free list, the runtime its op arena, waiter nodes and host
+// windows, the context its streams, bucket slice and replay scratch, and
+// the device its task free list. Per repetition only the noise streams are
 // reseeded and the accounting counters zeroed.
 type simBundle struct {
 	eng *sim.Engine

@@ -1,5 +1,5 @@
 // Package cublasxt holds the tests of the cuBLASXt comparator, which runs
-// as the scheduler request sched.GemmXtOpts over plan.BuildGemmXt.
+// as the scheduler request sched.GemmXtOpts over the "gemm-cublasxt" plan.
 package cublasxt
 
 import (
@@ -153,10 +153,15 @@ func TestMoreStreamsOverlapBetter(t *testing.T) {
 	run := func(freeBytes int64) float64 {
 		ctx, _ := newCtx(false)
 		req := hostGemm(m, T)
-		p := plan.BuildGemmXt(plan.GemmSpec{
-			Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: m, N: m, K: m, Alpha: 1, Beta: 1, T: T,
+		H := model.OnHost
+		p, err := plan.Build(plan.Key{
+			Routine: "gemm-cublasxt", Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+			M: m, N: m, K: m, T: T, Alpha: math.Float64bits(1), Beta: math.Float64bits(1),
+			Locs: [3]model.Loc{H, H, H}, NLocs: 3,
 		}, freeBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		pend, err := ctx.Enqueue(p, req)
 		if err != nil {
 			t.Fatal(err)

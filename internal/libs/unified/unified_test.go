@@ -1,6 +1,6 @@
 // Package unified holds the tests of the unified-memory daxpy comparator,
-// which runs as the scheduler request sched.AxpyUnifiedOpts over
-// plan.BuildAxpyUnified.
+// which runs as the scheduler request sched.AxpyUnifiedOpts over the
+// "axpy-unified" plan.
 package unified
 
 import (

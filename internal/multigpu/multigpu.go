@@ -16,6 +16,7 @@ package multigpu
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/device"
@@ -153,9 +154,9 @@ func SelectT(sm model.SubModels, routine string, dtypeSize int64, m, n, k, gpus 
 func PanelVolumes(dt kernelmodel.Dtype, m, n, k, T, gpus int, beta float64) plan.Volumes {
 	var total plan.Volumes
 	for _, p := range panelCols(n, gpus, T) {
-		v := plan.GemmVolumes(plan.GemmSpec{
-			Dtype: dt, M: m, N: p[1], K: k, Beta: beta,
-			LocA: model.OnHost, LocB: model.OnHost, LocC: model.OnHost, T: T,
+		v := plan.GemmVolumes(plan.Key{
+			Routine: "gemm", Dtype: dt, M: m, N: p[1], K: k, T: T, Beta: math.Float64bits(beta),
+			Locs: [3]model.Loc{model.OnHost, model.OnHost, model.OnHost}, NLocs: 3,
 		})
 		total.BytesH2D += v.BytesH2D
 		total.BytesD2H += v.BytesD2H

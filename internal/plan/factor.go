@@ -2,7 +2,6 @@ package plan
 
 import (
 	"cocopelia/internal/blas"
-	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/model"
 )
 
@@ -16,40 +15,23 @@ import (
 // last (absent writers — device-resident operands never written — are the
 // NoOp sentinel and vanish).
 
-// CholeskySpec parameterizes the tiled Cholesky planner: the in-place
-// lower-triangular factorization A = L*L^T of the N x N matrix A, tiled at
-// T. Only the lower triangle is referenced, tile-granular: tiles strictly
-// above the diagonal are never fetched, updated or written back.
-type CholeskySpec struct {
-	Dtype kernelmodel.Dtype
-	N     int
-	LocA  model.Loc
-	T     int
-}
-
 // lowerIdx packs lower-triangle tile coordinates (i >= j) row-wise.
 func lowerIdx(i, j int) int { return i*(i+1)/2 + j }
 
-// BuildCholesky emits the right-looking tiled Cholesky schedule. Iteration
-// k factors the diagonal tile (POTRF), solves the panel below it (TRSM
+// buildCholesky emits the right-looking tiled Cholesky schedule of the
+// in-place factorization A = L*L^T of the N x N matrix A. Only the lower
+// triangle is referenced, tile-granular: tiles strictly above the diagonal
+// are never fetched, updated or written back. Iteration k factors the diagonal tile (POTRF), solves the panel below it (TRSM
 // right/lower/trans against the fresh diagonal factor), and applies the
 // rank-T trailing update (SYRK on diagonal tiles, GEMM off-diagonal, both
 // alpha=-1 beta=1). Diagonal and panel tiles are final after their POTRF
 // or TRSM and are written back immediately, overlapping the remaining
 // trailing updates.
-func BuildCholesky(spec CholeskySpec) *Plan {
-	T := spec.T
-	nt := ceil(spec.N, T)
-	dt := spec.Dtype
-
-	p := &Plan{
-		Routine: "cholesky", Dtype: dt,
-		TransA: blas.NoTrans, TransB: blas.NoTrans,
-		M: spec.N, N: spec.N, T: T,
-		Alpha: 1, Beta: 0,
-		Locs: []model.Loc{spec.LocA},
-	}
-	g := NewGraph(p)
+func buildCholesky(g *Graph) {
+	key := &g.p.Key
+	T := key.T
+	nt := ceil(key.N, T)
+	dt := key.Dtype
 
 	// Pre-size the arenas: nt(nt+1)/2 lower tiles (slot+alloc+fetch+writeback
 	// each when host-resident), nt potrf, nt(nt-1)/2 trsm and syrk, C(nt,3)
@@ -57,7 +39,7 @@ func BuildCholesky(spec CholeskySpec) *Plan {
 	tiles := nt * (nt + 1) / 2
 	kernels := nt + nt*(nt-1) + nt*(nt-1)*(nt-2)/6
 	hostTiles := 0
-	if spec.LocA == model.OnHost {
+	if key.Locs[0] == model.OnHost {
 		hostTiles = tiles
 	}
 	g.Grow(hostTiles, 3*hostTiles+kernels, 3*kernels+hostTiles)
@@ -66,14 +48,14 @@ func BuildCholesky(spec CholeskySpec) *Plan {
 	// of the tile's last writer (its fetch, then each updating kernel) and
 	// liveness for first-use fetching.
 	state := make([]tileState, tiles)
-	rows := func(i int) int { return min(T, spec.N-i*T) }
+	rows := func(i int) int { return min(T, key.N-i*T) }
 	tile := func(i, j int) *tileState {
 		t := &state[lowerIdx(i, j)]
 		if t.live {
 			return t
 		}
 		t.live = true
-		if spec.LocA == model.OnDevice {
+		if key.Locs[0] == model.OnDevice {
 			t.ref = argRef(0, int32(i*T), int32(j*T))
 			t.ready = NoOp
 			return t
@@ -86,7 +68,7 @@ func BuildCholesky(spec CholeskySpec) *Plan {
 		return t
 	}
 	writeback := func(i, j int, after OpID) {
-		if spec.LocA == model.OnHost {
+		if key.Locs[0] == model.OnHost {
 			t := &state[lowerIdx(i, j)]
 			g.Writeback(t.ref.Slot, 0, int32(i*T), int32(j*T),
 				int32(rows(i)), int32(rows(j)), after)
@@ -125,58 +107,41 @@ func BuildCholesky(spec CholeskySpec) *Plan {
 			}
 		}
 	}
-	return g.Finish()
 }
 
-// LUSpec parameterizes the tiled LU planner: the in-place unpivoted
-// factorization A = L*U of the N x N matrix A, tiled at T. The planner
-// models no row exchanges (GETRF tiles are unpivoted), matching problem
-// generators that supply diagonally dominant matrices.
-type LUSpec struct {
-	Dtype kernelmodel.Dtype
-	N     int
-	LocA  model.Loc
-	T     int
-}
-
-// BuildLU emits the right-looking tiled LU schedule. Iteration k factors
+// buildLU emits the right-looking tiled LU schedule of the in-place
+// unpivoted factorization A = L*U of the N x N matrix A (GETRF tiles model
+// no row exchanges, matching problem generators that supply diagonally
+// dominant matrices). Iteration k factors
 // the diagonal tile (GETRF), solves the column panel against U[k][k]
 // (TRSM right/upper) and the row panel against the unit L[k][k] (TRSM
 // left/lower/unit), then applies the trailing update A[i][j] -=
 // A[i][k]*A[k][j] (GEMM, alpha=-1 beta=1). Diagonal and panel tiles are
 // written back right after their final kernel.
-func BuildLU(spec LUSpec) *Plan {
-	T := spec.T
-	nt := ceil(spec.N, T)
-	dt := spec.Dtype
-
-	p := &Plan{
-		Routine: "lu", Dtype: dt,
-		TransA: blas.NoTrans, TransB: blas.NoTrans,
-		M: spec.N, N: spec.N, T: T,
-		Alpha: 1, Beta: 0,
-		Locs: []model.Loc{spec.LocA},
-	}
-	g := NewGraph(p)
+func buildLU(g *Graph) {
+	key := &g.p.Key
+	T := key.T
+	nt := ceil(key.N, T)
+	dt := key.Dtype
 
 	// nt^2 tiles, nt getrf, nt(nt-1) trsm, sum r^2 = (nt-1)nt(2nt-1)/6 gemm.
 	tiles := nt * nt
 	kernels := nt + nt*(nt-1) + (nt-1)*nt*(2*nt-1)/6
 	hostTiles := 0
-	if spec.LocA == model.OnHost {
+	if key.Locs[0] == model.OnHost {
 		hostTiles = tiles
 	}
 	g.Grow(hostTiles, 3*hostTiles+kernels, 3*kernels+hostTiles)
 
 	state := make([]tileState, tiles)
-	rows := func(i int) int { return min(T, spec.N-i*T) }
+	rows := func(i int) int { return min(T, key.N-i*T) }
 	tile := func(i, j int) *tileState {
 		t := &state[i*nt+j]
 		if t.live {
 			return t
 		}
 		t.live = true
-		if spec.LocA == model.OnDevice {
+		if key.Locs[0] == model.OnDevice {
 			t.ref = argRef(0, int32(i*T), int32(j*T))
 			t.ready = NoOp
 			return t
@@ -189,7 +154,7 @@ func BuildLU(spec LUSpec) *Plan {
 		return t
 	}
 	writeback := func(i, j int, after OpID) {
-		if spec.LocA == model.OnHost {
+		if key.Locs[0] == model.OnHost {
 			t := &state[i*nt+j]
 			g.Writeback(t.ref.Slot, 0, int32(i*T), int32(j*T),
 				int32(rows(i)), int32(rows(j)), after)
@@ -231,60 +196,38 @@ func BuildLU(spec LUSpec) *Plan {
 			}
 		}
 	}
-	return g.Finish()
 }
 
-// TrsmSpec parameterizes the tiled triangular-solve planner. The planner
-// covers the left/lower/no-trans case (op(A) = A lower triangular,
-// A*X = alpha*B, X overwriting the M x N operand B); the scheduler layer
-// validates flags before planning, exactly as it normalizes gemm
-// transposes.
-type TrsmSpec struct {
-	Dtype      kernelmodel.Dtype
-	Diag       byte
-	M, N       int
-	Alpha      float64
-	LocA, LocB model.Loc
-	T          int
-}
-
-// BuildTrsm emits the tiled left/lower solve. B's column blocks are
-// independent; within one, row block i first accumulates
-// alpha*B[i][j] - sum_{k<i} A[i][k]*X[k][j] (the first GEMM's beta carries
-// the alpha scale), then the diagonal solve finishes X[i][j]. Solved X
-// tiles forward to every later row's GEMMs and write back immediately.
-func BuildTrsm(spec TrsmSpec) *Plan {
-	T := spec.T
-	mt := ceil(spec.M, T)
-	nt := ceil(spec.N, T)
-	dt := spec.Dtype
-
-	// Beta doubles as the alpha scale of each tile's first accumulation
-	// (BetaPlan edges); Alpha is the diagonal solve's scale when no GEMM
-	// preceded it (AlphaPlan on row block 0).
-	p := &Plan{
-		Routine: "trsm", Dtype: dt,
-		TransA: blas.NoTrans, TransB: blas.NoTrans, Diag: spec.Diag,
-		M: spec.M, N: spec.N, T: T,
-		Alpha: spec.Alpha, Beta: spec.Alpha,
-		Locs: []model.Loc{spec.LocA, spec.LocB},
-	}
-	g := NewGraph(p)
+// buildTrsm emits the tiled left/lower/no-trans solve A*X = alpha*B, X
+// overwriting the M x N operand B (the sched request rejects other flags).
+// B's column blocks are independent; within one, row block i first
+// accumulates alpha*B[i][j] - sum_{k<i} A[i][k]*X[k][j], then the diagonal
+// solve finishes X[i][j]. The key carries alpha as both scalars: Beta is
+// the alpha scale of each tile's first accumulation (BetaPlan edges) and
+// Alpha the diagonal solve's scale when no GEMM preceded it (AlphaPlan on
+// row block 0). Solved X tiles forward to every later row's GEMMs and
+// write back immediately.
+func buildTrsm(g *Graph) {
+	key := &g.p.Key
+	T := key.T
+	mt := ceil(key.M, T)
+	nt := ceil(key.N, T)
+	dt := key.Dtype
 
 	aTiles := mt * (mt + 1) / 2
 	bTiles := mt * nt
 	kernels := nt * (mt + mt*(mt-1)/2)
 	hostA, hostB := 0, 0
-	if spec.LocA == model.OnHost {
+	if key.Locs[0] == model.OnHost {
 		hostA = aTiles
 	}
-	if spec.LocB == model.OnHost {
+	if key.Locs[1] == model.OnHost {
 		hostB = bTiles
 	}
 	g.Grow(hostA+hostB, 2*hostA+3*hostB+kernels, 3*kernels+hostB)
 
-	rowsM := func(i int) int { return min(T, spec.M-i*T) }
-	colsN := func(j int) int { return min(T, spec.N-j*T) }
+	rowsM := func(i int) int { return min(T, key.M-i*T) }
+	colsN := func(j int) int { return min(T, key.N-j*T) }
 
 	// A's lower-triangle tiles: read-only, fetched on first use.
 	aState := make([]tileState, aTiles)
@@ -294,7 +237,7 @@ func BuildTrsm(spec TrsmSpec) *Plan {
 			return t
 		}
 		t.live = true
-		if spec.LocA == model.OnDevice {
+		if key.Locs[0] == model.OnDevice {
 			t.ref = argRef(0, int32(i*T), int32(k*T))
 			t.ready = NoOp
 			return t
@@ -315,7 +258,7 @@ func BuildTrsm(spec TrsmSpec) *Plan {
 			return t
 		}
 		t.live = true
-		if spec.LocB == model.OnDevice {
+		if key.Locs[1] == model.OnDevice {
 			t.ref = argRef(1, int32(i*T), int32(j*T))
 			t.ready = NoOp
 			return t
@@ -350,14 +293,13 @@ func BuildTrsm(spec TrsmSpec) *Plan {
 				alpha = AlphaPlan
 			}
 			ad := aTile(i, i)
-			bt.ready = g.Trsm(blas.Left, blas.Lower, blas.NoTrans, spec.Diag,
+			bt.ready = g.Trsm(blas.Left, blas.Lower, blas.NoTrans, key.Diag,
 				int32(ri), int32(cols), alpha, ad.ref, bt.ref,
 				ad.ready, bt.ready)
-			if spec.LocB == model.OnHost {
+			if key.Locs[1] == model.OnHost {
 				g.Writeback(bt.ref.Slot, 1, int32(i*T), int32(j*T),
 					int32(ri), int32(cols), bt.ready)
 			}
 		}
 	}
-	return g.Finish()
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"cocopelia/internal/blas"
-	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/model"
 )
 
@@ -10,24 +9,6 @@ import (
 // schedule; the effective depth shrinks for very large tiles so the bounded
 // staging always fits device memory.
 const MaxNoReuseSlots = 8
-
-// GemmSpec parameterizes the level-3 planners. Transposes must be
-// normalized (blas.NoTrans or blas.Trans); validation happens in the sched
-// layer before planning.
-type GemmSpec struct {
-	Dtype            kernelmodel.Dtype
-	TransA, TransB   byte
-	M, N, K          int
-	Alpha, Beta      float64
-	LocA, LocB, LocC model.Loc
-	T                int
-	// DispatchOverheadS inserts a per-sub-kernel dispatch kernel on the
-	// compute stream (comparator runtimes); zero disables it.
-	DispatchOverheadS float64
-	// BlockingWriteback makes the compute stream wait for each output
-	// tile's write-back before the next tile's first kernel.
-	BlockingWriteback bool
-}
 
 // tileState is the planner-side record of one cached device tile: where a
 // kernel finds it (ref) and the fetch op it depends on (ready < 0 means
@@ -50,29 +31,20 @@ func newTileGrid(rows, cols int) tileGrid {
 
 func (g *tileGrid) at(ti, tj int) *tileState { return &g.tiles[ti*g.cols+tj] }
 
-// BuildGemm emits the full-reuse tiled gemm schedule (the paper's Section
+// buildGemm emits the full-reuse tiled gemm schedule (the paper's Section
 // IV-C scheduler) as a thin client of the Graph builder: each input tile is
 // fetched exactly once, output tiles accumulate over K on the compute
 // stream and are written back once. Op emission order matches the
 // imperative scheduler's stream-call order exactly, so replay is
 // event-identical.
-func BuildGemm(spec GemmSpec) *Plan {
-	T := spec.T
-	mt := ceil(spec.M, T)
-	nt := ceil(spec.N, T)
-	kt := ceil(spec.K, T)
-	dt := spec.Dtype
-
-	p := &Plan{
-		Routine: "gemm", Dtype: dt,
-		TransA: spec.TransA, TransB: spec.TransB,
-		M: spec.M, N: spec.N, K: spec.K, T: T,
-		Alpha: spec.Alpha, Beta: spec.Beta,
-		DispatchS:         spec.DispatchOverheadS,
-		BlockingWriteback: spec.BlockingWriteback,
-		Locs:              []model.Loc{spec.LocA, spec.LocB, spec.LocC},
-	}
-	g := NewGraph(p)
+func buildGemm(g *Graph) {
+	key := &g.p.Key
+	T := key.T
+	mt := ceil(key.M, T)
+	nt := ceil(key.N, T)
+	kt := ceil(key.K, T)
+	dt := key.Dtype
+	keyBeta, dispatch := scalar(key.Beta), scalar(key.DispatchS) > 0
 
 	// Pre-size the arenas from the known schedule shape.
 	hostTiles := func(l model.Loc, n int) int {
@@ -81,16 +53,16 @@ func BuildGemm(spec GemmSpec) *Plan {
 		}
 		return 0
 	}
-	aTiles := hostTiles(spec.LocA, mt*kt)
-	bTiles := hostTiles(spec.LocB, kt*nt)
-	cTiles := hostTiles(spec.LocC, mt*nt)
+	aTiles := hostTiles(key.Locs[0], mt*kt)
+	bTiles := hostTiles(key.Locs[1], kt*nt)
+	cTiles := hostTiles(key.Locs[2], mt*nt)
 	kernels := mt * nt * kt
 	kernelOps := kernels
-	if spec.DispatchOverheadS > 0 {
+	if dispatch {
 		kernelOps *= 2
 	}
 	cFetches := 0
-	if spec.Beta != 0 {
+	if keyBeta != 0 {
 		cFetches = cTiles
 	}
 	slotsCap := aTiles + bTiles + cTiles
@@ -98,18 +70,16 @@ func BuildGemm(spec GemmSpec) *Plan {
 
 	// Tile grids are keyed by STORED coordinates, following the transposes.
 	aGridR, aGridC := mt, kt
-	if spec.TransA == blas.Trans {
+	if key.TransA == blas.Trans {
 		aGridR, aGridC = kt, mt
 	}
 	bGridR, bGridC := kt, nt
-	if spec.TransB == blas.Trans {
+	if key.TransB == blas.Trans {
 		bGridR, bGridC = nt, kt
 	}
 	aCache := newTileGrid(aGridR, aGridC)
 	bCache := newTileGrid(bGridR, bGridC)
 	cCache := newTileGrid(mt, nt)
-
-	loc := func(arg int8) model.Loc { return p.Locs[arg] }
 
 	// getTile mirrors the scheduler's fetch-once tile cache: device-resident
 	// operands resolve to windows, host-resident ones get a slot (allocated
@@ -120,7 +90,7 @@ func BuildGemm(spec GemmSpec) *Plan {
 			return t
 		}
 		t.live = true
-		if loc(arg) == model.OnDevice {
+		if key.Locs[arg] == model.OnDevice {
 			t.ref = argRef(arg, int32(ti*T), int32(tj*T))
 			t.ready = NoOp
 			return t
@@ -135,25 +105,25 @@ func BuildGemm(spec GemmSpec) *Plan {
 		return t
 	}
 
-	fetchC := spec.Beta != 0 // C contributes only when beta != 0
-	pendingWB := NoOp        // blocking write-back awaiting the next kernel
+	fetchC := keyBeta != 0 // C contributes only when beta != 0
+	pendingWB := NoOp      // blocking write-back awaiting the next kernel
 	lastComp := NoOp
 	var depBuf []OpID // reused wait list, in registration order
 
 	for tj := 0; tj < nt; tj++ {
 		for ti := 0; ti < mt; ti++ {
-			rows := min(T, spec.M-ti*T)
-			cols := min(T, spec.N-tj*T)
+			rows := min(T, key.M-ti*T)
+			cols := min(T, key.N-tj*T)
 			cTile := getTile(2, &cCache, ti, tj, rows, cols, fetchC)
 			for tk := 0; tk < kt; tk++ {
-				inner := min(T, spec.K-tk*T)
+				inner := min(T, key.K-tk*T)
 				ai, aj, ar, ac := ti, tk, rows, inner
-				if spec.TransA == blas.Trans {
+				if key.TransA == blas.Trans {
 					ai, aj, ar, ac = tk, ti, inner, rows
 				}
 				aTile := getTile(0, &aCache, ai, aj, ar, ac, true)
 				bi, bj, br, bc := tk, tj, inner, cols
-				if spec.TransB == blas.Trans {
+				if key.TransB == blas.Trans {
 					bi, bj, br, bc = tj, tk, cols, inner
 				}
 				bTile := getTile(1, &bCache, bi, bj, br, bc, true)
@@ -165,68 +135,60 @@ func BuildGemm(spec GemmSpec) *Plan {
 				beta := 1.0
 				if tk == 0 {
 					depBuf = append(depBuf, cTile.ready)
-					beta = spec.Beta
+					beta = keyBeta
 					if !fetchC {
 						beta = 0
 					}
 				}
-				if spec.DispatchOverheadS > 0 {
+				if dispatch {
 					// The dispatch kernel drains the pending waits; the gemm
 					// follows it in stream order with no explicit deps.
 					g.Dispatch(depBuf...)
 					depBuf = depBuf[:0]
 				}
-				lastComp = g.Gemm(spec.TransA, spec.TransB,
+				lastComp = g.Gemm(key.TransA, key.TransB,
 					int32(rows), int32(cols), int32(inner),
 					AlphaPlan, betaSel(beta),
 					aTile.ref, bTile.ref, cTile.ref, depBuf...)
 			}
-			if spec.LocC == model.OnHost {
+			if key.Locs[2] == model.OnHost {
 				wb := g.Writeback(cTile.ref.Slot, 2, int32(ti*T), int32(tj*T),
 					int32(rows), int32(cols), lastComp)
-				if spec.BlockingWriteback {
+				if key.BlockingWB {
 					pendingWB = wb
 				}
 			}
 		}
 	}
 	g.TailComp(pendingWB)
-	return g.Finish()
 }
 
-// BuildGemmNoReuse emits the stateless-sub-kernel schedule: every
+// buildGemmNoReuse emits the stateless-sub-kernel schedule: every
 // sub-kernel fetches fresh tiles of its host-resident operands through a
 // bounded set of staging slot groups and writes its C tile back
 // immediately. freeBytes is the device memory available for staging at
 // plan time; it sizes the slot depth exactly as the imperative scheduler
 // did, so the plan embeds the staging depth.
-func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
-	T := spec.T
-	mt := ceil(spec.M, T)
-	nt := ceil(spec.N, T)
-	kt := ceil(spec.K, T)
-	dt := spec.Dtype
+func buildGemmNoReuse(g *Graph, freeBytes int64) {
+	key := &g.p.Key
+	T := key.T
+	mt := ceil(key.M, T)
+	nt := ceil(key.N, T)
+	kt := ceil(key.K, T)
+	dt := key.Dtype
+	keyBeta := scalar(key.Beta)
 
-	p := &Plan{
-		Routine: "gemm-noreuse", Dtype: dt,
-		TransA: blas.NoTrans, TransB: blas.NoTrans,
-		M: spec.M, N: spec.N, K: spec.K, T: T,
-		Alpha: spec.Alpha, Beta: spec.Beta,
-		Locs: []model.Loc{spec.LocA, spec.LocB, spec.LocC},
-	}
-	g := NewGraph(p)
-
-	tileA := int64(min(T, spec.M)) * int64(min(T, spec.K))
-	tileB := int64(min(T, spec.K)) * int64(min(T, spec.N))
-	tileC := int64(min(T, spec.M)) * int64(min(T, spec.N))
+	tileA := int64(min(T, key.M)) * int64(min(T, key.K))
+	tileB := int64(min(T, key.K)) * int64(min(T, key.N))
+	tileC := int64(min(T, key.M)) * int64(min(T, key.N))
 	var groupBytes int64
-	if spec.LocA == model.OnHost {
+	if key.Locs[0] == model.OnHost {
 		groupBytes += tileA * dt.Size()
 	}
-	if spec.LocB == model.OnHost {
+	if key.Locs[1] == model.OnHost {
 		groupBytes += tileB * dt.Size()
 	}
-	if spec.LocC == model.OnHost {
+	if key.Locs[2] == model.OnHost {
 		groupBytes += tileC * dt.Size()
 	}
 	nSlots := MaxNoReuseSlots
@@ -239,23 +201,23 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 		}
 	}
 
-	// Pre-size the arenas (see BuildGemm): sk sub-kernels each emit up to
+	// Pre-size the arenas (see buildGemm): sk sub-kernels each emit up to
 	// three fetches, the kernel and a write-back, with a handful of
 	// dependency edges apiece.
 	sk := mt * nt * kt
 	hostOperands, fetchesPerSk := 0, 0
-	if spec.LocA == model.OnHost {
+	if key.Locs[0] == model.OnHost {
 		hostOperands, fetchesPerSk = hostOperands+1, fetchesPerSk+1
 	}
-	if spec.LocB == model.OnHost {
+	if key.Locs[1] == model.OnHost {
 		hostOperands, fetchesPerSk = hostOperands+1, fetchesPerSk+1
 	}
 	cFetches, wbs := 0, 0
-	if spec.LocC == model.OnHost {
+	if key.Locs[2] == model.OnHost {
 		hostOperands++
 		wbs = sk
 		cFetches = sk
-		if spec.Beta == 0 {
+		if keyBeta == 0 {
 			cFetches -= mt * nt
 		}
 	}
@@ -270,15 +232,15 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 	for i := range groups {
 		gr := &groups[i]
 		*gr = group{a: -1, b: -1, c: -1, lastKernel: NoOp, lastWriteback: NoOp}
-		if spec.LocA == model.OnHost {
+		if key.Locs[0] == model.OnHost {
 			gr.a = g.Slot(dt, tileA)
 			g.Alloc(gr.a)
 		}
-		if spec.LocB == model.OnHost {
+		if key.Locs[1] == model.OnHost {
 			gr.b = g.Slot(dt, tileB)
 			g.Alloc(gr.b)
 		}
-		if spec.LocC == model.OnHost {
+		if key.Locs[2] == model.OnHost {
 			gr.c = g.Slot(dt, tileC)
 			g.Alloc(gr.c)
 		}
@@ -297,11 +259,11 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 
 	idx := 0
 	for tk := 0; tk < kt; tk++ {
-		inner := min(T, spec.K-tk*T)
+		inner := min(T, key.K-tk*T)
 		for tj := 0; tj < nt; tj++ {
 			for ti := 0; ti < mt; ti++ {
-				rows := min(T, spec.M-ti*T)
-				cols := min(T, spec.N-tj*T)
+				rows := min(T, key.M-ti*T)
+				cols := min(T, key.N-tj*T)
 				gr := &groups[idx%nSlots]
 				idx++
 				if gr.lastKernel >= 0 {
@@ -318,20 +280,20 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 				}
 
 				aRef := argRef(0, int32(ti*T), int32(tk*T))
-				if spec.LocA == model.OnHost {
+				if key.Locs[0] == model.OnHost {
 					emitFetch(0, int(gr.a), ti*T, tk*T, rows, inner)
 					aRef = slotRef(gr.a, int32(rows))
 				}
 				bRef := argRef(1, int32(tk*T), int32(tj*T))
-				if spec.LocB == model.OnHost {
+				if key.Locs[1] == model.OnHost {
 					emitFetch(1, int(gr.b), tk*T, tj*T, inner, cols)
 					bRef = slotRef(gr.b, int32(inner))
 				}
 				beta := 1.0
 				cRef := argRef(2, int32(ti*T), int32(tj*T))
-				if spec.LocC == model.OnHost {
+				if key.Locs[2] == model.OnHost {
 					cRef = slotRef(gr.c, int32(rows))
-					fetch := tk > 0 || spec.Beta != 0
+					fetch := tk > 0 || keyBeta != 0
 					if fetch {
 						// The previous write-back of this C tile must land in
 						// host memory before the re-read: it joins the
@@ -341,13 +303,13 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 						}
 						emitFetch(2, int(gr.c), ti*T, tj*T, rows, cols)
 						if tk == 0 {
-							beta = spec.Beta
+							beta = keyBeta
 						}
 					} else {
 						beta = 0
 					}
 				} else if tk == 0 {
-					beta = spec.Beta
+					beta = keyBeta
 				}
 
 				// The kernel waits on the h2d stream's tail (everything
@@ -357,7 +319,7 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 					AlphaPlan, betaSel(beta), aRef, bRef, cRef, lastH2D)
 				gr.lastKernel = kid
 
-				if spec.LocC == model.OnHost {
+				if key.Locs[2] == model.OnHost {
 					wb := g.Writeback(gr.c, 2, int32(ti*T), int32(tj*T),
 						int32(rows), int32(cols), kid)
 					gr.lastWriteback = wb
@@ -369,14 +331,13 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 	for _, id := range pendingH2D {
 		g.TailH2D(id)
 	}
-	return g.Finish()
 }
 
 // XtStreams is the number of worker streams of the cuBLASXt schedule
 // (cuBLASXt runs a small fixed pool of streams per GPU).
 const XtStreams = 4
 
-// BuildGemmXt emits the gemm schedule of NVIDIA's cuBLASXt, the
+// buildGemmXt emits the gemm schedule of NVIDIA's cuBLASXt, the
 // state-of-practice offload library the paper evaluates against:
 //
 //   - square tiling with the caller's tile size (cuBLASXt exposes
@@ -394,27 +355,20 @@ const XtStreams = 4
 // memory free at plan time: when the workers' full-tile staging does not
 // fit, fewer workers take part (at least one), as cuBLASXt bounds its
 // workspace, so the plan embeds its worker count.
-func BuildGemmXt(spec GemmSpec, freeBytes int64) *Plan {
-	T := spec.T
-	mt := ceil(spec.M, T)
-	nt := ceil(spec.N, T)
-	kt := ceil(spec.K, T)
-	dt := spec.Dtype
+func buildGemmXt(g *Graph, freeBytes int64) {
+	key := &g.p.Key
+	T := key.T
+	mt := ceil(key.M, T)
+	nt := ceil(key.N, T)
+	kt := ceil(key.K, T)
+	dt := key.Dtype
+	keyBeta := scalar(key.Beta)
 
-	p := &Plan{
-		Routine: "gemm-cublasxt", Dtype: dt,
-		TransA: blas.NoTrans, TransB: blas.NoTrans,
-		M: spec.M, N: spec.N, K: spec.K, T: T,
-		Alpha: spec.Alpha, Beta: spec.Beta,
-		Locs: []model.Loc{spec.LocA, spec.LocB, spec.LocC},
-	}
-	g := NewGraph(p)
-
-	hostA, hostB, hostC := spec.LocA == model.OnHost, spec.LocB == model.OnHost, spec.LocC == model.OnHost
-	tileA := int64(min(T, spec.M)) * int64(min(T, spec.K))
-	tileB := int64(min(T, spec.K)) * int64(min(T, spec.N))
-	tileC := int64(min(T, spec.M)) * int64(min(T, spec.N))
-	fetchC := spec.Beta != 0 // C contributes only when beta != 0
+	hostA, hostB, hostC := key.Locs[0] == model.OnHost, key.Locs[1] == model.OnHost, key.Locs[2] == model.OnHost
+	tileA := int64(min(T, key.M)) * int64(min(T, key.K))
+	tileB := int64(min(T, key.K)) * int64(min(T, key.N))
+	tileC := int64(min(T, key.M)) * int64(min(T, key.N))
+	fetchC := keyBeta != 0 // C contributes only when beta != 0
 	sk := mt * nt * kt
 	// A worker stages one full tile of each host-resident operand.
 	var groupBytes int64
@@ -469,8 +423,8 @@ func BuildGemmXt(spec GemmSpec, freeBytes int64) *Plan {
 			w := &ws[wi]
 			g.Pin(uint8(wi))
 			tile++
-			rows := min(T, spec.M-ti*T)
-			cols := min(T, spec.N-tj*T)
+			rows := min(T, key.M-ti*T)
+			cols := min(T, key.N-tj*T)
 
 			cRef := argRef(2, int32(ti*T), int32(tj*T))
 			if hostC {
@@ -480,7 +434,7 @@ func BuildGemmXt(spec GemmSpec, freeBytes int64) *Plan {
 				cRef = slotRef(w.c, int32(rows))
 			}
 			for tk := 0; tk < kt; tk++ {
-				inner := min(T, spec.K-tk*T)
+				inner := min(T, key.K-tk*T)
 				aRef := argRef(0, int32(ti*T), int32(tk*T))
 				if hostA {
 					g.Fetch(0, int32(ti*T), int32(tk*T), int32(rows), int32(inner), w.a)
@@ -493,7 +447,7 @@ func BuildGemmXt(spec GemmSpec, freeBytes int64) *Plan {
 				}
 				beta := 1.0
 				if tk == 0 {
-					beta = spec.Beta
+					beta = keyBeta
 					if hostC && !fetchC {
 						beta = 0
 					}
@@ -506,7 +460,6 @@ func BuildGemmXt(spec GemmSpec, freeBytes int64) *Plan {
 			}
 		}
 	}
-	return g.Finish()
 }
 
 func ceil(a, b int) int { return (a + b - 1) / b }

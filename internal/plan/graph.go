@@ -41,15 +41,6 @@ type Graph struct {
 	route [4]uint8
 }
 
-// NewGraph starts building ops into p. The caller fills the plan header
-// (routine, geometry, scalars, locations) before or after building; Finish
-// seals the dependency-event table.
-func NewGraph(p *Plan) *Graph { return &Graph{p: p, route: kindStream} }
-
-// Plan returns the plan under construction (header fields may be adjusted
-// until Finish).
-func (g *Graph) Plan() *Plan { return g.p }
-
 // emit appends a zero op to the arena, binding the dependencies recorded
 // since the last emit, and returns the arena slot for the caller to fill
 // in place (kind and stream included) along with its id. Op is a wide

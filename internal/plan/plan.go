@@ -4,11 +4,14 @@
 // launches and write-backs with explicit dependency edges and
 // transfer-volume annotations.
 //
-// A plan is a pure function of the routine geometry, the tiling size, the
-// operand location vector and the scheduling knobs — it references operands
-// symbolically (by argument index), never by pointer, so one plan can be
-// replayed against any operand set of the same shape, on any
-// sched.Context/cudart.Runtime, and memoized across repetitions.
+// A plan is a pure function of its Key — the routine, geometry, tiling
+// size, scalars, operand location vector and scheduling knobs of one
+// invocation — and, for the two comparators that size their staging to the
+// device, the free device memory; Build is the one planner entry point.
+// A plan references operands symbolically (by argument index), never by
+// pointer, so one plan can be replayed against any operand set of the same
+// shape, on any sched.Context/cudart.Runtime, and memoized across
+// repetitions.
 //
 // Replay preserves the simulation's event total order: the executor walks
 // the op list in emission order, registers each op's dependency waits in
@@ -177,7 +180,7 @@ func (p *Plan) opBeta(o *Op) float64 {
 	case BetaOne:
 		return 1
 	}
-	return p.Beta
+	return scalar(p.Beta)
 }
 
 // opAlpha resolves a kernel op's alpha selector against the plan scalar.
@@ -188,7 +191,7 @@ func (p *Plan) opAlpha(o *Op) float64 {
 	case AlphaNegOne:
 		return -1
 	}
-	return p.Alpha
+	return scalar(p.Alpha)
 }
 
 // betaSel encodes a planner-computed beta, which is always +0, 1 or the
@@ -222,29 +225,79 @@ type Slot struct {
 	Elems int64
 }
 
-// Plan is one routine invocation in IR form.
-type Plan struct {
+// Key describes one routine invocation: the planners' only input (see
+// Build), the header of the plan built from it, and every field a replay
+// must match. Scalars are bit patterns, read as floats through scalar, so a
+// replay is never accepted against a problem whose coefficients merely
+// compare equal (+0 and -0 differ). Key is comparable, so a replay checks
+// it with ==.
+type Key struct {
 	// Routine identifies the schedule family: "gemm", "gemm-noreuse",
-	// "gemv", "axpy", or one of the factorization task graphs "cholesky",
-	// "lu" and "trsm".
+	// "gemm-cublasxt", "gemv", "axpy", "axpy-unified", or one of the
+	// factorization task graphs "cholesky", "lu" and "trsm".
 	Routine        string
 	Dtype          kernelmodel.Dtype
 	TransA, TransB byte
-	// Diag is the unit-diagonal flag of a "trsm" plan (blas.Unit or
+	// Diag is the unit-diagonal flag of a "trsm" invocation (blas.Unit or
 	// blas.NonUnit); zero for every other routine.
-	Diag        byte
-	M, N, K     int
-	T           int
-	Alpha, Beta float64
-	// DispatchS is the duration of the plan's dispatch ops, when the
-	// schedule has them (comparator runtimes); zero otherwise.
-	DispatchS float64
-	// BlockingWriteback records that the compute stream waits for each
-	// output tile's write-back (the BLASX-style schedule).
-	BlockingWriteback bool
+	Diag       byte
+	M, N, K, T int
+	// Alpha and Beta are the math.Float64bits of the routine's scalars.
+	Alpha, Beta uint64
+	// DispatchS is the math.Float64bits of the duration of the dispatch op
+	// inserted before every sub-kernel (a comparator runtime's cost; zero
+	// inserts none), and BlockingWB makes the compute stream wait for each
+	// output tile's write-back: the BLASX request's knobs.
+	DispatchS  uint64
+	BlockingWB bool
 	// Locs is the operand location vector in argument order (gemm: A, B,
-	// C; gemv: A, x, y; axpy: x, y).
-	Locs []model.Loc
+	// C; gemv: A, x, y; axpy: x, y; cholesky, lu: A; trsm: A, B); NLocs is
+	// its length, the number of operands a replay binds.
+	Locs  [3]model.Loc
+	NLocs int
+}
+
+// scalar decodes one of a key's bit-pattern scalars (Alpha, Beta or
+// DispatchS): the one way the planners, Dump and payload binding read them.
+func scalar(bits uint64) float64 { return math.Float64frombits(bits) }
+
+// Build plans the invocation k; it is the one planner entry point. The
+// key must be validated (the sched requests do that). freeBytes is the
+// device memory free at plan time: the no-reuse and cuBLASXt schedules
+// size their staging to it, so their plans embed it; every other routine
+// ignores it. An unknown routine is an error.
+func Build(k Key, freeBytes int64) (*Plan, error) {
+	g := &Graph{p: &Plan{Key: k}, route: kindStream}
+	switch k.Routine {
+	case "gemm":
+		buildGemm(g)
+	case "gemm-noreuse":
+		buildGemmNoReuse(g, freeBytes)
+	case "gemm-cublasxt":
+		buildGemmXt(g, freeBytes)
+	case "gemv":
+		buildGemv(g)
+	case "axpy":
+		buildAxpy(g)
+	case "axpy-unified":
+		buildAxpyUnified(g)
+	case "cholesky":
+		buildCholesky(g)
+	case "lu":
+		buildLU(g)
+	case "trsm":
+		buildTrsm(g)
+	default:
+		return nil, fmt.Errorf("plan: unknown routine %q", k.Routine)
+	}
+	return g.Finish(), nil
+}
+
+// Plan is one routine invocation in IR form: the key it was built for,
+// whose fields read as the plan's header (p.Routine, p.M, p.T, ...), and
+// its ops.
+type Plan struct {
+	Key
 
 	Slots []Slot
 	Ops   []Op
@@ -272,45 +325,6 @@ type Plan struct {
 	// tape caches the plan's precompiled timing-only replay tape (see
 	// tape.go). Plans with a compiled tape must not be copied by value.
 	tape tapeCache
-}
-
-// NumArgs returns the number of operand bindings the plan expects.
-func (p *Plan) NumArgs() int { return len(p.Locs) }
-
-// Key identifies the invocation a plan was built for: every field a replay
-// must match. Scalars are compared as bit patterns, so a replay is never
-// accepted against a problem whose coefficients merely compare equal (+0
-// and -0 differ). Key is comparable, so a replay checks it with ==.
-type Key struct {
-	Routine        string
-	Dtype          kernelmodel.Dtype
-	TransA, TransB byte
-	Diag           byte
-	M, N, K, T     int
-	// Alpha and Beta are the math.Float64bits of the plan scalars.
-	Alpha, Beta uint64
-	// DispatchS is the math.Float64bits of the plan's dispatch duration and
-	// BlockingWB its blocking write-back flag (the BLASX request's knobs).
-	DispatchS  uint64
-	BlockingWB bool
-	// Locs is the operand location vector in argument order; NLocs is
-	// its length.
-	Locs  [3]model.Loc
-	NLocs int
-}
-
-// Key returns the plan's invocation key.
-func (p *Plan) Key() Key {
-	k := Key{
-		Routine: p.Routine, Dtype: p.Dtype,
-		TransA: p.TransA, TransB: p.TransB, Diag: p.Diag,
-		M: p.M, N: p.N, K: p.K, T: p.T,
-		Alpha: math.Float64bits(p.Alpha), Beta: math.Float64bits(p.Beta),
-		DispatchS: math.Float64bits(p.DispatchS), BlockingWB: p.BlockingWriteback,
-		NLocs: len(p.Locs),
-	}
-	copy(k.Locs[:], p.Locs)
-	return k
 }
 
 // Deps returns op i's dependency list: ids of earlier ops whose completion
@@ -353,7 +367,7 @@ func (p *Plan) kernelDur(gpu *machine.GPUSpec, memo *kernelmodel.Memo, o *Op) fl
 	s := kernelmodel.Shape{Dtype: p.Dtype}
 	switch o.Kernel {
 	case KDispatch:
-		return p.DispatchS
+		return scalar(p.DispatchS)
 	case KGemm:
 		s.Kind, s.M, s.N, s.K = kernelmodel.KindGemm, int(o.M), int(o.N), int(o.K)
 	case KGemv:
@@ -487,7 +501,7 @@ func (p *Plan) Dump() string {
 	}
 	fmt.Fprintf(&sb, "plan %s dtype=%s trans=%s m=%d n=%d k=%d T=%d alpha=%g beta=%g locs=%s\n",
 		p.Routine, p.Dtype, transString(p.TransA, p.TransB),
-		p.M, p.N, p.K, p.T, p.Alpha, p.Beta, locString(p.Locs))
+		p.M, p.N, p.K, p.T, scalar(p.Alpha), scalar(p.Beta), locString(p.Locs[:p.NLocs]))
 	fmt.Fprintf(&sb, "slots %d\n", len(p.Slots))
 	for i, s := range p.Slots {
 		fmt.Fprintf(&sb, "  s%d %s elems=%d\n", i, s.Dtype, s.Elems)
@@ -555,7 +569,7 @@ func opString(p *Plan, i int32, names []string) string {
 	}
 	switch o.Kernel {
 	case KDispatch:
-		return fmt.Sprintf("dispatch dur=%gs", p.DispatchS)
+		return fmt.Sprintf("dispatch dur=%gs", scalar(p.DispatchS))
 	case KGemm:
 		return fmt.Sprintf("gemm %s m=%d n=%d k=%d alpha=%g beta=%g A=%s B=%s C=%s",
 			transString(o.TransA, o.TransB), o.M, o.N, o.K, p.opAlpha(o), p.opBeta(o),

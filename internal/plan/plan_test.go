@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"cocopelia/internal/blas"
@@ -511,67 +514,122 @@ ops 10
 volumes h2d=40 d2h=40 subkernels=3
 `
 
-// goldenCase is one golden plan and its pinned dump.
+// The test keys follow the conventions the sched requests apply: NoTrans
+// flags, float64 data, cholesky and lu at alpha 1, and trsm carrying alpha
+// as both scalars.
+
+// gemmKey is a NoTrans float64 level-3 (or gemv, with k = 0) key.
+func gemmKey(routine string, m, n, k, T int, alpha, beta float64, la, lb, lc model.Loc) Key {
+	return Key{Routine: routine, Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+		M: m, N: n, K: k, T: T, Alpha: math.Float64bits(alpha), Beta: math.Float64bits(beta),
+		Locs: [3]model.Loc{la, lb, lc}, NLocs: 3}
+}
+
+// axpyKey is an "axpy" or "axpy-unified" key.
+func axpyKey(routine string, n, T int, alpha float64, lx, ly model.Loc) Key {
+	return Key{Routine: routine, Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+		N: n, T: T, Alpha: math.Float64bits(alpha), Locs: [3]model.Loc{lx, ly}, NLocs: 2}
+}
+
+// factorKey is a "cholesky" or "lu" key.
+func factorKey(routine string, dt kernelmodel.Dtype, n, T int, la model.Loc) Key {
+	return Key{Routine: routine, Dtype: dt, TransA: blas.NoTrans, TransB: blas.NoTrans,
+		M: n, N: n, T: T, Alpha: math.Float64bits(1), Locs: [3]model.Loc{la}, NLocs: 1}
+}
+
+// trsmKey is a float64 "trsm" key.
+func trsmKey(diag byte, m, n, T int, alpha float64, la, lb model.Loc) Key {
+	return Key{Routine: "trsm", Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+		Diag: diag, M: m, N: n, T: T, Alpha: math.Float64bits(alpha), Beta: math.Float64bits(alpha),
+		Locs: [3]model.Loc{la, lb}, NLocs: 2}
+}
+
+// transKey returns k with the transpose flags ta and tb.
+func transKey(k Key, ta, tb byte) Key {
+	k.TransA, k.TransB = ta, tb
+	return k
+}
+
+// mustBuild plans k, panicking on error.
+func mustBuild(k Key, freeBytes int64) *Plan {
+	p, err := Build(k, freeBytes)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// goldenCase is one golden plan's key, the free device memory it is
+// planned with and its pinned dump.
 type goldenCase struct {
 	name string
-	p    *Plan
+	key  Key
+	free int64
 	want string
 }
 
-// goldenCases builds the golden plans.
+// goldenCases lists the golden plans: every routine Build plans.
 func goldenCases() []goldenCase {
 	H, D := model.OnHost, model.OnDevice
+	blasx := transKey(gemmKey("gemm", 2, 2, 2, 2, 1, 1, H, H, H), blas.Trans, blas.NoTrans)
+	blasx.DispatchS, blasx.BlockingWB = math.Float64bits(1e-5), true
 	return []goldenCase{
-		{"gemm-hhh", BuildGemm(GemmSpec{Dtype: kernelmodel.F64,
-			TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 4, N: 2, K: 4, Alpha: 1, Beta: 1,
-			LocA: H, LocB: H, LocC: H, T: 2}), goldenGemmHHH},
-		{"gemm-dhd-beta0", BuildGemm(GemmSpec{Dtype: kernelmodel.F64,
-			TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 4, N: 2, K: 2, Alpha: 2, Beta: 0,
-			LocA: D, LocB: H, LocC: D, T: 2}), goldenGemmDHDBeta0},
-		{"gemm-blasx", BuildGemm(GemmSpec{Dtype: kernelmodel.F64,
-			TransA: blas.Trans, TransB: blas.NoTrans,
-			M: 2, N: 2, K: 2, Alpha: 1, Beta: 1,
-			LocA: H, LocB: H, LocC: H, T: 2,
-			DispatchOverheadS: 1e-5, BlockingWriteback: true}), goldenGemmBlasx},
-		{"noreuse-hhh", BuildGemmNoReuse(GemmSpec{Dtype: kernelmodel.F64,
-			TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 4, N: 2, K: 4, Alpha: 1, Beta: 1,
-			LocA: H, LocB: H, LocC: H, T: 2}, 300), goldenNoReuseHHH},
-		{"gemv", BuildGemv(GemvSpec{M: 4, N: 4, Alpha: 1, Beta: 1,
-			LocA: H, LocX: H, LocY: H, T: 2}), goldenGemv},
-		{"axpy", BuildAxpy(AxpySpec{N: 5, Alpha: 1.1, LocX: H, LocY: H, T: 2}), goldenAxpy},
-		{"cholesky", BuildCholesky(CholeskySpec{Dtype: kernelmodel.F64,
-			N: 6, LocA: H, T: 2}), goldenCholesky},
-		{"lu", BuildLU(LUSpec{Dtype: kernelmodel.F64,
-			N: 6, LocA: H, T: 2}), goldenLU},
-		{"trsm", BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit,
-			M: 4, N: 4, Alpha: 1, LocA: H, LocB: H, T: 2}), goldenTrsm},
-		{"cublasxt-ragged", BuildGemmXt(GemmSpec{Dtype: kernelmodel.F64,
-			TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 3, N: 5, K: 2, Alpha: 1, Beta: 1,
-			LocA: H, LocB: H, LocC: H, T: 2}, 1<<30), goldenXtRagged},
-		{"cublasxt-devA", BuildGemmXt(GemmSpec{Dtype: kernelmodel.F64,
-			TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 4, N: 2, K: 4, Alpha: 1, Beta: 1,
-			LocA: D, LocB: H, LocC: H, T: 2}, 1<<30), goldenXtDevA},
-		{"cublasxt-tight", BuildGemmXt(GemmSpec{Dtype: kernelmodel.F64,
-			TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 4, N: 4, K: 2, Alpha: 1, Beta: 1,
-			LocA: H, LocB: H, LocC: H, T: 2}, 250), goldenXtTight},
-		{"unified-hh", BuildAxpyUnified(AxpySpec{N: 5, Alpha: 1.1, LocX: H, LocY: H, T: 2}), goldenUnifiedHH},
-		{"unified-dh", BuildAxpyUnified(AxpySpec{N: 5, Alpha: 1.1, LocX: D, LocY: H, T: 2}), goldenUnifiedDH},
+		{"gemm-hhh", gemmKey("gemm", 4, 2, 4, 2, 1, 1, H, H, H), 0, goldenGemmHHH},
+		{"gemm-dhd-beta0", gemmKey("gemm", 4, 2, 2, 2, 2, 0, D, H, D), 0, goldenGemmDHDBeta0},
+		{"gemm-blasx", blasx, 0, goldenGemmBlasx},
+		{"noreuse-hhh", gemmKey("gemm-noreuse", 4, 2, 4, 2, 1, 1, H, H, H), 300, goldenNoReuseHHH},
+		{"gemv", gemmKey("gemv", 4, 4, 0, 2, 1, 1, H, H, H), 0, goldenGemv},
+		{"axpy", axpyKey("axpy", 5, 2, 1.1, H, H), 0, goldenAxpy},
+		{"cholesky", factorKey("cholesky", kernelmodel.F64, 6, 2, H), 0, goldenCholesky},
+		{"lu", factorKey("lu", kernelmodel.F64, 6, 2, H), 0, goldenLU},
+		{"trsm", trsmKey(blas.NonUnit, 4, 4, 2, 1, H, H), 0, goldenTrsm},
+		{"cublasxt-ragged", gemmKey("gemm-cublasxt", 3, 5, 2, 2, 1, 1, H, H, H), 1 << 30, goldenXtRagged},
+		{"cublasxt-devA", gemmKey("gemm-cublasxt", 4, 2, 4, 2, 1, 1, D, H, H), 1 << 30, goldenXtDevA},
+		{"cublasxt-tight", gemmKey("gemm-cublasxt", 4, 4, 2, 2, 1, 1, H, H, H), 250, goldenXtTight},
+		{"unified-hh", axpyKey("axpy-unified", 5, 2, 1.1, H, H), 0, goldenUnifiedHH},
+		{"unified-dh", axpyKey("axpy-unified", 5, 2, 1.1, D, H), 0, goldenUnifiedDH},
 	}
 }
 
 func TestGoldenPlans(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.p.Dump(); got != tc.want {
+			if got := mustBuild(tc.key, tc.free).Dump(); got != tc.want {
 				t.Errorf("plan dump diverged from golden.\ngot:\n%s\nwant:\n%s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestBuild pins the one planner entry point: every routine a sched
+// request produces builds, and the plan carries the key it was built
+// from; an unknown routine is an error naming it.
+func TestBuild(t *testing.T) {
+	built := map[string]bool{}
+	for _, tc := range goldenCases() {
+		p, err := Build(tc.key, tc.free)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if p.Key != tc.key {
+			t.Errorf("%s: plan key %+v, built from %+v", tc.name, p.Key, tc.key)
+		}
+		built[tc.key.Routine] = true
+	}
+	for _, r := range []string{"gemm", "gemm-noreuse", "gemm-cublasxt", "gemv", "axpy",
+		"axpy-unified", "cholesky", "lu", "trsm"} {
+		if !built[r] {
+			t.Errorf("routine %q has no golden case", r)
+		}
+	}
+	for _, r := range []string{"syrk", "gemm-xt", ""} {
+		k := gemmKey(r, 4, 4, 4, 2, 1, 1, model.OnHost, model.OnHost, model.OnHost)
+		p, err := Build(k, 1<<30)
+		if err == nil || p != nil {
+			t.Errorf("Build(%q) = %v, %v; want an error", r, p, err)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", r)) {
+			t.Errorf("Build(%q) error %q does not name the routine", r, err)
+		}
 	}
 }
 
@@ -580,34 +638,33 @@ func TestGoldenPlans(t *testing.T) {
 // location extreme.
 func planBattery() map[string]*Plan {
 	H, D := model.OnHost, model.OnDevice
-	gemm := func(ta, tb byte, m, n, k int, beta float64, la, lb, lc model.Loc, t int) GemmSpec {
-		return GemmSpec{Dtype: kernelmodel.F64, TransA: ta, TransB: tb,
-			M: m, N: n, K: k, Alpha: 1.5, Beta: beta, LocA: la, LocB: lb, LocC: lc, T: t}
+	gemm := func(routine string, ta, tb byte, m, n, k int, beta float64, la, lb, lc model.Loc, t int, free int64) *Plan {
+		return mustBuild(transKey(gemmKey(routine, m, n, k, t, 1.5, beta, la, lb, lc), ta, tb), free)
 	}
 	nn := blas.NoTrans
 	tt := blas.Trans
 	return map[string]*Plan{
-		"gemm-ragged":   BuildGemm(gemm(nn, nn, 130, 70, 95, 0.5, H, H, H, 64)),
-		"gemm-trans":    BuildGemm(gemm(tt, tt, 90, 110, 70, 1, H, H, H, 64)),
-		"gemm-beta0":    BuildGemm(gemm(nn, nn, 128, 64, 64, 0, H, H, H, 64)),
-		"gemm-device":   BuildGemm(gemm(nn, nn, 128, 128, 128, 1, D, D, D, 64)),
-		"gemm-mixed":    BuildGemm(gemm(nn, tt, 100, 60, 81, 1, D, H, H, 32)),
-		"noreuse":       BuildGemmNoReuse(gemm(nn, nn, 130, 70, 95, 0.5, H, H, H, 64), 1<<30),
-		"noreuse-beta0": BuildGemmNoReuse(gemm(nn, nn, 128, 64, 64, 0, H, H, H, 64), 1<<30),
-		"noreuse-tight": BuildGemmNoReuse(gemm(nn, nn, 256, 256, 256, 1, H, H, H, 128), 500000),
-		"gemv":          BuildGemv(GemvSpec{M: 190, N: 140, Alpha: 1, Beta: 0.25, LocA: H, LocX: H, LocY: H, T: 64}),
-		"gemv-dev":      BuildGemv(GemvSpec{M: 150, N: 130, Alpha: 1, Beta: 0, LocA: D, LocX: D, LocY: H, T: 64}),
-		"axpy":          BuildAxpy(AxpySpec{N: 1000, Alpha: 1.1, LocX: H, LocY: H, T: 384}),
-		"axpy-dev":      BuildAxpy(AxpySpec{N: 777, Alpha: 0.75, LocX: D, LocY: D, T: 256}),
-		"cholesky":      BuildCholesky(CholeskySpec{Dtype: kernelmodel.F64, N: 130, LocA: H, T: 64}),
-		"cholesky-dev":  BuildCholesky(CholeskySpec{Dtype: kernelmodel.F64, N: 128, LocA: D, T: 64}),
-		"lu":            BuildLU(LUSpec{Dtype: kernelmodel.F64, N: 130, LocA: H, T: 64}),
-		"trsm":          BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit, M: 130, N: 70, Alpha: 0.5, LocA: H, LocB: H, T: 64}),
-		"trsm-unit":     BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.Unit, M: 96, N: 64, Alpha: 1, LocA: D, LocB: H, T: 32}),
-		"cublasxt":      BuildGemmXt(gemm(nn, nn, 130, 70, 95, 0.5, H, H, H, 64), 1<<30),
-		"cublasxt-dev":  BuildGemmXt(gemm(nn, nn, 128, 64, 64, 0, D, H, D, 32), 1<<30),
-		"unified":       BuildAxpyUnified(AxpySpec{N: 1000, Alpha: 1.1, LocX: H, LocY: H, T: 384}),
-		"unified-dev":   BuildAxpyUnified(AxpySpec{N: 777, Alpha: 0.75, LocX: D, LocY: H, T: 256}),
+		"gemm-ragged":   gemm("gemm", nn, nn, 130, 70, 95, 0.5, H, H, H, 64, 0),
+		"gemm-trans":    gemm("gemm", tt, tt, 90, 110, 70, 1, H, H, H, 64, 0),
+		"gemm-beta0":    gemm("gemm", nn, nn, 128, 64, 64, 0, H, H, H, 64, 0),
+		"gemm-device":   gemm("gemm", nn, nn, 128, 128, 128, 1, D, D, D, 64, 0),
+		"gemm-mixed":    gemm("gemm", nn, tt, 100, 60, 81, 1, D, H, H, 32, 0),
+		"noreuse":       gemm("gemm-noreuse", nn, nn, 130, 70, 95, 0.5, H, H, H, 64, 1<<30),
+		"noreuse-beta0": gemm("gemm-noreuse", nn, nn, 128, 64, 64, 0, H, H, H, 64, 1<<30),
+		"noreuse-tight": gemm("gemm-noreuse", nn, nn, 256, 256, 256, 1, H, H, H, 128, 500000),
+		"gemv":          mustBuild(gemmKey("gemv", 190, 140, 0, 64, 1, 0.25, H, H, H), 0),
+		"gemv-dev":      mustBuild(gemmKey("gemv", 150, 130, 0, 64, 1, 0, D, D, H), 0),
+		"axpy":          mustBuild(axpyKey("axpy", 1000, 384, 1.1, H, H), 0),
+		"axpy-dev":      mustBuild(axpyKey("axpy", 777, 256, 0.75, D, D), 0),
+		"cholesky":      mustBuild(factorKey("cholesky", kernelmodel.F64, 130, 64, H), 0),
+		"cholesky-dev":  mustBuild(factorKey("cholesky", kernelmodel.F64, 128, 64, D), 0),
+		"lu":            mustBuild(factorKey("lu", kernelmodel.F64, 130, 64, H), 0),
+		"trsm":          mustBuild(trsmKey(blas.NonUnit, 130, 70, 64, 0.5, H, H), 0),
+		"trsm-unit":     mustBuild(trsmKey(blas.Unit, 96, 64, 32, 1, D, H), 0),
+		"cublasxt":      gemm("gemm-cublasxt", nn, nn, 130, 70, 95, 0.5, H, H, H, 64, 1<<30),
+		"cublasxt-dev":  gemm("gemm-cublasxt", nn, nn, 128, 64, 64, 0, D, H, D, 32, 1<<30),
+		"unified":       mustBuild(axpyKey("axpy-unified", 1000, 384, 1.1, H, H), 0),
+		"unified-dev":   mustBuild(axpyKey("axpy-unified", 777, 256, 0.75, D, H), 0),
 	}
 }
 
@@ -646,55 +703,53 @@ func TestPlanDepInvariants(t *testing.T) {
 // raggedness, transposes and beta handling.
 func TestPlanVolumesMatchClosedForm(t *testing.T) {
 	H, D := model.OnHost, model.OnDevice
-	specs := []GemmSpec{
-		{Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 130, N: 70, K: 95, Alpha: 1, Beta: 0.5, LocA: H, LocB: H, LocC: H, T: 64},
-		{Dtype: kernelmodel.F64, TransA: blas.Trans, TransB: blas.Trans,
-			M: 90, N: 110, K: 70, Alpha: 1, Beta: 1, LocA: H, LocB: H, LocC: H, T: 64},
-		{Dtype: kernelmodel.F32, TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 128, N: 64, K: 64, Alpha: 1, Beta: 0, LocA: H, LocB: H, LocC: H, T: 32},
-		{Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 128, N: 128, K: 128, Alpha: 1, Beta: 1, LocA: D, LocB: D, LocC: D, T: 64},
-		{Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.Trans,
-			M: 100, N: 60, K: 81, Alpha: 1, Beta: 1, LocA: D, LocB: H, LocC: H, T: 32},
+	f32 := gemmKey("gemm", 128, 64, 64, 32, 1, 0, H, H, H)
+	f32.Dtype = kernelmodel.F32
+	keys := []Key{
+		gemmKey("gemm", 130, 70, 95, 64, 1, 0.5, H, H, H),
+		transKey(gemmKey("gemm", 90, 110, 70, 64, 1, 1, H, H, H), blas.Trans, blas.Trans),
+		f32,
+		gemmKey("gemm", 128, 128, 128, 64, 1, 1, D, D, D),
+		transKey(gemmKey("gemm", 100, 60, 81, 32, 1, 1, D, H, H), blas.NoTrans, blas.Trans),
 	}
-	for _, spec := range specs {
-		if got, want := BuildGemm(spec).Volumes(), GemmVolumes(spec); got != want {
-			t.Errorf("gemm %+v: built %+v, closed form %+v", spec, got, want)
+	for _, k := range keys {
+		if got, want := mustBuild(k, 0).Volumes(), GemmVolumes(k); got != want {
+			t.Errorf("gemm %+v: built %+v, closed form %+v", k, got, want)
 		}
-		if spec.TransA != blas.NoTrans || spec.TransB != blas.NoTrans {
+		if k.TransA != blas.NoTrans || k.TransB != blas.NoTrans {
 			continue // no-reuse path is NoTrans-only
 		}
-		if got, want := BuildGemmNoReuse(spec, 1<<30).Volumes(), GemmNoReuseVolumes(spec); got != want {
-			t.Errorf("noreuse %+v: built %+v, closed form %+v", spec, got, want)
+		k.Routine = "gemm-noreuse"
+		if got, want := mustBuild(k, 1<<30).Volumes(), GemmNoReuseVolumes(k); got != want {
+			t.Errorf("noreuse %+v: built %+v, closed form %+v", k, got, want)
 		}
 	}
 
 	// Factorization planners: ragged and exact grids, host and device
 	// residency, both TRSM diagonals.
-	for _, spec := range []CholeskySpec{
-		{Dtype: kernelmodel.F64, N: 130, LocA: H, T: 64},
-		{Dtype: kernelmodel.F64, N: 128, LocA: D, T: 32},
-		{Dtype: kernelmodel.F32, N: 96, LocA: H, T: 32},
+	for _, k := range []Key{
+		factorKey("cholesky", kernelmodel.F64, 130, 64, H),
+		factorKey("cholesky", kernelmodel.F64, 128, 32, D),
+		factorKey("cholesky", kernelmodel.F32, 96, 32, H),
 	} {
-		if got, want := BuildCholesky(spec).Volumes(), CholeskyVolumes(spec); got != want {
-			t.Errorf("cholesky %+v: built %+v, closed form %+v", spec, got, want)
+		if got, want := mustBuild(k, 0).Volumes(), CholeskyVolumes(k); got != want {
+			t.Errorf("cholesky %+v: built %+v, closed form %+v", k, got, want)
 		}
 	}
-	for _, spec := range []LUSpec{
-		{Dtype: kernelmodel.F64, N: 130, LocA: H, T: 64},
-		{Dtype: kernelmodel.F64, N: 128, LocA: D, T: 32},
+	for _, k := range []Key{
+		factorKey("lu", kernelmodel.F64, 130, 64, H),
+		factorKey("lu", kernelmodel.F64, 128, 32, D),
 	} {
-		if got, want := BuildLU(spec).Volumes(), LUVolumes(spec); got != want {
-			t.Errorf("lu %+v: built %+v, closed form %+v", spec, got, want)
+		if got, want := mustBuild(k, 0).Volumes(), LUVolumes(k); got != want {
+			t.Errorf("lu %+v: built %+v, closed form %+v", k, got, want)
 		}
 	}
-	for _, spec := range []TrsmSpec{
-		{Dtype: kernelmodel.F64, Diag: blas.NonUnit, M: 130, N: 70, Alpha: 0.5, LocA: H, LocB: H, T: 64},
-		{Dtype: kernelmodel.F64, Diag: blas.Unit, M: 96, N: 64, Alpha: 1, LocA: D, LocB: H, T: 32},
+	for _, k := range []Key{
+		trsmKey(blas.NonUnit, 130, 70, 64, 0.5, H, H),
+		trsmKey(blas.Unit, 96, 64, 32, 1, D, H),
 	} {
-		if got, want := BuildTrsm(spec).Volumes(), TrsmVolumes(spec); got != want {
-			t.Errorf("trsm %+v: built %+v, closed form %+v", spec, got, want)
+		if got, want := mustBuild(k, 0).Volumes(), TrsmVolumes(k); got != want {
+			t.Errorf("trsm %+v: built %+v, closed form %+v", k, got, want)
 		}
 	}
 }

@@ -19,14 +19,13 @@ import (
 func TestKernelSecondsMatchesTape(t *testing.T) {
 	H := model.OnHost
 	plans := map[string]*Plan{
-		"potrf-4096": BuildCholesky(CholeskySpec{Dtype: kernelmodel.F64, N: 4096, LocA: H, T: 256}),
-		"getrf-4096": BuildLU(LUSpec{Dtype: kernelmodel.F64, N: 4096, LocA: H, T: 256}),
-		"trsm-4096": BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit,
-			M: 4096, N: 4096, Alpha: 1, LocA: H, LocB: H, T: 256}),
+		"potrf-4096": mustBuild(factorKey("cholesky", kernelmodel.F64, 4096, 256, H), 0),
+		"getrf-4096": mustBuild(factorKey("lu", kernelmodel.F64, 4096, 256, H), 0),
+		"trsm-4096":  mustBuild(trsmKey(blas.NonUnit, 4096, 4096, 256, 1, H, H), 0),
 	}
 	names := []string{"potrf-4096", "getrf-4096", "trsm-4096"}
 	for _, gc := range goldenCases() {
-		plans[gc.name] = gc.p
+		plans[gc.name] = mustBuild(gc.key, gc.free)
 		names = append(names, gc.name)
 	}
 	for _, tb := range []*machine.Testbed{machine.TestbedI(), machine.TestbedII()} {
@@ -59,7 +58,7 @@ func TestKernelSecondsMatchesTape(t *testing.T) {
 // every caller gets the same tape, the cache holds one tape per GPU model,
 // and returning to a GPU model reuses its tape.
 func TestTapeForCompilesOnce(t *testing.T) {
-	p := BuildCholesky(CholeskySpec{Dtype: kernelmodel.F64, N: 2048, LocA: model.OnHost, T: 256})
+	p := mustBuild(factorKey("cholesky", kernelmodel.F64, 2048, 256, model.OnHost), 0)
 	gpuI, gpuII := &machine.TestbedI().GPU, &machine.TestbedII().GPU
 
 	const callers = 16
@@ -103,9 +102,7 @@ func TestTapeForCompilesOnce(t *testing.T) {
 func TestReleaseRecyclesArenas(t *testing.T) {
 	gpu := &machine.TestbedI().GPU
 	build := func(locA model.Loc, beta float64) *Plan {
-		p := BuildGemmNoReuse(GemmSpec{Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
-			M: 130, N: 70, K: 95, Alpha: 1, Beta: beta,
-			LocA: locA, LocB: model.OnHost, LocC: model.OnHost, T: 16}, 1<<30)
+		p := mustBuild(gemmKey("gemm-noreuse", 130, 70, 95, 16, 1, beta, locA, model.OnHost, model.OnHost), 1<<30)
 		p.TapeFor(gpu)
 		return p
 	}

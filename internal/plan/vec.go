@@ -1,36 +1,20 @@
 package plan
 
 import (
-	"cocopelia/internal/blas"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/model"
 )
 
-// GemvSpec parameterizes the level-2 planner (y = alpha*A*x + beta*y,
-// float64, A stored MxN).
-type GemvSpec struct {
-	M, N             int
-	Alpha, Beta      float64
-	LocA, LocX, LocY model.Loc
-	T                int
-}
-
-// BuildGemv emits the level-2 schedule: A tiles fetched per sub-kernel, x
-// chunks fetched once and reused down each tile column, y chunks
-// accumulating on the device and written back once per tile row.
-func BuildGemv(spec GemvSpec) *Plan {
-	T := spec.T
-	mt := ceil(spec.M, T)
-	nt := ceil(spec.N, T)
-
-	p := &Plan{
-		Routine: "gemv", Dtype: kernelmodel.F64,
-		TransA: blas.NoTrans, TransB: blas.NoTrans,
-		M: spec.M, N: spec.N, T: T,
-		Alpha: spec.Alpha, Beta: spec.Beta,
-		Locs: []model.Loc{spec.LocA, spec.LocX, spec.LocY},
-	}
-	g := NewGraph(p)
+// buildGemv emits the level-2 schedule of y = alpha*A*x + beta*y (float64,
+// A stored MxN): A tiles fetched per sub-kernel, x chunks fetched once and
+// reused down each tile column, y chunks accumulating on the device and
+// written back once per tile row.
+func buildGemv(g *Graph) {
+	key := &g.p.Key
+	T := key.T
+	mt := ceil(key.M, T)
+	nt := ceil(key.N, T)
+	keyBeta := scalar(key.Beta)
 
 	// x chunks: fetched once, reused by every tile row.
 	xChunks := make([]tileState, nt)
@@ -40,7 +24,7 @@ func BuildGemv(spec GemvSpec) *Plan {
 			return ch
 		}
 		ch.live = true
-		if spec.LocX == model.OnDevice {
+		if key.Locs[1] == model.OnDevice {
 			ch.ref = argRef(1, int32(tj*T), 0)
 			ch.ready = NoOp
 			return ch
@@ -56,27 +40,27 @@ func BuildGemv(spec GemvSpec) *Plan {
 	var depBuf []OpID
 
 	for ti := 0; ti < mt; ti++ {
-		rows := min(T, spec.M-ti*T)
+		rows := min(T, key.M-ti*T)
 		var yRef Ref
 		ySlot := int32(-1)
 		yReady := NoOp
-		if spec.LocY == model.OnDevice {
+		if key.Locs[2] == model.OnDevice {
 			yRef = argRef(2, int32(ti*T), 0)
 		} else {
 			ySlot = g.Slot(kernelmodel.F64, int64(rows))
 			g.Alloc(ySlot)
 			yRef = slotRef(ySlot, 0)
-			if spec.Beta != 0 {
+			if keyBeta != 0 {
 				yReady = g.FetchVec(2, int32(ti*T), int32(rows), ySlot, 0)
 			}
 		}
 
 		for tj := 0; tj < nt; tj++ {
-			cols := min(T, spec.N-tj*T)
+			cols := min(T, key.N-tj*T)
 			xc := getX(tj, cols)
 			aRef := argRef(0, int32(ti*T), int32(tj*T))
 			aReady := NoOp
-			if spec.LocA == model.OnHost {
+			if key.Locs[0] == model.OnHost {
 				slot := g.Slot(kernelmodel.F64, int64(rows)*int64(cols))
 				g.Alloc(slot)
 				aReady = g.Fetch(0, int32(ti*T), int32(tj*T), int32(rows), int32(cols), slot)
@@ -89,8 +73,8 @@ func BuildGemv(spec GemvSpec) *Plan {
 			beta := 1.0
 			if tj == 0 {
 				depBuf = append(depBuf, yReady)
-				beta = spec.Beta
-				if spec.LocY == model.OnHost && spec.Beta == 0 {
+				beta = keyBeta
+				if key.Locs[2] == model.OnHost && keyBeta == 0 {
 					beta = 0
 				}
 			}
@@ -98,40 +82,25 @@ func BuildGemv(spec GemvSpec) *Plan {
 				aRef, xc.ref, yRef, depBuf...)
 		}
 
-		if spec.LocY == model.OnHost {
+		if key.Locs[2] == model.OnHost {
 			g.WritebackVec(ySlot, 0, 2, int32(ti*T), int32(rows), lastComp)
 		}
 	}
-	return g.Finish()
 }
 
-// AxpySpec parameterizes the level-1 planner (y += alpha*x, float64).
-type AxpySpec struct {
-	N          int
-	Alpha      float64
-	LocX, LocY model.Loc
-	T          int
-}
+// buildAxpy emits the level-1 schedule of y += alpha*x (float64):
+// independent 1-D chunks, each with its own staging slots, pipelined across
+// the three streams.
+func buildAxpy(g *Graph) {
+	key := &g.p.Key
 
-// BuildAxpy emits the level-1 schedule: independent 1-D chunks, each with
-// its own staging slots, pipelined across the three streams.
-func BuildAxpy(spec AxpySpec) *Plan {
-	p := &Plan{
-		Routine: "axpy", Dtype: kernelmodel.F64,
-		TransA: blas.NoTrans, TransB: blas.NoTrans,
-		N: spec.N, T: spec.T,
-		Alpha: spec.Alpha,
-		Locs:  []model.Loc{spec.LocX, spec.LocY},
-	}
-	g := NewGraph(p)
-
-	chunks := ceil(spec.N, spec.T)
+	chunks := ceil(key.N, key.T)
 	for ci := 0; ci < chunks; ci++ {
-		off := ci * spec.T
-		n := min(spec.T, spec.N-off)
+		off := ci * key.T
+		n := min(key.T, key.N-off)
 
 		chunk := func(arg int8) (Ref, OpID) {
-			if p.Locs[arg] == model.OnDevice {
+			if key.Locs[arg] == model.OnDevice {
 				return argRef(arg, int32(off), 0), NoOp
 			}
 			slot := g.Slot(kernelmodel.F64, int64(n))
@@ -144,41 +113,33 @@ func BuildAxpy(spec AxpySpec) *Plan {
 
 		kid := g.Axpy(int32(n), xRef, yRef, xReady, yReady)
 
-		if spec.LocY == model.OnHost {
+		if key.Locs[1] == model.OnHost {
 			g.WritebackVec(yRef.Slot, 0, 1, int32(off), int32(n), kid)
 		}
 	}
-	return g.Finish()
 }
 
-// BuildAxpyUnified emits the unified-memory daxpy baseline the paper
+// buildAxpyUnified emits the unified-memory daxpy baseline the paper
 // compares CoCoPeLia's level-1 path against: CUDA unified memory with
 // prefetching. Each host-resident operand gets a whole-vector managed
-// mirror. Prefetch hints stream its pages to the device in spec.T-element
+// mirror. Prefetch hints stream its pages to the device in T-element
 // chunks on the h2d stream ahead of each chunk's kernel, so h2d overlaps
 // compute, but at a fixed small granularity that pays the per-transfer
 // latency far more often than a tiled scheduler. The written pages of y
 // migrate back on demand only when the host touches y, after the last
 // kernel: the d2h chunks all queue behind the whole kernel sequence and
 // never overlap compute. Device-resident operands need no migration.
-func BuildAxpyUnified(spec AxpySpec) *Plan {
-	T := spec.T
-	p := &Plan{
-		Routine: "axpy-unified", Dtype: kernelmodel.F64,
-		TransA: blas.NoTrans, TransB: blas.NoTrans,
-		N: spec.N, T: T,
-		Alpha: spec.Alpha,
-		Locs:  []model.Loc{spec.LocX, spec.LocY},
-	}
-	g := NewGraph(p)
+func buildAxpyUnified(g *Graph) {
+	key := &g.p.Key
+	T := key.T
 
 	// mirror allocates a host-resident operand's managed mirror; -1 marks a
 	// device-resident operand, used in place.
 	mirror := func(arg int8) int32 {
-		if p.Locs[arg] == model.OnDevice {
+		if key.Locs[arg] == model.OnDevice {
 			return -1
 		}
-		slot := g.Slot(kernelmodel.F64, int64(spec.N))
+		slot := g.Slot(kernelmodel.F64, int64(key.N))
 		g.Alloc(slot)
 		return slot
 	}
@@ -190,11 +151,11 @@ func BuildAxpyUnified(spec AxpySpec) *Plan {
 		return slotOffRef(slot, int32(off))
 	}
 
-	chunks := ceil(spec.N, T)
+	chunks := ceil(key.N, T)
 	lastKernel := NoOp
 	for ci := 0; ci < chunks; ci++ {
 		off := ci * T
-		n := min(T, spec.N-off)
+		n := min(T, key.N-off)
 		// The kernel waits for the prefetch stream's tail: the chunk's
 		// last prefetch.
 		ready := NoOp
@@ -211,9 +172,8 @@ func BuildAxpyUnified(spec AxpySpec) *Plan {
 		// follow it in stream order.
 		for ci := 0; ci < chunks; ci++ {
 			off := ci * T
-			g.WritebackVec(ys, int32(off), 1, int32(off), int32(min(T, spec.N-off)), lastKernel)
+			g.WritebackVec(ys, int32(off), 1, int32(off), int32(min(T, key.N-off)), lastKernel)
 			lastKernel = NoOp
 		}
 	}
-	return g.Finish()
 }

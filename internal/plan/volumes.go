@@ -3,29 +3,29 @@ package plan
 import "cocopelia/internal/model"
 
 // GemmVolumes returns, in closed form, the transfer-volume annotations the
-// full-reuse gemm planner (BuildGemm) emits, without building the plan:
-// each host-resident input crosses the link exactly once (tile raggedness
+// full-reuse gemm planner emits for k, without building the plan: each
+// host-resident input crosses the link exactly once (tile raggedness
 // cancels — the stored tiles partition the matrix), C is fetched only when
 // beta contributes, and written back once when host-resident. Layers that
 // only need a plan's traffic summary (the hybrid split planner) use this
 // instead of materializing ops.
-func GemmVolumes(spec GemmSpec) Volumes {
-	sz := spec.Dtype.Size()
-	mt := int64(ceil(spec.M, spec.T))
-	nt := int64(ceil(spec.N, spec.T))
-	kt := int64(ceil(spec.K, spec.T))
+func GemmVolumes(k Key) Volumes {
+	sz := k.Dtype.Size()
+	mt := int64(ceil(k.M, k.T))
+	nt := int64(ceil(k.N, k.T))
+	kt := int64(ceil(k.K, k.T))
 	v := Volumes{Subkernels: mt * nt * kt}
-	if spec.LocA == model.OnHost {
-		v.BytesH2D += int64(spec.M) * int64(spec.K) * sz
+	if k.Locs[0] == model.OnHost {
+		v.BytesH2D += int64(k.M) * int64(k.K) * sz
 	}
-	if spec.LocB == model.OnHost {
-		v.BytesH2D += int64(spec.K) * int64(spec.N) * sz
+	if k.Locs[1] == model.OnHost {
+		v.BytesH2D += int64(k.K) * int64(k.N) * sz
 	}
-	if spec.LocC == model.OnHost {
-		if spec.Beta != 0 {
-			v.BytesH2D += int64(spec.M) * int64(spec.N) * sz
+	if k.Locs[2] == model.OnHost {
+		if scalar(k.Beta) != 0 {
+			v.BytesH2D += int64(k.M) * int64(k.N) * sz
 		}
-		v.BytesD2H += int64(spec.M) * int64(spec.N) * sz
+		v.BytesD2H += int64(k.M) * int64(k.N) * sz
 	}
 	return v
 }
@@ -42,15 +42,15 @@ func lowerTileElems(n, T int) int64 {
 }
 
 // CholeskyVolumes returns, in closed form, the traffic annotations of the
-// tiled Cholesky planner (BuildCholesky): each lower-triangle tile crosses
-// the link exactly once in each direction when A is host-resident, and the
-// schedule launches nt POTRF, nt(nt-1)/2 each of TRSM and SYRK, and
-// C(nt,3) GEMM tile kernels.
-func CholeskyVolumes(spec CholeskySpec) Volumes {
-	nt := int64(ceil(spec.N, spec.T))
+// tiled Cholesky planner for k: each lower-triangle tile crosses the link
+// exactly once in each direction when A is host-resident, and the schedule
+// launches nt POTRF, nt(nt-1)/2 each of TRSM and SYRK, and C(nt,3) GEMM
+// tile kernels.
+func CholeskyVolumes(k Key) Volumes {
+	nt := int64(ceil(k.N, k.T))
 	v := Volumes{Subkernels: nt + nt*(nt-1) + nt*(nt-1)*(nt-2)/6}
-	if spec.LocA == model.OnHost {
-		bytes := lowerTileElems(spec.N, spec.T) * spec.Dtype.Size()
+	if k.Locs[0] == model.OnHost {
+		bytes := lowerTileElems(k.N, k.T) * k.Dtype.Size()
 		v.BytesH2D = bytes
 		v.BytesD2H = bytes
 	}
@@ -58,14 +58,14 @@ func CholeskyVolumes(spec CholeskySpec) Volumes {
 }
 
 // LUVolumes returns the closed-form annotations of the tiled LU planner
-// (BuildLU): the full matrix crosses once in each direction when
+// for k: the full matrix crosses once in each direction when
 // host-resident, with nt GETRF, nt(nt-1) TRSM and sum_{r=1}^{nt-1} r^2
 // GEMM tile kernels.
-func LUVolumes(spec LUSpec) Volumes {
-	nt := int64(ceil(spec.N, spec.T))
+func LUVolumes(k Key) Volumes {
+	nt := int64(ceil(k.N, k.T))
 	v := Volumes{Subkernels: nt + nt*(nt-1) + (nt-1)*nt*(2*nt-1)/6}
-	if spec.LocA == model.OnHost {
-		bytes := int64(spec.N) * int64(spec.N) * spec.Dtype.Size()
+	if k.Locs[0] == model.OnHost {
+		bytes := int64(k.N) * int64(k.N) * k.Dtype.Size()
 		v.BytesH2D = bytes
 		v.BytesD2H = bytes
 	}
@@ -73,18 +73,18 @@ func LUVolumes(spec LUSpec) Volumes {
 }
 
 // TrsmVolumes returns the closed-form annotations of the tiled triangular
-// solve (BuildTrsm): A's lower tile cover crosses once, B crosses once in
-// and once out, and each of B's nt column blocks takes mt diagonal solves
-// plus mt(mt-1)/2 update GEMMs.
-func TrsmVolumes(spec TrsmSpec) Volumes {
-	mt := int64(ceil(spec.M, spec.T))
-	nt := int64(ceil(spec.N, spec.T))
+// solve for k: A's lower tile cover crosses once, B crosses once in and
+// once out, and each of B's nt column blocks takes mt diagonal solves plus
+// mt(mt-1)/2 update GEMMs.
+func TrsmVolumes(k Key) Volumes {
+	mt := int64(ceil(k.M, k.T))
+	nt := int64(ceil(k.N, k.T))
 	v := Volumes{Subkernels: nt * (mt + mt*(mt-1)/2)}
-	if spec.LocA == model.OnHost {
-		v.BytesH2D += lowerTileElems(spec.M, spec.T) * spec.Dtype.Size()
+	if k.Locs[0] == model.OnHost {
+		v.BytesH2D += lowerTileElems(k.M, k.T) * k.Dtype.Size()
 	}
-	if spec.LocB == model.OnHost {
-		bytes := int64(spec.M) * int64(spec.N) * spec.Dtype.Size()
+	if k.Locs[1] == model.OnHost {
+		bytes := int64(k.M) * int64(k.N) * k.Dtype.Size()
 		v.BytesH2D += bytes
 		v.BytesD2H = bytes
 	}
@@ -92,29 +92,29 @@ func TrsmVolumes(spec TrsmSpec) Volumes {
 }
 
 // GemmNoReuseVolumes returns the closed-form annotations of the
-// stateless-sub-kernel planner (BuildGemmNoReuse): every sub-kernel
-// re-fetches its host-resident tiles (A crosses once per output column
-// block, B once per output row block, C once per K step with a write-back
-// each), independent of the staging depth.
-func GemmNoReuseVolumes(spec GemmSpec) Volumes {
-	sz := spec.Dtype.Size()
-	mt := int64(ceil(spec.M, spec.T))
-	nt := int64(ceil(spec.N, spec.T))
-	kt := int64(ceil(spec.K, spec.T))
+// stateless-sub-kernel planner for k: every sub-kernel re-fetches its
+// host-resident tiles (A crosses once per output column block, B once per
+// output row block, C once per K step with a write-back each), independent
+// of the staging depth.
+func GemmNoReuseVolumes(k Key) Volumes {
+	sz := k.Dtype.Size()
+	mt := int64(ceil(k.M, k.T))
+	nt := int64(ceil(k.N, k.T))
+	kt := int64(ceil(k.K, k.T))
 	v := Volumes{Subkernels: mt * nt * kt}
-	if spec.LocA == model.OnHost {
-		v.BytesH2D += nt * int64(spec.M) * int64(spec.K) * sz
+	if k.Locs[0] == model.OnHost {
+		v.BytesH2D += nt * int64(k.M) * int64(k.K) * sz
 	}
-	if spec.LocB == model.OnHost {
-		v.BytesH2D += mt * int64(spec.K) * int64(spec.N) * sz
+	if k.Locs[1] == model.OnHost {
+		v.BytesH2D += mt * int64(k.K) * int64(k.N) * sz
 	}
-	if spec.LocC == model.OnHost {
+	if k.Locs[2] == model.OnHost {
 		fetches := kt - 1
-		if spec.Beta != 0 {
+		if scalar(k.Beta) != 0 {
 			fetches = kt
 		}
-		v.BytesH2D += fetches * int64(spec.M) * int64(spec.N) * sz
-		v.BytesD2H += kt * int64(spec.M) * int64(spec.N) * sz
+		v.BytesH2D += fetches * int64(k.M) * int64(k.N) * sz
+		v.BytesD2H += kt * int64(k.M) * int64(k.N) * sz
 	}
 	return v
 }

@@ -1,13 +1,6 @@
 package sched
 
-import (
-	"math"
-
-	"cocopelia/internal/blas"
-	"cocopelia/internal/kernelmodel"
-	"cocopelia/internal/model"
-	"cocopelia/internal/plan"
-)
+import "cocopelia/internal/blas"
 
 // The comparator libraries the paper evaluates CoCoPeLia against run as
 // requests like every other routine: their schedules are plans, built once
@@ -25,7 +18,7 @@ func (c *Context) freeBytes() int64 {
 // C = alpha*A*B + beta*C with NoTrans operands: T is the block dimension
 // (cublasXtSetBlockDim), output tiles are dealt round-robin to
 // plan.XtStreams worker streams, and inputs are fetched again for every
-// sub-kernel (see plan.BuildGemmXt). The worker count is sized to the
+// sub-kernel (the "gemm-cublasxt" plan). The worker count is sized to the
 // device memory free at planning time.
 type GemmXtOpts GemmOpts
 
@@ -34,12 +27,7 @@ func (opts GemmXtOpts) resolve(c *Context) (call, error) {
 	if err := c.validateNoTrans("gemm-cublasxt", g); err != nil {
 		return call{}, err
 	}
-	spec := gemmSpec(g, blas.NoTrans, blas.NoTrans)
-	return call{
-		key:   gemmKey("gemm-cublasxt", g, blas.NoTrans, blas.NoTrans),
-		args:  [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}},
-		build: func() *plan.Plan { return plan.BuildGemmXt(spec, c.freeBytes()) },
-	}, nil
+	return level3Call("gemm-cublasxt", g, blas.NoTrans, blas.NoTrans), nil
 }
 
 // BlasxStaticT is BLASX's compile-time tile size (Wang et al. [8]; the
@@ -79,8 +67,8 @@ const UnifiedPrefetchElems = (2 << 20) / 8
 
 // AxpyUnifiedOpts is the daxpy request y += alpha*x of the unified-memory
 // comparator: managed mirrors prefetched in UnifiedPrefetchElems chunks and
-// y migrated back on demand after the last kernel (see
-// plan.BuildAxpyUnified).
+// y migrated back on demand after the last kernel (the "axpy-unified"
+// plan).
 type AxpyUnifiedOpts struct {
 	N     int
 	Alpha float64
@@ -91,14 +79,5 @@ func (opts AxpyUnifiedOpts) resolve(c *Context) (call, error) {
 	if err := c.validateAxpy(opts.N, opts.X, opts.Y); err != nil {
 		return call{}, err
 	}
-	spec := plan.AxpySpec{N: opts.N, Alpha: opts.Alpha, LocX: opts.X.Loc, LocY: opts.Y.Loc, T: UnifiedPrefetchElems}
-	return call{
-		key: plan.Key{
-			Routine: "axpy-unified", Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
-			N: opts.N, T: UnifiedPrefetchElems, Alpha: math.Float64bits(opts.Alpha),
-			Locs: [3]model.Loc{opts.X.Loc, opts.Y.Loc}, NLocs: 2,
-		},
-		args:  [3]plan.Arg{{Vec: opts.X}, {Vec: opts.Y}},
-		build: func() *plan.Plan { return plan.BuildAxpyUnified(spec) },
-	}, nil
+	return axpyCall("axpy-unified", opts.N, UnifiedPrefetchElems, opts.Alpha, opts.X, opts.Y), nil
 }

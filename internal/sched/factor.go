@@ -41,8 +41,9 @@ type LUOpts struct {
 }
 
 // factorCall validates the square operand shared by the cholesky and lu
-// requests and returns their call; build runs the routine's planner.
-func (c *Context) factorCall(routine string, dt kernelmodel.Dtype, n, T int, a *Matrix, build func() *plan.Plan) (call, error) {
+// requests and returns their call. Their keys carry alpha = 1 and beta = 0:
+// the factorizations have no scalars.
+func (c *Context) factorCall(routine string, dt kernelmodel.Dtype, n, T int, a *Matrix) (call, error) {
 	if n <= 0 {
 		return call{}, fmt.Errorf("sched: non-positive %s dimension %d", routine, n)
 	}
@@ -61,21 +62,16 @@ func (c *Context) factorCall(routine string, dt kernelmodel.Dtype, n, T int, a *
 			M: n, N: n, T: T, Alpha: math.Float64bits(1),
 			Locs: [3]model.Loc{a.Loc}, NLocs: 1,
 		},
-		args:  [3]plan.Arg{{Mat: a}},
-		build: build,
+		args: [3]plan.Arg{{Mat: a}},
 	}, nil
 }
 
 func (opts CholeskyOpts) resolve(c *Context) (call, error) {
-	return c.factorCall("cholesky", opts.Dtype, opts.N, opts.T, opts.A, func() *plan.Plan {
-		return plan.BuildCholesky(plan.CholeskySpec{Dtype: opts.Dtype, N: opts.N, LocA: opts.A.Loc, T: opts.T})
-	})
+	return c.factorCall("cholesky", opts.Dtype, opts.N, opts.T, opts.A)
 }
 
 func (opts LUOpts) resolve(c *Context) (call, error) {
-	return c.factorCall("lu", opts.Dtype, opts.N, opts.T, opts.A, func() *plan.Plan {
-		return plan.BuildLU(plan.LUSpec{Dtype: opts.Dtype, N: opts.N, LocA: opts.A.Loc, T: opts.T})
-	})
+	return c.factorCall("lu", opts.Dtype, opts.N, opts.T, opts.A)
 }
 
 // TrsmOpts is the tiled triangular solve request A*X = alpha*B with A the
@@ -128,11 +124,8 @@ func (opts TrsmOpts) resolve(c *Context) (call, error) {
 		opts.B.Rows != opts.M || opts.B.Cols != opts.N {
 		return call{}, errors.New("sched: trsm operand shapes inconsistent with m, n")
 	}
-	spec := plan.TrsmSpec{
-		Dtype: dt, Diag: diag, M: opts.M, N: opts.N,
-		Alpha: opts.Alpha, LocA: opts.A.Loc, LocB: opts.B.Loc, T: opts.T,
-	}
-	// The planner carries alpha as both plan scalars (see plan.BuildTrsm).
+	// The trsm plan reads alpha as both scalars: Beta scales each tile's
+	// first accumulation, Alpha the first row block's diagonal solve.
 	alpha := math.Float64bits(opts.Alpha)
 	return call{
 		key: plan.Key{
@@ -140,7 +133,6 @@ func (opts TrsmOpts) resolve(c *Context) (call, error) {
 			M: opts.M, N: opts.N, T: opts.T, Alpha: alpha, Beta: alpha,
 			Locs: [3]model.Loc{opts.A.Loc, opts.B.Loc}, NLocs: 2,
 		},
-		args:  [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}},
-		build: func() *plan.Plan { return plan.BuildTrsm(spec) },
+		args: [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}},
 	}, nil
 }

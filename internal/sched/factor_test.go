@@ -125,8 +125,9 @@ func TestCholeskyVolumesMatchClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := plan.CholeskySpec{Dtype: kernelmodel.F64, N: n, LocA: model.OnHost, T: T}
-		if got, want := p.Volumes(), plan.CholeskyVolumes(spec); got != want {
+		key := plan.Key{Routine: "cholesky", Dtype: kernelmodel.F64, N: n, T: T,
+			Locs: [3]model.Loc{model.OnHost}, NLocs: 1}
+		if got, want := p.Volumes(), plan.CholeskyVolumes(key); got != want {
 			t.Errorf("n=%d: plan volumes %+v, closed form %+v", n, got, want)
 		}
 		res, err := runWith(c, p, opts)
@@ -165,8 +166,8 @@ func TestLUMatchesUnblocked(t *testing.T) {
 	if res.Subkernels != 30 {
 		t.Errorf("subkernels = %d, want 30", res.Subkernels)
 	}
-	spec := plan.LUSpec{Dtype: kernelmodel.F64, N: n, LocA: model.OnHost, T: T}
-	want := plan.LUVolumes(spec)
+	want := plan.LUVolumes(plan.Key{Routine: "lu", Dtype: kernelmodel.F64, N: n, T: T,
+		Locs: [3]model.Loc{model.OnHost}, NLocs: 1})
 	if res.BytesH2D != want.BytesH2D || res.BytesD2H != want.BytesD2H || res.Subkernels != want.Subkernels {
 		t.Errorf("traffic %+v does not match closed form %+v", res, want)
 	}
@@ -203,9 +204,8 @@ func TestTrsmMatchesReference(t *testing.T) {
 		if d := maxDiff(hostB, ref); d > 1e-7 {
 			t.Errorf("diag %q: tiled solve differs from reference by %g", diag, d)
 		}
-		spec := plan.TrsmSpec{Dtype: kernelmodel.F64, Diag: diag, M: m, N: n,
-			Alpha: alpha, LocA: model.OnHost, LocB: model.OnHost, T: T}
-		want := plan.TrsmVolumes(spec)
+		want := plan.TrsmVolumes(plan.Key{Routine: "trsm", Dtype: kernelmodel.F64, Diag: diag, M: m, N: n, T: T,
+			Locs: [3]model.Loc{model.OnHost, model.OnHost}, NLocs: 2})
 		if res.BytesH2D != want.BytesH2D || res.BytesD2H != want.BytesD2H || res.Subkernels != want.Subkernels {
 			t.Errorf("diag %q: traffic %+v does not match closed form %+v", diag, res, want)
 		}

@@ -51,22 +51,17 @@ func validShape(routine string, s reqShape) bool {
 // closedForm returns the closed-form volume annotations of the plan key's
 // routine, where one exists.
 func closedForm(k plan.Key) (plan.Volumes, bool) {
-	gemm := plan.GemmSpec{
-		Dtype: k.Dtype, TransA: k.TransA, TransB: k.TransB, M: k.M, N: k.N, K: k.K,
-		Beta: math.Float64frombits(k.Beta), LocA: k.Locs[0], LocB: k.Locs[1], LocC: k.Locs[2], T: k.T,
-	}
 	switch k.Routine {
 	case "gemm": // the BLASX request's knobs move no data
-		return plan.GemmVolumes(gemm), true
+		return plan.GemmVolumes(k), true
 	case "gemm-noreuse":
-		return plan.GemmNoReuseVolumes(gemm), true
+		return plan.GemmNoReuseVolumes(k), true
 	case "cholesky":
-		return plan.CholeskyVolumes(plan.CholeskySpec{Dtype: k.Dtype, N: k.N, LocA: k.Locs[0], T: k.T}), true
+		return plan.CholeskyVolumes(k), true
 	case "lu":
-		return plan.LUVolumes(plan.LUSpec{Dtype: k.Dtype, N: k.N, LocA: k.Locs[0], T: k.T}), true
+		return plan.LUVolumes(k), true
 	case "trsm":
-		return plan.TrsmVolumes(plan.TrsmSpec{Dtype: k.Dtype, Diag: k.Diag, M: k.M, N: k.N,
-			Alpha: math.Float64frombits(k.Alpha), LocA: k.Locs[0], LocB: k.Locs[1], T: k.T}), true
+		return plan.TrsmVolumes(k), true
 	}
 	return plan.Volumes{}, false
 }
@@ -155,8 +150,8 @@ func FuzzPlan(f *testing.F) {
 			t.Fatal(err)
 		}
 		key := cl.key
-		if p.Key() != key {
-			t.Fatalf("%s: plan key %+v, request key %+v", name, p.Key(), key)
+		if p.Key != key {
+			t.Fatalf("%s: plan key %+v, request key %+v", name, p.Key, key)
 		}
 		if want, ok := closedForm(key); ok && p.Volumes() != want {
 			t.Fatalf("%s %+v: volumes %+v, closed form %+v", name, s, p.Volumes(), want)

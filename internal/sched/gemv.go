@@ -45,12 +45,6 @@ func (opts GemvOpts) resolve(c *Context) (call, error) {
 	if opts.A.Rows != opts.M || opts.A.Cols != opts.N || opts.X.N != opts.N || opts.Y.N != opts.M {
 		return call{}, errors.New("sched: operand shapes inconsistent with m, n")
 	}
-	spec := plan.GemvSpec{
-		M: opts.M, N: opts.N,
-		Alpha: opts.Alpha, Beta: opts.Beta,
-		LocA: opts.A.Loc, LocX: opts.X.Loc, LocY: opts.Y.Loc,
-		T: opts.T,
-	}
 	return call{
 		key: plan.Key{
 			Routine: "gemv", Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
@@ -58,7 +52,6 @@ func (opts GemvOpts) resolve(c *Context) (call, error) {
 			Alpha: math.Float64bits(opts.Alpha), Beta: math.Float64bits(opts.Beta),
 			Locs: [3]model.Loc{opts.A.Loc, opts.X.Loc, opts.Y.Loc}, NLocs: 3,
 		},
-		args:  [3]plan.Arg{{Mat: opts.A}, {Vec: opts.X}, {Vec: opts.Y}},
-		build: func() *plan.Plan { return plan.BuildGemv(spec) },
+		args: [3]plan.Arg{{Mat: opts.A}, {Vec: opts.X}, {Vec: opts.Y}},
 	}, nil
 }

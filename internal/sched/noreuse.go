@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cocopelia/internal/blas"
-	"cocopelia/internal/plan"
 )
 
 // GemmNoReuseOpts is the gemm request of the stateless-sub-kernel
@@ -38,12 +37,5 @@ func (opts GemmNoReuseOpts) resolve(c *Context) (call, error) {
 	}
 	// The staging depth is sized to the device memory free at planning
 	// time, so the plan embeds the slot-group ring it will replay with.
-	spec := gemmSpec(g, blas.NoTrans, blas.NoTrans)
-	return call{
-		key:  gemmKey("gemm-noreuse", g, blas.NoTrans, blas.NoTrans),
-		args: [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}},
-		build: func() *plan.Plan {
-			return plan.BuildGemmNoReuse(spec, c.freeBytes())
-		},
-	}, nil
+	return level3Call("gemm-noreuse", g, blas.NoTrans, blas.NoTrans), nil
 }

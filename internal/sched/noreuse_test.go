@@ -123,9 +123,10 @@ func TestNoReuseTransferVolume(t *testing.T) {
 	if v := p.Volumes(); v != want {
 		t.Errorf("plan annotations = %+v, want %+v", v, want)
 	}
-	spec := plan.GemmSpec{Dtype: kernelmodel.F64, M: m, N: m, K: m, Alpha: 1, Beta: 1,
-		LocA: model.OnHost, LocB: model.OnHost, LocC: model.OnHost, T: T}
-	if v := plan.GemmNoReuseVolumes(spec); v != want {
+	key := plan.Key{Routine: "gemm-noreuse", Dtype: kernelmodel.F64, M: m, N: m, K: m, T: T,
+		Alpha: math.Float64bits(1), Beta: math.Float64bits(1),
+		Locs: [3]model.Loc{model.OnHost, model.OnHost, model.OnHost}, NLocs: 3}
+	if v := plan.GemmNoReuseVolumes(key); v != want {
 		t.Errorf("closed-form volumes = %+v, want %+v", v, want)
 	}
 }

@@ -17,17 +17,16 @@ import (
 // planner.
 type Request interface {
 	// resolve validates the operands against the context, normalizes the
-	// flags and returns the key, plan arguments and planner of the call.
+	// flags and returns the call's key and plan arguments.
 	resolve(c *Context) (call, error)
 }
 
-// call is a validated request: the key its plan carries, its operands in
-// plan argument order (a plan binds the first NumArgs; the fixed array
-// keeps the binding off the heap), and the planner that builds the plan.
+// call is a validated request: the key it is planned from (plan.Build) and
+// its plan must carry, and its operands in plan argument order (a plan
+// binds the first NLocs; the fixed array keeps the binding off the heap).
 type call struct {
-	key   plan.Key
-	args  [3]plan.Arg
-	build func() *plan.Plan
+	key  plan.Key
+	args [3]plan.Arg
 }
 
 // ErrPlanMismatch reports a replay of a plan that was not built for the
@@ -43,13 +42,13 @@ func (c *Context) Plan(r Request) (*plan.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cl.build(), nil
+	return plan.Build(cl.key, c.freeBytes())
 }
 
 // Enqueue replays p on the context's streams without draining the engine.
-// The request must validate and p must have been built for it: p.Key()
-// must equal the request's key, or Enqueue returns ErrPlanMismatch naming
-// the first differing field. The replay is event-identical to running the
+// The request must validate and p must have been built for it: p.Key must
+// equal the request's key, or Enqueue returns ErrPlanMismatch naming the
+// first differing field. The replay is event-identical to running the
 // request directly.
 func (c *Context) Enqueue(p *plan.Plan, r Request) (*PendingGemm, error) {
 	cl, err := r.resolve(c)
@@ -59,10 +58,10 @@ func (c *Context) Enqueue(p *plan.Plan, r Request) (*PendingGemm, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w (%s: nil plan)", ErrPlanMismatch, cl.key.Routine)
 	}
-	if got := p.Key(); got != cl.key {
-		return nil, fmt.Errorf("%w (%s: %s differs)", ErrPlanMismatch, cl.key.Routine, keyDiff(got, cl.key))
+	if p.Key != cl.key {
+		return nil, fmt.Errorf("%w (%s: %s differs)", ErrPlanMismatch, cl.key.Routine, keyDiff(p.Key, cl.key))
 	}
-	return c.enqueuePlan(p, cl.args[:p.NumArgs()])
+	return c.enqueuePlan(p, cl.args[:p.NLocs])
 }
 
 // Run plans and enqueues the request, drains the engine and reports the
@@ -70,15 +69,17 @@ func (c *Context) Enqueue(p *plan.Plan, r Request) (*PendingGemm, error) {
 // failed drain (a payload error such as a non-SPD tile) is returned
 // wrapped with the routine name.
 // The request is validated once: a plan just built from it carries its
-// key by construction (FuzzPlan pins that), so the replay skips the
-// key check Enqueue makes.
+// key, so the replay skips the key check Enqueue makes.
 func (c *Context) Run(r Request) (Result, error) {
 	cl, err := r.resolve(c)
 	if err != nil {
 		return Result{}, err
 	}
-	p := cl.build()
-	pend, err := c.enqueuePlan(p, cl.args[:p.NumArgs()])
+	p, err := plan.Build(cl.key, c.freeBytes())
+	if err != nil {
+		return Result{}, err
+	}
+	pend, err := c.enqueuePlan(p, cl.args[:p.NLocs])
 	if err != nil {
 		return Result{}, err
 	}

@@ -302,24 +302,16 @@ func (c *Context) validateGemm(opts GemmOpts) (transA, transB byte, err error) {
 	return transA, transB, nil
 }
 
-// gemmSpec is the planner input of a validated level-3 request.
-func gemmSpec(opts GemmOpts, transA, transB byte) plan.GemmSpec {
-	return plan.GemmSpec{
-		Dtype: opts.Dtype, TransA: transA, TransB: transB,
-		M: opts.M, N: opts.N, K: opts.K,
-		Alpha: opts.Alpha, Beta: opts.Beta,
-		LocA: opts.A.Loc, LocB: opts.B.Loc, LocC: opts.C.Loc,
-		T: opts.T,
-	}
-}
-
-// gemmKey is the plan key of a validated level-3 request.
-func gemmKey(routine string, opts GemmOpts, transA, transB byte) plan.Key {
-	return plan.Key{
-		Routine: routine, Dtype: opts.Dtype, TransA: transA, TransB: transB,
-		M: opts.M, N: opts.N, K: opts.K, T: opts.T,
-		Alpha: math.Float64bits(opts.Alpha), Beta: math.Float64bits(opts.Beta),
-		Locs: [3]model.Loc{opts.A.Loc, opts.B.Loc, opts.C.Loc}, NLocs: 3,
+// level3Call is the call of a validated level-3 request of the routine.
+func level3Call(routine string, opts GemmOpts, transA, transB byte) call {
+	return call{
+		key: plan.Key{
+			Routine: routine, Dtype: opts.Dtype, TransA: transA, TransB: transB,
+			M: opts.M, N: opts.N, K: opts.K, T: opts.T,
+			Alpha: math.Float64bits(opts.Alpha), Beta: math.Float64bits(opts.Beta),
+			Locs: [3]model.Loc{opts.A.Loc, opts.B.Loc, opts.C.Loc}, NLocs: 3,
+		},
+		args: [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}},
 	}
 }
 
@@ -334,15 +326,9 @@ func (c *Context) gemmCall(opts GemmOpts, dispatchS float64, blockingWB bool) (c
 	if err != nil {
 		return call{}, err
 	}
-	spec := gemmSpec(opts, transA, transB)
-	spec.DispatchOverheadS, spec.BlockingWriteback = dispatchS, blockingWB
-	key := gemmKey("gemm", opts, transA, transB)
-	key.DispatchS, key.BlockingWB = math.Float64bits(dispatchS), blockingWB
-	return call{
-		key:   key,
-		args:  [3]plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}},
-		build: func() *plan.Plan { return plan.BuildGemm(spec) },
-	}, nil
+	cl := level3Call("gemm", opts, transA, transB)
+	cl.key.DispatchS, cl.key.BlockingWB = math.Float64bits(dispatchS), blockingWB
+	return cl, nil
 }
 
 // AxpyOpts is the tiled daxpy request y += alpha*x: independent 1-D
@@ -353,6 +339,19 @@ type AxpyOpts struct {
 	X, Y  *Vector
 	// T is the 1-D chunk length.
 	T int
+}
+
+// axpyCall is the call of a validated daxpy request of the routine
+// ("axpy" or "axpy-unified") at chunk length T.
+func axpyCall(routine string, n, T int, alpha float64, x, y *Vector) call {
+	return call{
+		key: plan.Key{
+			Routine: routine, Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+			N: n, T: T, Alpha: math.Float64bits(alpha),
+			Locs: [3]model.Loc{x.Loc, y.Loc}, NLocs: 2,
+		},
+		args: [3]plan.Arg{{Vec: x}, {Vec: y}},
+	}
 }
 
 // validateAxpy checks the operands of a daxpy request of length n.
@@ -379,14 +378,5 @@ func (opts AxpyOpts) resolve(c *Context) (call, error) {
 	if opts.T <= 0 {
 		return call{}, fmt.Errorf("sched: non-positive tiling size %d", opts.T)
 	}
-	spec := plan.AxpySpec{N: opts.N, Alpha: opts.Alpha, LocX: opts.X.Loc, LocY: opts.Y.Loc, T: opts.T}
-	return call{
-		key: plan.Key{
-			Routine: "axpy", Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
-			N: opts.N, T: opts.T, Alpha: math.Float64bits(opts.Alpha),
-			Locs: [3]model.Loc{opts.X.Loc, opts.Y.Loc}, NLocs: 2,
-		},
-		args:  [3]plan.Arg{{Vec: opts.X}, {Vec: opts.Y}},
-		build: func() *plan.Plan { return plan.BuildAxpy(spec) },
-	}, nil
+	return axpyCall("axpy", opts.N, opts.T, opts.Alpha, opts.X, opts.Y), nil
 }

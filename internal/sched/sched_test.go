@@ -48,8 +48,11 @@ func planArgs(t testing.TB, c *Context, r Request) (*plan.Plan, []plan.Arg) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cl.build()
-	return p, cl.args[:p.NumArgs()]
+	p, err := plan.Build(cl.key, c.freeBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, cl.args[:p.NLocs]
 }
 
 func randMat(rng *rand.Rand, rows, cols int) []float64 {
@@ -256,10 +259,10 @@ func TestGemmFullReuseTransferVolume(t *testing.T) {
 	if v := p.Volumes(); v != want {
 		t.Errorf("plan annotations = %+v, want %+v", v, want)
 	}
-	spec := plan.GemmSpec{Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
-		M: m, N: n, K: k, Alpha: 1, Beta: 1,
-		LocA: model.OnHost, LocB: model.OnHost, LocC: model.OnHost, T: T}
-	if v := plan.GemmVolumes(spec); v != want {
+	key := plan.Key{Routine: "gemm", Dtype: kernelmodel.F64, TransA: blas.NoTrans, TransB: blas.NoTrans,
+		M: m, N: n, K: k, T: T, Alpha: math.Float64bits(1), Beta: math.Float64bits(1),
+		Locs: [3]model.Loc{model.OnHost, model.OnHost, model.OnHost}, NLocs: 3}
+	if v := plan.GemmVolumes(key); v != want {
 		t.Errorf("closed-form volumes = %+v, want %+v", v, want)
 	}
 }
