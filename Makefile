@@ -3,6 +3,7 @@ GO ?= go
 .PHONY: build test vet lint lint-json race verify bench bench-blas \
 	bench-blas-gate bench-campaign bench-campaign-check bench-campaign-gate \
 	bench-campaign-smoke bench-factor bench-factor-check bench-select-smoke \
+	bench-backed bench-backed-check \
 	cross-arm64 fuzz-smoke perfbench-check plan-golden-smoke profile results
 
 build:
@@ -35,16 +36,16 @@ race:
 
 # verify is the pre-commit gate: compile (which builds cocobench too), vet,
 # the invariant analyzers, the race-enabled suite, a sub-second run of the
-# campaign mode, the campaign and factorization-sweep identity checks, one
-# pass of the factorization tile-selection benchmark, the golden tile-plan
-# check, a short fuzz of the request path, the arm64 cross-compile (there
+# campaign mode, the campaign, factorization-sweep and backed-call identity
+# checks, one pass of the factorization tile-selection benchmark, the golden
+# tile-plan check, a short fuzz of the request path, the arm64 cross-compile (there
 # is no native arm64 CI runner, so build+vet is that port's regression
 # gate), and the build, vet and tests of the repository benchmark's module.
 # The bench checks here compare exact fields only, so they pass at any host
 # speed; timings are gated by the bench-*-gate targets.
 verify: build vet lint race bench-campaign-smoke bench-campaign-check \
-	bench-factor-check bench-select-smoke plan-golden-smoke fuzz-smoke \
-	cross-arm64 perfbench-check
+	bench-factor-check bench-backed-check bench-select-smoke plan-golden-smoke \
+	fuzz-smoke cross-arm64 perfbench-check
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -118,6 +119,20 @@ bench-factor:
 # replay, not a tolerance check. Sub-second (timing-only simulation).
 bench-factor-check:
 	$(GO) run ./cmd/cocobench -factor -check results/bench-factor.json
+
+# bench-backed runs the functional facade calls of the repository
+# benchmark's backed mix (gemm, syrk, potrf, trsm on real data) and records
+# each call's tile, traffic, simulated seconds and output digest, with its
+# median call time. Refresh the baseline with this target only when a change
+# alters backed outputs or schedules on purpose.
+bench-backed:
+	$(GO) run ./cmd/cocobench -backed -out results/bench-backed.json
+
+# bench-backed-check re-runs the backed calls and fails unless every exact
+# field matches the committed baseline bit for bit: backed outputs must stay
+# bitwise identical however their payloads are scheduled on the host.
+bench-backed-check:
+	$(GO) run ./cmd/cocobench -backed -check results/bench-backed.json
 
 # bench-select-smoke runs BenchmarkSelectFactorTile once (cold: a fresh
 # session's candidate-plan search; warm: a selection-cache hit) so verify

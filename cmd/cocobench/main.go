@@ -1,5 +1,5 @@
 // Command cocobench measures the wall-clock throughput of the simulator
-// itself (not the simulated-GPU numbers the eval pipeline produces) in three
+// itself (not the simulated-GPU numbers the eval pipeline produces) in four
 // modes:
 //
 //   - by default, the host BLAS payload engine (the blocked, packed GEMM and
@@ -10,7 +10,10 @@
 //     figures regenerate;
 //   - with -factor, the tiled factorization planners (cholesky, lu, trsm)
 //     over the task-graph IR, recording each cell's simulated makespan and
-//     traffic plus the tile the library facade selects for each problem.
+//     traffic plus the tile the library facade selects for each problem;
+//   - with -backed, functional facade calls on real data (the repository
+//     benchmark's backed call mix), recording each call's tile, traffic,
+//     simulated seconds and a digest of its output bits.
 //
 // Every mode writes one report schema: a header and rows, each row a key,
 // exact fields, timing fields and labels (see row). Exact fields are
@@ -38,6 +41,7 @@
 //	cocobench -campaign -passes 2 -against /tmp/cocobench-base
 //	cocobench -campaign -cpuprofile results/campaign.pprof
 //	cocobench -factor -check results/bench-factor.json
+//	cocobench -backed -check results/bench-backed.json
 package main
 
 import (
@@ -72,8 +76,8 @@ import (
 // report is the one schema of every cocobench output. The header says what
 // ran where; Rows are in run order.
 type report struct {
-	Mode     string `json:"mode"`              // blas, campaign or factor
-	Testbed  string `json:"testbed,omitempty"` // simulated testbed (campaign, factor)
+	Mode     string `json:"mode"`              // blas, campaign, factor or backed
+	Testbed  string `json:"testbed,omitempty"` // simulated testbed (campaign, factor, backed)
 	Arch     string `json:"arch,omitempty"`    // host GOARCH (blas)
 	MaxProcs int    `json:"maxprocs"`
 	GOGC     int    `json:"gogc,omitempty"` // pinned collector target (campaign)
@@ -120,6 +124,7 @@ func main() {
 	smoke := flag.Bool("smoke", false, "tiny work-list, for CI sanity")
 	campaign := flag.Bool("campaign", false, "benchmark the DES campaign pipeline instead of the BLAS payload engine")
 	factor := flag.Bool("factor", false, "sweep the tiled factorization planners (cholesky/lu/trsm) and record their simulated outcomes")
+	backed := flag.Bool("backed", false, "run functional facade calls on real data and record their outcomes and output digests")
 	passes := flag.Int("passes", 3, "campaign passes per measured row (fresh runner each, fastest pass of each timing kept)")
 	check := flag.String("check", "", "compare the exact fields of this run with this committed report and fail on any difference")
 	against := flag.String("against", "", "paired timing gate: run this base cocobench binary and this one alternately and fail on a slower timing median")
@@ -171,6 +176,8 @@ func main() {
 		rep, err = runCampaign(*smoke, *passes)
 	case *factor:
 		rep, err = runFactor(*smoke)
+	case *backed:
+		rep, err = runBacked(*smoke)
 	default:
 		var sizes []int
 		sizes, err = parseSizes(*sizesFlag)

@@ -130,7 +130,7 @@ func TestCompare(t *testing.T) {
 // TestCommittedReportsCheckAgainstThemselves reads every committed bench
 // report in the current schema and checks it against itself.
 func TestCommittedReportsCheckAgainstThemselves(t *testing.T) {
-	for _, mode := range []string{"blas", "campaign", "factor"} {
+	for _, mode := range []string{"blas", "campaign", "factor", "backed"} {
 		path := filepath.Join("..", "..", "results", "bench-"+mode+".json")
 		r, err := readReport(path)
 		if err != nil {
