@@ -2,6 +2,7 @@ package cocopelia
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +10,9 @@ import (
 	"testing"
 
 	"cocopelia/internal/blas"
+	"cocopelia/internal/kernelmodel"
+	"cocopelia/internal/plan"
+	"cocopelia/internal/sched"
 )
 
 // Deployment campaigns take a moment; share one library per configuration.
@@ -405,6 +409,73 @@ func TestSelectionModelOption(t *testing.T) {
 	if selBTS.Predicted <= selDR.Predicted {
 		t.Errorf("BTS selection predicted %g should exceed DR %g",
 			selBTS.Predicted, selDR.Predicted)
+	}
+}
+
+// TestFactorFailureIsolation pins failure isolation on backed factor
+// calls: the tile factorization that fails is reported by its plan op id
+// and kernel kind, wrapping the blas sentinel, and no op that depends on
+// it runs, so the caller's matrix holds no NaN (the failed tile is never
+// written back). The inputs are the 64x64 identity at T = 16 with
+// A[40,40] set to 0 (LU: a zero pivot in diagonal tile 2) and to -1
+// (Cholesky: not positive definite in diagonal tile 2).
+func TestFactorFailureIsolation(t *testing.T) {
+	const n, T = 64, 16
+	cases := []struct {
+		routine, kind string
+		poison        float64
+		sentinel      error
+		call          func(lib *Library, a *Matrix) (Result, error)
+		opts          func(a *Matrix) sched.Request
+	}{
+		{"lu", "getrf", 0, blas.ErrSingular,
+			func(lib *Library, a *Matrix) (Result, error) { return lib.DgetrfTile(n, a, T) },
+			func(a *Matrix) sched.Request { return sched.LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T} }},
+		{"cholesky", "potrf", -1, blas.ErrNotPositiveDefinite,
+			func(lib *Library, a *Matrix) (Result, error) { return lib.DpotrfTile(n, a, T) },
+			func(a *Matrix) sched.Request { return sched.CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.routine, func(t *testing.T) {
+			lib := openBacked(t)
+			defer lib.Close()
+			a := make([]float64, n*n)
+			for i := 0; i < n; i++ {
+				a[i+i*n] = 1
+			}
+			a[40+40*n] = tc.poison
+			m := HostMatrix(n, n, a)
+			// The failing op is the factorization of diagonal tile 2: the
+			// third tile-factorization kernel of the plan.
+			p, err := lib.ctx.Plan(tc.opts(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			failing, seen := -1, 0
+			for i, o := range p.Ops {
+				if o.Kind == plan.OpKernel && (o.Kernel == plan.KGetrf || o.Kernel == plan.KPotrf) {
+					if seen == 2 {
+						failing = i
+						break
+					}
+					seen++
+				}
+			}
+			_, err = tc.call(lib, m)
+			if !errors.Is(err, tc.sentinel) {
+				t.Fatalf("err = %v, want one wrapping %v", err, tc.sentinel)
+			}
+			if want := fmt.Sprintf("plan op %d (%s)", failing, tc.kind); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					if math.IsNaN(a[i+j*n]) {
+						t.Fatalf("caller's matrix holds NaN at row %d, col %d after the failed call", i, j)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -14,13 +14,18 @@
 //   - Stream.Record returns an event that completes when all work
 //     submitted to the stream so far has completed.
 //
-// Work reaches the engines through two primitives: Stream.TransferOp and
-// Stream.KernelOp. Each takes optional functional operands — the host
-// window a transfer moves, the payload a kernel computes on backed
-// buffers — that are nil in timing-only runs, so numerically verified runs
-// and timed runs issue the identical operation sequence. MemcpyH2DAsync
-// and MemcpyD2HAsync are checked 1-D transfers on top of TransferOp, and
-// Callback runs a host function in stream order.
+// Work reaches the engines through two primitives, Stream.TransferOp and
+// Stream.KernelOp, which carry timing only: a transfer's volume, a kernel's
+// name and duration. Callback runs a host function in stream order.
+//
+// Functional work (the data a backed transfer moves, the arithmetic a
+// backed kernel performs) never runs inside the simulation. It is
+// registered with Runtime.AddJob as a Job, and Sync runs the batch's jobs
+// in registration order on the runtime's payload pool once the engine has
+// drained. Numerically verified runs and timed runs therefore issue the
+// identical operation sequence, and the discrete-event simulation is
+// timing-only in both. MemcpyH2DAsync and MemcpyD2HAsync are checked 1-D
+// transfers on top of TransferOp that register their copy as a one-op job.
 //
 // The launch path is allocation-free in steady state. Ops are carved in
 // enqueue order from a per-batch arena of retained fixed-size chunks, and
@@ -95,26 +100,23 @@ const (
 
 var opKindNames = [...]string{"callback", "kernel", "h2d", "d2h"}
 
-// Payload is a kernel's functional body: the arithmetic it performs on
-// backed buffers when the kernel completes, on the runtime's payload worker
-// pool (nil runs it inline). The runtime keeps the batch's first payload
-// error for Sync to return.
-type Payload func(pool *parallel.Pool) error
+// Job is the functional work of enqueued operations: the data movement and
+// arithmetic on backed buffers that their simulated transfers and kernels
+// stand for. Sync runs a batch's jobs after the engine drains, in
+// registration order, on the runtime's payload pool (nil runs inline).
+type Job func(pool *parallel.Pool) error
 
 // op is one scheduled stream operation. Ops live in the runtime's arena:
 // an op's slot is fixed for the object's life, and the object is reused
 // only after its batch has drained.
 //
-// The op is 48 bytes. It holds no pointer back to its runtime (the arena
+// The op is 40 bytes. It holds no pointer back to its runtime (the arena
 // knows it), its kernel name is an index into the kernel-name table, the
 // kernel duration and the transfer volume share one word, and the event's
-// overflow waiters live in the runtime. The functional operands of backed
-// transfers live behind the host pointer in a separate pooled Window.
-// Timing-only transfers — the overwhelming majority in paper-scale sweeps —
-// never take a window, so the replay working set stays dense.
+// overflow waiters live in the runtime. No op carries functional operands:
+// those belong to the batch's jobs.
 type op struct {
-	payload Payload // kernel payload or callback body; nil when timing-only
-	host    *Window // functional transfer operands; nil when timing-only
+	fn func() // callback body; nil for every other kind
 
 	// amount is the kind-exclusive scalar: a kernel's duration in seconds
 	// (as float64 bits) or a transfer's volume in bytes.
@@ -137,8 +139,7 @@ func (o *op) bytes() int64 { return int64(o.amount) }
 // Window is the functional side of a transfer between a backed device
 // buffer and host storage: Cols columns of Rows elements each, column j at
 // Off + j*Ldd in Buf and at j*Ldh in the host slice matching the buffer's
-// dtype. A 1-D copy is one column. Transfers copy the window into a pooled
-// one, so callers may reuse theirs at once.
+// dtype. A 1-D copy is one column. Jobs move windows with Move.
 type Window struct {
 	Buf      *DevBuffer
 	F64      []float64
@@ -161,32 +162,13 @@ type waiterNode struct {
 // hardware models converts a pointer and allocates nothing.
 type hwPort Runtime
 
-// Complete is the hardware-completion callback: it runs the payload of a
-// kernel op or performs the data movement of a transfer op, and then
-// finishes the op.
+// Complete is the hardware-completion callback: it finishes the op whose
+// kernel or transfer completed.
 //
 //cocolint:hotpath
 func (p *hwPort) Complete(slot int32) {
 	rt := (*Runtime)(p)
-	o := rt.opAt(slot)
-	if o.kind == opKernel {
-		if o.payload != nil {
-			//lint:ignore hotpath only backed kernels carry a payload; its arithmetic dwarfs the dynamic call and the error it may record
-			rt.runPayload(o)
-		}
-	} else if o.host != nil {
-		o.host.move(o.dir)
-	}
-	rt.finish(o)
-}
-
-// runPayload runs an op's functional body and keeps the batch's first
-// error for Sync. Later failures usually follow from the first (a factor
-// tile that failed leaves its dependents garbage).
-func (rt *Runtime) runPayload(o *op) {
-	if err := o.payload(rt.payloadPool); err != nil && rt.payloadErr == nil {
-		rt.payloadErr = fmt.Errorf("cudart: %s payload: %w", kernelNames[o.name], err)
-	}
+	rt.finish(rt.opAt(slot))
 }
 
 // handle is the completion handle of the op at slot h.
@@ -204,9 +186,10 @@ func (rt *Runtime) finish(o *op) {
 	rt.fire(&o.complete)
 }
 
-// move performs a window's data movement in direction dir, in the dtype
-// both sides carry (a side without storage moves nothing).
-func (w *Window) move(dir machine.LinkDir) {
+// Move performs a window's data movement in direction dir (H2D copies host
+// to device), in the dtype both sides carry (a side without storage moves
+// nothing).
+func (w *Window) Move(dir machine.LinkDir) {
 	b := w.Buf
 	switch {
 	case b.f64 != nil && w.F64 != nil:
@@ -255,22 +238,20 @@ type Runtime struct {
 	outstanding int
 	streams     int
 	streamList  []*Stream
-	// payloadPool runs the GEMM, SYRK, TRSM and POTRF payloads of backed
-	// buffers; New and Reset install a GOMAXPROCS-wide pool.
+	// payloadPool runs the batch's jobs; New and Reset install a
+	// GOMAXPROCS-wide pool.
 	payloadPool *parallel.Pool
-	// payloadErr is the first functional-payload error since the last
-	// Sync (a non-SPD or singular tile, or bad payload geometry); Sync
-	// returns and clears it.
-	payloadErr error
+	// jobs holds the functional work registered since the last Sync, in
+	// registration order.
+	jobs []Job
 
 	// The op arena. Ops are carved in enqueue order from retained chunks;
 	// next is the cursor (the batch index of the next op). A chunk is
 	// appended only when a batch runs deeper than any before it, and a
 	// drained Sync or Reset rewinds next to zero, so a replay's firing
 	// walks the same memory forward along each stream every time.
-	chunks  []*arenaChunk
-	next    int32
-	winFree []*Window
+	chunks []*arenaChunk
+	next   int32
 
 	// waiters holds the overflow waiters (second and later) of the batch's
 	// events in retained chunks, numbered in registration order across the
@@ -289,7 +270,7 @@ type Runtime struct {
 	startFn  func()
 }
 
-// New creates a runtime bound to a device. Its backed payloads run on a
+// New creates a runtime bound to a device. Its jobs run on a
 // GOMAXPROCS-wide pool (see SetPayloadPool).
 func New(dev *device.Device) *Runtime {
 	rt := &Runtime{dev: dev, payloadPool: parallel.NewPool(0)}
@@ -298,19 +279,18 @@ func New(dev *device.Device) *Runtime {
 }
 
 // Reset rebinds the runtime to a fresh device while keeping its warmed
-// object pools: the op arena, the overflow waiter nodes and the host
-// windows. Streams of the previous run are dropped. Operations still
-// pending (after a failed Sync) are abandoned exactly as discarding the
-// runtime would abandon them: their operands are dropped and the arena
-// rewinds, so the previous device must not run again. After Reset the
-// runtime behaves identically to New(dev); only allocation behaviour
-// differs.
+// object pools: the op arena and the overflow waiter nodes. Streams of the
+// previous run are dropped. Operations and jobs still pending (after a
+// failed Sync) are abandoned exactly as discarding the runtime would
+// abandon them: their operands are dropped and the arena rewinds, so the
+// previous device must not run again. After Reset the runtime behaves
+// identically to New(dev); only allocation behaviour differs.
 func (rt *Runtime) Reset(dev *device.Device) {
 	rt.dev = dev
 	rt.outstanding = 0
 	rt.streams = 0
 	rt.payloadPool = parallel.NewPool(0)
-	rt.payloadErr = nil
+	rt.dropJobs()
 	for i := range rt.streamList {
 		rt.streamList[i] = nil
 	}
@@ -324,11 +304,11 @@ func (rt *Runtime) Reset(dev *device.Device) {
 	rt.rootHead = 0
 }
 
-// SetPayloadPool replaces the worker pool that kernel payloads run on (a
-// GOMAXPROCS-wide pool by default). The payloads are bitwise deterministic
-// across worker counts, so the pool changes only wall-clock time, never
-// results. A nil pool runs payloads inline. Timing-only runs never touch
-// the pool.
+// SetPayloadPool replaces the worker pool that jobs run on (a
+// GOMAXPROCS-wide pool by default). Jobs are bitwise deterministic across
+// worker counts, so the pool changes only wall-clock time, never results.
+// A nil pool runs jobs inline. Timing-only runs register no jobs and never
+// touch the pool.
 func (rt *Runtime) SetPayloadPool(p *parallel.Pool) { rt.payloadPool = p }
 
 // Device returns the underlying simulated device.
@@ -380,29 +360,11 @@ func (rt *Runtime) growArena() {
 	rt.chunks = append(rt.chunks, c)
 }
 
-// recycleOp drops a finished (or abandoned) op's operand references, so
-// the arena pins no payload closures or buffers, and returns its host
-// window to the window pool.
+// recycleOp drops a finished (or abandoned) op's kernel name and callback,
+// so the arena pins no callback closures.
 func (rt *Runtime) recycleOp(o *op) {
 	o.name = 0
-	o.payload = nil
-	if w := o.host; w != nil {
-		o.host = nil
-		*w = Window{}
-		rt.winFree = append(rt.winFree, w)
-	}
-}
-
-// allocWindow returns a recycled (or fresh) zeroed host window for a
-// functional transfer.
-func (rt *Runtime) allocWindow() *Window {
-	if n := len(rt.winFree); n > 0 {
-		w := rt.winFree[n-1]
-		rt.winFree[n-1] = nil
-		rt.winFree = rt.winFree[:n-1]
-		return w
-	}
-	return &Window{}
+	o.fn = nil
 }
 
 // launch hands a ready op to the hardware.
@@ -411,8 +373,8 @@ func (rt *Runtime) allocWindow() *Window {
 func (rt *Runtime) launch(o *op) {
 	switch o.kind {
 	case opCallback:
-		//lint:ignore hotpath callback payloads are caller-provided host functions; schedulers keep them off the steady-state replay path
-		rt.runPayload(o)
+		//lint:ignore hotpath callbacks are caller-provided host functions; schedulers keep them off the steady-state replay path
+		o.fn()
 		rt.finish(o)
 	case opKernel:
 		rt.dev.LaunchKernel(kernelNames[o.name], o.duration(), rt.handle(o.slot))
@@ -571,37 +533,29 @@ func (s *Stream) enqueue(o *op) *Event {
 	return &o.complete
 }
 
-// TransferOp enqueues a transfer of bytes in direction dir. w, when not
-// nil, is its functional window, copied into a pooled one: the data the
-// transfer moves when it completes. Timing-only runs pass nil. The
-// transfer is not validated; MemcpyH2DAsync and MemcpyD2HAsync are the
-// checked 1-D forms.
+// TransferOp enqueues a transfer of bytes in direction dir. It moves no
+// data: the data of a backed transfer is moved by a job. The transfer is
+// not validated; MemcpyH2DAsync and MemcpyD2HAsync are the checked 1-D
+// forms.
 //
 //cocolint:hotpath
-func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64, w *Window) *Event {
+func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64) *Event {
 	kind := opH2D
 	if dir == machine.D2H {
 		kind = opD2H
 	}
 	o := s.rt.allocOp(kind)
 	o.dir, o.amount = dir, uint64(bytes)
-	if w != nil {
-		//lint:ignore hotpath backed transfers only; the window free list grows to the run's peak in-flight backed transfers
-		o.host = s.rt.allocWindow()
-		*o.host = *w
-	}
 	return s.enqueue(o)
 }
 
-// KernelOp enqueues kernel name with the given duration. payload, when not
-// nil, is its functional body, run when the kernel completes; timing-only
-// runs pass nil.
+// KernelOp enqueues kernel name with the given duration. It computes
+// nothing: the arithmetic of a backed kernel is done by a job.
 //
 //cocolint:hotpath
-func (s *Stream) KernelOp(name KernelName, duration float64, payload Payload) *Event {
+func (s *Stream) KernelOp(name KernelName, duration float64) *Event {
 	o := s.rt.allocOp(opKernel)
 	o.name, o.amount = name, math.Float64bits(duration)
-	o.payload = payload
 	return s.enqueue(o)
 }
 
@@ -609,21 +563,30 @@ func (s *Stream) KernelOp(name KernelName, duration float64, payload Payload) *E
 // order (like cudaLaunchHostFunc).
 func (s *Stream) Callback(fn func()) *Event {
 	o := s.rt.allocOp(opCallback)
-	o.payload = func(*parallel.Pool) error {
-		fn()
-		return nil
-	}
+	o.fn = fn
 	return s.enqueue(o)
 }
 
-// Sync runs the simulation until every submitted operation has completed.
-// It returns the virtual time, or an error if operations remain blocked on
+// AddJob registers functional work with the current batch: the next Sync
+// runs it after the engine drains, after every job registered before it.
+func (rt *Runtime) AddJob(j Job) { rt.jobs = append(rt.jobs, j) }
+
+// dropJobs forgets the registered jobs, keeping the slice's backing array.
+func (rt *Runtime) dropJobs() {
+	clear(rt.jobs)
+	rt.jobs = rt.jobs[:0]
+}
+
+// Sync runs the simulation until every submitted operation has completed,
+// then runs the batch's jobs in registration order on the payload pool. It
+// returns the virtual time, or an error if operations remain blocked on
 // dependencies that can never fire (a scheduling bug: a dependency cycle or
-// an event that is never recorded) or if a functional payload failed. A
-// deadlock error names the lowest blocked op by its index in the batch. A
-// payload error (wrapping the blas error, e.g. blas.ErrNotPositiveDefinite)
-// is the first one of the batch; the batch still drains and its ops are
-// reused as on success, so the runtime stays usable.
+// an event that is never recorded) or if a job failed. A deadlock error
+// names the lowest blocked op by its index in the batch, and the batch's
+// jobs are dropped unrun. A job error (which wraps the blas error, e.g.
+// blas.ErrNotPositiveDefinite) ends the batch: the jobs after the failed
+// one are dropped, the ops are reused as on success, and the runtime stays
+// usable.
 //
 // On a drained batch the arena rewinds and every stream's tail resets to
 // the pre-completed event, so event handles returned before this call must
@@ -632,11 +595,10 @@ func (s *Stream) Callback(fn func()) *Event {
 //cocolint:hotpath
 func (rt *Runtime) Sync() (sim.Time, error) {
 	end := rt.Engine().Run()
-	payloadErr := rt.payloadErr
-	rt.payloadErr = nil
 	if rt.outstanding != 0 {
+		rt.dropJobs()
 		//lint:ignore hotpath deadlock is a scheduling bug; this error path runs at most once per failed batch
-		return end, errors.Join(payloadErr, rt.deadlock())
+		return end, rt.deadlock()
 	}
 	rt.next = 0
 	rt.nwaiters = 0
@@ -644,7 +606,15 @@ func (rt *Runtime) Sync() (sim.Time, error) {
 		s.tail = doneEvent
 		s.waits = s.waits[:0]
 	}
-	return end, payloadErr
+	var err error
+	for _, j := range rt.jobs {
+		//lint:ignore hotpath only backed batches register jobs; their arithmetic dwarfs the dynamic call
+		if err = j(rt.payloadPool); err != nil {
+			break
+		}
+	}
+	rt.dropJobs()
+	return end, err
 }
 
 // deadlock describes a batch that drained with ops still outstanding,
@@ -764,27 +734,37 @@ func memcpyBounds(b *DevBuffer, off, elems int64, hostF64 []float64, hostF32 []f
 }
 
 // MemcpyH2DAsync enqueues a 1-D host-to-device copy of elems elements from
-// hostF64/hostF32 (per the buffer dtype) into dst at dstOff.
+// hostF64/hostF32 (per the buffer dtype) into dst at dstOff. A copy that
+// moves data registers it as a one-op job, so the host slice is read at
+// Sync.
 func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64, hostF32 []float32, elems int64) (*Event, error) {
 	if err := memcpyBounds(dst, dstOff, elems, hostF64, hostF32, "h2d"); err != nil {
 		return nil, err
 	}
-	return s.TransferOp(machine.H2D, elems*dst.dt.Size(), window1D(dst, dstOff, hostF64, hostF32, elems)), nil
+	s.copyJob(machine.H2D, dst, dstOff, hostF64, hostF32, elems)
+	return s.TransferOp(machine.H2D, elems*dst.dt.Size()), nil
 }
 
-// MemcpyD2HAsync enqueues a 1-D device-to-host copy.
+// MemcpyD2HAsync enqueues a 1-D device-to-host copy; like MemcpyH2DAsync,
+// it registers the data movement as a one-op job, so the host slice is
+// written at Sync.
 func (s *Stream) MemcpyD2HAsync(hostF64 []float64, hostF32 []float32, src *DevBuffer, srcOff, elems int64) (*Event, error) {
 	if err := memcpyBounds(src, srcOff, elems, hostF64, hostF32, "d2h"); err != nil {
 		return nil, err
 	}
-	return s.TransferOp(machine.D2H, elems*src.dt.Size(), window1D(src, srcOff, hostF64, hostF32, elems)), nil
+	s.copyJob(machine.D2H, src, srcOff, hostF64, hostF32, elems)
+	return s.TransferOp(machine.D2H, elems*src.dt.Size()), nil
 }
 
-// window1D is the functional window of a 1-D copy, or nil when the copy
-// moves no data (an unbacked buffer or no host storage).
-func window1D(buf *DevBuffer, off int64, hostF64 []float64, hostF32 []float32, elems int64) *Window {
+// copyJob registers the data movement of a 1-D copy as a job, unless the
+// copy moves no data (an unbacked buffer or no host storage).
+func (s *Stream) copyJob(dir machine.LinkDir, buf *DevBuffer, off int64, hostF64 []float64, hostF32 []float32, elems int64) {
 	if !buf.Backed() || (hostF64 == nil && hostF32 == nil) {
-		return nil
+		return
 	}
-	return &Window{Buf: buf, F64: hostF64, F32: hostF32, Off: off, Rows: elems, Cols: 1}
+	w := Window{Buf: buf, F64: hostF64, F32: hostF32, Off: off, Rows: elems, Cols: 1}
+	s.rt.AddJob(func(*parallel.Pool) error {
+		w.Move(dir)
+		return nil
+	})
 }

@@ -171,7 +171,7 @@ func TestMemcpyTiming(t *testing.T) {
 
 // TestTransferWindowSubmatrix moves a 2x3 submatrix of a 4x4 host matrix
 // (ld 4) into a packed device buffer (ld 2) and back into a packed host
-// buffer through 2-D transfer windows.
+// buffer through 2-D transfer windows, moved by a job at Sync.
 func TestTransferWindowSubmatrix(t *testing.T) {
 	rt := newRT()
 	s := rt.NewStream()
@@ -181,8 +181,15 @@ func TestTransferWindowSubmatrix(t *testing.T) {
 	}
 	dev, _ := rt.Malloc(kernelmodel.F64, 6, true)
 	out := make([]float64, 6)
-	s.TransferOp(machine.H2D, 48, &Window{Buf: dev, F64: host[1+4:], Rows: 2, Cols: 3, Ldh: 4, Ldd: 2})
-	s.TransferOp(machine.D2H, 48, &Window{Buf: dev, F64: out, Rows: 2, Cols: 3, Ldh: 2, Ldd: 2})
+	up := Window{Buf: dev, F64: host[1+4:], Rows: 2, Cols: 3, Ldh: 4, Ldd: 2}
+	down := Window{Buf: dev, F64: out, Rows: 2, Cols: 3, Ldh: 2, Ldd: 2}
+	s.TransferOp(machine.H2D, 48)
+	s.TransferOp(machine.D2H, 48)
+	rt.AddJob(func(*parallel.Pool) error {
+		up.Move(machine.H2D)
+		down.Move(machine.D2H)
+		return nil
+	})
 	if _, err := rt.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,40 +201,59 @@ func TestTransferWindowSubmatrix(t *testing.T) {
 	}
 }
 
-// TestKernelPayloads pins the kernel payload contract: a payload runs when
-// its kernel completes, on the runtime's payload pool, before the ops
-// waiting on the kernel start; and the first failing payload of a batch is
-// the error Sync returns, named by its kernel and wrapping the payload's
-// error. The batch still drains, so the runtime stays usable.
-func TestKernelPayloads(t *testing.T) {
+// TestSyncRunsJobs pins the job contract: Sync runs a batch's jobs after
+// the engine has drained (after every callback of the batch), in
+// registration order, on the runtime's payload pool. The first failing
+// job's error is the one Sync returns, unwrapped, and the jobs after it are
+// dropped; the ops are reused as on success, so the runtime stays usable.
+// A deadlocked Sync drops its jobs unrun.
+func TestSyncRunsJobs(t *testing.T) {
 	rt := newRT()
 	pool := parallel.NewPool(2)
 	rt.SetPayloadPool(pool)
-	s, waiter := rt.NewStream(), rt.NewStream()
-	errFirst, errSecond := errors.New("first"), errors.New("second")
+	s := rt.NewStream()
+	errFirst := errors.New("first")
 	var order []string
 	var got []*parallel.Pool
-	ev := s.KernelOp(NameDgemm, 1e-6, func(p *parallel.Pool) error {
-		order, got = append(order, "payload"), append(got, p)
+	rt.AddJob(func(p *parallel.Pool) error {
+		order, got = append(order, "job 0"), append(got, p)
 		return nil
 	})
-	waiter.WaitEvent(ev)
-	waiter.Callback(func() { order = append(order, "waiter") })
-	s.KernelOp(NameDpotrf, 1e-6, func(*parallel.Pool) error { return errFirst })
-	s.KernelOp(NameDtrsm, 1e-6, func(*parallel.Pool) error { return errSecond })
+	s.KernelOp(NameDgemm, 1e-6)
+	s.Callback(func() { order = append(order, "callback") })
+	rt.AddJob(func(*parallel.Pool) error {
+		order = append(order, "job 1")
+		return errFirst
+	})
+	rt.AddJob(func(*parallel.Pool) error {
+		order = append(order, "job 2")
+		return nil
+	})
 	_, err := rt.Sync()
 	if len(got) != 1 || got[0] != pool {
-		t.Errorf("payload ran %d times on pools %v, want once on the runtime's", len(got), got)
+		t.Errorf("job ran %d times on pools %v, want once on the runtime's", len(got), got)
 	}
-	if len(order) != 2 || order[0] != "payload" {
-		t.Errorf("order %v, want the payload before its waiter", order)
+	if strings.Join(order, ",") != "callback,job 0,job 1" {
+		t.Errorf("order %v, want the callback, then jobs 0 and 1, and job 2 dropped", order)
 	}
-	if !errors.Is(err, errFirst) || errors.Is(err, errSecond) || !strings.Contains(err.Error(), "dpotrf payload") {
-		t.Fatalf("Sync error %v, want the dpotrf payload's first error only", err)
+	if err != errFirst {
+		t.Fatalf("Sync error %v, want the failing job's own", err)
 	}
-	s.KernelOp(NameDgemm, 1e-6, nil)
+	s.KernelOp(NameDgemm, 1e-6)
 	if _, err := rt.Sync(); err != nil {
-		t.Fatalf("batch after a payload failure: %v", err)
+		t.Fatalf("batch after a job failure: %v", err)
+	}
+
+	ran := false
+	s.WaitEvent(&Event{}) // never fires
+	s.KernelOp(NameDgemm, 1e-6)
+	rt.AddJob(func(*parallel.Pool) error { ran = true; return nil })
+	if _, err := rt.Sync(); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("deadlocked Sync: error %v", err)
+	}
+	rt.Reset(rt.Device())
+	if _, err := rt.Sync(); err != nil || ran {
+		t.Fatalf("after a deadlock and Reset: Sync error %v, dropped job ran %v", err, ran)
 	}
 }
 
@@ -264,7 +290,7 @@ func TestThreeWayOverlap(t *testing.T) {
 	in, _ := rt.Malloc(kernelmodel.F64, elems, false)
 	out, _ := rt.Malloc(kernelmodel.F64, elems, false)
 	_, _ = sIn.MemcpyH2DAsync(in, 0, nil, nil, elems)
-	sK.KernelOp(NameDgemm, kernelmodel.GemmTime(&tb.GPU, kernelmodel.F64, 2048, 2048, 2048), nil)
+	sK.KernelOp(NameDgemm, kernelmodel.GemmTime(&tb.GPU, kernelmodel.F64, 2048, 2048, 2048))
 	_, _ = sOut.MemcpyD2HAsync(nil, nil, out, 0, elems)
 	end, err := rt.Sync()
 	if err != nil {
@@ -296,10 +322,10 @@ func TestSyncDetectsDeadlock(t *testing.T) {
 	// even when ops ahead of it ran and ops behind it are blocked too.
 	rt = newRT()
 	s = rt.NewStream()
-	s.KernelOp(NameDgemm, 1e-6, nil)
+	s.KernelOp(NameDgemm, 1e-6)
 	s.WaitEvent(&Event{})
 	s.WaitEvent(&Event{})
-	s.KernelOp(NameDpotrf, 1e-6, nil)
+	s.KernelOp(NameDpotrf, 1e-6)
 	s.Callback(func() {})
 	_, err = rt.Sync()
 	want = "cudart: deadlock: 2 operations still blocked after drain; first: op 1 (kernel dpotrf) waiting on 2 dependencies"
@@ -316,7 +342,7 @@ func TestFanOutReleasesInRegistrationOrder(t *testing.T) {
 	rt := newRT()
 	for batch := 0; batch < 2; batch++ {
 		src := rt.NewStream()
-		src.KernelOp(NameDgemm, 1e-6, nil)
+		src.KernelOp(NameDgemm, 1e-6)
 		ev := src.Record()
 		var order []int
 		for i := 0; i < 4; i++ {
@@ -378,7 +404,7 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 		if _, err := s.MemcpyH2DAsync(buf, 0, nil, nil, 1024); err != nil {
 			t.Fatal(err)
 		}
-		s.KernelOp(NameDgemm, 1e-6, nil)
+		s.KernelOp(NameDgemm, 1e-6)
 		if _, err := s.MemcpyD2HAsync(nil, nil, buf, 0, 1024); err != nil {
 			t.Fatal(err)
 		}
@@ -405,11 +431,11 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				st.TransferOp(machine.H2D, 4096, nil)
+				st.TransferOp(machine.H2D, 4096)
 			case 1:
-				st.KernelOp(NameDgemm, 1e-6, nil)
+				st.KernelOp(NameDgemm, 1e-6)
 			default:
-				st.TransferOp(machine.D2H, 4096, nil)
+				st.TransferOp(machine.D2H, 4096)
 			}
 		}
 		if _, err := rt.Sync(); err != nil {
@@ -428,10 +454,10 @@ func TestLaunchSyncSteadyStateDoesNotAllocate(t *testing.T) {
 	// the runtime's waiter nodes, whose chunks the next replay reuses.
 	fan := []*Stream{rt.NewStream(), rt.NewStream(), rt.NewStream(), rt.NewStream()}
 	fanOut := func() {
-		ev := s.KernelOp(NameDgemm, 1e-6, nil)
+		ev := s.KernelOp(NameDgemm, 1e-6)
 		for _, st := range fan {
 			st.WaitEvent(ev)
-			st.TransferOp(machine.D2H, 4096, nil)
+			st.TransferOp(machine.D2H, 4096)
 		}
 		if _, err := rt.Sync(); err != nil {
 			t.Fatal(err)

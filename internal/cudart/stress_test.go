@@ -30,7 +30,8 @@ func TestRandomDAGOrderingStress(t *testing.T) {
 // TestRandomDAGArenaReuse replays random DAGs on one reused runtime. Every
 // fifth DAG follows a deliberately deadlocked batch, deeper than one arena
 // chunk, that is abandoned with Reset; the ordering invariants must still
-// hold, and no abandoned op's payload may run from a reused slot.
+// hold, and neither an abandoned op's callback nor the batch's job may run
+// from a reused slot or a later Sync.
 func TestRandomDAGArenaReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rt := New(device.New(sim.New(), machine.TestbedI(), 1, false))
@@ -40,22 +41,23 @@ func TestRandomDAGArenaReuse(t *testing.T) {
 			s := rt.NewStream()
 			s.WaitEvent(&Event{}) // never fires
 			for j := 0; j < opChunk+opChunk/2; j++ {
-				s.KernelOp(NameDpotrf, 1e-6, func(*parallel.Pool) error { stale = true; return nil })
+				s.Callback(func() { stale = true })
 			}
+			rt.AddJob(func(*parallel.Pool) error { stale = true; return nil })
 			if _, err := rt.Sync(); err == nil {
 				t.Fatal("deadlocked batch: Sync reported no error")
 			}
 			rt.Reset(device.New(sim.New(), machine.TestbedI(), int64(i), false))
-			// Payload-free kernels reuse every abandoned slot.
+			// Kernels reuse every abandoned slot.
 			s = rt.NewStream()
 			for j := 0; j < opChunk+opChunk/2; j++ {
-				s.KernelOp(NameDgemm, 1e-6, nil)
+				s.KernelOp(NameDgemm, 1e-6)
 			}
 			if _, err := rt.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			if stale {
-				t.Fatal("an abandoned op's payload ran from a reused arena slot")
+				t.Fatal("an abandoned op's callback or job ran after its batch was dropped")
 			}
 		}
 		if !runDAG(t, rng, rt) {
@@ -127,7 +129,7 @@ func runDAG(t *testing.T, rng *rand.Rand, rt *Runtime) bool {
 			streams[s].Callback(func() { executed = append(executed, i) })
 			events[i] = streams[s].Record()
 		default:
-			streams[s].KernelOp(NameDgemm, float64(rng.Intn(100))*1e-6, nil)
+			streams[s].KernelOp(NameDgemm, float64(rng.Intn(100))*1e-6)
 			streams[s].Callback(func() { executed = append(executed, i) })
 			events[i] = streams[s].Record()
 		}

@@ -8,8 +8,8 @@
 // supplied by the caller (the plan tapes compute them from the kernelmodel
 // ground truth); the device adds per-invocation multiplicative noise and
 // serializes execution on the virtual clock. It notifies each kernel's
-// completion through a handle, where the cudart layer runs the kernel's
-// functional payload, so numerics and timing stay consistent.
+// completion through a handle. It does no arithmetic: the cudart layer runs
+// backed kernels' functional work as jobs after the simulation drains.
 package device
 
 import (

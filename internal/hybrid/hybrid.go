@@ -152,36 +152,12 @@ func Gemm(cl *multigpu.Cluster, opts GemmOpts) (Result, error) {
 	res := Result{T: opts.Plan.T, HostCols: hostCols}
 
 	// Host panel: the last hostCols columns. Its duration comes from the
-	// host spec; its arithmetic runs at completion on backed operands.
+	// host spec; the simulation is timing-only, so on backed operands its
+	// arithmetic runs once the cluster has drained, like the GPU panels'.
 	hostDone := start
 	if hostCols > 0 {
-		tb := cl.Runtime(0).Device().Testbed()
-		dur := tb.Host.GemmTime(opts.Dtype == kernelmodel.F64, opts.M, hostCols, opts.K)
-		payload := func() {
-			if opts.C.HostF64 == nil && opts.C.HostF32 == nil {
-				return
-			}
-			col := gpuCols
-			var err error
-			if opts.Dtype == kernelmodel.F64 {
-				err = blas.Dgemm(blas.NoTrans, blas.NoTrans, opts.M, hostCols, opts.K,
-					opts.Alpha, opts.A.HostF64, opts.A.HostLd,
-					opts.B.HostF64[col*opts.B.HostLd:], opts.B.HostLd,
-					opts.Beta, opts.C.HostF64[col*opts.C.HostLd:], opts.C.HostLd)
-			} else {
-				err = blas.Sgemm(blas.NoTrans, blas.NoTrans, opts.M, hostCols, opts.K,
-					float32(opts.Alpha), opts.A.HostF32, opts.A.HostLd,
-					opts.B.HostF32[col*opts.B.HostLd:], opts.B.HostLd,
-					float32(opts.Beta), opts.C.HostF32[col*opts.C.HostLd:], opts.C.HostLd)
-			}
-			if err != nil {
-				panic(fmt.Sprintf("hybrid: host payload: %v", err))
-			}
-		}
-		eng.After(dur, func() {
-			payload()
-			hostDone = eng.Now()
-		})
+		dur := cl.Runtime(0).Device().Testbed().Host.GemmTime(opts.Dtype == kernelmodel.F64, opts.M, hostCols, opts.K)
+		eng.After(dur, func() { hostDone = eng.Now() })
 	}
 
 	// GPU panels: the first gpuCols columns through the cluster.
@@ -199,8 +175,31 @@ func Gemm(cl *multigpu.Cluster, opts GemmOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if hostCols > 0 {
+		if err := hostPanel(opts, gpuCols, hostCols); err != nil {
+			return Result{}, fmt.Errorf("hybrid: host panel: %w", err)
+		}
+	}
 	res.GPU = gpuRes.PerGPU
 	res.HostSeconds = hostDone - start
 	res.Seconds = eng.Now() - start
 	return res, nil
+}
+
+// hostPanel computes the host panel, columns [col, col+cols) of C, on
+// backed operands (timing-only operands carry no storage and skip it).
+func hostPanel(opts GemmOpts, col, cols int) error {
+	if opts.C.HostF64 == nil && opts.C.HostF32 == nil {
+		return nil
+	}
+	if opts.Dtype == kernelmodel.F64 {
+		return blas.Dgemm(blas.NoTrans, blas.NoTrans, opts.M, cols, opts.K,
+			opts.Alpha, opts.A.HostF64, opts.A.HostLd,
+			opts.B.HostF64[col*opts.B.HostLd:], opts.B.HostLd,
+			opts.Beta, opts.C.HostF64[col*opts.C.HostLd:], opts.C.HostLd)
+	}
+	return blas.Sgemm(blas.NoTrans, blas.NoTrans, opts.M, cols, opts.K,
+		float32(opts.Alpha), opts.A.HostF32, opts.A.HostLd,
+		opts.B.HostF32[col*opts.B.HostLd:], opts.B.HostLd,
+		float32(opts.Beta), opts.C.HostF32[col*opts.C.HostLd:], opts.C.HostLd)
 }

@@ -2,7 +2,8 @@
 // execution engine: fan-out of independent simulation work items across
 // cores with in-order result placement, first-error capture with
 // cancellation of not-yet-started work, and utilization accounting for the
-// run summaries of the cmd/ binaries.
+// run summaries of the cmd/ binaries; and RunDAG, the dependency-counting
+// runner of task graphs that backed plans execute their functional work on.
 //
 // Determinism contract: callers must make each work item's result a pure
 // function of the item itself (the evaluation campaigns derive every noise

@@ -1,9 +1,13 @@
 package plan
 
 import (
+	"fmt"
+	"slices"
+
 	"cocopelia/internal/blas"
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
+	"cocopelia/internal/machine"
 	"cocopelia/internal/operand"
 	"cocopelia/internal/parallel"
 )
@@ -17,13 +21,13 @@ type Allocator interface {
 
 // Target is the execution surface a plan replays onto: the streams and the
 // staging allocator of one scheduler context. Streams must hold at least
-// the plan's Streams entries; op o runs on Streams[o.Stream]. Backed
-// targets (real storage, functional runs) also bind each transfer's host
-// window and each kernel's payload.
+// the plan's Streams entries; op o runs on Streams[o.Stream]. A backed
+// target (real storage, functional runs) also names the runtime whose Sync
+// runs the replay's functional job; timing-only targets leave Jobs nil.
 type Target struct {
 	Streams []*cudart.Stream
 	Alloc   Allocator
-	Backed  bool
+	Jobs    *cudart.Runtime
 }
 
 // Arg binds one plan operand at replay time: exactly one of Mat/Vec is set,
@@ -34,27 +38,27 @@ type Arg struct {
 }
 
 // Executor replays plans onto a target. It owns reusable scratch (the
-// op-id -> event table, the slot bindings, the acquired-buffer list and
-// the transfer window being bound), so replay allocates nothing once warm;
-// like the scheduler context whose scratch it replaces, one executor
-// supports one in-flight replay at a time.
+// op-id -> event table, the slot bindings and the acquired-buffer list), so
+// a timing-only replay allocates nothing once warm; like the scheduler
+// context whose scratch it replaces, one executor supports one in-flight
+// replay at a time.
 type Executor struct {
 	events []*cudart.Event
 	slots  []*cudart.DevBuffer
 	pooled []*cudart.DevBuffer
-	win    cudart.Window
 }
 
 // RunTape replays the plan compiled into t onto tgt with the operands
 // bound by args, in op order: each op's dependency waits first, in their
-// recorded order, then its transfer or kernel. The sequence is the same on
-// backed and timing-only targets, so both fire the identical simulation
-// events; a backed target additionally binds each op's functional operands
-// from the plan op at the same index (see window and payload).
+// recorded order, then its transfer or kernel. The simulation is
+// timing-only, so backed and timing-only targets fire the identical
+// events. A backed target also gets one job registered with tgt.Jobs: the
+// plan, args and the staging buffers this replay bound, which the
+// runtime's Sync runs after the engine drains (see job).
 //
 // RunTape returns the staging buffers acquired from the allocator; the
-// caller releases them after the engine drains. On error every acquired
-// buffer has already been released.
+// caller releases them after the engine drains and the job has run. On
+// error every acquired buffer has already been released.
 //
 //cocolint:hotpath
 func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
@@ -77,7 +81,7 @@ func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer
 	// Hoist the hot-loop state into locals: the loop body runs hundreds of
 	// thousands of times per replay and the compiler cannot otherwise prove
 	// these loads loop-invariant across the stream calls.
-	events, deps, streams, backed := e.events, t.deps, tgt.Streams, tgt.Backed
+	events, deps, streams := e.events, t.deps, tgt.Streams
 	for i := range t.ops {
 		o := &t.ops[i]
 		switch o.code {
@@ -101,11 +105,7 @@ func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer
 			for _, d := range deps[o.depOff : o.depOff+o.depN] {
 				s.WaitEvent(events[d])
 			}
-			var w *cudart.Window
-			if backed {
-				w = e.window(&t.plan.Ops[i], args)
-			}
-			ev := s.TransferOp(o.dir, o.bytes, w)
+			ev := s.TransferOp(o.dir, o.bytes)
 			if o.ev >= 0 {
 				events[o.ev] = ev
 			}
@@ -114,12 +114,7 @@ func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer
 			for _, d := range deps[o.depOff : o.depOff+o.depN] {
 				s.WaitEvent(events[d])
 			}
-			var payload cudart.Payload
-			if backed {
-				//lint:ignore hotpath backed targets only: one payload closure per kernel, which the kernel's arithmetic dwarfs
-				payload = e.payload(t.plan, &t.plan.Ops[i], args)
-			}
-			ev := s.KernelOp(tapeNames[o.kernel][o.dt], o.dur, payload)
+			ev := s.KernelOp(tapeNames[o.kernel][o.dt], o.dur)
 			if o.ev >= 0 {
 				events[o.ev] = ev
 			}
@@ -132,100 +127,146 @@ func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer
 	for _, s := range t.tailCmp {
 		streams[StreamComp].WaitEvent(e.events[s])
 	}
+	if tgt.Jobs != nil {
+		//lint:ignore hotpath backed targets only: one job per replay, which its arithmetic dwarfs
+		e.addJob(t.plan, tgt.Jobs, args)
+	}
 	return e.pooled, nil
 }
 
-// window binds transfer op o (a fetch or a write-back) to its host window:
-// the bound operand's element window at (A.Row, A.Col) and the staging
-// slot it moves through. It fills and returns the executor's scratch
-// window, which the transfer copies.
-func (e *Executor) window(o *Op, args []Arg) *cudart.Window {
-	w := &e.win
-	*w = cudart.Window{Buf: e.slots[o.Slot], Rows: int64(o.M), Cols: 1}
+// addJob registers the functional job of a backed replay of p with rt: the
+// plan's hazard graph (built on its first backed replay), and copies of
+// the operands and of the staging buffers the replay bound, so that the
+// executor's scratch is free for the next replay.
+func (e *Executor) addJob(p *Plan, rt *cudart.Runtime, args []Arg) {
+	j := &job{p: p, g: p.Hazards(), args: slices.Clone(args), slots: slices.Clone(e.slots)}
+	rt.AddJob(j.run)
+}
+
+// job is the functional side of one backed replay: every transfer's data
+// movement and every kernel's arithmetic, run on the hazard graph.
+type job struct {
+	p     *Plan
+	g     *parallel.DAG
+	args  []Arg
+	slots []*cudart.DevBuffer
+}
+
+// run executes the job's ops on the pool as the hazard graph allows (see
+// parallel.RunDAG): a lone ready op gets the whole pool for its payload,
+// and ops that run side by side run inline. No op that depends on a failed
+// op runs, so no data derived from a failed tile reaches the caller; the
+// error is the failed op with the lowest id.
+func (j *job) run(pool *parallel.Pool) error {
+	return parallel.RunDAG(pool, j.g, j.op)
+}
+
+// op performs plan op i: a transfer's data movement or a kernel's
+// arithmetic. Allocations and dispatch ops do nothing.
+func (j *job) op(i int, pool *parallel.Pool) error {
+	o := &j.p.Ops[i]
+	var err error
+	switch o.Kind {
+	case OpFetch:
+		w := j.window(o)
+		w.Move(machine.H2D)
+	case OpWriteback:
+		w := j.window(o)
+		w.Move(machine.D2H)
+	case OpKernel:
+		if j.p.Dtype == kernelmodel.F32 {
+			err = runKernel[float32](j, o, pool)
+		} else {
+			err = runKernel[float64](j, o, pool)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("plan op %d (%s): %w", i, kernelKinds[o.Kernel], err)
+	}
+	return nil
+}
+
+// kernelKinds names the kernel kinds in errors.
+var kernelKinds = [...]string{KGemm: "gemm", KGemv: "gemv", KAxpy: "axpy", KDispatch: "dispatch",
+	KPotrf: "potrf", KGetrf: "getrf", KTrsm: "trsm", KSyrk: "syrk"}
+
+// window is transfer op o's (a fetch or a write-back) host window: the
+// bound operand's element window at (A.Row, A.Col) and the staging slot it
+// moves through.
+func (j *job) window(o *Op) cudart.Window {
+	w := cudart.Window{Buf: j.slots[o.Slot], Rows: int64(o.M), Cols: 1}
 	if o.N == 0 {
 		// A vector transfer: M elements at slot offset K.
-		w.F64, w.Off = args[o.A.Arg].Vec.HostF64[o.A.Row:], int64(o.K)
+		w.F64, w.Off = j.args[o.A.Arg].Vec.HostF64[o.A.Row:], int64(o.K)
 		return w
 	}
-	m := args[o.A.Arg].Mat
+	m := j.args[o.A.Arg].Mat
 	w.F64, w.F32 = m.HostSlices(int(o.A.Row), int(o.A.Col))
 	w.Cols, w.Ldh, w.Ldd = o.N, int32(m.HostLd), o.M
 	return w
 }
 
 // resolve maps a kernel operand reference to (buffer, offset, ld).
-func (e *Executor) resolve(args []Arg, r Ref) (*cudart.DevBuffer, int64, int) {
+func (j *job) resolve(r Ref) (*cudart.DevBuffer, int64, int) {
 	if r.Slot >= 0 {
 		// A slot ref's Row carries the ld and its Col the element offset.
-		return e.slots[r.Slot], int64(r.Col), int(r.Row)
+		return j.slots[r.Slot], int64(r.Col), int(r.Row)
 	}
-	a := args[r.Arg]
+	a := j.args[r.Arg]
 	if a.Mat != nil {
 		return a.Mat.Dev, int64(r.Row) + int64(r.Col)*int64(a.Mat.DevLd), a.Mat.DevLd
 	}
 	return a.Vec.Dev, int64(r.Row), 0
 }
 
-// payload binds kernel op o of p to its operands: the functional body the
-// runtime runs when the kernel completes (nil for a dispatch op, which
-// computes nothing). Operand windows lie inside their validated operands
-// and staging slots by construction, so binding checks no bounds.
-func (e *Executor) payload(p *Plan, o *Op, args []Arg) cudart.Payload {
-	if o.Kernel == KDispatch {
-		return nil
-	}
-	if p.Dtype == kernelmodel.F32 {
-		return bindKernel[float32](e, p, o, args)
-	}
-	return bindKernel[float64](e, p, o, args)
-}
-
-// bindKernel is payload in element type T: one switch over the kernel
-// kinds, each closing over its resolved operands and scalars.
-func bindKernel[T blas.Float](e *Executor, p *Plan, o *Op, args []Arg) cudart.Payload {
+// runKernel computes kernel op o in element type T on its resolved
+// operands, passing pool to the payloads that split their work (a nil pool
+// runs them inline). Operand windows lie inside their validated operands
+// and staging slots by construction, so it checks no bounds. A dispatch op
+// computes nothing.
+func runKernel[T blas.Float](j *job, o *Op, pool *parallel.Pool) error {
 	m, n, k := int(o.M), int(o.N), int(o.K)
-	alpha, beta := T(p.opAlpha(o)), T(p.opBeta(o))
-	side, uplo, transA, transB, diag := o.Side, o.Uplo, o.TransA, o.TransB, o.Diag
-	a, lda := elems[T](e, args, o.A)
+	alpha, beta := T(j.p.opAlpha(o)), T(j.p.opBeta(o))
 	switch o.Kernel {
+	case KDispatch:
+		return nil
 	case KGemm:
-		b, ldb := elems[T](e, args, o.B)
-		c, ldc := elems[T](e, args, o.C)
-		return func(pool *parallel.Pool) error {
-			return blas.GemmParallel(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-		}
+		a, lda := elems[T](j, o.A)
+		b, ldb := elems[T](j, o.B)
+		c, ldc := elems[T](j, o.C)
+		return blas.GemmParallel(pool, o.TransA, o.TransB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 	case KGemv:
-		x, _ := elems[T](e, args, o.B)
-		y, _ := elems[T](e, args, o.C)
-		return func(*parallel.Pool) error {
-			return blas.Gemv(blas.NoTrans, m, n, alpha, a, lda, x, 1, beta, y, 1)
-		}
+		a, lda := elems[T](j, o.A)
+		x, _ := elems[T](j, o.B)
+		y, _ := elems[T](j, o.C)
+		return blas.Gemv(blas.NoTrans, m, n, alpha, a, lda, x, 1, beta, y, 1)
 	case KAxpy:
-		y, _ := elems[T](e, args, o.C)
-		return func(*parallel.Pool) error { return blas.Axpy(n, alpha, a, 1, y, 1) }
+		x, _ := elems[T](j, o.A)
+		y, _ := elems[T](j, o.C)
+		return blas.Axpy(n, alpha, x, 1, y, 1)
 	case KPotrf:
-		return func(pool *parallel.Pool) error { return blas.PotrfParallel(pool, uplo, n, a, lda) }
+		a, lda := elems[T](j, o.A)
+		return blas.PotrfParallel(pool, o.Uplo, n, a, lda)
 	case KGetrf:
-		return func(*parallel.Pool) error { return blas.Getrf(n, a, lda) }
+		a, lda := elems[T](j, o.A)
+		return blas.Getrf(n, a, lda)
 	case KTrsm:
-		b, ldb := elems[T](e, args, o.B)
-		return func(pool *parallel.Pool) error {
-			return blas.TrsmParallel(pool, side, uplo, transA, diag, m, n, alpha, a, lda, b, ldb)
-		}
+		a, lda := elems[T](j, o.A)
+		b, ldb := elems[T](j, o.B)
+		return blas.TrsmParallel(pool, o.Side, o.Uplo, o.TransA, o.Diag, m, n, alpha, a, lda, b, ldb)
 	}
 	// KSyrk: the payload writes the full tile (there is no packed
 	// triangular storage); factorization plans never read the other
 	// triangle, so uplo matters to the timing model only.
-	c, ldc := elems[T](e, args, o.C)
-	return func(pool *parallel.Pool) error {
-		return blas.SyrkParallel(pool, transA, n, k, alpha, a, lda, beta, c, ldc)
-	}
+	a, lda := elems[T](j, o.A)
+	c, ldc := elems[T](j, o.C)
+	return blas.SyrkParallel(pool, o.TransA, n, k, alpha, a, lda, beta, c, ldc)
 }
 
 // elems resolves a kernel operand reference to the element storage from
 // its window's first element on, and its leading dimension.
-func elems[T blas.Float](e *Executor, args []Arg, r Ref) ([]T, int) {
-	buf, off, ld := e.resolve(args, r)
+func elems[T blas.Float](j *job, r Ref) ([]T, int) {
+	buf, off, ld := j.resolve(r)
 	var s any
 	if _, ok := any(T(0)).(float32); ok {
 		s = buf.F32()

@@ -273,10 +273,12 @@ func buildGemmNoReuse(g *Graph, freeBytes int64) {
 					pendingH2D = append(pendingH2D, gr.lastWriteback)
 				}
 
+				fetched := false
 				emitFetch := func(arg int8, slot, row, col, r, cl int) {
 					lastH2D = g.Fetch(arg, int32(row), int32(col),
 						int32(r), int32(cl), int32(slot), pendingH2D...)
 					pendingH2D = pendingH2D[:0]
+					fetched = true
 				}
 
 				aRef := argRef(0, int32(ti*T), int32(tk*T))
@@ -314,9 +316,17 @@ func buildGemmNoReuse(g *Graph, freeBytes int64) {
 
 				// The kernel waits on the h2d stream's tail (everything
 				// fetched so far), mirroring comp.WaitEvent(h2d.Record()).
+				// A fetch in this step already waited for the group's
+				// previous write-back; without one (A and B on the device,
+				// C not read), the kernel itself must wait for it before
+				// overwriting the C slot that write-back reads.
+				reuse := NoOp
+				if key.Locs[2] == model.OnHost && !fetched {
+					reuse = gr.lastWriteback
+				}
 				kid := g.Gemm(blas.NoTrans, blas.NoTrans,
 					int32(rows), int32(cols), int32(inner),
-					AlphaPlan, betaSel(beta), aRef, bRef, cRef, lastH2D)
+					AlphaPlan, betaSel(beta), aRef, bRef, cRef, lastH2D, reuse)
 				gr.lastKernel = kid
 
 				if key.Locs[2] == model.OnHost {

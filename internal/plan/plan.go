@@ -17,8 +17,10 @@
 // the op list in emission order, registers each op's dependency waits in
 // their recorded order, and enqueues exactly the stream call the imperative
 // scheduler would have issued — so the (at, seq) order of every discrete
-// event, and therefore every timing and payload result, is byte-identical
-// to direct scheduling.
+// event, and therefore every timing result, is byte-identical to direct
+// scheduling. A backed replay's functional work runs after the simulation,
+// on the plan's data-hazard graph (Hazards), whose every edge the timing
+// DAG implies, so its results equal those of the completion order too.
 package plan
 
 import (

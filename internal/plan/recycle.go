@@ -86,5 +86,5 @@ func (p *Plan) Release() {
 		freeTape.put(t.ops)
 		freeDeps.put(t.deps)
 	}
-	p.Ops, p.deps, p.tape.tapes = nil, nil, nil
+	p.Ops, p.deps, p.tape.tapes, p.tape.hazards = nil, nil, nil, nil
 }

@@ -6,6 +6,7 @@ import (
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
+	"cocopelia/internal/parallel"
 )
 
 // Tape is a plan precompiled for replay on one GPU model: a flat
@@ -15,9 +16,9 @@ import (
 // over plain data with no per-op dispatch beyond one switch on the
 // precomputed code.
 //
-// Tape op i is plan op i. Functional operands (host windows, kernel
-// payloads) are not compiled in: a backed replay binds them from the
-// plan's op at the same index, and a timing-only replay never looks.
+// Tape op i is plan op i. Functional operands are not compiled in: a
+// backed replay registers the plan itself as its runtime's job, and a
+// timing-only replay never looks.
 type Tape struct {
 	plan    *Plan
 	gpu     *machine.GPUSpec // kernel durations are GPU-model-specific
@@ -142,10 +143,12 @@ func evSlotsOf(p *Plan, ids []int32) []int32 {
 	return out
 }
 
-// tapeCache is the Plan field backing TapeFor: the compiled tapes, one per
-// GPU model, guarded by mu. It lives here (not in plan.go) so the
+// tapeCache is the Plan field backing TapeFor and Hazards: the compiled
+// tapes, one per GPU model, and the data-hazard graph, which only backed
+// replays build, guarded by mu. It lives here (not in plan.go) so the
 // synchronization stays with the tape code.
 type tapeCache struct {
-	mu    sync.Mutex
-	tapes []*Tape
+	mu      sync.Mutex
+	tapes   []*Tape
+	hazards *parallel.DAG
 }

@@ -107,9 +107,10 @@ func decodeShape(routine uint8, m, n, k, T int8, locMask, flags uint8, alpha, be
 
 // FuzzPlan drives every request type through Plan and Enqueue on fresh
 // timing-only contexts. Invalid requests must fail without panicking;
-// valid ones must build a causal plan whose key is the request's, whose
-// volumes match the closed form (where one exists), and whose replay
-// moves and launches exactly what the plan annotates.
+// valid ones must build a causal plan whose hazard graph the timing DAG
+// implies, whose key is the request's, whose volumes match the closed form
+// (where one exists), and whose replay moves and launches exactly what the
+// plan annotates.
 func FuzzPlan(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, routine uint8, m, n, k, T int8, locMask, flags uint8, alpha, beta float64) {
@@ -136,6 +137,9 @@ func FuzzPlan(f *testing.F) {
 					t.Fatalf("%s: op %d has non-causal or alloc dep %d", name, i, d)
 				}
 			}
+		}
+		if err := p.CheckHazards(); err != nil {
+			t.Fatalf("%s %+v: %v\n%s", name, s, err, p.Dump())
 		}
 		for _, tail := range [][]int32{p.TailH2D, p.TailComp} {
 			for _, id := range tail {
@@ -221,46 +225,6 @@ func foldScalar(x float64) float64 {
 	return math.Mod(x, 4)
 }
 
-// refWindow is a kernel operand reference and the rows x cols window it
-// addresses.
-type refWindow struct {
-	r          plan.Ref
-	rows, cols int32
-}
-
-// kernelWindows lists a kernel op's operand windows.
-func kernelWindows(o *plan.Op) []refWindow {
-	type w = refWindow
-	flip := func(trans byte, r, c int32) (int32, int32) {
-		if trans == blas.Trans {
-			return c, r
-		}
-		return r, c
-	}
-	switch o.Kernel {
-	case plan.KGemm:
-		ar, ac := flip(o.TransA, o.M, o.K)
-		br, bc := flip(o.TransB, o.K, o.N)
-		return []w{{o.A, ar, ac}, {o.B, br, bc}, {o.C, o.M, o.N}}
-	case plan.KGemv:
-		return []w{{o.A, o.M, o.N}, {o.B, o.N, 1}, {o.C, o.M, 1}}
-	case plan.KAxpy:
-		return []w{{o.A, o.N, 1}, {o.C, o.N, 1}}
-	case plan.KPotrf, plan.KGetrf:
-		return []w{{o.A, o.N, o.N}}
-	case plan.KTrsm:
-		an := o.M
-		if o.Side == blas.Right {
-			an = o.N
-		}
-		return []w{{o.A, an, an}, {o.B, o.M, o.N}}
-	case plan.KSyrk:
-		ar, ac := flip(o.TransA, o.N, o.K)
-		return []w{{o.A, ar, ac}, {o.C, o.N, o.N}}
-	}
-	return nil // dispatch
-}
-
 // checkWindows fails unless every transfer's host window lies inside its
 // bound operand and its slot window inside the staging slot, and every
 // kernel operand's window inside its operand or slot.
@@ -289,18 +253,19 @@ func checkWindows(t *testing.T, name string, p *plan.Plan, args []plan.Arg) {
 				ok = inArg(args[o.A.Arg], o.A.Row, o.A.Col, o.M, o.N) && int64(o.M)*int64(o.N) <= elems
 			}
 		case plan.OpKernel:
-			for _, w := range kernelWindows(o) {
-				if w.r.Slot < 0 {
-					ok = ok && inArg(args[w.r.Arg], w.r.Row, w.r.Col, w.rows, w.cols)
+			for _, w := range plan.KernelExtents(o) {
+				r := w.Ref
+				if r.Slot < 0 {
+					ok = ok && inArg(args[r.Arg], r.Row, r.Col, w.Rows, w.Cols)
 					continue
 				}
 				// A slot ref's Row is the leading dimension (0 for a
 				// vector) and its Col the element offset.
-				ld, end := int64(w.r.Row), int64(w.r.Col)+int64(w.rows)*int64(w.cols)
+				ld, end := int64(r.Row), int64(r.Col)+int64(w.Rows)*int64(w.Cols)
 				if ld > 0 {
-					end = int64(w.r.Col) + int64(w.cols-1)*ld + int64(w.rows)
+					end = int64(r.Col) + int64(w.Cols-1)*ld + int64(w.Rows)
 				}
-				ok = ok && (ld == 0 || int64(w.rows) <= ld) && end <= p.Slots[w.r.Slot].Elems
+				ok = ok && (ld == 0 || int64(w.Rows) <= ld) && end <= p.Slots[r.Slot].Elems
 			}
 		}
 		if !ok {

@@ -37,32 +37,58 @@ func refStreams(c *Context) (h2d, d2h, comp *cudart.Stream) {
 // imperative schedulers were written against, one helper per call, rebuilt
 // on the runtime's transfer and kernel primitives with the original kernel
 // names, model durations and CPU payloads. The equivalence cases run
-// float64 operands only, so the kernel payloads are float64.
+// float64 operands only, so the kernel payloads are float64. Each helper
+// adds its copy or payload to the routine's refJob.
+
+// refJob collects an oracle routine's functional work (its copies and
+// kernel payloads) in enqueue order. The routine registers it as one job
+// just before it syncs, so the work runs at Sync in the order the oracle
+// issued it.
+type refJob []func(*parallel.Pool) error
+
+// add appends one unit of work.
+func (j *refJob) add(f func(*parallel.Pool) error) { *j = append(*j, f) }
+
+// register hands the collected work to rt as one in-order job.
+func (j refJob) register(rt *cudart.Runtime) {
+	rt.AddJob(func(pool *parallel.Pool) error {
+		for _, f := range j {
+			if err := f(pool); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
 
 // refSetMatrixAsync enqueues a 2-D h2d copy of a rows x cols submatrix from
 // host storage (leading dimension ldh) into dst at dstOff (leading
 // dimension ldd).
-func refSetMatrixAsync(s *cudart.Stream, rows, cols int, h64 []float64, h32 []float32, ldh int,
+func refSetMatrixAsync(w *refJob, s *cudart.Stream, rows, cols int, h64 []float64, h32 []float32, ldh int,
 	dst *cudart.DevBuffer, dstOff int64, ldd int) (*cudart.Event, error) {
-	return refCopy2D(s, machine.H2D, rows, cols, h64, h32, ldh, dst, dstOff, ldd), nil
+	return refCopy2D(w, s, machine.H2D, rows, cols, h64, h32, ldh, dst, dstOff, ldd), nil
 }
 
 // refGetMatrixAsync enqueues the d2h counterpart of refSetMatrixAsync.
-func refGetMatrixAsync(s *cudart.Stream, rows, cols int, src *cudart.DevBuffer, srcOff int64, lds int,
+func refGetMatrixAsync(w *refJob, s *cudart.Stream, rows, cols int, src *cudart.DevBuffer, srcOff int64, lds int,
 	h64 []float64, h32 []float32, ldh int) (*cudart.Event, error) {
-	return refCopy2D(s, machine.D2H, rows, cols, h64, h32, ldh, src, srcOff, lds), nil
+	return refCopy2D(w, s, machine.D2H, rows, cols, h64, h32, ldh, src, srcOff, lds), nil
 }
 
 // refCopy2D enqueues a 2-D copy in direction dir, moving data when both
-// the device buffer and the host side carry storage.
-func refCopy2D(s *cudart.Stream, dir machine.LinkDir, rows, cols int, h64 []float64, h32 []float32, ldh int,
+// the device buffer and the host side carry storage. A 1-D copy of n
+// elements is the rows = n, cols = 1 case.
+func refCopy2D(j *refJob, s *cudart.Stream, dir machine.LinkDir, rows, cols int, h64 []float64, h32 []float32, ldh int,
 	buf *cudart.DevBuffer, off int64, ldd int) *cudart.Event {
-	var w *cudart.Window
 	if buf.Backed() && (h64 != nil || h32 != nil) {
-		w = &cudart.Window{Buf: buf, F64: h64, F32: h32, Off: off,
+		w := cudart.Window{Buf: buf, F64: h64, F32: h32, Off: off,
 			Rows: int64(rows), Cols: int32(cols), Ldh: int32(ldh), Ldd: int32(ldd)}
+		j.add(func(*parallel.Pool) error {
+			w.Move(dir)
+			return nil
+		})
 	}
-	return s.TransferOp(dir, int64(rows)*int64(cols)*buf.Dtype().Size(), w)
+	return s.TransferOp(dir, int64(rows)*int64(cols)*buf.Dtype().Size())
 }
 
 // refDur is the model duration of a kernel launch on the context's GPU.
@@ -72,51 +98,48 @@ func refDur(c *Context, sh kernelmodel.Shape) float64 {
 
 // refDispatchAsync enqueues a payload-free dispatch-overhead kernel.
 func refDispatchAsync(s *cudart.Stream, duration float64) (*cudart.Event, error) {
-	return s.KernelOp(cudart.NameDispatch, duration, nil), nil
+	return s.KernelOp(cudart.NameDispatch, duration), nil
 }
 
 // refGemmAsync enqueues C = alpha*op(A)*op(B) + beta*C over device
 // submatrices, with a payload when C is backed.
-func refGemmAsync(c *Context, s *cudart.Stream, transA, transB byte, m, n, k int,
+func refGemmAsync(c *Context, j *refJob, s *cudart.Stream, transA, transB byte, m, n, k int,
 	alpha float64, a *cudart.DevBuffer, offA int64, lda int,
 	b *cudart.DevBuffer, offB int64, ldb int,
 	beta float64, cb *cudart.DevBuffer, offC int64, ldc int) (*cudart.Event, error) {
-	var payload cudart.Payload
 	if cb.Backed() {
-		payload = func(pool *parallel.Pool) error {
+		j.add(func(pool *parallel.Pool) error {
 			return blas.GemmParallel(pool, transA, transB, m, n, k, alpha,
 				a.F64()[offA:], lda, b.F64()[offB:], ldb, beta, cb.F64()[offC:], ldc)
-		}
+		})
 	}
 	dur := refDur(c, kernelmodel.Shape{Kind: kernelmodel.KindGemm, Dtype: kernelmodel.F64, M: m, N: n, K: k})
-	return s.KernelOp(cudart.NameDgemm, dur, payload), nil
+	return s.KernelOp(cudart.NameDgemm, dur), nil
 }
 
 // refGemvAsync enqueues y = alpha*op(A)*x + beta*y over device operands.
-func refGemvAsync(c *Context, s *cudart.Stream, trans byte, m, n int, alpha float64,
+func refGemvAsync(c *Context, j *refJob, s *cudart.Stream, trans byte, m, n int, alpha float64,
 	a *cudart.DevBuffer, offA int64, lda int, x *cudart.DevBuffer, offX int64,
 	beta float64, y *cudart.DevBuffer, offY int64) (*cudart.Event, error) {
-	var payload cudart.Payload
 	if y.Backed() {
-		payload = func(*parallel.Pool) error {
+		j.add(func(*parallel.Pool) error {
 			return blas.Gemv(trans, m, n, alpha, a.F64()[offA:], lda, x.F64()[offX:], 1, beta, y.F64()[offY:], 1)
-		}
+		})
 	}
 	dur := refDur(c, kernelmodel.Shape{Kind: kernelmodel.KindGemv, Dtype: kernelmodel.F64, M: m, N: n})
-	return s.KernelOp(cudart.NameGemv, dur, payload), nil
+	return s.KernelOp(cudart.NameGemv, dur), nil
 }
 
 // refAxpyAsync enqueues y += alpha*x over device vectors.
-func refAxpyAsync(c *Context, s *cudart.Stream, n int, alpha float64,
+func refAxpyAsync(c *Context, j *refJob, s *cudart.Stream, n int, alpha float64,
 	x *cudart.DevBuffer, offX int64, y *cudart.DevBuffer, offY int64) (*cudart.Event, error) {
-	var payload cudart.Payload
 	if y.Backed() {
-		payload = func(*parallel.Pool) error {
+		j.add(func(*parallel.Pool) error {
 			return blas.Axpy(n, alpha, x.F64()[offX:], 1, y.F64()[offY:], 1)
-		}
+		})
 	}
 	dur := refDur(c, kernelmodel.Shape{Kind: kernelmodel.KindAxpy, Dtype: kernelmodel.F64, N: n})
-	return s.KernelOp(cudart.NameDaxpy, dur, payload), nil
+	return s.KernelOp(cudart.NameDaxpy, dur), nil
 }
 
 // refTile is the oracle's devTile.
@@ -131,6 +154,7 @@ type refTile struct {
 // refGemm is the original GemmEnqueue loop followed by Sync/Finish, with
 // the BLASX request's knobs.
 func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Result, error) {
+	var work refJob
 	h2d, d2h, comp := refStreams(c)
 	dt := opts.Dtype
 	transA, err := normTrans(opts.TransA)
@@ -192,7 +216,7 @@ func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Res
 		t.buf, t.off, t.ld = buf, 0, rows
 		if fetch {
 			h64, h32 := m.HostSlices(ti*T, tj*T)
-			ev, err := refSetMatrixAsync(h2d, rows, tcols, h64, h32, m.HostLd, buf, 0, rows)
+			ev, err := refSetMatrixAsync(&work, h2d, rows, tcols, h64, h32, m.HostLd, buf, 0, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -247,7 +271,7 @@ func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Res
 						return fail(err)
 					}
 				}
-				if _, err := refGemmAsync(c, comp, transA, transB,
+				if _, err := refGemmAsync(c, &work, comp, transA, transB,
 					rows, cols, inner, opts.Alpha,
 					aTile.buf, aTile.off, aTile.ld,
 					bTile.buf, bTile.off, bTile.ld,
@@ -259,7 +283,7 @@ func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Res
 			if opts.C.Loc == model.OnHost {
 				d2h.WaitEvent(comp.Record())
 				h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-				if _, err := refGetMatrixAsync(d2h, rows, cols,
+				if _, err := refGetMatrixAsync(&work, d2h, rows, cols,
 					cTile.buf, cTile.off, cTile.ld, h64, h32, opts.C.HostLd); err != nil {
 					return fail(err)
 				}
@@ -271,6 +295,7 @@ func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Res
 		}
 	}
 
+	work.register(c.rt)
 	end, err := c.rt.Sync()
 	for _, b := range pooled {
 		c.Release(b)
@@ -291,6 +316,7 @@ type refSlotGroup struct {
 
 // refGemmNoReuse is the original stateless-sub-kernel loop.
 func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
+	var work refJob
 	h2d, d2h, comp := refStreams(c)
 	dt := opts.Dtype
 	T := opts.T
@@ -372,7 +398,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				aBuf, aOff, aLd := opts.A.Dev, int64(ti*T)+int64(tk*T)*int64(opts.A.DevLd), opts.A.DevLd
 				if opts.A.Loc == model.OnHost {
 					h64, h32 := opts.A.HostSlices(ti*T, tk*T)
-					if _, err := refSetMatrixAsync(h2d, rows, inner, h64, h32, opts.A.HostLd, g.a, 0, rows); err != nil {
+					if _, err := refSetMatrixAsync(&work, h2d, rows, inner, h64, h32, opts.A.HostLd, g.a, 0, rows); err != nil {
 						return fail(err)
 					}
 					res.BytesH2D += int64(rows) * int64(inner) * dt.Size()
@@ -381,7 +407,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				bBuf, bOff, bLd := opts.B.Dev, int64(tk*T)+int64(tj*T)*int64(opts.B.DevLd), opts.B.DevLd
 				if opts.B.Loc == model.OnHost {
 					h64, h32 := opts.B.HostSlices(tk*T, tj*T)
-					if _, err := refSetMatrixAsync(h2d, inner, cols, h64, h32, opts.B.HostLd, g.b, 0, inner); err != nil {
+					if _, err := refSetMatrixAsync(&work, h2d, inner, cols, h64, h32, opts.B.HostLd, g.b, 0, inner); err != nil {
 						return fail(err)
 					}
 					res.BytesH2D += int64(inner) * int64(cols) * dt.Size()
@@ -397,7 +423,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 							h2d.WaitEvent(wb)
 						}
 						h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-						if _, err := refSetMatrixAsync(h2d, rows, cols, h64, h32, opts.C.HostLd, g.c, 0, rows); err != nil {
+						if _, err := refSetMatrixAsync(&work, h2d, rows, cols, h64, h32, opts.C.HostLd, g.c, 0, rows); err != nil {
 							return fail(err)
 						}
 						res.BytesH2D += int64(rows) * int64(cols) * dt.Size()
@@ -412,7 +438,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				}
 
 				comp.WaitEvent(h2d.Record())
-				if _, err := refGemmAsync(c, comp, blas.NoTrans, blas.NoTrans,
+				if _, err := refGemmAsync(c, &work, comp, blas.NoTrans, blas.NoTrans,
 					rows, cols, inner, opts.Alpha,
 					aBuf, aOff, aLd, bBuf, bOff, bLd,
 					beta, cBuf, cOff, cLd); err != nil {
@@ -424,7 +450,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				if opts.C.Loc == model.OnHost {
 					d2h.WaitEvent(g.lastKernel)
 					h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-					if _, err := refGetMatrixAsync(d2h, rows, cols, cBuf, cOff, cLd, h64, h32, opts.C.HostLd); err != nil {
+					if _, err := refGetMatrixAsync(&work, d2h, rows, cols, cBuf, cOff, cLd, h64, h32, opts.C.HostLd); err != nil {
 						return fail(err)
 					}
 					res.BytesD2H += int64(rows) * int64(cols) * dt.Size()
@@ -435,6 +461,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 		}
 	}
 
+	work.register(c.rt)
 	end, err := c.rt.Sync()
 	for _, buf := range pooled {
 		c.Release(buf)
@@ -455,6 +482,7 @@ type refVecChunk struct {
 
 // refGemv is the original level-2 loop.
 func refGemv(c *Context, opts GemvOpts) (Result, error) {
+	var work refJob
 	h2d, d2h, comp := refStreams(c)
 	T := opts.T
 	mt := ceil(opts.M, T)
@@ -488,7 +516,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 		if opts.X.HostF64 != nil {
 			host = opts.X.HostF64[tj*T:]
 		}
-		ev, err := h2d.MemcpyH2DAsync(buf, 0, host, nil, int64(n))
+		ev, err := refSetMatrixAsync(&work, h2d, n, 1, host, nil, n, buf, 0, n)
 		if err != nil {
 			return nil, err
 		}
@@ -516,7 +544,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 				if opts.Y.HostF64 != nil {
 					host = opts.Y.HostF64[ti*T:]
 				}
-				ev, err := h2d.MemcpyH2DAsync(buf, 0, host, nil, int64(rows))
+				ev, err := refSetMatrixAsync(&work, h2d, rows, 1, host, nil, rows, buf, 0, rows)
 				if err != nil {
 					return fail(err)
 				}
@@ -539,7 +567,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 				}
 				pooled = append(pooled, buf)
 				h64, h32 := opts.A.HostSlices(ti*T, tj*T)
-				ev, err := refSetMatrixAsync(h2d, rows, cols, h64, h32, opts.A.HostLd, buf, 0, rows)
+				ev, err := refSetMatrixAsync(&work, h2d, rows, cols, h64, h32, opts.A.HostLd, buf, 0, rows)
 				if err != nil {
 					return fail(err)
 				}
@@ -559,7 +587,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 					beta = 0
 				}
 			}
-			if _, err := refGemvAsync(c, comp, blas.NoTrans, rows, cols, opts.Alpha,
+			if _, err := refGemvAsync(c, &work, comp, blas.NoTrans, rows, cols, opts.Alpha,
 				aBuf, aOff, aLd, xc.buf, xc.off, beta, yBuf, yOff); err != nil {
 				return fail(err)
 			}
@@ -572,13 +600,14 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 			if opts.Y.HostF64 != nil {
 				host = opts.Y.HostF64[ti*T:]
 			}
-			if _, err := d2h.MemcpyD2HAsync(host, nil, yBuf, yOff, int64(rows)); err != nil {
+			if _, err := refGetMatrixAsync(&work, d2h, rows, 1, yBuf, yOff, rows, host, nil, rows); err != nil {
 				return fail(err)
 			}
 			res.BytesD2H += int64(rows) * 8
 		}
 	}
 
+	work.register(c.rt)
 	end, err := c.rt.Sync()
 	for _, b := range pooled {
 		c.Release(b)
@@ -592,6 +621,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 
 // refAxpy is the original level-1 loop.
 func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
+	var work refJob
 	h2d, d2h, comp := refStreams(c)
 	res := Result{T: opts.T}
 	start := c.rt.Now()
@@ -625,7 +655,7 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 			if opts.X.HostF64 != nil {
 				host = opts.X.HostF64[off:]
 			}
-			ev, err := h2d.MemcpyH2DAsync(b, 0, host, nil, int64(n))
+			ev, err := refSetMatrixAsync(&work, h2d, n, 1, host, nil, n, b, 0, n)
 			if err != nil {
 				return fail(err)
 			}
@@ -649,7 +679,7 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 			if opts.Y.HostF64 != nil {
 				host = opts.Y.HostF64[off:]
 			}
-			ev, err := h2d.MemcpyH2DAsync(b, 0, host, nil, int64(n))
+			ev, err := refSetMatrixAsync(&work, h2d, n, 1, host, nil, n, b, 0, n)
 			if err != nil {
 				return fail(err)
 			}
@@ -659,7 +689,7 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 
 		comp.WaitEvent(xReady)
 		comp.WaitEvent(yReady)
-		if _, err := refAxpyAsync(c, comp, n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
+		if _, err := refAxpyAsync(c, &work, comp, n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
 			return fail(err)
 		}
 		res.Subkernels++
@@ -670,13 +700,14 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 			if opts.Y.HostF64 != nil {
 				host = opts.Y.HostF64[off:]
 			}
-			if _, err := d2h.MemcpyD2HAsync(host, nil, yBuf, yOff, int64(n)); err != nil {
+			if _, err := refGetMatrixAsync(&work, d2h, n, 1, yBuf, yOff, n, host, nil, n); err != nil {
 				return fail(err)
 			}
 			res.BytesD2H += int64(n) * 8
 		}
 	}
 
+	work.register(c.rt)
 	end, err := c.rt.Sync()
 	for _, b := range pooled {
 		c.Release(b)

@@ -66,8 +66,8 @@ func (c *Context) Enqueue(p *plan.Plan, r Request) (*PendingGemm, error) {
 
 // Run plans and enqueues the request, drains the engine and reports the
 // run. Ragged edge tiles (dimensions not divisible by T) are handled. A
-// failed drain (a payload error such as a non-SPD tile) is returned
-// wrapped with the routine name.
+// failed drain (a job error such as a non-SPD tile, naming the plan op) is
+// returned wrapped with the routine name.
 // The request is validated once: a plan just built from it carries its
 // key, so the replay skips the key check Enqueue makes.
 func (c *Context) Run(r Request) (Result, error) {
@@ -147,7 +147,8 @@ type PendingGemm struct {
 
 // Finish releases the pending run's pooled buffers and returns its
 // result with the makespan measured to `end`. Call it exactly once, after
-// the shared engine has drained.
+// the Sync that drained the shared engine (and, on a backed context, ran
+// the replay's job, which works in those buffers).
 func (p *PendingGemm) Finish(end float64) Result {
 	for _, b := range p.pooled {
 		p.ctx.Release(b)

@@ -118,7 +118,11 @@ func (c *Context) Reset() {
 // indexes.
 func (c *Context) target(p *plan.Plan) plan.Target {
 	c.growStreams(p.Streams)
-	return plan.Target{Streams: c.streams, Alloc: c, Backed: c.backed}
+	t := plan.Target{Streams: c.streams, Alloc: c}
+	if c.backed {
+		t.Jobs = c.rt
+	}
+	return t
 }
 
 // bucket returns the pool bucket for key, or nil.

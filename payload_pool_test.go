@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"cocopelia/internal/blas"
+	"cocopelia/internal/parallel"
 )
 
 // TestBackedPayloadPoolInvariance runs the backed level-3 and factor
-// routines at n = 512 on a session with the default payload pool and on
-// one whose payloads run inline: outputs must match bit for bit, and so
-// must every Result field.
+// routines at n = 512 on sessions whose jobs run inline and on payload
+// pools 1, 2 and 8 wide: outputs must match bit for bit, and so must every
+// Result field.
 func TestBackedPayloadPoolInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 512
@@ -58,35 +59,35 @@ func TestBackedPayloadPoolInvariance(t *testing.T) {
 			return lib.Dtrsm(blas.NonUnit, n, n, 0.75, HostMatrix(n, n, tri), HostMatrix(n, n, out))
 		}},
 	}
-	run := func(inline bool) ([]Result, [][]float64) {
+	run := func(pool *parallel.Pool) ([]Result, [][]float64) {
 		lib := openBacked(t)
 		defer lib.Close()
-		if inline {
-			lib.rt.SetPayloadPool(nil)
-		}
+		lib.rt.SetPayloadPool(pool)
 		var results []Result
 		var outs [][]float64
 		for _, c := range calls {
 			out := append([]float64(nil), b...)
 			res, err := c.run(lib, out)
 			if err != nil {
-				t.Fatalf("%s (inline %v): %v", c.name, inline, err)
+				t.Fatalf("%s (%d workers): %v", c.name, pool.Workers(), err)
 			}
 			results, outs = append(results, res), append(outs, out)
 		}
 		return results, outs
 	}
-	pooledRes, pooledOut := run(false)
-	inlineRes, inlineOut := run(true)
-	for i, c := range calls {
-		if pooledRes[i] != inlineRes[i] {
-			t.Errorf("%s: Result with the default pool %+v, inline %+v", c.name, pooledRes[i], inlineRes[i])
-		}
-		for j := range inlineOut[i] {
-			if math.Float64bits(pooledOut[i][j]) != math.Float64bits(inlineOut[i][j]) {
-				t.Errorf("%s: element %d is %v with the default pool, %v inline",
-					c.name, j, pooledOut[i][j], inlineOut[i][j])
-				break
+	inlineRes, inlineOut := run(nil)
+	for _, width := range []int{1, 2, 8} {
+		pooledRes, pooledOut := run(parallel.NewPool(width))
+		for i, c := range calls {
+			if pooledRes[i] != inlineRes[i] {
+				t.Errorf("%s: Result with %d workers %+v, inline %+v", c.name, width, pooledRes[i], inlineRes[i])
+			}
+			for j := range inlineOut[i] {
+				if math.Float64bits(pooledOut[i][j]) != math.Float64bits(inlineOut[i][j]) {
+					t.Errorf("%s: element %d is %v with %d workers, %v inline",
+						c.name, j, pooledOut[i][j], width, inlineOut[i][j])
+					break
+				}
 			}
 		}
 	}
