@@ -4,7 +4,8 @@ GO ?= go
 	bench-blas-gate bench-campaign bench-campaign-check bench-campaign-gate \
 	bench-campaign-smoke bench-factor bench-factor-check bench-select-smoke \
 	bench-backed bench-backed-check \
-	cross-arm64 fuzz-smoke perfbench-check plan-golden-smoke profile results
+	cross-arm64 fuzz-smoke perfbench-check plan-golden-smoke profile results \
+	results-check
 
 build:
 	$(GO) build ./...
@@ -44,8 +45,8 @@ race:
 # The bench checks here compare exact fields only, so they pass at any host
 # speed; timings are gated by the bench-*-gate targets.
 verify: build vet lint race bench-campaign-smoke bench-campaign-check \
-	bench-factor-check bench-backed-check bench-select-smoke plan-golden-smoke \
-	fuzz-smoke cross-arm64 perfbench-check
+	bench-factor-check bench-backed-check results-check bench-select-smoke \
+	plan-golden-smoke fuzz-smoke cross-arm64 perfbench-check
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -181,3 +182,19 @@ profile:
 results: build
 	$(GO) run ./cmd/cocodeploy -out results
 	$(GO) run ./cmd/cocoeval -deploy results -out results
+
+# results-check re-runs every experiment against the committed deployments
+# (a few seconds on the default problem sets) and fails unless its stdout
+# and each CSV it writes equal the committed ones in results/ byte for byte;
+# cmp names the first differing file and line. Refresh the committed output
+# with the results target when a change alters the figures on purpose.
+results-check:
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	$(GO) run ./cmd/cocoeval -deploy results -out "$$out" > "$$out/eval-output.txt" || exit 1; \
+	if [ "$$(cd "$$out" && ls *.csv)" != "$$(cd results && ls *.csv)" ]; then \
+		echo "results-check: the CSV set differs from results/"; exit 1; \
+	fi; \
+	for f in eval-output.txt $$(cd results && ls *.csv); do \
+		cmp "results/$$f" "$$out/$$f" || exit 1; \
+	done; \
+	echo "results-check: stdout and $$(cd results && ls *.csv | wc -l) CSVs match results/"
