@@ -1,7 +1,7 @@
 package cudart
 
 // KernelName indexes the kernel-name table, so an op carries its kernel's
-// name in two bytes: the kernels the plan replay tapes launch.
+// name in two bytes: the kernels plan replays launch.
 type KernelName uint16
 
 // The kernel names; the zero value, noName, names nothing.

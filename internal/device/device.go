@@ -5,7 +5,7 @@
 // accountant.
 //
 // The device is purely an execution-timing substrate. Kernel durations are
-// supplied by the caller (the plan tapes compute them from the kernelmodel
+// supplied by the caller (plan replays compute them from the kernelmodel
 // ground truth); the device adds per-invocation multiplicative noise and
 // serializes execution on the virtual clock. It notifies each kernel's
 // completion through a handle. It does no arithmetic: the cudart layer runs

@@ -397,9 +397,8 @@ func (r *Runner) putBundle(b *simBundle) {
 	r.bundleMu.Unlock()
 }
 
-// cellPlan is the tile plan of one cell in flight: repetition 0 builds it,
-// compiles its replay tape and publishes it, and the other repetitions
-// wait for it.
+// cellPlan is the tile plan of one cell in flight: repetition 0 builds and
+// publishes it, and the other repetitions wait for it.
 type cellPlan struct {
 	ready chan struct{}
 	once  sync.Once
@@ -426,8 +425,8 @@ func (c *cellPlan) wait() *plan.Plan {
 var errNoPlan = errors.New("eval: repetition 0 failed before building the cell's plan")
 
 // runOnce executes one repetition on bd and returns its result.
-// Repetition 0 (first) builds the cell's plan, compiles its replay tape and
-// publishes both through cp; the others wait for it and replay it as is
+// Repetition 0 (first) builds the cell's plan and publishes it through cp;
+// the others wait for it and replay it as is
 // (Enqueue checks its key against the request on every call). The no-reuse
 // and cuBLASXt planners size their staging to free device memory, which is
 // the same on every repetition because the pooled bundle's reset restores
@@ -462,7 +461,6 @@ func (r *Runner) runOnce(bd *simBundle, lib Lib, p Problem, T int, cp *cellPlan,
 		if pl, err = ctx.Plan(req); err != nil {
 			return operand.Result{}, err
 		}
-		pl.TapeFor(&rt.Device().Testbed().GPU)
 		cp.publish(pl)
 		r.planBuilds.Add(1)
 	} else {

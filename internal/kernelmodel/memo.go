@@ -51,8 +51,8 @@ func (s Shape) Time(gpu *machine.GPUSpec) float64 {
 
 // Memo memoizes kernel durations. A tiled run launches thousands of
 // kernels with a handful of distinct shapes (full tiles plus edge tiles),
-// and the model's pow/cbrt evaluation would otherwise dominate launching,
-// tape compilation and plan prediction alike. The zero value is ready to
+// and the model's pow/cbrt evaluation would otherwise dominate plan
+// replay and plan prediction alike. The zero value is ready to
 // use. A Memo belongs to its caller: it holds no shared state and is not
 // safe for concurrent use.
 type Memo struct {

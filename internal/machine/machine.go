@@ -19,8 +19,8 @@ import (
 )
 
 // LinkDir identifies a transfer direction across the host-device link. It
-// is a byte so hot per-operation structs (cudart ops, plan tape entries)
-// can pack it next to their other small scalars.
+// is a byte so hot per-operation structs (cudart ops) can pack it next to
+// their other small scalars.
 type LinkDir uint8
 
 const (

@@ -38,55 +38,69 @@ type Arg struct {
 }
 
 // Executor replays plans onto a target. It owns reusable scratch (the
-// op-id -> event table, the slot bindings and the acquired-buffer list), so
-// a timing-only replay allocates nothing once warm; like the scheduler
-// context whose scratch it replaces, one executor supports one in-flight
-// replay at a time.
+// op-id -> event table, the slot bindings and the acquired-buffer list) and
+// the memo of the kernel durations it has modeled, so a timing-only replay
+// allocates nothing once warm; like the scheduler context whose scratch it
+// replaces, one executor supports one in-flight replay at a time.
 type Executor struct {
 	events []*cudart.Event
 	slots  []*cudart.DevBuffer
 	pooled []*cudart.DevBuffer
+	memo   kernelmodel.Memo
 }
 
-// RunTape replays the plan compiled into t onto tgt with the operands
-// bound by args, in op order: each op's dependency waits first, in their
-// recorded order, then its transfer or kernel. The simulation is
-// timing-only, so backed and timing-only targets fire the identical
-// events. A backed target also gets one job registered with tgt.Jobs: the
-// plan, args and the staging buffers this replay bound, which the
-// runtime's Sync runs after the engine drains (see job).
+// kernelNames maps a kernel op's kind and the plan dtype (kernelmodel.F64,
+// kernelmodel.F32) to the runtime's kernel-name index.
+var kernelNames = [...][2]cudart.KernelName{
+	KGemm:     {cudart.NameDgemm, cudart.NameSgemm},
+	KGemv:     {cudart.NameGemv, cudart.NameGemv},
+	KAxpy:     {cudart.NameDaxpy, cudart.NameDaxpy},
+	KDispatch: {cudart.NameDispatch, cudart.NameDispatch},
+	KPotrf:    {cudart.NameDpotrf, cudart.NameSpotrf},
+	KGetrf:    {cudart.NameDgetrf, cudart.NameSgetrf},
+	KTrsm:     {cudart.NameDtrsm, cudart.NameStrsm},
+	KSyrk:     {cudart.NameDsyrk, cudart.NameSsyrk},
+}
+
+// Run replays plan p onto tgt with the operands bound by args, in op
+// order: each op's dependency waits first, in their recorded order, then
+// its transfer (of opBytes bytes) or kernel (of its kernelDur on gpu, the
+// GPU model of tgt's device). The simulation is timing-only, so backed and
+// timing-only targets fire the identical events. A backed target also gets
+// one job registered with tgt.Jobs: the plan, args and the staging buffers
+// this replay bound, which the runtime's Sync runs after the engine drains
+// (see job).
 //
-// RunTape returns the staging buffers acquired from the allocator; the
-// caller releases them after the engine drains and the job has run. On
-// error every acquired buffer has already been released.
+// Run returns the staging buffers acquired from the allocator; the caller
+// releases them after the engine drains and the job has run. On error
+// every acquired buffer has already been released.
 //
 //cocolint:hotpath
-func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
+func (e *Executor) Run(p *Plan, gpu *machine.GPUSpec, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
 	// Event slots need no clearing between replays: a dependency edge always
-	// references an op emitted earlier in the tape, so every slot is written
+	// references an op emitted earlier in the plan, so every slot is written
 	// before it is read (stale pointers from a previous replay are never
 	// observed). The replay property tests pin this.
-	if cap(e.events) < t.evSlots {
+	if cap(e.events) < p.EvSlots {
 		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more event slots than any before it
-		e.events = make([]*cudart.Event, t.evSlots)
+		e.events = make([]*cudart.Event, p.EvSlots)
 	}
-	e.events = e.events[:t.evSlots]
-	if cap(e.slots) < len(t.slots) {
+	e.events = e.events[:p.EvSlots]
+	if cap(e.slots) < len(p.Slots) {
 		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more staging slots than any before it
-		e.slots = make([]*cudart.DevBuffer, len(t.slots))
+		e.slots = make([]*cudart.DevBuffer, len(p.Slots))
 	}
-	e.slots = e.slots[:len(t.slots)]
+	e.slots = e.slots[:len(p.Slots)]
 	e.pooled = e.pooled[:0]
 
 	// Hoist the hot-loop state into locals: the loop body runs hundreds of
 	// thousands of times per replay and the compiler cannot otherwise prove
 	// these loads loop-invariant across the stream calls.
-	events, deps, streams := e.events, t.deps, tgt.Streams
-	for i := range t.ops {
-		o := &t.ops[i]
-		switch o.code {
-		case tAlloc:
-			s := t.slots[o.slot]
+	events, ops, deps, streams, dt := e.events, p.Ops, p.deps, tgt.Streams, p.Dtype
+	for i := range ops {
+		o := &ops[i]
+		if o.Kind == OpAlloc {
+			s := p.Slots[o.Slot]
 			//lint:ignore hotpath Alloc is an interface by design; the sched.Pool implementation's Acquire is proved free at its own hot root
 			buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
 			if err != nil {
@@ -97,39 +111,39 @@ func (e *Executor) RunTape(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer
 				e.pooled = e.pooled[:0]
 				return nil, err
 			}
-			e.slots[o.slot] = buf
+			e.slots[o.Slot] = buf
 			//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
 			e.pooled = append(e.pooled, buf)
-		case tTransfer:
-			s := streams[o.stream]
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				s.WaitEvent(events[d])
-			}
-			ev := s.TransferOp(o.dir, o.bytes)
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
-		case tKernel:
-			s := streams[o.stream]
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				s.WaitEvent(events[d])
-			}
-			ev := s.KernelOp(tapeNames[o.kernel][o.dt], o.dur)
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
+			continue
+		}
+		s := streams[o.Stream]
+		for _, d := range deps[o.depOff : o.depOff+o.depN] {
+			s.WaitEvent(events[ops[d].Ev])
+		}
+		var ev *cudart.Event
+		switch o.Kind {
+		case OpFetch:
+			ev = s.TransferOp(machine.H2D, p.opBytes(o))
+		case OpWriteback:
+			ev = s.TransferOp(machine.D2H, p.opBytes(o))
+		default:
+			//lint:ignore hotpath the memo's map gains an entry once per new kernel shape and GPU model; a warm executor only reads it
+			ev = s.KernelOp(kernelNames[o.Kernel][dt], p.kernelDur(gpu, &e.memo, o))
+		}
+		if o.Ev >= 0 {
+			events[o.Ev] = ev
 		}
 	}
 
-	for _, s := range t.tailH2D {
-		streams[StreamH2D].WaitEvent(e.events[s])
+	for _, id := range p.TailH2D {
+		streams[StreamH2D].WaitEvent(events[ops[id].Ev])
 	}
-	for _, s := range t.tailCmp {
-		streams[StreamComp].WaitEvent(e.events[s])
+	for _, id := range p.TailComp {
+		streams[StreamComp].WaitEvent(events[ops[id].Ev])
 	}
 	if tgt.Jobs != nil {
 		//lint:ignore hotpath backed targets only: one job per replay, which its arithmetic dwarfs
-		e.addJob(t.plan, tgt.Jobs, args)
+		e.addJob(p, tgt.Jobs, args)
 	}
 	return e.pooled, nil
 }

@@ -25,8 +25,8 @@ const NoOp OpID = -1
 //     replay reproduces the planner's floats exactly;
 //   - Fetch/Writeback maintain the plan's H2D/D2H volume annotations and
 //     kernel emitters count Subkernels, exactly as the flat builders did;
-//   - the finished plan compiles to a Tape and replays with
-//     event-order-preserving execution, so sim results stay bit-identical.
+//   - the finished plan replays with event-order-preserving execution
+//     (Executor.Run), so sim results stay bit-identical.
 //
 // Tile forwarding is expressed, not special-cased: a kernel that consumes
 // another kernel's output tile references the same staging slot (or device
@@ -126,7 +126,7 @@ func (g *Graph) Fetch(arg int8, row, col, m, n, slot int32, deps ...OpID) OpID {
 	o.Kind, o.Stream, o.Slot = OpFetch, g.route[OpFetch], slot
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
-	g.p.BytesH2D += int64(m) * int64(n) * g.p.Dtype.Size()
+	g.p.BytesH2D += g.p.opBytes(o)
 	return id
 }
 
@@ -137,7 +137,7 @@ func (g *Graph) FetchVec(arg int8, off, m, slot, slotOff int32, deps ...OpID) Op
 	o, id := g.emit()
 	o.Kind, o.Stream, o.Slot, o.K = OpFetch, g.route[OpFetch], slot, slotOff
 	o.A, o.M = argRef(arg, off, 0), m
-	g.p.BytesH2D += int64(m) * g.p.Dtype.Size()
+	g.p.BytesH2D += g.p.opBytes(o)
 	return id
 }
 
@@ -149,7 +149,7 @@ func (g *Graph) Writeback(slot int32, arg int8, row, col, m, n int32, deps ...Op
 	o.Kind, o.Stream, o.Slot = OpWriteback, g.route[OpWriteback], slot
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
-	g.p.BytesD2H += int64(m) * int64(n) * g.p.Dtype.Size()
+	g.p.BytesD2H += g.p.opBytes(o)
 	return id
 }
 
@@ -160,7 +160,7 @@ func (g *Graph) WritebackVec(slot, slotOff int32, arg int8, off, m int32, deps .
 	o, id := g.emit()
 	o.Kind, o.Stream, o.Slot, o.K = OpWriteback, g.route[OpWriteback], slot, slotOff
 	o.A, o.M = argRef(arg, off, 0), m
-	g.p.BytesD2H += int64(m) * g.p.Dtype.Size()
+	g.p.BytesD2H += g.p.opBytes(o)
 	return id
 }
 

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"cocopelia/internal/blas"
 	"cocopelia/internal/parallel"
@@ -121,13 +122,21 @@ func (p *Plan) accesses(dst []region, i int32) []region {
 // when the simulation moved data itself, provided every edge follows from
 // the timing DAG (CheckHazards).
 func (p *Plan) Hazards() *parallel.DAG {
-	c := &p.tape
+	c := &p.hazards
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.hazards == nil {
-		c.hazards = buildHazards(p)
+	if c.g == nil {
+		c.g = buildHazards(p)
 	}
-	return c.hazards
+	return c.g
+}
+
+// hazardCache is the Plan field backing Hazards: the data-hazard graph,
+// which only backed replays build, guarded by mu because concurrent
+// replays of one plan may ask for it first together.
+type hazardCache struct {
+	mu sync.Mutex
+	g  *parallel.DAG
 }
 
 // buildHazards derives the hazard graph. Each space keeps the regions of

@@ -212,7 +212,8 @@ func betaSel(beta float64) BetaSel {
 
 // opBytes derives a transfer op's byte volume from its window shape and
 // the plan dtype (vector transfers are always float64 in this repository's
-// routines, which F64.Size covers).
+// routines, which F64.Size covers). It is the one byte-volume function: the
+// plan's volume annotations, its dump and its replay all read it.
 func (p *Plan) opBytes(o *Op) int64 {
 	if o.N == 0 {
 		return int64(o.M) * p.Dtype.Size()
@@ -324,9 +325,9 @@ type Plan struct {
 	// three-stream schedules.
 	Streams int
 
-	// tape caches the plan's precompiled timing-only replay tape (see
-	// tape.go). Plans with a compiled tape must not be copied by value.
-	tape tapeCache
+	// hazards caches the plan's data-hazard graph (see Hazards). A plan
+	// must not be copied by value.
+	hazards hazardCache
 }
 
 // Deps returns op i's dependency list: ids of earlier ops whose completion
@@ -350,8 +351,8 @@ func (p *Plan) Volumes() Volumes {
 // KernelSeconds sums the modeled execution time of every kernel op on gpu
 // in op order — the compute term of the Werkhoven-style full-overlap lower
 // bound max(kernel sum, t_h2d, t_d2h). Each op's duration is the one a
-// replay tape compiled for gpu carries, taken from memo, so the sum costs
-// one model evaluation per distinct kernel shape. Dispatch ops contribute
+// replay on gpu fires, taken from memo, so the sum costs one model
+// evaluation per distinct kernel shape. Dispatch ops contribute
 // their fixed duration; transfer ops contribute nothing.
 func (p *Plan) KernelSeconds(gpu *machine.GPUSpec, memo *kernelmodel.Memo) float64 {
 	sum := 0.0
@@ -364,7 +365,7 @@ func (p *Plan) KernelSeconds(gpu *machine.GPUSpec, memo *kernelmodel.Memo) float
 }
 
 // kernelDur returns kernel op o's modeled duration on gpu through memo: the
-// one per-op duration function of KernelSeconds and compileTape.
+// one per-op duration function of KernelSeconds and Executor.Run.
 func (p *Plan) kernelDur(gpu *machine.GPUSpec, memo *kernelmodel.Memo, o *Op) float64 {
 	s := kernelmodel.Shape{Dtype: p.Dtype}
 	switch o.Kernel {

@@ -2,8 +2,8 @@ package plan
 
 import "sync"
 
-// Released plans hand their op, dependency and tape arrays to these free
-// lists, and later plans build into them (Graph.Grow, compileTape). A
+// Released plans hand their op and dependency arrays to these free lists,
+// and later plans build into them (Graph.Grow). A
 // caller that builds one plan per measured cell and drops it when the cell
 // ends, the eval runner, so reuses a few arrays instead of allocating a
 // plan's worth of memory per cell. The lists are caches like a sync.Pool,
@@ -13,7 +13,6 @@ import "sync"
 var (
 	freeOps  freeList[Op]
 	freeDeps freeList[int32]
-	freeTape freeList[tapeOp]
 )
 
 // maxFree bounds the arrays one free list keeps: about one per plan that
@@ -75,16 +74,11 @@ func (f *freeList[T]) drop(i int) {
 	f.free = f.free[:last]
 }
 
-// Release hands the plan's op and dependency arrays, and those of its
-// compiled tapes, to the free lists for plans built later. The caller must
-// hold the only reference to the plan and its tapes, and must not use
-// either afterwards.
+// Release hands the plan's op and dependency arrays to the free lists for
+// plans built later. The caller must hold the only reference to the plan
+// and must not use it afterwards.
 func (p *Plan) Release() {
 	freeOps.put(p.Ops)
 	freeDeps.put(p.deps)
-	for _, t := range p.tape.tapes {
-		freeTape.put(t.ops)
-		freeDeps.put(t.deps)
-	}
-	p.Ops, p.deps, p.tape.tapes, p.tape.hazards = nil, nil, nil, nil
+	p.Ops, p.deps, p.hazards.g = nil, nil, nil
 }

@@ -4,7 +4,7 @@ import "cocopelia/internal/blas"
 
 // The comparator libraries the paper evaluates CoCoPeLia against run as
 // requests like every other routine: their schedules are plans, built once
-// per measured cell, replayed from a compiled tape and pinned by golden
+// per measured cell, replayed like every other plan and pinned by golden
 // dumps.
 
 // freeBytes is the device memory free now: the staging budget of the

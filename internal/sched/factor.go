@@ -13,7 +13,7 @@ import (
 
 // The tiled factorization requests. Their plans are task graphs mixing
 // kernel kinds, so the factorizations get plan caching, pending
-// (enqueue-only) composition and tape replay through the same request path
+// (enqueue-only) composition and replay through the same request path
 // as the flat BLAS routines.
 
 // CholeskyOpts is the tiled Cholesky request: the in-place

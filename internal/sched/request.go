@@ -173,11 +173,11 @@ func (c *Context) OnDrained(fn func()) {
 }
 
 // enqueuePlan replays a validated plan on the context's streams without
-// draining the engine, through the plan's tape for the device's GPU model.
+// draining the engine, with the kernel durations of the device's GPU model.
 func (c *Context) enqueuePlan(p *plan.Plan, args []plan.Arg) (*PendingGemm, error) {
 	res := Result{T: p.T, Subkernels: p.Subkernels, BytesH2D: p.BytesH2D, BytesD2H: p.BytesD2H}
 	start := c.rt.Now()
-	pooled, err := c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(p), args)
+	pooled, err := c.exec.Run(p, &c.rt.Device().Testbed().GPU, c.target(p), args)
 	if err != nil {
 		return nil, err
 	}
