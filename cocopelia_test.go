@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -413,9 +414,10 @@ func TestSelectionModelOption(t *testing.T) {
 }
 
 // TestFactorFailureIsolation pins failure isolation on backed factor
-// calls: the tile factorization that fails is reported by its plan op id
-// and kernel kind, wrapping the blas sentinel, and no op that depends on
-// it runs, so the caller's matrix holds no NaN (the failed tile is never
+// calls: the tile factorization that fails is reported by its plan op id,
+// kernel kind and tile, with the failing pivot or minor numbered in the
+// whole matrix, wrapping the blas sentinel, and no op that depends on it
+// runs, so the caller's matrix holds no NaN (the failed tile is never
 // written back). The inputs are the 64x64 identity at T = 16 with
 // A[40,40] set to 0 (LU: a zero pivot in diagonal tile 2) and to -1
 // (Cholesky: not positive definite in diagonal tile 2).
@@ -423,15 +425,16 @@ func TestFactorFailureIsolation(t *testing.T) {
 	const n, T = 64, 16
 	cases := []struct {
 		routine, kind string
+		where         string // the tile and the global pivot or minor
 		poison        float64
 		sentinel      error
 		call          func(lib *Library, a *Matrix) (Result, error)
 		opts          func(a *Matrix) sched.Request
 	}{
-		{"lu", "getrf", 0, blas.ErrSingular,
+		{"lu", "getrf", "tile (2,2): blas: matrix is singular: zero pivot at 40", 0, blas.ErrSingular,
 			func(lib *Library, a *Matrix) (Result, error) { return lib.DgetrfTile(n, a, T) },
 			func(a *Matrix) sched.Request { return sched.LUOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T} }},
-		{"cholesky", "potrf", -1, blas.ErrNotPositiveDefinite,
+		{"cholesky", "potrf", "tile (2,2): blas: matrix not positive definite: leading minor of order 41", -1, blas.ErrNotPositiveDefinite,
 			func(lib *Library, a *Matrix) (Result, error) { return lib.DpotrfTile(n, a, T) },
 			func(a *Matrix) sched.Request { return sched.CholeskyOpts{Dtype: kernelmodel.F64, N: n, A: a, T: T} }},
 	}
@@ -465,7 +468,7 @@ func TestFactorFailureIsolation(t *testing.T) {
 			if !errors.Is(err, tc.sentinel) {
 				t.Fatalf("err = %v, want one wrapping %v", err, tc.sentinel)
 			}
-			if want := fmt.Sprintf("plan op %d (%s)", failing, tc.kind); !strings.Contains(err.Error(), want) {
+			if want := fmt.Sprintf("plan op %d (%s) %s", failing, tc.kind, tc.where); !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not name %q", err, want)
 			}
 			for j := 0; j < n; j++ {
@@ -476,6 +479,44 @@ func TestFactorFailureIsolation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAliasedOperandsRejected pins the aliasing check of backed calls: a
+// Dgemm whose C shares host storage with A fails with
+// sched.ErrAliasedOperands naming both, and writes nothing, while Dsyrk,
+// which binds A twice but only reads it, and operands that share a backing
+// array without overlapping still run.
+func TestAliasedOperandsRejected(t *testing.T) {
+	lib := openBacked(t)
+	defer lib.Close()
+	const n = 64
+	store := make([]float64, 3*n*n)
+	for i := range store {
+		store[i] = float64(i % 7)
+	}
+	before := append([]float64(nil), store...)
+	a := HostMatrix(n, n, store[:n*n])
+	b := HostMatrix(n, n, store[n*n:2*n*n])
+	c := HostMatrix(n, n, store[n*n/2:3*n*n/2]) // C's first half is A's second
+	_, err := lib.DgemmTile(n, n, n, 1, a, b, 1, c, 32)
+	if !errors.Is(err, sched.ErrAliasedOperands) {
+		t.Fatalf("Dgemm with C over A: err = %v, want sched.ErrAliasedOperands", err)
+	}
+	if !strings.Contains(err.Error(), "C overlaps A") {
+		t.Errorf("error %q does not name both operands", err)
+	}
+	if !slices.Equal(store, before) {
+		t.Error("a rejected call wrote its operands")
+	}
+	if _, err := lib.DgemmTile(n, n, n, 1, a, b, 1, HostMatrix(n, n, store[2*n*n:]), 32); err != nil {
+		t.Errorf("Dgemm on disjoint windows of one array: %v", err)
+	}
+	if _, err := lib.Dsyrk(blas.NoTrans, n, n, 1, a, 0, c); !errors.Is(err, sched.ErrAliasedOperands) {
+		t.Errorf("Dsyrk with C over A: err = %v, want sched.ErrAliasedOperands", err)
+	}
+	if _, err := lib.Dsyrk(blas.NoTrans, n, n, 1, a, 0, HostMatrix(n, n, store[2*n*n:])); err != nil {
+		t.Errorf("Dsyrk binding A twice: %v", err)
 	}
 }
 

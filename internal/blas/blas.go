@@ -516,11 +516,6 @@ func Daxpy(n int, alpha float64, x []float64, incx int, y []float64, incy int) e
 	return Axpy(n, alpha, x, incx, y, incy)
 }
 
-// Saxpy is Axpy for float32.
-func Saxpy(n int, alpha float32, x []float32, incx int, y []float32, incy int) error {
-	return Axpy(n, alpha, x, incx, y, incy)
-}
-
 // Dgemm is Gemm for float64.
 func Dgemm(transA, transB byte, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) error {
 	return Gemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)

@@ -19,17 +19,32 @@ import (
 	"cocopelia/internal/parallel"
 )
 
-// badWrap wraps a sentinel error with formatted detail.
-func badWrap(sentinel error, format string, args ...any) error {
-	return fmt.Errorf("%w: %s", sentinel, fmt.Sprintf(format, args...))
-}
-
 // ErrNotPositiveDefinite is wrapped by Potrf when a leading minor is not
 // positive definite.
 var ErrNotPositiveDefinite = errors.New("blas: matrix not positive definite")
 
 // ErrSingular is wrapped by Getrf when a pivot is exactly zero.
 var ErrSingular = errors.New("blas: matrix is singular")
+
+// FactorError is the failure of a factorization at one column of the
+// factored matrix: the leading minor of order Index+1 is not positive
+// definite (Err is ErrNotPositiveDefinite) or pivot Index is exactly zero
+// (Err is ErrSingular). Callers that factor a sub-matrix renumber Index to
+// the whole matrix.
+type FactorError struct {
+	Err   error
+	Index int
+}
+
+func (e *FactorError) Error() string {
+	if e.Err == ErrSingular {
+		return fmt.Sprintf("%v: zero pivot at %d", e.Err, e.Index)
+	}
+	return fmt.Sprintf("%v: leading minor of order %d", e.Err, e.Index+1)
+}
+
+// Unwrap returns the sentinel, so errors.Is matches it.
+func (e *FactorError) Unwrap() error { return e.Err }
 
 // Potrf computes the in-place Cholesky factorization of the n x n matrix A:
 // A = L*L^T (uplo Lower, L written to the lower triangle) or A = U^T*U
@@ -158,9 +173,7 @@ func PotrfParallel[F Float](p *parallel.Pool, uplo byte, n int, a []F, lda int) 
 	return nil
 }
 
-func errorMinor(j int) error {
-	return badWrap(ErrNotPositiveDefinite, "leading minor of order %d", j+1)
-}
+func errorMinor(j int) error { return &FactorError{Err: ErrNotPositiveDefinite, Index: j} }
 
 // Getrf computes the in-place unpivoted LU factorization of the n x n
 // matrix A = L*U with L unit lower triangular (its unit diagonal is not
@@ -180,7 +193,7 @@ func Getrf[F Float](n int, a []F, lda int) error {
 	for k := 0; k < n; k++ {
 		p := a[k+k*lda]
 		if p == 0 {
-			return badWrap(ErrSingular, "zero pivot at %d", k)
+			return &FactorError{Err: ErrSingular, Index: k}
 		}
 		l := a[k+1+k*lda : n+k*lda]
 		for i := range l {

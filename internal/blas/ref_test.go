@@ -165,7 +165,7 @@ func getrfRef[F Float](n int, a []F, lda int) error {
 	for k := 0; k < n; k++ {
 		p := a[k+k*lda]
 		if p == 0 {
-			return badWrap(ErrSingular, "zero pivot at %d", k)
+			return &FactorError{Err: ErrSingular, Index: k}
 		}
 		for i := k + 1; i < n; i++ {
 			l := a[i+k*lda] / p

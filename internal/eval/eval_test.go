@@ -8,10 +8,18 @@ import (
 
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
+	"cocopelia/internal/microbench"
 	"cocopelia/internal/model"
 	"cocopelia/internal/stats"
 	"cocopelia/internal/trace"
 )
+
+// NewCampaign deploys CoCoPeLia on the testbed (running the micro-benchmark
+// phase) and returns a ready campaign.
+func NewCampaign(tb *machine.Testbed, fast bool) *Campaign {
+	dep := microbench.Run(tb, microbench.DefaultConfig())
+	return NewCampaignWithDeployment(tb, dep, fast)
+}
 
 // Campaigns are expensive to deploy; share them across the package tests.
 var (

@@ -41,13 +41,6 @@ type Campaign struct {
 	Fast bool
 }
 
-// NewCampaign deploys CoCoPeLia on the testbed (running the micro-benchmark
-// phase) and returns a ready campaign.
-func NewCampaign(tb *machine.Testbed, fast bool) *Campaign {
-	dep := microbench.Run(tb, microbench.DefaultConfig())
-	return NewCampaignWithDeployment(tb, dep, fast)
-}
-
 // NewCampaignWithDeployment builds a campaign over an existing deployment
 // database (e.g. loaded from disk).
 func NewCampaignWithDeployment(tb *machine.Testbed, dep *microbench.Deployment, fast bool) *Campaign {

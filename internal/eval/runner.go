@@ -334,7 +334,7 @@ func Request(rt *cudart.Runtime, lib Lib, p Problem, T int) (sched.Request, erro
 			req = sched.GemmXtOpts(g)
 		case LibBLASX:
 			g.T = sched.BlasxTile(p.M, p.N, p.K)
-			req = sched.GemmBlasxOpts{GemmOpts: g, DispatchS: sched.BlasxDispatchS, BlockingWriteback: true}
+			req = sched.GemmBlasxOpts(g)
 		}
 	}
 	if o.err != nil {

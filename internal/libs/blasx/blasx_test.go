@@ -25,11 +25,8 @@ func newCtx(backed bool) *sched.Context {
 // request is the BLASX comparator's gemm at its static tile size.
 func request(m, n, k int, beta float64, a, b, c *operand.Matrix) sched.GemmBlasxOpts {
 	return sched.GemmBlasxOpts{
-		GemmOpts: sched.GemmOpts{
-			Dtype: kernelmodel.F64, M: m, N: n, K: k, Alpha: 1, Beta: beta,
-			A: a, B: b, C: c, T: sched.BlasxTile(m, n, k),
-		},
-		DispatchS: sched.BlasxDispatchS, BlockingWriteback: true,
+		Dtype: kernelmodel.F64, M: m, N: n, K: k, Alpha: 1, Beta: beta,
+		A: a, B: b, C: c, T: sched.BlasxTile(m, n, k),
 	}
 }
 
@@ -100,7 +97,7 @@ func TestStaticTileUsedForLargeProblem(t *testing.T) {
 func TestDispatchOverheadSlowsVsCoCoPeLia(t *testing.T) {
 	// At the same tile size, BLASX's dispatch overhead must make it
 	// slower than the plain CoCoPeLia scheduler, and the BLASX plan must
-	// refuse to replay for the CoCoPeLia request (the knobs are in the key).
+	// refuse to replay for the CoCoPeLia request (the routines differ).
 	m := 4096
 	req := request(m, m, m, 1,
 		operand.HostMatrix(m, m, nil),
@@ -111,7 +108,7 @@ func TestDispatchOverheadSlowsVsCoCoPeLia(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := newCtx(false)
-	coco, err := ctx.Run(req.GemmOpts)
+	coco, err := ctx.Run(sched.GemmOpts(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func TestDispatchOverheadSlowsVsCoCoPeLia(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Enqueue(p, req.GemmOpts); err == nil {
+	if _, err := ctx.Enqueue(p, sched.GemmOpts(req)); err == nil {
 		t.Error("a BLASX plan replayed for the CoCoPeLia request")
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -440,4 +441,20 @@ func TestComboName(t *testing.T) {
 	if got != "A:host B:device" {
 		t.Errorf("ComboName = %q", got)
 	}
+}
+
+// ComboName renders a location combination like "A:host B:device C:host".
+func ComboName(names []string, locs []Loc) string {
+	s := ""
+	for i, l := range locs {
+		if i > 0 {
+			s += " "
+		}
+		name := "?"
+		if i < len(names) {
+			name = names[i]
+		}
+		s += fmt.Sprintf("%s:%s", name, l)
+	}
+	return s
 }

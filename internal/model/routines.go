@@ -1,7 +1,5 @@
 package model
 
-import "fmt"
-
 // Loc describes where an operand initially resides; it determines the
 // Table I get/set flags. Following the paper, operands residing on the GPU
 // need no fetch, and results whose operand originated on the GPU stay
@@ -91,20 +89,4 @@ func LocCombos(n int) [][]Loc {
 		out = append(out, combo)
 	}
 	return out
-}
-
-// ComboName renders a location combination like "A:host B:device C:host".
-func ComboName(names []string, locs []Loc) string {
-	s := ""
-	for i, l := range locs {
-		if i > 0 {
-			s += " "
-		}
-		name := "?"
-		if i < len(names) {
-			name = names[i]
-		}
-		s += fmt.Sprintf("%s:%s", name, l)
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -135,12 +136,6 @@ func (e *Executor) Run(p *Plan, gpu *machine.GPUSpec, tgt Target, args []Arg) ([
 		}
 	}
 
-	for _, id := range p.TailH2D {
-		streams[StreamH2D].WaitEvent(events[ops[id].Ev])
-	}
-	for _, id := range p.TailComp {
-		streams[StreamComp].WaitEvent(events[ops[id].Ev])
-	}
 	if tgt.Jobs != nil {
 		//lint:ignore hotpath backed targets only: one job per replay, which its arithmetic dwarfs
 		e.addJob(p, tgt.Jobs, args)
@@ -195,9 +190,28 @@ func (j *job) op(i int, pool *parallel.Pool) error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("plan op %d (%s): %w", i, kernelKinds[o.Kernel], err)
+		return j.p.opError(i, err)
 	}
 	return nil
+}
+
+// opError names failed op i and its kernel kind. A failed tile
+// factorization also names its tile and renumbers the failing minor or
+// pivot from the tile's first row to the whole matrix's.
+func (p *Plan) opError(i int, err error) error {
+	o := &p.Ops[i]
+	var fe *blas.FactorError
+	if !errors.As(err, &fe) {
+		return fmt.Errorf("plan op %d (%s): %w", i, kernelKinds[o.Kernel], err)
+	}
+	at := o.A // the tile's operand window, or that of the fetch filling its slot
+	for k := 0; at.Slot >= 0 && k < i; k++ {
+		if f := &p.Ops[k]; f.Kind == OpFetch && f.Slot == at.Slot {
+			at = f.A
+		}
+	}
+	return fmt.Errorf("plan op %d (%s) tile (%d,%d): %w", i, kernelKinds[o.Kernel], int(at.Row)/p.T,
+		int(at.Col)/p.T, &blas.FactorError{Err: fe.Err, Index: int(at.Row) + fe.Index})
 }
 
 // kernelKinds names the kernel kinds in errors.

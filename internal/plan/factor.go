@@ -15,9 +15,6 @@ import (
 // last (absent writers — device-resident operands never written — are the
 // NoOp sentinel and vanish).
 
-// lowerIdx packs lower-triangle tile coordinates (i >= j) row-wise.
-func lowerIdx(i, j int) int { return i*(i+1)/2 + j }
-
 // buildCholesky emits the right-looking tiled Cholesky schedule of the
 // in-place factorization A = L*L^T of the N x N matrix A. Only the lower
 // triangle is referenced, tile-granular: tiles strictly above the diagonal
@@ -31,7 +28,6 @@ func buildCholesky(g *Graph) {
 	key := &g.p.Key
 	T := key.T
 	nt := ceil(key.N, T)
-	dt := key.Dtype
 
 	// Pre-size the arenas: nt(nt+1)/2 lower tiles (slot+alloc+fetch+writeback
 	// each when host-resident), nt potrf, nt(nt-1)/2 trsm and syrk, C(nt,3)
@@ -44,42 +40,17 @@ func buildCholesky(g *Graph) {
 	}
 	g.Grow(hostTiles, 3*hostTiles+kernels, 3*kernels+hostTiles)
 
-	// Per-tile planner state over the lower triangle: the kernel ref, the id
-	// of the tile's last writer (its fetch, then each updating kernel) and
-	// liveness for first-use fetching.
-	state := make([]tileState, tiles)
+	// Each tile's kernel ref and last writer (its fetch, then each updating
+	// kernel); only the lower triangle ever becomes resident.
+	a := g.grid(0, key.N, key.N)
 	rows := func(i int) int { return min(T, key.N-i*T) }
-	tile := func(i, j int) *tileState {
-		t := &state[lowerIdx(i, j)]
-		if t.live {
-			return t
-		}
-		t.live = true
-		if key.Locs[0] == model.OnDevice {
-			t.ref = argRef(0, int32(i*T), int32(j*T))
-			t.ready = NoOp
-			return t
-		}
-		r, c := rows(i), rows(j)
-		slot := g.Slot(dt, int64(r)*int64(c))
-		g.Alloc(slot)
-		t.ref = slotRef(slot, int32(r))
-		t.ready = g.Fetch(0, int32(i*T), int32(j*T), int32(r), int32(c), slot)
-		return t
-	}
-	writeback := func(i, j int, after OpID) {
-		if key.Locs[0] == model.OnHost {
-			t := &state[lowerIdx(i, j)]
-			g.Writeback(t.ref.Slot, 0, int32(i*T), int32(j*T),
-				int32(rows(i)), int32(rows(j)), after)
-		}
-	}
+	tile := func(i, j int) *tileState { return g.resident(&a, i, j, true) }
 
 	for k := 0; k < nt; k++ {
 		nk := rows(k)
 		diag := tile(k, k)
 		diag.ready = g.Potrf(blas.Lower, int32(nk), diag.ref, diag.ready)
-		writeback(k, k, diag.ready)
+		g.writeback(&a, k, k, diag.ready)
 
 		// Panel: A[i][k] <- A[i][k] * L[k][k]^-T, final after the solve.
 		for i := k + 1; i < nt; i++ {
@@ -87,7 +58,7 @@ func buildCholesky(g *Graph) {
 			pt.ready = g.Trsm(blas.Right, blas.Lower, blas.Trans, blas.NonUnit,
 				int32(rows(i)), int32(nk), AlphaOne, diag.ref, pt.ref,
 				diag.ready, pt.ready)
-			writeback(i, k, pt.ready)
+			g.writeback(&a, i, k, pt.ready)
 		}
 
 		// Trailing update: A[i][j] -= A[i][k] * A[j][k]^T for k < j <= i.
@@ -122,7 +93,6 @@ func buildLU(g *Graph) {
 	key := &g.p.Key
 	T := key.T
 	nt := ceil(key.N, T)
-	dt := key.Dtype
 
 	// nt^2 tiles, nt getrf, nt(nt-1) trsm, sum r^2 = (nt-1)nt(2nt-1)/6 gemm.
 	tiles := nt * nt
@@ -133,39 +103,15 @@ func buildLU(g *Graph) {
 	}
 	g.Grow(hostTiles, 3*hostTiles+kernels, 3*kernels+hostTiles)
 
-	state := make([]tileState, tiles)
+	a := g.grid(0, key.N, key.N)
 	rows := func(i int) int { return min(T, key.N-i*T) }
-	tile := func(i, j int) *tileState {
-		t := &state[i*nt+j]
-		if t.live {
-			return t
-		}
-		t.live = true
-		if key.Locs[0] == model.OnDevice {
-			t.ref = argRef(0, int32(i*T), int32(j*T))
-			t.ready = NoOp
-			return t
-		}
-		r, c := rows(i), rows(j)
-		slot := g.Slot(dt, int64(r)*int64(c))
-		g.Alloc(slot)
-		t.ref = slotRef(slot, int32(r))
-		t.ready = g.Fetch(0, int32(i*T), int32(j*T), int32(r), int32(c), slot)
-		return t
-	}
-	writeback := func(i, j int, after OpID) {
-		if key.Locs[0] == model.OnHost {
-			t := &state[i*nt+j]
-			g.Writeback(t.ref.Slot, 0, int32(i*T), int32(j*T),
-				int32(rows(i)), int32(rows(j)), after)
-		}
-	}
+	tile := func(i, j int) *tileState { return g.resident(&a, i, j, true) }
 
 	for k := 0; k < nt; k++ {
 		nk := rows(k)
 		diag := tile(k, k)
 		diag.ready = g.Getrf(int32(nk), diag.ref, diag.ready)
-		writeback(k, k, diag.ready)
+		g.writeback(&a, k, k, diag.ready)
 
 		// Column panel: A[i][k] <- A[i][k] * U[k][k]^-1.
 		for i := k + 1; i < nt; i++ {
@@ -173,7 +119,7 @@ func buildLU(g *Graph) {
 			pt.ready = g.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit,
 				int32(rows(i)), int32(nk), AlphaOne, diag.ref, pt.ref,
 				diag.ready, pt.ready)
-			writeback(i, k, pt.ready)
+			g.writeback(&a, i, k, pt.ready)
 		}
 		// Row panel: A[k][j] <- L[k][k]^-1 * A[k][j].
 		for j := k + 1; j < nt; j++ {
@@ -181,7 +127,7 @@ func buildLU(g *Graph) {
 			pt.ready = g.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit,
 				int32(nk), int32(rows(j)), AlphaOne, diag.ref, pt.ref,
 				diag.ready, pt.ready)
-			writeback(k, j, pt.ready)
+			g.writeback(&a, k, j, pt.ready)
 		}
 		// Trailing update.
 		for j := k + 1; j < nt; j++ {
@@ -212,7 +158,6 @@ func buildTrsm(g *Graph) {
 	T := key.T
 	mt := ceil(key.M, T)
 	nt := ceil(key.N, T)
-	dt := key.Dtype
 
 	aTiles := mt * (mt + 1) / 2
 	bTiles := mt * nt
@@ -229,56 +174,19 @@ func buildTrsm(g *Graph) {
 	rowsM := func(i int) int { return min(T, key.M-i*T) }
 	colsN := func(j int) int { return min(T, key.N-j*T) }
 
-	// A's lower-triangle tiles: read-only, fetched on first use.
-	aState := make([]tileState, aTiles)
-	aTile := func(i, k int) *tileState {
-		t := &aState[lowerIdx(i, k)]
-		if t.live {
-			return t
-		}
-		t.live = true
-		if key.Locs[0] == model.OnDevice {
-			t.ref = argRef(0, int32(i*T), int32(k*T))
-			t.ready = NoOp
-			return t
-		}
-		r, c := rowsM(i), rowsM(k)
-		slot := g.Slot(dt, int64(r)*int64(c))
-		g.Alloc(slot)
-		t.ref = slotRef(slot, int32(r))
-		t.ready = g.Fetch(0, int32(i*T), int32(k*T), int32(r), int32(c), slot)
-		return t
-	}
-
-	// B/X tiles: fetched per column sweep, overwritten in place.
-	bState := make([]tileState, bTiles)
-	bTile := func(i, j int) *tileState {
-		t := &bState[i*nt+j]
-		if t.live {
-			return t
-		}
-		t.live = true
-		if key.Locs[1] == model.OnDevice {
-			t.ref = argRef(1, int32(i*T), int32(j*T))
-			t.ready = NoOp
-			return t
-		}
-		r, c := rowsM(i), colsN(j)
-		slot := g.Slot(dt, int64(r)*int64(c))
-		g.Alloc(slot)
-		t.ref = slotRef(slot, int32(r))
-		t.ready = g.Fetch(1, int32(i*T), int32(j*T), int32(r), int32(c), slot)
-		return t
-	}
+	// A's lower-triangle tiles are read-only, fetched on first use; B's
+	// tiles are fetched per column sweep and overwritten in place by X.
+	aGrid := g.grid(0, key.M, key.M)
+	bGrid := g.grid(1, key.M, key.N)
 
 	for j := 0; j < nt; j++ {
 		cols := colsN(j)
 		for i := 0; i < mt; i++ {
 			ri := rowsM(i)
-			bt := bTile(i, j)
+			bt := g.resident(&bGrid, i, j, true)
 			for k := 0; k < i; k++ {
-				at := aTile(i, k)
-				xt := &bState[k*nt+j] // solved earlier in this column sweep
+				at := g.resident(&aGrid, i, k, true)
+				xt := g.resident(&bGrid, k, j, true) // solved earlier in this column sweep
 				beta := BetaOne
 				if k == 0 {
 					beta = BetaPlan
@@ -292,14 +200,11 @@ func buildTrsm(g *Graph) {
 			if i == 0 {
 				alpha = AlphaPlan
 			}
-			ad := aTile(i, i)
+			ad := g.resident(&aGrid, i, i, true)
 			bt.ready = g.Trsm(blas.Left, blas.Lower, blas.NoTrans, key.Diag,
 				int32(ri), int32(cols), alpha, ad.ref, bt.ref,
 				ad.ready, bt.ready)
-			if key.Locs[1] == model.OnHost {
-				g.Writeback(bt.ref.Slot, 1, int32(i*T), int32(j*T),
-					int32(ri), int32(cols), bt.ready)
-			}
+			g.writeback(&bGrid, i, j, bt.ready)
 		}
 	}
 }

@@ -10,26 +10,9 @@ import (
 // staging always fits device memory.
 const MaxNoReuseSlots = 8
 
-// tileState is the planner-side record of one cached device tile: where a
-// kernel finds it (ref) and the fetch op it depends on (ready < 0 means
-// already available — a device-resident operand or an unfetched slot).
-type tileState struct {
-	ref   Ref
-	ready OpID
-	live  bool
-}
-
-// tileGrid is the planner-time analog of the scheduler's tile cache.
-type tileGrid struct {
-	tiles []tileState
-	cols  int
-}
-
-func newTileGrid(rows, cols int) tileGrid {
-	return tileGrid{tiles: make([]tileState, rows*cols), cols: cols}
-}
-
-func (g *tileGrid) at(ti, tj int) *tileState { return &g.tiles[ti*g.cols+tj] }
+// BlasxDispatchS is the duration of the tile-map management op the BLASX
+// runtime dispatches before every sub-kernel (the "gemm-blasx" schedule).
+const BlasxDispatchS = 4e-6
 
 // buildGemm emits the full-reuse tiled gemm schedule (the paper's Section
 // IV-C scheduler) as a thin client of the Graph builder: each input tile is
@@ -37,14 +20,19 @@ func (g *tileGrid) at(ti, tj int) *tileState { return &g.tiles[ti*g.cols+tj] }
 // stream and are written back once. Op emission order matches the
 // imperative scheduler's stream-call order exactly, so replay is
 // event-identical.
+//
+// The "gemm-blasx" routine is BLASX's runtime over the same schedule: a
+// dispatch op of BlasxDispatchS before every sub-kernel, and a compute
+// stream that waits for each output tile's write-back before the next
+// kernel, because BLASX's tile manager confirms an output tile's host copy
+// before recycling its cache slot.
 func buildGemm(g *Graph) {
 	key := &g.p.Key
 	T := key.T
 	mt := ceil(key.M, T)
 	nt := ceil(key.N, T)
 	kt := ceil(key.K, T)
-	dt := key.Dtype
-	keyBeta, dispatch := scalar(key.Beta), scalar(key.DispatchS) > 0
+	keyBeta, blasx := scalar(key.Beta), key.Routine == "gemm-blasx"
 
 	// Pre-size the arenas from the known schedule shape.
 	hostTiles := func(l model.Loc, n int) int {
@@ -58,7 +46,7 @@ func buildGemm(g *Graph) {
 	cTiles := hostTiles(key.Locs[2], mt*nt)
 	kernels := mt * nt * kt
 	kernelOps := kernels
-	if dispatch {
+	if blasx {
 		kernelOps *= 2
 	}
 	cFetches := 0
@@ -69,41 +57,15 @@ func buildGemm(g *Graph) {
 	g.Grow(slotsCap, slotsCap+aTiles+bTiles+cFetches+kernelOps+cTiles, 4*kernels+cTiles)
 
 	// Tile grids are keyed by STORED coordinates, following the transposes.
-	aGridR, aGridC := mt, kt
-	if key.TransA == blas.Trans {
-		aGridR, aGridC = kt, mt
-	}
-	bGridR, bGridC := kt, nt
-	if key.TransB == blas.Trans {
-		bGridR, bGridC = nt, kt
-	}
-	aCache := newTileGrid(aGridR, aGridC)
-	bCache := newTileGrid(bGridR, bGridC)
-	cCache := newTileGrid(mt, nt)
-
-	// getTile mirrors the scheduler's fetch-once tile cache: device-resident
-	// operands resolve to windows, host-resident ones get a slot (allocated
-	// in first-use order) and, when fetch is set, a fetch op.
-	getTile := func(arg int8, cache *tileGrid, ti, tj, rows, cols int, fetch bool) *tileState {
-		t := cache.at(ti, tj)
-		if t.live {
-			return t
+	stored := func(trans byte, i, j int) (int, int) {
+		if trans == blas.Trans {
+			return j, i
 		}
-		t.live = true
-		if key.Locs[arg] == model.OnDevice {
-			t.ref = argRef(arg, int32(ti*T), int32(tj*T))
-			t.ready = NoOp
-			return t
-		}
-		slot := g.Slot(dt, int64(rows)*int64(cols))
-		g.Alloc(slot)
-		t.ref = slotRef(slot, int32(rows))
-		t.ready = NoOp
-		if fetch {
-			t.ready = g.Fetch(arg, int32(ti*T), int32(tj*T), int32(rows), int32(cols), slot)
-		}
-		return t
+		return i, j
 	}
+	ar, ac := stored(key.TransA, key.M, key.K)
+	br, bc := stored(key.TransB, key.K, key.N)
+	aGrid, bGrid, cGrid := g.grid(0, ar, ac), g.grid(1, br, bc), g.grid(2, key.M, key.N)
 
 	fetchC := keyBeta != 0 // C contributes only when beta != 0
 	pendingWB := NoOp      // blocking write-back awaiting the next kernel
@@ -114,19 +76,13 @@ func buildGemm(g *Graph) {
 		for ti := 0; ti < mt; ti++ {
 			rows := min(T, key.M-ti*T)
 			cols := min(T, key.N-tj*T)
-			cTile := getTile(2, &cCache, ti, tj, rows, cols, fetchC)
+			cTile := g.resident(&cGrid, ti, tj, fetchC)
 			for tk := 0; tk < kt; tk++ {
 				inner := min(T, key.K-tk*T)
-				ai, aj, ar, ac := ti, tk, rows, inner
-				if key.TransA == blas.Trans {
-					ai, aj, ar, ac = tk, ti, inner, rows
-				}
-				aTile := getTile(0, &aCache, ai, aj, ar, ac, true)
-				bi, bj, br, bc := tk, tj, inner, cols
-				if key.TransB == blas.Trans {
-					bi, bj, br, bc = tj, tk, cols, inner
-				}
-				bTile := getTile(1, &bCache, bi, bj, br, bc, true)
+				ai, aj := stored(key.TransA, ti, tk)
+				aTile := g.resident(&aGrid, ai, aj, true)
+				bi, bj := stored(key.TransB, tk, tj)
+				bTile := g.resident(&bGrid, bi, bj, true)
 				// Compute-stream waits, in registration order: a pending
 				// blocking write-back attaches first, then the input tiles,
 				// then (first accumulation only) the output tile.
@@ -140,7 +96,7 @@ func buildGemm(g *Graph) {
 						beta = 0
 					}
 				}
-				if dispatch {
+				if blasx {
 					// The dispatch kernel drains the pending waits; the gemm
 					// follows it in stream order with no explicit deps.
 					g.Dispatch(depBuf...)
@@ -151,16 +107,11 @@ func buildGemm(g *Graph) {
 					AlphaPlan, betaSel(beta),
 					aTile.ref, bTile.ref, cTile.ref, depBuf...)
 			}
-			if key.Locs[2] == model.OnHost {
-				wb := g.Writeback(cTile.ref.Slot, 2, int32(ti*T), int32(tj*T),
-					int32(rows), int32(cols), lastComp)
-				if key.BlockingWB {
-					pendingWB = wb
-				}
+			if wb := g.writeback(&cGrid, ti, tj, lastComp); blasx {
+				pendingWB = wb
 			}
 		}
 	}
-	g.TailComp(pendingWB)
 }
 
 // buildGemmNoReuse emits the stateless-sub-kernel schedule: every
@@ -337,9 +288,6 @@ func buildGemmNoReuse(g *Graph, freeBytes int64) {
 				}
 			}
 		}
-	}
-	for _, id := range pendingH2D {
-		g.TailH2D(id)
 	}
 }
 

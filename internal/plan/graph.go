@@ -1,6 +1,9 @@
 package plan
 
-import "cocopelia/internal/kernelmodel"
+import (
+	"cocopelia/internal/kernelmodel"
+	"cocopelia/internal/model"
+)
 
 // OpID identifies one emitted op inside a graph under construction.
 // Negative ids are legal wherever a dependency is expected and mean
@@ -164,8 +167,8 @@ func (g *Graph) WritebackVec(slot, slotOff int32, arg int8, off, m int32, deps .
 	return id
 }
 
-// Dispatch emits a dispatch-overhead kernel (duration is the plan's
-// DispatchS); it does not count as a sub-kernel.
+// Dispatch emits a dispatch-overhead kernel (its duration is
+// BlasxDispatchS); it does not count as a sub-kernel.
 func (g *Graph) Dispatch(deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.emit()
@@ -260,19 +263,77 @@ func (g *Graph) Syrk(uplo, trans byte, n, k int32, alpha AlphaSel, beta BetaSel,
 	return id
 }
 
-// TailH2D records an op whose completion event the schedule leaves as a
-// pending (unconsumed) h2d-stream wait at return.
-func (g *Graph) TailH2D(id OpID) {
-	if id >= 0 {
-		g.p.TailH2D = append(g.p.TailH2D, id)
-	}
+// tileState is the planner-side record of one resident device tile: where
+// a kernel finds it (ref) and its last writer (its fetch, then each kernel
+// that updates it; NoOp when nothing is pending — a device-resident
+// operand or an unfetched slot).
+type tileState struct {
+	ref   Ref
+	ready OpID
+	live  bool
 }
 
-// TailComp records a pending compute-stream tail wait.
-func (g *Graph) TailComp(id OpID) {
-	if id >= 0 {
-		g.p.TailComp = append(g.p.TailComp, id)
+// tileGrid is the residency record of one bound 2-D operand's T x T
+// tiles, keyed by stored coordinates: tile (i, j) is the window at element
+// (i*T, j*T), ragged in the operand's last row and column of tiles.
+type tileGrid struct {
+	arg           int8
+	T, rows, cols int // the tile size and the stored operand's shape
+	gridCols      int
+	tiles         []tileState
+}
+
+// grid returns the empty residency record of bound operand arg, a
+// rows x cols matrix as stored, tiled at the plan's T.
+func (g *Graph) grid(arg int8, rows, cols int) tileGrid {
+	T := g.p.T
+	gc := ceil(cols, T)
+	return tileGrid{arg: arg, T: T, rows: rows, cols: cols, gridCols: gc,
+		tiles: make([]tileState, ceil(rows, T)*gc)}
+}
+
+// window returns tile (i, j)'s element origin and shape.
+func (tg *tileGrid) window(i, j int) (row, col, m, n int32) {
+	T := tg.T
+	return int32(i * T), int32(j * T), int32(min(T, tg.rows-i*T)), int32(min(T, tg.cols-j*T))
+}
+
+// resident returns tile (i, j) of tg, making it resident on first use: the
+// one way the planners put a 2-D tile on the device. A device-resident
+// operand's tile is its window, used in place. A host-resident operand's
+// tile gets a staging slot of its shape, allocated now, and, when fetch is
+// set, the h2d fetch of its window as its first ready op. Later calls
+// return the same record.
+func (g *Graph) resident(tg *tileGrid, i, j int, fetch bool) *tileState {
+	t := &tg.tiles[i*tg.gridCols+j]
+	if t.live {
+		return t
 	}
+	t.live, t.ready = true, NoOp
+	row, col, m, n := tg.window(i, j)
+	if g.p.Locs[tg.arg] == model.OnDevice {
+		t.ref = argRef(tg.arg, row, col)
+		return t
+	}
+	slot := g.Slot(g.p.Dtype, int64(m)*int64(n))
+	g.Alloc(slot)
+	t.ref = slotRef(slot, m)
+	if fetch {
+		t.ready = g.Fetch(tg.arg, row, col, m, n, slot)
+	}
+	return t
+}
+
+// writeback emits the d2h write-back of resident tile (i, j) of tg to its
+// window once op after completes, when the operand is host-resident, and
+// returns it; a device-resident tile was updated in place, so nothing is
+// emitted and the result is NoOp.
+func (g *Graph) writeback(tg *tileGrid, i, j int, after OpID) OpID {
+	if g.p.Locs[tg.arg] == model.OnDevice {
+		return NoOp
+	}
+	row, col, m, n := tg.window(i, j)
+	return g.Writeback(tg.tiles[i*tg.gridCols+j].ref.Slot, tg.arg, row, col, m, n, after)
 }
 
 // Finish assigns the completion-event table and returns the sealed plan.

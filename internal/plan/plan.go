@@ -5,8 +5,7 @@
 // transfer-volume annotations.
 //
 // A plan is a pure function of its Key — the routine, geometry, tiling
-// size, scalars, operand location vector and scheduling knobs of one
-// invocation — and, for the two comparators that size their staging to the
+// size, scalars and operand location vector of one invocation — and, for the two comparators that size their staging to the
 // device, the free device memory; Build is the one planner entry point.
 // A plan references operands symbolically (by argument index), never by
 // pointer, so one plan can be replayed against any operand set of the same
@@ -140,8 +139,8 @@ const (
 //
 //   - Kernels carry the launch shape (M, N, K) and operand references
 //     (A, B, C) of the matching cudart call; alpha is the plan's alpha,
-//     beta is selected by Beta, and a dispatch op's duration is the plan's
-//     DispatchS.
+//     beta is selected by Beta, and a dispatch op's duration is
+//     BlasxDispatchS.
 //   - Transfers (OpFetch, OpWriteback) move an M x N element window of one
 //     bound operand through staging slot Slot, reusing A as the host-side
 //     window (operand index and element coordinates); N == 0 marks a 1-D
@@ -236,8 +235,8 @@ type Slot struct {
 // it with ==.
 type Key struct {
 	// Routine identifies the schedule family: "gemm", "gemm-noreuse",
-	// "gemm-cublasxt", "gemv", "axpy", "axpy-unified", or one of the
-	// factorization task graphs "cholesky", "lu" and "trsm".
+	// "gemm-cublasxt", "gemm-blasx", "gemv", "axpy", "axpy-unified", or one
+	// of the factorization task graphs "cholesky", "lu" and "trsm".
 	Routine        string
 	Dtype          kernelmodel.Dtype
 	TransA, TransB byte
@@ -247,12 +246,6 @@ type Key struct {
 	M, N, K, T int
 	// Alpha and Beta are the math.Float64bits of the routine's scalars.
 	Alpha, Beta uint64
-	// DispatchS is the math.Float64bits of the duration of the dispatch op
-	// inserted before every sub-kernel (a comparator runtime's cost; zero
-	// inserts none), and BlockingWB makes the compute stream wait for each
-	// output tile's write-back: the BLASX request's knobs.
-	DispatchS  uint64
-	BlockingWB bool
 	// Locs is the operand location vector in argument order (gemm: A, B,
 	// C; gemv: A, x, y; axpy: x, y; cholesky, lu: A; trsm: A, B); NLocs is
 	// its length, the number of operands a replay binds.
@@ -260,8 +253,8 @@ type Key struct {
 	NLocs int
 }
 
-// scalar decodes one of a key's bit-pattern scalars (Alpha, Beta or
-// DispatchS): the one way the planners, Dump and payload binding read them.
+// scalar decodes one of a key's bit-pattern scalars (Alpha or Beta): the
+// one way the planners, Dump and payload binding read them.
 func scalar(bits uint64) float64 { return math.Float64frombits(bits) }
 
 // Build plans the invocation k; it is the one planner entry point. The
@@ -272,7 +265,7 @@ func scalar(bits uint64) float64 { return math.Float64frombits(bits) }
 func Build(k Key, freeBytes int64) (*Plan, error) {
 	g := &Graph{p: &Plan{Key: k}, route: kindStream}
 	switch k.Routine {
-	case "gemm":
+	case "gemm", "gemm-blasx":
 		buildGemm(g)
 	case "gemm-noreuse":
 		buildGemmNoReuse(g, freeBytes)
@@ -306,19 +299,13 @@ type Plan struct {
 	Ops   []Op
 	deps  []int32
 
-	// TailH2D and TailComp are op ids whose completion events the original
-	// schedule left as pending (unconsumed) stream waits at return; the
-	// executor re-registers them so the stream state after replay is
-	// identical to direct scheduling.
-	TailH2D, TailComp []int32
-
 	// Transfer-volume annotations: the totals the schedule will move and
 	// launch, computed at plan time (not accumulated during execution).
 	Subkernels         int64
 	BytesH2D, BytesD2H int64
 
 	// EvSlots is the size of the executor's completion-event table: the
-	// number of ops some later op (or tail wait) depends on.
+	// number of ops some later op depends on.
 	EvSlots int
 	// Streams is the number of context streams the plan indexes: one more
 	// than the highest Op.Stream, and at least the three of the
@@ -370,7 +357,7 @@ func (p *Plan) kernelDur(gpu *machine.GPUSpec, memo *kernelmodel.Memo, o *Op) fl
 	s := kernelmodel.Shape{Dtype: p.Dtype}
 	switch o.Kernel {
 	case KDispatch:
-		return scalar(p.DispatchS)
+		return BlasxDispatchS
 	case KGemm:
 		s.Kind, s.M, s.N, s.K = kernelmodel.KindGemm, int(o.M), int(o.N), int(o.K)
 	case KGemv:
@@ -405,36 +392,27 @@ func (p *Plan) TransferOps() (h2d, d2h int) {
 }
 
 // finish assigns the completion-event slots: every op referenced by a
-// dependency edge or a tail wait gets a dense table index in
-// first-reference order, all others get -1. Called once by each planner
-// after emission.
+// dependency edge gets a dense table index in first-reference order, all
+// others get -1. Called once by each planner after emission.
 func finish(p *Plan) *Plan {
 	for i := range p.Ops {
 		p.Ops[i].Ev = -1
 	}
 	n := int32(0)
-	mark := func(id int32) {
-		if p.Ops[id].Ev < 0 {
-			p.Ops[id].Ev = n
+	for _, d := range p.deps {
+		if p.Ops[d].Ev < 0 {
+			p.Ops[d].Ev = n
 			n++
 		}
-	}
-	for _, d := range p.deps {
-		mark(d)
-	}
-	for _, id := range p.TailH2D {
-		mark(id)
-	}
-	for _, id := range p.TailComp {
-		mark(id)
 	}
 	p.EvSlots = int(n)
 	p.Streams = max(p.Streams, int(StreamComp)+1)
 	return p
 }
 
-// argNames returns the operand letters of a routine for dumps.
-func argNames(routine string) []string {
+// ArgNames returns the operand letters of a routine, in argument order,
+// for dumps and errors.
+func ArgNames(routine string) []string {
 	switch routine {
 	case "gemv":
 		return []string{"A", "x", "y"}
@@ -495,7 +473,7 @@ func refString(r Ref, names []string) string {
 // pin it.
 func (p *Plan) Dump() string {
 	var sb strings.Builder
-	names := argNames(p.Routine)
+	names := ArgNames(p.Routine)
 	pinned := false
 	for i := range p.Ops {
 		if o := &p.Ops[i]; o.Kind != OpAlloc && o.Stream != kindStream[o.Kind] {
@@ -527,25 +505,8 @@ func (p *Plan) Dump() string {
 		}
 		sb.WriteByte('\n')
 	}
-	if len(p.TailH2D) > 0 || len(p.TailComp) > 0 {
-		fmt.Fprintf(&sb, "tail h2d=%s comp=%s\n", idList(p.TailH2D), idList(p.TailComp))
-	}
 	fmt.Fprintf(&sb, "volumes h2d=%d d2h=%d subkernels=%d\n",
 		p.BytesH2D, p.BytesD2H, p.Subkernels)
-	return sb.String()
-}
-
-// idList renders a list of op ids.
-func idList(ids []int32) string {
-	var sb strings.Builder
-	sb.WriteByte('[')
-	for j, d := range ids {
-		if j > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "o%d", d)
-	}
-	sb.WriteByte(']')
 	return sb.String()
 }
 
@@ -572,7 +533,7 @@ func opString(p *Plan, i int32, names []string) string {
 	}
 	switch o.Kernel {
 	case KDispatch:
-		return fmt.Sprintf("dispatch dur=%gs", scalar(p.DispatchS))
+		return fmt.Sprintf("dispatch dur=%gs", BlasxDispatchS)
 	case KGemm:
 		return fmt.Sprintf("gemm %s m=%d n=%d k=%d alpha=%g beta=%g A=%s B=%s C=%s",
 			transString(o.TransA, o.TransB), o.M, o.N, o.K, p.opAlpha(o), p.opBeta(o),

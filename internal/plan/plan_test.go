@@ -63,7 +63,7 @@ ops 4
 volumes h2d=32 d2h=0 subkernels=2
 `
 
-const goldenGemmBlasx = `plan gemm dtype=f64 trans=tn m=2 n=2 k=2 T=2 alpha=1 beta=1 locs=HHH
+const goldenGemmBlasx = `plan gemm-blasx dtype=f64 trans=tn m=2 n=2 k=2 T=2 alpha=1 beta=1 locs=HHH
 slots 3
   s0 f64 elems=4
   s1 f64 elems=4
@@ -75,10 +75,9 @@ ops 9
   o3 fetch A[0,0 2x2] -> s1 bytes=32
   o4 alloc s2
   o5 fetch B[0,0 2x2] -> s2 bytes=32
-  o6 dispatch dur=1e-05s deps=[o3 o5 o1]
+  o6 dispatch dur=4e-06s deps=[o3 o5 o1]
   o7 gemm tn m=2 n=2 k=2 alpha=1 beta=1 A=s1(ld=2) B=s2(ld=2) C=s0(ld=2)
   o8 writeback s0 -> C[0,0 2x2] bytes=32 deps=[o7]
-tail h2d=[] comp=[o8]
 volumes h2d=96 d2h=32 subkernels=1
 `
 
@@ -571,12 +570,10 @@ type goldenCase struct {
 // goldenCases lists the golden plans: every routine Build plans.
 func goldenCases() []goldenCase {
 	H, D := model.OnHost, model.OnDevice
-	blasx := transKey(gemmKey("gemm", 2, 2, 2, 2, 1, 1, H, H, H), blas.Trans, blas.NoTrans)
-	blasx.DispatchS, blasx.BlockingWB = math.Float64bits(1e-5), true
 	return []goldenCase{
 		{"gemm-hhh", gemmKey("gemm", 4, 2, 4, 2, 1, 1, H, H, H), 0, goldenGemmHHH},
 		{"gemm-dhd-beta0", gemmKey("gemm", 4, 2, 2, 2, 2, 0, D, H, D), 0, goldenGemmDHDBeta0},
-		{"gemm-blasx", blasx, 0, goldenGemmBlasx},
+		{"gemm-blasx", transKey(gemmKey("gemm-blasx", 2, 2, 2, 2, 1, 1, H, H, H), blas.Trans, blas.NoTrans), 0, goldenGemmBlasx},
 		{"noreuse-hhh", gemmKey("gemm-noreuse", 4, 2, 4, 2, 1, 1, H, H, H), 300, goldenNoReuseHHH},
 		{"gemv", gemmKey("gemv", 4, 4, 0, 2, 1, 1, H, H, H), 0, goldenGemv},
 		{"axpy", axpyKey("axpy", 5, 2, 1.1, H, H), 0, goldenAxpy},
@@ -616,8 +613,8 @@ func TestBuild(t *testing.T) {
 		}
 		built[tc.key.Routine] = true
 	}
-	for _, r := range []string{"gemm", "gemm-noreuse", "gemm-cublasxt", "gemv", "axpy",
-		"axpy-unified", "cholesky", "lu", "trsm"} {
+	for _, r := range []string{"gemm", "gemm-noreuse", "gemm-cublasxt", "gemm-blasx", "gemv",
+		"axpy", "axpy-unified", "cholesky", "lu", "trsm"} {
 		if !built[r] {
 			t.Errorf("routine %q has no golden case", r)
 		}
@@ -669,8 +666,7 @@ func planBattery() map[string]*Plan {
 }
 
 // TestPlanDepInvariants checks the structural guarantees replay relies on:
-// every dependency points at an earlier, event-producing op, and tail
-// waits reference real ops.
+// every dependency points at an earlier, event-producing op.
 func TestPlanDepInvariants(t *testing.T) {
 	for name, p := range planBattery() {
 		t.Run(name, func(t *testing.T) {
@@ -687,11 +683,6 @@ func TestPlanDepInvariants(t *testing.T) {
 					if o.Slot < 0 || int(o.Slot) >= len(p.Slots) {
 						t.Fatalf("alloc op %d references bad slot %d", i, o.Slot)
 					}
-				}
-			}
-			for _, id := range append(append([]int32(nil), p.TailH2D...), p.TailComp...) {
-				if id < 0 || int(id) >= len(p.Ops) || p.Ops[id].Kind == OpAlloc {
-					t.Fatalf("bad tail wait id %d", id)
 				}
 			}
 		})

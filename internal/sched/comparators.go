@@ -34,30 +34,21 @@ func (opts GemmXtOpts) resolve(c *Context) (call, error) {
 // paper uses this value for its BLASX baseline).
 const BlasxStaticT = 2048
 
-// BlasxDispatchS models the runtime tile-management cost BLASX pays per
-// sub-kernel.
-const BlasxDispatchS = 4e-6
-
 // BlasxTile returns BLASX's static tile size clamped to the problem.
 func BlasxTile(m, n, k int) int { return min(BlasxStaticT, m, n, k) }
 
 // GemmBlasxOpts is the gemm request of the BLASX comparator, the
-// reuse-aware BLAS the paper evaluates against. Its schedule is CoCoPeLia's
-// full-reuse tile schedule (input tiles cross the link once, as in BLASX's
-// device-resident tile cache), run at a static tile size (BlasxTile) and
-// with two runtime costs: DispatchS of tile-map management before every
-// sub-kernel, and, with BlockingWriteback, a compute stream that waits for
-// each output tile's write-back before the next tile, because BLASX's
-// tile manager confirms an output tile's host copy before recycling its
-// cache slot. The comparator sets BlasxDispatchS and true.
-type GemmBlasxOpts struct {
-	GemmOpts
-	DispatchS         float64
-	BlockingWriteback bool
-}
+// reuse-aware BLAS the paper evaluates against (the "gemm-blasx" plan).
+// Its schedule is CoCoPeLia's full-reuse tile schedule (input tiles cross
+// the link once, as in BLASX's device-resident tile cache), run at the
+// caller's tile size — the comparator passes BLASX's static one
+// (BlasxTile) — with BLASX's two fixed runtime costs: tile-map management
+// before every sub-kernel (plan.BlasxDispatchS) and a compute stream that
+// waits for each output tile's write-back before the next tile.
+type GemmBlasxOpts GemmOpts
 
 func (opts GemmBlasxOpts) resolve(c *Context) (call, error) {
-	return c.gemmCall(opts.GemmOpts, opts.DispatchS, opts.BlockingWriteback)
+	return c.gemmCall("gemm-blasx", GemmOpts(opts))
 }
 
 // UnifiedPrefetchElems is the unified-memory prefetch granularity in

@@ -52,7 +52,7 @@ func validShape(routine string, s reqShape) bool {
 // routine, where one exists.
 func closedForm(k plan.Key) (plan.Volumes, bool) {
 	switch k.Routine {
-	case "gemm": // the BLASX request's knobs move no data
+	case "gemm", "gemm-blasx": // BLASX's runtime costs move no data
 		return plan.GemmVolumes(k), true
 	case "gemm-noreuse":
 		return plan.GemmNoReuseVolumes(k), true
@@ -140,13 +140,6 @@ func FuzzPlan(f *testing.F) {
 		}
 		if err := p.CheckHazards(); err != nil {
 			t.Fatalf("%s %+v: %v\n%s", name, s, err, p.Dump())
-		}
-		for _, tail := range [][]int32{p.TailH2D, p.TailComp} {
-			for _, id := range tail {
-				if id < 0 || int(id) >= len(p.Ops) || p.Ops[id].Kind == plan.OpAlloc {
-					t.Fatalf("%s: bad tail wait id %d", name, id)
-				}
-			}
 		}
 
 		cl, err := r.resolve(c)

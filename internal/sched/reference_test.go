@@ -152,7 +152,7 @@ type refTile struct {
 }
 
 // refGemm is the original GemmEnqueue loop followed by Sync/Finish, with
-// the BLASX request's knobs.
+// BLASX's runtime costs as parameters (0 and false for CoCoPeLia).
 func refGemm(c *Context, opts GemmOpts, overheadS float64, blockingWB bool) (Result, error) {
 	var work refJob
 	h2d, d2h, comp := refStreams(c)
@@ -849,15 +849,14 @@ func gemmEquivCase(name string, m, n, k, T int, transA, transB byte, alpha, beta
 
 // equivCases enumerates the replay-equivalence scenarios across all four
 // routines: location combinations, ragged shapes, transposes, beta = 0 and
-// the BLASX request's knobs (dispatch overhead, blocking write-back).
+// the BLASX request's runtime costs (dispatch overhead, blocking
+// write-back).
 func equivCases() []equivCase {
 	H, D := model.OnHost, model.OnDevice
 	gemm := func(c *Context, o GemmOpts) (Result, error) { return c.Run(o) }
 	refGemmPlain := func(c *Context, o GemmOpts) (Result, error) { return refGemm(c, o, 0, false) }
-	blasx := func(c *Context, o GemmOpts) (Result, error) {
-		return c.Run(GemmBlasxOpts{GemmOpts: o, DispatchS: 2e-5, BlockingWriteback: true})
-	}
-	refBlasx := func(c *Context, o GemmOpts) (Result, error) { return refGemm(c, o, 2e-5, true) }
+	blasx := func(c *Context, o GemmOpts) (Result, error) { return c.Run(GemmBlasxOpts(o)) }
+	refBlasx := func(c *Context, o GemmOpts) (Result, error) { return refGemm(c, o, plan.BlasxDispatchS, true) }
 	noreuse := func(c *Context, o GemmOpts) (Result, error) { return c.Run(GemmNoReuseOpts(o)) }
 	cases := []equivCase{
 		gemmEquivCase("gemm/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, gemm, refGemmPlain),

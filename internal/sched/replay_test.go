@@ -111,7 +111,7 @@ func checkSameEvents(t *testing.T, what string, got, want []replayEvent) {
 func TestTapeReplayMatchesRun(t *testing.T) {
 	H, D := model.OnHost, model.OnDevice
 	gemm := func(dt kernelmodel.Dtype, transA, transB byte, m, n, k, T int, alpha, beta float64,
-		locs [3]model.Loc, dispatch float64) func(c *Context) (*plan.Plan, []plan.Arg) {
+		locs [3]model.Loc, blasx bool) func(c *Context) (*plan.Plan, []plan.Arg) {
 		return func(c *Context) (*plan.Plan, []plan.Arg) {
 			ar, ac := m, k
 			if transA == blas.Trans {
@@ -128,21 +128,24 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 				B: testMat(t, c, dt, br, bc, locs[1], 0),
 				C: testMat(t, c, dt, m, n, locs[2], 0),
 			}
-			return planArgs(t, c, GemmBlasxOpts{GemmOpts: opts, DispatchS: dispatch})
+			if blasx {
+				return planArgs(t, c, GemmBlasxOpts(opts))
+			}
+			return planArgs(t, c, opts)
 		}
 	}
 
 	t.Run("gemm-hhh", func(t *testing.T) {
 		checkTapeMatchesRun(t, "gemm-hhh",
-			gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 96, 64, 80, 32, 1.5, 0.5, [3]model.Loc{H, H, H}, 0))
+			gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 96, 64, 80, 32, 1.5, 0.5, [3]model.Loc{H, H, H}, false))
 	})
 	t.Run("gemm-dhd-beta0", func(t *testing.T) {
 		checkTapeMatchesRun(t, "gemm-dhd-beta0",
-			gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 64, 96, 64, 32, 2, 0, [3]model.Loc{D, H, D}, 0))
+			gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 64, 96, 64, 32, 2, 0, [3]model.Loc{D, H, D}, false))
 	})
 	t.Run("gemm-f32-trans-dispatch", func(t *testing.T) {
 		checkTapeMatchesRun(t, "gemm-f32-trans-dispatch",
-			gemm(kernelmodel.F32, blas.Trans, blas.NoTrans, 64, 64, 96, 32, 1, 1, [3]model.Loc{H, H, H}, 1e-5))
+			gemm(kernelmodel.F32, blas.Trans, blas.NoTrans, 64, 64, 96, 32, 1, 1, [3]model.Loc{H, H, H}, true))
 	})
 	t.Run("gemm-noreuse", func(t *testing.T) {
 		checkTapeMatchesRun(t, "gemm-noreuse", func(c *Context) (*plan.Plan, []plan.Arg) {

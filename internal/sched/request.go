@@ -14,7 +14,11 @@ import (
 // AxpyUnifiedOpts. Every request reaches the streams the same way — Plan builds
 // its tile plan, Enqueue replays a plan built for it, Run does both and
 // drains the engine — so a new routine is one request type plus one
-// planner.
+// planner. A request resolves to one plan.Key, which holds no scheduling
+// knob: a comparator's fixed runtime costs belong to its plan routine
+// (GemmBlasxOpts plans "gemm-blasx"). On a backed context a request whose
+// written operand shares storage with another is rejected
+// (ErrAliasedOperands).
 type Request interface {
 	// resolve validates the operands against the context, normalizes the
 	// flags and returns the call's key and plan arguments.
@@ -29,6 +33,17 @@ type call struct {
 	args [3]plan.Arg
 }
 
+// resolve validates r against the context and returns its call. On a
+// backed context it also rejects aliased operands (ErrAliasedOperands);
+// timing-only operands carry no storage to alias.
+func (c *Context) resolve(r Request) (call, error) {
+	cl, err := r.resolve(c)
+	if err == nil && c.backed {
+		err = cl.checkAliases()
+	}
+	return cl, err
+}
+
 // ErrPlanMismatch reports a replay of a plan that was not built for the
 // request (or of no plan at all).
 var ErrPlanMismatch = errors.New("sched: plan does not match the request")
@@ -38,7 +53,7 @@ var ErrPlanMismatch = errors.New("sched: plan does not match the request")
 // no-reuse and cuBLASXt comparators, the free device memory that sizes
 // their staging), so it can be replayed with Enqueue.
 func (c *Context) Plan(r Request) (*plan.Plan, error) {
-	cl, err := r.resolve(c)
+	cl, err := c.resolve(r)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +66,7 @@ func (c *Context) Plan(r Request) (*plan.Plan, error) {
 // first differing field. The replay is event-identical to running the
 // request directly.
 func (c *Context) Enqueue(p *plan.Plan, r Request) (*PendingGemm, error) {
-	cl, err := r.resolve(c)
+	cl, err := c.resolve(r)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +86,7 @@ func (c *Context) Enqueue(p *plan.Plan, r Request) (*PendingGemm, error) {
 // The request is validated once: a plan just built from it carries its
 // key, so the replay skips the key check Enqueue makes.
 func (c *Context) Run(r Request) (Result, error) {
-	cl, err := r.resolve(c)
+	cl, err := c.resolve(r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -116,10 +131,6 @@ func keyDiff(got, want plan.Key) string {
 		return "alpha"
 	case got.Beta != want.Beta:
 		return "beta"
-	case got.DispatchS != want.DispatchS:
-		return "dispatch duration"
-	case got.BlockingWB != want.BlockingWB:
-		return "blocking write-back"
 	case got.NLocs != want.NLocs:
 		return "location count"
 	}

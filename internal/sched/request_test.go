@@ -133,7 +133,7 @@ func buildReq(t testing.TB, c *Context, routine string, s reqShape) Request {
 		case "gemm-cublasxt":
 			return GemmXtOpts(g)
 		case "gemm-blasx":
-			return GemmBlasxOpts{GemmOpts: g, DispatchS: BlasxDispatchS, BlockingWriteback: true}
+			return GemmBlasxOpts(g)
 		}
 		return g
 	case "gemv":
@@ -199,9 +199,7 @@ func TestEnqueuePlanMismatch(t *testing.T) {
 		{"lu", []string{"n", "T", "location 0", "dtype"}, "cholesky", ""},
 		{"trsm", []string{"m", "n", "T", "location 0", "location 1", "alpha", "diag", "dtype"}, "gemm", ""},
 		{"gemm-cublasxt", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "dtype"}, "gemm-noreuse", ""},
-		// A BLASX request is a gemm request with knobs: the CoCoPeLia plan
-		// differs from it in the dispatch duration.
-		{"gemm-blasx", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "TransA", "TransB", "dtype"}, "gemm", "dispatch duration"},
+		{"gemm-blasx", []string{"m", "n", "k", "T", "location 0", "location 1", "location 2", "alpha", "beta", "TransA", "TransB", "dtype"}, "gemm", ""},
 		{"axpy-unified", []string{"n", "location 0", "location 1", "alpha"}, "axpy", ""},
 	}
 	base := reqShape{dt: kernelmodel.F64, m: 64, n: 48, k: 32, T: 16}

@@ -319,20 +319,16 @@ func level3Call(routine string, opts GemmOpts, transA, transB byte) call {
 	}
 }
 
-func (opts GemmOpts) resolve(c *Context) (call, error) { return c.gemmCall(opts, 0, false) }
+func (opts GemmOpts) resolve(c *Context) (call, error) { return c.gemmCall("gemm", opts) }
 
-// gemmCall resolves a full-reuse gemm request with the BLASX request's
-// knobs: a per-sub-kernel dispatch cost and compute-blocking write-backs
-// (zero and false for CoCoPeLia's own schedule). The knobs are part of the
-// key, so a plan replays only against requests with the same knobs.
-func (c *Context) gemmCall(opts GemmOpts, dispatchS float64, blockingWB bool) (call, error) {
+// gemmCall resolves a full-reuse gemm request of the routine ("gemm", or
+// BLASX's "gemm-blasx" over the same schedule).
+func (c *Context) gemmCall(routine string, opts GemmOpts) (call, error) {
 	transA, transB, err := c.validateGemm(opts)
 	if err != nil {
 		return call{}, err
 	}
-	cl := level3Call("gemm", opts, transA, transB)
-	cl.key.DispatchS, cl.key.BlockingWB = math.Float64bits(dispatchS), blockingWB
-	return cl, nil
+	return level3Call(routine, opts, transA, transB), nil
 }
 
 // AxpyOpts is the tiled daxpy request y += alpha*x: independent 1-D

@@ -7,8 +7,8 @@
 // (at, seq): virtual time first, then a monotonically increasing issue
 // number as the tie-breaker, so that runs are bit-for-bit reproducible.
 //
-// Events may be cancelled and rescheduled, which the fluid-flow transfer
-// model uses to re-plan completion times whenever link contention changes.
+// Events may be rescheduled, which the fluid-flow transfer model uses to
+// re-plan completion times whenever link contention changes.
 //
 // Three structural choices keep the per-event cost down, none of which can
 // change simulated results because (at, seq) is a total order:
@@ -22,11 +22,10 @@
 //     The dominant fire-then-schedule-successor pattern (cudart ops that
 //     complete and immediately schedule the next op) cycles through the
 //     slot, so steady-state chains pay no sift in either direction.
-//   - Cancel and Reschedule never perform heap surgery. Every heap entry
-//     carries a stamp (a per-engine push counter) snapshotted from the
-//     event at insertion; cancelling or rescheduling an event invalidates
-//     the stamp in O(1), and stale entries are skipped when a pop or peek
-//     reaches them.
+//   - Reschedule never performs heap surgery. Every heap entry carries a
+//     stamp (a per-engine push counter) snapshotted from the event at
+//     insertion; rescheduling an event invalidates the stamp in O(1), and
+//     stale entries are skipped when a pop reaches them.
 package sim
 
 import "fmt"
@@ -36,7 +35,7 @@ type Time = float64
 
 // Event.where states: an event is on the heap (inHeap), parked in the
 // next-event slot (inSlot), or not queued at all (notQueued — fired,
-// cancelled, or recycled).
+// dropped by Reset, or recycled).
 const (
 	notQueued int8 = iota
 	inHeap
@@ -47,7 +46,7 @@ const (
 // created through Engine.Schedule or Engine.After.
 //
 // Lifetime: an *Event reference is only valid while the event is pending.
-// Once it fires or is cancelled the engine recycles the Event object
+// Once it fires or Reset drops it the engine recycles the Event object
 // through a free list, and a later Schedule call may reuse it — holders
 // must drop their references at that point (the link model clears its
 // completion-event pointer when a transfer finishes).
@@ -56,22 +55,21 @@ type Event struct {
 	seq uint64
 	// stamp identifies the event's live heap entry: entries snapshot it at
 	// insertion, and any entry whose snapshot no longer matches is stale
-	// (the event fired from the slot, was cancelled, was rescheduled, or
-	// the object was recycled). Stamps come from a per-engine monotonic
+	// (the event fired from the slot, was rescheduled, or the object was
+	// recycled). Stamps come from a per-engine monotonic
 	// push counter and are never reused, so a match is exact.
-	stamp    uint64
-	fn       func()
-	where    int8
-	canceled bool
+	stamp uint64
+	fn    func()
+	where int8
 }
 
 // At returns the virtual time at which the event is scheduled to fire.
 func (ev *Event) At() Time { return ev.at }
 
 // Pending reports whether the event is still queued (not fired, not
-// cancelled). Slot-parked events are pending too: where an event waits is
-// a throughput detail invisible to the hardware models.
-func (ev *Event) Pending() bool { return ev != nil && ev.where != notQueued && !ev.canceled }
+// dropped). Slot-parked events are pending too: where an event waits is a
+// throughput detail invisible to the hardware models.
+func (ev *Event) Pending() bool { return ev != nil && ev.where != notQueued }
 
 // entBefore is the total event order on (at, seq) pairs: earlier time
 // first, then issue order. The heap and the slot both agree on it.
@@ -99,7 +97,7 @@ func (ent *heapEnt) live() bool { return ent.stamp == ent.ev.stamp }
 
 // Engine is a discrete-event simulator instance. It is not safe for
 // concurrent use: callbacks always execute sequentially on the goroutine
-// calling Step/Run, in (at, seq) order.
+// calling Run, in (at, seq) order.
 //
 // The earliest pending event is the (at, seq) minimum of the pruned heap
 // root and the next-event slot.
@@ -111,7 +109,7 @@ type Engine struct {
 	// Reset — stamps must never repeat while any stale entry could still
 	// reference an event object, and monotonicity is the cheapest proof.
 	stamps uint64
-	// free recycles fired and cancelled events so steady-state scheduling
+	// free recycles fired and dropped events so steady-state scheduling
 	// allocates no *Event per call (the per-simulation constant the
 	// campaign engine's hot path pays millions of times).
 	free []*Event
@@ -121,7 +119,7 @@ type Engine struct {
 	live  int       // live (non-stale) heap entries
 	// dead counts stale heap entries (live + dead == len(queue)). It lets
 	// the pop path skip the per-entry staleness dereference entirely
-	// between invalidations: most campaign windows cancel nothing, and
+	// between invalidations: most campaign windows reschedule nothing, and
 	// loading ent.ev.stamp for every pop would be the one cache miss the
 	// value-typed heap was built to avoid.
 	dead int
@@ -140,7 +138,7 @@ func New() *Engine {
 // queue, zeroed counters — while keeping the event free list and the heap
 // backing array, so a reused engine runs its next simulation without
 // re-paying the warm-up allocations. Events still pending (queued or
-// slot-parked) are cancelled and recycled; as with fired events, callers
+// slot-parked) are dropped and recycled; as with fired events, callers
 // must drop their references. Stale heap entries are dropped without
 // touching their (already recycled) events.
 func (e *Engine) Reset() {
@@ -159,11 +157,10 @@ func (e *Engine) Reset() {
 	e.now, e.seq, e.stepped = 0, 0, 0
 }
 
-// retire cancels a still-pending event during Reset and parks it on the
+// retire drops a still-pending event during Reset and parks it on the
 // free list.
 func (e *Engine) retire(ev *Event) {
 	ev.where = notQueued
-	ev.canceled = true
 	ev.stamp = 0
 	ev.fn = nil
 	e.free = append(e.free, ev)
@@ -175,7 +172,7 @@ func (e *Engine) alloc(at Time, fn func()) *Event {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.stamp, ev.fn, ev.where, ev.canceled = at, e.seq, 0, fn, notQueued, false
+		ev.at, ev.seq, ev.stamp, ev.fn, ev.where = at, e.seq, 0, fn, notQueued
 		return ev
 	}
 	return &Event{at: at, seq: e.seq, fn: fn, where: notQueued}
@@ -216,7 +213,7 @@ func (e *Engine) popMin() {
 // pruneHead pops stale entries off the heap root so the head, if any, is
 // live. This is the "staleness check at pop": lazy deletion settles its
 // debt here, one sift-down per stale entry, instead of O(log n) surgery at
-// every Cancel/Reschedule. With no stale entries outstanding (dead == 0)
+// every Reschedule. With no stale entries outstanding (dead == 0)
 // it returns without touching any event.
 func (e *Engine) pruneHead() {
 	if e.dead == 0 {
@@ -321,33 +318,13 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.Schedule(e.now+d, fn)
 }
 
-// Cancel removes a pending event — queued or slot-parked — from the engine
-// in O(1). A heap resident just has its entry invalidated (the stamp stops
-// matching); the entry itself is dropped when a pop or peek reaches it.
-// Cancelling a fired or already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.where == notQueued || ev.canceled {
-		return
-	}
-	ev.canceled = true
-	if ev.where == inSlot {
-		e.next = nil
-	} else {
-		e.live--
-		e.dead++
-	}
-	ev.where = notQueued
-	ev.stamp = 0
-	e.recycle(ev)
-}
-
 // Reschedule moves a pending event to a new time, keeping its callback and
 // issue order. A slot-parked event is retimed in place; a heap resident is
 // re-pushed under a fresh stamp, leaving its old entry stale — no heap
-// surgery in either direction. Rescheduling a fired or cancelled event
-// panics, as does a time in the past.
+// surgery in either direction. Rescheduling an event that is no longer
+// pending panics, as does a time in the past.
 func (e *Engine) Reschedule(ev *Event, at Time) {
-	if ev == nil || ev.where == notQueued || ev.canceled {
+	if ev == nil || ev.where == notQueued {
 		panic("sim: reschedule of non-pending event")
 	}
 	if at < e.now {
@@ -360,31 +337,6 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 	e.live--
 	e.dead++
 	e.push(ev)
-}
-
-// peek returns the next event to fire — the (at, seq) minimum of the
-// pruned heap root and the slot — or nil when nothing is pending.
-func (e *Engine) peek() *Event {
-	e.pruneHead()
-	sl := e.next
-	if len(e.queue) > 0 {
-		if h := &e.queue[0]; sl == nil || entBefore(h.at, h.seq, sl.at, sl.seq) {
-			return h.ev
-		}
-	}
-	return sl
-}
-
-// take removes ev — located by peek — from its container and marks it no
-// longer pending.
-func (e *Engine) take(ev *Event) {
-	if ev == e.next {
-		e.next = nil
-	} else { // ev is the pruned heap root
-		e.popMin()
-		e.live--
-	}
-	ev.where = notQueued
 }
 
 // fire advances the clock to ev, runs its callback, and recycles it.
@@ -401,23 +353,8 @@ func (e *Engine) fire(ev *Event) {
 	e.recycle(ev)
 }
 
-// Step fires the earliest pending event, advancing the clock to its
-// timestamp. It returns false when no events remain.
-//
-//cocolint:hotpath
-func (e *Engine) Step() bool {
-	ev := e.peek()
-	if ev == nil {
-		return false
-	}
-	e.take(ev)
-	e.fire(ev)
-	return true
-}
-
 // Run fires events until the queue drains, returning the final clock value.
-// It is Step in a loop with the peek/take pair inlined: each iteration
-// fires the earlier of the pruned heap root and the slot.
+// Each iteration fires the earlier of the pruned heap root and the slot.
 //
 //cocolint:hotpath
 func (e *Engine) Run() Time {

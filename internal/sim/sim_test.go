@@ -76,25 +76,6 @@ func TestNilCallbackPanics(t *testing.T) {
 	New().Schedule(1, nil)
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	if !ev.Pending() {
-		t.Error("event should be pending")
-	}
-	e.Cancel(ev)
-	if ev.Pending() {
-		t.Error("cancelled event should not be pending")
-	}
-	e.Cancel(ev) // double-cancel is a no-op
-	e.Cancel(nil)
-	e.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
 func TestReschedule(t *testing.T) {
 	e := New()
 	var at Time
@@ -161,32 +142,6 @@ func TestRandomScheduleOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset fires exactly the complement.
-func TestCancelSubsetProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := New()
-		n := 50
-		firedCount := 0
-		events := make([]*Event, n)
-		for i := 0; i < n; i++ {
-			events[i] = e.Schedule(rng.Float64()*10, func() { firedCount++ })
-		}
-		cancelled := 0
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				e.Cancel(events[i])
-				cancelled++
-			}
-		}
-		e.Run()
-		return firedCount == n-cancelled
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEventRecycling(t *testing.T) {
 	// Fired events return to the free list and back future Schedule calls,
 	// so steady-state simulation allocates no events.
@@ -202,23 +157,23 @@ func TestEventRecycling(t *testing.T) {
 	}
 	e.Run()
 
-	// Cancelled events recycle too, and the stale reference reads as dead.
-	ev3 := e.Schedule(5, func() {})
-	e.Cancel(ev3)
+	// Events Reset drops recycle too, and the stale reference reads as dead.
+	ev3 := e.Schedule(5, func() { t.Error("a dropped event must not fire") })
+	e.Reset()
 	if ev3.Pending() {
-		t.Error("cancelled event should not be pending")
+		t.Error("dropped event should not be pending")
 	}
-	ev4 := e.Schedule(6, func() { t.Error("cancelled slot must not fire the old callback") })
+	ev4 := e.Schedule(6, func() {})
 	if ev4 != ev3 {
-		t.Error("cancelled event should be recycled")
+		t.Error("dropped event should be recycled")
 	}
-	e.Cancel(ev4)
+	e.Run()
 }
 
 // runWorkload drives one randomized schedule workload on e and returns the
 // fired (time, id) sequence and the final clock. Callbacks schedule
-// children, cancel and reschedule pending siblings, so the heap sees the
-// full operation mix the link model generates.
+// children and reschedule pending siblings, so the heap sees the full
+// operation mix the link model generates.
 func runWorkload(e *Engine, seed int64) (fired [][2]float64, end Time) {
 	rng := rand.New(rand.NewSource(seed))
 	id := 0
@@ -229,15 +184,10 @@ func runWorkload(e *Engine, seed int64) (fired [][2]float64, end Time) {
 		id++
 		ev := e.Schedule(at, func() {
 			fired = append(fired, [2]float64{e.Now(), float64(myID)})
-			switch op := rng.Intn(4); {
+			switch op := rng.Intn(3); {
 			case op == 0 && depth < 3:
 				schedule(e.Now()+rng.Float64(), depth+1)
 			case op == 1 && len(pending) > 0:
-				victim := pending[rng.Intn(len(pending))]
-				if victim.Pending() {
-					e.Cancel(victim)
-				}
-			case op == 2 && len(pending) > 0:
 				victim := pending[rng.Intn(len(pending))]
 				if victim.Pending() {
 					e.Reschedule(victim, e.Now()+rng.Float64())
@@ -286,8 +236,8 @@ func TestResetReuseIdenticalToFreshEngine(t *testing.T) {
 }
 
 // Property: the specialized 4-ary heap pops the same sequence as a naive
-// sorted reference under a random mix of schedules, cancels, reschedules
-// and steps.
+// sorted reference under a random mix of schedules, reschedules and
+// steps.
 func TestHeapMatchesReferenceProperty(t *testing.T) {
 	type refEvent struct {
 		at  Time
@@ -311,20 +261,14 @@ func TestHeapMatchesReferenceProperty(t *testing.T) {
 				live[id] = e.Schedule(at, func() { fired = append(fired, id) })
 				ref = append(ref, refEvent{at: at, seq: seq, id: id})
 				seq++
-			case 2: // cancel or reschedule a random live event
+			case 2: // reschedule a random live event
 				if len(ref) == 0 {
 					continue
 				}
 				i := rng.Intn(len(ref))
-				victim := ref[i]
-				if rng.Intn(2) == 0 {
-					e.Cancel(live[victim.id])
-					ref = append(ref[:i], ref[i+1:]...)
-				} else {
-					at := e.Now() + rng.Float64()*5
-					e.Reschedule(live[victim.id], at)
-					ref[i].at = at
-				}
+				at := e.Now() + rng.Float64()*5
+				e.Reschedule(live[ref[i].id], at)
+				ref[i].at = at
 			case 3: // step: the reference min must fire
 				if len(ref) == 0 {
 					continue
@@ -338,7 +282,7 @@ func TestHeapMatchesReferenceProperty(t *testing.T) {
 				}
 				want := ref[minI].id
 				before := len(fired)
-				e.Step()
+				step(e)
 				if len(fired) != before+1 || fired[before] != want {
 					return false
 				}
@@ -364,7 +308,7 @@ func TestScheduleSteadyStateDoesNotAllocateEvents(t *testing.T) {
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.After(1, fn)
-		e.Step()
+		step(e)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+step allocates %.1f objects/op, want 0", allocs)
@@ -376,12 +320,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(1, func() {})
-		e.Step()
+		step(e)
 	}
 }
 
 // BenchmarkEngineChurn mimics the fluid-flow link's workload: a standing
-// population of events with frequent reschedules and cancellations.
+// population of events with frequent reschedules.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := New()
 	b.ReportAllocs()
@@ -397,7 +341,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 		} else {
 			evs[slot] = e.Schedule(e.Now()+2, func() {})
 		}
-		e.Step()
+		step(e)
 	}
 }
 
@@ -406,14 +350,13 @@ func BenchmarkEngineChurn(b *testing.B) {
 type engine interface {
 	Now() Time
 	Schedule(at Time, fn func()) *Event
-	Cancel(ev *Event)
 	Reschedule(ev *Event, at Time)
 	Run() Time
 }
 
 // naiveEngine is the reference for Run: one slice kept sorted by (at, seq),
 // fired from the front. It never recycles events, so drivers must drop
-// their references to fired and cancelled events, as the real engine's
+// their references to fired events, as the real engine's
 // Event lifetime contract requires.
 type naiveEngine struct {
 	now     Time
@@ -448,8 +391,6 @@ func (n *naiveEngine) Schedule(at Time, fn func()) *Event {
 	return ev
 }
 
-func (n *naiveEngine) Cancel(ev *Event) { n.remove(ev) }
-
 func (n *naiveEngine) Reschedule(ev *Event, at Time) {
 	n.remove(ev)
 	ev.at = at
@@ -469,14 +410,14 @@ func (n *naiveEngine) Run() Time {
 // runTieWorkload drives a workload whose timestamps are quantized to a
 // coarse grid, so same-timestamp runs are the common case rather than a
 // measure-zero accident. Callbacks schedule children at the CURRENT
-// timestamp, cancel pending siblings, and reschedule siblings onto the
-// current timestamp — every operation that races the next-event slot
-// against the heap root inside Run. check runs after every callback.
+// timestamp and reschedule siblings onto the current timestamp — every
+// operation that races the next-event slot against the heap root inside
+// Run. check runs after every callback.
 func runTieWorkload(e engine, seed int64, check func()) (fired [][2]float64, end Time) {
 	rng := rand.New(rand.NewSource(seed))
 	const tick = 0.25
 	quant := func(x float64) Time { return Time(int(x/tick)) * tick }
-	var live []*Event // pending events, dropped as they fire or are cancelled
+	var live []*Event // pending events, dropped as they fire
 	drop := func(ev *Event) {
 		for i, l := range live {
 			if l == ev {
@@ -494,15 +435,11 @@ func runTieWorkload(e engine, seed int64, check func()) (fired [][2]float64, end
 		ev = e.Schedule(at, func() {
 			drop(ev)
 			fired = append(fired, [2]float64{e.Now(), float64(myID)})
-			switch op := rng.Intn(6); {
+			switch op := rng.Intn(5); {
 			case op == 0 && depth < 4:
 				// Half of these children land exactly on e.Now().
 				schedule(e.Now()+quant(rng.Float64()*0.5), depth+1)
 			case op == 1 && len(live) > 0:
-				victim := live[rng.Intn(len(live))]
-				drop(victim)
-				e.Cancel(victim)
-			case op == 2 && len(live) > 0:
 				// Quantized retime, possibly onto the current timestamp.
 				e.Reschedule(live[rng.Intn(len(live))], e.Now()+quant(rng.Float64()*2))
 			}
@@ -517,13 +454,13 @@ func runTieWorkload(e engine, seed int64, check func()) (fired [][2]float64, end
 }
 
 // runFixedSequence is a pinned same-timestamp run mutated while it fires:
-// the first event cancels a later same-timestamp event and reschedules a
-// late event onto the current timestamp.
+// the first event moves a later same-timestamp event past the others and
+// reschedules a late event onto the current timestamp.
 func runFixedSequence(e engine) (got []int, end Time) {
 	var evB, evE *Event
 	e.Schedule(1, func() {
 		got = append(got, 1)
-		e.Cancel(evB)        // same timestamp, still queued
+		e.Reschedule(evB, 3) // same timestamp, still queued -> last
 		e.Reschedule(evE, 1) // late time -> current timestamp
 	})
 	evB = e.Schedule(1, func() { got = append(got, 2) })
@@ -537,16 +474,16 @@ func runFixedSequence(e engine) (got []int, end Time) {
 // Property: Run — the slot-versus-heap loop the campaign spends its time
 // in — fires the identical sequence and ends at the identical time as the
 // naive sorted-slice engine, on tie-heavy workloads with in-callback
-// schedule, cancel and reschedule onto the current time. The heap's
+// schedule and reschedule onto the current time. The heap's
 // live+dead == len(queue) counter invariant holds after every callback.
 func TestRunMatchesNaiveProperty(t *testing.T) {
 	t.Run("fixed", func(t *testing.T) {
 		got, end := runFixedSequence(New())
 		want, wantEnd := runFixedSequence(&naiveEngine{})
-		// 1 fires, kills 2 and retimes 5 to t=1 (it keeps its issue order,
-		// after 3 and 4); then 3, 4, 5, and 6 at t=2.
-		if fmt.Sprint(want) != fmt.Sprint([]int{1, 3, 4, 5, 6}) || wantEnd != 2 {
-			t.Fatalf("naive engine fired %v ending at %v, want [1 3 4 5 6] ending at 2", want, wantEnd)
+		// 1 fires, moves 2 to t=3 and retimes 5 to t=1 (it keeps its issue
+		// order, after 3 and 4); then 3, 4, 5, 6 at t=2 and 2 at t=3.
+		if fmt.Sprint(want) != fmt.Sprint([]int{1, 3, 4, 5, 6, 2}) || wantEnd != 3 {
+			t.Fatalf("naive engine fired %v ending at %v, want [1 3 4 5 6 2] ending at 3", want, wantEnd)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) || end != wantEnd {
 			t.Fatalf("Run fired %v ending at %v, want %v ending at %v", got, end, want, wantEnd)
@@ -574,4 +511,30 @@ func TestRunMatchesNaiveProperty(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// step fires the earliest pending event — the (at, seq) minimum of the
+// pruned heap root and the slot — advancing the clock to its timestamp,
+// and reports false when no events remain: one iteration of Run, for the
+// tests that interleave single firings with other operations.
+func step(e *Engine) bool {
+	e.pruneHead()
+	ev := e.next
+	if len(e.queue) > 0 {
+		if h := &e.queue[0]; ev == nil || entBefore(h.at, h.seq, ev.at, ev.seq) {
+			ev = h.ev
+			e.popMin()
+			e.live--
+			ev.where = notQueued
+			e.fire(ev)
+			return true
+		}
+	}
+	if ev == nil {
+		return false
+	}
+	e.next = nil
+	ev.where = notQueued
+	e.fire(ev)
+	return true
 }
