@@ -86,15 +86,17 @@ bench-campaign:
 	$(GO) run ./cmd/cocobench -campaign -out results/bench-campaign.json
 
 # bench-campaign-check re-runs the campaign once and fails if the event
-# count or the plan build/replay counters of any row differ from the
-# committed baseline (the sweep must stay byte-identical). Timings are
-# printed, not gated. Refresh the baseline with bench-campaign when a change
+# count or the plan build/replay counters of any row, or the cell count or
+# fitted-number digest of either deployment row, differ from the committed
+# baseline (the sweep and the deployments must stay bit-identical). Timings
+# are printed, not gated. Refresh the baseline with bench-campaign when a change
 # alters the simulation on purpose.
 bench-campaign-check:
 	$(GO) run ./cmd/cocobench -campaign -passes 1 -check results/bench-campaign.json
 
 # bench-campaign-gate is the paired campaign timing gate: like
-# bench-blas-gate, for the wall and phase seconds of every campaign row.
+# bench-blas-gate, for the wall and phase seconds of every campaign row and
+# the wall seconds of each testbed's deployment.
 # Run after any change to the DES core, scheduler, or eval pipeline.
 bench-campaign-gate:
 	$(call gate-base,campaign)

@@ -7,7 +7,9 @@
 //     size) — this bounds functional-verification turnaround;
 //   - with -campaign, the discrete-event campaign pipeline over a
 //     timing-only measurement sweep — this bounds how fast tables and
-//     figures regenerate;
+//     figures regenerate — and the deployment campaign of each testbed
+//     (microbench.Run, which every session without a saved deployment
+//     runs), pinned by a digest of its fitted numbers;
 //   - with -factor, the tiled factorization planners (cholesky, lu, trsm)
 //     over the task-graph IR, recording each cell's simulated makespan and
 //     traffic plus the tile the library facade selects for each problem;
@@ -86,11 +88,12 @@ type report struct {
 }
 
 // row is one measured configuration, named by Key (e.g. campaign/callers=1,
-// dgemm/512, dpotrf/4096/T=512, select/dgetrf/8192). Exact fields are
-// simulated outcomes and counters; integer counters are exact in a float64
-// up to 2^53. Timing fields are wall-clock seconds, lower is better. Labels
-// describe the run, such as the BLAS kernel variant, and are never compared.
-// Rates derived from these (cells/s, GFLOP/s) are printed, not recorded.
+// deploy/testbed=II, dgemm/512, dpotrf/4096/T=512, select/dgetrf/8192).
+// Exact fields are simulated outcomes and counters; integer counters are
+// exact in a float64 up to 2^53. Timing fields are wall-clock seconds,
+// lower is better. Labels describe the run, such as the BLAS kernel
+// variant, and are never compared. Rates derived from these (cells/s,
+// GFLOP/s) are printed, not recorded.
 type row struct {
 	Key    string             `json:"key"`
 	Exact  map[string]float64 `json:"exact,omitempty"`
@@ -418,7 +421,55 @@ func runCampaign(smoke bool, passes int) (*report, error) {
 			return nil, fmt.Errorf("campaign not byte-identical at %s: %v, reference %v", got.Key, got.Exact, ref.Exact)
 		}
 	}
+	for _, dtb := range []*machine.Testbed{machine.TestbedI(), machine.TestbedII()} {
+		r, err := deployRow(dtb, passes)
+		if err != nil {
+			return nil, err
+		}
+		rep.Rows = append(rep.Rows, r)
+	}
 	return rep, nil
+}
+
+// deployRow times the deployment campaign (microbench.Run, serial, as a
+// session without a saved deployment runs it) on tb and pins its outcome:
+// the number of measurement cells and a digest over every fitted number.
+// It keeps the fastest of passes runs, and every run must reproduce the
+// digest.
+func deployRow(tb *machine.Testbed, passes int) (row, error) {
+	cfg := microbench.DefaultConfig()
+	cfg.Workers = 1
+	best := row{Key: "deploy/testbed=" + strings.TrimPrefix(tb.Name, "Testbed "), Labels: map[string]string{"passes": strconv.Itoa(passes)}}
+	for pass := 0; pass < max(passes, 1); pass++ {
+		start := time.Now()
+		dep := microbench.Run(tb, cfg)
+		wall := time.Since(start).Seconds()
+		exact := map[string]float64{"cells": float64(microbench.Cells(tb, cfg)), "digest": deploymentDigest(dep)}
+		if pass == 0 {
+			best.Exact, best.Timing = exact, map[string]float64{"wall": wall}
+			continue
+		}
+		if !maps.Equal(exact, best.Exact) {
+			return row{}, fmt.Errorf("%s drift across passes: pass %d saw %v, pass 0 saw %v", best.Key, pass, exact, best.Exact)
+		}
+		best.Timing["wall"] = min(best.Timing["wall"], wall)
+	}
+	log.Printf("%s: %.0f cells in %.2f ms", best.Key, best.Exact["cells"], best.Timing["wall"]*1e3)
+	return best, nil
+}
+
+// deploymentDigest is the digest of every fitted number of dep in a fixed
+// order: the h2d and d2h transfer fits, each kernel table's times by
+// routine name, and the campaign's virtual seconds.
+func deploymentDigest(dep *microbench.Deployment) float64 {
+	var x []float64
+	for _, f := range []microbench.TransferFit{dep.H2D, dep.D2H} {
+		x = append(x, f.LatencyS, f.SecPerByte, f.RSE, f.SecPerByteBid, f.RSEBid, f.Slowdown)
+	}
+	for _, name := range sortedKeys(dep.Kernels) {
+		x = append(x, dep.Kernels[name].Times...)
+	}
+	return digest(append(x, dep.VirtualSeconds))
 }
 
 // factorTiles returns the tile sweep for the factorization mode.

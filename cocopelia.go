@@ -527,17 +527,31 @@ func (l *Library) DtrsmTile(diag byte, m, n int, alpha float64, a, b *Matrix, T 
 // DeviceMatrix allocates a device-resident matrix on the session's GPU,
 // optionally uploading initial host data (a synchronous transfer outside
 // any measured run). Use it to stage the partial-offload scenarios where
-// operands already live in GPU memory.
+// operands already live in GPU memory. An "sgemm" matrix holds float32
+// elements, so float64 data is an error: upload float32 data with
+// DeviceMatrixF32.
 func (l *Library) DeviceMatrix(routine string, rows, cols int, data []float64) (*Matrix, error) {
 	dt := kernelmodel.F64
 	if routine == "sgemm" {
 		dt = kernelmodel.F32
 	}
-	buf, err := l.rt.Malloc(dt, int64(rows)*int64(cols), data != nil)
+	return l.deviceMatrix(dt, rows, cols, data, nil)
+}
+
+// DeviceMatrixF32 allocates a device-resident float32 matrix, the operand
+// of Sgemm, optionally uploading initial host data.
+func (l *Library) DeviceMatrixF32(rows, cols int, data []float32) (*Matrix, error) {
+	return l.deviceMatrix(kernelmodel.F32, rows, cols, nil, data)
+}
+
+// deviceMatrix allocates a rows x cols matrix of dt and uploads data64 or
+// data32, whichever is given.
+func (l *Library) deviceMatrix(dt kernelmodel.Dtype, rows, cols int, data64 []float64, data32 []float32) (*Matrix, error) {
+	buf, err := l.rt.Malloc(dt, int64(rows)*int64(cols), data64 != nil || data32 != nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.upload(buf, data); err != nil {
+	if err := l.upload(buf, data64, data32); err != nil {
 		return nil, err
 	}
 	return &Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}, nil
@@ -550,7 +564,7 @@ func (l *Library) DeviceVector(n int, data []float64) (*Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := l.upload(buf, data); err != nil {
+	if err := l.upload(buf, data, nil); err != nil {
 		return nil, err
 	}
 	return &Vector{N: n, Loc: model.OnDevice, Dev: buf}, nil
@@ -566,13 +580,13 @@ func (l *Library) stageStream() *cudart.Stream {
 	return l.stage
 }
 
-// upload copies data, when given, into the whole of the fresh buffer buf
-// and drains the engine; on failure it frees buf.
-func (l *Library) upload(buf *cudart.DevBuffer, data []float64) error {
-	if data == nil {
+// upload copies data64 or data32, when given, into the whole of the fresh
+// buffer buf and drains the engine; on failure it frees buf.
+func (l *Library) upload(buf *cudart.DevBuffer, data64 []float64, data32 []float32) error {
+	if data64 == nil && data32 == nil {
 		return nil
 	}
-	_, err := l.stageStream().MemcpyH2DAsync(buf, 0, data, nil, buf.Elems())
+	_, err := l.stageStream().MemcpyH2DAsync(buf, 0, data64, data32, buf.Elems())
 	if err == nil {
 		_, err = l.rt.Sync()
 	}
@@ -584,14 +598,25 @@ func (l *Library) upload(buf *cudart.DevBuffer, data []float64) error {
 	return err
 }
 
-// ReadDeviceMatrix copies a device-resident matrix back to a host slice
-// (synchronously, outside any measured run). It is a test/inspection aid
-// for functional sessions.
+// ReadDeviceMatrix copies a device-resident float64 matrix back to a host
+// slice (synchronously, outside any measured run). It is a test/inspection
+// aid for functional sessions.
 func (l *Library) ReadDeviceMatrix(m *Matrix, dst []float64) error {
+	return l.readDeviceMatrix(m, dst, nil)
+}
+
+// ReadDeviceMatrixF32 is ReadDeviceMatrix for a float32 matrix.
+func (l *Library) ReadDeviceMatrixF32(m *Matrix, dst []float32) error {
+	return l.readDeviceMatrix(m, nil, dst)
+}
+
+// readDeviceMatrix copies m into dst64 or dst32, whichever matches its
+// dtype, and drains the engine.
+func (l *Library) readDeviceMatrix(m *Matrix, dst64 []float64, dst32 []float32) error {
 	if m == nil || m.Loc != model.OnDevice || m.Dev == nil {
 		return errors.New("cocopelia: not a device matrix")
 	}
-	if _, err := l.stageStream().MemcpyD2HAsync(dst, nil, m.Dev, 0, int64(m.Rows)*int64(m.Cols)); err != nil {
+	if _, err := l.stageStream().MemcpyD2HAsync(dst64, dst32, m.Dev, 0, int64(m.Rows)*int64(m.Cols)); err != nil {
 		return err
 	}
 	_, err := l.rt.Sync()

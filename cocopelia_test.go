@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cocopelia/internal/blas"
+	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/plan"
 	"cocopelia/internal/sched"
@@ -231,6 +232,63 @@ func TestDeviceUploadChecksHostData(t *testing.T) {
 	}
 	if err := lib.ReadDeviceMatrix(s, make([]float64, 4)); err == nil || !strings.Contains(err.Error(), "d2h") {
 		t.Errorf("reading an sgemm matrix into float64: error %v, want a d2h error", err)
+	}
+}
+
+// TestDeviceMatrixF32Sgemm stages float32 operands on the device: A and C
+// are uploaded from []float32, a backed SgemmTile runs over 2x2 output
+// tiles (k within one tile, so each element sums in blas.Sgemm's order),
+// and C read back must equal blas.Sgemm bit for bit.
+func TestDeviceMatrixF32Sgemm(t *testing.T) {
+	lib := openBacked(t)
+	defer lib.Close()
+	const m, n, k, T = 64, 64, 32, 32
+	rng := rand.New(rand.NewSource(5))
+	randF32 := func(size int) []float32 {
+		x := make([]float32, size)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		return x
+	}
+	a, b, c := randF32(m*k), randF32(k*n), randF32(m*n)
+	want := slices.Clone(c)
+	if err := blas.Sgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1.5, a, m, b, k, 0.5, want, m); err != nil {
+		t.Fatal(err)
+	}
+	da, err := lib.DeviceMatrixF32(m, k, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := lib.DeviceMatrixF32(m, n, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := make([]float32, m*k)
+	if err := lib.ReadDeviceMatrixF32(da, back); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back, a) {
+		t.Fatal("float32 device matrix did not round-trip")
+	}
+	if _, err := lib.SgemmTile(m, n, k, 1.5, da, HostMatrixF32(k, n, b), 0.5, dc, T); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float32, m*n)
+	if err := lib.ReadDeviceMatrixF32(dc, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("c[%d] = %v, blas.Sgemm %v", i, got[i], want[i])
+		}
+	}
+	d, err := lib.DeviceMatrix("dgemm", 2, 2, []float64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.ReadDeviceMatrixF32(d, make([]float32, 4)); !errors.Is(err, cudart.ErrHostSlice) {
+		t.Errorf("reading a dgemm matrix into float32: error %v, want ErrHostSlice", err)
 	}
 }
 

@@ -76,15 +76,17 @@ type Device struct {
 
 // New creates a device for the testbed on the given engine. seed drives
 // all measurement noise (kernel and transfer); the same seed reproduces a
-// run exactly. Pass noiseless=true to disable noise entirely (useful for
-// analytic unit tests).
+// run exactly. Both noise streams draw exactly what math/rand's
+// rand.NewSource would (noiseSource), but seed in O(1), so a device is cheap
+// to create and to Reset. Pass noiseless=true to disable noise entirely
+// (useful for analytic unit tests).
 func New(eng *sim.Engine, tb *machine.Testbed, seed int64, noiseless bool) *Device {
 	sigma := tb.GPU.NoiseSigma
 	var rng *rand.Rand
 	if noiseless {
 		sigma = 0
 	} else {
-		rng = rand.New(rand.NewSource(seed))
+		rng = rand.New(newNoiseSource(seed))
 	}
 	d := &Device{
 		eng:        eng,
@@ -96,7 +98,7 @@ func New(eng *sim.Engine, tb *machine.Testbed, seed int64, noiseless bool) *Devi
 	// kernel and transfer noise do not interleave-order-depend.
 	var linkRng *rand.Rand
 	if !noiseless {
-		linkRng = rand.New(rand.NewSource(seed ^ 0x5deece66d))
+		linkRng = rand.New(newNoiseSource(seed ^ 0x5deece66d))
 	}
 	d.link = link.New(eng, tb, sigma, linkRng)
 	d.finishFn = d.finish

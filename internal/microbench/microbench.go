@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
@@ -152,15 +153,17 @@ func Load(path string) (*Deployment, error) {
 	return &d, nil
 }
 
-// runner executes one measurement cell on a private simulated device
-// seeded from the cell's key, so cells are mutually independent and can
-// run in any order or concurrently.
+// runner executes one measurement cell on a simulated device seeded from
+// the cell's key, so cells are mutually independent and can run in any
+// order or concurrently. Run reuses runners across cells: reset returns
+// one to the state newRunner gives it.
 type runner struct {
-	cfg Config
-	tb  *machine.Testbed
-	eng *sim.Engine
-	dev *device.Device
-	end sim.Time // completion time of the last probed transfer or kernel
+	cfg     Config
+	tb      *machine.Testbed
+	eng     *sim.Engine
+	dev     *device.Device
+	end     sim.Time  // completion time of the last probed transfer or kernel
+	samples []float64 // measure's repetitions, reused from cell to cell
 }
 
 // Complete records the completion time of the probed transfer or kernel.
@@ -172,6 +175,44 @@ func (r *runner) probe() sim.Handle { return sim.Handle{To: r} }
 func newRunner(tb *machine.Testbed, cfg Config, seed int64) *runner {
 	eng := sim.New()
 	return &runner{cfg: cfg, tb: tb, eng: eng, dev: device.New(eng, tb, seed, false)}
+}
+
+// reset readies a drained runner for the next cell, on the noise streams
+// of seed: the engine, device and link keep their free lists, and the cell
+// draws and fires exactly what it would on a new runner.
+func (r *runner) reset(seed int64) {
+	r.eng.Reset()
+	r.dev.Reset(seed)
+	r.end = 0
+}
+
+// runners is the free list of drained runners a campaign's workers share.
+type runners struct {
+	mu   sync.Mutex
+	free []*runner
+}
+
+// get returns a runner for one cell: a reset free one, or a new one.
+func (p *runners) get(tb *machine.Testbed, cfg Config, seed int64) *runner {
+	p.mu.Lock()
+	var r *runner
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if r == nil {
+		return newRunner(tb, cfg, seed)
+	}
+	r.reset(seed)
+	return r
+}
+
+// put parks a runner whose cell has finished.
+func (p *runners) put(r *runner) {
+	p.mu.Lock()
+	p.free = append(p.free, r)
+	p.mu.Unlock()
 }
 
 // cellSeed derives a cell's noise seed from the campaign seed and the
@@ -189,14 +230,14 @@ func cellSeed(base int64, key string) int64 {
 // measure repeats fn (which must return one sample of the measured
 // quantity) until the CI stopping rule is satisfied, and returns the mean.
 func (r *runner) measure(fn func() float64) float64 {
-	var samples []float64
+	r.samples = r.samples[:0]
 	for i := 0; i < r.cfg.MaxReps; i++ {
-		samples = append(samples, fn())
-		if len(samples) >= r.cfg.MinReps && stats.MeanWithinCI(samples, r.cfg.CITolerance) {
+		r.samples = append(r.samples, fn())
+		if len(r.samples) >= r.cfg.MinReps && stats.MeanWithinCI(r.samples, r.cfg.CITolerance) {
 			break
 		}
 	}
-	return stats.Mean(samples)
+	return stats.Mean(r.samples)
 }
 
 // timedTransfer runs one transfer and returns its duration on the virtual
@@ -327,11 +368,11 @@ func campaignCells(tb *machine.Testbed, cfg Config) []mcell {
 		dir := d.dir
 		// t_l: average of single-byte transfers.
 		add("lat|"+d.name, func(r *runner) float64 {
-			var lat []float64
+			r.samples = r.samples[:0]
 			for i := 0; i < r.cfg.LatencyProbes; i++ {
-				lat = append(lat, r.timedTransfer(dir, 1))
+				r.samples = append(r.samples, r.timedTransfer(dir, 1))
 			}
-			return stats.Mean(lat)
+			return stats.Mean(r.samples)
 		})
 		for _, side := range TransferGrid() {
 			bytes := int64(side) * int64(side) * 8
@@ -373,6 +414,10 @@ func campaignCells(tb *machine.Testbed, cfg Config) []mcell {
 	return cells
 }
 
+// Cells returns the number of measurement cells of the deployment campaign
+// Run performs on tb with cfg.
+func Cells(tb *machine.Testbed, cfg Config) int { return len(campaignCells(tb, cfg)) }
+
 // kernelTable assembles one routine's lookup table from measured cells.
 func kernelTable(routine, dtype string, grid []int, vals map[string]float64) *KernelTable {
 	times := make([]float64, len(grid))
@@ -384,20 +429,24 @@ func kernelTable(routine, dtype string, grid []int, vals map[string]float64) *Ke
 
 // Run executes the full deployment campaign on a testbed. The campaign
 // enumerates its measurement cells up front, fans them across
-// cfg.Workers cores (each cell simulating on a private device seeded
-// from the cell key), and assembles the fits sequentially — so the
-// resulting database is bit-for-bit identical at any worker count.
+// cfg.Workers cores (each cell simulating on a device reset to noise
+// streams seeded from the cell key), and assembles the fits sequentially —
+// so the resulting database is bit-for-bit identical at any worker count.
+// The cells share a free list of runners, so a campaign builds one
+// simulation stack per concurrent cell, not one per cell.
 func Run(tb *machine.Testbed, cfg Config) *Deployment {
 	cells := campaignCells(tb, cfg)
 	type cellOut struct {
 		value   float64
 		virtual float64
 	}
+	var stacks runners
 	outs, err := parallel.Map(parallel.NewPool(cfg.Workers), cells,
 		func(_ int, c mcell) (cellOut, error) {
-			r := newRunner(tb, cfg, cellSeed(cfg.Seed, c.key))
-			v := c.run(r)
-			return cellOut{value: v, virtual: r.eng.Now()}, nil
+			r := stacks.get(tb, cfg, cellSeed(cfg.Seed, c.key))
+			out := cellOut{value: c.run(r), virtual: r.eng.Now()}
+			stacks.put(r)
+			return out, nil
 		})
 	if err != nil {
 		panic(fmt.Sprintf("microbench: %v", err)) // cells never return errors

@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -187,5 +188,52 @@ func TestDeploymentParallelDeterminism(t *testing.T) {
 	b := Run(machine.TestbedII(), fanned)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("deployments differ between 1 and 8 workers:\nserial: %+v\nparallel: %+v", a, b)
+	}
+}
+
+// TestReusedRunnerMatchesFresh runs every campaign cell twice, once on a
+// new runner and once on one runner reset from cell to cell, as Run does:
+// the measured values must be identical bit for bit.
+func TestReusedRunnerMatchesFresh(t *testing.T) {
+	tb, cfg := machine.TestbedII(), DefaultConfig()
+	var reused *runner
+	for _, c := range campaignCells(tb, cfg) {
+		seed := cellSeed(cfg.Seed, c.key)
+		fresh := newRunner(tb, cfg, seed)
+		want, wantEnd := c.run(fresh), fresh.eng.Now()
+		if reused == nil {
+			reused = newRunner(tb, cfg, seed)
+		} else {
+			reused.reset(seed)
+		}
+		got, gotEnd := c.run(reused), reused.eng.Now()
+		if math.Float64bits(got) != math.Float64bits(want) || gotEnd != wantEnd {
+			t.Fatalf("cell %s: reused runner measured %v at %v, new runner %v at %v", c.key, got, gotEnd, want, wantEnd)
+		}
+	}
+}
+
+// TestDeployAllocs bounds what a warm serial deployment allocates: the
+// cells share one reused simulation stack, so the campaign allocates its
+// work-list and fits, not 706 engines, devices and noise streams.
+func TestDeployAllocs(t *testing.T) {
+	tb, cfg := machine.TestbedII(), DefaultConfig()
+	cfg.Workers = 1
+	Run(tb, cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Run(tb, cfg)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("warm Run allocated %d bytes, want under 1 MB", got)
+	}
+}
+
+func BenchmarkRun(b *testing.B) {
+	tb, cfg := machine.TestbedII(), DefaultConfig()
+	cfg.Workers = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Run(tb, cfg)
 	}
 }
